@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "os/exec"
+
+// dieWithParent is a no-op where the kernel offers no parent-death
+// signal.
+func dieWithParent(*exec.Cmd) {}
