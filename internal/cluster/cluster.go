@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"micstream/internal/core"
@@ -307,26 +308,20 @@ type Cluster struct {
 	// at Run entry (the servers accumulate across runs, the Result and
 	// metrics report per-run deltas). telStaged accumulates the staging
 	// volume charged per device this run; tenantLat/tenantSeen feed the
-	// drain-instant per-tenant metrics when telemetry is enabled.
+	// drain-instant per-tenant metrics when telemetry is enabled:
+	// tenantLat summarizes each tenant's completed latencies (virtual
+	// nanoseconds), tenantSeen lists its keys in sorted order.
 	runStart   sim.Time
 	linkBusy0  []sim.Duration
 	kernBusy0  []sim.Duration
 	telStaged  []int64
-	tenantLat  map[string]*tenantAccum
+	tenantLat  map[string]*stats.Running
 	tenantSeen []string
 	// telHit/telMiss accumulate the residency hit/miss byte split this
 	// run for the metrics snapshots, un-charged on steal withdraw like
 	// telStaged.
 	telHit  int64
 	telMiss int64
-}
-
-// tenantAccum is the running per-tenant completion record behind the
-// drain-instant metrics: completion count plus realized latencies (in
-// virtual nanoseconds, as float64 for the percentile helpers).
-type tenantAccum struct {
-	done int
-	lats []float64
 }
 
 // New builds a cluster over every device of ctx: one embedded
@@ -642,7 +637,7 @@ func (c *Cluster) Run(jobs []Job) (*Result, error) {
 		c.kernBusy0[d] = c.kernelBusy(d)
 	}
 	if c.tel.Enabled() {
-		c.tenantLat = make(map[string]*tenantAccum)
+		c.tenantLat = make(map[string]*stats.Running)
 		c.tenantSeen = nil
 	}
 
@@ -1031,12 +1026,12 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 			Job: idx, ID: out.ID, Tenant: out.Tenant, Device: dev, From: -1, Stream: o.Stream})
 		acc := c.tenantLat[out.Tenant]
 		if acc == nil {
-			acc = &tenantAccum{}
+			acc = new(stats.Running)
 			c.tenantLat[out.Tenant] = acc
-			c.tenantSeen = append(c.tenantSeen, out.Tenant)
+			i := sort.SearchStrings(c.tenantSeen, out.Tenant)
+			c.tenantSeen = slices.Insert(c.tenantSeen, i, out.Tenant)
 		}
-		acc.done++
-		acc.lats = append(acc.lats, float64(out.Latency()))
+		acc.Add(float64(out.Latency()))
 	}
 	if c.resident != nil {
 		// The drain instant is where write effects land and where
@@ -1121,22 +1116,16 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		}
 		snap.Devices[d] = dm
 	}
-	names := append([]string(nil), c.tenantSeen...)
-	sort.Strings(names)
-	tput := make([]float64, 0, len(names))
-	for _, name := range names {
+	tput := make([]float64, 0, len(c.tenantSeen))
+	for _, name := range c.tenantSeen {
 		acc := c.tenantLat[name]
-		tm := telemetry.TenantMetrics{Tenant: name, Done: acc.done}
+		tm := telemetry.TenantMetrics{Tenant: name, Done: acc.N(),
+			MeanLatency: sim.Duration(acc.Mean()), P95: sim.Duration(acc.P95())}
 		if secs > 0 {
-			tm.Throughput = float64(acc.done) / secs
-		}
-		if len(acc.lats) > 0 {
-			tm.MeanLatency = sim.Duration(stats.Mean(acc.lats))
-			_, p95, _ := stats.Percentiles(acc.lats)
-			tm.P95 = sim.Duration(p95)
+			tm.Throughput = float64(tm.Done) / secs
 		}
 		snap.Tenants = append(snap.Tenants, tm)
-		tput = append(tput, float64(acc.done))
+		tput = append(tput, float64(tm.Done))
 	}
 	snap.Fairness = stats.JainIndex(tput)
 	return snap

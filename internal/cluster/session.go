@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"micstream/internal/sim"
+	"micstream/internal/stats"
 )
 
 // Session is the cluster's embedded service mode: a persistent run
@@ -84,7 +85,7 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		c.kernBusy0[d] = c.kernelBusy(d)
 	}
 	if c.tel.Enabled() {
-		c.tenantLat = make(map[string]*tenantAccum)
+		c.tenantLat = make(map[string]*stats.Running)
 		c.tenantSeen = nil
 	}
 	return &Session{c: c, runStart: c.ctx.Engine().Now()}, nil

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"micstream/internal/sim"
+	"micstream/internal/stats"
 	"micstream/internal/telemetry"
 )
 
@@ -315,4 +317,104 @@ func TestTelemetryRecorderSurvivesRuns(t *testing.T) {
 	if got := rec.Count(telemetry.Drain); got != 12 {
 		t.Errorf("drain events across two runs: got %d, want 12", got)
 	}
+}
+
+// TestTelemetryTenantMetricsMatchBatchFormula pins the batch formula
+// as the reference for the drain-instant tenant metrics: every
+// snapshot's per-tenant Done, MeanLatency and P95 equal stats.Mean and
+// stats.Percentiles recomputed from the latencies that tenant had
+// completed by then, in drain order, and tenants are listed sorted.
+// Covered on a batch Run and on a multi-epoch Session.
+func TestTelemetryTenantMetricsMatchBatchFormula(t *testing.T) {
+	cfg := ScenarioConfig{Jobs: 400, Seed: 9, Tenants: 5, Arrival: "bursty", WindowNs: 40_000_000,
+		AffinityFraction: 0.5, Origins: []int{0, 1}}
+	opts := func(rec *telemetry.Recorder) []Option {
+		return []Option{WithPlacement(Predicted()), WithStealing(0), WithSlicing(1), WithTelemetry(rec)}
+	}
+	check := func(t *testing.T, rec *telemetry.Recorder, outcomes []Outcome) {
+		t.Helper()
+		snaps := rec.Metrics()
+		if len(snaps) != len(outcomes) {
+			t.Fatalf("got %d snapshots, want one per completion (%d)", len(snaps), len(outcomes))
+		}
+		lats := map[string][]float64{}
+		k := 0
+		for _, e := range rec.Events() {
+			if e.Kind != telemetry.Drain {
+				continue
+			}
+			o := outcomes[e.Job]
+			lats[o.Tenant] = append(lats[o.Tenant], float64(o.Latency()))
+			s := snaps[k]
+			k++
+			if s.At != e.At {
+				t.Fatalf("snapshot %d at %v, its drain at %v", k-1, s.At, e.At)
+			}
+			if len(s.Tenants) != len(lats) {
+				t.Fatalf("snapshot %d lists %d tenants, %d have completed", k-1, len(s.Tenants), len(lats))
+			}
+			for i, tm := range s.Tenants {
+				if i > 0 && s.Tenants[i-1].Tenant >= tm.Tenant {
+					t.Fatalf("snapshot %d tenants out of order: %q before %q", k-1, s.Tenants[i-1].Tenant, tm.Tenant)
+				}
+				xs := lats[tm.Tenant]
+				_, p95, _ := stats.Percentiles(xs)
+				if tm.Done != len(xs) || tm.MeanLatency != sim.Duration(stats.Mean(xs)) || tm.P95 != sim.Duration(p95) {
+					t.Fatalf("snapshot %d tenant %s: done/mean/p95 = %d/%v/%v, batch formula gives %d/%v/%v",
+						k-1, tm.Tenant, tm.Done, tm.MeanLatency, tm.P95, len(xs), sim.Duration(stats.Mean(xs)), sim.Duration(p95))
+				}
+			}
+		}
+		if k != len(snaps) {
+			t.Fatalf("%d drain events for %d snapshots", k, len(snaps))
+		}
+		if len(lats) < 3 {
+			t.Fatalf("only %d tenants completed; the mix must cover at least 3", len(lats))
+		}
+	}
+	t.Run("run", func(t *testing.T) {
+		ctx := newCtx(t, 2, 2, 2)
+		jobs, err := BuildScenario(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := telemetry.NewRecorder()
+		c, err := New(ctx, opts(rec)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, rec, r.Jobs)
+	})
+	t.Run("session", func(t *testing.T) {
+		ctx := newCtx(t, 2, 2, 2)
+		jobs, err := BuildScenario(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := telemetry.NewRecorder()
+		c, err := New(ctx, opts(rec)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.NewSession(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := 0; start < len(jobs); start += 100 {
+			if _, err := sess.Submit(jobs[start : start+100]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sess.Epochs() != 4 {
+			t.Fatalf("ran %d epochs, want 4", sess.Epochs())
+		}
+		check(t, rec, sess.Result().Jobs)
+	})
 }

@@ -194,6 +194,18 @@ func percentileSorted(ys []float64, p float64) float64 {
 	if n == 1 {
 		return ys[0]
 	}
+	lo, hi, frac := percentileRank(n, p)
+	if lo == hi {
+		return ys[lo]
+	}
+	return interpolate(ys[lo], ys[hi], frac)
+}
+
+// percentileRank locates the p-th percentile (p not NaN) of n sorted
+// values: it lies frac of the way from rank lo to rank hi, with
+// lo == hi when it falls on a value. Running shares it with
+// percentileSorted so both compute the same bits.
+func percentileRank(n int, p float64) (lo, hi int, frac float64) {
 	if p < 0 {
 		p = 0
 	}
@@ -201,14 +213,14 @@ func percentileSorted(ys []float64, p float64) float64 {
 		p = 100
 	}
 	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := rank - float64(lo)
-	return ys[lo] + frac*(ys[hi]-ys[lo])
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
 }
+
+// interpolate is the linear step between neighbouring ranks a and b,
+// shared with Running for the same reason as percentileRank.
+func interpolate(a, b, frac float64) float64 { return a + frac*(b-a) }
 
 // Percentiles returns the p50, p95 and p99 of xs over a single sorted
 // copy — the latency summary the scheduler reports per tenant.

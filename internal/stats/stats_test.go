@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +291,60 @@ func TestJainIndexHugeValues(t *testing.T) {
 	}
 	if j := JainIndex([]float64{1e200, 0, 0, 0}); math.Abs(j-0.25) > 1e-12 {
 		t.Fatalf("huge monopoly Jain = %v, want 0.25", j)
+	}
+}
+
+// Property: after every Add, Running's mean and p95 equal Mean and
+// Percentile(·, 95) over the values added so far, bit for bit — the
+// drain-instant metrics depend on the incremental summary reproducing
+// the batch formula exactly, not approximately.
+func TestRunningMatchesBatchFormulaExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 1500
+	stream := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	streams := []struct {
+		name string
+		xs   []float64
+	}{
+		{"n=1", []float64{42}},
+		{"n=2", []float64{7, 3}},
+		{"n=2 tie", []float64{5, 5}},
+		{"ties", stream(func(int) float64 { return float64(rng.Intn(8)) })},
+		{"ascending", stream(func(i int) float64 { return float64(i) * 1.5 })},
+		{"descending", stream(func(i int) float64 { return float64(n-i) * 1.5 })},
+		{"constant", stream(func(int) float64 { return 123456 })},
+		{"exponential", stream(func(int) float64 {
+			// Latency scale: a mean drawn per value from 1e5..1e8 ns,
+			// rounded to whole nanoseconds as the cluster's latencies are.
+			mean := math.Pow(10, 5+3*rng.Float64())
+			return math.Round(rng.ExpFloat64() * mean)
+		})},
+		{"uniform", stream(func(int) float64 { return rng.Float64() * 1e8 })},
+	}
+	for _, st := range streams {
+		name, xs := st.name, st.xs
+		var r Running
+		if r.Mean() != 0 || r.P95() != 0 || r.N() != 0 {
+			t.Fatalf("%s: empty summary = (%v, %v, %d), want zeros", name, r.Mean(), r.P95(), r.N())
+		}
+		for i, x := range xs {
+			r.Add(x)
+			seen := xs[:i+1]
+			if got, want := r.Mean(), Mean(seen); got != want {
+				t.Fatalf("%s: mean after %d values = %v, want %v", name, i+1, got, want)
+			}
+			if got, want := r.P95(), Percentile(seen, 95); got != want {
+				t.Fatalf("%s: p95 after %d values = %v, want %v", name, i+1, got, want)
+			}
+			if r.N() != i+1 {
+				t.Fatalf("%s: N = %d after %d values", name, r.N(), i+1)
+			}
+		}
 	}
 }
