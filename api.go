@@ -463,6 +463,7 @@ type clusterConfig struct {
 	devices    int
 	partitions int
 	streams    int
+	traced     bool
 	opts       []cluster.Option
 }
 
@@ -545,12 +546,18 @@ func WithClusterDevicePolicy(factory func() SchedPolicy) ClusterOption {
 // WithClusterTelemetry attaches a scheduling-event recorder to the
 // cluster: every admit/place/dispatch/complete/steal/residency/drain
 // decision is logged with virtual timestamps, and every drain instant
-// captures a MetricsSnapshot. Recording never feeds back into a
-// decision — a traced run's ClusterResult is bit-identical to an
-// untraced one (DESIGN.md §12). Use Cluster.Trace to export the log as
-// Chrome trace-event JSON and Cluster.Metrics for the snapshots.
+// captures a MetricsSnapshot. A non-nil recorder also turns on the
+// platform's resource spans (one per H2D, kernel and D2H operation),
+// which a cluster without telemetry does not record. Recording never
+// feeds back into a decision — a traced run's ClusterResult is
+// bit-identical to an untraced one (DESIGN.md §12). Use Cluster.Trace
+// to export the log and the spans as Chrome trace-event JSON and
+// Cluster.Metrics for the snapshots.
 func WithClusterTelemetry(rec *Telemetry) ClusterOption {
-	return func(c *clusterConfig) { c.opts = append(c.opts, cluster.WithTelemetry(rec)) }
+	return func(c *clusterConfig) {
+		c.traced = rec != nil
+		c.opts = append(c.opts, cluster.WithTelemetry(rec))
+	}
 }
 
 // WithSchedulerTelemetry attaches a scheduling-event recorder to a
@@ -562,8 +569,11 @@ func WithSchedulerTelemetry(rec *Telemetry) SchedOption {
 
 // NewCluster builds a multi-MIC platform and its cluster scheduler in
 // one call: WithClusterDevices(2) × WithClusterPartitions(4) ×
-// WithClusterStreams(1) by default, predicted placement. Use
-// ClusterPlatform to reach the underlying platform (Gantt, buffers).
+// WithClusterStreams(1) by default, predicted placement. The platform
+// records resource spans only when WithClusterTelemetry is given, so
+// an untraced cluster or server pays nothing per stream operation for
+// a trace no one reads. Use ClusterPlatform to reach the underlying
+// platform (buffers, Gantt).
 func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	cfg := clusterConfig{devices: 2, partitions: 4, streams: 1}
 	for _, opt := range opts {
@@ -573,6 +583,7 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 		WithDevices(cfg.devices),
 		WithPartitions(cfg.partitions),
 		WithStreamsPerPartition(cfg.streams),
+		func(c *hstreams.Config) { c.Trace = cfg.traced },
 	)
 	if err != nil {
 		return nil, err
@@ -581,7 +592,10 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 }
 
 // ClusterPlatform wraps a cluster's context as a Platform for the
-// facade's platform-level helpers (Alloc1D, Gantt, Elapsed).
+// facade's platform-level helpers (Alloc1D, Gantt, Elapsed). Gantt,
+// OverlapFraction, TransferBusy and KernelBusy read the platform's
+// resource spans, so they need WithClusterTelemetry on the cluster;
+// without it Gantt errors and the other three report zero.
 func ClusterPlatform(c *Cluster) *Platform { return &Platform{ctx: c.Context()} }
 
 // LeastLoadedPlacement routes each job to the device holding the

@@ -1,7 +1,10 @@
 package micstream
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -232,6 +235,84 @@ func TestFacadeCluster(t *testing.T) {
 	}
 	if sp := StaticPlacement(1); sp.Name() != "static-1" {
 		t.Fatalf("StaticPlacement name = %q", sp.Name())
+	}
+}
+
+// A facade cluster records resource spans only for a trace reader:
+// without telemetry the platform has no span recorder; with it,
+// Cluster.Trace still draws every link and partition occupancy. The
+// spans never feed a decision, so both runs' results are identical.
+func TestFacadeClusterSpansOnlyWithTelemetry(t *testing.T) {
+	run := func(opts ...ClusterOption) (*Cluster, *ClusterResult) {
+		t.Helper()
+		c, err := NewCluster(append([]ClusterOption{WithClusterDevices(2), WithClusterPartitions(2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := BuildClusterScenario(c, ClusterScenarioConfig{
+			Seed: 5, AffinityFraction: 0.5, Origins: []int{0, 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, r
+	}
+	plain, plainRes := run()
+	if rec := ClusterPlatform(plain).Context().Recorder(); rec != nil {
+		t.Fatalf("cluster without telemetry records spans (%d so far)", len(rec.Spans()))
+	}
+	traced, tracedRes := run(WithClusterTelemetry(NewTelemetry()))
+	if !reflect.DeepEqual(plainRes, tracedRes) {
+		t.Fatal("telemetry changed the ClusterResult")
+	}
+
+	var buf bytes.Buffer
+	if err := traced.Trace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+			Args struct {
+				Name string `json:"name"`
+				Kind string `json:"kind"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	threads := map[[2]int]string{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "M" && e.Name == "thread_name" {
+			threads[[2]int{e.Pid, e.Tid}] = e.Args.Name
+		}
+	}
+	seen := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" || e.Cat != "span" {
+			continue
+		}
+		thread := threads[[2]int{e.Pid, e.Tid}]
+		switch {
+		case strings.HasSuffix(thread, "/pcie"):
+			seen["link "+e.Args.Kind] = true
+		case strings.Contains(thread, "/part"):
+			seen["partition "+e.Args.Kind] = true
+		}
+	}
+	for _, want := range []string{"link H2D", "link D2H", "partition EXE"} {
+		if !seen[want] {
+			t.Errorf("traced cluster's Chrome trace has no %s span (saw %v)", want, seen)
+		}
 	}
 }
 

@@ -466,7 +466,10 @@ func (c *Cluster) Metrics() []telemetry.MetricsSnapshot { return c.tel.Metrics()
 // Trace writes the cluster's runs so far as Chrome trace-event JSON,
 // unifying the platform's span recorder (resource occupancy) with the
 // telemetry event log (scheduling decisions). Either recorder may be
-// absent; with both disabled the export is an empty trace.
+// absent; with both disabled the export is an empty trace. The context
+// records spans only when built with hstreams.Config.Trace, which the
+// facade's NewCluster sets exactly when telemetry is attached, so a
+// facade cluster's trace carries either both or neither.
 func (c *Cluster) Trace(w io.Writer) error {
 	return telemetry.WriteChromeTrace(w, c.ctx.Recorder().Spans(), c.tel)
 }

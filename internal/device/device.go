@@ -459,9 +459,13 @@ func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body 
 	if body != nil {
 		p.dev.eng.At(start, body)
 	}
+	rec := p.dev.rec
+	if rec == nil {
+		return start, end
+	}
 	alloc := p.AllocTime(c)
 	if alloc > 0 {
-		p.dev.rec.Add(trace.Span{
+		rec.Add(trace.Span{
 			Resource: p.srv.Name(),
 			Stream:   stream,
 			Task:     task,
@@ -471,7 +475,7 @@ func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body 
 			End:      start.Add(alloc),
 		})
 	}
-	p.dev.rec.Add(trace.Span{
+	rec.Add(trace.Span{
 		Resource: p.srv.Name(),
 		Stream:   stream,
 		Task:     task,

@@ -229,10 +229,29 @@ func (s *Stream) Sync() { s.ctx.Wait(s.last) }
 
 // Event marks the completion of one enqueued action. Events resolve at
 // a definite virtual time and can gate actions in other streams.
+//
+// An event also carries the waiting state of the action it completes:
+// the count of unresolved predecessors and the exec hook that starts
+// the action once that count reaches zero. Keeping this state on the
+// event, rather than in per-action closures, is what keeps an enqueue
+// down to a handful of allocations.
 type Event struct {
-	done bool
-	at   sim.Time
-	subs []func()
+	done    bool
+	at      sim.Time
+	waiters []waiter
+
+	ctx     *Context
+	pending int
+	exec    func(ready sim.Time, ev *Event)
+}
+
+// waiter is one registration on an event: an OnDone callback (fn) or
+// an action whose predecessor the event is (ev). OnDone callbacks and
+// dependent actions share one list so that they run in exact
+// registration order at the resolution instant.
+type waiter struct {
+	fn func()
+	ev *Event
 }
 
 // Done reports whether the event has completed.
@@ -244,10 +263,37 @@ func (e *Event) CompletedAt() sim.Time { return e.at }
 func (e *Event) resolve(at sim.Time) {
 	e.done = true
 	e.at = at
-	subs := e.subs
-	e.subs = nil
-	for _, fn := range subs {
-		fn()
+	waiters := e.waiters
+	e.waiters = nil
+	for _, w := range waiters {
+		if w.fn != nil {
+			w.fn()
+		} else {
+			w.ev.predecessorDone()
+		}
+	}
+}
+
+// complete resolves the event at the current virtual time; an action's
+// exec arranges for it to run at the action's completion instant.
+func (e *Event) complete() { e.resolve(e.ctx.eng.Now()) }
+
+// after registers d as a predecessor of e's action when d is still
+// unresolved.
+func (e *Event) after(d *Event) {
+	if d == nil || d.done {
+		return
+	}
+	e.pending++
+	d.waiters = append(d.waiters, waiter{ev: e})
+}
+
+// predecessorDone counts one predecessor of e's action as resolved and
+// starts the action when none remain.
+func (e *Event) predecessorDone() {
+	e.pending--
+	if e.pending == 0 {
+		e.exec(e.ctx.eng.Now(), e)
 	}
 }
 
@@ -257,57 +303,27 @@ func (e *Event) resolve(at sim.Time) {
 // completion time as Context.Now() and may enqueue further work — this
 // is the hook the online scheduler (internal/sched) uses to make
 // dispatch decisions at job-completion instants.
-func (e *Event) OnDone(fn func()) { e.onDone(fn) }
-
-// onDone runs fn immediately if resolved, else at resolution.
-func (e *Event) onDone(fn func()) {
+func (e *Event) OnDone(fn func()) {
 	if e == nil || e.done {
 		fn()
 		return
 	}
-	e.subs = append(e.subs, fn)
+	e.waiters = append(e.waiters, waiter{fn: fn})
 }
 
 // enqueue appends an action to the stream: it becomes ready when the
 // stream's previous action and all explicit deps have completed, then
-// calls exec with the ready time; exec must arrange for complete() to
-// be invoked at the action's completion instant.
-func (s *Stream) enqueue(deps []*Event, exec func(ready sim.Time, complete func())) *Event {
-	ev := &Event{}
-	all := make([]*Event, 0, len(deps)+1)
-	if s.last != nil {
-		all = append(all, s.last)
-	}
+// calls exec with the ready time and the action's event; exec must
+// arrange for ev.complete() to run at the action's completion instant.
+func (s *Stream) enqueue(deps []*Event, exec func(ready sim.Time, ev *Event)) *Event {
+	ev := &Event{ctx: s.ctx, exec: exec}
+	ev.after(s.last)
 	for _, d := range deps {
-		if d != nil {
-			all = append(all, d)
-		}
+		ev.after(d)
 	}
 	s.last = ev
-
-	pending := 0
-	fire := func() {
-		exec(s.ctx.eng.Now(), func() { ev.resolve(s.ctx.eng.Now()) })
-	}
-	dec := func() {
-		pending--
-		if pending == 0 {
-			fire()
-		}
-	}
-	for _, d := range all {
-		if !d.done {
-			pending++
-		}
-	}
-	if pending == 0 {
-		fire()
-		return ev
-	}
-	for _, d := range all {
-		if !d.done {
-			d.onDone(dec)
-		}
+	if ev.pending == 0 {
+		exec(s.ctx.eng.Now(), ev)
 	}
 	return ev
 }
@@ -334,12 +350,12 @@ func (s *Stream) enqueueXfer(dir pcie.Direction, b *Buffer, off, n, task int, de
 	}
 	bytes := int64(n) * int64(b.elemSize)
 	devIdx := s.devIdx
-	exec := func(ready sim.Time, complete func()) {
+	exec := func(ready sim.Time, ev *Event) {
 		s.link.Transfer(dir, bytes, ready, s.id, task, func(start, end sim.Time) {
 			if s.ctx.cfg.ExecuteKernels {
 				b.move(devIdx, off, n, dir == pcie.H2D)
 			}
-			complete()
+			ev.complete()
 		})
 	}
 	return s.enqueue(deps, exec), nil
@@ -363,14 +379,14 @@ type KernelCtx struct {
 // (optional) is the functional implementation, invoked at the kernel's
 // scheduled start when the context executes kernels.
 func (s *Stream) EnqueueKernel(cost device.KernelCost, task int, body func(*KernelCtx), deps ...*Event) *Event {
-	exec := func(ready sim.Time, complete func()) {
+	exec := func(ready sim.Time, ev *Event) {
 		var fn func()
 		if body != nil && s.ctx.cfg.ExecuteKernels {
 			fn = func() {
 				body(&KernelCtx{Ctx: s.ctx, DeviceIndex: s.devIdx, Stream: s, Task: task})
 			}
 		}
-		s.part.Launch(ready, cost, s.id, task, fn, func(start, end sim.Time) { complete() })
+		s.part.Launch(ready, cost, s.id, task, fn, func(start, end sim.Time) { ev.complete() })
 	}
 	return s.enqueue(deps, exec)
 }

@@ -391,3 +391,61 @@ func TestTraceRecordsAllStages(t *testing.T) {
 		t.Fatal("single-task stages overlapped")
 	}
 }
+
+// At an event's resolution its OnDone callbacks and the actions that
+// depend on it run in one sequence, in registration order. B and C
+// share a partition, so the partition's reservations at each callback
+// show which actions have already started.
+func TestWaitersRunInRegistrationOrder(t *testing.T) {
+	c := newCtx(t, Config{Partitions: 2, StreamsPerPartition: 2})
+	cost := device.KernelCost{Name: "k", Flops: 1e9}
+	part := c.Device(0).Partition(1)
+	kt := part.KernelTime(cost)
+	var log []int64
+	a := c.Stream(0).EnqueueKernel(cost, 0, nil)
+	b := c.StreamAt(0, 1, 0).EnqueueKernel(cost, 1, nil, a)
+	a.OnDone(func() { log = append(log, int64(part.BusyTime()/kt)) })
+	cc := c.StreamAt(0, 1, 1).EnqueueKernel(cost, 2, nil, a)
+	a.OnDone(func() { log = append(log, int64(part.BusyTime()/kt)) })
+	c.Drain()
+	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
+		t.Fatalf("kernels reserved at each OnDone = %v, want [1 2] (B, f1, C, f2)", log)
+	}
+	if got, want := b.CompletedAt(), a.CompletedAt().Add(kt); got != want {
+		t.Fatalf("B completed at %v, want %v (first on the partition)", got, want)
+	}
+	if got, want := cc.CompletedAt(), b.CompletedAt().Add(kt); got != want {
+		t.Fatalf("C completed at %v, want %v (after B)", got, want)
+	}
+}
+
+// A steady-state stream operation on an untraced context allocates
+// its event, its exec hook, and the completion callbacks the link or
+// partition schedules — nothing per dependency and nothing for spans.
+func TestUntracedEnqueueAllocs(t *testing.T) {
+	c := newCtx(t, Config{})
+	s := c.Stream(0)
+	buf := AllocVirtual(c, "buf", 1<<20, 1)
+	cost := device.KernelCost{Name: "k", Flops: 1e6}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"EnqueueKernel", func() { s.EnqueueKernel(cost, 0, nil) }},
+		{"EnqueueH2D", func() {
+			if _, err := s.EnqueueH2D(buf, 0, 1<<20, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		tc.op()
+		c.Drain() // warm the engine's heap
+		allocs := testing.AllocsPerRun(1000, func() {
+			tc.op()
+			c.Drain()
+		})
+		if allocs > 4 {
+			t.Errorf("%s + Drain allocated %.1f objects/op, want <= 4", tc.name, allocs)
+		}
+	}
+}

@@ -129,6 +129,9 @@ func (l *Link) Transfer(dir Direction, n int64, ready sim.Time, stream, task int
 		srv = l.d2h
 	}
 	start, end = srv.Reserve(ready, l.cfg.TransferTime(n), done)
+	if l.rec == nil {
+		return start, end
+	}
 	l.rec.Add(trace.Span{
 		Resource: srv.Name(),
 		Stream:   stream,

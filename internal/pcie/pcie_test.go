@@ -205,3 +205,18 @@ func TestPropertyWorkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Without a recorder a transfer builds no span and formats no label,
+// so it allocates nothing.
+func TestUntracedTransferZeroAlloc(t *testing.T) {
+	l, err := NewLink(sim.NewEngine(), DefaultConfig(), "mic0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Transfer(H2D, MB, 0, 0, 0, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced Transfer allocated %.1f objects/op, want 0", allocs)
+	}
+}

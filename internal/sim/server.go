@@ -44,7 +44,10 @@ func (s *Server) Reserve(ready Time, dur Duration, done func(start, end Time)) (
 	s.busy += dur
 	s.count++
 	if done != nil {
-		s.eng.At(end, func() { done(start, end) })
+		// Locals, not the named results: a closure capturing start and
+		// end would move them to the heap on every reservation.
+		st, en := start, end
+		s.eng.At(end, func() { done(st, en) })
 	}
 	return start, end
 }

@@ -145,3 +145,16 @@ func TestPropertyServerMakespanBounds(t *testing.T) {
 		}
 	}
 }
+
+// A reservation without a completion callback must not allocate: the
+// platform layers reserve once per stream operation, so an escaping
+// start/end pair would cost two heap objects per operation.
+func TestServerReserveNilDoneZeroAlloc(t *testing.T) {
+	s := NewServer(NewEngine(), "srv")
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Reserve(s.FreeAt(), 5, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reserve with nil done allocated %.1f objects/op, want 0", allocs)
+	}
+}
