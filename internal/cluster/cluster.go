@@ -274,13 +274,13 @@ type Cluster struct {
 	tel            *telemetry.Recorder
 
 	stagingBuf *hstreams.Buffer
-	// resStart snapshots the tracker's cumulative stats at Run entry,
+	// resStart snapshots the tracker's cumulative stats at session open,
 	// so the Result reports per-run eviction deltas while the cache
 	// itself stays warm across runs.
 	resStart residency.Stats
 
-	// Per-run state, reset by Run (or by NewSession, which then grows
-	// it batch by batch instead of sizing it up front).
+	// Per-run state, reset when a session opens (Run opens one); the
+	// per-job slices grow batch by batch as the session admits jobs.
 	queue       []*Queued
 	admitted    []*Queued // outcome index → admission record
 	outcomes    []Outcome
@@ -305,7 +305,7 @@ type Cluster struct {
 
 	// runStart anchors the run's elapsed-time accounting; linkBusy0 and
 	// kernBusy0 snapshot each device's cumulative sim.Server occupancy
-	// at Run entry (the servers accumulate across runs, the Result and
+	// at session open (the servers accumulate across runs, the Result and
 	// metrics report per-run deltas). telStaged accumulates the staging
 	// volume charged per device this run; tenantLat/tenantSeen feed the
 	// drain-instant per-tenant metrics when telemetry is enabled:
@@ -585,96 +585,28 @@ func (c *Cluster) validate(jobs []Job) error {
 	return nil
 }
 
-// Run admits every job at its arrival time, places them under the
-// configured policy until all complete, and returns the per-job,
-// per-device and per-tenant accounting. Arrival times earlier than the
-// context's current virtual time clamp to it.
+// Run is a one-batch session: it opens a session, admits every job at
+// its arrival time, drains them in one epoch under the configured
+// policy and returns the session's Result — the per-job, per-device
+// and per-tenant accounting. Arrival times earlier than the context's
+// current virtual time clamp to it. A malformed job is rejected before
+// the session opens, leaving the cluster untouched. A scheduling error
+// returns the error together with a partial Result in which every
+// admitted-but-unrun job is flagged Failed; so does the internal error
+// of jobs left non-terminal at the epoch boundary.
 func (c *Cluster) Run(jobs []Job) (*Result, error) {
 	if err := c.validate(jobs); err != nil {
 		return nil, err
 	}
-	for _, s := range c.scheds {
-		s.Reset()
+	s, err := c.NewSession(nil)
+	if err != nil {
+		return nil, err
 	}
-	if b, ok := c.place.(clusterBinder); ok {
-		b.bind(c)
-	}
-	if r, ok := c.place.(resetter); ok {
-		r.reset()
-	}
-	c.bindStealModel()
-	c.queue = nil
-	c.admitted = make([]*Queued, len(jobs))
-	c.outcomes = make([]Outcome, len(jobs))
-	c.notified = make([]bool, len(jobs))
-	c.nterminal = 0
-	c.onOutcome = nil
-	c.submitted = make([][]int, len(c.scheds))
-	c.runFlops = 0
-	for i := range jobs {
-		for _, t := range jobs[i].Tasks {
-			if !t.TransferOnly {
-				c.runFlops += t.Cost.Flops
-			}
-		}
-	}
-	c.done = 0
-	c.steals = 0
-	c.preempts = 0
-	c.seq = 0
-	c.runErr = nil
-	if c.resident != nil {
-		// The cache itself persists across runs (a repeated workload
-		// runs warm); only the per-run stats baseline resets.
-		c.resStart = c.resident.Stats()
-	}
-	// Per-run occupancy baselines: the partition and DMA servers
-	// accumulate busy time across runs, so per-run utilization is a
-	// delta against Run entry.
-	c.linkBusy0 = make([]sim.Duration, len(c.scheds))
-	c.kernBusy0 = make([]sim.Duration, len(c.scheds))
-	c.telStaged = make([]int64, len(c.scheds))
-	c.telHit, c.telMiss = 0, 0
-	for d := range c.scheds {
-		c.linkBusy0[d] = c.ctx.Link(d).TotalBusy()
-		c.kernBusy0[d] = c.kernelBusy(d)
-	}
-	if c.tel.Enabled() {
-		c.tenantLat = make(map[string]*stats.Running)
-		c.tenantSeen = nil
-	}
-
-	eng := c.ctx.Engine()
-	runStart := eng.Now()
-	c.runStart = runStart
-	for i := range jobs {
-		job := &jobs[i]
-		idx := i
-		at := job.Arrival
-		if at < runStart {
-			at = runStart
-		}
-		eng.At(at, func() { c.admit(job, idx) })
-	}
-	eng.Run()
-	if c.runErr == nil {
-		for _, s := range c.scheds {
-			if err := s.Err(); err != nil {
-				c.runErr = err
-				break
-			}
-		}
-	}
-	if c.runErr != nil {
-		// Mirror the sched error path: the partial result lists every
-		// admitted job, the unrun ones flagged Failed, instead of
-		// silently dropping the committed and cluster-queued backlog.
-		return c.summarize(runStart), c.runErr
-	}
-	if c.done != len(jobs) {
-		return nil, fmt.Errorf("cluster: internal error: %d of %d jobs completed", c.done, len(jobs))
-	}
-	return c.summarize(runStart), nil
+	// The caller cannot touch jobs before Run returns, so the session
+	// admits the slice itself instead of Submit's copy.
+	s.submit(jobs)
+	_, err = s.RunEpoch()
+	return s.Result(), err
 }
 
 // emitOutcome streams outcome idx to the session's per-job sink the

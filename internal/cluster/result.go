@@ -202,9 +202,9 @@ func (r *Result) Tenant(name string) *sched.TenantStats {
 }
 
 // summarize assembles the Result from the recorded outcomes.
-func (c *Cluster) summarize(runStart sim.Time) *Result {
+func (c *Cluster) summarize() *Result {
 	r := &Result{Placement: c.place.Name(), Jobs: c.outcomes}
-	end := runStart
+	end := c.runStart
 	devs := make([]DeviceStats, len(c.scheds))
 	for d := range devs {
 		devs[d].Device = d
@@ -238,7 +238,7 @@ func (c *Cluster) summarize(runStart sim.Time) *Result {
 	}
 	r.Steals = c.steals
 	r.Preempts = c.preempts
-	r.Makespan = end.Sub(runStart)
+	r.Makespan = end.Sub(c.runStart)
 	r.Tenants = sched.AggregateTenants(schedOutcomes, r.Makespan)
 	parts := c.ctx.Config().Partitions
 	for d := range devs {

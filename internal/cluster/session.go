@@ -35,16 +35,16 @@ import (
 // session (or just abandon it) and the cluster is reusable — Run
 // resets everything a session touched.
 type Session struct {
-	c        *Cluster
-	runStart sim.Time
-	total    int
-	epochs   int
-	running  bool
-	closed   bool
+	c       *Cluster
+	total   int
+	epochs  int
+	running bool
+	closed  bool
 }
 
-// NewSession opens service mode on the cluster: resets the per-run
-// state exactly like Run, then leaves the session open for batched
+// NewSession opens service mode on the cluster: it resets the per-run
+// state, anchors the run's elapsed-time accounting at the current
+// virtual instant, and leaves the session open for batched
 // Submit/RunEpoch cycles. onOutcome (optional) receives every job's
 // terminal Outcome — completed or failed — exactly once, in virtual
 // completion order, from inside the engine's event cascade; it must
@@ -74,8 +74,13 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	c.seq = 0
 	c.runErr = nil
 	if c.resident != nil {
+		// The cache itself persists across runs (a repeated workload
+		// runs warm); only the per-run stats baseline resets.
 		c.resStart = c.resident.Stats()
 	}
+	// Per-run occupancy baselines: the partition and DMA servers
+	// accumulate busy time across runs, so per-run utilization is a
+	// delta against session open.
 	c.linkBusy0 = make([]sim.Duration, len(c.scheds))
 	c.kernBusy0 = make([]sim.Duration, len(c.scheds))
 	c.telStaged = make([]int64, len(c.scheds))
@@ -88,7 +93,8 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		c.tenantLat = make(map[string]*stats.Running)
 		c.tenantSeen = nil
 	}
-	return &Session{c: c, runStart: c.ctx.Engine().Now()}, nil
+	c.runStart = c.ctx.Engine().Now()
+	return &Session{c: c}, nil
 }
 
 // Submit admits one batch at the current epoch boundary and returns
@@ -113,8 +119,14 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 	if err := s.c.validate(jobs); err != nil {
 		return 0, err
 	}
+	return s.submit(append([]Job(nil), jobs...)), nil
+}
+
+// submit admits a validated batch at the current epoch boundary. The
+// session keeps pointers into batch, so the caller must not touch it
+// until every job in it is terminal.
+func (s *Session) submit(batch []Job) (base int) {
 	eng := s.c.ctx.Engine()
-	batch := append([]Job(nil), jobs...)
 	base = len(s.c.outcomes)
 	s.c.outcomes = append(s.c.outcomes, make([]Outcome, len(batch))...)
 	s.c.admitted = append(s.c.admitted, make([]*Queued, len(batch))...)
@@ -135,7 +147,7 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 		eng.At(at, func() { s.c.admit(job, idx) })
 	}
 	s.total += len(batch)
-	return base, nil
+	return base
 }
 
 // RunEpoch drives the engine to the next quiescent boundary, draining
@@ -199,7 +211,7 @@ func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
 // aggregate accounting a batch Run returns, computed over all epochs.
 // Valid at any epoch boundary; the session stays open.
 func (s *Session) Result() *Result {
-	return s.c.summarize(s.runStart)
+	return s.c.summarize()
 }
 
 // Close ends the session. The cluster is reusable afterwards (Run

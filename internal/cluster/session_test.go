@@ -7,6 +7,7 @@ import (
 
 	"micstream/internal/residency"
 	"micstream/internal/sim"
+	"micstream/internal/telemetry"
 )
 
 // sessionWorkload is the mixed scenario the session tests run: three
@@ -24,13 +25,15 @@ func sessionWorkload(n int) []Job {
 	return jobs
 }
 
-// A single-batch session must reproduce the batch Run exactly: same
-// per-job outcomes, same aggregates — service mode is a refactor of
-// the run loop, not a new scheduler.
+// A single-batch session must reproduce the batch Run exactly: the
+// same Result, the same telemetry events and metrics snapshots —
+// batch Run is a one-batch session, and Submit's copy of the batch
+// must not change what the engine sees.
 func TestSessionSingleBatchMatchesRun(t *testing.T) {
 	jobs := sessionWorkload(16)
 
-	cRun, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0))
+	recRun := telemetry.NewRecorder()
+	cRun, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(recRun))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,8 @@ func TestSessionSingleBatchMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cSess, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0))
+	recSess := telemetry.NewRecorder()
+	cSess, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(recSess))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +59,17 @@ func TestSessionSingleBatchMatchesRun(t *testing.T) {
 		t.Fatalf("RunEpoch = (%d, %v), want (%d, nil)", n, err, len(jobs))
 	}
 	got := sess.Result()
-	if !reflect.DeepEqual(want.Jobs, got.Jobs) {
-		t.Fatalf("session outcomes diverge from batch Run:\nrun:     %+v\nsession: %+v", want.Jobs, got.Jobs)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("session Result diverges from batch Run:\nrun:     %+v\nsession: %+v", want, got)
 	}
-	if want.Makespan != got.Makespan || want.Steals != got.Steals || want.StagedBytes != got.StagedBytes {
-		t.Fatalf("session aggregates diverge: makespan %v/%v steals %d/%d staged %d/%d",
-			want.Makespan, got.Makespan, want.Steals, got.Steals, want.StagedBytes, got.StagedBytes)
+	if recRun.Len() == 0 || len(recRun.Metrics()) == 0 {
+		t.Fatal("batch Run recorded no telemetry; comparison vacuous")
+	}
+	if !reflect.DeepEqual(recRun.Events(), recSess.Events()) {
+		t.Fatalf("session events diverge from batch Run (%d vs %d events)", recRun.Len(), recSess.Len())
+	}
+	if !reflect.DeepEqual(recRun.Metrics(), recSess.Metrics()) {
+		t.Fatalf("session metrics diverge from batch Run (%d vs %d snapshots)", len(recRun.Metrics()), len(recSess.Metrics()))
 	}
 	if len(streamed) != len(jobs) {
 		t.Fatalf("streamed %d outcomes, want %d", len(streamed), len(jobs))

@@ -418,3 +418,43 @@ func TestTelemetryTenantMetricsMatchBatchFormula(t *testing.T) {
 		check(t, rec, sess.Result().Jobs)
 	})
 }
+
+// TestTelemetrySessionAfterRunAnchorsElapsed opens a session on a
+// cluster that has already run a batch: the session's drain-instant
+// snapshots measure Elapsed (and with it utilization and throughput)
+// from the session's own start, not from the earlier run's.
+func TestTelemetrySessionAfterRunAnchorsElapsed(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	c, err := New(newCtx(t, 2, 2, 2), WithTelemetry(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sessionWorkload(8)
+	if _, err := c.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := sess.Now()
+	if start <= 0 {
+		t.Fatalf("session opened at %v; the batch run should have advanced the clock", start)
+	}
+	n0 := len(rec.Metrics())
+	if _, err := sess.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := rec.Metrics()[n0:]
+	if len(snaps) == 0 {
+		t.Fatal("session recorded no metrics snapshots")
+	}
+	for i, s := range snaps {
+		if want := s.At.Sub(start); s.Elapsed != want {
+			t.Fatalf("session snapshot %d at %v: Elapsed %v, want %v", i, s.At, s.Elapsed, want)
+		}
+	}
+}

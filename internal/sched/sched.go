@@ -291,14 +291,21 @@ func (s *Scheduler) Streams() []int { return append([]int(nil), s.streams...) }
 // copy Streams makes — the per-decision snapshot path uses it.
 func (s *Scheduler) NumStreams() int { return len(s.streams) }
 
-// validateJob rejects jobs the dispatch loop cannot execute.
-func validateJob(j *Job) error {
+// validate rejects jobs the dispatch loop cannot execute: no tasks, a
+// nil task, or — on a WithSlicing scheduler — a task list slicing
+// cannot cut.
+func (s *Scheduler) validate(j *Job) error {
 	if len(j.Tasks) == 0 {
 		return fmt.Errorf("sched: job %d (tenant %q) has no tasks", j.ID, j.Tenant)
 	}
 	for k, task := range j.Tasks {
 		if task == nil {
 			return fmt.Errorf("sched: job %d (tenant %q) has nil task %d", j.ID, j.Tenant, k)
+		}
+	}
+	if s.sliceMax > 0 {
+		if err := Sliceable(j.Tasks); err != nil {
+			return fmt.Errorf("sched: job %d (tenant %q): %w", j.ID, j.Tenant, err)
 		}
 	}
 	return nil
@@ -319,13 +326,6 @@ func Sliceable(tasks []*core.Task) error {
 			}
 		}
 		seen[t.ID] = true
-	}
-	return nil
-}
-
-func validateSliceable(j *Job) error {
-	if err := Sliceable(j.Tasks); err != nil {
-		return fmt.Errorf("sched: job %d (tenant %q): %w", j.ID, j.Tenant, err)
 	}
 	return nil
 }
@@ -358,13 +358,8 @@ func (s *Scheduler) Reset() {
 // completion fields fill in at the completion instant, observable via
 // SetOnDone.
 func (s *Scheduler) Submit(job *Job) (int, error) {
-	if err := validateJob(job); err != nil {
+	if err := s.validate(job); err != nil {
 		return -1, err
-	}
-	if s.sliceMax > 0 {
-		if err := validateSliceable(job); err != nil {
-			return -1, err
-		}
 	}
 	if s.runErr != nil {
 		return -1, s.runErr
@@ -513,13 +508,8 @@ func (s *Scheduler) EarliestFree() sim.Time {
 // admitted-but-unrun job is flagged Failed.
 func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 	for i := range jobs {
-		if err := validateJob(&jobs[i]); err != nil {
+		if err := s.validate(&jobs[i]); err != nil {
 			return nil, err
-		}
-		if s.sliceMax > 0 {
-			if err := validateSliceable(&jobs[i]); err != nil {
-				return nil, err
-			}
 		}
 		if jobs[i].Arrival < 0 {
 			return nil, fmt.Errorf("sched: job %d has negative arrival %v", jobs[i].ID, jobs[i].Arrival)

@@ -2,7 +2,7 @@
 # check_determinism.sh — static lint for the determinism contract.
 #
 # The simulation packages promise bit-identical runs per seed
-# (DESIGN.md §2): all time is virtual, and nothing observable may
+# (DESIGN.md §6): all time is virtual, and nothing observable may
 # depend on Go's randomized map iteration order. This script enforces
 # the two leak classes that property tests catch only probabilistically:
 #
