@@ -137,7 +137,7 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 		Devices:        devices,
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
-		Trace:          true,
+		Stages:         true,
 	})
 	if err != nil {
 		return core.Result{}, err

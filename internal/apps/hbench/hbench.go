@@ -101,7 +101,7 @@ func (a *App) newContext(partitions int) (*hstreams.Context, error) {
 	return hstreams.Init(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
-		Trace:          true,
+		Stages:         true,
 	})
 }
 
@@ -136,7 +136,7 @@ func TransferPattern(hd, dh int, blockBytes int64) (sim.Duration, error) {
 	if hd < 0 || dh < 0 || blockBytes <= 0 {
 		return 0, fmt.Errorf("hbench: invalid transfer pattern hd=%d dh=%d block=%d", hd, dh, blockBytes)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{Partitions: 2, Trace: true})
+	ctx, err := hstreams.Init(hstreams.Config{Partitions: 2})
 	if err != nil {
 		return 0, err
 	}

@@ -114,7 +114,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	ctx, err := hstreams.Init(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
-		Trace:          true,
+		Stages:         true,
 	})
 	if err != nil {
 		return core.Result{}, err

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"micstream/internal/device"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
+	"micstream/internal/trace"
 )
 
 func ctx(t *testing.T, cfg hstreams.Config) *hstreams.Context {
@@ -181,6 +183,56 @@ func TestRunProducesMetrics(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// A context built with Stages summarizes a run exactly as one built
+// with Trace: a multi-task DAG on 2 devices × 3 partitions, with
+// transfer-only panels, cross-task dependencies, gated staging and a
+// kernel that pays an alloc cost.
+func TestStagesSummarizeAsTrace(t *testing.T) {
+	run := func(cfg hstreams.Config) Result {
+		cfg.Devices, cfg.Partitions = 2, 3
+		c := ctx(t, cfg)
+		buf := hstreams.AllocVirtual(c, "b", 1<<20, 4)
+		per := buf.Len() / 8
+		cost := device.KernelCost{Name: "k", Flops: 3e8, AllocBytesPerThread: 1 << 14, Efficiency: 0.5}
+		tasks := []*Task{{ID: 0, H2D: []TransferSpec{Xfer(buf, 0, per)}, TransferOnly: true, StreamHint: 0}}
+		for i := 1; i < 8; i++ {
+			tk := &Task{
+				ID:         i,
+				H2D:        []TransferSpec{Xfer(buf, i*per, per)},
+				Cost:       cost,
+				D2H:        []TransferSpec{Xfer(buf, i*per, per/2)},
+				DependsOn:  []int{0},
+				StreamHint: -1,
+			}
+			if i >= 4 {
+				tk.DependsOn = append(tk.DependsOn, i-3)
+				tk.H2D = append(tk.H2D, XferAfter(buf, (i-3)*per, per/4, i-3))
+			}
+			tasks = append(tasks, tk)
+		}
+		res, err := Run(c, tasks, 7*cost.Flops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := c.Recorder()
+		if res.H2DBusy != rec.BusyTime(trace.H2D) || res.D2HBusy != rec.BusyTime(trace.D2H) || res.KernelBusy != rec.BusyTime(trace.Kernel) {
+			t.Fatalf("busy times %+v differ from the recorder's BusyTime", res)
+		}
+		return res
+	}
+	traced, staged := run(hstreams.Config{Trace: true}), run(hstreams.Config{Stages: true})
+	if traced.H2DBusy == 0 || traced.D2HBusy == 0 || traced.KernelBusy == 0 || traced.OverlapFraction == 0 {
+		t.Fatalf("traced run recorded no stage times: %+v", traced)
+	}
+	if !reflect.DeepEqual(traced, staged) {
+		t.Fatalf("Stages result %+v differs from Trace result %+v", staged, traced)
+	}
+	bare := run(hstreams.Config{})
+	if bare.Wall != traced.Wall || bare.H2DBusy != 0 || bare.D2HBusy != 0 || bare.KernelBusy != 0 || bare.OverlapFraction != 0 {
+		t.Fatalf("unrecorded run %+v: want the traced wall %v and zero stage times", bare, traced.Wall)
 	}
 }
 

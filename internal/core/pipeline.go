@@ -20,7 +20,6 @@ import (
 	"micstream/internal/device"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
-	"micstream/internal/trace"
 )
 
 // TransferSpec names a contiguous element range of a buffer to move.
@@ -188,8 +187,8 @@ func Run(ctx *hstreams.Context, tasks []*Task, flops float64) (Result, error) {
 	return Summarize(ctx, flops, end.Sub(start)), nil
 }
 
-// Summarize assembles a Result from the context's trace and the
-// measured wall time.
+// Summarize assembles a Result from the context's stage intervals and
+// the measured wall time.
 func Summarize(ctx *hstreams.Context, flops float64, wall sim.Duration) Result {
 	r := Result{
 		Wall:       wall,
@@ -200,12 +199,9 @@ func Summarize(ctx *hstreams.Context, flops float64, wall sim.Duration) Result {
 	if wall > 0 && flops > 0 {
 		r.GFlops = flops / wall.Seconds() / 1e9
 	}
-	if rec := ctx.Recorder(); rec != nil {
-		r.H2DBusy = rec.BusyTime(trace.H2D)
-		r.D2HBusy = rec.BusyTime(trace.D2H)
-		r.KernelBusy = rec.BusyTime(trace.Kernel)
-		r.OverlapFraction = rec.TransferComputeOverlap()
-	}
+	st := ctx.Recorder().StageTimes()
+	r.H2DBusy, r.D2HBusy, r.KernelBusy = st.H2D, st.D2H, st.Kernel
+	r.OverlapFraction = st.TransferComputeOverlap
 	return r
 }
 
@@ -221,10 +217,12 @@ type Result struct {
 	Partitions int
 	Streams    int
 	// H2DBusy, D2HBusy and KernelBusy are per-stage busy times from
-	// the trace (zero when tracing was disabled).
+	// the context's recorder (zero when neither Trace nor Stages is
+	// set in its hstreams.Config).
 	H2DBusy, D2HBusy, KernelBusy sim.Duration
 	// OverlapFraction is the fraction of transfer time hidden behind
-	// kernel execution (temporal sharing achieved).
+	// kernel execution (temporal sharing achieved); zero, too, when
+	// neither Trace nor Stages is set.
 	OverlapFraction float64
 }
 

@@ -465,12 +465,16 @@ func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body 
 	}
 	alloc := p.AllocTime(c)
 	if alloc > 0 {
+		var label string
+		if rec.KeepsSpans() {
+			label = c.Name + "/alloc"
+		}
 		rec.Add(trace.Span{
 			Resource: p.srv.Name(),
 			Stream:   stream,
 			Task:     task,
 			Kind:     trace.Alloc,
-			Label:    c.Name + "/alloc",
+			Label:    label,
 			Start:    start,
 			End:      start.Add(alloc),
 		})

@@ -412,6 +412,43 @@ func TestLaunchTracesKernelAndAllocSpans(t *testing.T) {
 	}
 }
 
+// A stage recorder keeps no span, so a launch with an alloc cost builds
+// no "/alloc" label and, once the recorder's interval slices are warm,
+// allocates no more than without a recorder. A full recorder still
+// labels the alloc span.
+func TestStageRecorderLaunchFormatsNoLabel(t *testing.T) {
+	cost := KernelCost{Name: "k", Flops: 1e6, AllocBytesPerThread: 1 << 10}
+	allocs := func(rec *trace.Recorder) float64 {
+		d, err := New(sim.NewEngine(), Xeon31SP(), "mic0", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := d.Partition(0)
+		launch := func() { p.Launch(0, cost, 0, 0, nil, nil) }
+		// Back-to-back launches leave a gap between alloc spans, so
+		// each adds an interval: grow the slices past the measured
+		// count, then keep their capacity across Reset.
+		for i := 0; i < 2048; i++ {
+			launch()
+		}
+		rec.Reset()
+		return testing.AllocsPerRun(1000, launch)
+	}
+	if staged, bare := allocs(trace.NewStageRecorder()), allocs(nil); staged > bare {
+		t.Fatalf("Launch with a stage recorder allocated %.1f objects/op, without a recorder %.1f", staged, bare)
+	}
+
+	rec := trace.NewRecorder()
+	d, err := New(sim.NewEngine(), Xeon31SP(), "mic0", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Partition(0).Launch(0, cost, 0, 0, nil, nil)
+	if s := rec.Spans(); len(s) != 2 || s[0].Kind != trace.Alloc || s[0].Label != "k/alloc" {
+		t.Fatalf("spans %+v; want the alloc span labelled \"k/alloc\" first", s)
+	}
+}
+
 func TestZeroEfficiencyTreatedAsFull(t *testing.T) {
 	_, d := newDev(t)
 	p := d.Partition(0)

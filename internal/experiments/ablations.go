@@ -29,7 +29,7 @@ func AblationDuplex() (*Table, error) {
 	run := func(full bool, hd, dh int) (float64, error) {
 		link := pcie.DefaultConfig()
 		link.FullDuplex = full
-		ctx, err := hstreams.Init(hstreams.Config{Partitions: 2, Link: link, Trace: true})
+		ctx, err := hstreams.Init(hstreams.Config{Partitions: 2, Link: link})
 		if err != nil {
 			return 0, err
 		}
@@ -72,7 +72,7 @@ func AblationDuplex() (*Table, error) {
 func computeSweep(dev device.Config, parts []int) ([]float64, error) {
 	var out []float64
 	for _, p := range parts {
-		ctx, err := hstreams.Init(hstreams.Config{Partitions: p, Device: dev, Trace: true})
+		ctx, err := hstreams.Init(hstreams.Config{Partitions: p, Device: dev})
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func AblationContention() (*Table, error) {
 // the paper's §V-B-1 explanation.
 func AblationAlloc() (*Table, error) {
 	run := func(alloc int64, p int) (float64, error) {
-		ctx, err := hstreams.Init(hstreams.Config{Partitions: p, Trace: true})
+		ctx, err := hstreams.Init(hstreams.Config{Partitions: p})
 		if err != nil {
 			return 0, err
 		}

@@ -214,7 +214,7 @@ func SynthWorkload(flops float64, bytes int64) model.Workload {
 // the measurement the model-guided search tries to avoid.
 func SynthEval(flops float64, bytes int64) core.EvalFunc {
 	return func(partitions, tiles int) (float64, error) {
-		ctx, err := hstreams.Init(hstreams.Config{Partitions: partitions, Trace: true})
+		ctx, err := hstreams.Init(hstreams.Config{Partitions: partitions})
 		if err != nil {
 			return 0, err
 		}

@@ -46,9 +46,14 @@ type Config struct {
 	// run and buffer transfers move real data. Disable for
 	// paper-scale timing-only experiments.
 	ExecuteKernels bool
-	// Trace enables span recording (required by the overlap
-	// analyses and cmd/micgantt).
+	// Trace keeps the full span log, for readers of the spans
+	// themselves: Gantt charts (cmd/micgantt, the Platform facade)
+	// and Cluster.Trace. It implies Stages.
 	Trace bool
+	// Stages records per-class busy intervals for core.Summarize,
+	// without the span log (trace.NewStageRecorder). With neither
+	// field set, nothing is recorded and Recorder returns nil.
+	Stages bool
 }
 
 func (c Config) withDefaults() Config {
@@ -92,8 +97,11 @@ func Init(cfg Config) (*Context, error) {
 		return nil, fmt.Errorf("hstreams: streams per partition %d < 1", cfg.StreamsPerPartition)
 	}
 	c := &Context{cfg: cfg, eng: sim.NewEngine()}
-	if cfg.Trace {
+	switch {
+	case cfg.Trace:
 		c.rec = trace.NewRecorder()
+	case cfg.Stages:
+		c.rec = trace.NewStageRecorder()
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		name := fmt.Sprintf("mic%d", i)
@@ -132,7 +140,8 @@ func (c *Context) Config() Config { return c.cfg }
 // Engine exposes the underlying simulation engine.
 func (c *Context) Engine() *sim.Engine { return c.eng }
 
-// Recorder returns the trace recorder, or nil when tracing is off.
+// Recorder returns the trace recorder, or nil when neither Trace nor
+// Stages is set.
 func (c *Context) Recorder() *trace.Recorder { return c.rec }
 
 // Now reports the current virtual time (host clock).

@@ -53,6 +53,25 @@ func TestInitTopology(t *testing.T) {
 	}
 }
 
+// Trace keeps the span log and implies Stages; Stages alone keeps only
+// stage intervals; neither records nothing.
+func TestInitPicksRecorder(t *testing.T) {
+	for _, c := range []struct {
+		cfg             Config
+		recorded, spans bool
+	}{
+		{Config{}, false, false},
+		{Config{Stages: true}, true, false},
+		{Config{Trace: true}, true, true},
+		{Config{Trace: true, Stages: true}, true, true},
+	} {
+		rec := newCtx(t, c.cfg).Recorder()
+		if (rec != nil) != c.recorded || rec.KeepsSpans() != c.spans {
+			t.Errorf("%+v: recorder %v, keeps spans %v; want %v, %v", c.cfg, rec != nil, rec.KeepsSpans(), c.recorded, c.spans)
+		}
+	}
+}
+
 func TestInitRejectsBadConfig(t *testing.T) {
 	if _, err := Init(Config{Devices: -1}); err == nil {
 		t.Fatal("negative device count accepted")

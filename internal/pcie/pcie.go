@@ -132,12 +132,16 @@ func (l *Link) Transfer(dir Direction, n int64, ready sim.Time, stream, task int
 	if l.rec == nil {
 		return start, end
 	}
+	var label string
+	if l.rec.KeepsSpans() {
+		label = fmt.Sprintf("%s %dB", dir, n)
+	}
 	l.rec.Add(trace.Span{
 		Resource: srv.Name(),
 		Stream:   stream,
 		Task:     task,
 		Kind:     dir.Kind(),
-		Label:    fmt.Sprintf("%s %dB", dir, n),
+		Label:    label,
 		Start:    start,
 		End:      end,
 	})

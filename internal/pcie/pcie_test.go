@@ -220,3 +220,26 @@ func TestUntracedTransferZeroAlloc(t *testing.T) {
 		t.Fatalf("untraced Transfer allocated %.1f objects/op, want 0", allocs)
 	}
 }
+
+// A stage recorder keeps no span, so a transfer formats no label and,
+// once the recorder's interval slice is warm, allocates no more than
+// without a recorder. A full recorder still labels every span.
+func TestStageRecorderTransferFormatsNoLabel(t *testing.T) {
+	allocs := func(rec *trace.Recorder) float64 {
+		l, err := NewLink(sim.NewEngine(), DefaultConfig(), "mic0", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(1000, func() { l.Transfer(H2D, 4096, 0, 0, 0, nil) })
+	}
+	if staged, bare := allocs(trace.NewStageRecorder()), allocs(nil); staged > bare {
+		t.Fatalf("Transfer with a stage recorder allocated %.1f objects/op, without a recorder %.1f", staged, bare)
+	}
+
+	_, l, rec := newLink(t, DefaultConfig())
+	l.Transfer(H2D, 4096, 0, 0, 0, nil)
+	l.Transfer(D2H, 4096, 0, 0, 0, nil)
+	if s := rec.Spans(); s[0].Label != "H2D 4096B" || s[1].Label != "D2H 4096B" {
+		t.Fatalf("labels %q, %q; want \"H2D 4096B\", \"D2H 4096B\"", s[0].Label, s[1].Label)
+	}
+}

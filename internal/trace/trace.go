@@ -8,8 +8,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,30 +59,87 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
 // Recorder accumulates spans. A nil *Recorder is a valid no-op sink, so
 // hot paths can record unconditionally.
+//
+// A stage recorder (NewStageRecorder) keeps no spans: only what the
+// stage analysis reads — per-Kind busy intervals and summed span
+// lengths, and the latest span end. Its BusyTime, Overlap,
+// TransferComputeOverlap, StageTimes, TotalTime and Makespan equal a
+// full recorder's fed the same spans; Spans is nil and Gantt prints
+// the empty trace.
 type Recorder struct {
 	spans []Span
+	// classes is non-nil exactly in stage mode, indexed by Kind.
+	classes []stageClass
+	end     sim.Time // latest span end
 }
 
-// NewRecorder returns an empty recorder.
+// stageClass is one Kind's record in stage mode. busy holds the
+// non-empty spans with each one that touches or overlaps its
+// predecessor folded into it, so it has the spans' union; it holds
+// no pointers, so the collector never scans it.
+type stageClass struct {
+	busy  []interval
+	total sim.Duration
+}
+
+// NewRecorder returns an empty recorder that keeps every span.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Add appends a span. Calls on a nil recorder are dropped.
+// NewStageRecorder returns an empty stage recorder: it keeps per-class
+// busy intervals for the stage analysis and no span log.
+func NewStageRecorder() *Recorder {
+	return &Recorder{classes: make([]stageClass, len(kindNames))}
+}
+
+// KeepsSpans reports whether Add stores the span itself, so that call
+// sites format labels only when a span is kept. It is false for a nil
+// recorder and for a stage recorder.
+func (r *Recorder) KeepsSpans() bool { return r != nil && r.classes == nil }
+
+// Add records a span. Calls on a nil recorder are dropped.
 func (r *Recorder) Add(s Span) {
 	if r == nil {
 		return
 	}
-	r.spans = append(r.spans, s)
+	if s.End > r.end {
+		r.end = s.End
+	}
+	if r.classes == nil {
+		r.spans = append(r.spans, s)
+		return
+	}
+	for int(s.Kind) >= len(r.classes) {
+		r.classes = append(r.classes, stageClass{})
+	}
+	c := &r.classes[s.Kind]
+	c.total += s.Duration()
+	if s.End <= s.Start {
+		return
+	}
+	if n := len(c.busy); n > 0 && s.Start <= c.busy[n-1].hi && s.End >= c.busy[n-1].lo {
+		last := &c.busy[n-1]
+		last.lo, last.hi = min(last.lo, s.Start), max(last.hi, s.End)
+		return
+	}
+	c.busy = append(c.busy, interval{s.Start, s.End})
 }
 
-// Reset discards all recorded spans but keeps the recorder usable.
+// Reset discards everything recorded but keeps the recorder usable,
+// in the same mode.
 func (r *Recorder) Reset() {
-	if r != nil {
-		r.spans = r.spans[:0]
+	if r == nil {
+		return
+	}
+	r.spans = r.spans[:0]
+	r.end = 0
+	for i := range r.classes {
+		r.classes[i] = stageClass{busy: r.classes[i].busy[:0]}
 	}
 }
 
-// Spans returns the recorded spans in insertion order. The returned
-// slice aliases the recorder's storage; callers must not mutate it.
+// Spans returns the recorded spans in insertion order (nil for a stage
+// recorder). The returned slice aliases the recorder's storage;
+// callers must not mutate it.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -88,23 +147,15 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// Len reports the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.spans)
-}
+// Len reports the number of recorded spans (0 for a stage recorder).
+func (r *Recorder) Len() int { return len(r.Spans()) }
 
 // Makespan reports the end of the latest span.
 func (r *Recorder) Makespan() sim.Time {
-	var m sim.Time
-	for _, s := range r.Spans() {
-		if s.End > m {
-			m = s.End
-		}
+	if r == nil {
+		return 0
 	}
-	return m
+	return r.end
 }
 
 // BusyTime reports the union length of all spans of the given kind —
@@ -112,12 +163,18 @@ func (r *Recorder) Makespan() sim.Time {
 // active. Overlapping spans (different partitions computing at once)
 // are not double counted.
 func (r *Recorder) BusyTime(kind Kind) sim.Duration {
-	return unionLength(r.intervals(func(s Span) bool { return s.Kind == kind }))
+	return length(r.busy(kind))
 }
 
 // TotalTime reports the summed lengths of all spans of the given kind,
 // counting concurrent spans multiply (resource-seconds).
 func (r *Recorder) TotalTime(kind Kind) sim.Duration {
+	if r != nil && r.classes != nil {
+		if int(kind) < len(r.classes) {
+			return r.classes[kind].total
+		}
+		return 0
+	}
 	var t sim.Duration
 	for _, s := range r.Spans() {
 		if s.Kind == kind {
@@ -132,49 +189,71 @@ func (r *Recorder) TotalTime(kind Kind) sim.Duration {
 // paper's "temporal sharing": Overlap(H2D, Kernel) > 0 means transfers
 // were hidden behind compute.
 func (r *Recorder) Overlap(a, b Kind) sim.Duration {
-	ia := r.intervals(func(s Span) bool { return s.Kind == a })
-	ib := r.intervals(func(s Span) bool { return s.Kind == b })
-	return intersectionLength(mergeIntervals(ia), mergeIntervals(ib))
+	return intersectionLength(r.busy(a), r.busy(b))
+}
+
+// StageTimes is the stage analysis of one run: busy time of the
+// paper's three offload stages and the share of transfer time hidden
+// behind kernels.
+type StageTimes struct {
+	// H2D, D2H and Kernel are BusyTime of each class.
+	H2D, D2H, Kernel sim.Duration
+	// TransferComputeOverlap is as the method of that name reports.
+	TransferComputeOverlap float64
+}
+
+// StageTimes computes the stage analysis from one merge per class.
+func (r *Recorder) StageTimes() StageTimes {
+	h2d, d2h, exe := r.busy(H2D), r.busy(D2H), r.busy(Kernel)
+	st := StageTimes{H2D: length(h2d), D2H: length(d2h), Kernel: length(exe)}
+	xfer := mergeIntervals(slices.Concat(h2d, d2h))
+	if total := length(xfer); total > 0 {
+		st.TransferComputeOverlap = intersectionLength(xfer, exe).Seconds() / total.Seconds()
+	}
+	return st
 }
 
 // TransferComputeOverlap reports overlap of any transfer (H2D or D2H)
 // with kernel execution, as a fraction of total transfer busy time.
 // Returns 0 when there were no transfers.
 func (r *Recorder) TransferComputeOverlap() float64 {
-	xfer := mergeIntervals(r.intervals(func(s Span) bool { return s.Kind == H2D || s.Kind == D2H }))
-	exe := mergeIntervals(r.intervals(func(s Span) bool { return s.Kind == Kernel }))
-	total := unionLength(xfer)
-	if total == 0 {
-		return 0
-	}
-	return intersectionLength(xfer, exe).Seconds() / total.Seconds()
+	return r.StageTimes().TransferComputeOverlap
 }
 
 type interval struct{ lo, hi sim.Time }
 
-func (r *Recorder) intervals(keep func(Span) bool) []interval {
+// busy returns the merged busy intervals of one kind in a fresh slice.
+func (r *Recorder) busy(kind Kind) []interval {
 	var out []interval
-	for _, s := range r.Spans() {
-		if keep(s) && s.End > s.Start {
-			out = append(out, interval{s.Start, s.End})
+	switch {
+	case r == nil:
+	case r.classes != nil:
+		if int(kind) < len(r.classes) {
+			out = append(out, r.classes[kind].busy...)
+		}
+	default:
+		for _, s := range r.spans {
+			if s.Kind == kind && s.End > s.Start {
+				out = append(out, interval{s.Start, s.End})
+			}
 		}
 	}
-	return out
+	return mergeIntervals(out)
 }
 
-// mergeIntervals sorts and coalesces overlapping intervals.
+// mergeIntervals sorts and coalesces overlapping and touching
+// intervals in place. The result is the one sorted list of disjoint,
+// non-touching intervals with the same union, whatever the input order.
 func mergeIntervals(in []interval) []interval {
 	if len(in) == 0 {
 		return nil
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].lo < in[j].lo })
+	slices.SortFunc(in, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 	out := in[:1]
 	for _, iv := range in[1:] {
 		last := &out[len(out)-1]
 		if iv.lo <= last.hi {
-			if iv.hi > last.hi {
-				last.hi = iv.hi
-			}
+			last.hi = max(last.hi, iv.hi)
 		} else {
 			out = append(out, iv)
 		}
@@ -182,9 +261,10 @@ func mergeIntervals(in []interval) []interval {
 	return out
 }
 
-func unionLength(in []interval) sim.Duration {
+// length sums the lengths of a merged interval set.
+func length(in []interval) sim.Duration {
 	var t sim.Duration
-	for _, iv := range mergeIntervals(in) {
+	for _, iv := range in {
 		t += iv.hi.Sub(iv.lo)
 	}
 	return t

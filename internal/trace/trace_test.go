@@ -186,3 +186,108 @@ func TestPropertySelfOverlapIsBusyTime(t *testing.T) {
 		}
 	}
 }
+
+func TestStageRecorderKeepsNoSpans(t *testing.T) {
+	var none *Recorder
+	if none.KeepsSpans() || !NewRecorder().KeepsSpans() || NewStageRecorder().KeepsSpans() {
+		t.Fatal("KeepsSpans must be true for a full recorder only")
+	}
+	r := NewStageRecorder()
+	r.Add(span("mic0/pcie", H2D, 0, 50))
+	r.Add(span("mic0/part0", Kernel, 50, 100))
+	if r.Spans() != nil || r.Len() != 0 {
+		t.Fatalf("stage recorder kept %d spans", r.Len())
+	}
+	var sb strings.Builder
+	if err := r.Gantt(&sb, 40); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != "(empty trace)\n" {
+		t.Fatalf("stage recorder Gantt = %q, want the empty trace", sb.String())
+	}
+}
+
+// randomSpans draws spans over every named Kind and one unnamed one:
+// starts out of order across resources, zero-length spans, spans
+// nested in and touching the one before, and lengths that go negative.
+func randomSpans(rng *rand.Rand) []Span {
+	resources := []string{"mic0/pcie", "mic0/part0", "mic0/part1", "mic1/pcie"}
+	out := make([]Span, rng.Intn(40))
+	for i := range out {
+		s := Span{
+			Resource: resources[rng.Intn(len(resources))],
+			Stream:   -1,
+			Task:     i,
+			Kind:     Kind(rng.Intn(len(kindNames) + 1)),
+			Start:    sim.Time(rng.Intn(500)),
+		}
+		s.End = s.Start.Add(sim.Duration(1 + rng.Intn(60)))
+		if i > 0 {
+			prev := out[i-1]
+			switch rng.Intn(6) {
+			case 0: // zero-length
+				s.End = s.Start
+			case 1: // touching the previous span, after or before it
+				s.Kind = prev.Kind
+				if rng.Intn(2) == 0 {
+					s.Start, s.End = prev.End, prev.End.Add(sim.Duration(1+rng.Intn(60)))
+				} else {
+					s.Start, s.End = prev.Start-sim.Time(1+rng.Intn(60)), prev.Start
+				}
+			case 2: // nested in the previous span
+				if prev.End > prev.Start {
+					s.Kind = prev.Kind
+					s.Start = prev.Start + sim.Time(rng.Int63n(int64(prev.End-prev.Start)))
+					s.End = s.Start + sim.Time(rng.Int63n(int64(prev.End-s.Start)+1))
+				}
+			case 3: // inverted: contributes a negative length to TotalTime only
+				s.End = s.Start - 1
+			}
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// Property: a stage recorder fed the same spans as a full recorder
+// reports exactly the same stage analysis, and again after Reset.
+func TestPropertyStageRecorderMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	kinds := make([]Kind, len(kindNames)+1)
+	for i := range kinds {
+		kinds[i] = Kind(i)
+	}
+	for trial := 0; trial < 300; trial++ {
+		full, stage := NewRecorder(), NewStageRecorder()
+		for round := 0; round < 2; round++ {
+			full.Reset()
+			stage.Reset()
+			for _, s := range randomSpans(rng) {
+				full.Add(s)
+				stage.Add(s)
+			}
+			for _, a := range kinds {
+				if f, s := full.BusyTime(a), stage.BusyTime(a); f != s {
+					t.Fatalf("trial %d round %d: BusyTime(%v) full %v, stage %v", trial, round, a, f, s)
+				}
+				if f, s := full.TotalTime(a), stage.TotalTime(a); f != s {
+					t.Fatalf("trial %d round %d: TotalTime(%v) full %v, stage %v", trial, round, a, f, s)
+				}
+				for _, b := range kinds {
+					if f, s := full.Overlap(a, b), stage.Overlap(a, b); f != s {
+						t.Fatalf("trial %d round %d: Overlap(%v, %v) full %v, stage %v", trial, round, a, b, f, s)
+					}
+				}
+			}
+			if f, s := full.TransferComputeOverlap(), stage.TransferComputeOverlap(); f != s {
+				t.Fatalf("trial %d round %d: TransferComputeOverlap full %v, stage %v", trial, round, f, s)
+			}
+			if f, s := full.StageTimes(), stage.StageTimes(); f != s {
+				t.Fatalf("trial %d round %d: StageTimes full %+v, stage %+v", trial, round, f, s)
+			}
+			if f, s := full.Makespan(), stage.Makespan(); f != s {
+				t.Fatalf("trial %d round %d: Makespan full %v, stage %v", trial, round, f, s)
+			}
+		}
+	}
+}
