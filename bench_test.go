@@ -12,6 +12,7 @@ package micstream
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,11 +141,15 @@ func BenchmarkEnqueueTransfer(b *testing.B) {
 // of host CPU the scheduling engines sustain. These are the
 // regression canaries for the dispatch hot paths — the virtual-time
 // results are asserted elsewhere; here only the simulator's own cost
-// is measured. CI runs them once per push (-benchtime 1x).
+// is measured, as jobs/s and as heap allocations per job (allocs/job,
+// counted around Run alone). CI runs them once per push (-benchtime 1x).
 
 func BenchmarkSchedAdmission(b *testing.B) {
+	b.ReportAllocs()
 	jobs := 0
 	var inRun time.Duration
+	var mallocs uint64
+	var m0, m1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		p, err := NewPlatform(WithPartitions(4), WithStreamsPerPartition(2))
@@ -159,10 +164,15 @@ func BenchmarkSchedAdmission(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&m0)
 		b.StartTimer()
 		start := time.Now()
 		r, err := s.Run(scenario)
 		inRun += time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		b.StartTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,11 +181,17 @@ func BenchmarkSchedAdmission(b *testing.B) {
 	if sec := inRun.Seconds(); sec > 0 {
 		b.ReportMetric(float64(jobs)/sec, "jobs/s")
 	}
+	if jobs > 0 {
+		b.ReportMetric(float64(mallocs)/float64(jobs), "allocs/job")
+	}
 }
 
 func BenchmarkClusterAdmission(b *testing.B) {
+	b.ReportAllocs()
 	jobs := 0
 	var inRun time.Duration
+	var mallocs uint64
+	var m0, m1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c, err := NewCluster(
@@ -193,10 +209,15 @@ func BenchmarkClusterAdmission(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&m0)
 		b.StartTimer()
 		start := time.Now()
 		r, err := c.Run(scenario)
 		inRun += time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		b.StartTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,6 +225,9 @@ func BenchmarkClusterAdmission(b *testing.B) {
 	}
 	if sec := inRun.Seconds(); sec > 0 {
 		b.ReportMetric(float64(jobs)/sec, "jobs/s")
+	}
+	if jobs > 0 {
+		b.ReportMetric(float64(mallocs)/float64(jobs), "allocs/job")
 	}
 }
 

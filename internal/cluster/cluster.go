@@ -322,6 +322,11 @@ type Cluster struct {
 	// telStaged.
 	telHit  int64
 	telMiss int64
+
+	// eligible and eligDev are the placement snapshot's scratch,
+	// refreshed by eligibleViews at every placement decision.
+	eligible []DeviceView
+	eligDev  []int
 }
 
 // New builds a cluster over every device of ctx: one embedded
@@ -496,14 +501,14 @@ func (c *Cluster) stagingTime(bytes int64) sim.Duration {
 
 // stagingPrice predicts the cost of staging bytes (a job's residual
 // demand after residency hits) through the analytic model's
-// multi-device form: a staging-only ClusterWorkload evaluated by
-// PredictCluster, so every pricing path — predicted placement scores
-// and steal gains alike — carries the same calibrated link scales and
-// shared-host contention. The model charges every staged byte as two
-// crossings while the cluster's actual charge is stagingFactor × bytes
-// in one transfer, so the model is handed half the charged volume and
-// the two conventions price the same traffic even under a non-default
-// WithStagingFactor.
+// multi-device form: the price PredictCluster gives a staging-only
+// ClusterWorkload (model.PredictStaging), so every pricing path —
+// predicted placement scores and steal gains alike — carries the same
+// calibrated link scales and shared-host contention. The model charges
+// every staged byte as two crossings while the cluster's actual charge
+// is stagingFactor × bytes in one transfer, so the model is handed half
+// the charged volume and the two conventions price the same traffic
+// even under a non-default WithStagingFactor.
 func (c *Cluster) stagingPrice(m *model.Model, bytes int64) sim.Duration {
 	if bytes <= 0 {
 		return 0
@@ -516,9 +521,8 @@ func (c *Cluster) stagingPrice(m *model.Model, bytes int64) sim.Duration {
 	if devices < 2 {
 		devices = 2
 	}
-	cw := model.StagingOnly("cluster/staging", (charged+1)/2)
-	if pred, err := m.PredictCluster(cw, devices, 1, 1); err == nil && pred.StagingTime > 0 {
-		return pred.StagingTime
+	if t := m.PredictStaging((charged+1)/2, devices); t > 0 {
+		return t
 	}
 	return c.stagingTime(bytes)
 }
@@ -692,14 +696,22 @@ func (c *Cluster) fail(err error) {
 	}
 }
 
-// views snapshots every device for the placement policy. Policies get
-// fresh copies each decision — a mutating implementation cannot
-// corrupt the cluster.
-func (c *Cluster) views() []DeviceView {
+// eligibleViews snapshots the devices with admission capacity for the
+// placement policy, in ascending device order: c.eligDev records their
+// indices, the returned views are copies in cluster-owned scratch. The
+// cluster reads only c.eligDev after Place, so a policy that overwrites
+// the views corrupts nothing; it must not keep them past Place
+// (DESIGN.md §7).
+func (c *Cluster) eligibleViews() []DeviceView {
 	now := c.ctx.Now()
-	out := make([]DeviceView, len(c.scheds))
+	c.eligDev = c.eligDev[:0]
+	c.eligible = c.eligible[:0]
 	for d, s := range c.scheds {
-		out[d] = DeviceView{
+		if s.QueueDepth() >= c.depth {
+			continue
+		}
+		c.eligDev = append(c.eligDev, d)
+		c.eligible = append(c.eligible, DeviceView{
 			Device:       d,
 			Streams:      s.NumStreams(),
 			Idle:         s.NumStreams() - s.InFlight(),
@@ -707,9 +719,9 @@ func (c *Cluster) views() []DeviceView {
 			Backlog:      s.PendingBacklog(),
 			EarliestFree: s.EarliestFree(),
 			Now:          now,
-		}
+		})
 	}
-	return out
+	return c.eligible
 }
 
 // dispatch places cluster-queued jobs onto devices with admission
@@ -719,13 +731,7 @@ func (c *Cluster) views() []DeviceView {
 // queue, hence no idle streams).
 func (c *Cluster) dispatch() {
 	for len(c.queue) > 0 && c.runErr == nil {
-		all := c.views()
-		eligible := make([]DeviceView, 0, len(all))
-		for _, v := range all {
-			if v.Queued < c.depth {
-				eligible = append(eligible, v)
-			}
-		}
+		eligible := c.eligibleViews()
 		if len(eligible) == 0 {
 			break
 		}
@@ -736,27 +742,29 @@ func (c *Cluster) dispatch() {
 			// target is saturated); stop until the next instant.
 			break
 		}
-		if pick >= len(eligible) {
+		if pick >= len(c.eligDev) {
 			c.fail(fmt.Errorf("cluster: policy %s picked device index %d out of range [0,%d)",
-				c.place.Name(), pick, len(eligible)))
+				c.place.Name(), pick, len(c.eligDev)))
 			break
 		}
+		dev := c.eligDev[pick]
 		c.queue = c.queue[1:]
 		if c.tel.Enabled() {
 			e := telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Place,
 				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
-				Device: eligible[pick].Device, From: -1, Stream: -1}
+				Device: dev, From: -1, Stream: -1}
 			if sc, ok := c.place.(Scorer); ok {
 				// The scoring pass re-runs the policy's pricing against
-				// read-only state (residency Lookup never mutates), so
-				// capturing the scores cannot perturb the decision.
-				for i, s := range sc.Scores(q, eligible) {
-					e.Scores = append(e.Scores, telemetry.Score{Device: eligible[i].Device, Predicted: s})
+				// read-only state (residency Lookup never mutates) on
+				// fresh views, so capturing the scores cannot perturb
+				// the decision.
+				for i, s := range sc.Scores(q, c.eligibleViews()) {
+					e.Scores = append(e.Scores, telemetry.Score{Device: c.eligDev[i], Predicted: s})
 				}
 			}
 			c.tel.Emit(e)
 		}
-		c.route(q, eligible[pick].Device)
+		c.route(q, dev)
 	}
 	if c.afterChange != nil && c.runErr == nil {
 		c.afterChange()

@@ -8,7 +8,10 @@ import (
 	"micstream/internal/sim"
 )
 
-// DeviceView is one device's snapshot at a placement instant.
+// DeviceView is one device's snapshot at a placement instant. The
+// cluster hands a policy its views in scratch it reuses for every
+// decision: they are copies, refreshed before each Place, so a policy
+// may overwrite them harmlessly but must not keep them past the call.
 type DeviceView struct {
 	// Device is the device index.
 	Device int
@@ -35,8 +38,9 @@ func (v DeviceView) occupancy() int { return v.Streams - v.Idle + v.Queued }
 // Policy chooses, at each placement opportunity, which device the
 // oldest cluster-queued job commits to. eligible is non-empty, sorted
 // by ascending device index, and contains only devices with spare
-// admission capacity. Place returns an index into eligible, or a
-// negative value to defer the job to the next decision instant (only
+// admission capacity; it is cluster-owned scratch, valid only during
+// the Place call (DeviceView). Place returns an index into eligible, or
+// a negative value to defer the job to the next decision instant (only
 // meaningful for pinning policies — deferral forfeits cluster-level
 // work conservation). Implementations may keep per-run state and must
 // be deterministic functions of their inputs and that state.
@@ -147,6 +151,10 @@ type predicted struct {
 	c          *Cluster
 	m          *model.Model
 	partitions int
+
+	// scores and residuals are Place's per-decision scratch.
+	scores    []sim.Time
+	residuals []int64
 }
 
 // Predicted returns the model-driven placement policy. The
@@ -221,24 +229,41 @@ func (p *predicted) score(q *Queued, v DeviceView, est sim.Duration, residual in
 // Scores implements Scorer: the predicted completion instant per
 // eligible device — exactly the quantities Place minimizes.
 func (p *predicted) Scores(q *Queued, eligible []DeviceView) []sim.Time {
-	est := p.serviceEst(q)
 	out := make([]sim.Time, len(eligible))
-	for i, v := range eligible {
-		out[i] = p.score(q, v, est, p.residual(q, v.Device))
-	}
+	p.scoreAll(q, eligible, out, make([]int64, len(eligible)))
 	return out
 }
 
-// Place implements Policy.
-func (p *predicted) Place(q *Queued, eligible []DeviceView) int {
-	scores := p.Scores(q, eligible)
+// scoreAll fills scores and residuals, parallel to eligible, and
+// returns the index of the earliest predicted completion (the lowest
+// index among ties).
+func (p *predicted) scoreAll(q *Queued, eligible []DeviceView, scores []sim.Time, residuals []int64) int {
+	est := p.serviceEst(q)
 	best := 0
-	for i, s := range scores {
-		if s < scores[best] {
+	for i, v := range eligible {
+		residuals[i] = p.residual(q, v.Device)
+		scores[i] = p.score(q, v, est, residuals[i])
+		if scores[i] < scores[best] {
 			best = i
 		}
 	}
 	return best
+}
+
+// scratch returns Place's score and residual buffers sized for n
+// devices, reused across decisions.
+func (p *predicted) scratch(n int) ([]sim.Time, []int64) {
+	if cap(p.scores) < n {
+		p.scores = make([]sim.Time, n)
+		p.residuals = make([]int64, n)
+	}
+	return p.scores[:n], p.residuals[:n]
+}
+
+// Place implements Policy.
+func (p *predicted) Place(q *Queued, eligible []DeviceView) int {
+	scores, residuals := p.scratch(len(eligible))
+	return p.scoreAll(q, eligible, scores, residuals)
 }
 
 // DefaultAffinitySlack is the affinity policy's near-tie window: a
@@ -270,17 +295,8 @@ func (*affinity) Name() string { return "affinity" }
 
 // Place implements Policy.
 func (a *affinity) Place(q *Queued, eligible []DeviceView) int {
-	est := a.serviceEst(q)
-	scores := make([]sim.Time, len(eligible))
-	residuals := make([]int64, len(eligible))
-	best := 0
-	for i, v := range eligible {
-		residuals[i] = a.residual(q, v.Device)
-		scores[i] = a.score(q, v, est, residuals[i])
-		if scores[i] < scores[best] {
-			best = i
-		}
-	}
+	scores, residuals := a.scratch(len(eligible))
+	best := a.scoreAll(q, eligible, scores, residuals)
 	// The tie-break needs the cache's information: without a tracker,
 	// without declared regions (residual carries no residency signal
 	// then), or without demand, affinity is predicted exactly.

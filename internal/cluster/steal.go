@@ -224,9 +224,9 @@ func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst,
 }
 
 // stealStagingEst prices the staging a steal would re-charge, through
-// the shared stagingPrice path (model.StagingOnly evaluated by
-// PredictCluster), so the estimate carries the same calibrated link
-// scales and shared-host contention as every other Fig. 11 staging
+// the shared stagingPrice path (model.PredictStaging, the price of a
+// staging-only workload), so the estimate carries the same calibrated
+// link scales and shared-host contention as every other Fig. 11 staging
 // prediction. The price is re-consulted against the residency cache
 // at the steal instant: a thief already holding some of the job's
 // tiles pays only the cold-miss remainder, and a thief holding all of

@@ -87,6 +87,10 @@ type PhaseEvents struct {
 	// Done maps task ID to its final event (last D2H, or the kernel
 	// when the task has no outputs).
 	Done map[int]*hstreams.Event
+
+	// deps and xdeps are EnqueueInto's dependency scratch; hstreams
+	// reads a dependency list only during the enqueue call.
+	deps, xdeps []*hstreams.Event
 }
 
 // EnqueuePhase enqueues tasks onto the context's streams without
@@ -100,33 +104,53 @@ func EnqueuePhase(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
 		Kernel: make(map[int]*hstreams.Event, len(tasks)),
 		Done:   make(map[int]*hstreams.Event, len(tasks)),
 	}
+	if err := EnqueueInto(ctx, tasks, ev); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// EnqueueInto is EnqueuePhase into caller-owned events: ev's maps are
+// cleared and refilled (made on first use), so a caller that enqueues
+// phase after phase — the online scheduler enqueues one per stream
+// grant — reuses their storage instead of allocating two maps a phase.
+// ev's contents are valid until the next EnqueueInto on it, and are
+// partial when it returns an error.
+func EnqueueInto(ctx *hstreams.Context, tasks []*Task, ev *PhaseEvents) error {
+	if ev.Kernel == nil {
+		ev.Kernel = make(map[int]*hstreams.Event, len(tasks))
+		ev.Done = make(map[int]*hstreams.Event, len(tasks))
+	}
+	clear(ev.Kernel)
+	clear(ev.Done)
 	n := ctx.NumStreams()
 	rr := 0
 	for i, t := range tasks {
 		if _, dup := ev.Kernel[t.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate task id %d", t.ID)
+			return fmt.Errorf("core: duplicate task id %d", t.ID)
 		}
 		var s *hstreams.Stream
 		if t.StreamHint >= 0 {
 			if t.StreamHint >= n {
-				return nil, fmt.Errorf("core: task %d stream hint %d out of range [0,%d)", t.ID, t.StreamHint, n)
+				return fmt.Errorf("core: task %d stream hint %d out of range [0,%d)", t.ID, t.StreamHint, n)
 			}
 			s = ctx.Stream(t.StreamHint)
 		} else {
 			s = ctx.Stream(rr % n)
 			rr++
 		}
-		var deps []*hstreams.Event
+		deps := ev.deps[:0]
 		for _, d := range t.DependsOn {
 			kev, ok := ev.Kernel[d]
 			if !ok {
-				return nil, fmt.Errorf("core: task %d depends on %d which is not enqueued yet (tasks %d positions in)", t.ID, d, i)
+				return fmt.Errorf("core: task %d depends on %d which is not enqueued yet (tasks %d positions in)", t.ID, d, i)
 			}
 			deps = append(deps, kev)
 		}
+		ev.deps = deps
 		var lastH2D *hstreams.Event
 		for xi, x := range t.H2D {
-			var xdeps []*hstreams.Event
+			xdeps := ev.xdeps[:0]
 			if t.TransferOnly && xi == 0 {
 				// With no kernel to gate, the task's declared
 				// dependencies gate its first transfer (stream
@@ -136,22 +160,23 @@ func EnqueuePhase(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
 			if x.AfterTask >= 0 {
 				gate, ok := ev.Done[x.AfterTask]
 				if !ok {
-					return nil, fmt.Errorf("core: task %d H2D gated on %d which is not enqueued yet", t.ID, x.AfterTask)
+					return fmt.Errorf("core: task %d H2D gated on %d which is not enqueued yet", t.ID, x.AfterTask)
 				}
 				xdeps = append(xdeps, gate)
 			}
+			ev.xdeps = xdeps
 			hev, err := s.EnqueueH2D(x.Buf, x.Off, x.N, t.ID, xdeps...)
 			if err != nil {
-				return nil, fmt.Errorf("core: task %d H2D: %w", t.ID, err)
+				return fmt.Errorf("core: task %d H2D: %w", t.ID, err)
 			}
 			lastH2D = hev
 		}
 		if t.TransferOnly {
 			if t.Body != nil || len(t.D2H) > 0 {
-				return nil, fmt.Errorf("core: transfer-only task %d carries a body or outputs", t.ID)
+				return fmt.Errorf("core: transfer-only task %d carries a body or outputs", t.ID)
 			}
 			if lastH2D == nil {
-				return nil, fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
+				return fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
 			}
 			// Honour declared dependencies even without a kernel:
 			// a pathological graph could gate a pure transfer.
@@ -165,13 +190,13 @@ func EnqueuePhase(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
 		for _, x := range t.D2H {
 			dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID)
 			if err != nil {
-				return nil, fmt.Errorf("core: task %d D2H: %w", t.ID, err)
+				return fmt.Errorf("core: task %d D2H: %w", t.ID, err)
 			}
 			last = dev
 		}
 		ev.Done[t.ID] = last
 	}
-	return ev, nil
+	return nil
 }
 
 // Run enqueues tasks, waits for completion, and summarizes the run.

@@ -448,14 +448,34 @@ func (cfg Config) AllocTimeOn(c KernelCost, threads int) sim.Duration {
 	return sim.DurationOf(ns / 1e9)
 }
 
-// Launch schedules one invocation of cost c, eligible at ready, on the
-// partition. The partition serves launches in ready order. body, if
-// non-nil, executes at the invocation's start time (the functional
-// model: real Go code operating on device buffers). done, if non-nil,
-// fires at completion. The stream and task ids annotate the trace.
-func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body func(), done func(start, end sim.Time)) (start, end sim.Time) {
-	dur := p.KernelTime(c)
-	start, end = p.srv.Reserve(ready, dur, done)
+// Invocation is one kernel launch priced on a partition: the part of a
+// KernelCost that scheduling and tracing need once the timing model has
+// run. It is about a third of a KernelCost's size, which is why the
+// streams runtime prices a kernel at enqueue and keeps only this.
+type Invocation struct {
+	// Name labels the kernel in traces.
+	Name string
+	// Dur is the invocation's KernelTime.
+	Dur sim.Duration
+	// Alloc is its AllocTime, the leading share of Dur.
+	Alloc sim.Duration
+}
+
+// Price evaluates the timing model for one invocation of cost c on the
+// partition. Pricing depends on the partition count, so an invocation
+// priced before a repartition must not launch after it.
+func (p *Partition) Price(c KernelCost) Invocation {
+	return Invocation{Name: c.Name, Dur: p.KernelTime(c), Alloc: p.AllocTime(c)}
+}
+
+// Launch schedules the invocation inv, priced on this partition by
+// Price, eligible at ready. The partition serves launches in ready
+// order. body, if non-nil, executes at the invocation's start time (the
+// functional model: real Go code operating on device buffers). done,
+// if non-nil, fires at completion. The stream and task ids annotate the
+// trace.
+func (p *Partition) Launch(ready sim.Time, inv Invocation, stream, task int, body func(), done sim.Handler) (start, end sim.Time) {
+	start, end = p.srv.Reserve(ready, inv.Dur, done)
 	if body != nil {
 		p.dev.eng.At(start, body)
 	}
@@ -463,11 +483,11 @@ func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body 
 	if rec == nil {
 		return start, end
 	}
-	alloc := p.AllocTime(c)
+	alloc := inv.Alloc
 	if alloc > 0 {
 		var label string
 		if rec.KeepsSpans() {
-			label = c.Name + "/alloc"
+			label = inv.Name + "/alloc"
 		}
 		rec.Add(trace.Span{
 			Resource: p.srv.Name(),
@@ -484,7 +504,7 @@ func (p *Partition) Launch(ready sim.Time, c KernelCost, stream, task int, body 
 		Stream:   stream,
 		Task:     task,
 		Kind:     trace.Kernel,
-		Label:    c.Name,
+		Label:    inv.Name,
 		Start:    start.Add(alloc),
 		End:      end,
 	})

@@ -363,8 +363,8 @@ func TestLaunchSerializesOnPartition(t *testing.T) {
 	eng, d := newDev(t)
 	p := d.Partition(0)
 	cost := KernelCost{Flops: 1e8}
-	_, end1 := p.Launch(0, cost, 0, 0, nil, nil)
-	start2, _ := p.Launch(0, cost, 0, 1, nil, nil)
+	_, end1 := p.Launch(0, p.Price(cost), 0, 0, nil, nil)
+	start2, _ := p.Launch(0, p.Price(cost), 0, 1, nil, nil)
 	if start2 != end1 {
 		t.Fatalf("second launch at %v, want %v (partition must serialize)", start2, end1)
 	}
@@ -375,9 +375,9 @@ func TestLaunchRunsBodyAtStartAndDoneAtEnd(t *testing.T) {
 	eng, d := newDev(t)
 	p := d.Partition(0)
 	var bodyAt, doneAt sim.Time = -1, -1
-	start, end := p.Launch(10, KernelCost{Flops: 1e8}, 0, 0,
+	start, end := p.Launch(10, p.Price(KernelCost{Flops: 1e8}), 0, 0,
 		func() { bodyAt = eng.Now() },
-		func(s, e sim.Time) { doneAt = eng.Now() })
+		sim.Func(func() { doneAt = eng.Now() }))
 	eng.Run()
 	if bodyAt != start {
 		t.Fatalf("body ran at %v, want start %v", bodyAt, start)
@@ -394,7 +394,8 @@ func TestLaunchTracesKernelAndAllocSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Partition(0).Launch(0, KernelCost{Name: "k", Flops: 1e8, AllocBytesPerThread: 1 << 16}, 2, 3, nil, nil)
+	p := d.Partition(0)
+	p.Launch(0, p.Price(KernelCost{Name: "k", Flops: 1e8, AllocBytesPerThread: 1 << 16}), 2, 3, nil, nil)
 	var kernels, allocs int
 	for _, s := range rec.Spans() {
 		switch s.Kind {
@@ -424,7 +425,7 @@ func TestStageRecorderLaunchFormatsNoLabel(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := d.Partition(0)
-		launch := func() { p.Launch(0, cost, 0, 0, nil, nil) }
+		launch := func() { p.Launch(0, p.Price(cost), 0, 0, nil, nil) }
 		// Back-to-back launches leave a gap between alloc spans, so
 		// each adds an interval: grow the slices past the measured
 		// count, then keep their capacity across Reset.
@@ -443,7 +444,8 @@ func TestStageRecorderLaunchFormatsNoLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Partition(0).Launch(0, cost, 0, 0, nil, nil)
+	p := d.Partition(0)
+	p.Launch(0, p.Price(cost), 0, 0, nil, nil)
 	if s := rec.Spans(); len(s) != 2 || s[0].Kind != trace.Alloc || s[0].Label != "k/alloc" {
 		t.Fatalf("spans %+v; want the alloc span labelled \"k/alloc\" first", s)
 	}

@@ -239,29 +239,66 @@ func (s *Stream) Sync() { s.ctx.Wait(s.last) }
 // Event marks the completion of one enqueued action. Events resolve at
 // a definite virtual time and can gate actions in other streams.
 //
-// An event also carries the waiting state of the action it completes:
-// the count of unresolved predecessors and the exec hook that starts
-// the action once that count reaches zero. Keeping this state on the
-// event, rather than in per-action closures, is what keeps an enqueue
-// down to a handful of allocations.
+// An event is also the action itself: it carries the action's
+// parameters, the count of unresolved predecessors, and the list of
+// waiters to run at its resolution, and it is the completion target the
+// simulation fires. An untraced enqueue therefore allocates exactly one
+// heap object — the event (DESIGN.md §4).
 type Event struct {
-	done    bool
-	at      sim.Time
-	waiters []waiter
+	done bool
+	kind actionKind
+	dir  pcie.Direction
+	at   sim.Time
 
-	ctx     *Context
+	// w0 is the first waiter, held inline because almost every event
+	// has at most one successor; more holds the rest in registration
+	// order.
+	w0   sim.Handler
+	more []sim.Handler
+
+	s       *Stream
 	pending int
-	exec    func(ready sim.Time, ev *Event)
+	task    int
+
+	// Transfer parameters: elements [off, off+n) of buf.
+	buf    *Buffer
+	off, n int
+	// Kernel parameters: the kernel priced on the stream's partition at
+	// enqueue (a third of a KernelCost's size) and its body.
+	inv  device.Invocation
+	body func(*KernelCtx)
 }
 
-// waiter is one registration on an event: an OnDone callback (fn) or
-// an action whose predecessor the event is (ev). OnDone callbacks and
-// dependent actions share one list so that they run in exact
-// registration order at the resolution instant.
-type waiter struct {
-	fn func()
-	ev *Event
+// actionKind distinguishes the two action types an event can carry.
+type actionKind uint8
+
+const (
+	xferAction actionKind = iota
+	kernelAction
+)
+
+// completion is an event in its role as the simulation's completion
+// target: the link or partition fires it at the action's end instant.
+type completion Event
+
+// Fire implements sim.Handler: it lands a functional transfer's data and
+// resolves the event.
+func (c *completion) Fire() {
+	e := (*Event)(c)
+	ctx := e.s.ctx
+	if e.kind == xferAction && ctx.cfg.ExecuteKernels {
+		e.buf.move(e.s.devIdx, e.off, e.n, e.dir == pcie.H2D)
+	}
+	e.resolve(ctx.eng.Now())
 }
+
+// successor is an event in its role as a waiter on one of its action's
+// predecessors.
+type successor Event
+
+// Fire implements sim.Handler: one predecessor of the event's action
+// has resolved.
+func (w *successor) Fire() { (*Event)(w).predecessorDone() }
 
 // Done reports whether the event has completed.
 func (e *Event) Done() bool { return e != nil && e.done }
@@ -269,23 +306,30 @@ func (e *Event) Done() bool { return e != nil && e.done }
 // CompletedAt reports the completion time; valid only once Done.
 func (e *Event) CompletedAt() sim.Time { return e.at }
 
+// resolve marks the event complete and runs its waiters — OnDone
+// callbacks and dependent actions alike — in exact registration order.
 func (e *Event) resolve(at sim.Time) {
 	e.done = true
 	e.at = at
-	waiters := e.waiters
-	e.waiters = nil
-	for _, w := range waiters {
-		if w.fn != nil {
-			w.fn()
-		} else {
-			w.ev.predecessorDone()
-		}
+	e.buf, e.body = nil, nil
+	w0, more := e.w0, e.more
+	e.w0, e.more = nil, nil
+	if w0 != nil {
+		w0.Fire()
+	}
+	for _, w := range more {
+		w.Fire()
 	}
 }
 
-// complete resolves the event at the current virtual time; an action's
-// exec arranges for it to run at the action's completion instant.
-func (e *Event) complete() { e.resolve(e.ctx.eng.Now()) }
+// wait appends h to the event's waiter list.
+func (e *Event) wait(h sim.Handler) {
+	if e.w0 == nil {
+		e.w0 = h
+		return
+	}
+	e.more = append(e.more, h)
+}
 
 // after registers d as a predecessor of e's action when d is still
 // unresolved.
@@ -294,7 +338,7 @@ func (e *Event) after(d *Event) {
 		return
 	}
 	e.pending++
-	d.waiters = append(d.waiters, waiter{ev: e})
+	d.wait((*successor)(e))
 }
 
 // predecessorDone counts one predecessor of e's action as resolved and
@@ -302,8 +346,27 @@ func (e *Event) after(d *Event) {
 func (e *Event) predecessorDone() {
 	e.pending--
 	if e.pending == 0 {
-		e.exec(e.ctx.eng.Now(), e)
+		e.start(e.s.ctx.eng.Now())
 	}
+}
+
+// start books the action on its resource, eligible at ready; the event
+// itself is the completion target.
+func (e *Event) start(ready sim.Time) {
+	s := e.s
+	if e.kind == xferAction {
+		bytes := int64(e.n) * int64(e.buf.elemSize)
+		s.link.Transfer(e.dir, bytes, ready, s.id, e.task, (*completion)(e))
+		return
+	}
+	var fn func()
+	if e.body != nil && s.ctx.cfg.ExecuteKernels {
+		body, task := e.body, e.task
+		fn = func() {
+			body(&KernelCtx{Ctx: s.ctx, DeviceIndex: s.devIdx, Stream: s, Task: task})
+		}
+	}
+	s.part.Launch(ready, e.inv, s.id, e.task, fn, (*completion)(e))
 }
 
 // OnDone registers fn to run at the event's resolution instant (or
@@ -311,28 +374,28 @@ func (e *Event) predecessorDone() {
 // order inside the simulation's event dispatch, so they observe the
 // completion time as Context.Now() and may enqueue further work — this
 // is the hook the online scheduler (internal/sched) uses to make
-// dispatch decisions at job-completion instants.
+// dispatch decisions at job-completion instants. Registering allocates
+// nothing beyond a spilled waiter slot.
 func (e *Event) OnDone(fn func()) {
 	if e == nil || e.done {
 		fn()
 		return
 	}
-	e.waiters = append(e.waiters, waiter{fn: fn})
+	e.wait(sim.Func(fn))
 }
 
-// enqueue appends an action to the stream: it becomes ready when the
-// stream's previous action and all explicit deps have completed, then
-// calls exec with the ready time and the action's event; exec must
-// arrange for ev.complete() to run at the action's completion instant.
-func (s *Stream) enqueue(deps []*Event, exec func(ready sim.Time, ev *Event)) *Event {
-	ev := &Event{ctx: s.ctx, exec: exec}
+// enqueue appends the action ev describes to the stream: it becomes
+// ready when the stream's previous action and all explicit deps have
+// completed, and then starts on its resource.
+func (s *Stream) enqueue(ev *Event, deps []*Event) *Event {
+	ev.s = s
 	ev.after(s.last)
 	for _, d := range deps {
 		ev.after(d)
 	}
 	s.last = ev
 	if ev.pending == 0 {
-		exec(s.ctx.eng.Now(), ev)
+		ev.start(s.ctx.eng.Now())
 	}
 	return ev
 }
@@ -357,17 +420,8 @@ func (s *Stream) enqueueXfer(dir pcie.Direction, b *Buffer, off, n, task int, de
 	if off < 0 || n < 0 || off+n > b.elems {
 		return nil, fmt.Errorf("hstreams: transfer range [%d,%d) out of buffer %q (%d elements)", off, off+n, b.name, b.elems)
 	}
-	bytes := int64(n) * int64(b.elemSize)
-	devIdx := s.devIdx
-	exec := func(ready sim.Time, ev *Event) {
-		s.link.Transfer(dir, bytes, ready, s.id, task, func(start, end sim.Time) {
-			if s.ctx.cfg.ExecuteKernels {
-				b.move(devIdx, off, n, dir == pcie.H2D)
-			}
-			ev.complete()
-		})
-	}
-	return s.enqueue(deps, exec), nil
+	ev := &Event{kind: xferAction, dir: dir, task: task, buf: b, off: off, n: n}
+	return s.enqueue(ev, deps), nil
 }
 
 // KernelCtx is passed to kernel closures in the functional model.
@@ -388,14 +442,5 @@ type KernelCtx struct {
 // (optional) is the functional implementation, invoked at the kernel's
 // scheduled start when the context executes kernels.
 func (s *Stream) EnqueueKernel(cost device.KernelCost, task int, body func(*KernelCtx), deps ...*Event) *Event {
-	exec := func(ready sim.Time, ev *Event) {
-		var fn func()
-		if body != nil && s.ctx.cfg.ExecuteKernels {
-			fn = func() {
-				body(&KernelCtx{Ctx: s.ctx, DeviceIndex: s.devIdx, Stream: s, Task: task})
-			}
-		}
-		s.part.Launch(ready, cost, s.id, task, fn, func(start, end sim.Time) { ev.complete() })
-	}
-	return s.enqueue(deps, exec)
+	return s.enqueue(&Event{kind: kernelAction, task: task, inv: s.part.Price(cost), body: body}, deps)
 }

@@ -85,6 +85,19 @@ func (m *Model) stagingTime(bytes int64, ts float64) sim.Duration {
 	return sim.Duration(float64(2*m.xferTime(bytes, 1)) * ts)
 }
 
+// PredictStaging is the staging price of a StagingOnly workload of
+// bytes on devices devices — PredictCluster's StagingTime for it, bit
+// for bit — without building the workload or predicting its (empty)
+// compute. The cluster prices every residual staging decision with it
+// at each placement and steal instant (DESIGN.md §9–§11).
+func (m *Model) PredictStaging(bytes int64, devices int) sim.Duration {
+	if devices < 2 {
+		return 0
+	}
+	ts, _ := m.scales()
+	return m.stagingTime(bytes, ts*m.contention(devices))
+}
+
 // contention reports how much the shared host PCIe complex stretches
 // concurrent per-device transfers: with devices links of the model's
 // bandwidth behind a HostBandwidthBps root complex, demand beyond the
@@ -112,7 +125,7 @@ func (m *Model) PredictCluster(cw ClusterWorkload, devices, partitions, tiles in
 	if devices < 1 {
 		return ClusterPrediction{}, fmt.Errorf("model: device count %d must be positive", devices)
 	}
-	layout := m.Dev.PartitionLayout(partitions)
+	layout := m.layout(partitions)
 	if layout == nil {
 		return ClusterPrediction{}, fmt.Errorf("model: partition count %d out of range [1,%d]", partitions, m.Dev.TotalThreads())
 	}

@@ -181,3 +181,28 @@ func TestStagingOnlyPricesOneTransfer(t *testing.T) {
 		t.Errorf("zero-byte staging-only wall %v, want 0", z.Wall)
 	}
 }
+
+// PredictStaging is the staging-only prediction's shortcut: bit-equal
+// to PredictCluster's StagingTime across volumes, device counts,
+// calibration and host contention.
+func TestPredictStagingMatchesStagingOnly(t *testing.T) {
+	plain := New(device.Xeon31SP(), pcie.DefaultConfig())
+	cal := New(device.Xeon31SP(), pcie.DefaultConfig())
+	cal.TransferScale = 1.37
+	capped := New(device.Xeon31SP(), pcie.DefaultConfig())
+	capped.HostBandwidthBps = 1.5 * capped.Link.BandwidthBps
+	for _, m := range []*Model{plain, cal, capped} {
+		for _, bytes := range []int64{0, 1, 4096, 3<<20 + 17, 1 << 30} {
+			for _, devices := range []int{1, 2, 3, 4, 8} {
+				p, err := m.PredictCluster(StagingOnly("staging", bytes), devices, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.PredictStaging(bytes, devices); got != p.StagingTime {
+					t.Errorf("scale %g host %g: PredictStaging(%d, %d) = %v, PredictCluster staging %v",
+						m.TransferScale, m.HostBandwidthBps, bytes, devices, got, p.StagingTime)
+				}
+			}
+		}
+	}
+}

@@ -28,7 +28,9 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"sync/atomic"
 
 	"micstream/internal/device"
 	"micstream/internal/pcie"
@@ -165,11 +167,51 @@ type Model struct {
 	// Only PredictCluster consults it — single-device predictions see
 	// one link by construction.
 	HostBandwidthBps float64
+
+	// layouts memoizes Dev.PartitionLayout per partition count; nil (a
+	// Model not built by New) recomputes every time.
+	layouts *layoutCache
 }
 
 // New builds an uncalibrated model of the given platform.
 func New(dev device.Config, link pcie.Config) *Model {
-	return &Model{Dev: dev, Link: link}
+	return &Model{Dev: dev, Link: link, layouts: new(layoutCache)}
+}
+
+// layoutCache holds the partition layouts of one device config. It is
+// an immutable snapshot behind an atomic pointer, replaced whole on a
+// miss, so concurrent predictions on one Model stay race-free and a hit
+// costs a load and a map lookup.
+type layoutCache struct {
+	snap atomic.Pointer[layoutSnap]
+}
+
+type layoutSnap struct {
+	dev device.Config
+	byN map[int][]device.PartitionShape
+}
+
+// layout returns Dev.PartitionLayout(n), memoized per partition count
+// while Dev is unchanged (the layout is a pure function of the config).
+// The result is shared: callers must not modify it.
+func (m *Model) layout(n int) []device.PartitionShape {
+	c := m.layouts
+	if c == nil {
+		return m.Dev.PartitionLayout(n)
+	}
+	old := c.snap.Load()
+	if old != nil && old.dev == m.Dev {
+		if l, ok := old.byN[n]; ok {
+			return l
+		}
+	}
+	l := m.Dev.PartitionLayout(n)
+	next := &layoutSnap{dev: m.Dev, byN: map[int][]device.PartitionShape{n: l}}
+	if old != nil && old.dev == m.Dev {
+		maps.Copy(next.byN, old.byN)
+	}
+	c.snap.Store(next)
+	return l
 }
 
 // Calibration returns the effective calibration factors (1 when
@@ -311,7 +353,7 @@ func (m *Model) phaseTimes(ph Phase, layout []device.PartitionShape, partitions,
 // meaning (tile count, grid edge, stripe count) is the workload's own —
 // the same argument its simulated Run takes.
 func (m *Model) Predict(w Workload, partitions, tiles int) (Prediction, error) {
-	layout := m.Dev.PartitionLayout(partitions)
+	layout := m.layout(partitions)
 	if layout == nil {
 		return Prediction{}, fmt.Errorf("model: partition count %d out of range [1,%d]", partitions, m.Dev.TotalThreads())
 	}

@@ -343,3 +343,43 @@ func newHBench(t *testing.T, iters int) hbenchCase {
 		},
 	}
 }
+
+// The memoized partition layouts change no prediction: a model built by
+// New (layouts cached per partition count) and a Model literal (no
+// cache) agree bit for bit, also after the cached model's Dev changes
+// and while several goroutines predict on the cached model at once.
+func TestLayoutCacheBitIdentical(t *testing.T) {
+	cached, w, _ := synthModel()
+	plain := &model.Model{Dev: cached.Dev, Link: cached.Link}
+	points := []struct{ p, tiles int }{{1, 8}, {4, 16}, {7, 32}, {56, 64}, {4, 4}, {120, 1}}
+	check := func(t *testing.T) {
+		for _, pt := range points {
+			got, err := cached.Predict(w, pt.p, pt.tiles)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, err := plain.Predict(w, pt.p, pt.tiles)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got != want {
+				t.Errorf("P=%d T=%d: cached %+v, uncached %+v", pt.p, pt.tiles, got, want)
+			}
+		}
+	}
+	check(t)
+	cached.Dev.Cores, plain.Dev.Cores = 31, 31
+	check(t)
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			check(t)
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}

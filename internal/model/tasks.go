@@ -94,7 +94,7 @@ func FromTasks(name string, tasks []*core.Task) Workload {
 // same closed forms as Predict, so scheduler decisions and tuner
 // decisions agree about the hardware.
 func (m *Model) ServiceTime(tasks []*core.Task, partitions int) sim.Duration {
-	layout := m.Dev.PartitionLayout(partitions)
+	layout := m.layout(partitions)
 	if layout == nil {
 		return 0
 	}

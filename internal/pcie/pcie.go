@@ -121,9 +121,9 @@ func NewLink(eng *sim.Engine, cfg Config, name string, rec *trace.Recorder) (*Li
 func (l *Link) Config() Config { return l.cfg }
 
 // Transfer schedules a DMA of n bytes in the given direction, becoming
-// eligible at ready. done (optional) fires at completion with the
-// scheduled bounds. The stream and task ids annotate the trace.
-func (l *Link) Transfer(dir Direction, n int64, ready sim.Time, stream, task int, done func(start, end sim.Time)) (start, end sim.Time) {
+// eligible at ready. done (optional) fires at completion. The stream
+// and task ids annotate the trace.
+func (l *Link) Transfer(dir Direction, n int64, ready sim.Time, stream, task int, done sim.Handler) (start, end sim.Time) {
 	srv := l.h2d
 	if dir == D2H {
 		srv = l.d2h

@@ -157,7 +157,7 @@ func TestTransfersAreTraced(t *testing.T) {
 func TestCompletionCallback(t *testing.T) {
 	eng, l, _ := newLink(t, Config{BandwidthBps: 1e9, LatencyNs: 0})
 	var doneAt sim.Time = -1
-	l.Transfer(H2D, 1000, 0, 0, 0, func(start, end sim.Time) { doneAt = eng.Now() })
+	l.Transfer(H2D, 1000, 0, 0, 0, sim.Func(func() { doneAt = eng.Now() }))
 	eng.Run()
 	if doneAt != sim.Time(1000) {
 		t.Fatalf("completion at %v, want 1µs", doneAt)

@@ -35,8 +35,9 @@
 package residency
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Region declares one (dataset, tile-range) a job reads or writes:
@@ -133,6 +134,12 @@ type entry struct {
 	seq uint64
 }
 
+// victim is one eviction candidate of Enforce.
+type victim struct {
+	key tileKey
+	entry
+}
+
 // deviceCache is one device's resident set.
 type deviceCache struct {
 	entries map[tileKey]entry
@@ -184,6 +191,8 @@ type Tracker struct {
 	clock    uint64
 	seq      uint64
 	stats    Stats
+	// victims is Enforce's candidate scratch.
+	victims []victim
 }
 
 // New builds a tracker for the given device count with a per-device
@@ -406,22 +415,19 @@ func (t *Tracker) Enforce(dev int) int64 {
 	if t.capacity <= 0 || dc.used <= t.capacity {
 		return 0
 	}
-	// Collect and order the candidates once; evict from the front
-	// until under capacity.
-	type victim struct {
-		key tileKey
-		entry
-	}
-	victims := make([]victim, 0, len(dc.entries))
+	// Collect and order the candidates once, in the tracker's reused
+	// scratch; evict from the front until under capacity.
+	victims := t.victims[:0]
 	for k, e := range dc.entries {
 		victims = append(victims, victim{key: k, entry: e})
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].used != victims[j].used {
-			return victims[i].used < victims[j].used
+	slices.SortFunc(victims, func(a, b victim) int {
+		if c := cmp.Compare(a.used, b.used); c != 0 {
+			return c
 		}
-		return victims[i].seq < victims[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
+	t.victims = victims
 	var evicted int64
 	for _, v := range victims {
 		if dc.used <= t.capacity {

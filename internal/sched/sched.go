@@ -101,7 +101,11 @@ type Pending struct {
 }
 
 // View is the platform snapshot handed to a policy at a decision
-// point.
+// point. The scheduler reuses one View and its slices for every
+// decision, refreshing them as copies of its own state before each
+// Pick: a policy may read and even overwrite them without affecting
+// the scheduler, but must not keep the View or its slices past Pick
+// (DESIGN.md §7).
 type View struct {
 	// Now is the current virtual time.
 	Now sim.Time
@@ -122,9 +126,11 @@ type View struct {
 
 // Policy chooses, at each dispatch opportunity, which pending job runs
 // next and on which idle stream. pending and idle are non-empty;
-// pending is in admission order. Implementations may keep per-run
-// state (e.g. a round-robin cursor) and must be deterministic
-// functions of their inputs and that state.
+// pending is in admission order. idle and the View are per-scheduler
+// scratch, refreshed copies valid only during the Pick call; pending is
+// the admission queue itself and must not be modified. Implementations
+// may keep per-run state (e.g. a round-robin cursor) and must be
+// deterministic functions of their inputs and that state.
 type Policy interface {
 	// Name identifies the policy in results and CLIs.
 	Name() string
@@ -220,6 +226,34 @@ type Scheduler struct {
 	seq          int
 	runErr       error
 	onDone       func(JobOutcome)
+
+	// Dispatch scratch, reused across decisions so a dispatch allocates
+	// nothing of its own: the policy's View and idle list (refreshed
+	// copies, valid only during Pick), the pinned task copies handed to
+	// core.EnqueueInto and its phase events, and one grant record per
+	// stream for the slice in flight there.
+	view     View
+	viewLoad []sim.Duration
+	viewPart []int
+	viewTen  []string
+	idle     []int
+	taskCopy []core.Task
+	taskPtrs []*core.Task
+	depBuf   []int
+	inChunk  map[int]bool
+	phase    core.PhaseEvents
+	grants   []grant
+}
+
+// grant is the record of one stream grant in flight, one per stream
+// because a stream runs at most one slice at a time. done is its
+// completion callback, made once per stream in New, so registering it
+// on a slice's final event allocates nothing per grant.
+type grant struct {
+	p       *Pending
+	end     int      // index after the slice's last task
+	granted sim.Time // dispatch instant
+	done    func()
 }
 
 // binder is implemented by policies that derive state from the
@@ -273,6 +307,15 @@ func New(ctx *hstreams.Context, opts ...Option) (*Scheduler, error) {
 		s.streamPart[i] = local
 	}
 	s.nparts = len(partIdx)
+	n := len(s.streams)
+	s.viewLoad = make([]sim.Duration, n)
+	s.viewPart = make([]int, n)
+	s.viewTen = make([]string, n)
+	s.grants = make([]grant, n)
+	for i := range s.grants {
+		stream := i
+		s.grants[i].done = func() { s.grantDone(stream) }
+	}
 	s.Reset()
 	return s, nil
 }
@@ -614,17 +657,7 @@ func (s *Scheduler) dispatch() {
 		if len(idle) == 0 {
 			return
 		}
-		// Both slices are defensive copies: Policy is an exported
-		// interface, and a mutating implementation must not corrupt
-		// the scheduler's state.
-		v := &View{
-			Now:             s.ctx.Now(),
-			StreamLoad:      append([]sim.Duration(nil), s.load...),
-			StreamPartition: append([]int(nil), s.streamPart...),
-			StreamTenant:    append([]string(nil), s.streamTenant...),
-			Partitions:      s.nparts,
-		}
-		pi, stream := s.policy.Pick(s.pending, idle, v)
+		pi, stream := s.policy.Pick(s.pending, idle, s.refreshView())
 		if pi < 0 || pi >= len(s.pending) {
 			s.fail(fmt.Errorf("sched: policy %s picked job index %d out of range [0,%d)", s.policy.Name(), pi, len(s.pending)))
 			return
@@ -639,12 +672,31 @@ func (s *Scheduler) dispatch() {
 	}
 }
 
+// refreshView rebuilds the policy's View from the scheduler's state.
+// Policy is an exported interface, so the View's slices are copies in
+// scheduler-owned scratch, re-pointed on every refresh: a policy that
+// overwrites or replaces them corrupts nothing the scheduler reads.
+func (s *Scheduler) refreshView() *View {
+	copy(s.viewLoad, s.load)
+	copy(s.viewPart, s.streamPart)
+	copy(s.viewTen, s.streamTenant)
+	s.view = View{
+		Now:             s.ctx.Now(),
+		StreamLoad:      s.viewLoad,
+		StreamPartition: s.viewPart,
+		StreamTenant:    s.viewTen,
+		Partitions:      s.nparts,
+	}
+	return &s.view
+}
+
 // start pins the job's next slice to the chosen stream, enqueues it,
-// and registers the completion hook that frees the stream and
-// re-enters the dispatch loop. Without WithSlicing the slice is the
-// whole task list and this is exactly the pre-slicing dispatch; with
-// it, a non-final slice's completion re-queues the remainder behind
-// the policy instead of completing the job.
+// and registers the stream's grant callback on the slice's final event;
+// its completion frees the stream and re-enters the dispatch loop.
+// Without WithSlicing the slice is the whole task list and this is
+// exactly the pre-slicing dispatch; with it, a non-final slice's
+// completion re-queues the remainder behind the policy instead of
+// completing the job.
 func (s *Scheduler) start(p *Pending, stream int) {
 	idx := p.idx
 	global := s.streams[stream]
@@ -662,7 +714,6 @@ func (s *Scheduler) start(p *Pending, stream int) {
 		est = s.Estimate(chunk)
 	}
 	first := p.Next == 0
-	granted := s.ctx.Now()
 	s.busy[stream] = true
 	s.streamTenant[stream] = tenantOf(p.Job)
 	s.load[stream] += est
@@ -681,32 +732,11 @@ func (s *Scheduler) start(p *Pending, stream int) {
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global, Dur: est})
 	}
 
-	var inChunk map[int]bool
-	if p.Next > 0 {
-		inChunk = make(map[int]bool, len(chunk))
-		for _, t := range chunk {
-			inChunk[t.ID] = true
-		}
-	}
-	tasks := make([]*core.Task, len(chunk))
-	for i, t := range chunk {
-		c := *t
-		c.StreamHint = global
-		// Dependencies on earlier slices are satisfied temporally —
-		// slices of one job serialize — and must not reference tasks
-		// EnqueuePhase has not seen in this call.
-		if inChunk != nil && len(c.DependsOn) > 0 {
-			deps := make([]int, 0, len(c.DependsOn))
-			for _, d := range c.DependsOn {
-				if inChunk[d] {
-					deps = append(deps, d)
-				}
-			}
-			c.DependsOn = deps
-		}
-		tasks[i] = &c
-	}
-	ev, err := core.EnqueuePhase(s.ctx, tasks)
+	tasks := s.pin(chunk, global, p.Next > 0)
+	err := core.EnqueueInto(s.ctx, tasks, &s.phase)
+	// EnqueueInto is done with the copies: drop their references so the
+	// scratch does not pin the job's buffers and kernel bodies.
+	clear(s.taskCopy[:len(chunk)])
 	if err != nil {
 		// The job claimed its stream but will never complete there;
 		// mark it failed before stranding the queue behind it.
@@ -723,47 +753,101 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	}
 	// Every action of the slice sits on one FIFO stream, so the last
 	// task's final event is the last to resolve.
-	final := ev.Done[tasks[len(tasks)-1].ID]
-	final.OnDone(func() {
-		if end < len(all) {
-			// Slice boundary: free the stream, re-estimate the
-			// remainder (remaining tasks only — completed slices must
-			// not inflate PendingBacklog) and re-queue it in admission
-			// order, then let the policy re-plan. The job's outcome
-			// completes only at its final slice. The Requeue event
-			// closes the grant opened by Dispatch/Slice, carrying the
-			// slice's realized span, so the timeline folder can
-			// reconstruct per-slice execution exactly.
-			s.busy[stream] = false
-			s.streamTenant[stream] = ""
-			p.Next = end
-			p.Est = s.Estimate(all[end:])
-			if s.tel.Enabled() {
-				s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
-					Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
-					Dur: s.ctx.Now().Sub(granted)})
+	g := &s.grants[stream]
+	g.p, g.end, g.granted = p, end, s.ctx.Now()
+	s.phase.Done[chunk[len(chunk)-1].ID].OnDone(g.done)
+}
+
+// pin copies chunk into the scheduler's task scratch with every task
+// pinned to the given stream. Dependencies on earlier slices (sliced
+// true) are satisfied temporally — slices of one job serialize — and
+// are stripped from the copies, since EnqueueInto must not see
+// references to tasks outside the call. The copies are valid until the
+// next pin.
+func (s *Scheduler) pin(chunk []*core.Task, stream int, sliced bool) []*core.Task {
+	n := len(chunk)
+	if cap(s.taskCopy) < n {
+		s.taskCopy = make([]core.Task, n)
+		s.taskPtrs = make([]*core.Task, n)
+	}
+	copies, ptrs := s.taskCopy[:n], s.taskPtrs[:n]
+	if sliced {
+		if s.inChunk == nil {
+			s.inChunk = make(map[int]bool, n)
+		}
+		clear(s.inChunk)
+		for _, t := range chunk {
+			s.inChunk[t.ID] = true
+		}
+	}
+	deps := s.depBuf[:0]
+	for i, t := range chunk {
+		copies[i] = *t
+		c := &copies[i]
+		c.StreamHint = stream
+		if sliced && len(c.DependsOn) > 0 {
+			from := len(deps)
+			for _, d := range c.DependsOn {
+				if s.inChunk[d] {
+					deps = append(deps, d)
+				}
 			}
-			s.requeue(p)
-			s.dispatch()
-			return
+			c.DependsOn = deps[from:len(deps):len(deps)]
 		}
-		s.outcomes[idx].Done = s.ctx.Now()
-		if d := s.outcomes[idx].Deadline; d > 0 && s.outcomes[idx].Latency() > d {
-			s.outcomes[idx].Missed = true
-		}
-		s.done++
+		ptrs[i] = c
+	}
+	s.depBuf = deps
+	return ptrs
+}
+
+// grantDone handles the completion of the slice granted on stream: at
+// a slice boundary it frees the stream and re-queues the job's
+// remainder, at the job's final slice it completes the job; either way
+// it re-enters the dispatch loop.
+func (s *Scheduler) grantDone(stream int) {
+	g := &s.grants[stream]
+	p := g.p
+	g.p = nil
+	idx := p.idx
+	global := s.streams[stream]
+	all := p.Job.Tasks
+	if g.end < len(all) {
+		// Slice boundary: free the stream, re-estimate the remainder
+		// (remaining tasks only — completed slices must not inflate
+		// PendingBacklog) and re-queue it in admission order, then let
+		// the policy re-plan. The job's outcome completes only at its
+		// final slice. The Requeue event closes the grant opened by
+		// Dispatch/Slice, carrying the slice's realized span, so the
+		// timeline folder can reconstruct per-slice execution exactly.
 		s.busy[stream] = false
 		s.streamTenant[stream] = ""
+		p.Next = g.end
+		p.Est = s.Estimate(all[g.end:])
 		if s.tel.Enabled() {
-			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
-				Dur: s.outcomes[idx].Done.Sub(s.outcomes[idx].Start)})
+				Dur: s.ctx.Now().Sub(g.granted)})
 		}
+		s.requeue(p)
 		s.dispatch()
-		if s.onDone != nil {
-			s.onDone(s.outcomes[idx])
-		}
-	})
+		return
+	}
+	s.outcomes[idx].Done = s.ctx.Now()
+	if d := s.outcomes[idx].Deadline; d > 0 && s.outcomes[idx].Latency() > d {
+		s.outcomes[idx].Missed = true
+	}
+	s.done++
+	s.busy[stream] = false
+	s.streamTenant[stream] = ""
+	if s.tel.Enabled() {
+		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
+			Dur: s.outcomes[idx].Done.Sub(s.outcomes[idx].Start)})
+	}
+	s.dispatch()
+	if s.onDone != nil {
+		s.onDone(s.outcomes[idx])
+	}
 }
 
 // requeue inserts a re-queued remainder back into the admission queue
@@ -782,14 +866,16 @@ func (s *Scheduler) requeue(p *Pending) {
 	s.pending[at] = p
 }
 
-// idleStreams lists streams with no job in flight, ascending.
+// idleStreams lists streams with no job in flight, ascending, in
+// scheduler-owned scratch valid until the next call.
 func (s *Scheduler) idleStreams() []int {
-	var idle []int
+	idle := s.idle[:0]
 	for i, b := range s.busy {
 		if !b {
 			idle = append(idle, i)
 		}
 	}
+	s.idle = idle
 	return idle
 }
 

@@ -4,13 +4,27 @@ import (
 	"fmt"
 )
 
+// Handler is a scheduled callback in method form. A pointer type
+// implementing it converts to a Handler without allocating, so a
+// long-lived object such as an hstreams event can be its own completion
+// target where a closure would cost one heap object per scheduling
+// (DESIGN.md §4).
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler; the conversion does not
+// allocate beyond the function value itself.
+type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire() { f() }
+
 // event is a scheduled callback. Events with equal timestamps dispatch
 // in scheduling order (seq), which makes the whole simulation
 // deterministic.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
 // eventHeap is a min-heap ordered by (at, seq), maintained by the
@@ -47,8 +61,8 @@ func (h *eventHeap) push(ev event) {
 }
 
 // pop removes and returns the minimum event (sift-down). The vacated
-// slot's callback is cleared so the backing array does not pin the
-// closure (and whatever it captures) until the slot is overwritten.
+// slot's handler is cleared so the backing array does not pin it (and
+// whatever it references) until the slot is overwritten.
 func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
@@ -119,12 +133,16 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 // At schedules fn to run at the given virtual time. Scheduling in the
 // past is a programming error in the platform layers and panics, since
 // a causality violation would silently corrupt every measurement.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, Func(fn)) }
+
+// Schedule is At for a Handler: h.Fire runs at virtual time t, ordered
+// with At's callbacks by the same (time, scheduling order) rule.
+func (e *Engine) Schedule(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, fn: fn})
+	e.heap.push(event{at: t, seq: e.seq, h: h})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -144,7 +162,7 @@ func (e *Engine) Step() bool {
 	ev := e.heap.pop()
 	e.now = ev.at
 	e.nsteps++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 

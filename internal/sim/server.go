@@ -29,9 +29,10 @@ func (s *Server) Name() string { return s.name }
 
 // Reserve books the server exclusively for dur starting no earlier than
 // ready, returning the scheduled start and end times. If done is
-// non-nil it is invoked at the end time with the reservation bounds.
-// A zero-length reservation is legal and completes at its start time.
-func (s *Server) Reserve(ready Time, dur Duration, done func(start, end Time)) (start, end Time) {
+// non-nil it fires at the end time, scheduled directly on the engine:
+// a reservation allocates nothing of its own. A zero-length reservation
+// is legal and completes at its start time.
+func (s *Server) Reserve(ready Time, dur Duration, done Handler) (start, end Time) {
 	if dur < 0 {
 		dur = 0
 	}
@@ -44,10 +45,7 @@ func (s *Server) Reserve(ready Time, dur Duration, done func(start, end Time)) (
 	s.busy += dur
 	s.count++
 	if done != nil {
-		// Locals, not the named results: a closure capturing start and
-		// end would move them to the heap on every reservation.
-		st, en := start, end
-		s.eng.At(end, func() { done(st, en) })
+		s.eng.Schedule(end, done)
 	}
 	return start, end
 }

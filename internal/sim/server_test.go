@@ -42,12 +42,10 @@ func TestServerCompletionCallbackFiresAtEnd(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "link")
 	var at Time = -1
-	s.Reserve(5, 20, func(start, end Time) {
-		at = e.Now()
-		if start != 5 || end != 25 {
-			t.Errorf("callback bounds = [%v,%v], want [5,25]", start, end)
-		}
-	})
+	start, end := s.Reserve(5, 20, Func(func() { at = e.Now() }))
+	if start != 5 || end != 25 {
+		t.Errorf("reservation bounds = [%v,%v], want [5,25]", start, end)
+	}
 	e.Run()
 	if at != 25 {
 		t.Fatalf("callback fired at %v, want 25", at)
@@ -156,5 +154,33 @@ func TestServerReserveNilDoneZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Reserve with nil done allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// firings counts its Fire calls; a pointer handler converts to Handler
+// without allocating.
+type firings int
+
+func (f *firings) Fire() { *f++ }
+
+// A reservation with a completion handler schedules the handler itself
+// on the engine: once the engine's heap has grown, booking and
+// completing it allocates nothing (one stream operation's worth of
+// simulation cost, DESIGN.md §4).
+func TestServerReserveHandlerZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, "srv")
+	var done firings
+	s.Reserve(s.FreeAt(), 5, &done)
+	e.Run() // warm the engine's heap
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Reserve(s.FreeAt(), 5, &done)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Reserve with a handler allocated %.1f objects/op, want 0", allocs)
+	}
+	if want := firings(1002); done != want {
+		t.Fatalf("handler fired %d times, want %d", done, want)
 	}
 }
