@@ -154,25 +154,23 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 		buf = hstreams.AllocVirtual(ctx, "A", nt*b*b, 8)
 	}
 
-	tasks, err := a.buildDAG(ctx, buf, grid, b)
-	if err != nil {
+	start := ctx.Now()
+	if err := a.enqueueDAG(ctx, buf, grid, b); err != nil {
 		return core.Result{}, err
 	}
-	res, err := core.Run(ctx, tasks, a.TotalFlops())
-	if err != nil {
-		return core.Result{}, err
-	}
+	res := core.Summarize(ctx, a.TotalFlops(), ctx.Barrier().Sub(start))
 	if a.p.Functional {
 		a.unpackTiles(grid, b)
 	}
 	return res, nil
 }
 
-// buildDAG emits the right-looking factorization task graph. Tasks are
-// pinned to streams by tile ownership (round-robin over the context's
-// streams by tile index) so repeated writers of a tile share a FIFO,
-// and cross-device consumers stage tiles through the host.
-func (a *App) buildDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int) ([]*core.Task, error) {
+// enqueueDAG enqueues the right-looking factorization task graph as
+// one phase, task by task. Tasks are pinned to streams by tile
+// ownership (round-robin over the context's streams by tile index) so
+// repeated writers of a tile share a FIFO, and cross-device consumers
+// stage tiles through the host.
+func (a *App) enqueueDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int) error {
 	nstreams := ctx.NumStreams()
 	spp := ctx.Config().StreamsPerPartition
 	perDev := ctx.Config().Partitions * spp
@@ -185,30 +183,41 @@ func (a *App) buildDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int)
 	// tileHome[tile] is the device holding the authoritative copy.
 	lastWriter := make(map[int]int)
 	tileHome := make(map[int]int)
-	var tasks []*core.Task
+	var ph core.Phase
+	// One task per (k, j, i) with k ≤ j ≤ i < grid.
+	ph.Reset(ctx, grid*(grid+1)*(grid+2)/6)
+	// ph keeps neither a task nor its lists, so every task's lists are
+	// rebuilt in these.
+	var deps []int
+	var h2d, d2h []core.TransferSpec
+	var err error
 	id := 0
 
-	// newTask assembles one tile kernel writing tile (i,j) and
-	// reading the listed input tiles (beyond the output tile itself).
+	// newTask enqueues one tile kernel writing tile (i,j) and reading
+	// the listed input tiles (beyond the output tile itself). After a
+	// failed enqueue it does nothing, and err holds the failure.
 	newTask := func(cost device.KernelCost, i, j int, reads [][2]int, body func(*hstreams.KernelCtx), final bool) {
+		if err != nil {
+			return
+		}
 		s := owner(i, j)
 		dev := devOf(s)
 		out := tileIndex(i, j)
-		t := &core.Task{ID: id, Cost: cost, Body: body, StreamHint: s}
+		deps, h2d, d2h = deps[:0], h2d[:0], d2h[:0]
 
 		use := func(tile int) {
 			if w, ok := lastWriter[tile]; ok {
-				t.DependsOn = append(t.DependsOn, w)
+				deps = append(deps, w)
 				if tileHome[tile] != dev {
 					// Stage the producer's tile to this task's
 					// device through the host: the producer
 					// already wrote it back (see below); gate
 					// our H2D on the producer's completion.
-					t.H2D = append(t.H2D, core.XferAfter(buf, tile*bb, bb, w))
+					h2d = append(h2d, core.XferAfter(buf, tile*bb, bb, w))
 				}
 			} else {
 				// First touch: ship the original tile.
-				t.H2D = append(t.H2D, core.Xfer(buf, tile*bb, bb))
+				h2d = append(h2d, core.Xfer(buf, tile*bb, bb))
 				tileHome[tile] = dev
 			}
 		}
@@ -222,11 +231,12 @@ func (a *App) buildDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int)
 		// publish intermediates, which is exactly the extra traffic
 		// the paper blames for the sub-2× scaling of Fig. 11.
 		if final || ctx.NumDevices() > 1 {
-			t.D2H = append(t.D2H, core.Xfer(buf, out*bb, bb))
+			d2h = append(d2h, core.Xfer(buf, out*bb, bb))
 		}
 		lastWriter[out] = id
 		tileHome[out] = dev
-		tasks = append(tasks, t)
+		t := core.Task{ID: id, H2D: h2d, Cost: cost, Body: body, D2H: d2h, DependsOn: deps, StreamHint: s}
+		err = ph.Add(&t)
 		id++
 	}
 
@@ -266,7 +276,7 @@ func (a *App) buildDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int)
 			}
 		}
 	}
-	return tasks, nil
+	return err
 }
 
 // --- functional tile kernels -------------------------------------------

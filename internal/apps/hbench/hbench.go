@@ -221,21 +221,29 @@ func (a *App) RunStreamed(partitions, tiles int) (core.Result, error) {
 		return core.Result{}, err
 	}
 	bufA, bufB := a.buffers(ctx)
-	tasks := make([]*core.Task, 0, tiles)
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable and in/out serve every tile.
+	var ph core.Phase
+	ph.Reset(ctx, tiles)
+	var in, out [1]core.TransferSpec
 	for i := 0; i < tiles; i++ {
 		off := i * a.p.Elements / tiles
 		end := (i + 1) * a.p.Elements / tiles
 		n := end - off
-		tasks = append(tasks, &core.Task{
+		in[0], out[0] = core.Xfer(bufA, off, n), core.Xfer(bufB, off, n)
+		task := core.Task{
 			ID:         i,
-			H2D:        []core.TransferSpec{core.Xfer(bufA, off, n)},
+			H2D:        in[:],
 			Cost:       Cost(n, a.p.Iterations),
 			Body:       a.body(bufA, bufB, off, n),
-			D2H:        []core.TransferSpec{core.Xfer(bufB, off, n)},
+			D2H:        out[:],
 			StreamHint: -1,
-		})
+		}
+		if err := ph.Add(&task); err != nil {
+			return core.Result{}, err
+		}
 	}
-	return core.Run(ctx, tasks, float64(a.p.Elements)*float64(a.p.Iterations))
+	return core.Summarize(ctx, float64(a.p.Elements)*float64(a.p.Iterations), ctx.Barrier().Sub(0)), nil
 }
 
 // KernelPhase measures only the kernel phase of a tiled run at the
@@ -258,19 +266,15 @@ func (a *App) KernelPhase(partitions, tiles int) (sim.Duration, error) {
 	}
 	start := ctx.Barrier()
 	// Phase 2: tiled kernels across all streams.
-	var tasks []*core.Task
+	var ph core.Phase
+	ph.Reset(ctx, tiles)
 	for i := 0; i < tiles; i++ {
 		off := i * a.p.Elements / tiles
 		n := (i+1)*a.p.Elements/tiles - off
-		tasks = append(tasks, &core.Task{
-			ID:         i,
-			Cost:       Cost(n, a.p.Iterations),
-			Body:       a.body(bufA, bufB, off, n),
-			StreamHint: -1,
-		})
-	}
-	if _, err := core.EnqueuePhase(ctx, tasks); err != nil {
-		return 0, err
+		task := core.Task{ID: i, Cost: Cost(n, a.p.Iterations), Body: a.body(bufA, bufB, off, n), StreamHint: -1}
+		if err := ph.Add(&task); err != nil {
+			return 0, err
+		}
 	}
 	return ctx.Barrier().Sub(start), nil
 }

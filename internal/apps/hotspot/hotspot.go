@@ -143,43 +143,37 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 
 	rowOf := func(t int) (lo, hi int) { return t * d / tasks, (t + 1) * d / tasks }
 
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable and in serve every tile.
+	var ph core.Phase
+	var in [1]core.TransferSpec
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Stage 1: ship the current grid, tiled; synchronize.
-		in := make([]*core.Task, 0, tasks)
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			in = append(in, &core.Task{
-				ID:           t,
-				H2D:          []core.TransferSpec{core.Xfer(bufIn, lo*d, (hi-lo)*d)},
-				StreamHint:   -1,
-				TransferOnly: true,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, in); err != nil {
-			return core.Result{}, err
+			in[0] = core.Xfer(bufIn, lo*d, (hi-lo)*d)
+			task := core.Task{ID: t, H2D: in[:], StreamHint: -1, TransferOnly: true}
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 
 		// Stage 2: stencil kernels; synchronize (halo dependency).
-		exe := make([]*core.Task, 0, tasks)
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			var body func(*hstreams.KernelCtx)
+			task := core.Task{ID: t, Cost: a.taskCost(hi - lo), StreamHint: -1}
 			if a.p.Functional {
 				lo, hi := lo, hi
-				body = func(k *hstreams.KernelCtx) {
+				task.Body = func(k *hstreams.KernelCtx) {
 					a.stencil(k, bufIn, bufOut, bufPower, lo, hi)
 				}
 			}
-			exe = append(exe, &core.Task{
-				ID:         t,
-				Cost:       a.taskCost(hi - lo),
-				Body:       body,
-				StreamHint: -1,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, exe); err != nil {
-			return core.Result{}, err
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 

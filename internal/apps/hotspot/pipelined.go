@@ -57,8 +57,14 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 	inID := func(iter, t int) int { return iter*2*tasks + t }
 	exID := func(iter, t int) int { return iter*2*tasks + tasks + t }
 
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable, xfer and deps serve the
+	// whole graph.
 	iters := a.p.Iterations
-	graph := make([]*core.Task, 0, 2*tasks*iters)
+	var ph core.Phase
+	ph.Reset(ctx, 2*tasks*iters)
+	var xfer [1]core.TransferSpec
+	var deps [3]int
 	for iter := 0; iter < iters; iter++ {
 		// Double buffers alternate by iteration parity.
 		in, out := bufA, bufB
@@ -67,49 +73,46 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 		}
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			h2d := &core.Task{
-				ID:           inID(iter, t),
-				StreamHint:   t % ctx.NumStreams(),
-				TransferOnly: true,
-			}
 			if iter == 0 {
-				h2d.H2D = []core.TransferSpec{core.Xfer(in, lo*d, (hi-lo)*d)}
+				xfer[0] = core.Xfer(in, lo*d, (hi-lo)*d)
 			} else {
 				// This iteration's input is the previous
 				// iteration's output: gate the shipment on the
 				// producing tile's writeback.
-				h2d.H2D = []core.TransferSpec{core.XferAfter(in, lo*d, (hi-lo)*d, exID(iter-1, t))}
+				xfer[0] = core.XferAfter(in, lo*d, (hi-lo)*d, exID(iter-1, t))
 			}
-			graph = append(graph, h2d)
+			task := core.Task{ID: inID(iter, t), H2D: xfer[:], StreamHint: t % ctx.NumStreams(), TransferOnly: true}
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			deps := []int{inID(iter, t)}
+			dep := append(deps[:0], inID(iter, t))
 			if t > 0 {
-				deps = append(deps, inID(iter, t-1))
+				dep = append(dep, inID(iter, t-1))
 			}
 			if t < tasks-1 {
-				deps = append(deps, inID(iter, t+1))
+				dep = append(dep, inID(iter, t+1))
 			}
-			var body func(*hstreams.KernelCtx)
+			xfer[0] = core.Xfer(out, lo*d, (hi-lo)*d)
+			task := core.Task{
+				ID:         exID(iter, t),
+				DependsOn:  dep,
+				Cost:       a.taskCost(hi - lo),
+				D2H:        xfer[:],
+				StreamHint: t % ctx.NumStreams(),
+			}
 			if a.p.Functional {
 				in, out, lo, hi := in, out, lo, hi
-				body = func(k *hstreams.KernelCtx) {
+				task.Body = func(k *hstreams.KernelCtx) {
 					a.stencil(k, in, out, bufPower, lo, hi)
 				}
 			}
-			graph = append(graph, &core.Task{
-				ID:         exID(iter, t),
-				DependsOn:  deps,
-				Cost:       a.taskCost(hi - lo),
-				Body:       body,
-				D2H:        []core.TransferSpec{core.Xfer(out, lo*d, (hi-lo)*d)},
-				StreamHint: t % ctx.NumStreams(),
-			})
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
-	}
-	if _, err := core.EnqueuePhase(ctx, graph); err != nil {
-		return core.Result{}, err
 	}
 	ctx.Barrier()
 	wall := ctx.Now().Sub(start)

@@ -158,37 +158,41 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	}
 	ctx.Barrier()
 
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable, xfer and gate serve every
+	// tile.
+	var ph core.Phase
+	var xfer [1]core.TransferSpec
+	const centroidTask = 0
+	gate := [1]int{centroidTask}
 	for iter := 0; iter < p.Iterations; iter++ {
-		phase := make([]*core.Task, 0, tasks+1)
+		ph.Reset(ctx, tasks+1)
 		// Broadcast the centroids (one transfer; kernels gate on it).
-		const centroidTask = 0
-		phase = append(phase, &core.Task{
-			ID:           centroidTask,
-			H2D:          []core.TransferSpec{core.Xfer(bufCentroids, 0, kf)},
-			StreamHint:   -1,
-			TransferOnly: true,
-		})
+		xfer[0] = core.Xfer(bufCentroids, 0, kf)
+		task := core.Task{ID: centroidTask, H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+		if err := ph.Add(&task); err != nil {
+			return core.Result{}, err
+		}
 		for t := 0; t < tasks; t++ {
 			lo := t * p.N / tasks
 			hi := (t + 1) * p.N / tasks
-			var body func(*hstreams.KernelCtx)
+			xfer[0] = core.Xfer(bufPartials, t*partialLen, partialLen)
+			task := core.Task{
+				ID:         t + 1,
+				Cost:       a.taskCost(hi - lo),
+				D2H:        xfer[:],
+				DependsOn:  gate[:],
+				StreamHint: -1,
+			}
 			if p.Functional {
 				t, lo, hi := t, lo, hi
-				body = func(k *hstreams.KernelCtx) {
+				task.Body = func(k *hstreams.KernelCtx) {
 					a.assign(k, bufPoints, bufCentroids, bufPartials, t, lo, hi, partialLen)
 				}
 			}
-			phase = append(phase, &core.Task{
-				ID:         t + 1,
-				Cost:       a.taskCost(hi - lo),
-				Body:       body,
-				D2H:        []core.TransferSpec{core.Xfer(bufPartials, t*partialLen, partialLen)},
-				DependsOn:  []int{centroidTask},
-				StreamHint: -1,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, phase); err != nil {
-			return core.Result{}, err
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 		// Host: reduce partials into new centroids.

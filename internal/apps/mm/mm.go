@@ -128,49 +128,55 @@ func (a *App) Run(partitions, grid int) (core.Result, error) {
 	// panels they consume. Total H2D traffic therefore equals the
 	// matrix sizes — the same bytes the non-streamed version moves —
 	// and overlap, not transfer avoidance, is what streams buy.
-	tasks := make([]*core.Task, 0, grid*(grid+2))
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable, xfer and deps serve every
+	// panel and tile.
+	start := ctx.Now()
+	var ph core.Phase
+	ph.Reset(ctx, grid*(grid+2))
+	var xfer [1]core.TransferSpec
+	var deps [2]int
 	panelA := func(i int) int { return i }
 	panelB := func(j int) int { return grid + j }
 	// Interleave the A and B panel shipments so the first compute
 	// task (which needs A₀ and B₀) unlocks after two transfers, not
 	// after the entire A matrix has crossed the link.
 	for i := 0; i < grid; i++ {
-		tasks = append(tasks,
-			&core.Task{
-				ID:           panelA(i),
-				H2D:          []core.TransferSpec{core.Xfer(bufA, i*bs*n, bs*n)},
-				StreamHint:   -1,
-				TransferOnly: true,
-			},
-			&core.Task{
-				ID:           panelB(i),
-				H2D:          []core.TransferSpec{core.Xfer(bufBt, i*bs*n, bs*n)},
-				StreamHint:   -1,
-				TransferOnly: true,
-			})
+		xfer[0] = core.Xfer(bufA, i*bs*n, bs*n)
+		task := core.Task{ID: panelA(i), H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+		if err := ph.Add(&task); err != nil {
+			return core.Result{}, err
+		}
+		xfer[0] = core.Xfer(bufBt, i*bs*n, bs*n)
+		task = core.Task{ID: panelB(i), H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+		if err := ph.Add(&task); err != nil {
+			return core.Result{}, err
+		}
 	}
 	for ti := 0; ti < grid; ti++ {
 		for tj := 0; tj < grid; tj++ {
-			id := 2*grid + ti*grid + tj
 			tile := ti*grid + tj
-			var body func(*hstreams.KernelCtx)
+			deps = [2]int{panelA(ti), panelB(tj)}
+			xfer[0] = core.Xfer(bufC, tile*bs*bs, bs*bs)
+			task := core.Task{
+				ID:         2*grid + tile,
+				DependsOn:  deps[:],
+				Cost:       cost,
+				D2H:        xfer[:],
+				StreamHint: -1,
+			}
 			if a.p.Functional {
 				ti, tj := ti, tj
-				body = func(k *hstreams.KernelCtx) {
+				task.Body = func(k *hstreams.KernelCtx) {
 					a.multiplyTile(k, bufA, bufBt, bufC, ti, tj, bs)
 				}
 			}
-			tasks = append(tasks, &core.Task{
-				ID:         id,
-				DependsOn:  []int{panelA(ti), panelB(tj)},
-				Cost:       cost,
-				Body:       body,
-				D2H:        []core.TransferSpec{core.Xfer(bufC, tile*bs*bs, bs*bs)},
-				StreamHint: -1,
-			})
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 	}
-	return core.Run(ctx, tasks, a.TotalFlops())
+	return core.Summarize(ctx, a.TotalFlops(), ctx.Barrier().Sub(start)), nil
 }
 
 // multiplyTile computes C tile (ti, tj) = A panel × B panel on the

@@ -130,33 +130,30 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 		bufDist = hstreams.AllocVirtual(ctx, "dist", a.p.N, 4)
 	}
 
-	list := make([]*core.Task, 0, tasks)
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable and in/out serve every chunk.
+	start := ctx.Now()
+	var ph core.Phase
+	ph.Reset(ctx, tasks)
+	var in [2]core.TransferSpec
+	var out [1]core.TransferSpec
 	for t := 0; t < tasks; t++ {
 		lo := t * a.p.N / tasks
 		hi := (t + 1) * a.p.N / tasks
-		var body func(*hstreams.KernelCtx)
+		in = [2]core.TransferSpec{core.Xfer(bufLat, lo, hi-lo), core.Xfer(bufLon, lo, hi-lo)}
+		out[0] = core.Xfer(bufDist, lo, hi-lo)
+		task := core.Task{ID: t, H2D: in[:], Cost: taskCost(hi - lo), D2H: out[:], StreamHint: -1}
 		if a.p.Functional {
 			lo, hi := lo, hi
-			body = func(k *hstreams.KernelCtx) {
+			task.Body = func(k *hstreams.KernelCtx) {
 				a.distances(k, bufLat, bufLon, bufDist, lo, hi)
 			}
 		}
-		list = append(list, &core.Task{
-			ID: t,
-			H2D: []core.TransferSpec{
-				core.Xfer(bufLat, lo, hi-lo),
-				core.Xfer(bufLon, lo, hi-lo),
-			},
-			Cost:       taskCost(hi - lo),
-			Body:       body,
-			D2H:        []core.TransferSpec{core.Xfer(bufDist, lo, hi-lo)},
-			StreamHint: -1,
-		})
+		if err := ph.Add(&task); err != nil {
+			return core.Result{}, err
+		}
 	}
-	res, err := core.Run(ctx, list, FlopsPerRecord*float64(a.p.N))
-	if err != nil {
-		return core.Result{}, err
-	}
+	res := core.Summarize(ctx, FlopsPerRecord*float64(a.p.N), ctx.Barrier().Sub(start))
 	if a.p.Functional {
 		a.nearest = topK(a.dist, a.p.K)
 	}

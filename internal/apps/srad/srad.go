@@ -169,27 +169,25 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	cells := func(lo, hi int) int { return (hi - lo) * d }
 	tileWS := func(lo, hi int) int64 { return int64(cells(lo, hi)) * 16 } // img + c
 
+	// ph enqueues each task as it is built and keeps neither the task
+	// nor its lists, so one task variable and stats serve every stripe.
+	var ph core.Phase
+	var stats [1]core.TransferSpec
 	q0sqr := 0.0
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Phase 1: statistics reduction; D2H per-task partials; sync.
-		red := make([]*core.Task, 0, tasks)
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			var body func(*hstreams.KernelCtx)
+			stats[0] = core.Xfer(bufStats, 2*t, 2)
+			task := core.Task{ID: t, Cost: reduceCost(cells(lo, hi)), D2H: stats[:], StreamHint: -1}
 			if a.p.Functional {
 				t, lo, hi := t, lo, hi
-				body = func(k *hstreams.KernelCtx) { a.reduce(k, bufImg, bufStats, t, lo, hi) }
+				task.Body = func(k *hstreams.KernelCtx) { a.reduce(k, bufImg, bufStats, t, lo, hi) }
 			}
-			red = append(red, &core.Task{
-				ID:         t,
-				Cost:       reduceCost(cells(lo, hi)),
-				Body:       body,
-				D2H:        []core.TransferSpec{core.Xfer(bufStats, 2*t, 2)},
-				StreamHint: -1,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, red); err != nil {
-			return core.Result{}, err
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 		// Host combines partials into the speckle scale q0².
@@ -207,45 +205,33 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 		ctx.HostWork(sim.Duration(HostStatsNs), "srad.stats")
 
 		// Phase 2: diffusion-coefficient stencil; sync (halo).
-		phase2 := make([]*core.Task, 0, tasks)
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			var body func(*hstreams.KernelCtx)
+			task := core.Task{ID: t, Cost: stencilCost("srad.coeff", cells(lo, hi), tileWS(lo, hi)), StreamHint: -1}
 			if a.p.Functional {
 				lo, hi := lo, hi
 				q := q0sqr
-				body = func(k *hstreams.KernelCtx) { a.coefficients(k, bufImg, bufC, bufDeriv, q, lo, hi) }
+				task.Body = func(k *hstreams.KernelCtx) { a.coefficients(k, bufImg, bufC, bufDeriv, q, lo, hi) }
 			}
-			phase2 = append(phase2, &core.Task{
-				ID:         t,
-				Cost:       stencilCost("srad.coeff", cells(lo, hi), tileWS(lo, hi)),
-				Body:       body,
-				StreamHint: -1,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, phase2); err != nil {
-			return core.Result{}, err
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 
 		// Phase 3: image update stencil; sync.
-		phase3 := make([]*core.Task, 0, tasks)
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			var body func(*hstreams.KernelCtx)
+			task := core.Task{ID: t, Cost: stencilCost("srad.update", cells(lo, hi), tileWS(lo, hi)), StreamHint: -1}
 			if a.p.Functional {
 				lo, hi := lo, hi
-				body = func(k *hstreams.KernelCtx) { a.update(k, bufImg, bufC, bufDeriv, lo, hi) }
+				task.Body = func(k *hstreams.KernelCtx) { a.update(k, bufImg, bufC, bufDeriv, lo, hi) }
 			}
-			phase3 = append(phase3, &core.Task{
-				ID:         t,
-				Cost:       stencilCost("srad.update", cells(lo, hi), tileWS(lo, hi)),
-				Body:       body,
-				StreamHint: -1,
-			})
-		}
-		if _, err := core.EnqueuePhase(ctx, phase3); err != nil {
-			return core.Result{}, err
+			if err := ph.Add(&task); err != nil {
+				return core.Result{}, err
+			}
 		}
 		ctx.Barrier()
 	}

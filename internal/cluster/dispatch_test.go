@@ -129,11 +129,12 @@ func TestHostilePoliciesCannotCorruptCluster(t *testing.T) {
 }
 
 // clusterAllocsPerJob bounds the allocations of one contended batch
-// Run per job. The dispatch path allocates about one heap object per
-// stream operation (12 per 4-tile job, plus staging) and a few per job
-// (its admission records); this mix measures 18.9 objects/job, and the
-// bound leaves under 10% headroom.
-const clusterAllocsPerJob = 20.5
+// Run per job. The dispatch path allocates a sixty-fourth of a heap
+// object per stream operation (12 per 4-tile job, plus staging), its
+// share of an event chunk, and a few objects per job (its admission
+// records); this mix measures 6.9 objects/job, and the bound leaves
+// under 10% headroom.
+const clusterAllocsPerJob = 7.5
 
 // A contended batch Run at task granularity allocates a bounded number
 // of heap objects per job: nothing per dispatch, per grant or per

@@ -512,3 +512,30 @@ func TestHalfDuplexIdealBounds(t *testing.T) {
 		}
 	}
 }
+
+// A warm Phase enqueues a task without allocating the task, its lists
+// or map entries: a 256-task H2D+kernel+D2H phase costs only its share
+// of the context's event chunks, well under one heap object per task.
+func TestPhaseAddAllocs(t *testing.T) {
+	const n = 256
+	c := ctx(t, hstreams.Config{Partitions: 4})
+	buf := hstreams.AllocVirtual(c, "b", n, 4)
+	cost := device.KernelCost{Name: "k", Flops: 1e6}
+	var ph Phase
+	var in, out [1]TransferSpec
+	phase := func() {
+		ph.Reset(c, n)
+		for i := 0; i < n; i++ {
+			in[0], out[0] = Xfer(buf, i, 1), Xfer(buf, i, 1)
+			task := Task{ID: i, H2D: in[:], Cost: cost, D2H: out[:], StreamHint: -1}
+			if err := ph.Add(&task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Barrier()
+	}
+	phase() // warm the maps and the engine's heap
+	if perTask := testing.AllocsPerRun(20, phase) / n; perTask >= 1 {
+		t.Fatalf("warm Phase allocated %.2f objects per task, want < 1", perTask)
+	}
+}

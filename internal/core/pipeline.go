@@ -54,7 +54,7 @@ func XferAfter(buf *hstreams.Buffer, off, n, afterTask int) TransferSpec {
 // output transfers, as in the paper's flow diagrams (Fig. 4).
 type Task struct {
 	// ID identifies the task; DependsOn references these IDs. IDs
-	// must be unique within one EnqueuePhase call.
+	// must be unique within one phase.
 	ID int
 	// H2D lists input transfers; they precede the kernel in the
 	// task's stream.
@@ -67,8 +67,8 @@ type Task struct {
 	D2H []TransferSpec
 	// DependsOn lists tasks whose kernels must complete before this
 	// task's kernel starts (device-resident data dependencies, as
-	// between Cholesky tiles). Referenced tasks must appear earlier
-	// in the slice passed to EnqueuePhase.
+	// between Cholesky tiles). Referenced tasks must be added to the
+	// phase earlier.
 	DependsOn []int
 	// StreamHint pins the task to a specific stream; -1 (or any
 	// negative value) selects round-robin placement.
@@ -87,122 +87,155 @@ type PhaseEvents struct {
 	// Done maps task ID to its final event (last D2H, or the kernel
 	// when the task has no outputs).
 	Done map[int]*hstreams.Event
+}
 
-	// deps and xdeps are EnqueueInto's dependency scratch; hstreams
-	// reads a dependency list only during the enqueue call.
+// Phase is the one enqueue path: it enqueues a phase's tasks one at a
+// time onto the context's streams, round-robin unless a task carries a
+// StreamHint, without synchronizing. Within a stream the enqueue order
+// of a task is H2D*, kernel, D2H*, so a task's own stages are
+// FIFO-ordered; cross-task dependencies gate kernels via events. Add
+// enqueues its task at once and keeps no reference to it or to its
+// slices, so a caller can build each task in one reused variable
+// instead of materialising the phase as a []*Task.
+//
+// The zero Phase is ready for Reset, and Reset starts the next phase
+// on the same storage: a caller that enqueues phase after phase
+// allocates the event maps once.
+type Phase struct {
+	ctx *hstreams.Context
+	ev  PhaseEvents
+	n   int // tasks added since Reset
+	rr  int // next round-robin stream
+
+	// deps and xdeps are Add's dependency scratch; hstreams reads a
+	// dependency list only during the enqueue call.
 	deps, xdeps []*hstreams.Event
 }
 
-// EnqueuePhase enqueues tasks onto the context's streams without
-// synchronizing: round-robin across all streams unless a task carries a
-// StreamHint. Within a stream the enqueue order of a task is H2D*,
-// kernel, D2H*, so a task's own stages are FIFO-ordered; cross-task
-// dependencies gate kernels via events. Tasks must be listed in
-// topological order of DependsOn.
-func EnqueuePhase(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
-	ev := &PhaseEvents{
-		Kernel: make(map[int]*hstreams.Event, len(tasks)),
-		Done:   make(map[int]*hstreams.Event, len(tasks)),
+// Reset starts a phase on ctx, dropping the previous phase's events.
+// sizeHint, the expected task count, sizes the event maps when they are
+// first made.
+func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
+	p.ctx, p.n, p.rr = ctx, 0, 0
+	if p.ev.Kernel == nil {
+		p.ev.Kernel = make(map[int]*hstreams.Event, sizeHint)
+		p.ev.Done = make(map[int]*hstreams.Event, sizeHint)
+		return
 	}
-	if err := EnqueueInto(ctx, tasks, ev); err != nil {
-		return nil, err
-	}
-	return ev, nil
+	clear(p.ev.Kernel)
+	clear(p.ev.Done)
 }
 
-// EnqueueInto is EnqueuePhase into caller-owned events: ev's maps are
-// cleared and refilled (made on first use), so a caller that enqueues
-// phase after phase — the online scheduler enqueues one per stream
-// grant — reuses their storage instead of allocating two maps a phase.
-// ev's contents are valid until the next EnqueueInto on it, and are
-// partial when it returns an error.
-func EnqueueInto(ctx *hstreams.Context, tasks []*Task, ev *PhaseEvents) error {
-	if ev.Kernel == nil {
-		ev.Kernel = make(map[int]*hstreams.Event, len(tasks))
-		ev.Done = make(map[int]*hstreams.Event, len(tasks))
+// Events returns the completion events of the tasks added since Reset.
+// They stay valid until the next Reset, and are partial after Add
+// returns an error.
+func (p *Phase) Events() *PhaseEvents { return &p.ev }
+
+// Add enqueues t. Its dependencies, and the tasks its H2D transfers
+// are gated on, must have been added earlier in the phase.
+func (p *Phase) Add(t *Task) error {
+	ev := &p.ev
+	i := p.n
+	p.n++
+	if _, dup := ev.Kernel[t.ID]; dup {
+		return fmt.Errorf("core: duplicate task id %d", t.ID)
 	}
-	clear(ev.Kernel)
-	clear(ev.Done)
-	n := ctx.NumStreams()
-	rr := 0
-	for i, t := range tasks {
-		if _, dup := ev.Kernel[t.ID]; dup {
-			return fmt.Errorf("core: duplicate task id %d", t.ID)
+	n := p.ctx.NumStreams()
+	var s *hstreams.Stream
+	if t.StreamHint >= 0 {
+		if t.StreamHint >= n {
+			return fmt.Errorf("core: task %d stream hint %d out of range [0,%d)", t.ID, t.StreamHint, n)
 		}
-		var s *hstreams.Stream
-		if t.StreamHint >= 0 {
-			if t.StreamHint >= n {
-				return fmt.Errorf("core: task %d stream hint %d out of range [0,%d)", t.ID, t.StreamHint, n)
-			}
-			s = ctx.Stream(t.StreamHint)
-		} else {
-			s = ctx.Stream(rr % n)
-			rr++
+		s = p.ctx.Stream(t.StreamHint)
+	} else {
+		s = p.ctx.Stream(p.rr % n)
+		p.rr++
+	}
+	deps := p.deps[:0]
+	for _, d := range t.DependsOn {
+		kev, ok := ev.Kernel[d]
+		if !ok {
+			return fmt.Errorf("core: task %d depends on %d which is not enqueued yet (tasks %d positions in)", t.ID, d, i)
 		}
-		deps := ev.deps[:0]
-		for _, d := range t.DependsOn {
-			kev, ok := ev.Kernel[d]
+		deps = append(deps, kev)
+	}
+	p.deps = deps
+	var lastH2D *hstreams.Event
+	for xi, x := range t.H2D {
+		xdeps := p.xdeps[:0]
+		if t.TransferOnly && xi == 0 {
+			// With no kernel to gate, the task's declared
+			// dependencies gate its first transfer (stream
+			// FIFO orders the rest).
+			xdeps = append(xdeps, deps...)
+		}
+		if x.AfterTask >= 0 {
+			gate, ok := ev.Done[x.AfterTask]
 			if !ok {
-				return fmt.Errorf("core: task %d depends on %d which is not enqueued yet (tasks %d positions in)", t.ID, d, i)
+				return fmt.Errorf("core: task %d H2D gated on %d which is not enqueued yet", t.ID, x.AfterTask)
 			}
-			deps = append(deps, kev)
+			xdeps = append(xdeps, gate)
 		}
-		ev.deps = deps
-		var lastH2D *hstreams.Event
-		for xi, x := range t.H2D {
-			xdeps := ev.xdeps[:0]
-			if t.TransferOnly && xi == 0 {
-				// With no kernel to gate, the task's declared
-				// dependencies gate its first transfer (stream
-				// FIFO orders the rest).
-				xdeps = append(xdeps, deps...)
-			}
-			if x.AfterTask >= 0 {
-				gate, ok := ev.Done[x.AfterTask]
-				if !ok {
-					return fmt.Errorf("core: task %d H2D gated on %d which is not enqueued yet", t.ID, x.AfterTask)
-				}
-				xdeps = append(xdeps, gate)
-			}
-			ev.xdeps = xdeps
-			hev, err := s.EnqueueH2D(x.Buf, x.Off, x.N, t.ID, xdeps...)
-			if err != nil {
-				return fmt.Errorf("core: task %d H2D: %w", t.ID, err)
-			}
-			lastH2D = hev
+		p.xdeps = xdeps
+		hev, err := s.EnqueueH2D(x.Buf, x.Off, x.N, t.ID, xdeps...)
+		if err != nil {
+			return fmt.Errorf("core: task %d H2D: %w", t.ID, err)
 		}
-		if t.TransferOnly {
-			if t.Body != nil || len(t.D2H) > 0 {
-				return fmt.Errorf("core: transfer-only task %d carries a body or outputs", t.ID)
-			}
-			if lastH2D == nil {
-				return fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
-			}
-			// Honour declared dependencies even without a kernel:
-			// a pathological graph could gate a pure transfer.
-			ev.Kernel[t.ID] = lastH2D
-			ev.Done[t.ID] = lastH2D
-			continue
+		lastH2D = hev
+	}
+	if t.TransferOnly {
+		if t.Body != nil || len(t.D2H) > 0 {
+			return fmt.Errorf("core: transfer-only task %d carries a body or outputs", t.ID)
 		}
-		kev := s.EnqueueKernel(t.Cost, t.ID, t.Body, deps...)
-		ev.Kernel[t.ID] = kev
-		last := kev
-		for _, x := range t.D2H {
-			dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID)
-			if err != nil {
-				return fmt.Errorf("core: task %d D2H: %w", t.ID, err)
-			}
-			last = dev
+		if lastH2D == nil {
+			return fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
 		}
-		ev.Done[t.ID] = last
+		// Honour declared dependencies even without a kernel:
+		// a pathological graph could gate a pure transfer.
+		ev.Kernel[t.ID] = lastH2D
+		ev.Done[t.ID] = lastH2D
+		return nil
+	}
+	kev := s.EnqueueKernel(t.Cost, t.ID, t.Body, deps...)
+	ev.Kernel[t.ID] = kev
+	last := kev
+	for _, x := range t.D2H {
+		dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID)
+		if err != nil {
+			return fmt.Errorf("core: task %d D2H: %w", t.ID, err)
+		}
+		last = dev
+	}
+	ev.Done[t.ID] = last
+	return nil
+}
+
+// add enqueues tasks in order, stopping at the first error.
+func (p *Phase) add(tasks []*Task) error {
+	for _, t := range tasks {
+		if err := p.Add(t); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Run enqueues tasks, waits for completion, and summarizes the run.
-// flops is the workload's total useful floating-point work, used for
-// the GFLOPS metric. The wall-clock window starts at the context's
-// current virtual time, so Run composes with prior phases.
+// EnqueuePhase enqueues tasks as one Phase and returns their events.
+// Tasks must be listed in topological order of DependsOn.
+func EnqueuePhase(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
+	p := new(Phase)
+	p.Reset(ctx, len(tasks))
+	if err := p.add(tasks); err != nil {
+		return nil, err
+	}
+	return p.Events(), nil
+}
+
+// Run enqueues tasks as one Phase, waits for completion, and
+// summarizes the run. flops is the workload's total useful
+// floating-point work, used for the GFLOPS metric. The wall-clock
+// window starts at the context's current virtual time, so Run composes
+// with prior phases.
 func Run(ctx *hstreams.Context, tasks []*Task, flops float64) (Result, error) {
 	start := ctx.Now()
 	if _, err := EnqueuePhase(ctx, tasks); err != nil {

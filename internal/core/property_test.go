@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"micstream/internal/device"
@@ -206,6 +207,109 @@ func TestPropertyResultConsistency(t *testing.T) {
 		}
 		if res.OverlapFraction < 0 || res.OverlapFraction > 1 {
 			t.Fatalf("trial %d: overlap fraction %v out of [0,1]", trial, res.OverlapFraction)
+		}
+	}
+}
+
+type enqueueWay struct {
+	name    string
+	enqueue func(*hstreams.Context, []*Task) (*PhaseEvents, error)
+}
+
+// enqueueWays are the two ways to enqueue a phase. The Phase.Add way
+// reuses one Phase across calls and feeds every task through one
+// reused Task variable and reused transfer and dependency lists, so
+// agreeing with EnqueuePhase also shows that Reset starts afresh and
+// Add keeps no reference to its task.
+func enqueueWays() []enqueueWay {
+	var ph Phase
+	return []enqueueWay{
+		{"Phase.Add", func(ctx *hstreams.Context, tasks []*Task) (*PhaseEvents, error) {
+			ph.Reset(ctx, 0)
+			var task Task
+			var h2d, d2h []TransferSpec
+			var deps []int
+			for _, t := range tasks {
+				task = *t
+				h2d, d2h, deps = append(h2d[:0], t.H2D...), append(d2h[:0], t.D2H...), append(deps[:0], t.DependsOn...)
+				task.H2D, task.D2H, task.DependsOn = h2d, d2h, deps
+				if err := ph.Add(&task); err != nil {
+					return nil, err
+				}
+			}
+			return ph.Events(), nil
+		}},
+		{"EnqueuePhase", EnqueuePhase},
+	}
+}
+
+// Property: Phase.Add task by task on a reused Phase and EnqueuePhase
+// are one enqueue path. On random DAGs with some tasks pinned, every
+// task's kernel and done events complete at the same instants both
+// ways; with a defect planted at a random position — a duplicate ID, a
+// forward dependency or an out-of-range stream hint — both fail with
+// the same error.
+func TestPropertyEnqueueWaysAgree(t *testing.T) {
+	rng := workload.NewRNG(4242)
+	ways := enqueueWays()
+	for trial := 0; trial < 40; trial++ {
+		parts := 1 + rng.Intn(6)
+		n := 3 + rng.Intn(40)
+		defect := rng.Intn(4) // 0: none
+		at := 1 + rng.Intn(n-2)
+		graphSeed := rng.Uint64()
+		type times struct{ kernel, done []sim.Time }
+		var want times
+		var wantErr string
+		for wi, w := range ways {
+			ctx, err := hstreams.Init(hstreams.Config{Partitions: parts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := hstreams.AllocVirtual(ctx, "b", 1<<20, 4)
+			g := workload.NewRNG(graphSeed)
+			tasks := randomDAG(g, buf, n)
+			for _, task := range tasks {
+				if g.Intn(4) == 0 {
+					task.StreamHint = g.Intn(ctx.NumStreams())
+				}
+			}
+			bad := *tasks[at]
+			switch defect {
+			case 1:
+				bad.ID = tasks[at-1].ID
+			case 2:
+				bad.DependsOn = append(append([]int(nil), bad.DependsOn...), tasks[at+1].ID)
+			case 3:
+				bad.StreamHint = ctx.NumStreams()
+			}
+			tasks[at] = &bad
+			ev, err := w.enqueue(ctx, tasks)
+			if defect != 0 {
+				if err == nil {
+					t.Fatalf("trial %d: %s accepted defect %d at task %d", trial, w.name, defect, at)
+				}
+				if wi == 0 {
+					wantErr = err.Error()
+				} else if err.Error() != wantErr {
+					t.Fatalf("trial %d: %s error %q, %s error %q", trial, w.name, err, ways[0].name, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, w.name, err)
+			}
+			ctx.Barrier()
+			var got times
+			for _, task := range tasks {
+				got.kernel = append(got.kernel, ev.Kernel[task.ID].CompletedAt())
+				got.done = append(got.done, ev.Done[task.ID].CompletedAt())
+			}
+			if wi == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s completion times %+v, %s %+v", trial, w.name, got, ways[0].name, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"micstream/internal/apps/cf"
 	"micstream/internal/apps/hotspot"
@@ -39,6 +40,19 @@ func tileSweep(id, title, metric string, tiles []int, run func(tiles int) (core.
 	return t, nil
 }
 
+// squares lists the tile counts T = g² of square tile grids g.
+func squares(grids ...int) []int {
+	tiles := make([]int, len(grids))
+	for i, g := range grids {
+		tiles[i] = g * g
+	}
+	return tiles
+}
+
+// gridOf inverts squares: the edge g of a grid of T = g² tiles
+// (math.Sqrt is exact on perfect squares).
+func gridOf(tiles int) int { return int(math.Sqrt(float64(tiles))) }
+
 // Fig10aMM regenerates Fig. 10(a): MM GFLOPS vs tiles (D=6000, P=4);
 // the paper's x axis is T = grid² ∈ {1,4,9,...,400}.
 func Fig10aMM() (*Table, error) {
@@ -46,18 +60,9 @@ func Fig10aMM() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	grids := []int{1, 2, 3, 4, 5, 6, 10, 12, 15, 20}
-	var tiles []int
-	for _, g := range grids {
-		tiles = append(tiles, g*g)
-	}
-	i := 0
-	return tileSweep("fig10a", "MM GFLOPS vs tiles (D=6000, P=4)", "GFLOPS", tiles,
-		func(int) (core.Result, error) {
-			g := grids[i]
-			i++
-			return app.Run(4, g)
-		}, asGF,
+	return tileSweep("fig10a", "MM GFLOPS vs tiles (D=6000, P=4)", "GFLOPS",
+		squares(1, 2, 3, 4, 5, 6, 10, 12, 15, 20),
+		func(tiles int) (core.Result, error) { return app.Run(4, gridOf(tiles)) }, asGF,
 		"T=1 wastes 3 of 4 partitions; the optimum is T=4; finer grids decline gently")
 }
 
@@ -67,18 +72,9 @@ func Fig10bCF() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	grids := []int{2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20}
-	var tiles []int
-	for _, g := range grids {
-		tiles = append(tiles, g*g)
-	}
-	i := 0
-	return tileSweep("fig10b", "CF GFLOPS vs tiles (D=9600, P=4)", "GFLOPS", tiles,
-		func(int) (core.Result, error) {
-			g := grids[i]
-			i++
-			return app.Run(1, 4, g)
-		}, asGF,
+	return tileSweep("fig10b", "CF GFLOPS vs tiles (D=9600, P=4)", "GFLOPS",
+		squares(2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20),
+		func(tiles int) (core.Result, error) { return app.Run(1, 4, gridOf(tiles)) }, asGF,
 		"optimum at an intermediate grid (paper: T=100): the DAG needs enough tiles for parallelism, small tiles lose efficiency")
 }
 

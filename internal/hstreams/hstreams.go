@@ -83,6 +83,26 @@ type Context struct {
 	devs    []*device.Device
 	links   []*pcie.Link
 	streams []*Stream
+	// events is the unused tail of the current event chunk; see
+	// newEvent.
+	events []Event
+}
+
+// eventSlab is the number of events a context allocates at once.
+const eventSlab = 64
+
+// newEvent hands out a zeroed event from the context's current chunk,
+// allocating a chunk of eventSlab events when it runs out, so a stream
+// operation costs a sixty-fourth of a heap object. A chunk stays live
+// while any of its events is referenced, so a caller that keeps one
+// event keeps at most its chunk's other 63 slots with it.
+func (c *Context) newEvent() *Event {
+	if len(c.events) == 0 {
+		c.events = make([]Event, eventSlab)
+	}
+	e := &c.events[0]
+	c.events = c.events[1:]
+	return e
 }
 
 // Init builds the platform: Devices coprocessors, each partitioned into
@@ -242,8 +262,8 @@ func (s *Stream) Sync() { s.ctx.Wait(s.last) }
 // An event is also the action itself: it carries the action's
 // parameters, the count of unresolved predecessors, and the list of
 // waiters to run at its resolution, and it is the completion target the
-// simulation fires. An untraced enqueue therefore allocates exactly one
-// heap object — the event (DESIGN.md §4).
+// simulation fires. An untraced enqueue therefore allocates nothing but
+// its share of the context's event chunk (DESIGN.md §4).
 type Event struct {
 	done bool
 	kind actionKind
@@ -420,7 +440,8 @@ func (s *Stream) enqueueXfer(dir pcie.Direction, b *Buffer, off, n, task int, de
 	if off < 0 || n < 0 || off+n > b.elems {
 		return nil, fmt.Errorf("hstreams: transfer range [%d,%d) out of buffer %q (%d elements)", off, off+n, b.name, b.elems)
 	}
-	ev := &Event{kind: xferAction, dir: dir, task: task, buf: b, off: off, n: n}
+	ev := s.ctx.newEvent()
+	ev.kind, ev.dir, ev.task, ev.buf, ev.off, ev.n = xferAction, dir, task, b, off, n
 	return s.enqueue(ev, deps), nil
 }
 
@@ -442,5 +463,7 @@ type KernelCtx struct {
 // (optional) is the functional implementation, invoked at the kernel's
 // scheduled start when the context executes kernels.
 func (s *Stream) EnqueueKernel(cost device.KernelCost, task int, body func(*KernelCtx), deps ...*Event) *Event {
-	return s.enqueue(&Event{kind: kernelAction, task: task, inv: s.part.Price(cost), body: body}, deps)
+	ev := s.ctx.newEvent()
+	ev.kind, ev.task, ev.inv, ev.body = kernelAction, task, s.part.Price(cost), body
+	return s.enqueue(ev, deps)
 }

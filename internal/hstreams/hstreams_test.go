@@ -439,9 +439,10 @@ func TestWaitersRunInRegistrationOrder(t *testing.T) {
 }
 
 // A steady-state stream operation on an untraced context allocates
-// exactly one heap object, its event: the event carries the action's
-// parameters and is itself the completion target the link or partition
-// schedules — nothing per dependency, per completion or for spans.
+// only its share of the context's event chunks: the event carries the
+// action's parameters and is itself the completion target the link or
+// partition schedules — nothing per dependency, per completion or for
+// spans — and events come eventSlab to a heap object.
 func TestUntracedEnqueueAllocs(t *testing.T) {
 	c := newCtx(t, Config{})
 	s := c.Stream(0)
@@ -460,12 +461,18 @@ func TestUntracedEnqueueAllocs(t *testing.T) {
 	} {
 		tc.op()
 		c.Drain() // warm the engine's heap
-		allocs := testing.AllocsPerRun(1000, func() {
-			tc.op()
-			c.Drain()
+		// One measured run of ops operations crosses at most
+		// ops/eventSlab+1 chunk boundaries.
+		const ops = 16 * eventSlab
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < ops; i++ {
+				tc.op()
+				c.Drain()
+			}
 		})
-		if allocs > 1 {
-			t.Errorf("%s + Drain allocated %.1f objects/op, want <= 1", tc.name, allocs)
+		if allocs > ops/eventSlab+1 {
+			t.Errorf("%d × (%s + Drain) allocated %.0f objects, want <= %d (one per %d operations)",
+				ops, tc.name, allocs, ops/eventSlab+1, eventSlab)
 		}
 	}
 }

@@ -229,19 +229,17 @@ type Scheduler struct {
 
 	// Dispatch scratch, reused across decisions so a dispatch allocates
 	// nothing of its own: the policy's View and idle list (refreshed
-	// copies, valid only during Pick), the pinned task copies handed to
-	// core.EnqueueInto and its phase events, and one grant record per
+	// copies, valid only during Pick), the phase a slice is enqueued
+	// through and its dependency scratch, and one grant record per
 	// stream for the slice in flight there.
 	view     View
 	viewLoad []sim.Duration
 	viewPart []int
 	viewTen  []string
 	idle     []int
-	taskCopy []core.Task
-	taskPtrs []*core.Task
 	depBuf   []int
 	inChunk  map[int]bool
-	phase    core.PhaseEvents
+	phase    core.Phase
 	grants   []grant
 }
 
@@ -732,12 +730,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global, Dur: est})
 	}
 
-	tasks := s.pin(chunk, global, p.Next > 0)
-	err := core.EnqueueInto(s.ctx, tasks, &s.phase)
-	// EnqueueInto is done with the copies: drop their references so the
-	// scratch does not pin the job's buffers and kernel bodies.
-	clear(s.taskCopy[:len(chunk)])
-	if err != nil {
+	if err := s.enqueue(chunk, global, p.Next > 0); err != nil {
 		// The job claimed its stream but will never complete there;
 		// mark it failed before stranding the queue behind it.
 		s.outcomes[idx].Failed = true
@@ -755,49 +748,43 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	// task's final event is the last to resolve.
 	g := &s.grants[stream]
 	g.p, g.end, g.granted = p, end, s.ctx.Now()
-	s.phase.Done[chunk[len(chunk)-1].ID].OnDone(g.done)
+	s.phase.Events().Done[chunk[len(chunk)-1].ID].OnDone(g.done)
 }
 
-// pin copies chunk into the scheduler's task scratch with every task
-// pinned to the given stream. Dependencies on earlier slices (sliced
-// true) are satisfied temporally — slices of one job serialize — and
-// are stripped from the copies, since EnqueueInto must not see
-// references to tasks outside the call. The copies are valid until the
-// next pin.
-func (s *Scheduler) pin(chunk []*core.Task, stream int, sliced bool) []*core.Task {
-	n := len(chunk)
-	if cap(s.taskCopy) < n {
-		s.taskCopy = make([]core.Task, n)
-		s.taskPtrs = make([]*core.Task, n)
-	}
-	copies, ptrs := s.taskCopy[:n], s.taskPtrs[:n]
+// enqueue enqueues chunk as one phase with every task pinned to the
+// given stream, each through a copy that the phase does not keep.
+// Dependencies on earlier slices (sliced true) are satisfied temporally
+// — slices of one job serialize — and are stripped from the copies,
+// since a phase must not see references to tasks outside it.
+func (s *Scheduler) enqueue(chunk []*core.Task, stream int, sliced bool) error {
+	s.phase.Reset(s.ctx, len(chunk))
 	if sliced {
 		if s.inChunk == nil {
-			s.inChunk = make(map[int]bool, n)
+			s.inChunk = make(map[int]bool, len(chunk))
 		}
 		clear(s.inChunk)
 		for _, t := range chunk {
 			s.inChunk[t.ID] = true
 		}
 	}
-	deps := s.depBuf[:0]
-	for i, t := range chunk {
-		copies[i] = *t
-		c := &copies[i]
+	for _, t := range chunk {
+		c := *t
 		c.StreamHint = stream
 		if sliced && len(c.DependsOn) > 0 {
-			from := len(deps)
+			deps := s.depBuf[:0]
 			for _, d := range c.DependsOn {
 				if s.inChunk[d] {
 					deps = append(deps, d)
 				}
 			}
-			c.DependsOn = deps[from:len(deps):len(deps)]
+			s.depBuf = deps
+			c.DependsOn = deps
 		}
-		ptrs[i] = c
+		if err := s.phase.Add(&c); err != nil {
+			return err
+		}
 	}
-	s.depBuf = deps
-	return ptrs
+	return nil
 }
 
 // grantDone handles the completion of the slice granted on stream: at

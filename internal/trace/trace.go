@@ -332,6 +332,8 @@ func (r *Recorder) Gantt(w io.Writer, width int) error {
 		for i := range row {
 			row[i] = '.'
 		}
+		// byRes[n] is one resource's span slice, visited in sorted
+		// name order; no map is ranged here.
 		for _, s := range byRes[n] {
 			lo := int(int64(s.Start) * int64(width) / int64(makespan))
 			hi := int(int64(s.End) * int64(width) / int64(makespan))

@@ -18,8 +18,8 @@
 #     or carry a nearby comment marking it order-independent /
 #     sorted, so the exemption is visible at the loop.
 #
-# Scope: internal/{sim,sched,cluster,telemetry,obs,slo}, non-test
-# files (tests may use wall clocks for timeouts and maps for
+# Scope: internal/{sim,core,hstreams,device,pcie,trace,sched,cluster,
+# telemetry,obs,slo}, non-test files (tests may use wall clocks for timeouts and maps for
 # assertions).
 #
 # A dynamic check rides along: two back-to-back `miccluster -slo`
@@ -28,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-dirs="internal/sim internal/sched internal/cluster internal/telemetry internal/obs internal/slo"
+dirs="internal/sim internal/core internal/hstreams internal/device internal/pcie internal/trace internal/sched internal/cluster internal/telemetry internal/obs internal/slo"
 status=0
 
 if out=$(grep -rn --include='*.go' -E 'time\.(Now|Since|Until|Sleep)\(' $dirs | grep -v '_test.go'); then
