@@ -91,7 +91,8 @@ func BenchmarkClusterStealing(b *testing.B)   { benchFigure(b, "stealing") }
 func BenchmarkClusterResidency(b *testing.B)  { benchFigure(b, "residency") }
 
 // Ablations of the model's load-bearing terms and extensions beyond
-// the paper (see EXPERIMENTS.md §Extensions).
+// the paper (their shapes are asserted in
+// internal/experiments/ablations_test.go).
 
 func BenchmarkAblationDuplex(b *testing.B)      { benchFigure(b, "ablation-duplex") }
 func BenchmarkAblationContention(b *testing.B)  { benchFigure(b, "ablation-contention") }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -80,21 +81,22 @@ func TuneCoordinateDescent(space SearchSpace, eval EvalFunc, rounds int) (TuneRe
 	if rounds < 1 {
 		rounds = 1
 	}
-	if len(space.Partitions) == 0 {
-		return TuneResult{}, fmt.Errorf("core: empty search space")
+	if space.Size() == 0 {
+		return TuneResult{}, errEmptySpace
 	}
 	res := TuneResult{Seconds: math.Inf(1)}
-	cache := map[[2]int]float64{}
+	cache := map[point]float64{}
 	measure := func(p, t int) (float64, error) {
-		if v, ok := cache[[2]int{p, t}]; ok {
+		pt := point{1, p, t}
+		if v, ok := cache[pt]; ok {
 			return v, nil
 		}
 		v, err := eval(p, t)
 		if err != nil {
-			return 0, fmt.Errorf("core: evaluating P=%d T=%d: %w", p, t, err)
+			return 0, fmt.Errorf("core: evaluating %v: %w", pt, err)
 		}
 		res.Evaluations++
-		cache[[2]int{p, t}] = v
+		cache[pt] = v
 		return v, nil
 	}
 	// Representative tile for a partition count: the middle pruned
@@ -141,62 +143,10 @@ func TuneCoordinateDescent(space SearchSpace, eval EvalFunc, rounds int) (TuneRe
 			break
 		}
 	}
+	if math.IsInf(res.Seconds, 1) {
+		return TuneResult{}, errNoFiniteTime(res.Evaluations)
+	}
 	return res, nil
-}
-
-// TuneGuided prunes the search with a cheap predictor: every point of
-// the space is scored with predict (an analytic model — microseconds
-// per point), the topK best-predicted candidates are measured with
-// eval, and the best measurement wins. Evaluations counts only eval
-// calls, so the search cost drops from |space| to topK simulations;
-// prediction ties break by (partitions, tiles) so the candidate set is
-// deterministic. The model needs to rank well, not predict exactly:
-// the true optimum merely has to land in the top k.
-func TuneGuided(space SearchSpace, predict, eval EvalFunc, topK int) (TuneResult, error) {
-	type scored struct {
-		p, t int
-		sec  float64
-	}
-	var cands []scored
-	for _, p := range space.Partitions {
-		for _, t := range space.TilesFor(p) {
-			sec, err := predict(p, t)
-			if err != nil {
-				return TuneResult{}, fmt.Errorf("core: predicting P=%d T=%d: %w", p, t, err)
-			}
-			cands = append(cands, scored{p, t, sec})
-		}
-	}
-	if len(cands) == 0 {
-		return TuneResult{}, fmt.Errorf("core: empty search space")
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sec != cands[j].sec {
-			return cands[i].sec < cands[j].sec
-		}
-		if cands[i].p != cands[j].p {
-			return cands[i].p < cands[j].p
-		}
-		return cands[i].t < cands[j].t
-	})
-	if topK < 1 {
-		topK = 1
-	}
-	if topK > len(cands) {
-		topK = len(cands)
-	}
-	best := TuneResult{Seconds: math.Inf(1)}
-	for _, c := range cands[:topK] {
-		sec, err := eval(c.p, c.t)
-		if err != nil {
-			return TuneResult{}, fmt.Errorf("core: evaluating P=%d T=%d: %w", c.p, c.t, err)
-		}
-		best.Evaluations++
-		if sec < best.Seconds {
-			best.Partitions, best.Tiles, best.Seconds = c.p, c.t, sec
-		}
-	}
-	return best, nil
 }
 
 // ClusterEvalFunc measures one (devices, partitions, tiles)
@@ -216,34 +166,37 @@ type ClusterTuneResult struct {
 	Evaluations int
 }
 
+// Tune evaluates every point of the space and returns the fastest. It
+// is TuneCluster on one device.
+func Tune(space SearchSpace, eval EvalFunc) (TuneResult, error) {
+	r, err := TuneCluster(oneDevice, space, onOneDevice(eval))
+	return r.single(), err
+}
+
+// TuneGuided prunes the search with a cheap predictor: every point of
+// the space is scored with predict (an analytic model — microseconds
+// per point), the topK best-predicted candidates are measured with
+// eval, and the best measurement wins. Evaluations counts only eval
+// calls, so the search cost drops from |space| to topK simulations.
+// It is TuneClusterGuided on one device, so prediction ties break by
+// (partitions, tiles). The model needs to rank well, not predict
+// exactly: the true optimum merely has to land in the top k.
+func TuneGuided(space SearchSpace, predict, eval EvalFunc, topK int) (TuneResult, error) {
+	r, err := TuneClusterGuided(oneDevice, space, onOneDevice(predict), onOneDevice(eval), topK)
+	return r.single(), err
+}
+
 // TuneCluster searches device count and per-device granularity
 // jointly: every d in devices crossed with every (P, T) point of the
 // space. This is the multi-MIC extension of Tune — the paper's §VI
 // fixes the device count by hand; here the tuner discovers whether the
 // second (or fourth) device pays for its staging traffic.
 func TuneCluster(devices []int, space SearchSpace, eval ClusterEvalFunc) (ClusterTuneResult, error) {
-	best := ClusterTuneResult{Seconds: math.Inf(1)}
-	for _, d := range devices {
-		if d < 1 {
-			return ClusterTuneResult{}, fmt.Errorf("core: device count %d must be positive", d)
-		}
-		for _, p := range space.Partitions {
-			for _, t := range space.TilesFor(p) {
-				sec, err := eval(d, p, t)
-				if err != nil {
-					return ClusterTuneResult{}, fmt.Errorf("core: evaluating D=%d P=%d T=%d: %w", d, p, t, err)
-				}
-				best.Evaluations++
-				if sec < best.Seconds {
-					best.Devices, best.Partitions, best.Tiles, best.Seconds = d, p, t, sec
-				}
-			}
-		}
+	pts, err := points(devices, space)
+	if err != nil {
+		return ClusterTuneResult{}, err
 	}
-	if math.IsInf(best.Seconds, 1) {
-		return ClusterTuneResult{}, fmt.Errorf("core: empty cluster search space")
-	}
-	return best, nil
+	return fastest(pts, eval)
 }
 
 // TuneClusterGuided prunes the joint search with a cheap predictor:
@@ -253,77 +206,106 @@ func TuneCluster(devices []int, space SearchSpace, eval ClusterEvalFunc) (Cluste
 // Prediction ties break by (devices, partitions, tiles) so the
 // candidate set is deterministic.
 func TuneClusterGuided(devices []int, space SearchSpace, predict, eval ClusterEvalFunc, topK int) (ClusterTuneResult, error) {
-	type scored struct {
-		d, p, t int
-		sec     float64
+	pts, err := points(devices, space)
+	if err != nil {
+		return ClusterTuneResult{}, err
 	}
-	var cands []scored
+	type scored struct {
+		point
+		sec float64
+	}
+	cands := make([]scored, len(pts))
+	for i, pt := range pts {
+		sec, err := predict(pt.d, pt.p, pt.t)
+		if err != nil {
+			return ClusterTuneResult{}, fmt.Errorf("core: predicting %v: %w", pt, err)
+		}
+		cands[i] = scored{pt, sec}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.sec != b.sec {
+			return a.sec < b.sec
+		}
+		if a.d != b.d {
+			return a.d < b.d
+		}
+		if a.p != b.p {
+			return a.p < b.p
+		}
+		return a.t < b.t
+	})
+	topK = max(1, min(topK, len(cands)))
+	for i := range pts[:topK] {
+		pts[i] = cands[i].point
+	}
+	return fastest(pts[:topK], eval)
+}
+
+// point is one configuration of a search: D devices, each with P
+// partitions and T tiles.
+type point struct{ d, p, t int }
+
+func (pt point) String() string { return fmt.Sprintf("D=%d P=%d T=%d", pt.d, pt.p, pt.t) }
+
+// oneDevice is the device axis of the single-device tuners.
+var oneDevice = []int{1}
+
+// onOneDevice adapts a single-device function to the (D, P, T) search.
+func onOneDevice(f EvalFunc) ClusterEvalFunc {
+	return func(_, p, t int) (float64, error) { return f(p, t) }
+}
+
+// single narrows a one-device search result to the single-device form.
+func (r ClusterTuneResult) single() TuneResult {
+	return TuneResult{Partitions: r.Partitions, Tiles: r.Tiles, Seconds: r.Seconds, Evaluations: r.Evaluations}
+}
+
+// errEmptySpace reports a search space with no points.
+var errEmptySpace = errors.New("core: empty search space")
+
+// errNoFiniteTime reports a search whose every measurement was +Inf or
+// NaN, so that no point can be called fastest.
+func errNoFiniteTime(evaluations int) error {
+	return fmt.Errorf("core: none of the %d evaluated points had a finite time", evaluations)
+}
+
+// points lists devices × space in search order: D, then P, then T,
+// each in the order given. Both searches keep the first strictly
+// fastest point they measure, so this order settles ties.
+func points(devices []int, space SearchSpace) ([]point, error) {
+	var pts []point
 	for _, d := range devices {
 		if d < 1 {
-			return ClusterTuneResult{}, fmt.Errorf("core: device count %d must be positive", d)
+			return nil, fmt.Errorf("core: device count %d must be positive", d)
 		}
 		for _, p := range space.Partitions {
 			for _, t := range space.TilesFor(p) {
-				sec, err := predict(d, p, t)
-				if err != nil {
-					return ClusterTuneResult{}, fmt.Errorf("core: predicting D=%d P=%d T=%d: %w", d, p, t, err)
-				}
-				cands = append(cands, scored{d, p, t, sec})
+				pts = append(pts, point{d, p, t})
 			}
 		}
 	}
-	if len(cands) == 0 {
-		return ClusterTuneResult{}, fmt.Errorf("core: empty cluster search space")
+	if len(pts) == 0 {
+		return nil, errEmptySpace
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sec != cands[j].sec {
-			return cands[i].sec < cands[j].sec
-		}
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		if cands[i].p != cands[j].p {
-			return cands[i].p < cands[j].p
-		}
-		return cands[i].t < cands[j].t
-	})
-	if topK < 1 {
-		topK = 1
-	}
-	if topK > len(cands) {
-		topK = len(cands)
-	}
+	return pts, nil
+}
+
+// fastest measures pts in order and keeps the first strictly fastest.
+func fastest(pts []point, eval ClusterEvalFunc) (ClusterTuneResult, error) {
 	best := ClusterTuneResult{Seconds: math.Inf(1)}
-	for _, c := range cands[:topK] {
-		sec, err := eval(c.d, c.p, c.t)
+	for _, pt := range pts {
+		sec, err := eval(pt.d, pt.p, pt.t)
 		if err != nil {
-			return ClusterTuneResult{}, fmt.Errorf("core: evaluating D=%d P=%d T=%d: %w", c.d, c.p, c.t, err)
+			return ClusterTuneResult{}, fmt.Errorf("core: evaluating %v: %w", pt, err)
 		}
 		best.Evaluations++
 		if sec < best.Seconds {
-			best.Devices, best.Partitions, best.Tiles, best.Seconds = c.d, c.p, c.t, sec
-		}
-	}
-	return best, nil
-}
-
-// Tune evaluates every point of the space and returns the fastest.
-func Tune(space SearchSpace, eval EvalFunc) (TuneResult, error) {
-	best := TuneResult{Seconds: math.Inf(1)}
-	for _, p := range space.Partitions {
-		for _, t := range space.TilesFor(p) {
-			sec, err := eval(p, t)
-			if err != nil {
-				return TuneResult{}, fmt.Errorf("core: evaluating P=%d T=%d: %w", p, t, err)
-			}
-			best.Evaluations++
-			if sec < best.Seconds {
-				best.Partitions, best.Tiles, best.Seconds = p, t, sec
-			}
+			best.Devices, best.Partitions, best.Tiles, best.Seconds = pt.d, pt.p, pt.t, sec
 		}
 	}
 	if math.IsInf(best.Seconds, 1) {
-		return TuneResult{}, fmt.Errorf("core: empty search space")
+		return ClusterTuneResult{}, errNoFiniteTime(best.Evaluations)
 	}
 	return best, nil
 }

@@ -7,7 +7,8 @@
 // Absolute numbers come from the calibrated platform model and are not
 // expected to equal the paper's testbed measurements; the shapes —
 // who wins, where crossovers and optima fall — are asserted by this
-// package's tests and recorded against the paper in EXPERIMENTS.md.
+// package's tests, and each table's notes set them against the paper
+// (README.md, "Command-line tools", shows how to print them).
 package experiments
 
 import (

@@ -5,8 +5,10 @@
 #    `// Package <name>` doc comment; every command under cmd/ a
 #    `// Command <name>` one; every example program some leading
 #    comment before `package main`.
-# 2. Every relative markdown link or bare file reference in the
-#    top-level documents must point at a file that exists.
+# 2. Every relative markdown link in the top-level documents must
+#    point at a file that exists.
+# 3. Every bare `*.md` file reference in a Go comment must name a file
+#    that exists, relative to the repository root or to the Go file.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -51,6 +53,23 @@ for doc in README.md DESIGN.md ROADMAP.md CHANGES.md; do
         fi
     done
 done
+
+# --- markdown files named in Go comments ------------------------------
+# Each `//` comment is cut at its first `//`; URLs are skipped.
+refs=$(find . -name '*.go' -not -path './.git/*' -exec grep -Hn '//.*[A-Za-z0-9_-]\.md' {} + |
+    while IFS=: read -r file line text; do
+        for ref in $(printf '%s\n' "${text#*//}" | grep -oE '[A-Za-z0-9_.:/-]*[A-Za-z0-9_-]\.md([^A-Za-z0-9]|$)' | sed 's/[^A-Za-z0-9]$//'); do
+            case "$ref" in
+            *://*) continue ;;
+            esac
+            [ -e "$ref" ] || [ -e "$(dirname "$file")/$ref" ] ||
+                echo "$file:$line: names missing file $ref"
+        done
+    done)
+if [ -n "$refs" ]; then
+    echo "$refs"
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "docs check failed"
