@@ -18,6 +18,12 @@ var paperTableIDs = []string{
 	"fig11", "heuristics",
 }
 
+// clusterTableIDs are the multi-MIC cluster studies that extend the
+// paper's §VI result, in registry order.
+var clusterTableIDs = []string{
+	"placement", "cluster-scaling", "stealing", "residency", "slicing", "drift", "slo",
+}
+
 // TestTablesMatchDigests pins the rendered bytes of the paper's tables
 // to the perf ledger's digest, read from the ledger's own testdata, and
 // of the two tables that print the transfer–compute overlap fraction
@@ -30,6 +36,7 @@ func TestTablesMatchDigests(t *testing.T) {
 	}{
 		{"bench/ledger/testdata/paper_tables.sha256", paperTableIDs},
 		{"internal/experiments/testdata/overlap_tables.sha256", []string{"ext-taxonomy", "ext-hotspot-pipe"}},
+		{"internal/experiments/testdata/cluster_tables.sha256", clusterTableIDs},
 	} {
 		want, err := os.ReadFile(c.file)
 		if err != nil {
