@@ -168,12 +168,6 @@ func UniformWorkload(name string, h2dBytes, d2hBytes int64, template KernelCost)
 	return model.Uniform(name, h2dBytes, d2hBytes, template)
 }
 
-// WorkloadFromTasks summarizes an already-tiled task list as a
-// one-phase workload for prediction.
-func WorkloadFromTasks(name string, tasks []*Task) ModelWorkload {
-	return model.FromTasks(name, tasks)
-}
-
 // TuneGuided prunes a granularity search with a cheap predictor:
 // every point is scored with predict, only the topK best-predicted
 // candidates are measured with eval. Use Model.EvalFunc as predict to
@@ -236,22 +230,9 @@ func SchedSliceable(tasks []*Task) error { return sched.Sliceable(tasks) }
 // FIFOPolicy serves jobs in arrival order on the lowest idle stream.
 func FIFOPolicy() SchedPolicy { return sched.FIFO() }
 
-// RoundRobinPolicy serves jobs in arrival order, rotating placement
-// across partitions.
-func RoundRobinPolicy() SchedPolicy { return sched.RoundRobin() }
-
 // SJFPolicy serves the shortest queued job first on the least-loaded
 // idle stream.
 func SJFPolicy() SchedPolicy { return sched.SJF() }
-
-// AdaptivePolicy re-divides the platform's streams among tenants in
-// proportion to their model-predicted work mix, re-planning at
-// admission/drain instants whenever the mix drifts.
-func AdaptivePolicy() SchedPolicy { return sched.Adaptive() }
-
-// AdaptivePolicyWithModel is AdaptivePolicy with a caller-supplied
-// (e.g. Fit-calibrated) performance model.
-func AdaptivePolicyWithModel(m *Model) SchedPolicy { return sched.AdaptiveWithModel(m) }
 
 // PolicyByName returns a fresh "fifo", "rr", "sjf" or "adaptive"
 // policy.
@@ -299,8 +280,7 @@ type (
 	// WithClusterStealing).
 	ClusterMigration = cluster.Migration
 	// PlacementPolicy decides which device each job commits to; see
-	// LeastLoadedPlacement, RoundRobinPlacement, PredictedPlacement
-	// and PlaceBy.
+	// PredictedPlacement, AffinityPlacement and PlaceBy.
 	PlacementPolicy = cluster.Policy
 	// DeviceView is one device's snapshot handed to a placement
 	// policy at a decision instant.
@@ -598,23 +578,10 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 // without it Gantt errors and the other three report zero.
 func ClusterPlatform(c *Cluster) *Platform { return &Platform{ctx: c.Context()} }
 
-// LeastLoadedPlacement routes each job to the device holding the
-// fewest jobs — the queue-depth heuristic, blind to job sizes.
-func LeastLoadedPlacement() PlacementPolicy { return cluster.LeastLoaded() }
-
-// RoundRobinPlacement rotates placement across devices.
-func RoundRobinPlacement() PlacementPolicy { return cluster.RoundRobin() }
-
 // PredictedPlacement routes each job to the device with the earliest
 // model-predicted completion, including the cross-device staging term
 // (DESIGN.md §9).
 func PredictedPlacement() PlacementPolicy { return cluster.Predicted() }
-
-// PredictedPlacementWithModel is PredictedPlacement with a
-// caller-supplied (e.g. Fit-calibrated) performance model.
-func PredictedPlacementWithModel(m *Model) PlacementPolicy {
-	return cluster.PredictedWithModel(m)
-}
 
 // AffinityPlacement scores devices exactly like PredictedPlacement but
 // breaks near-ties toward the device holding the largest resident

@@ -14,90 +14,71 @@ func init() {
 	register("cluster-scaling", ClusterScaling)
 }
 
-// clusterSeed fixes the arrival and size streams of both cluster
-// experiments.
-const clusterSeed = 2016
+// clusterSeed fixes the arrival and size streams of every cluster
+// study; clusterSeeds is how many seeded runs, from clusterSeed up,
+// each averaged cell takes.
+const (
+	clusterSeed  = 2016
+	clusterSeeds = 5
+)
 
-// placementScenarios is the imbalance grid of the placement study:
-// from a homogeneous host-resident bag to a heavily skewed mix where
-// most jobs are device-resident and expensive to move. Spread is the
-// geometric job-size range, affinity the device-resident fraction,
-// xfer the per-job transfer (and staging) volume, window the arrival
-// span.
-var placementScenarios = []struct {
-	name     string
-	spread   float64
-	affinity float64
-	xfer     int64
-	windowNs int64
-}{
-	{"balanced", 1, 0, 1 << 20, 20_000_000},
-	{"mild", 4, 0.25, 2 << 20, 15_000_000},
-	{"moderate", 8, 0.5, 4 << 20, 10_000_000},
-	{"severe", 8, 0.7, 8 << 20, 15_000_000},
+// seedNote is the averaged studies' shared table note.
+var seedNote = fmt.Sprintf("each cell averages %d seeded runs", clusterSeeds)
+
+// twoMICs is the platform most cluster studies share: 2 MICs × 2
+// partitions × 2 streams.
+var twoMICs = hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2}
+
+// clusterCell is one cluster-study run as data: the platform, the job
+// mix, the placement and the other cluster options. Placement policies
+// hold per-run state, so the cell names a constructor and every run
+// gets a fresh instance; the options must be stateless.
+type clusterCell struct {
+	platform hstreams.Config
+	place    func() cluster.Policy
+	scenario cluster.ScenarioConfig                   // built on the run's own context,
+	mix      func(seed uint64) ([]cluster.Job, error) // unless a prebuilt mix is given
+	stamp    func([]cluster.Job)                      // optional edit of the jobs before the run
+	opts     []cluster.Option
 }
 
-// runPlacementCell executes one (placement, scenario, seed) cell on a
-// fresh 2-device platform of 2 partitions × 2 streams each, queue
-// depth 8 — deep enough commitment that a load-blind placement's
-// mistakes show, shallow enough that late binding still happens.
-func runPlacementCell(place string, scIdx int, seed uint64) (*cluster.Result, error) {
-	sc := placementScenarios[scIdx]
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
+// run executes the cell for one seed on a fresh context, with extra
+// options appended to the cell's own.
+func (c clusterCell) run(seed uint64, extra ...cluster.Option) (*cluster.Result, error) {
+	ctx, err := hstreams.Init(c.platform)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-		Seed:             seed,
-		Arrival:          "bursty",
-		SizeSpread:       sc.spread,
-		AffinityFraction: sc.affinity,
-		Origins:          []int{0, 1},
-		XferBytes:        sc.xfer,
-		WindowNs:         sc.windowNs,
-	})
+	var jobs []cluster.Job
+	if c.mix != nil {
+		jobs, err = c.mix(seed)
+	} else {
+		sc := c.scenario
+		sc.Seed = seed
+		jobs, err = cluster.BuildScenario(ctx, sc)
+	}
 	if err != nil {
 		return nil, err
 	}
-	pol, err := cluster.ByName(place)
+	if c.stamp != nil {
+		c.stamp(jobs)
+	}
+	opts := append([]cluster.Option{cluster.WithPlacement(c.place())}, c.opts...)
+	cl, err := cluster.New(ctx, append(opts, extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cluster.New(ctx, cluster.WithPlacement(pol), cluster.WithQueueDepth(8))
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+	return cl.Run(jobs)
 }
 
-// runStaticBest runs the scenario pinned whole to each device in turn
-// and returns the better makespan — the bound the predicted policy's
-// contract is stated against.
-func runStaticBest(scIdx int, seed uint64) (sim.Duration, error) {
-	sc := placementScenarios[scIdx]
+// staticBest runs the cell's mix pinned whole to each device in turn
+// and returns the better makespan — the bound the dynamic policies'
+// contracts are stated against.
+func staticBest(c clusterCell, seed uint64) (sim.Duration, error) {
 	var best sim.Duration
-	for d := 0; d < 2; d++ {
-		ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-		if err != nil {
-			return 0, err
-		}
-		jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-			Seed:             seed,
-			Arrival:          "bursty",
-			SizeSpread:       sc.spread,
-			AffinityFraction: sc.affinity,
-			Origins:          []int{0, 1},
-			XferBytes:        sc.xfer,
-			WindowNs:         sc.windowNs,
-		})
-		if err != nil {
-			return 0, err
-		}
-		c, err := cluster.New(ctx, cluster.WithPlacement(cluster.Static(d)), cluster.WithQueueDepth(8))
-		if err != nil {
-			return 0, err
-		}
-		r, err := c.Run(jobs)
+	for d := 0; d < c.platform.Devices; d++ {
+		c.place = func() cluster.Policy { return cluster.Static(d) }
+		r, err := c.run(seed)
 		if err != nil {
 			return 0, err
 		}
@@ -106,6 +87,71 @@ func runStaticBest(scIdx int, seed uint64) (sim.Duration, error) {
 		}
 	}
 	return best, nil
+}
+
+// seedMeans calls measure once per seed and returns the mean of each
+// metric it reports.
+func seedMeans(measure func(seed uint64) ([]float64, error)) ([]float64, error) {
+	var cols [][]float64
+	for s := uint64(0); s < clusterSeeds; s++ {
+		m, err := measure(clusterSeed + s)
+		if err != nil {
+			return nil, err
+		}
+		if cols == nil {
+			cols = make([][]float64, len(m))
+		}
+		for i, x := range m {
+			cols[i] = append(cols[i], x)
+		}
+	}
+	means := make([]float64, len(cols))
+	for i, c := range cols {
+		means[i] = stats.Mean(c)
+	}
+	return means, nil
+}
+
+// imbalanceMix is one row of the placement and stealing studies'
+// imbalance grid, from a homogeneous host-resident bag to a heavily
+// skewed mix where most jobs are device-resident and expensive to
+// move. Spread is the geometric job-size range, affinity the
+// device-resident fraction, xfer the per-job transfer (and staging)
+// volume, window the arrival span, depth the per-device queue depth —
+// deep enough commitment that a load-blind placement's mistakes show,
+// shallow enough that late binding still happens.
+type imbalanceMix struct {
+	name             string
+	spread, affinity float64
+	origins          []int
+	xfer, windowNs   int64
+	depth            int
+}
+
+// cell places the mix's bursty arrivals on the 2-MIC platform, with
+// opts appended to the queue depth.
+func (m imbalanceMix) cell(place func() cluster.Policy, opts ...cluster.Option) clusterCell {
+	return clusterCell{
+		platform: twoMICs,
+		place:    place,
+		scenario: cluster.ScenarioConfig{
+			Arrival:          "bursty",
+			SizeSpread:       m.spread,
+			AffinityFraction: m.affinity,
+			Origins:          m.origins,
+			XferBytes:        m.xfer,
+			WindowNs:         m.windowNs,
+		},
+		opts: append([]cluster.Option{cluster.WithQueueDepth(m.depth)}, opts...),
+	}
+}
+
+// placementScenarios is the placement study's imbalance grid.
+var placementScenarios = []imbalanceMix{
+	{"balanced", 1, 0, []int{0, 1}, 1 << 20, 20_000_000, 8},
+	{"mild", 4, 0.25, []int{0, 1}, 2 << 20, 15_000_000, 8},
+	{"moderate", 8, 0.5, []int{0, 1}, 4 << 20, 10_000_000, 8},
+	{"severe", 8, 0.7, []int{0, 1}, 8 << 20, 15_000_000, 8},
 }
 
 // Placement regenerates the placement-policy study: mean makespan of
@@ -125,34 +171,31 @@ func Placement() (*Table, error) {
 		Notes: []string{
 			"2 MICs × 2 partitions × 2 streams, queue depth 8, bursty arrivals; spread/affinity/staging grow down the rows",
 			"predicted routes by model-predicted completion incl. the Fig. 11 staging term; static-best pins all jobs to the single best device",
+			seedNote,
 		},
 	}
-	const seeds = 5
-	for scIdx, sc := range placementScenarios {
-		row := []string{sc.name}
-		for _, place := range []string{"round-robin", "least-loaded", "predicted"} {
+	for _, sc := range placementScenarios {
+		means, err := seedMeans(func(seed uint64) ([]float64, error) {
 			var ms []float64
-			for s := uint64(0); s < seeds; s++ {
-				r, err := runPlacementCell(place, scIdx, clusterSeed+s)
+			for _, place := range []func() cluster.Policy{cluster.RoundRobin, cluster.LeastLoaded, cluster.Predicted} {
+				r, err := sc.cell(place).run(seed)
 				if err != nil {
 					return nil, err
 				}
 				ms = append(ms, r.Makespan.Milliseconds())
 			}
-			row = append(row, fmtMS(stats.Mean(ms)))
+			best, err := staticBest(sc.cell(nil), seed)
+			return append(ms, best.Milliseconds()), err
+		})
+		if err != nil {
+			return nil, err
 		}
-		var ms []float64
-		for s := uint64(0); s < seeds; s++ {
-			best, err := runStaticBest(scIdx, clusterSeed+s)
-			if err != nil {
-				return nil, err
-			}
-			ms = append(ms, best.Milliseconds())
+		row := []string{sc.name}
+		for _, m := range means {
+			row = append(row, fmtMS(m))
 		}
-		row = append(row, fmtMS(stats.Mean(ms)))
 		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("each cell averages %d seeded runs", seeds))
 	return t, nil
 }
 
@@ -171,32 +214,24 @@ func ClusterScaling() (*Table, error) {
 		Columns: []string{"devices", "GFLOPS", "speedup", "projected", "staged-jobs"},
 		Notes: []string{
 			"32 identical jobs, inputs resident on device 0; off-origin placement stages 2× the input through the host (paper §VI, Fig. 11)",
+			"speedup lands above 1 but below the projection: the second device's gain is partly spent re-staging tiles (Fig. 11)",
 		},
 	}
 	var base float64
 	for _, devs := range []int{1, 2, 4} {
-		ctx, err := hstreams.Init(hstreams.Config{Devices: devs, Partitions: 4})
-		if err != nil {
-			return nil, err
-		}
-		jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-			Jobs:             32,
-			Seed:             clusterSeed,
-			SizeSpread:       1,
-			AffinityFraction: 1,
-			Origins:          []int{0},
-			KernelFlops:      6e9,
-			XferBytes:        8 << 20,
-			WindowNs:         1_000_000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(ctx, cluster.WithPlacement(cluster.Predicted()))
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.Run(jobs)
+		r, err := clusterCell{
+			platform: hstreams.Config{Devices: devs, Partitions: 4},
+			place:    cluster.Predicted,
+			scenario: cluster.ScenarioConfig{
+				Jobs:             32,
+				SizeSpread:       1,
+				AffinityFraction: 1,
+				Origins:          []int{0},
+				KernelFlops:      6e9,
+				XferBytes:        8 << 20,
+				WindowNs:         1_000_000,
+			},
+		}.run(clusterSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +246,5 @@ func ClusterScaling() (*Table, error) {
 			fmt.Sprintf("%d", r.StagedJobs),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"speedup lands above 1 but below the projection: the second device's gain is partly spent re-staging tiles (Fig. 11)")
 	return t, nil
 }

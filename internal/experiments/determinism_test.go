@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"micstream/internal/cluster"
+	"micstream/internal/telemetry"
 )
 
 // TestExperimentsDeterministicAcrossRepeats is the determinism
@@ -42,7 +43,8 @@ func TestExperimentsDeterministicAcrossRepeats(t *testing.T) {
 // TestStudyCellResultsDeterministic repeats one representative cell of
 // each named study and diffs the complete Result struct — per-job
 // outcomes, migration histories, device aggregates, tenant stats —
-// not the formatted summary rows.
+// not the formatted summary rows. The drift row adds the event log,
+// the slo row the evaluator's verdicts and the flight dumps.
 func TestStudyCellResultsDeterministic(t *testing.T) {
 	cells := []struct {
 		name string
@@ -52,16 +54,31 @@ func TestStudyCellResultsDeterministic(t *testing.T) {
 			return runSchedScenario("adaptive", "severe", seed)
 		}},
 		{"placement", func(seed uint64) (any, error) {
-			return runPlacementCell("predicted", 2, seed)
+			return placementScenarios[2].cell(cluster.Predicted).run(seed)
 		}},
 		{"stealing", func(seed uint64) (any, error) {
-			return runStealingCell(2, seed, cluster.Predicted(), true)
+			return stealingScenarios[2].cell(cluster.Predicted).run(seed, cluster.WithStealing(0))
 		}},
 		{"residency", func(seed uint64) (any, error) {
-			return runResidencyCell(cluster.Affinity(), true, seed)
+			return residencyCell(cluster.Affinity, cluster.WithResidency(0)).run(seed)
 		}},
 		{"slicing", func(seed uint64) (any, error) {
-			return runConvoyCell(seed, convoySliceCap)
+			return convoy.run(seed, cluster.WithSlicing(convoySliceCap))
+		}},
+		{"slicing-guard", func(seed uint64) (any, error) {
+			return slicingGuards[2].cell.run(seed, cluster.WithSlicing(2))
+		}},
+		{"drift", func(seed uint64) (any, error) {
+			rec := telemetry.NewRecorder()
+			r, err := driftMixes[1].cell.run(seed, cluster.WithTelemetry(rec))
+			return []any{r, rec.Events()}, err
+		}},
+		{"slo", func(seed uint64) (any, error) {
+			c, err := sloMixes[0].observe(seed)
+			if err != nil {
+				return nil, err
+			}
+			return []any{c.result, c.eval.States(), c.eval.Violations(), c.flight.Dumps()}, nil
 		}},
 	}
 	for _, c := range cells {

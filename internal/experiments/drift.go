@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"micstream/internal/cluster"
-	"micstream/internal/hstreams"
 	"micstream/internal/obs"
 	"micstream/internal/telemetry"
 )
@@ -21,45 +20,28 @@ func init() {
 // priced may be served from cache).
 type driftMix struct {
 	name string
-	run  func(seed uint64) (*telemetry.Recorder, error)
+	cell clusterCell
 }
 
-func driftMixes() []driftMix {
-	record := func(cfg cluster.ScenarioConfig, opts ...cluster.Option) func(uint64) (*telemetry.Recorder, error) {
-		return func(seed uint64) (*telemetry.Recorder, error) {
-			ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-			if err != nil {
-				return nil, err
-			}
-			cfg.Seed = seed
-			jobs, err := cluster.BuildScenario(ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rec := telemetry.NewRecorder()
-			c, err := cluster.New(ctx, append(opts, cluster.WithTelemetry(rec))...)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := c.Run(jobs); err != nil {
-				return nil, err
-			}
-			return rec, nil
-		}
-	}
-	return []driftMix{
-		{"placement", record(
-			cluster.ScenarioConfig{SizeSpread: 4, AffinityFraction: 0.5, Origins: []int{0, 1}},
-			cluster.WithPlacement(cluster.Predicted()))},
-		{"sliced-stealing", record(
-			cluster.ScenarioConfig{SizeSpread: 6, TilesPerJob: 4, AffinityFraction: 0.5, Origins: []int{0}},
-			cluster.WithPlacement(cluster.Predicted()),
-			cluster.WithStealing(1), cluster.WithSlicing(1), cluster.WithQueueDepth(16))},
-		{"residency", record(
-			cluster.ScenarioConfig{Arrival: "bursty", Datasets: 4, WriteFraction: 0.25,
-				XferBytes: 8 << 20, AffinityFraction: 0.75, Origins: []int{0, 1}},
-			cluster.WithPlacement(cluster.Affinity()), cluster.WithResidency(12<<20))},
-	}
+var driftMixes = []driftMix{
+	{"placement", clusterCell{
+		platform: twoMICs,
+		place:    cluster.Predicted,
+		scenario: cluster.ScenarioConfig{SizeSpread: 4, AffinityFraction: 0.5, Origins: []int{0, 1}},
+	}},
+	{"sliced-stealing", clusterCell{
+		platform: twoMICs,
+		place:    cluster.Predicted,
+		scenario: cluster.ScenarioConfig{SizeSpread: 6, TilesPerJob: 4, AffinityFraction: 0.5, Origins: []int{0}},
+		opts:     []cluster.Option{cluster.WithStealing(1), cluster.WithSlicing(1), cluster.WithQueueDepth(16)},
+	}},
+	{"residency", clusterCell{
+		platform: twoMICs,
+		place:    cluster.Affinity,
+		scenario: cluster.ScenarioConfig{Arrival: "bursty", Datasets: 4, WriteFraction: 0.25,
+			XferBytes: 8 << 20, AffinityFraction: 0.75, Origins: []int{0, 1}},
+		opts: []cluster.Option{cluster.WithResidency(12 << 20)},
+	}},
 }
 
 // Drift regenerates the model-drift audit table: each mix's event log
@@ -84,11 +66,11 @@ func Drift() (*Table, error) {
 			"placement: admission completion estimate vs realised latency; service: per-grant slice estimate vs realised stream span",
 		},
 	}
-	for _, m := range driftMixes() {
+	for _, m := range driftMixes {
 		var pooled []obs.DriftSample
 		for s := uint64(0); s < seeds; s++ {
-			rec, err := m.run(clusterSeed + s)
-			if err != nil {
+			rec := telemetry.NewRecorder()
+			if _, err := m.cell.run(clusterSeed+s, cluster.WithTelemetry(rec)); err != nil {
 				return nil, err
 			}
 			rep := obs.AuditDrift(rec.Events())

@@ -5,30 +5,33 @@ import (
 
 	"micstream/internal/cluster"
 	"micstream/internal/hstreams"
-	"micstream/internal/stats"
 )
 
 func init() {
 	register("residency", Residency)
 }
 
-// residencyMix is the repeated-dataset version of the Fig. 11 shape:
+// residencyCell is the repeated-dataset version of the Fig. 11 shape:
 // every job's inputs are device-resident and cycle through four shared
 // datasets homed on device 0, so most of the staging traffic a
 // cache-less cluster pays re-ships bytes an earlier job already moved.
-// The study runs it on a 4-MIC platform: with three off-origin devices
-// to choose from, where a dataset's readers land is a real decision —
-// the dimension the affinity tie-break exists to win.
-func residencyMix(seed uint64) cluster.ScenarioConfig {
-	return cluster.ScenarioConfig{
-		Seed:             seed,
-		Arrival:          "bursty",
-		SizeSpread:       4,
-		AffinityFraction: 1,
-		Origins:          []int{0},
-		Datasets:         4,
-		XferBytes:        8 << 20,
-		WindowNs:         10_000_000,
+// The study runs it on a 4-MIC platform at queue depth 8: with three
+// off-origin devices to choose from, where a dataset's readers land is
+// a real decision — the dimension the affinity tie-break exists to win.
+func residencyCell(place func() cluster.Policy, opts ...cluster.Option) clusterCell {
+	return clusterCell{
+		platform: hstreams.Config{Devices: 4, Partitions: 2, StreamsPerPartition: 2},
+		place:    place,
+		scenario: cluster.ScenarioConfig{
+			Arrival:          "bursty",
+			SizeSpread:       4,
+			AffinityFraction: 1,
+			Origins:          []int{0},
+			Datasets:         4,
+			XferBytes:        8 << 20,
+			WindowNs:         10_000_000,
+		},
+		opts: append([]cluster.Option{cluster.WithQueueDepth(8)}, opts...),
 	}
 }
 
@@ -42,62 +45,33 @@ type residencyRow struct {
 	vsBaseline float64 // makespan improvement over the cache-less baseline
 }
 
-// runResidencyCell executes one (policy, cache, seed) cell on the
-// study's 4-MIC platform (see residencyMix).
-func runResidencyCell(place cluster.Policy, cache bool, seed uint64) (*cluster.Result, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 4, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, residencyMix(seed))
-	if err != nil {
-		return nil, err
-	}
-	opts := []cluster.Option{cluster.WithPlacement(place), cluster.WithQueueDepth(8)}
-	if cache {
-		opts = append(opts, cluster.WithResidency(0))
-	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
-}
-
 // runResidencyStudy measures the three configurations the experiment
 // compares, seed-averaged; the experiments tests assert the acceptance
 // contract on these rows.
 func runResidencyStudy() ([]residencyRow, error) {
-	const seeds = 5
 	configs := []struct {
-		name  string
-		place func() cluster.Policy
-		cache bool
+		name string
+		cell clusterCell
 	}{
-		{"predicted (no cache)", cluster.Predicted, false},
-		{"predicted + cache", cluster.Predicted, true},
-		{"affinity + cache", cluster.Affinity, true},
+		{"predicted (no cache)", residencyCell(cluster.Predicted)},
+		{"predicted + cache", residencyCell(cluster.Predicted, cluster.WithResidency(0))},
+		{"affinity + cache", residencyCell(cluster.Affinity, cluster.WithResidency(0))},
 	}
+	const mib = float64(1 << 20)
 	rows := make([]residencyRow, 0, len(configs))
 	for _, cfg := range configs {
-		var ms, staged, hit, miss []float64
-		for s := uint64(0); s < seeds; s++ {
-			r, err := runResidencyCell(cfg.place(), cfg.cache, clusterSeed+s)
+		m, err := seedMeans(func(seed uint64) ([]float64, error) {
+			r, err := cfg.cell.run(seed)
 			if err != nil {
 				return nil, err
 			}
-			ms = append(ms, r.Makespan.Milliseconds())
-			staged = append(staged, float64(r.StagedBytes)/float64(1<<20))
-			hit = append(hit, float64(r.HitBytes)/float64(1<<20))
-			miss = append(miss, float64(r.MissBytes)/float64(1<<20))
-		}
-		rows = append(rows, residencyRow{
-			name:     cfg.name,
-			makespan: stats.Mean(ms),
-			stagedMB: stats.Mean(staged),
-			hitMB:    stats.Mean(hit),
-			missMB:   stats.Mean(miss),
+			return []float64{r.Makespan.Milliseconds(), float64(r.StagedBytes) / mib,
+				float64(r.HitBytes) / mib, float64(r.MissBytes) / mib}, nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, residencyRow{name: cfg.name, makespan: m[0], stagedMB: m[1], hitMB: m[2], missMB: m[3]})
 	}
 	base := rows[0].makespan
 	for i := range rows {
@@ -141,6 +115,6 @@ func Residency() (*Table, error) {
 			fmt.Sprintf("%.0f%%", r.vsBaseline*100),
 		})
 	}
-	t.Notes = append(t.Notes, "each cell averages 5 seeded runs; repeats are bit-identical")
+	t.Notes = append(t.Notes, seedNote+"; repeats are bit-identical")
 	return t, nil
 }

@@ -6,10 +6,8 @@ import (
 	"micstream/internal/cluster"
 	"micstream/internal/core"
 	"micstream/internal/device"
-	"micstream/internal/hstreams"
 	"micstream/internal/sched"
 	"micstream/internal/sim"
-	"micstream/internal/stats"
 	"micstream/internal/workload"
 )
 
@@ -65,32 +63,18 @@ func convoyJobs(seed uint64) ([]cluster.Job, error) {
 	return jobs, nil
 }
 
-// runConvoyCell executes one seeded convoy run on the 2-MIC platform.
-// Both arms run whole-job stealing under the SJF device policy; the
-// treatment arm additionally slices (cap 0 disables).
-func runConvoyCell(seed uint64, sliceCap int) (*cluster.Result, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := convoyJobs(seed)
-	if err != nil {
-		return nil, err
-	}
-	opts := []cluster.Option{
-		cluster.WithPlacement(cluster.Predicted()),
+// convoy is the 2-MIC convoy cell: whole-job stealing under predicted
+// placement and the SJF device policy, queue depth 16. The slicing
+// arm adds WithSlicing(convoySliceCap).
+var convoy = clusterCell{
+	platform: twoMICs,
+	place:    cluster.Predicted,
+	mix:      convoyJobs,
+	opts: []cluster.Option{
 		cluster.WithQueueDepth(16),
 		cluster.WithStealing(0),
 		cluster.WithDevicePolicy(func() sched.Policy { return sched.SJF() }),
-	}
-	if sliceCap > 0 {
-		opts = append(opts, cluster.WithSlicing(sliceCap))
-	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+	},
 }
 
 // slicingGuards re-runs earlier studies' mixes with slicing toggled
@@ -102,61 +86,18 @@ func runConvoyCell(seed uint64, sliceCap int) (*cluster.Result, error) {
 // the lost intra-job overlap, not the slicing machinery.
 var slicingGuards = []struct {
 	name string
-	run  func(seed uint64, sliceCap int) (*cluster.Result, error)
+	cell clusterCell
 }{
-	{"placement-moderate", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 8, AffinityFraction: 0.5,
-			Origins: []int{0, 1}, XferBytes: 4 << 20, WindowNs: 10_000_000,
-		}, cap)
-	}},
-	{"placement-severe", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 8, AffinityFraction: 0.7,
-			Origins: []int{0, 1}, XferBytes: 8 << 20, WindowNs: 15_000_000,
-		}, cap)
-	}},
-	{"stealing-stranded", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 16, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 4, AffinityFraction: 1,
-			Origins: []int{0}, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		}, cap, cluster.WithStealing(0))
-	}},
-	{"residency-affinity", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(4, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 4, AffinityFraction: 1,
-			Origins: []int{0}, Datasets: 4, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		}, cap, cluster.WithResidency(0))
-	}},
+	{"placement-moderate", fourTiles(placementScenarios[2].cell(cluster.Predicted))},
+	{"placement-severe", fourTiles(placementScenarios[3].cell(cluster.Predicted))},
+	{"stealing-stranded", fourTiles(stealingScenarios[2].cell(cluster.Predicted, cluster.WithStealing(0)))},
+	{"residency-affinity", fourTiles(residencyCell(cluster.Affinity, cluster.WithResidency(0)))},
 }
 
-// runGuardCell executes one guard mix with or without slicing. The
-// placement mixes use Predicted; the residency guard swaps in Affinity
-// via devices==4 (matching the residency study's winning config).
-func runGuardCell(devices, depth int, cfg cluster.ScenarioConfig, sliceCap int, extra ...cluster.Option) (*cluster.Result, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: devices, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	place := cluster.Predicted()
-	if devices == 4 {
-		place = cluster.Affinity()
-	}
-	opts := append([]cluster.Option{
-		cluster.WithPlacement(place), cluster.WithQueueDepth(depth),
-	}, extra...)
-	if sliceCap > 0 {
-		opts = append(opts, cluster.WithSlicing(sliceCap))
-	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+// fourTiles gives a guard cell's jobs 4 tiles.
+func fourTiles(c clusterCell) clusterCell {
+	c.scenario.TilesPerJob = 4
+	return c
 }
 
 // slicingRow is one (scenario, metric) comparison, seed-averaged.
@@ -167,31 +108,25 @@ type slicingRow struct {
 	preempts         float64 // mean mid-job migrations per sliced run
 }
 
+// newSlicingRow derives a row's delta.
+func newSlicingRow(scenario, metric string, base, sliced, preempts float64) slicingRow {
+	r := slicingRow{scenario: scenario, metric: metric, base: base, sliced: sliced, preempts: preempts}
+	if r.base > 0 {
+		r.delta = (r.sliced - r.base) / r.base
+	}
+	return r
+}
+
 // runSlicingStudy measures the convoy mix (response time and makespan)
 // and every guard mix (makespan only), seed-averaged; the experiments
 // tests assert the acceptance contract on these rows.
 func runSlicingStudy() ([]slicingRow, error) {
-	const seeds = 5
-	mean := func(xs []float64) float64 { return stats.Mean(xs) }
-	row := func(scenario, metric string, base, sliced, preempts []float64) slicingRow {
-		r := slicingRow{
-			scenario: scenario, metric: metric,
-			base: mean(base), sliced: mean(sliced), preempts: mean(preempts),
-		}
-		if r.base > 0 {
-			r.delta = (r.sliced - r.base) / r.base
-		}
-		return r
-	}
-
-	var p95b, p95s, mkb, mks, npre []float64
-	for s := uint64(0); s < seeds; s++ {
-		seed := clusterSeed + s
-		rb, err := runConvoyCell(seed, 0)
+	cv, err := seedMeans(func(seed uint64) ([]float64, error) {
+		rb, err := convoy.run(seed)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := runConvoyCell(seed, convoySliceCap)
+		rs, err := convoy.run(seed, cluster.WithSlicing(convoySliceCap))
 		if err != nil {
 			return nil, err
 		}
@@ -199,34 +134,32 @@ func runSlicingStudy() ([]slicingRow, error) {
 		if tb == nil || ts == nil {
 			return nil, fmt.Errorf("convoy run lost the interactive tenant")
 		}
-		p95b = append(p95b, tb.P95.Milliseconds())
-		p95s = append(p95s, ts.P95.Milliseconds())
-		mkb = append(mkb, rb.Makespan.Milliseconds())
-		mks = append(mks, rs.Makespan.Milliseconds())
-		npre = append(npre, float64(rs.Preempts))
+		return []float64{tb.P95.Milliseconds(), ts.P95.Milliseconds(),
+			rb.Makespan.Milliseconds(), rs.Makespan.Milliseconds(), float64(rs.Preempts)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rows := []slicingRow{
-		row("convoy", "interactive p95", p95b, p95s, npre),
-		row("convoy", "makespan", mkb, mks, npre),
+		newSlicingRow("convoy", "interactive p95", cv[0], cv[1], cv[4]),
+		newSlicingRow("convoy", "makespan", cv[2], cv[3], cv[4]),
 	}
-
 	for _, g := range slicingGuards {
-		var base, sliced, pre []float64
-		for s := uint64(0); s < seeds; s++ {
-			seed := clusterSeed + s
-			rb, err := g.run(seed, 0)
+		m, err := seedMeans(func(seed uint64) ([]float64, error) {
+			rb, err := g.cell.run(seed)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := g.run(seed, 2)
+			rs, err := g.cell.run(seed, cluster.WithSlicing(2))
 			if err != nil {
 				return nil, err
 			}
-			base = append(base, rb.Makespan.Milliseconds())
-			sliced = append(sliced, rs.Makespan.Milliseconds())
-			pre = append(pre, float64(rs.Preempts))
+			return []float64{rb.Makespan.Milliseconds(), rs.Makespan.Milliseconds(), float64(rs.Preempts)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row(g.name, "makespan", base, sliced, pre))
+		rows = append(rows, newSlicingRow(g.name, "makespan", m[0], m[1], m[2]))
 	}
 	return rows, nil
 }
@@ -254,7 +187,7 @@ func Slicing() (*Table, error) {
 				convoyHeavies, convoyHeavyTasks, convoyHeavyFlops, convoyLights, convoySliceCap),
 			"guard rows re-run the placement (moderate/severe), stranded-stealing and residency (affinity+cache, 4 MICs) mixes with 4-tile jobs sliced at cap 2: every job splits in half, each slice still pipelines two tiles",
 			"delta = (sliced − whole-job) / whole-job: negative improves; the contract is ≥20% p95 relief on the convoy and ≤1% makespan drift on every guard row",
-			"each cell averages 5 seeded runs; repeats are bit-identical",
+			seedNote + "; repeats are bit-identical",
 		},
 	}
 	for _, r := range rows {

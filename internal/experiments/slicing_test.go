@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"micstream/internal/cluster"
 )
 
 // TestSlicingConvoyRelief asserts the headline of the slicing study —
@@ -58,7 +60,7 @@ func TestSlicingNeverLoses(t *testing.T) {
 // identical across repeats of one seed, and seeds do differ.
 func TestSlicingBitIdenticalRepeats(t *testing.T) {
 	run := func(seed uint64) any {
-		r, err := runConvoyCell(seed, convoySliceCap)
+		r, err := convoy.run(seed, cluster.WithSlicing(convoySliceCap))
 		if err != nil {
 			t.Fatal(err)
 		}

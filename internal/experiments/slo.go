@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"micstream/internal/cluster"
-	"micstream/internal/hstreams"
 	"micstream/internal/obs"
-	"micstream/internal/sched"
 	"micstream/internal/sim"
 	"micstream/internal/slo"
 	"micstream/internal/telemetry"
@@ -39,6 +37,26 @@ var sloImbalanceSpec = slo.Spec{Objectives: []slo.Objective{
 	{Tenant: "A", Name: "a-loose", Kind: slo.KindLatency, Target: 0.9, Threshold: 20 * sim.Millisecond, FastBurn: 8, SlowBurn: 4},
 }}
 
+// sloMix is one stress mix and the spec that judges it.
+type sloMix struct {
+	name string
+	spec slo.Spec
+	cell clusterCell
+}
+
+var sloMixes = []sloMix{
+	{"convoy", sloStudySpec, convoy},
+	{"imbalance", sloImbalanceSpec, clusterCell{
+		platform: twoMICs,
+		place:    cluster.Predicted,
+		scenario: cluster.ScenarioConfig{
+			Arrival: "bursty", Tenants: 2, TilesPerJob: 4, SizeSpread: 4,
+			AffinityFraction: 1, Origins: []int{0}, XferBytes: 8 << 20, WindowNs: 10_000_000,
+		},
+		opts: []cluster.Option{cluster.WithQueueDepth(16)},
+	}},
+}
+
 // sloCell is one instrumented run's full observable output.
 type sloCell struct {
 	result *cluster.Result
@@ -46,43 +64,21 @@ type sloCell struct {
 	flight *obs.FlightRecorder
 }
 
-// runSLOCell executes one mix with the full SLO stack attached: the
-// evaluator and flight recorder share the recorder's observer slots
-// through composite hooks, and a budget exhaustion triggers a flight
-// dump — the same wiring the serve layer installs.
-func runSLOCell(mix string, seed uint64, spec slo.Spec) (*sloCell, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	var jobs []cluster.Job
-	opts := []cluster.Option{
-		cluster.WithPlacement(cluster.Predicted()),
-		cluster.WithQueueDepth(16),
-	}
-	switch mix {
-	case "convoy":
-		jobs, err = convoyJobs(seed)
-		opts = append(opts,
-			cluster.WithStealing(0),
-			cluster.WithDevicePolicy(func() sched.Policy { return sched.SJF() }))
-	case "imbalance":
-		jobs, err = cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", Tenants: 2, TilesPerJob: 4, SizeSpread: 4,
-			AffinityFraction: 1, Origins: []int{0}, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		})
-	default:
-		return nil, fmt.Errorf("slo study: unknown mix %q", mix)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Deadline objectives judge each job's own declared budget: stamp
-	// the spec's deadline-kind threshold onto the matching tenant's
-	// jobs, as `miccluster -slo` does.
-	StampDeadlines(jobs, spec)
+// stamped is the mix's cell with deadline objectives judging each
+// job's own declared budget: the spec's deadline-kind thresholds are
+// stamped onto the matching tenant's jobs, as `miccluster -slo` does.
+func (m sloMix) stamped() clusterCell {
+	c := m.cell
+	c.stamp = func(jobs []cluster.Job) { StampDeadlines(jobs, m.spec) }
+	return c
+}
 
-	ev, err := slo.New(spec)
+// observe runs the mix with the full SLO stack attached: the evaluator
+// and flight recorder share the recorder's observer slots through
+// composite hooks, and a budget exhaustion triggers a flight dump —
+// the same wiring the serve layer installs.
+func (m sloMix) observe(seed uint64) (*sloCell, error) {
+	ev, err := slo.New(m.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -95,16 +91,11 @@ func runSLOCell(mix string, seed uint64, spec slo.Spec) (*sloCell, error) {
 		ev.OnEvent(e)
 		fl.OnEvent(e)
 	})
-	rec.SetOnMetrics(func(m telemetry.MetricsSnapshot) {
-		ev.OnMetrics(m)
-		fl.OnMetrics(m)
+	rec.SetOnMetrics(func(snap telemetry.MetricsSnapshot) {
+		ev.OnMetrics(snap)
+		fl.OnMetrics(snap)
 	})
-	opts = append(opts, cluster.WithTelemetry(rec))
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.Run(jobs)
+	r, err := m.stamped().run(seed, cluster.WithTelemetry(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -160,14 +151,8 @@ func SLO() (*Table, error) {
 			"batch-deadline stamps its 45ms threshold onto the batch jobs as per-job deadlines; int-floor is a windowed throughput floor in jobs per virtual second",
 		},
 	}
-	for _, mix := range []struct {
-		name string
-		spec slo.Spec
-	}{
-		{"convoy", sloStudySpec},
-		{"imbalance", sloImbalanceSpec},
-	} {
-		cell, err := runSLOCell(mix.name, clusterSeed, mix.spec)
+	for _, mix := range sloMixes {
+		cell, err := mix.observe(clusterSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"micstream/internal/cluster"
-	"micstream/internal/hstreams"
-	"micstream/internal/sched"
 	"micstream/internal/slo"
 )
 
@@ -29,7 +26,7 @@ func findState(t *testing.T, cell *sloCell, name string) slo.ObjectiveState {
 // tenant (batch, 40ms); on the imbalance mix the tight objective of
 // one tenant alerts strictly before its loose sibling.
 func TestSLOTightAlertsBeforeLoose(t *testing.T) {
-	convoy, err := runSLOCell("convoy", clusterSeed, sloStudySpec)
+	convoy, err := sloMixes[0].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func TestSLOTightAlertsBeforeLoose(t *testing.T) {
 		t.Fatalf("tight tenant alerted at %v, not before loose tenant at %v", tight.FirstAlertAt, loose.FirstAlertAt)
 	}
 
-	imb, err := runSLOCell("imbalance", clusterSeed, sloImbalanceSpec)
+	imb, err := sloMixes[1].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +57,7 @@ func TestSLOTightAlertsBeforeLoose(t *testing.T) {
 // dump list carries an exhaustion-labeled capture whose instant
 // matches the evaluator's own exhaustion instant.
 func TestSLOExhaustionFiresFlightRecorder(t *testing.T) {
-	cell, err := runSLOCell("convoy", clusterSeed, sloStudySpec)
+	cell, err := sloMixes[0].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestSLOExhaustionFiresFlightRecorder(t *testing.T) {
 // interactive breaches are wait-dominated (the tenant is trapped
 // behind the batch convoy, not slow to execute).
 func TestSLOViolationsAttributeToWait(t *testing.T) {
-	cell, err := runSLOCell("convoy", clusterSeed, sloStudySpec)
+	cell, err := sloMixes[0].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +112,12 @@ func TestSLOViolationsAttributeToWait(t *testing.T) {
 // Same seed, same spec: the SLO_<run>.json artifact is byte-identical
 // across repeated runs.
 func TestSLOReportByteIdentical(t *testing.T) {
-	for _, mix := range []string{"convoy", "imbalance"} {
-		spec := sloStudySpec
-		if mix == "imbalance" {
-			spec = sloImbalanceSpec
-		}
-		a, err := runSLOCell(mix, clusterSeed, spec)
+	for _, mix := range sloMixes {
+		a, err := mix.observe(clusterSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := runSLOCell(mix, clusterSeed, spec)
+		b, err := mix.observe(clusterSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +130,7 @@ func TestSLOReportByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ja, jb) {
-			t.Fatalf("%s SLO report differs across identical runs:\n%s\n---\n%s", mix, ja, jb)
+			t.Fatalf("%s SLO report differs across identical runs:\n%s\n---\n%s", mix.name, ja, jb)
 		}
 	}
 }
@@ -145,30 +138,12 @@ func TestSLOReportByteIdentical(t *testing.T) {
 // The whole SLO stack is an observer: the instrumented convoy run's
 // Result is deep-equal to a bare run of the same stamped job list.
 func TestSLOInstrumentationNeverPerturbs(t *testing.T) {
-	instrumented, err := runSLOCell("convoy", clusterSeed, sloStudySpec)
+	instrumented, err := sloMixes[0].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := convoyJobs(clusterSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	StampDeadlines(jobs, sloStudySpec)
-	c, err := cluster.New(ctx,
-		cluster.WithPlacement(cluster.Predicted()),
-		cluster.WithQueueDepth(16),
-		cluster.WithStealing(0),
-		cluster.WithDevicePolicy(func() sched.Policy { return sched.SJF() }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := c.Run(jobs)
+	bare, err := sloMixes[0].stamped().run(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +169,7 @@ func TestSLOTableShape(t *testing.T) {
 		}
 	}
 	// Deadline stamping reaches the batch Result accounting too.
-	cell, err := runSLOCell("convoy", clusterSeed, sloStudySpec)
+	cell, err := sloMixes[0].observe(clusterSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

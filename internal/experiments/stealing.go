@@ -4,30 +4,20 @@ import (
 	"fmt"
 
 	"micstream/internal/cluster"
-	"micstream/internal/hstreams"
-	"micstream/internal/sim"
-	"micstream/internal/stats"
 )
 
 func init() {
 	register("stealing", Stealing)
 }
 
-// stealingScenarios extends the placement study's imbalance grid with
-// the "stranded" mix — the Fig. 11 shape pushed to where eager
-// commitment visibly hurts: every job's inputs live on device 0,
+// stealingScenarios extends the placement study's moderate and severe
+// mixes with the "stranded" mix — the Fig. 11 shape pushed to where
+// eager commitment visibly hurts: every job's inputs live on device 0,
 // staging is expensive, and a deep committed queue (depth 16) freezes
 // placement decisions long before the mix's imbalance has played out.
-var stealingScenarios = []struct {
-	name             string
-	spread, affinity float64
-	origins          []int
-	xfer             int64
-	windowNs         int64
-	depth            int
-}{
-	{"moderate", 8, 0.5, []int{0, 1}, 4 << 20, 10_000_000, 8},
-	{"severe", 8, 0.7, []int{0, 1}, 8 << 20, 15_000_000, 8},
+var stealingScenarios = []imbalanceMix{
+	placementScenarios[2],
+	placementScenarios[3],
 	{"stranded", 4, 1, []int{0}, 8 << 20, 10_000_000, 16},
 }
 
@@ -37,79 +27,32 @@ type stealingRow struct {
 	pred, steal, static2x float64 // mean makespan [ms]
 	steals                float64 // mean steals per run
 	projected             float64 // static-best / devices: the linear projection
-	gapClosed             float64 // share of (pred − projected) recovered; NaN when pred ≤ projected
-}
-
-// runStealingCell executes one (configuration, seed) cell on the same
-// 2-device platform as the placement study.
-func runStealingCell(scIdx int, seed uint64, place cluster.Policy, steal bool) (*cluster.Result, error) {
-	sc := stealingScenarios[scIdx]
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-		Seed:             seed,
-		Arrival:          "bursty",
-		SizeSpread:       sc.spread,
-		AffinityFraction: sc.affinity,
-		Origins:          sc.origins,
-		XferBytes:        sc.xfer,
-		WindowNs:         sc.windowNs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := []cluster.Option{cluster.WithPlacement(place), cluster.WithQueueDepth(sc.depth)}
-	if steal {
-		opts = append(opts, cluster.WithStealing(0))
-	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+	gapClosed             float64 // share of (pred − projected) recovered; −1 (printed "—") when pred ≤ projected
 }
 
 // runStealingStudy measures every scenario, seed-averaged; the
 // experiments tests assert the acceptance contract on these rows.
 func runStealingStudy() ([]stealingRow, error) {
-	const seeds = 5
 	rows := make([]stealingRow, 0, len(stealingScenarios))
-	for scIdx, sc := range stealingScenarios {
-		var pred, steal, static, nsteals []float64
-		for s := uint64(0); s < seeds; s++ {
-			seed := clusterSeed + s
-			rp, err := runStealingCell(scIdx, seed, cluster.Predicted(), false)
+	for _, sc := range stealingScenarios {
+		m, err := seedMeans(func(seed uint64) ([]float64, error) {
+			cell := sc.cell(cluster.Predicted)
+			rp, err := cell.run(seed)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := runStealingCell(scIdx, seed, cluster.Predicted(), true)
+			rs, err := cell.run(seed, cluster.WithStealing(0))
 			if err != nil {
 				return nil, err
 			}
-			best := sim.Duration(0)
-			for d := 0; d < 2; d++ {
-				rst, err := runStealingCell(scIdx, seed, cluster.Static(d), false)
-				if err != nil {
-					return nil, err
-				}
-				if best == 0 || rst.Makespan < best {
-					best = rst.Makespan
-				}
-			}
-			pred = append(pred, rp.Makespan.Milliseconds())
-			steal = append(steal, rs.Makespan.Milliseconds())
-			static = append(static, best.Milliseconds())
-			nsteals = append(nsteals, float64(rs.Steals))
+			best, err := staticBest(cell, seed)
+			return []float64{rp.Makespan.Milliseconds(), rs.Makespan.Milliseconds(),
+				best.Milliseconds(), float64(rs.Steals)}, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		row := stealingRow{
-			name:     sc.name,
-			pred:     stats.Mean(pred),
-			steal:    stats.Mean(steal),
-			static2x: stats.Mean(static),
-			steals:   stats.Mean(nsteals),
-		}
+		row := stealingRow{name: sc.name, pred: m[0], steal: m[1], static2x: m[2], steals: m[3]}
 		row.projected = row.static2x / 2
 		if gap := row.pred - row.projected; gap > 0 {
 			row.gapClosed = (row.pred - row.steal) / gap
@@ -160,6 +103,6 @@ func Stealing() (*Table, error) {
 			fmtMS(r.static2x), fmtMS(r.projected), closed,
 		})
 	}
-	t.Notes = append(t.Notes, "each cell averages 5 seeded runs; repeats are bit-identical")
+	t.Notes = append(t.Notes, seedNote+"; repeats are bit-identical")
 	return t, nil
 }

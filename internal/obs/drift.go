@@ -311,63 +311,64 @@ type DriftMeta struct {
 // handcrafted, key-ordered, shortest-round-trip floats, so repeated
 // audits of the same log are byte-identical.
 func WriteDriftJSON(w io.Writer, r *DriftReport, meta DriftMeta) error {
-	jw := &textSink{w: w}
-	jw.printf("{\n  \"schema\": \"micstream-drift-v1\",\n")
-	jw.printf("  \"run\": %s,\n  \"seed\": %d,\n  \"policy\": %s,\n", jsonStr(meta.Run), meta.Seed, jsonStr(meta.Placement))
-	jw.printf("  \"transfer_scale\": %s,\n  \"compute_scale\": %s,\n", jsonFloat(meta.TransferScale), jsonFloat(meta.ComputeScale))
-	jw.printf("  \"samples\": %d,\n", len(r.Samples))
-	jw.printf("  \"buckets\": [\"<5%%\", \"<10%%\", \"<25%%\", \"<50%%\", \">=50%%\"],\n")
-	jw.printf("  \"placement\": ")
+	jw := &TextSink{W: w}
+	jw.Printf("{\n  \"schema\": \"micstream-drift-v1\",\n")
+	jw.Printf("  \"run\": %s,\n  \"seed\": %d,\n  \"policy\": %s,\n", JSONString(meta.Run), meta.Seed, JSONString(meta.Placement))
+	jw.Printf("  \"transfer_scale\": %s,\n  \"compute_scale\": %s,\n", FormatFloat(meta.TransferScale), FormatFloat(meta.ComputeScale))
+	jw.Printf("  \"samples\": %d,\n", len(r.Samples))
+	jw.Printf("  \"buckets\": [\"<5%%\", \"<10%%\", \"<25%%\", \"<50%%\", \">=50%%\"],\n")
+	jw.Printf("  \"placement\": ")
 	writeGroup(jw, &r.Placement)
-	jw.printf(",\n  \"service\": ")
+	jw.Printf(",\n  \"service\": ")
 	writeGroup(jw, &r.Service)
 	writeGroupList(jw, "by_tenant", r.ByTenant)
 	writeGroupList(jw, "by_regime", r.ByRegime)
 	writeGroupList(jw, "by_tenant_service", r.ByTenantService)
-	jw.printf("\n}\n")
-	return jw.err
+	jw.Printf("\n}\n")
+	return jw.Err
 }
 
-func writeGroupList(jw *textSink, name string, groups []DriftGroup) {
-	jw.printf(",\n  \"%s\": [", name)
+func writeGroupList(jw *TextSink, name string, groups []DriftGroup) {
+	jw.Printf(",\n  \"%s\": [", name)
 	for i := range groups {
 		if i > 0 {
-			jw.printf(",")
+			jw.Printf(",")
 		}
-		jw.printf("\n    ")
+		jw.Printf("\n    ")
 		writeGroup(jw, &groups[i])
 	}
 	if len(groups) > 0 {
-		jw.printf("\n  ")
+		jw.Printf("\n  ")
 	}
-	jw.printf("]")
+	jw.Printf("]")
 }
 
-func writeGroup(jw *textSink, g *DriftGroup) {
-	jw.printf("{\"key\": %s, \"count\": %d, \"hist\": [%d, %d, %d, %d, %d], \"mean_abs_pct\": %s, \"bias_pct\": %s, \"p50_abs_pct\": %s, \"p95_abs_pct\": %s}",
-		jsonStr(g.Key), g.Count,
+func writeGroup(jw *TextSink, g *DriftGroup) {
+	jw.Printf("{\"key\": %s, \"count\": %d, \"hist\": [%d, %d, %d, %d, %d], \"mean_abs_pct\": %s, \"bias_pct\": %s, \"p50_abs_pct\": %s, \"p95_abs_pct\": %s}",
+		JSONString(g.Key), g.Count,
 		g.Buckets[0], g.Buckets[1], g.Buckets[2], g.Buckets[3], g.Buckets[4],
-		jsonFloat(g.MeanAbsPct), jsonFloat(g.BiasPct), jsonFloat(g.P50AbsPct), jsonFloat(g.P95AbsPct))
+		FormatFloat(g.MeanAbsPct), FormatFloat(g.BiasPct), FormatFloat(g.P50AbsPct), FormatFloat(g.P95AbsPct))
 }
 
-// textSink is a printf sink with a sticky error, shared by the
-// deterministic JSON renderers in this package.
-type textSink struct {
-	w   io.Writer
-	err error
+// TextSink is a printf sink with a sticky error, shared by the
+// deterministic JSON and OpenMetrics renderers here and in slo.
+type TextSink struct {
+	W   io.Writer
+	Err error
 }
 
-func (jw *textSink) printf(format string, args ...any) {
-	if jw.err != nil {
+// Printf writes to W unless an earlier write failed.
+func (jw *TextSink) Printf(format string, args ...any) {
+	if jw.Err != nil {
 		return
 	}
-	_, jw.err = fmt.Fprintf(jw.w, format, args...)
+	_, jw.Err = fmt.Fprintf(jw.W, format, args...)
 }
 
-// jsonStr quotes a string for JSON (the labels here are tenant names
+// JSONString quotes a string for JSON (the labels here are tenant names
 // and policy ids — escape the structural characters, reject control
 // bytes by escaping them numerically).
-func jsonStr(s string) string {
+func JSONString(s string) string {
 	b := make([]byte, 0, len(s)+2)
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
@@ -384,8 +385,9 @@ func jsonStr(s string) string {
 	return string(append(b, '"'))
 }
 
-// jsonFloat renders a float deterministically (shortest round-trip
-// form, same across platforms).
-func jsonFloat(v float64) string {
+// FormatFloat renders a float deterministically (shortest round-trip
+// form, same across platforms), for JSON and the exposition format
+// alike.
+func FormatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

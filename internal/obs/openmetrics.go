@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"micstream/internal/telemetry"
@@ -68,15 +67,15 @@ func (x *Exporter) Render(w io.Writer) error {
 	x.mu.Lock()
 	snap, seen, aux := x.snap, x.seen, x.aux
 	x.mu.Unlock()
-	mw := &textSink{w: w}
+	mw := &TextSink{W: w}
 	if seen {
 		renderSnapshot(mw, &snap)
 	}
-	if aux != nil && mw.err == nil {
-		mw.err = aux(w)
+	if aux != nil && mw.Err == nil {
+		mw.Err = aux(w)
 	}
-	mw.printf("# EOF\n")
-	return mw.err
+	mw.Printf("# EOF\n")
+	return mw.Err
 }
 
 // ServeHTTP implements http.Handler for the /metrics endpoint.
@@ -85,80 +84,74 @@ func (x *Exporter) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = x.Render(w)
 }
 
-func renderSnapshot(w *textSink, s *telemetry.MetricsSnapshot) {
+func renderSnapshot(w *TextSink, s *telemetry.MetricsSnapshot) {
 	family(w, "micstream_jobs_done", "counter", "Jobs completed this run.")
-	w.printf("micstream_jobs_done_total %d\n", s.Done)
+	w.Printf("micstream_jobs_done_total %d\n", s.Done)
 	family(w, "micstream_steals", "counter", "Drain-instant re-bindings this run.")
-	w.printf("micstream_steals_total %d\n", s.Steals)
+	w.Printf("micstream_steals_total %d\n", s.Steals)
 	family(w, "micstream_cluster_queue_depth", "gauge", "Cluster-level admission queue depth.")
-	w.printf("micstream_cluster_queue_depth %d\n", s.ClusterQueue)
+	w.Printf("micstream_cluster_queue_depth %d\n", s.ClusterQueue)
 	family(w, "micstream_fairness_jain", "gauge", "Jain's fairness index over per-tenant throughputs.")
-	w.printf("micstream_fairness_jain %s\n", omFloat(s.Fairness))
+	w.Printf("micstream_fairness_jain %s\n", FormatFloat(s.Fairness))
 	family(w, "micstream_elapsed_virtual_seconds", "gauge", "Virtual time elapsed since the run started.")
-	w.printf("micstream_elapsed_virtual_seconds %s\n", omFloat(s.Elapsed.Seconds()))
+	w.Printf("micstream_elapsed_virtual_seconds %s\n", FormatFloat(s.Elapsed.Seconds()))
 	family(w, "micstream_residency_hit_ratio", "gauge", "Resident bytes served over total staging demand (0 when no demand).")
 	ratio := 0.0
 	if total := s.HitBytes + s.MissBytes; total > 0 {
 		ratio = float64(s.HitBytes) / float64(total)
 	}
-	w.printf("micstream_residency_hit_ratio %s\n", omFloat(ratio))
+	w.Printf("micstream_residency_hit_ratio %s\n", FormatFloat(ratio))
 
 	family(w, "micstream_device_utilization", "gauge", "Per-device kernel occupancy over elapsed time and partitions.")
 	for i := range s.Devices {
 		d := &s.Devices[i]
-		w.printf("micstream_device_utilization{device=\"%d\"} %s\n", d.Device, omFloat(d.Utilization))
+		w.Printf("micstream_device_utilization{device=\"%d\"} %s\n", d.Device, FormatFloat(d.Utilization))
 	}
 	family(w, "micstream_device_queue_depth", "gauge", "Per-device committed-but-undispatched jobs.")
 	for i := range s.Devices {
 		d := &s.Devices[i]
-		w.printf("micstream_device_queue_depth{device=\"%d\"} %d\n", d.Device, d.Queued)
+		w.Printf("micstream_device_queue_depth{device=\"%d\"} %d\n", d.Device, d.Queued)
 	}
 	family(w, "micstream_device_inflight", "gauge", "Per-device dispatched-but-unfinished jobs.")
 	for i := range s.Devices {
 		d := &s.Devices[i]
-		w.printf("micstream_device_inflight{device=\"%d\"} %d\n", d.Device, d.InFlight)
+		w.Printf("micstream_device_inflight{device=\"%d\"} %d\n", d.Device, d.InFlight)
 	}
 	family(w, "micstream_device_staged_bytes", "gauge", "Per-device staging volume charged this run.")
 	for i := range s.Devices {
 		d := &s.Devices[i]
-		w.printf("micstream_device_staged_bytes{device=\"%d\"} %d\n", d.Device, d.StagedBytes)
+		w.Printf("micstream_device_staged_bytes{device=\"%d\"} %d\n", d.Device, d.StagedBytes)
 	}
 	family(w, "micstream_device_resident_bytes", "gauge", "Per-device residency-cache footprint.")
 	for i := range s.Devices {
 		d := &s.Devices[i]
-		w.printf("micstream_device_resident_bytes{device=\"%d\"} %d\n", d.Device, d.ResidentBytes)
+		w.Printf("micstream_device_resident_bytes{device=\"%d\"} %d\n", d.Device, d.ResidentBytes)
 	}
 
 	family(w, "micstream_tenant_jobs_done", "counter", "Per-tenant jobs completed this run.")
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
-		w.printf("micstream_tenant_jobs_done_total{tenant=%s} %d\n", omLabel(t.Tenant), t.Done)
+		w.Printf("micstream_tenant_jobs_done_total{tenant=%s} %d\n", LabelValue(t.Tenant), t.Done)
 	}
 	family(w, "micstream_tenant_throughput_jobs_per_second", "gauge", "Per-tenant completions per virtual second.")
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
-		w.printf("micstream_tenant_throughput_jobs_per_second{tenant=%s} %s\n", omLabel(t.Tenant), omFloat(t.Throughput))
+		w.Printf("micstream_tenant_throughput_jobs_per_second{tenant=%s} %s\n", LabelValue(t.Tenant), FormatFloat(t.Throughput))
 	}
 	family(w, "micstream_tenant_p95_latency_seconds", "gauge", "Per-tenant 95th-percentile response time so far.")
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
-		w.printf("micstream_tenant_p95_latency_seconds{tenant=%s} %s\n", omLabel(t.Tenant), omFloat(t.P95.Seconds()))
+		w.Printf("micstream_tenant_p95_latency_seconds{tenant=%s} %s\n", LabelValue(t.Tenant), FormatFloat(t.P95.Seconds()))
 	}
 }
 
-func family(w *textSink, name, typ, help string) {
-	w.printf("# TYPE %s %s\n# HELP %s %s\n", name, typ, name, help)
+func family(w *TextSink, name, typ, help string) {
+	w.Printf("# TYPE %s %s\n# HELP %s %s\n", name, typ, name, help)
 }
 
-// omFloat renders a float in the shortest round-trip decimal form —
-// deterministic across runs and platforms.
-func omFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// omLabel quotes a label value per the exposition format (backslash,
+// LabelValue quotes a label value per the exposition format (backslash,
 // quote and newline escaped).
-func omLabel(s string) string {
+func LabelValue(s string) string {
 	b := make([]byte, 0, len(s)+2)
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {

@@ -1,9 +1,9 @@
 package slo
 
 import (
-	"fmt"
 	"io"
-	"strconv"
+
+	"micstream/internal/obs"
 )
 
 // maxViolationDetail caps the per-objective violation detail list in
@@ -25,56 +25,56 @@ type Meta struct {
 // artifact — handcrafted, key-ordered, shortest-round-trip floats, so
 // two same-seed runs produce byte-identical reports.
 func (ev *Evaluator) WriteJSON(w io.Writer, meta Meta) error {
-	jw := &textSink{w: w}
-	jw.printf("{\n  \"schema\": \"micstream-slo-v1\",\n")
-	jw.printf("  \"run\": %s,\n  \"seed\": %d,\n  \"policy\": %s,\n", jsonStr(meta.Run), meta.Seed, jsonStr(meta.Policy))
-	jw.printf("  \"evals\": %d,\n", ev.evals)
-	jw.printf("  \"objectives\": [")
+	jw := &obs.TextSink{W: w}
+	jw.Printf("{\n  \"schema\": \"micstream-slo-v1\",\n")
+	jw.Printf("  \"run\": %s,\n  \"seed\": %d,\n  \"policy\": %s,\n", obs.JSONString(meta.Run), meta.Seed, obs.JSONString(meta.Policy))
+	jw.Printf("  \"evals\": %d,\n", ev.evals)
+	jw.Printf("  \"objectives\": [")
 	for i, st := range ev.objs {
 		if i > 0 {
-			jw.printf(",")
+			jw.Printf(",")
 		}
-		jw.printf("\n    ")
+		jw.Printf("\n    ")
 		writeObjective(jw, st)
 	}
 	if len(ev.objs) > 0 {
-		jw.printf("\n  ")
+		jw.Printf("\n  ")
 	}
-	jw.printf("]\n}\n")
-	return jw.err
+	jw.Printf("]\n}\n")
+	return jw.Err
 }
 
-func writeObjective(jw *textSink, st *objState) {
+func writeObjective(jw *obs.TextSink, st *objState) {
 	o := &st.obj
-	jw.printf("{\n      \"tenant\": %s,\n      \"name\": %s,\n      \"kind\": %s,\n",
-		jsonStr(o.TenantLabel()), jsonStr(o.Name), jsonStr(o.Kind))
-	jw.printf("      \"target\": %s,\n      \"threshold_ms\": %s,\n      \"floor_jobs_per_s\": %s,\n",
-		jsonFloat(o.Target), jsonFloat(msf(float64(o.Threshold))), jsonFloat(o.Floor))
-	jw.printf("      \"fast_window_ms\": %s,\n      \"slow_window_ms\": %s,\n",
-		jsonFloat(msf(float64(o.FastWindow))), jsonFloat(msf(float64(o.SlowWindow))))
-	jw.printf("      \"fast_burn_max\": %s,\n      \"slow_burn_max\": %s,\n",
-		jsonFloat(o.FastBurn), jsonFloat(o.SlowBurn))
-	jw.printf("      \"samples\": %d,\n      \"bad\": %d,\n", st.total, st.bad)
-	jw.printf("      \"bad_time_ms\": %s,\n      \"total_time_ms\": %s,\n",
-		jsonFloat(msf(float64(st.badTime))), jsonFloat(msf(float64(st.totalTime))))
-	jw.printf("      \"budget_remaining\": %s,\n      \"burn_fast\": %s,\n      \"burn_slow\": %s,\n",
-		jsonFloat(st.budget), jsonFloat(st.burnFast), jsonFloat(st.burnSlow))
-	jw.printf("      \"compliant\": %t,\n", st.budget > 0)
+	jw.Printf("{\n      \"tenant\": %s,\n      \"name\": %s,\n      \"kind\": %s,\n",
+		obs.JSONString(o.TenantLabel()), obs.JSONString(o.Name), obs.JSONString(o.Kind))
+	jw.Printf("      \"target\": %s,\n      \"threshold_ms\": %s,\n      \"floor_jobs_per_s\": %s,\n",
+		obs.FormatFloat(o.Target), obs.FormatFloat(msf(float64(o.Threshold))), obs.FormatFloat(o.Floor))
+	jw.Printf("      \"fast_window_ms\": %s,\n      \"slow_window_ms\": %s,\n",
+		obs.FormatFloat(msf(float64(o.FastWindow))), obs.FormatFloat(msf(float64(o.SlowWindow))))
+	jw.Printf("      \"fast_burn_max\": %s,\n      \"slow_burn_max\": %s,\n",
+		obs.FormatFloat(o.FastBurn), obs.FormatFloat(o.SlowBurn))
+	jw.Printf("      \"samples\": %d,\n      \"bad\": %d,\n", st.total, st.bad)
+	jw.Printf("      \"bad_time_ms\": %s,\n      \"total_time_ms\": %s,\n",
+		obs.FormatFloat(msf(float64(st.badTime))), obs.FormatFloat(msf(float64(st.totalTime))))
+	jw.Printf("      \"budget_remaining\": %s,\n      \"burn_fast\": %s,\n      \"burn_slow\": %s,\n",
+		obs.FormatFloat(st.budget), obs.FormatFloat(st.burnFast), obs.FormatFloat(st.burnSlow))
+	jw.Printf("      \"compliant\": %t,\n", st.budget > 0)
 	exhausted := -1.0
 	if st.exhausted {
 		exhausted = msf(float64(st.exhaustedAt))
 	}
-	jw.printf("      \"exhausted_at_ms\": %s,\n", jsonFloat(exhausted))
-	jw.printf("      \"violations\": %d,\n", len(st.violations))
-	jw.printf("      \"violations_by_phase\": {")
+	jw.Printf("      \"exhausted_at_ms\": %s,\n", obs.FormatFloat(exhausted))
+	jw.Printf("      \"violations\": %d,\n", len(st.violations))
+	jw.Printf("      \"violations_by_phase\": {")
 	for i, phase := range sortedPhases(st.byPhase) {
 		if i > 0 {
-			jw.printf(", ")
+			jw.Printf(", ")
 		}
-		jw.printf("%s: %d", jsonStr(phase), st.byPhase[phase])
+		jw.Printf("%s: %d", obs.JSONString(phase), st.byPhase[phase])
 	}
-	jw.printf("},\n")
-	jw.printf("      \"violation_detail\": [")
+	jw.Printf("},\n")
+	jw.Printf("      \"violation_detail\": [")
 	detail := st.violations
 	if len(detail) > maxViolationDetail {
 		detail = detail[:maxViolationDetail]
@@ -82,37 +82,37 @@ func writeObjective(jw *textSink, st *objState) {
 	for i := range detail {
 		v := &detail[i]
 		if i > 0 {
-			jw.printf(",")
+			jw.Printf(",")
 		}
-		jw.printf("\n        {\"job\": %d, \"id\": %d, \"at_ms\": %s, \"latency_ms\": %s, \"budget_ms\": %s, \"phase\": %s}",
-			v.Job, v.ID, jsonFloat(msf(float64(v.At))), jsonFloat(msf(float64(v.Latency))), jsonFloat(msf(float64(v.Budget))), jsonStr(v.Phase))
+		jw.Printf("\n        {\"job\": %d, \"id\": %d, \"at_ms\": %s, \"latency_ms\": %s, \"budget_ms\": %s, \"phase\": %s}",
+			v.Job, v.ID, obs.FormatFloat(msf(float64(v.At))), obs.FormatFloat(msf(float64(v.Latency))), obs.FormatFloat(msf(float64(v.Budget))), obs.JSONString(v.Phase))
 	}
 	if len(detail) > 0 {
-		jw.printf("\n      ")
+		jw.Printf("\n      ")
 	}
-	jw.printf("],\n")
-	jw.printf("      \"alerts\": [")
+	jw.Printf("],\n")
+	jw.Printf("      \"alerts\": [")
 	for i := range st.alerts {
 		a := &st.alerts[i]
 		if i > 0 {
-			jw.printf(",")
+			jw.Printf(",")
 		}
 		cleared := -1.0
 		if a.Cleared {
 			cleared = msf(float64(a.ClearedAt))
 		}
-		jw.printf("\n        {\"at_ms\": %s, \"fast_burn\": %s, \"slow_burn\": %s, \"cleared_at_ms\": %s}",
-			jsonFloat(msf(float64(a.At))), jsonFloat(a.FastBurn), jsonFloat(a.SlowBurn), jsonFloat(cleared))
+		jw.Printf("\n        {\"at_ms\": %s, \"fast_burn\": %s, \"slow_burn\": %s, \"cleared_at_ms\": %s}",
+			obs.FormatFloat(msf(float64(a.At))), obs.FormatFloat(a.FastBurn), obs.FormatFloat(a.SlowBurn), obs.FormatFloat(cleared))
 	}
 	if len(st.alerts) > 0 {
-		jw.printf("\n      ")
+		jw.Printf("\n      ")
 	}
-	jw.printf("],\n")
+	jw.Printf("],\n")
 	first := -1.0
 	if len(st.alerts) > 0 {
 		first = msf(float64(st.alerts[0].At))
 	}
-	jw.printf("      \"first_alert_ms\": %s\n    }", jsonFloat(first))
+	jw.Printf("      \"first_alert_ms\": %s\n    }", obs.FormatFloat(first))
 }
 
 // WriteOpenMetrics renders the mic_slo_* families in the OpenMetrics
@@ -120,85 +120,26 @@ func writeObjective(jw *textSink, st *objState) {
 // fragment plugs into an obs.Exporter via SetAux, joining the
 // micstream_* families in one exposition.
 func (ev *Evaluator) WriteOpenMetrics(w io.Writer) error {
-	jw := &textSink{w: w}
-	jw.printf("# TYPE mic_slo_budget_remaining gauge\n# HELP mic_slo_budget_remaining Fraction of the objective's error budget left (1 untouched, <=0 exhausted).\n")
+	jw := &obs.TextSink{W: w}
+	jw.Printf("# TYPE mic_slo_budget_remaining gauge\n# HELP mic_slo_budget_remaining Fraction of the objective's error budget left (1 untouched, <=0 exhausted).\n")
 	for _, st := range ev.objs {
-		jw.printf("mic_slo_budget_remaining{tenant=%s,objective=%s} %s\n",
-			omLabel(st.obj.TenantLabel()), omLabel(st.obj.Name), omFloat(st.budget))
+		jw.Printf("mic_slo_budget_remaining{tenant=%s,objective=%s} %s\n",
+			obs.LabelValue(st.obj.TenantLabel()), obs.LabelValue(st.obj.Name), obs.FormatFloat(st.budget))
 	}
-	jw.printf("# TYPE mic_slo_burn_rate gauge\n# HELP mic_slo_burn_rate Windowed error-budget burn rate (1 = exactly on budget).\n")
+	jw.Printf("# TYPE mic_slo_burn_rate gauge\n# HELP mic_slo_burn_rate Windowed error-budget burn rate (1 = exactly on budget).\n")
 	for _, st := range ev.objs {
-		jw.printf("mic_slo_burn_rate{tenant=%s,objective=%s,window=\"fast\"} %s\n",
-			omLabel(st.obj.TenantLabel()), omLabel(st.obj.Name), omFloat(st.burnFast))
-		jw.printf("mic_slo_burn_rate{tenant=%s,objective=%s,window=\"slow\"} %s\n",
-			omLabel(st.obj.TenantLabel()), omLabel(st.obj.Name), omFloat(st.burnSlow))
+		jw.Printf("mic_slo_burn_rate{tenant=%s,objective=%s,window=\"fast\"} %s\n",
+			obs.LabelValue(st.obj.TenantLabel()), obs.LabelValue(st.obj.Name), obs.FormatFloat(st.burnFast))
+		jw.Printf("mic_slo_burn_rate{tenant=%s,objective=%s,window=\"slow\"} %s\n",
+			obs.LabelValue(st.obj.TenantLabel()), obs.LabelValue(st.obj.Name), obs.FormatFloat(st.burnSlow))
 	}
-	jw.printf("# TYPE mic_slo_violations_total counter\n# HELP mic_slo_violations_total Objective breaches detected this run.\n")
+	jw.Printf("# TYPE mic_slo_violations_total counter\n# HELP mic_slo_violations_total Objective breaches detected this run.\n")
 	for _, st := range ev.objs {
-		jw.printf("mic_slo_violations_total{tenant=%s,objective=%s} %d\n",
-			omLabel(st.obj.TenantLabel()), omLabel(st.obj.Name), len(st.violations))
+		jw.Printf("mic_slo_violations_total{tenant=%s,objective=%s} %d\n",
+			obs.LabelValue(st.obj.TenantLabel()), obs.LabelValue(st.obj.Name), len(st.violations))
 	}
-	return jw.err
+	return jw.Err
 }
 
 // msf converts virtual nanoseconds to milliseconds.
 func msf(ns float64) float64 { return ns / 1e6 }
-
-// textSink is a printf sink with a sticky error (the same idiom the
-// obs package's deterministic renderers use; its copy is unexported).
-type textSink struct {
-	w   io.Writer
-	err error
-}
-
-func (jw *textSink) printf(format string, args ...any) {
-	if jw.err != nil {
-		return
-	}
-	_, jw.err = fmt.Fprintf(jw.w, format, args...)
-}
-
-// jsonStr quotes a string for JSON (escape the structural characters,
-// escape control bytes numerically).
-func jsonStr(s string) string {
-	b := make([]byte, 0, len(s)+2)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < 0x20:
-			b = append(b, fmt.Sprintf(`\u%04x`, c)...)
-		default:
-			b = append(b, c)
-		}
-	}
-	return `"` + string(b) + `"`
-}
-
-// jsonFloat renders a float deterministically (shortest round-trip
-// form, same across platforms).
-func jsonFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// omFloat and omLabel mirror the exposition helpers in obs.
-func omFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func omLabel(s string) string {
-	b := make([]byte, 0, len(s)+2)
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\', '"':
-			b = append(b, '\\', c)
-		case '\n':
-			b = append(b, '\\', 'n')
-		default:
-			b = append(b, c)
-		}
-	}
-	return string(append(b, '"'))
-}

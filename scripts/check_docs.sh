@@ -9,6 +9,9 @@
 #    point at a file that exists.
 # 3. Every bare `*.md` file reference in a Go comment must name a file
 #    that exists, relative to the repository root or to the Go file.
+# 4. Every cmd/ directory must have a row in README's "Command-line
+#    tools" table, and every examples/ directory must be named in
+#    README.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -70,6 +73,24 @@ if [ -n "$refs" ]; then
     echo "$refs"
     fail=1
 fi
+
+# --- README inventory -------------------------------------------------
+# Every command has a row in README's "Command-line tools" table, and
+# every example is named in README (as `name` or examples/name).
+for dir in cmd/*/; do
+    name=$(basename "$dir")
+    if ! sed -n '/^## Command-line tools/,/^## /p' README.md | grep -q "^| \`$name\` |"; then
+        echo "README.md: command $name has no row in the Command-line tools table"
+        fail=1
+    fi
+done
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    if ! grep -qE "\`$name\`|examples/$name([^A-Za-z0-9_-]|\$)" README.md; then
+        echo "README.md: example $name is not named"
+        fail=1
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "docs check failed"
