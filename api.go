@@ -400,9 +400,8 @@ func WriteDriftJSON(w io.Writer, r *DriftReport, meta DriftMeta) error {
 }
 
 // NewOpenMetricsExporter returns an exporter with no snapshot yet.
-// Wire it to a recorder with Attach (or a composite hook) and expose
-// it with ServeHTTP/ListenAndServe; Render writes the exposition
-// text.
+// Wire it to a recorder through Observers and expose it with
+// ServeHTTP/ListenAndServe; Render writes the exposition text.
 func NewOpenMetricsExporter() *OpenMetricsExporter { return obs.NewExporter() }
 
 // DefaultFlightCap is the flight recorder's default ring capacity.

@@ -24,9 +24,15 @@ type (
 	// windows and thresholds.
 	SLOObjective = slo.Objective
 	// SLOEvaluator folds telemetry into per-objective budgets, burn
-	// rates, alerts and attributed violations. Attach it to a
-	// Telemetry recorder (Attach), or let the serve layer wire it.
+	// rates, alerts and attributed violations. Wire it to a
+	// Telemetry recorder through Observers, or let the serve layer
+	// wire it.
 	SLOEvaluator = slo.Evaluator
+	// Observers wires an OpenMetricsExporter, a FlightRecorder and an
+	// SLOEvaluator (nil members absent) to one Telemetry recorder
+	// with Attach: one fan-out, budget exhaustion dumping the flight
+	// ring, the mic_slo_* families joining the exposition, one lock.
+	Observers = slo.Observers
 	// SLOState is one objective's verdict: samples, breaches,
 	// remaining budget, burn rates, alert and exhaustion instants.
 	SLOState = slo.ObjectiveState

@@ -49,7 +49,8 @@
 // snapshot series machine-readably; -flight writes a flight-recorder
 // report (the last events before each job failure or, with
 // -flight-p95, each tenant's first p95 breach); -serve exposes the
-// final metrics at /metrics in OpenMetrics text format after the run.
+// final metrics at /metrics in OpenMetrics text format after the run
+// (with -slo, the mic_slo_* families too).
 // -slo evaluates a JSON objective spec (per-tenant latency targets,
 // deadline miss budgets, throughput floors — DESIGN.md §16) over the
 // run's telemetry: error budgets and multi-window burn rates update at
@@ -289,13 +290,17 @@ func main() {
 		}
 	}
 
+	cf := clusterFlags{
+		devices: *devices, partitions: *partitions, streams: *streams,
+		policy: *policy, depth: *depth, steal: *steal, slice: *slice,
+		staging: *staging, cache: *cache, cachecap: *cachecap,
+		njobs: *njobs * *scale, spread: *spread, affinity: *affinity,
+		datasets: *datasets, writefrac: *writefrac,
+		xfer: *xfer, origins: origin, arrival: *arrival, seed: *seed,
+		windowNs: window.Nanoseconds(), tenants: *tenants,
+	}
 	if *scaling {
-		runScaling(scalingFlags{
-			maxDevices: *devices, partitions: *partitions, streams: *streams,
-			policy: *policy, depth: *depth, steal: *steal, slice: *slice,
-			staging: *staging, cache: *cache, cachecap: *cachecap,
-			njobs: *njobs * *scale, seed: *seed, xfer: *xfer,
-		})
+		runScaling(cf)
 		finish()
 		return
 	}
@@ -316,69 +321,23 @@ func main() {
 		}
 		// Live observers ride the recorder's hooks; they are pure
 		// consumers, so the schedule is bit-identical with them on.
-		var exporter *micstream.OpenMetricsExporter
-		var flight *micstream.FlightRecorder
+		stack := &micstream.Observers{}
 		if *serve != "" {
-			exporter = micstream.NewOpenMetricsExporter()
+			stack.Exporter = micstream.NewOpenMetricsExporter()
 		}
 		if flightFile != nil {
-			flight = micstream.NewFlightRecorder(*flightCap)
-			flight.SetP95Threshold(micstream.Duration((*flightP95).Nanoseconds()))
-		}
-		var sloEval *micstream.SLOEvaluator
-		if *sloPath != "" {
-			ev, err := micstream.NewSLOEvaluator(sloSpec)
-			if err != nil {
-				fatal(err)
-			}
-			sloEval = ev
-			if flight != nil {
-				// Budget exhaustion is an anomaly worth a capture: wire
-				// it to the flight recorder, as the serve layer does.
-				fl := flight
-				sloEval.SetOnExhausted(func(o micstream.SLOObjective, at micstream.Time) {
-					fl.Trigger(fmt.Sprintf("slo %q (tenant %q) error budget exhausted", o.Name, o.TenantLabel()), at)
-				})
-			}
-		}
-		if flight != nil || sloEval != nil {
-			fl, ev := flight, sloEval
-			rec.SetOnEvent(func(e micstream.TelemetryEvent) {
-				if ev != nil {
-					ev.OnEvent(e)
-				}
-				if fl != nil {
-					fl.OnEvent(e)
-				}
-			})
-		}
-		if exporter != nil || flight != nil || sloEval != nil {
-			exp, fl, ev := exporter, flight, sloEval
-			rec.SetOnMetrics(func(s micstream.MetricsSnapshot) {
-				if exp != nil {
-					exp.Observe(s)
-				}
-				if ev != nil {
-					ev.OnMetrics(s)
-				}
-				if fl != nil {
-					fl.OnMetrics(s)
-				}
-			})
+			stack.Flight = micstream.NewFlightRecorder(*flightCap)
+			stack.Flight.SetP95Threshold(micstream.Duration((*flightP95).Nanoseconds()))
 		}
 		var specPtr *micstream.SLOSpec
-		if sloEval != nil {
+		if *sloPath != "" {
+			if stack.SLO, err = micstream.NewSLOEvaluator(sloSpec); err != nil {
+				fatal(err)
+			}
 			specPtr = &sloSpec
 		}
-		r, c := runOnce(name, clusterFlags{
-			devices: *devices, partitions: *partitions, streams: *streams,
-			policy: *policy, depth: *depth, steal: *steal, slice: *slice,
-			staging: *staging, cache: *cache, cachecap: *cachecap,
-			njobs: *njobs * *scale, spread: *spread, affinity: *affinity,
-			datasets: *datasets, writefrac: *writefrac,
-			xfer: *xfer, origins: origin, arrival: *arrival, seed: *seed,
-			windowNs: window.Nanoseconds(), tenants: *tenants,
-		}, rec, specPtr)
+		stack.Attach(rec)
+		r, c := runOnce(name, cf, rec, specPtr)
 		printResult(r, name, *arrival, *seed, *cache != "off", *jobs)
 		if *metrics {
 			printMetrics(c.Metrics())
@@ -412,22 +371,22 @@ func main() {
 		}
 		if flightFile != nil {
 			writeAndClose(flightFile, *flightOut, "flight report", func(f *os.File) error {
-				return flight.WriteText(f)
+				return stack.Flight.WriteText(f)
 			})
 		}
-		if sloEval != nil {
-			printSLO(sloEval)
+		if stack.SLO != nil {
+			printSLO(stack.SLO)
 			if sloFile != nil {
 				meta := micstream.SLOMeta{Run: fmt.Sprintf("%s-%s-%d", name, *arrival, *seed),
 					Seed: int64(*seed), Policy: name}
 				writeAndClose(sloFile, *sloOut, "slo report", func(f *os.File) error {
-					return sloEval.WriteJSON(f, meta)
+					return stack.SLO.WriteJSON(f, meta)
 				})
 			}
 		}
-		if exporter != nil {
+		if stack.Exporter != nil {
 			fmt.Printf("\nserving OpenMetrics at http://%s/metrics (interrupt to stop)\n", *serve)
-			if err := exporter.ListenAndServe(*serve); err != nil {
+			if err := stack.Exporter.ListenAndServe(*serve); err != nil {
 				fatal(err)
 			}
 		}
@@ -499,23 +458,15 @@ type clusterFlags struct {
 	tenants                      int
 }
 
-// runOnce builds a fresh cluster and runs the configured scenario,
-// returning the result and the cluster (for its telemetry accessors).
-// Flag names were validated in main; the factory below runs once per
-// device after validation cannot fail. A non-nil sloSpec stamps its
-// deadline-kind thresholds onto the matching tenants' jobs before the
-// run, so scheduler miss accounting and the evaluator judge the same
-// budget.
-func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *micstream.SLOSpec) (*micstream.ClusterResult, *micstream.Cluster) {
-	pol, err := micstream.PlaceBy(place)
-	if err != nil {
-		fatal(err)
-	}
+// options builds the cluster configuration the flags declare on devs
+// devices: everything but placement and telemetry, which only the
+// single-run modes set. Flag names were validated in main; the policy
+// factory runs once per device after validation cannot fail.
+func (f clusterFlags) options(devs int) []micstream.ClusterOption {
 	opts := []micstream.ClusterOption{
-		micstream.WithClusterDevices(f.devices),
+		micstream.WithClusterDevices(devs),
 		micstream.WithClusterPartitions(f.partitions),
 		micstream.WithClusterStreams(f.streams),
-		micstream.WithPlacement(pol),
 		micstream.WithClusterQueueDepth(f.depth),
 		micstream.WithClusterDevicePolicy(func() micstream.SchedPolicy {
 			p, err := micstream.PolicyByName(f.policy)
@@ -537,6 +488,20 @@ func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *mi
 	if f.cache == "lru" {
 		opts = append(opts, micstream.WithResidency(f.cachecap))
 	}
+	return opts
+}
+
+// runOnce builds a fresh cluster and runs the configured scenario,
+// returning the result and the cluster (for its telemetry accessors).
+// A non-nil sloSpec stamps its deadline-kind thresholds onto the
+// matching tenants' jobs before the run, so scheduler miss accounting
+// and the evaluator judge the same budget.
+func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *micstream.SLOSpec) (*micstream.ClusterResult, *micstream.Cluster) {
+	pol, err := micstream.PlaceBy(place)
+	if err != nil {
+		fatal(err)
+	}
+	opts := append(f.options(f.devices), micstream.WithPlacement(pol))
 	if rec != nil {
 		opts = append(opts, micstream.WithClusterTelemetry(rec))
 	}
@@ -684,20 +649,6 @@ func printMetrics(snaps []micstream.MetricsSnapshot) {
 	tw.Flush()
 }
 
-type scalingFlags struct {
-	maxDevices, partitions, streams int
-	policy                          string
-	depth                           int
-	steal                           time.Duration
-	slice                           int
-	staging                         float64
-	cache                           string
-	cachecap                        int64
-	njobs                           int
-	seed                            uint64
-	xfer                            int64
-}
-
 // runScaling prints the Fig. 11-style table: the same device-0-resident
 // bag of jobs on 1..devices MICs under predicted placement. The
 // workload *shape* is fixed by the mode (identical 6-GFLOP jobs, all
@@ -705,47 +656,22 @@ type scalingFlags struct {
 // the rows is the device count; -xfer, -staging, -policy, -depth and
 // -seed are honoured, the mix-shaping flags (-spread, -affinity,
 // -arrival, -window, -tenants) do not apply here.
-func runScaling(f scalingFlags) {
+func runScaling(f clusterFlags) {
 	fmt.Printf("multi-MIC scaling through the cluster scheduler (predicted placement, %d identical jobs resident on device 0)\n\n", f.njobs)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "devices\tmakespan\tGFLOPS\tspeedup\tprojected\tstaged")
 	// Powers of two up to the requested count, always including the
 	// requested count itself (so -devices=3 gets its own row).
 	counts := []int{1}
-	for d := 2; d < f.maxDevices; d *= 2 {
+	for d := 2; d < f.devices; d *= 2 {
 		counts = append(counts, d)
 	}
-	if f.maxDevices > 1 {
-		counts = append(counts, f.maxDevices)
+	if f.devices > 1 {
+		counts = append(counts, f.devices)
 	}
 	var base float64
 	for _, devs := range counts {
-		opts := []micstream.ClusterOption{
-			micstream.WithClusterDevices(devs),
-			micstream.WithClusterPartitions(f.partitions),
-			micstream.WithClusterStreams(f.streams),
-			micstream.WithClusterQueueDepth(f.depth),
-			micstream.WithClusterDevicePolicy(func() micstream.SchedPolicy {
-				p, err := micstream.PolicyByName(f.policy)
-				if err != nil {
-					fatal(err)
-				}
-				return p
-			}),
-		}
-		if f.steal > 0 {
-			opts = append(opts, micstream.WithClusterStealing(f.steal))
-		}
-		if f.slice > 0 {
-			opts = append(opts, micstream.WithClusterSlicing(f.slice))
-		}
-		if f.staging > 0 {
-			opts = append(opts, micstream.WithClusterStagingFactor(f.staging))
-		}
-		if f.cache == "lru" {
-			opts = append(opts, micstream.WithResidency(f.cachecap))
-		}
-		c, err := micstream.NewCluster(opts...)
+		c, err := micstream.NewCluster(f.options(devs)...)
 		if err != nil {
 			fatal(err)
 		}

@@ -73,28 +73,17 @@ func (m sloMix) stamped() clusterCell {
 	return c
 }
 
-// observe runs the mix with the full SLO stack attached: the evaluator
-// and flight recorder share the recorder's observer slots through
-// composite hooks, and a budget exhaustion triggers a flight dump —
-// the same wiring the serve layer installs.
+// observe runs the mix with the evaluator and a flight recorder on the
+// observer stack, so a budget exhaustion triggers a flight dump — the
+// same wiring the serve layer installs.
 func (m sloMix) observe(seed uint64) (*sloCell, error) {
 	ev, err := slo.New(m.spec)
 	if err != nil {
 		return nil, err
 	}
 	fl := obs.NewFlightRecorder(64)
-	ev.SetOnExhausted(func(o slo.Objective, at sim.Time) {
-		fl.Trigger(fmt.Sprintf("slo %q (tenant %q) error budget exhausted", o.Name, o.TenantLabel()), at)
-	})
 	rec := telemetry.NewRecorder()
-	rec.SetOnEvent(func(e telemetry.Event) {
-		ev.OnEvent(e)
-		fl.OnEvent(e)
-	})
-	rec.SetOnMetrics(func(snap telemetry.MetricsSnapshot) {
-		ev.OnMetrics(snap)
-		fl.OnMetrics(snap)
-	})
+	(&slo.Observers{Flight: fl, SLO: ev}).Attach(rec)
 	r, err := m.stamped().run(seed, cluster.WithTelemetry(rec))
 	if err != nil {
 		return nil, err

@@ -58,15 +58,6 @@ func NewFlightRecorder(cap int) *FlightRecorder {
 // reporting any tenant's p95 above max dumps the ring (0 disarms).
 func (f *FlightRecorder) SetP95Threshold(max sim.Duration) { f.p95Max = max }
 
-// Attach subscribes the recorder to a telemetry recorder's hooks. It
-// claims both observer slots; to share them with other consumers
-// (e.g. an Exporter), install composite hooks calling OnEvent and
-// OnMetrics directly.
-func (f *FlightRecorder) Attach(rec *telemetry.Recorder) {
-	rec.SetOnEvent(f.OnEvent)
-	rec.SetOnMetrics(f.OnMetrics)
-}
-
 // OnEvent records one event into the ring, dumping first if the event
 // is a failure (so the dump ends just before the Fail, and the Fail
 // itself seeds the next window).

@@ -169,8 +169,8 @@ func TestGrantClosure(t *testing.T) {
 
 // TestObserversNeverPerturbResult is the acceptance bit-identity: a
 // run observed by telemetry + a live OpenMetrics exporter + a flight
-// recorder (composite hooks) yields a Result deeply equal to a bare
-// run of the same scenario.
+// recorder (one observer stack) yields a Result deeply equal to a
+// bare run of the same scenario.
 func TestObserversNeverPerturbResult(t *testing.T) {
 	for _, m := range obsMixes() {
 		t.Run(m.name, func(t *testing.T) {
@@ -182,11 +182,7 @@ func TestObserversNeverPerturbResult(t *testing.T) {
 			exp := micstream.NewOpenMetricsExporter()
 			fl := micstream.NewFlightRecorder(64)
 			fl.SetP95Threshold(micstream.Duration(1)) // trips on every snapshot's first breach
-			rec.SetOnEvent(fl.OnEvent)
-			rec.SetOnMetrics(func(s micstream.MetricsSnapshot) {
-				exp.Observe(s)
-				fl.OnMetrics(s)
-			})
+			(&micstream.Observers{Exporter: exp, Flight: fl}).Attach(rec)
 			observed := runMix(t, m, rec)
 
 			if !reflect.DeepEqual(bare, observed) {

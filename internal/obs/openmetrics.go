@@ -15,10 +15,10 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 
 // Exporter renders the latest MetricsSnapshot in the OpenMetrics text
 // exposition format — a zero-dependency Prometheus endpoint for
-// `miccluster -serve`. Feed it snapshots with Observe (or wire it to
-// a recorder's snapshot hook via Attach); Render and ServeHTTP expose
-// the latest one. The exporter is a pure consumer on the far side of
-// the recorder: observing never perturbs a run, and rendering the
+// `miccluster -serve`. Feed it snapshots with Observe (slo.Observers
+// wires it to a recorder); Render and ServeHTTP expose the latest
+// one. The exporter is a pure consumer on the far side of the
+// recorder: observing never perturbs a run, and rendering the
 // same snapshot twice is byte-identical (device order is positional,
 // tenant order is the snapshot's own sorted order, floats render in
 // shortest round-trip form).
@@ -40,13 +40,6 @@ func (x *Exporter) Observe(s telemetry.MetricsSnapshot) {
 	x.snap = s
 	x.seen = true
 	x.mu.Unlock()
-}
-
-// Attach subscribes the exporter to a recorder's drain-instant
-// snapshots. It claims the recorder's single snapshot observer; to
-// fan out to several consumers, install a composite hook instead.
-func (x *Exporter) Attach(rec *telemetry.Recorder) {
-	rec.SetOnMetrics(x.Observe)
 }
 
 // SetAux installs (or clears, with nil) an auxiliary renderer invoked

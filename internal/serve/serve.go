@@ -28,7 +28,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -36,9 +35,7 @@ import (
 
 	"micstream/internal/cluster"
 	"micstream/internal/obs"
-	"micstream/internal/sim"
 	"micstream/internal/slo"
-	"micstream/internal/telemetry"
 )
 
 // ErrStopped is returned by Submit once a drain has begun: the job
@@ -88,16 +85,16 @@ func WithBatchCap(n int) Option {
 // drain-instant snapshot is exposed live on the server's /metrics
 // endpoint. Requires a cluster built WithTelemetry.
 func WithExporter(x *obs.Exporter) Option {
-	return func(s *Server) { s.exporter = x }
+	return func(s *Server) { s.stack.Exporter = x }
 }
 
 // WithFlight attaches the flight recorder so anomaly dumps (job
 // failures, tenant p95 breaches) accumulate live and are exposed on
 // /flight. Requires a cluster built WithTelemetry. The recorder is
-// not itself thread-safe; the server serializes scheduler-side writes
-// against HTTP-side reads.
+// not itself thread-safe; the server's observer stack serializes
+// scheduler-side writes against HTTP-side reads.
 func WithFlight(f *obs.FlightRecorder) Option {
-	return func(s *Server) { s.flight = f }
+	return func(s *Server) { s.stack.Flight = f }
 }
 
 // WithSLO attaches an SLO evaluator: every event and drain-instant
@@ -106,10 +103,10 @@ func WithFlight(f *obs.FlightRecorder) Option {
 // its alert and budget state feeds /health, and — when WithFlight —
 // a budget exhaustion triggers a flight-recorder dump. Requires a
 // cluster built WithTelemetry. The evaluator is not itself
-// thread-safe; the server serializes scheduler-side writes against
-// HTTP-side reads.
+// thread-safe; the server's observer stack serializes scheduler-side
+// writes against HTTP-side reads.
 func WithSLO(ev *slo.Evaluator) Option {
-	return func(s *Server) { s.slo = ev }
+	return func(s *Server) { s.stack.SLO = ev }
 }
 
 // WithSLOMeta sets the provenance block /slo reports (run label, seed,
@@ -138,10 +135,12 @@ type Server struct {
 	sess     *cluster.Session
 	queueCap int
 	batchCap int
-	exporter *obs.Exporter
-	flight   *obs.FlightRecorder
-	slo      *slo.Evaluator
 	sloMeta  slo.Meta
+
+	// stack wires the exporter, flight recorder and SLO evaluator to
+	// the cluster's recorder and serializes the run loop's writes
+	// against HTTP reads (/flight, /slo, /health, the /metrics aux).
+	stack slo.Observers
 
 	frontier chan submitReq
 	stop     chan struct{} // closed by Drain once no submitter is in flight
@@ -157,20 +156,6 @@ type Server struct {
 	stopping   bool
 	idle       chan struct{} // closed when stopping && inflight == 0
 	idleClosed bool
-
-	// flightMu serializes the run loop's flight-recorder writes
-	// against HTTP reads (obs.FlightRecorder is not thread-safe).
-	flightMu sync.Mutex
-
-	// sloMu serializes the run loop's SLO-evaluator writes against
-	// HTTP reads (/slo, /health, the /metrics aux fragment), and
-	// guards the latest drain-instant snapshot /health judges device
-	// saturation from. Writers take sloMu before flightMu (the
-	// exhaustion hook fires inside an OnMetrics); readers take each
-	// alone.
-	sloMu    sync.Mutex
-	lastSnap telemetry.MetricsSnapshot
-	snapSeen bool
 
 	// subMu guards the subscriber set and the recorded batches; both
 	// are written by the run loop and read from caller goroutines.
@@ -212,59 +197,11 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	if s.batchCap < 0 {
 		return nil, fmt.Errorf("serve: negative batch cap %d", s.batchCap)
 	}
-	if (s.exporter != nil || s.flight != nil || s.slo != nil) && !c.Telemetry().Enabled() {
-		return nil, fmt.Errorf("serve: metrics/flight/slo require a cluster built WithTelemetry")
-	}
-	if s.exporter != nil || s.flight != nil || s.slo != nil {
-		x, f, ev, rec := s.exporter, s.flight, s.slo, c.Telemetry()
-		if ev != nil && f != nil {
-			// A spent budget dumps the ring: the hook fires inside an
-			// sloMu-held OnMetrics, so the sloMu → flightMu order here
-			// is the writers' fixed order.
-			ev.SetOnExhausted(func(o slo.Objective, now sim.Time) {
-				s.flightMu.Lock()
-				f.Trigger(fmt.Sprintf("slo %q (tenant %q) error budget exhausted", o.Name, o.TenantLabel()), now)
-				s.flightMu.Unlock()
-			})
+	if st := &s.stack; st.Exporter != nil || st.Flight != nil || st.SLO != nil {
+		if !c.Telemetry().Enabled() {
+			return nil, fmt.Errorf("serve: metrics/flight/slo require a cluster built WithTelemetry")
 		}
-		if ev != nil && x != nil {
-			x.SetAux(func(w io.Writer) error {
-				s.sloMu.Lock()
-				defer s.sloMu.Unlock()
-				return ev.WriteOpenMetrics(w)
-			})
-		}
-		if f != nil || ev != nil {
-			rec.SetOnEvent(func(e telemetry.Event) {
-				if ev != nil {
-					s.sloMu.Lock()
-					ev.OnEvent(e)
-					s.sloMu.Unlock()
-				}
-				if f != nil {
-					s.flightMu.Lock()
-					f.OnEvent(e)
-					s.flightMu.Unlock()
-				}
-			})
-		}
-		rec.SetOnMetrics(func(m telemetry.MetricsSnapshot) {
-			if x != nil {
-				x.Observe(m)
-			}
-			s.sloMu.Lock()
-			if ev != nil {
-				ev.OnMetrics(m)
-			}
-			s.lastSnap = m
-			s.snapSeen = true
-			s.sloMu.Unlock()
-			if f != nil {
-				s.flightMu.Lock()
-				f.OnMetrics(m)
-				s.flightMu.Unlock()
-			}
-		})
+		st.Attach(c.Telemetry())
 	}
 	s.frontier = make(chan submitReq, s.queueCap)
 	sess, err := c.NewSession(s.fanout)
@@ -548,25 +485,21 @@ func (s *Server) Err() error {
 // verbs with 405.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if s.exporter != nil {
-		mux.Handle("GET /metrics", s.exporter)
+	if s.stack.Exporter != nil {
+		mux.Handle("GET /metrics", s.stack.Exporter)
 	}
-	if s.flight != nil {
+	if s.stack.Flight != nil {
 		mux.HandleFunc("GET /flight", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			s.flightMu.Lock()
-			defer s.flightMu.Unlock()
-			if err := s.flight.WriteText(w); err != nil {
+			if err := s.stack.WriteFlight(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
 	}
-	if s.slo != nil {
+	if s.stack.SLO != nil {
 		mux.HandleFunc("GET /slo", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			s.sloMu.Lock()
-			defer s.sloMu.Unlock()
-			if err := s.slo.WriteJSON(w, s.sloMeta); err != nil {
+			if err := s.stack.WriteSLO(w, s.sloMeta); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
@@ -601,24 +534,20 @@ func (s *Server) health() (status string, reasons []string) {
 		reasons = append(reasons, "run-error: "+strings.ReplaceAll(err.Error(), "\n", " "))
 	}
 	var degraded []string
-	s.sloMu.Lock()
-	if s.slo != nil {
-		for _, name := range s.slo.Exhausted() {
-			reasons = append(reasons, "slo-budget-exhausted: "+name)
-		}
-		for _, name := range s.slo.Alerting() {
-			degraded = append(degraded, "slo-alert: "+name)
-		}
+	exhausted, alerting, snap := s.stack.Health()
+	for _, name := range exhausted {
+		reasons = append(reasons, "slo-budget-exhausted: "+name)
 	}
-	snap, seen := s.lastSnap, s.snapSeen
-	s.sloMu.Unlock()
+	for _, name := range alerting {
+		degraded = append(degraded, "slo-alert: "+name)
+	}
 	if len(reasons) > 0 {
 		return "unhealthy", append(reasons, degraded...)
 	}
 	if occ := len(s.frontier); occ*10 >= s.queueCap*9 {
 		degraded = append(degraded, fmt.Sprintf("ingest-backpressure: frontier %d/%d", occ, s.queueCap))
 	}
-	if seen && len(snap.Devices) > 0 {
+	if snap != nil && len(snap.Devices) > 0 {
 		saturated := 0
 		for i := range snap.Devices {
 			if snap.Devices[i].Utilization > 0.95 {

@@ -120,12 +120,11 @@ type jobState struct {
 
 // Evaluator consumes the telemetry stream and maintains every
 // objective's budget, burn rates, alerts and violations. It is a pure
-// consumer: wire it to a recorder with Attach (claiming both observer
-// slots) or call OnEvent/OnMetrics from composite hooks, and nothing
-// it computes feeds back into a scheduling decision.
+// consumer: wire it to a recorder through Observers, and nothing it
+// computes feeds back into a scheduling decision.
 //
-// Like the flight recorder it is not itself thread-safe: the serve
-// layer serializes scheduler-side writes against HTTP-side reads.
+// Like the flight recorder it is not itself thread-safe: Observers
+// serializes the run's writes against live reads.
 type Evaluator struct {
 	spec     Spec
 	objs     []*objState
@@ -166,18 +165,9 @@ func (ev *Evaluator) Spec() Spec { return ev.spec }
 
 // SetOnExhausted installs the budget-exhaustion hook, fired once per
 // objective at the drain instant its budget crosses zero — the seam
-// the cluster layers use to trigger the flight recorder so the ring
-// captures the breach neighborhood.
+// Observers uses to trigger the flight recorder so the ring captures
+// the breach neighborhood.
 func (ev *Evaluator) SetOnExhausted(fn func(Objective, sim.Time)) { ev.onExhausted = fn }
-
-// Attach subscribes the evaluator to a recorder's hooks. It claims
-// both observer slots; to share them with other consumers (exporter,
-// flight recorder), install composite hooks calling OnEvent and
-// OnMetrics directly.
-func (ev *Evaluator) Attach(rec *telemetry.Recorder) {
-	rec.SetOnEvent(ev.OnEvent)
-	rec.SetOnMetrics(ev.OnMetrics)
-}
 
 // OnEvent consumes one telemetry event: admissions of judged tenants
 // open per-job tracking, completions are judged against the tenant's

@@ -117,7 +117,7 @@ func writeObjective(jw *obs.TextSink, st *objState) {
 
 // WriteOpenMetrics renders the mic_slo_* families in the OpenMetrics
 // text exposition format, WITHOUT the trailing # EOF marker — the
-// fragment plugs into an obs.Exporter via SetAux, joining the
+// fragment Observers plugs into the exporter's aux seam, joining the
 // micstream_* families in one exposition.
 func (ev *Evaluator) WriteOpenMetrics(w io.Writer) error {
 	jw := &obs.TextSink{W: w}

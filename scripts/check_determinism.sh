@@ -22,9 +22,11 @@
 # telemetry,obs,slo}, non-test files (tests may use wall clocks for timeouts and maps for
 # assertions).
 #
-# A dynamic check rides along: two back-to-back `miccluster -slo`
-# runs of the same seed must write byte-identical SLO reports — the
-# artifact-level determinism the static lint protects.
+# A dynamic check rides along: two back-to-back `miccluster -slo
+# -flight` runs of the same seed must write byte-identical SLO reports
+# and flight reports — the artifact-level determinism the static lint
+# protects. The flight ring is fed through the observer stack, whose
+# budget-exhaustion trigger must land in the report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,9 +93,10 @@ if [ "$status" -ne 0 ]; then
   exit 1
 fi
 
-# Byte-identity of the SLO artifact: same seed, same spec, two runs,
-# one diff. Catches any nondeterminism the static lint's scope misses
-# (float formatting, map order in a rendered report, hidden clocks).
+# Byte-identity of the SLO and flight artifacts: same seed, same spec,
+# two runs, one diff each. Catches any nondeterminism the static
+# lint's scope misses (float formatting, map order in a rendered
+# report, hidden clocks, observer fan-out order).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cat > "$tmp/spec.json" <<'EOF'
@@ -102,12 +105,24 @@ cat > "$tmp/spec.json" <<'EOF'
   {"tenant": "B", "name": "b-deadline", "kind": "deadline", "target": 0.8, "threshold": "2ms"}
 ]}
 EOF
-go run ./cmd/miccluster -njobs=24 -seed=3 -slo "$tmp/spec.json" -slo-json "$tmp/SLO_a.json" > /dev/null
-go run ./cmd/miccluster -njobs=24 -seed=3 -slo "$tmp/spec.json" -slo-json "$tmp/SLO_b.json" > /dev/null
+for run in a b; do
+  go run ./cmd/miccluster -njobs=24 -seed=3 -slo "$tmp/spec.json" -slo-json "$tmp/SLO_$run.json" \
+    -flight "$tmp/flight_$run.txt" -flight-p95=1ms > /dev/null
+done
 if ! cmp -s "$tmp/SLO_a.json" "$tmp/SLO_b.json"; then
   echo "check_determinism: FAILED — back-to-back SLO reports differ:" >&2
   diff "$tmp/SLO_a.json" "$tmp/SLO_b.json" >&2 || true
   exit 1
 fi
+if ! cmp -s "$tmp/flight_a.txt" "$tmp/flight_b.txt"; then
+  echo "check_determinism: FAILED — back-to-back flight reports differ:" >&2
+  diff "$tmp/flight_a.txt" "$tmp/flight_b.txt" >&2 || true
+  exit 1
+fi
+if ! grep -q 'error budget exhausted' "$tmp/flight_a.txt"; then
+  echo "check_determinism: FAILED — no budget-exhaustion dump in the flight report:" >&2
+  cat "$tmp/flight_a.txt" >&2
+  exit 1
+fi
 
-echo "check_determinism: ok (no wall-clock reads, all map iterations ordered or annotated, SLO reports byte-identical)"
+echo "check_determinism: ok (no wall-clock reads, all map iterations ordered or annotated, SLO and flight reports byte-identical)"
