@@ -10,7 +10,7 @@ import (
 // Service mode (DESIGN.md §15): the batch cluster refactored into a
 // long-running server. A ClusterServer owns a persistent
 // ClusterSession, ingests jobs concurrently from any number of
-// goroutines through a channel-based admission frontier, streams
+// goroutines through a mutex-guarded admission queue, streams
 // per-job outcomes to subscribers as they complete, and serves the
 // OpenMetrics exporter and flight recorder live. Wall-clock time
 // decides only which epoch batch a job lands in; everything after
@@ -68,9 +68,8 @@ func ReplayBatches(c *Cluster, batches []ServeBatch, onOutcome func(ClusterOutco
 	return serve.Replay(c, batches, onOutcome)
 }
 
-// WithServeQueueCap sets the admission frontier's capacity (default
-// 256): how many jobs may sit between the submitters and the run loop
-// before Submit blocks.
+// WithServeQueueCap sets the admission queue's capacity (default
+// 256): how many jobs may wait for the run loop before Submit blocks.
 func WithServeQueueCap(n int) ServeOption { return serve.WithQueueCap(n) }
 
 // WithServeBatchCap caps how many jobs one epoch admits (default

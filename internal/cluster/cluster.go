@@ -553,37 +553,46 @@ func (c *Cluster) ensureStaging(n int) *hstreams.Buffer {
 // Run entry point and the session's per-batch Submit.
 func (c *Cluster) validate(jobs []Job) error {
 	for i := range jobs {
-		j := &jobs[i]
-		if len(j.Tasks) == 0 {
-			return fmt.Errorf("cluster: job %d (tenant %q) has no tasks", j.ID, j.Tenant)
+		if err := c.ValidateJob(&jobs[i]); err != nil {
+			return err
 		}
-		for k, task := range j.Tasks {
-			if task == nil {
-				return fmt.Errorf("cluster: job %d (tenant %q) has nil task %d", j.ID, j.Tenant, k)
-			}
+	}
+	return nil
+}
+
+// ValidateJob reports the error a Run or Session.Submit would reject
+// the job with, or nil. It reads only configuration fixed by New, so
+// it is safe to call from any goroutine while a session runs.
+func (c *Cluster) ValidateJob(j *Job) error {
+	if len(j.Tasks) == 0 {
+		return fmt.Errorf("cluster: job %d (tenant %q) has no tasks", j.ID, j.Tenant)
+	}
+	for k, task := range j.Tasks {
+		if task == nil {
+			return fmt.Errorf("cluster: job %d (tenant %q) has nil task %d", j.ID, j.Tenant, k)
 		}
-		if j.Arrival < 0 {
-			return fmt.Errorf("cluster: job %d has negative arrival %v", j.ID, j.Arrival)
-		}
-		if j.Origin >= len(c.scheds) {
-			return fmt.Errorf("cluster: job %d origin device %d out of range [0,%d)", j.ID, j.Origin, len(c.scheds))
-		}
-		if j.StagingBytes < 0 {
-			return fmt.Errorf("cluster: job %d has negative staging volume %d", j.ID, j.StagingBytes)
-		}
-		if j.Deadline < 0 {
-			return fmt.Errorf("cluster: job %d has negative deadline %v", j.ID, j.Deadline)
-		}
-		if err := residency.Validate(j.Reads); err != nil {
-			return fmt.Errorf("cluster: job %d reads: %w", j.ID, err)
-		}
-		if err := residency.Validate(j.Writes); err != nil {
-			return fmt.Errorf("cluster: job %d writes: %w", j.ID, err)
-		}
-		if c.sliceMax > 0 {
-			if err := sched.Sliceable(j.Tasks); err != nil {
-				return fmt.Errorf("cluster: job %d (tenant %q): %w", j.ID, j.Tenant, err)
-			}
+	}
+	if j.Arrival < 0 {
+		return fmt.Errorf("cluster: job %d has negative arrival %v", j.ID, j.Arrival)
+	}
+	if j.Origin >= len(c.scheds) {
+		return fmt.Errorf("cluster: job %d origin device %d out of range [0,%d)", j.ID, j.Origin, len(c.scheds))
+	}
+	if j.StagingBytes < 0 {
+		return fmt.Errorf("cluster: job %d has negative staging volume %d", j.ID, j.StagingBytes)
+	}
+	if j.Deadline < 0 {
+		return fmt.Errorf("cluster: job %d has negative deadline %v", j.ID, j.Deadline)
+	}
+	if err := residency.Validate(j.Reads); err != nil {
+		return fmt.Errorf("cluster: job %d reads: %w", j.ID, err)
+	}
+	if err := residency.Validate(j.Writes); err != nil {
+		return fmt.Errorf("cluster: job %d writes: %w", j.ID, err)
+	}
+	if c.sliceMax > 0 {
+		if err := sched.Sliceable(j.Tasks); err != nil {
+			return fmt.Errorf("cluster: job %d (tenant %q): %w", j.ID, j.Tenant, err)
 		}
 	}
 	return nil

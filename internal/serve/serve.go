@@ -1,8 +1,8 @@
 // Package serve turns the batch cluster into a long-running service:
 // a Server owns a persistent cluster.Session and ingests jobs
-// concurrently from many goroutines through a channel-based admission
-// frontier, batching whatever has arrived by each epoch boundary into
-// the next admitted batch.
+// concurrently from many goroutines through a mutex-guarded admission
+// queue (the frontier), batching whatever has arrived by each epoch
+// boundary into the next admitted batch.
 //
 // This is the one layer of the system where wall-clock time exists,
 // and it crosses exactly one boundary: *which batch a job lands in*.
@@ -16,13 +16,13 @@
 // server debuggable: any live incident is a saved []Batch away from a
 // deterministic reproduction.
 //
-// The frontier also keeps the no-loss/no-duplication contract under
-// racing drains: Submit holds an in-flight guard while it hands its
-// job to the run loop, Drain refuses new entries and waits for the
-// in-flight count to reach zero before signalling the loop, and the
-// loop then empties the frontier into final epochs before exiting —
-// every job either receives a cluster index and a terminal Outcome,
-// or its Submit returns ErrStopped having admitted nothing.
+// Submit takes a ticket and queues its job under one lock; tickets are
+// handed out and admitted in queue order, so a job's ticket is its
+// cluster index. The same lock keeps the no-loss/no-duplication
+// contract under racing drains: Drain flips the queue to stopping, a
+// Submit that has not queued its job by then returns ErrStopped having
+// admitted nothing, and the loop exits only once the queue is empty —
+// every queued job receives its cluster index and a terminal Outcome.
 package serve
 
 import (
@@ -67,9 +67,8 @@ type Stats struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithQueueCap sets the admission frontier's channel capacity
-// (default 256): how many jobs may sit between the submitters and the
-// run loop before Submit blocks.
+// WithQueueCap sets the admission queue's capacity (default 256): how
+// many jobs may wait for the run loop before Submit blocks.
 func WithQueueCap(n int) Option {
 	return func(s *Server) { s.queueCap = n }
 }
@@ -115,21 +114,10 @@ func WithSLOMeta(m slo.Meta) Option {
 	return func(s *Server) { s.sloMeta = m }
 }
 
-// submitReq is one job crossing the frontier, with the reply channel
-// its submitter blocks on.
-type submitReq struct {
-	job   cluster.Job
-	reply chan submitRes
-}
-
-type submitRes struct {
-	idx int
-	err error
-}
-
 // Server is the long-running service: one goroutine (the run loop)
 // owns the cluster session and the virtual clock; any number of
-// goroutines submit through the frontier and consume subscriptions.
+// goroutines submit through the admission queue and consume
+// subscriptions.
 type Server struct {
 	c        *cluster.Cluster
 	sess     *cluster.Session
@@ -142,20 +130,19 @@ type Server struct {
 	// against HTTP reads (/flight, /slo, /health, the /metrics aux).
 	stack slo.Observers
 
-	frontier chan submitReq
-	stop     chan struct{} // closed by Drain once no submitter is in flight
-	stopOnce sync.Once
+	// mu guards the admission queue. Ticket t is the t-th job queued;
+	// the loop admits from the head, so tickets below admitted hold
+	// cluster indices. Once the session rejects a batch (it has
+	// failed), subErr is set and no later ticket lands.
+	mu       sync.Mutex
+	work     sync.Cond // wakes the loop: a job queued or a drain begun
+	moved    sync.Cond // wakes submitters: a batch admitted or refused, or a drain begun
+	queue    []cluster.Job
+	next     int
+	admitted int
+	subErr   error
+	stopping bool
 	loopDone chan struct{} // closed when the run loop has exited
-
-	// gate serializes Submit entries against the drain decision: a
-	// drain only signals the run loop after every in-flight Submit has
-	// finished handing its job to the frontier, so the final backlog
-	// sweep cannot race a send.
-	gate       sync.Mutex
-	inflight   int
-	stopping   bool
-	idle       chan struct{} // closed when stopping && inflight == 0
-	idleClosed bool
 
 	// subMu guards the subscriber set and the recorded batches; both
 	// are written by the run loop and read from caller goroutines.
@@ -183,11 +170,10 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	s := &Server{
 		c:        c,
 		queueCap: 256,
-		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
-		idle:     make(chan struct{}),
 		start:    time.Now(),
 	}
+	s.work.L, s.moved.L = &s.mu, &s.mu
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -203,7 +189,6 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 		}
 		st.Attach(c.Telemetry())
 	}
-	s.frontier = make(chan submitReq, s.queueCap)
 	sess, err := c.NewSession(s.fanout)
 	if err != nil {
 		return nil, err
@@ -213,130 +198,93 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Submit hands one job to the admission frontier and blocks until the
-// run loop admits it into an epoch, returning the job's cluster index
-// (the key its Outcome carries in the subscription stream). The job's
-// Arrival is ignored: service-mode jobs arrive at the epoch boundary
-// that admits them. Safe for any number of concurrent callers; after
-// a drain has begun it returns ErrStopped without admitting.
+// Submit queues one job and blocks until the run loop admits it into
+// an epoch, returning the job's cluster index (the key its Outcome
+// carries in the subscription stream). The job's Arrival is ignored:
+// service-mode jobs arrive at the epoch boundary that admits them. A
+// malformed job gets its validation error in the caller's goroutine
+// without taking a ticket, so it never holds up its batchmates. Submit
+// blocks while WithQueueCap jobs wait; once a drain has begun, a job
+// not yet queued returns ErrStopped without admitting. After a
+// scheduling error the session admits nothing more, and Submit returns
+// that error. Safe for any number of concurrent callers.
 func (s *Server) Submit(job cluster.Job) (int, error) {
-	if !s.enter() {
+	job.Arrival = 0
+	if err := s.c.ValidateJob(&job); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopping && len(s.queue) >= s.queueCap {
+		s.moved.Wait()
+	}
+	if s.stopping {
 		return 0, ErrStopped
 	}
-	reply := make(chan submitRes, 1)
-	s.frontier <- submitReq{job: job, reply: reply}
-	s.exit()
-	res := <-reply
-	return res.idx, res.err
-}
-
-func (s *Server) enter() bool {
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	if s.stopping {
-		return false
+	ticket := s.next
+	s.next++
+	s.queue = append(s.queue, job)
+	s.work.Signal()
+	for ticket >= s.admitted && s.subErr == nil {
+		s.moved.Wait()
 	}
-	s.inflight++
-	return true
-}
-
-func (s *Server) exit() {
-	s.gate.Lock()
-	s.inflight--
-	if s.stopping && s.inflight == 0 && !s.idleClosed {
-		s.idleClosed = true
-		close(s.idle)
+	if ticket >= s.admitted {
+		return 0, s.subErr
 	}
-	s.gate.Unlock()
+	return ticket, nil
 }
 
-// loop is the run loop: gather a batch from the frontier, admit it at
-// the current epoch boundary, run the epoch to quiescence (outcomes
-// fan out from inside the cascade), repeat. On stop it sweeps the
-// remaining backlog into final epochs and closes the subscriptions.
+// loop is the run loop: take up to WithBatchCap jobs from the queue
+// head, admit them at the current epoch boundary, run the epoch to
+// quiescence (outcomes fan out from inside the cascade), repeat. Once
+// draining, it exits on the first empty queue and closes the
+// subscriptions.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	defer s.closeSubs()
 	for {
-		var batch []submitReq
-		select {
-		case req := <-s.frontier:
-			batch = append(batch, req)
-		case <-s.stop:
-			// No submitter is mid-send anymore (Drain waited out the
-			// in-flight count), so the frontier holds a finite
-			// backlog: sweep it into final epochs and exit.
-			for {
-				select {
-				case req := <-s.frontier:
-					batch = append(batch, req)
-					if s.batchCap > 0 && len(batch) >= s.batchCap {
-						s.runBatch(batch)
-						batch = nil
-					}
-				default:
-					if len(batch) > 0 {
-						s.runBatch(batch)
-					}
-					return
-				}
-			}
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.stopping {
+			s.work.Wait()
 		}
-		// Opportunistic gather: whatever else already crossed the
-		// frontier joins this epoch, up to the batch cap.
-	gather:
-		for s.batchCap == 0 || len(batch) < s.batchCap {
-			select {
-			case req := <-s.frontier:
-				batch = append(batch, req)
-			default:
-				break gather
-			}
+		n := len(s.queue)
+		if n == 0 {
+			s.mu.Unlock()
+			return
 		}
+		if s.batchCap > 0 && n > s.batchCap {
+			n = s.batchCap
+		}
+		batch := s.queue[:n:n]
+		s.queue = s.queue[n:]
+		s.mu.Unlock()
 		s.runBatch(batch)
 	}
 }
 
-// runBatch admits one gathered batch at the current epoch boundary,
-// replies to every submitter with its cluster index, records the
-// admitted jobs for replay, and runs the epoch.
-func (s *Server) runBatch(reqs []submitReq) {
-	jobs := make([]cluster.Job, len(reqs))
-	for i, r := range reqs {
-		jobs[i] = r.job
-		jobs[i].Arrival = 0 // arrivals are the boundary's virtual instant
-	}
-	admitted := 0
-	if base, err := s.sess.Submit(jobs); err == nil {
+// runBatch admits one batch at the current epoch boundary, records it
+// for replay, releases its submitters and runs the epoch. Every job
+// was validated by its submitter, so the session rejects a batch only
+// once it has failed.
+func (s *Server) runBatch(jobs []cluster.Job) {
+	_, err := s.sess.Submit(jobs)
+	if err == nil {
 		s.record(Batch{Jobs: jobs})
-		admitted = len(jobs)
-		for i, r := range reqs {
-			r.reply <- submitRes{idx: base + i}
-		}
-	} else {
-		// The batch failed as a unit (one malformed job rejects a
-		// whole Submit). Fall back to per-job admission — batches
-		// stack at one boundary — so innocent jobs still land and the
-		// bad ones carry their own error back to their submitters.
-		kept := make([]cluster.Job, 0, len(jobs))
-		for i, r := range reqs {
-			base, jerr := s.sess.Submit(jobs[i : i+1])
-			if jerr != nil {
-				r.reply <- submitRes{err: jerr}
-				continue
-			}
-			kept = append(kept, jobs[i])
-			r.reply <- submitRes{idx: base}
-		}
-		if len(kept) == 0 {
-			return
-		}
-		s.record(Batch{Jobs: kept})
-		admitted = len(kept)
+		s.statMu.Lock()
+		s.submitted += len(jobs)
+		s.statMu.Unlock()
 	}
-	s.statMu.Lock()
-	s.submitted += admitted
-	s.statMu.Unlock()
+	s.mu.Lock()
+	if err == nil {
+		s.admitted += len(jobs)
+	} else if s.subErr == nil {
+		s.subErr = err
+	}
+	s.moved.Broadcast()
+	s.mu.Unlock()
+	if err != nil {
+		return
+	}
 	if _, err := s.sess.RunEpoch(); err != nil && s.runErr == nil {
 		s.runErr = err
 	}
@@ -421,37 +369,26 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Drain stops admission and waits for the server to go quiet: no new
-// Submit may enter, every in-flight Submit finishes handing over its
-// job, the run loop sweeps the frontier backlog into final epochs,
-// streams the last outcomes, closes the subscriptions and exits. The
-// deadline bounds each wait; on timeout the server keeps draining in
-// the background and a later Drain call can re-await it. Idempotent;
-// returns the session's first scheduling error, if any.
+// Drain stops admission and waits for the server to go quiet: no job
+// may join the queue, the run loop admits the queued backlog in final
+// epochs, streams the last outcomes, closes the subscriptions and
+// exits. On timeout the server keeps draining in the background and a
+// later Drain call can re-await it. Idempotent; returns the session's
+// first scheduling error, if any.
 func (s *Server) Drain(timeout time.Duration) error {
-	s.gate.Lock()
-	if !s.stopping {
-		s.stopping = true
-		if s.inflight == 0 && !s.idleClosed {
-			s.idleClosed = true
-			close(s.idle)
-		}
-	}
-	s.gate.Unlock()
+	s.mu.Lock()
+	s.stopping = true
+	s.work.Signal()
+	s.moved.Broadcast()
+	s.mu.Unlock()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	select {
-	case <-s.idle:
-	case <-deadline.C:
-		return fmt.Errorf("serve: drain deadline exceeded waiting for in-flight submitters")
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	select {
 	case <-s.loopDone:
+		return s.runErr
 	case <-deadline.C:
 		return fmt.Errorf("serve: drain deadline exceeded waiting for the backlog to finish")
 	}
-	return s.runErr
 }
 
 // Result summarizes everything the server ran — the same aggregate
@@ -526,7 +463,7 @@ func (s *Server) Handler() http.Handler {
 
 // health rolls the server's signals into one verdict: unhealthy (503)
 // on a scheduling error or an exhausted error budget, degraded on a
-// live burn-rate alert, a near-full admission frontier, or full device
+// live burn-rate alert, a near-full admission queue, or full device
 // saturation at the last drain instant, else ready. The reasons list
 // every contributing signal, worst first.
 func (s *Server) health() (status string, reasons []string) {
@@ -544,7 +481,10 @@ func (s *Server) health() (status string, reasons []string) {
 	if len(reasons) > 0 {
 		return "unhealthy", append(reasons, degraded...)
 	}
-	if occ := len(s.frontier); occ*10 >= s.queueCap*9 {
+	s.mu.Lock()
+	occ := len(s.queue)
+	s.mu.Unlock()
+	if occ*10 >= s.queueCap*9 {
 		degraded = append(degraded, fmt.Sprintf("ingest-backpressure: frontier %d/%d", occ, s.queueCap))
 	}
 	if snap != nil && len(snap.Devices) > 0 {

@@ -262,6 +262,42 @@ func TestLifecycleEdges(t *testing.T) {
 	}
 }
 
+// badPlacement picks a device index no cluster has, so the first epoch
+// fails with a scheduling error.
+type badPlacement struct{}
+
+func (badPlacement) Name() string                                    { return "bad" }
+func (badPlacement) Place(*cluster.Queued, []cluster.DeviceView) int { return 99 }
+
+// After a scheduling error the session admits nothing more: the failed
+// epoch's job streams as Failed, the next Submit returns the session's
+// error without an index, and Drain reports the error. The loop runs
+// epochs in order, so the second Submit reaches the session only after
+// the first epoch has failed.
+func TestSubmitAfterSessionFailure(t *testing.T) {
+	s, err := New(newCluster(t, cluster.WithPlacement(badPlacement{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := s.Subscribe()
+	if idx, err := s.Submit(ingestJob(1)); err != nil || idx != 0 {
+		t.Fatalf("first submit = (%d, %v), want (0, nil)", idx, err)
+	}
+	if o, ok := sub.Next(); !ok || o.ID != 1 || !o.Failed {
+		t.Fatalf("first outcome = %+v (ok %v), want job 1 failed", o, ok)
+	}
+	idx, err := s.Submit(ingestJob(2))
+	if err == nil || !strings.Contains(err.Error(), "out of range") || idx != 0 {
+		t.Fatalf("submit after failure = (%d, %v), want the session's out-of-range error", idx, err)
+	}
+	if err := s.Drain(10 * time.Second); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Drain = %v, want the session's out-of-range error", err)
+	}
+	if outs := drainAll(sub); len(outs) != 0 {
+		t.Fatalf("outcomes after the failed epoch = %+v, want none", outs)
+	}
+}
+
 // The live observability surface: /metrics serves OpenMetrics
 // exposition from the drain-instant snapshots, /flight the anomaly
 // dumps, /stats the ingest counters — all readable while the run loop
