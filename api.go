@@ -56,7 +56,11 @@ type (
 	TransferSpec = core.TransferSpec
 	// Result summarizes a run (wall time, GFLOPS, overlap metrics).
 	Result = core.Result
-	// PhaseEvents indexes the completion events of an enqueued phase.
+	// PhaseEvents indexes the completion events of an enqueued phase
+	// by task ID: Kernel(id) is the task's kernel-completion event and
+	// Done(id) its final event, both nil for an ID not in the phase.
+	// IDs 0..n-1 index a slice; negative or far larger IDs are kept
+	// in a map made only when one appears.
 	PhaseEvents = core.PhaseEvents
 	// SearchSpace is a (partitions × tiles) tuning space.
 	SearchSpace = core.SearchSpace

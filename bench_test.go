@@ -29,6 +29,7 @@ func benchFigure(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
+	b.ReportAllocs()
 	var rows int
 	for i := 0; i < b.N; i++ {
 		t, err := g()

@@ -94,7 +94,7 @@ func TestFacadeCrossDeviceStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Barrier()
-	if !ev.Done[1].Done() {
+	if !ev.Done(1).Done() {
 		t.Fatal("consumer never finished")
 	}
 	want := float64(127*128) / 2

@@ -41,13 +41,13 @@ func TestEnqueuePhaseRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Barrier()
-	if len(ev.Kernel) != 8 || len(ev.Done) != 8 {
-		t.Fatalf("events: %d kernel, %d done; want 8 each", len(ev.Kernel), len(ev.Done))
-	}
-	for id, e := range ev.Done {
-		if !e.Done() {
+	for id := 0; id < 8; id++ {
+		if ev.Kernel(id) == nil || !ev.Done(id).Done() {
 			t.Fatalf("task %d not completed", id)
 		}
+	}
+	if ev.Kernel(8) != nil || ev.Done(-1) != nil {
+		t.Fatal("events reported for a task not in the phase")
 	}
 }
 
@@ -65,10 +65,10 @@ func TestStreamHintPinsTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Barrier()
-	if ev.Done[1].CompletedAt() <= ev.Done[0].CompletedAt() {
+	if ev.Done(1).CompletedAt() <= ev.Done(0).CompletedAt() {
 		t.Fatal("pinned tasks did not serialize")
 	}
-	if ev.Done[2].CompletedAt() != ev.Done[0].CompletedAt() {
+	if ev.Done(2).CompletedAt() != ev.Done(0).CompletedAt() {
 		t.Fatal("task on different partition should finish with task 0")
 	}
 }
@@ -85,7 +85,7 @@ func TestDependencyGatesKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Barrier()
-	if ev.Kernel[1].CompletedAt() <= ev.Kernel[0].CompletedAt() {
+	if ev.Kernel(1).CompletedAt() <= ev.Kernel(0).CompletedAt() {
 		t.Fatal("dependent kernel ran concurrently with its dependency")
 	}
 }
@@ -114,7 +114,7 @@ func TestGatedTransferWaitsForProducer(t *testing.T) {
 	c.Barrier()
 	// Consumer kernel must start after producer's D2H plus its own
 	// H2D: strictly after producer completion plus one transfer.
-	gap := ev.Kernel[1].CompletedAt().Sub(ev.Done[0].CompletedAt())
+	gap := ev.Kernel(1).CompletedAt().Sub(ev.Done(0).CompletedAt())
 	if gap < c.Config().Link.TransferTime(buf.Bytes()) {
 		t.Fatalf("consumer not gated on producer: gap %v", gap)
 	}
@@ -514,28 +514,50 @@ func TestHalfDuplexIdealBounds(t *testing.T) {
 }
 
 // A warm Phase enqueues a task without allocating the task, its lists
-// or map entries: a 256-task H2D+kernel+D2H phase costs only its share
-// of the context's event chunks, well under one heap object per task.
+// or its index entries: a 256-task H2D+kernel+D2H phase of IDs 0..255
+// costs exactly the context's event chunks, ⌈3·256/64⌉ = 12 heap
+// objects (hstreams hands out events 64 at a time). A phase of sparse
+// IDs, negative or far beyond the task count, reuses its map and keeps
+// its dense slice empty, so it costs at most the same.
 func TestPhaseAddAllocs(t *testing.T) {
 	const n = 256
+	const chunks = (3*n + 63) / 64
 	c := ctx(t, hstreams.Config{Partitions: 4})
 	buf := hstreams.AllocVirtual(c, "b", n, 4)
 	cost := device.KernelCost{Name: "k", Flops: 1e6}
-	var ph Phase
 	var in, out [1]TransferSpec
-	phase := func() {
-		ph.Reset(c, n)
-		for i := 0; i < n; i++ {
-			in[0], out[0] = Xfer(buf, i, 1), Xfer(buf, i, 1)
-			task := Task{ID: i, H2D: in[:], Cost: cost, D2H: out[:], StreamHint: -1}
-			if err := ph.Add(&task); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		id    func(i int) int
+		exact bool // the phase allocates exactly the chunks, not at most
+	}{
+		{"dense", func(i int) int { return i }, true},
+		{"sparse", func(i int) int {
+			if i%2 == 0 {
+				return -1 - i
 			}
+			return 1e9 + i
+		}, false},
+	} {
+		var ph Phase
+		phase := func() {
+			ph.Reset(c, n)
+			for i := 0; i < n; i++ {
+				in[0], out[0] = Xfer(buf, i, 1), Xfer(buf, i, 1)
+				task := Task{ID: tc.id(i), H2D: in[:], Cost: cost, D2H: out[:], StreamHint: -1}
+				if err := ph.Add(&task); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Barrier()
 		}
-		c.Barrier()
-	}
-	phase() // warm the maps and the engine's heap
-	if perTask := testing.AllocsPerRun(20, phase) / n; perTask >= 1 {
-		t.Fatalf("warm Phase allocated %.2f objects per task, want < 1", perTask)
+		phase() // warm the index and the engine's heap
+		got := testing.AllocsPerRun(20, phase)
+		if got > chunks || tc.exact && got != chunks {
+			t.Errorf("%s: warm Phase allocated %.2f objects, want %d (at most, if sparse)", tc.name, got, chunks)
+		}
+		if !tc.exact && len(ph.ev.dense) != 0 {
+			t.Errorf("sparse: %d dense slots in use, want none", len(ph.ev.dense))
+		}
 	}
 }

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"micstream/internal/device"
 	"micstream/internal/hstreams"
@@ -80,13 +81,66 @@ type Task struct {
 	TransferOnly bool
 }
 
-// PhaseEvents indexes the completion events of an enqueued phase.
+// PhaseEvents indexes the completion events of an enqueued phase by
+// task ID. Both events of a task sit in one entry. An ID in [0, limit),
+// where limit grows with the phase's size (see Phase.denseLimit), is
+// the entry's index in a dense slice; any other ID — negative, or far
+// beyond the phase's task count — goes to a map that exists only once
+// such an ID has appeared. The paper apps number their tasks densely,
+// and a scheduler slice carries its job's small task IDs, so neither
+// makes the map, while a phase with IDs {0, 1e9} holds two entries,
+// not a billion.
 type PhaseEvents struct {
-	// Kernel maps task ID to its kernel-completion event.
-	Kernel map[int]*hstreams.Event
-	// Done maps task ID to its final event (last D2H, or the kernel
-	// when the task has no outputs).
-	Done map[int]*hstreams.Event
+	dense  []taskEvents
+	sparse map[int]taskEvents
+}
+
+// taskEvents are one task's completion events; a nil kernel marks an
+// unused entry.
+type taskEvents struct{ kernel, done *hstreams.Event }
+
+// Kernel returns the kernel-completion event of task id, or nil if the
+// phase has no such task. A transfer-only task's is its last H2D.
+func (e *PhaseEvents) Kernel(id int) *hstreams.Event { return e.get(id).kernel }
+
+// Done returns the final event of task id (its last D2H, or the kernel
+// when it has no outputs), or nil if the phase has no such task.
+func (e *PhaseEvents) Done(id int) *hstreams.Event { return e.get(id).done }
+
+// get looks id up on whichever side of the dense/sparse split holds it.
+// An ID can reach the map while it lies beyond the limit and later fall
+// inside the grown limit, so an empty dense entry defers to the map.
+func (e *PhaseEvents) get(id int) taskEvents {
+	if uint(id) < uint(len(e.dense)) && e.dense[id].kernel != nil {
+		return e.dense[id]
+	}
+	return e.sparse[id]
+}
+
+// set records the events of a task new to the phase: in the dense
+// slice when 0 ≤ id < limit, otherwise in the map, made on first use.
+func (e *PhaseEvents) set(id, limit int, te taskEvents) {
+	if id < 0 || id >= limit {
+		if e.sparse == nil {
+			e.sparse = make(map[int]taskEvents)
+		}
+		e.sparse[id] = te
+		return
+	}
+	if id >= len(e.dense) {
+		// Slots past len are zero: reset clears what it truncates,
+		// and growth copies them into fresh storage.
+		e.dense = slices.Grow(e.dense, id+1-len(e.dense))[:id+1]
+	}
+	e.dense[id] = te
+}
+
+// reset empties the index, keeping its storage: it clears only the used
+// prefix of the dense slice, and the map if one was made.
+func (e *PhaseEvents) reset() {
+	clear(e.dense)
+	e.dense = e.dense[:0]
+	clear(e.sparse)
 }
 
 // Phase is the one enqueue path: it enqueues a phase's tasks one at a
@@ -100,30 +154,39 @@ type PhaseEvents struct {
 //
 // The zero Phase is ready for Reset, and Reset starts the next phase
 // on the same storage: a caller that enqueues phase after phase
-// allocates the event maps once.
+// allocates its event index once.
 type Phase struct {
-	ctx *hstreams.Context
-	ev  PhaseEvents
-	n   int // tasks added since Reset
-	rr  int // next round-robin stream
+	ctx  *hstreams.Context
+	ev   PhaseEvents
+	hint int // Reset's sizeHint
+	n    int // tasks added since Reset
+	rr   int // next round-robin stream
 
 	// deps and xdeps are Add's dependency scratch; hstreams reads a
 	// dependency list only during the enqueue call.
 	deps, xdeps []*hstreams.Event
 }
 
+// denseSlack is the part of the dense limit that does not scale with
+// the phase, so a small phase whose IDs start past zero — a scheduler
+// slice of a job's later tasks — still indexes densely.
+const denseSlack = 64
+
+// denseLimit bounds the IDs that the event index keeps in its dense
+// slice. It is derived from the phase's own size, the larger of
+// Reset's sizeHint and the tasks added so far, so the slice stays
+// within a constant factor of the phase however large its IDs.
+func (p *Phase) denseLimit() int { return 2*max(p.hint, p.n) + denseSlack }
+
 // Reset starts a phase on ctx, dropping the previous phase's events.
-// sizeHint, the expected task count, sizes the event maps when they are
-// first made.
+// sizeHint, the expected task count, sizes the event index and its
+// dense limit.
 func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
-	p.ctx, p.n, p.rr = ctx, 0, 0
-	if p.ev.Kernel == nil {
-		p.ev.Kernel = make(map[int]*hstreams.Event, sizeHint)
-		p.ev.Done = make(map[int]*hstreams.Event, sizeHint)
-		return
+	p.ctx, p.hint, p.n, p.rr = ctx, sizeHint, 0, 0
+	p.ev.reset()
+	if cap(p.ev.dense) < p.hint {
+		p.ev.dense = make([]taskEvents, 0, p.hint)
 	}
-	clear(p.ev.Kernel)
-	clear(p.ev.Done)
 }
 
 // Events returns the completion events of the tasks added since Reset.
@@ -137,7 +200,7 @@ func (p *Phase) Add(t *Task) error {
 	ev := &p.ev
 	i := p.n
 	p.n++
-	if _, dup := ev.Kernel[t.ID]; dup {
+	if ev.get(t.ID).kernel != nil {
 		return fmt.Errorf("core: duplicate task id %d", t.ID)
 	}
 	n := p.ctx.NumStreams()
@@ -153,8 +216,8 @@ func (p *Phase) Add(t *Task) error {
 	}
 	deps := p.deps[:0]
 	for _, d := range t.DependsOn {
-		kev, ok := ev.Kernel[d]
-		if !ok {
+		kev := ev.get(d).kernel
+		if kev == nil {
 			return fmt.Errorf("core: task %d depends on %d which is not enqueued yet (tasks %d positions in)", t.ID, d, i)
 		}
 		deps = append(deps, kev)
@@ -170,8 +233,8 @@ func (p *Phase) Add(t *Task) error {
 			xdeps = append(xdeps, deps...)
 		}
 		if x.AfterTask >= 0 {
-			gate, ok := ev.Done[x.AfterTask]
-			if !ok {
+			gate := ev.get(x.AfterTask).done
+			if gate == nil {
 				return fmt.Errorf("core: task %d H2D gated on %d which is not enqueued yet", t.ID, x.AfterTask)
 			}
 			xdeps = append(xdeps, gate)
@@ -192,12 +255,10 @@ func (p *Phase) Add(t *Task) error {
 		}
 		// Honour declared dependencies even without a kernel:
 		// a pathological graph could gate a pure transfer.
-		ev.Kernel[t.ID] = lastH2D
-		ev.Done[t.ID] = lastH2D
+		ev.set(t.ID, p.denseLimit(), taskEvents{lastH2D, lastH2D})
 		return nil
 	}
 	kev := s.EnqueueKernel(t.Cost, t.ID, t.Body, deps...)
-	ev.Kernel[t.ID] = kev
 	last := kev
 	for _, x := range t.D2H {
 		dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID)
@@ -206,7 +267,7 @@ func (p *Phase) Add(t *Task) error {
 		}
 		last = dev
 	}
-	ev.Done[t.ID] = last
+	ev.set(t.ID, p.denseLimit(), taskEvents{kev, last})
 	return nil
 }
 

@@ -54,10 +54,10 @@ func TestPropertyRandomDAGRespectsDependencies(t *testing.T) {
 		ctx.Barrier()
 		for _, task := range tasks {
 			for _, dep := range task.DependsOn {
-				if ev.Kernel[task.ID].CompletedAt() <= ev.Kernel[dep].CompletedAt() {
+				if ev.Kernel(task.ID).CompletedAt() <= ev.Kernel(dep).CompletedAt() {
 					t.Fatalf("trial %d: task %d (done %v) did not wait for dep %d (done %v)",
-						trial, task.ID, ev.Kernel[task.ID].CompletedAt(),
-						dep, ev.Kernel[dep].CompletedAt())
+						trial, task.ID, ev.Kernel(task.ID).CompletedAt(),
+						dep, ev.Kernel(dep).CompletedAt())
 				}
 			}
 		}
@@ -243,21 +243,127 @@ func enqueueWays() []enqueueWay {
 	}
 }
 
+// Task-ID layouts for the enqueue property: the paper apps' dense
+// 0..n-1, all negative, all far beyond the task count, and a mix of
+// both kinds with non-negative IDs that straddle the phase's dense
+// limit.
+const (
+	idsDense = iota
+	idsNegative
+	idsFar
+	idsMixed
+	numIDLayouts
+)
+
+// relabel renumbers tasks built with IDs 0..n-1 into the given layout,
+// rewriting DependsOn to match, and gates some H2D transfers on earlier
+// tasks, so that dependencies and gates cross the dense/sparse split of
+// the phase's event index.
+func relabel(rng *workload.RNG, tasks []*Task, layout int) {
+	n := len(tasks)
+	negative := func() int { return -1 - rng.Intn(4*n) }
+	far := func() int { return 1e9 + rng.Intn(1e6) }
+	ids := make([]int, n)
+	used := make(map[int]bool, n)
+	for i := range ids {
+		for {
+			id := i
+			switch layout {
+			case idsNegative:
+				id = negative()
+			case idsFar:
+				id = far()
+			case idsMixed:
+				switch rng.Intn(4) {
+				case 0:
+					id = negative()
+				case 1:
+					id = far()
+				default:
+					id = rng.Intn(3*n + 2*denseSlack)
+				}
+			}
+			if !used[id] {
+				used[id], ids[i] = true, id
+				break
+			}
+		}
+	}
+	for i, t := range tasks {
+		t.ID = ids[i]
+		for k, d := range t.DependsOn {
+			t.DependsOn[k] = ids[d]
+		}
+		for k := range t.H2D {
+			// A negative AfterTask means "ungated", so only
+			// tasks with non-negative IDs can gate a transfer.
+			if i > 0 && rng.Intn(2) == 0 {
+				if gate := ids[rng.Intn(i)]; gate >= 0 {
+					t.H2D[k].AfterTask = gate
+				}
+			}
+		}
+	}
+}
+
+// plantCrossSplitID renames the first task to an unused ID that a
+// Phase reset with no size hint puts in its map when that task is
+// added, because it lies past the dense limit, but that lies within
+// the limit once at+1 tasks are in. It returns the ID, or false if
+// every such ID is taken.
+func plantCrossSplitID(tasks []*Task, at int) (int, bool) {
+	limit := func(added int) int { return (&Phase{n: added}).denseLimit() }
+	used := make(map[int]bool, len(tasks))
+	for _, t := range tasks {
+		used[t.ID] = true
+	}
+	for id := limit(1); id < limit(at+1); id++ {
+		if used[id] {
+			continue
+		}
+		old := tasks[0].ID
+		tasks[0].ID = id
+		for _, t := range tasks {
+			for k, d := range t.DependsOn {
+				if d == old {
+					t.DependsOn[k] = id
+				}
+			}
+			for k := range t.H2D {
+				if t.H2D[k].AfterTask == old {
+					t.H2D[k].AfterTask = id
+				}
+			}
+		}
+		return id, true
+	}
+	return 0, false
+}
+
 // Property: Phase.Add task by task on a reused Phase and EnqueuePhase
-// are one enqueue path. On random DAGs with some tasks pinned, every
-// task's kernel and done events complete at the same instants both
-// ways; with a defect planted at a random position — a duplicate ID, a
-// forward dependency or an out-of-range stream hint — both fail with
-// the same error.
+// are one enqueue path. On random DAGs with some tasks pinned and some
+// transfers gated, and with task IDs dense, negative, far beyond the
+// task count or a mix of these, every task's kernel and done events
+// complete at the same instants both ways. With a defect planted at a
+// random position — a duplicate ID, a forward dependency, an
+// out-of-range stream hint, a duplicate of an ID that the Phase.Add
+// way (no size hint, so a smaller dense limit) first put in its map,
+// or a gate on a task not yet added (a forward dependency when that
+// task's ID is negative and so cannot gate) — both fail with the same
+// error.
 func TestPropertyEnqueueWaysAgree(t *testing.T) {
 	rng := workload.NewRNG(4242)
 	ways := enqueueWays()
-	for trial := 0; trial < 40; trial++ {
+	var layouts [numIDLayouts]int
+	crossSplit := 0
+	for trial := 0; trial < 80; trial++ {
 		parts := 1 + rng.Intn(6)
 		n := 3 + rng.Intn(40)
-		defect := rng.Intn(4) // 0: none
+		layout := rng.Intn(numIDLayouts)
+		defect := rng.Intn(6) // 0: none
 		at := 1 + rng.Intn(n-2)
 		graphSeed := rng.Uint64()
+		layouts[layout]++
 		type times struct{ kernel, done []sim.Time }
 		var want times
 		var wantErr string
@@ -274,6 +380,11 @@ func TestPropertyEnqueueWaysAgree(t *testing.T) {
 					task.StreamHint = g.Intn(ctx.NumStreams())
 				}
 			}
+			relabel(g, tasks, layout)
+			crossID, crossOK := 0, false
+			if defect == 4 {
+				crossID, crossOK = plantCrossSplitID(tasks, at)
+			}
 			bad := *tasks[at]
 			switch defect {
 			case 1:
@@ -282,6 +393,20 @@ func TestPropertyEnqueueWaysAgree(t *testing.T) {
 				bad.DependsOn = append(append([]int(nil), bad.DependsOn...), tasks[at+1].ID)
 			case 3:
 				bad.StreamHint = ctx.NumStreams()
+			case 4:
+				bad.ID = tasks[at-1].ID
+				if crossOK {
+					bad.ID = crossID
+					if wi == 0 {
+						crossSplit++
+					}
+				}
+			case 5:
+				if next := tasks[at+1].ID; next >= 0 {
+					bad.H2D = append(append([]TransferSpec(nil), bad.H2D...), XferAfter(buf, 0, 1, next))
+				} else {
+					bad.DependsOn = append(append([]int(nil), bad.DependsOn...), next)
+				}
 			}
 			tasks[at] = &bad
 			ev, err := w.enqueue(ctx, tasks)
@@ -302,8 +427,8 @@ func TestPropertyEnqueueWaysAgree(t *testing.T) {
 			ctx.Barrier()
 			var got times
 			for _, task := range tasks {
-				got.kernel = append(got.kernel, ev.Kernel[task.ID].CompletedAt())
-				got.done = append(got.done, ev.Done[task.ID].CompletedAt())
+				got.kernel = append(got.kernel, ev.Kernel(task.ID).CompletedAt())
+				got.done = append(got.done, ev.Done(task.ID).CompletedAt())
 			}
 			if wi == 0 {
 				want = got
@@ -311,5 +436,13 @@ func TestPropertyEnqueueWaysAgree(t *testing.T) {
 				t.Fatalf("trial %d: %s completion times %+v, %s %+v", trial, w.name, got, ways[0].name, want)
 			}
 		}
+	}
+	for l, c := range layouts {
+		if c == 0 {
+			t.Errorf("ID layout %d never drawn", l)
+		}
+	}
+	if crossSplit == 0 {
+		t.Error("no trial duplicated an ID across the dense/sparse split")
 	}
 }

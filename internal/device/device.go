@@ -267,14 +267,7 @@ func (d *Device) SetPartitions(n int) error {
 	}
 	d.parts = make([]*Partition, n)
 	for i, sh := range shapes {
-		p := &Partition{
-			dev:          d,
-			idx:          i,
-			firstThread:  sh.FirstThread,
-			threads:      sh.Threads,
-			coresSpanned: sh.CoresSpanned,
-			sharesCore:   sh.SharesCore,
-		}
+		p := &Partition{dev: d, idx: i, shape: sh}
 		p.srv = sim.NewServer(d.eng, fmt.Sprintf("%s/part%d", d.name, i))
 		d.parts[i] = p
 	}
@@ -317,28 +310,24 @@ func (d *Device) Partition(i int) *Partition { return d.parts[i] }
 // Partition is one group of hardware threads executing kernels
 // serially. Streams bound to the same partition contend for it.
 type Partition struct {
-	dev         *Device
-	idx         int
-	firstThread int
-	threads     int
-
-	coresSpanned int
-	sharesCore   bool
-	srv          *sim.Server
+	dev   *Device
+	idx   int
+	shape PartitionShape
+	srv   *sim.Server
 }
 
 // Index reports the partition's position on its device.
 func (p *Partition) Index() int { return p.idx }
 
 // Threads reports the partition's hardware thread count.
-func (p *Partition) Threads() int { return p.threads }
+func (p *Partition) Threads() int { return p.shape.Threads }
 
 // CoresSpanned reports how many physical cores the partition touches.
-func (p *Partition) CoresSpanned() int { return p.coresSpanned }
+func (p *Partition) CoresSpanned() int { return p.shape.CoresSpanned }
 
 // SharesCore reports whether the partition splits a physical core with
 // a neighbour — the condition behind the paper's divisor-of-56 rule.
-func (p *Partition) SharesCore() bool { return p.sharesCore }
+func (p *Partition) SharesCore() bool { return p.shape.SharesCore }
 
 // Device returns the partition's device.
 func (p *Partition) Device() *Device { return p.dev }
@@ -351,22 +340,44 @@ func (p *Partition) FreeAt() sim.Time { return p.srv.FreeAt() }
 
 // KernelTime evaluates the timing model for one invocation of cost c on
 // this partition, independent of queueing.
-func (p *Partition) KernelTime(c KernelCost) sim.Duration {
-	shape := PartitionShape{
-		FirstThread:  p.firstThread,
-		Threads:      p.threads,
-		CoresSpanned: p.coresSpanned,
-		SharesCore:   p.sharesCore,
-	}
-	return p.dev.cfg.KernelTimeOn(c, shape, len(p.dev.parts))
-}
+func (p *Partition) KernelTime(c KernelCost) sim.Duration { return p.Price(&c).Dur }
+
+// AllocTime reports the per-launch temporary-allocation cost of c on
+// this partition (part of KernelTime; exposed for analysis).
+func (p *Partition) AllocTime(c KernelCost) sim.Duration { return p.Price(&c).Alloc }
 
 // KernelTimeOn evaluates the timing model for one invocation of cost c
 // on a partition of the given shape, with partitions active partitions
 // on the device. This is the simulator's closed-form kernel equation
 // (DESIGN.md §2) exposed as a pure function so the analytic performance
 // model predicts with exactly the terms the simulation charges.
-func (cfg Config) KernelTimeOn(c KernelCost, shape PartitionShape, partitions int) sim.Duration {
+func (cfg *Config) KernelTimeOn(c *KernelCost, shape *PartitionShape, partitions int) sim.Duration {
+	dur, _ := price(cfg, c, shape, partitions)
+	return dur
+}
+
+// AllocTimeOn is the pure form of AllocTime: the per-launch
+// temporary-allocation cost of c on a partition of threads threads.
+func (cfg *Config) AllocTimeOn(c *KernelCost, threads int) sim.Duration {
+	if c.AllocBytesPerThread <= 0 {
+		return 0
+	}
+	ns := float64(c.AllocBytesPerThread) * float64(threads) * cfg.AllocNsPerByte
+	return sim.DurationOf(ns / 1e9)
+}
+
+// price is the closed form behind every kernel price: the duration of
+// one invocation of c on a partition of the given shape, with
+// partitions active partitions on the device, and the per-launch
+// temporary-allocation cost included in it. It reads its arguments in
+// place, so pricing a kernel copies neither the configuration nor the
+// cost.
+func price(cfg *Config, c *KernelCost, shape *PartitionShape, partitions int) (dur, alloc sim.Duration) {
+	// The device totals are spelled out from cfg's fields: calling
+	// Config's value-receiver helpers through the pointer copies the
+	// whole Config per call.
+	usable := cfg.Cores - cfg.ReservedCores
+	total := float64(usable * cfg.ThreadsPerCore)
 	t := float64(shape.Threads)
 
 	eff := c.Efficiency
@@ -384,9 +395,9 @@ func (cfg Config) KernelTimeOn(c KernelCost, shape PartitionShape, partitions in
 
 	computeSec := 0.0
 	if c.Flops > 0 {
-		computeSec = c.Flops / (t * parEff * cfg.PerThreadFlops() * eff)
+		computeSec = c.Flops / (t * parEff * (cfg.ClockHz * cfg.FlopsPerCyclePerThread) * eff)
 		if c.ScalingPenalty > 0 {
-			computeSec *= 1 + c.ScalingPenalty*(t-1)/float64(cfg.TotalThreads())
+			computeSec *= 1 + c.ScalingPenalty*(t-1)/total
 		}
 	}
 
@@ -396,10 +407,10 @@ func (cfg Config) KernelTimeOn(c KernelCost, shape PartitionShape, partitions in
 	// the L2s it owns instead of being diluted across the ring).
 	memSec := 0.0
 	if c.Bytes > 0 {
-		share := cfg.MemBandwidthBps * t / float64(cfg.TotalThreads())
+		share := cfg.MemBandwidthBps * t / total
 		locality := 1.0
-		if c.CacheSensitive && cfg.CacheAffinityBonus > 0 && cfg.UsableCores() > 1 {
-			concentration := 1 - float64(shape.CoresSpanned-1)/float64(cfg.UsableCores()-1)
+		if c.CacheSensitive && cfg.CacheAffinityBonus > 0 && usable > 1 {
+			concentration := 1 - float64(shape.CoresSpanned-1)/float64(usable-1)
 			locality = 1 + cfg.CacheAffinityBonus*concentration
 		}
 		if c.FitBonus > 0 && c.WorkingSetBytes > 0 && cfg.L2PerCoreBytes > 0 {
@@ -424,28 +435,13 @@ func (cfg Config) KernelTimeOn(c KernelCost, shape PartitionShape, partitions in
 		body *= cfg.ContentionPenalty
 	}
 
-	dur := sim.Duration(cfg.KernelLaunchNs) +
+	alloc = cfg.AllocTimeOn(c, shape.Threads)
+	dur = sim.Duration(cfg.KernelLaunchNs) +
 		sim.Duration(cfg.StreamMgmtNsPerPartition)*sim.Duration(partitions) +
 		sim.Duration(c.SerialNs) +
-		cfg.AllocTimeOn(c, shape.Threads) +
+		alloc +
 		sim.DurationOf(body)
-	return dur
-}
-
-// AllocTime reports the per-launch temporary-allocation cost of c on
-// this partition (part of KernelTime; exposed for analysis).
-func (p *Partition) AllocTime(c KernelCost) sim.Duration {
-	return p.dev.cfg.AllocTimeOn(c, p.threads)
-}
-
-// AllocTimeOn is the pure form of AllocTime: the per-launch
-// temporary-allocation cost of c on a partition of threads threads.
-func (cfg Config) AllocTimeOn(c KernelCost, threads int) sim.Duration {
-	if c.AllocBytesPerThread <= 0 {
-		return 0
-	}
-	ns := float64(c.AllocBytesPerThread) * float64(threads) * cfg.AllocNsPerByte
-	return sim.DurationOf(ns / 1e9)
+	return dur, alloc
 }
 
 // Invocation is one kernel launch priced on a partition: the part of a
@@ -461,11 +457,12 @@ type Invocation struct {
 	Alloc sim.Duration
 }
 
-// Price evaluates the timing model for one invocation of cost c on the
-// partition. Pricing depends on the partition count, so an invocation
-// priced before a repartition must not launch after it.
-func (p *Partition) Price(c KernelCost) Invocation {
-	return Invocation{Name: c.Name, Dur: p.KernelTime(c), Alloc: p.AllocTime(c)}
+// Price evaluates the timing model once for one invocation of cost c on
+// the partition. Pricing depends on the partition count, so an
+// invocation priced before a repartition must not launch after it.
+func (p *Partition) Price(c *KernelCost) Invocation {
+	dur, alloc := price(&p.dev.cfg, c, &p.shape, len(p.dev.parts))
+	return Invocation{Name: c.Name, Dur: dur, Alloc: alloc}
 }
 
 // Launch schedules the invocation inv, priced on this partition by

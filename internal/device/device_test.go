@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -359,12 +360,66 @@ func TestAllocCostScalesWithThreads(t *testing.T) {
 	}
 }
 
+// Property: a partition prices a kernel with exactly the closed form
+// the analytic model evaluates (DESIGN.md §8). For random costs that
+// switch every term on and off, and for every partition of every split
+// with P from 1 to 56, Price's duration and allocation share are
+// bit-equal to KernelTimeOn and AllocTimeOn on the PartitionLayout
+// shape.
+func TestPropertyPriceMatchesClosedForm(t *testing.T) {
+	_, d := newDev(t)
+	cfg := d.Config()
+	rng := rand.New(rand.NewSource(8))
+	maybe := func(v float64) float64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return v
+	}
+	costs := make([]KernelCost, 64)
+	for i := range costs {
+		costs[i] = KernelCost{
+			Name:                "k",
+			Flops:               maybe(rng.ExpFloat64() * 1e8),
+			Bytes:               maybe(rng.ExpFloat64() * 1e7),
+			SerialNs:            int64(maybe(float64(rng.Intn(50_000)))),
+			AllocBytesPerThread: int64(maybe(float64(rng.Intn(1 << 20)))),
+			WorkingSetBytes:     int64(maybe(float64(rng.Intn(64 << 20)))),
+			CacheSensitive:      rng.Intn(2) == 0,
+			FitBonus:            maybe(rng.Float64()),
+			Efficiency:          maybe(rng.Float64()*1.2 - 0.1),
+			ScalingPenalty:      maybe(rng.Float64() * 2),
+		}
+	}
+	for n := 1; n <= 56; n++ {
+		if err := d.SetPartitions(n); err != nil {
+			t.Fatal(err)
+		}
+		layout := cfg.PartitionLayout(n)
+		for i, p := range d.Partitions() {
+			for ci := range costs {
+				c := &costs[ci]
+				inv := p.Price(c)
+				if want := cfg.KernelTimeOn(c, &layout[i], n); inv.Dur != want {
+					t.Fatalf("P=%d partition %d cost %+v: Price.Dur %d, KernelTimeOn %d", n, i, *c, inv.Dur, want)
+				}
+				if want := cfg.AllocTimeOn(c, layout[i].Threads); inv.Alloc != want {
+					t.Fatalf("P=%d partition %d cost %+v: Price.Alloc %d, AllocTimeOn %d", n, i, *c, inv.Alloc, want)
+				}
+				if inv.Name != c.Name || inv.Alloc > inv.Dur {
+					t.Fatalf("P=%d partition %d: invocation %+v for cost %+v", n, i, inv, *c)
+				}
+			}
+		}
+	}
+}
+
 func TestLaunchSerializesOnPartition(t *testing.T) {
 	eng, d := newDev(t)
 	p := d.Partition(0)
 	cost := KernelCost{Flops: 1e8}
-	_, end1 := p.Launch(0, p.Price(cost), 0, 0, nil, nil)
-	start2, _ := p.Launch(0, p.Price(cost), 0, 1, nil, nil)
+	_, end1 := p.Launch(0, p.Price(&cost), 0, 0, nil, nil)
+	start2, _ := p.Launch(0, p.Price(&cost), 0, 1, nil, nil)
 	if start2 != end1 {
 		t.Fatalf("second launch at %v, want %v (partition must serialize)", start2, end1)
 	}
@@ -375,7 +430,7 @@ func TestLaunchRunsBodyAtStartAndDoneAtEnd(t *testing.T) {
 	eng, d := newDev(t)
 	p := d.Partition(0)
 	var bodyAt, doneAt sim.Time = -1, -1
-	start, end := p.Launch(10, p.Price(KernelCost{Flops: 1e8}), 0, 0,
+	start, end := p.Launch(10, p.Price(&KernelCost{Flops: 1e8}), 0, 0,
 		func() { bodyAt = eng.Now() },
 		sim.Func(func() { doneAt = eng.Now() }))
 	eng.Run()
@@ -395,7 +450,7 @@ func TestLaunchTracesKernelAndAllocSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := d.Partition(0)
-	p.Launch(0, p.Price(KernelCost{Name: "k", Flops: 1e8, AllocBytesPerThread: 1 << 16}), 2, 3, nil, nil)
+	p.Launch(0, p.Price(&KernelCost{Name: "k", Flops: 1e8, AllocBytesPerThread: 1 << 16}), 2, 3, nil, nil)
 	var kernels, allocs int
 	for _, s := range rec.Spans() {
 		switch s.Kind {
@@ -425,7 +480,7 @@ func TestStageRecorderLaunchFormatsNoLabel(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := d.Partition(0)
-		launch := func() { p.Launch(0, p.Price(cost), 0, 0, nil, nil) }
+		launch := func() { p.Launch(0, p.Price(&cost), 0, 0, nil, nil) }
 		// Back-to-back launches leave a gap between alloc spans, so
 		// each adds an interval: grow the slices past the measured
 		// count, then keep their capacity across Reset.
@@ -445,7 +500,7 @@ func TestStageRecorderLaunchFormatsNoLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := d.Partition(0)
-	p.Launch(0, p.Price(cost), 0, 0, nil, nil)
+	p.Launch(0, p.Price(&cost), 0, 0, nil, nil)
 	if s := rec.Spans(); len(s) != 2 || s[0].Kind != trace.Alloc || s[0].Label != "k/alloc" {
 		t.Fatalf("spans %+v; want the alloc span labelled \"k/alloc\" first", s)
 	}
@@ -491,7 +546,7 @@ func TestPropertyPartitionCoverage(t *testing.T) {
 		}
 		next := 0
 		for _, p := range d.Partitions() {
-			if p.firstThread != next {
+			if p.shape.FirstThread != next {
 				return false
 			}
 			next += p.Threads()

@@ -464,6 +464,6 @@ type KernelCtx struct {
 // scheduled start when the context executes kernels.
 func (s *Stream) EnqueueKernel(cost device.KernelCost, task int, body func(*KernelCtx), deps ...*Event) *Event {
 	ev := s.ctx.newEvent()
-	ev.kind, ev.task, ev.inv, ev.body = kernelAction, task, s.part.Price(cost), body
+	ev.kind, ev.task, ev.inv, ev.body = kernelAction, task, s.part.Price(&cost), body
 	return s.enqueue(ev, deps)
 }

@@ -265,8 +265,8 @@ func (m *Model) phaseTimes(ph Phase, layout []device.PartitionShape, partitions,
 		// core-sharing, and round-robin placement hands them the
 		// same tile count as everyone else (the Fig. 9
 		// divisor-of-56 effect, predicted instead of measured).
-		for _, shape := range layout {
-			if kt := m.Dev.KernelTimeOn(ph.Cost, shape, partitions); kt > tk {
+		for i := range layout {
+			if kt := m.Dev.KernelTimeOn(&ph.Cost, &layout[i], partitions); kt > tk {
 				tk = kt
 			}
 		}

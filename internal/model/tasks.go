@@ -100,10 +100,10 @@ func (m *Model) ServiceTime(tasks []*core.Task, partitions int) sim.Duration {
 	}
 	// A job may land on any stream; predict against the slowest
 	// partition so estimates rank jobs consistently with Predict.
-	kernel := func(c device.KernelCost) sim.Duration {
+	kernel := func(c *device.KernelCost) sim.Duration {
 		var worst sim.Duration
-		for _, shape := range layout {
-			if kt := m.Dev.KernelTimeOn(c, shape, partitions); kt > worst {
+		for i := range layout {
+			if kt := m.Dev.KernelTimeOn(c, &layout[i], partitions); kt > worst {
 				worst = kt
 			}
 		}
@@ -116,7 +116,7 @@ func (m *Model) ServiceTime(tasks []*core.Task, partitions int) sim.Duration {
 			continue
 		}
 		if !t.TransferOnly {
-			total += sim.Duration(float64(kernel(t.Cost)) * cs)
+			total += sim.Duration(float64(kernel(&t.Cost)) * cs)
 		}
 		for _, specs := range [][]core.TransferSpec{t.H2D, t.D2H} {
 			for _, x := range specs {

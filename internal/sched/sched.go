@@ -748,7 +748,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	// task's final event is the last to resolve.
 	g := &s.grants[stream]
 	g.p, g.end, g.granted = p, end, s.ctx.Now()
-	s.phase.Events().Done[chunk[len(chunk)-1].ID].OnDone(g.done)
+	s.phase.Events().Done(chunk[len(chunk)-1].ID).OnDone(g.done)
 }
 
 // enqueue enqueues chunk as one phase with every task pinned to the
@@ -877,7 +877,7 @@ func (s *Scheduler) Estimate(tasks []*core.Task) sim.Duration {
 	var total sim.Duration
 	for _, t := range tasks {
 		if !t.TransferOnly {
-			total += part.KernelTime(t.Cost)
+			total += part.Price(&t.Cost).Dur
 		}
 		for _, specs := range [][]core.TransferSpec{t.H2D, t.D2H} {
 			for _, x := range specs {
