@@ -14,6 +14,7 @@ import (
 	"micstream/internal/apps/kmeans"
 	"micstream/internal/apps/nn"
 	"micstream/internal/apps/srad"
+	"micstream/internal/core"
 	"micstream/internal/workload"
 )
 
@@ -121,6 +122,48 @@ func TestPropertySRADConfigInvariance(t *testing.T) {
 		}
 		if err := app.Verify(); err != nil {
 			t.Fatalf("trial %d (dim=%d): %v", trial, dim, err)
+		}
+	}
+}
+
+// A barrier-synchronized app reuses one core.Phase for every stage of
+// every iteration, and each Reset recycles the stage before it, so the
+// events of an iteration cost no heap objects once the first has run:
+// a timing-only run of 8 iterations allocates no more objects than one
+// of 2, up to a small constant for the growth of the engine heap and
+// the stage recorder's interval lists.
+func TestIterationsAllocateNoEvents(t *testing.T) {
+	const slack = 16
+	for _, c := range []struct {
+		name string
+		run  func(iters int) (core.Result, error)
+	}{
+		{"hotspot", func(iters int) (core.Result, error) {
+			app, err := hotspot.New(hotspot.Params{Dim: 1024, Iterations: iters})
+			if err != nil {
+				return core.Result{}, err
+			}
+			return app.Run(4, 256)
+		}},
+		{"srad", func(iters int) (core.Result, error) {
+			app, err := srad.New(srad.Params{Dim: 1024, Iterations: iters, Lambda: 0.5})
+			if err != nil {
+				return core.Result{}, err
+			}
+			return app.Run(4, 256)
+		}},
+	} {
+		allocs := func(iters int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := c.run(iters); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		two, eight := allocs(2), allocs(8)
+		t.Logf("%s: %.0f objects at 2 iterations, %.0f at 8", c.name, two, eight)
+		if eight > two+slack {
+			t.Errorf("%s: %.0f objects at 8 iterations, more than the %.0f at 2 plus %d", c.name, eight, two, slack)
 		}
 	}
 }

@@ -144,16 +144,16 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	rowOf := func(t int) (lo, hi int) { return t * d / tasks, (t + 1) * d / tasks }
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable and in serve every tile.
+	// nor its lists, so one task variable and xfer serve every tile.
 	var ph core.Phase
-	var in [1]core.TransferSpec
+	var xfer [1]core.TransferSpec
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Stage 1: ship the current grid, tiled; synchronize.
 		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			in[0] = core.Xfer(bufIn, lo*d, (hi-lo)*d)
-			task := core.Task{ID: t, H2D: in[:], StreamHint: -1, TransferOnly: true}
+			xfer[0] = core.Xfer(bufIn, lo*d, (hi-lo)*d)
+			task := core.Task{ID: t, H2D: xfer[:], StreamHint: -1, TransferOnly: true}
 			if err := ph.Add(&task); err != nil {
 				return core.Result{}, err
 			}
@@ -178,10 +178,12 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 		ctx.Barrier()
 
 		// Stage 3: ship the result back, tiled; synchronize.
+		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			s := ctx.Stream(t % ctx.NumStreams())
-			if _, err := s.EnqueueD2H(bufOut, lo*d, (hi-lo)*d, t); err != nil {
+			xfer[0] = core.Xfer(bufOut, lo*d, (hi-lo)*d)
+			task := core.Task{ID: t, D2H: xfer[:], StreamHint: -1, TransferOnly: true}
+			if err := ph.Add(&task); err != nil {
 				return core.Result{}, err
 			}
 		}

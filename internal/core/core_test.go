@@ -154,6 +154,56 @@ func TestEnqueuePhaseErrors(t *testing.T) {
 	}
 }
 
+// A D2H-only transfer task ships its outputs with no kernel: its
+// Kernel and Done events are both its last D2H, its dependencies gate
+// its first D2H, and a dependent gates on that last D2H. A
+// transfer-only task that carries a kernel body or cost, moves data
+// both ways, or moves nothing is rejected before anything is enqueued.
+func TestTransferOnlyD2H(t *testing.T) {
+	c := ctx(t, hstreams.Config{Partitions: 2})
+	buf := hstreams.AllocVirtual(c, "b", 1<<20, 4)
+	cost := device.KernelCost{Name: "k", Flops: 3e8}
+	out := []TransferSpec{Xfer(buf, 0, 1<<18), Xfer(buf, 1<<18, 1<<18)}
+	ev, err := EnqueuePhase(c, []*Task{
+		{ID: 0, Cost: cost, StreamHint: 0},
+		{ID: 1, D2H: out, DependsOn: []int{0}, StreamHint: 1, TransferOnly: true},
+		{ID: 2, Cost: cost, DependsOn: []int{1}, StreamHint: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Barrier()
+	k0, k1, d1, k2 := ev.Kernel(0), ev.Kernel(1), ev.Done(1), ev.Kernel(2)
+	if k1 != d1 {
+		t.Fatalf("D2H-only task: Kernel %p != Done %p", k1, d1)
+	}
+	xfer := c.Config().Link.TransferTime(int64(out[0].N) * 4)
+	if got, want := d1.CompletedAt(), k0.CompletedAt().Add(2*xfer); got != want {
+		t.Fatalf("last D2H done at %v, want kernel 0's end %v plus two transfers (%v)", got, k0.CompletedAt(), want)
+	}
+	kt := c.Device(0).Partition(0).KernelTime(cost)
+	if got, want := k2.CompletedAt(), d1.CompletedAt().Add(kt); got != want {
+		t.Fatalf("dependent kernel done at %v, want the last D2H's end plus a kernel (%v)", got, want)
+	}
+	in := []TransferSpec{Xfer(buf, 0, 1)}
+	for _, bad := range []Task{
+		{ID: 0, D2H: in, Body: func(*hstreams.KernelCtx) {}},
+		{ID: 0, D2H: in, Cost: cost},
+		{ID: 0, H2D: in, D2H: in},
+		{ID: 0},
+	} {
+		bad.StreamHint, bad.TransferOnly = -1, true
+		var ph Phase
+		ph.Reset(c, 1)
+		if err := ph.Add(&bad); err == nil {
+			t.Fatalf("transfer-only task %+v accepted", bad)
+		}
+		if ph.Events().Kernel(0) != nil || c.Engine().Pending() != 0 {
+			t.Fatalf("rejected transfer-only task %+v enqueued work", bad)
+		}
+	}
+}
+
 func TestRunProducesMetrics(t *testing.T) {
 	c := ctx(t, hstreams.Config{Partitions: 2, Trace: true})
 	buf := hstreams.AllocVirtual(c, "b", 1<<20, 4)
@@ -513,51 +563,52 @@ func TestHalfDuplexIdealBounds(t *testing.T) {
 	}
 }
 
-// A warm Phase enqueues a task without allocating the task, its lists
-// or its index entries: a 256-task H2D+kernel+D2H phase of IDs 0..255
-// costs exactly the context's event chunks, ⌈3·256/64⌉ = 12 heap
-// objects (hstreams hands out events 64 at a time). A phase of sparse
-// IDs, negative or far beyond the task count, reuses its map and keeps
-// its dense slice empty, so it costs at most the same.
+// A warm Phase enqueues a task without allocating anything: not the
+// task, its lists or its index entries, and not its events, because
+// Reset hands the previous phase's resolved events back to the context
+// and the next phase reuses them. A 256-task H2D+kernel+D2H phase of
+// IDs 0..255 therefore costs 0 heap objects once warm. A phase of
+// sparse IDs, negative or far beyond the task count, reuses its map
+// and keeps its dense slice empty, so it costs no more than the dense
+// one.
 func TestPhaseAddAllocs(t *testing.T) {
 	const n = 256
-	const chunks = (3*n + 63) / 64
 	c := ctx(t, hstreams.Config{Partitions: 4})
 	buf := hstreams.AllocVirtual(c, "b", n, 4)
 	cost := device.KernelCost{Name: "k", Flops: 1e6}
 	var in, out [1]TransferSpec
-	for _, tc := range []struct {
-		name  string
-		id    func(i int) int
-		exact bool // the phase allocates exactly the chunks, not at most
-	}{
-		{"dense", func(i int) int { return i }, true},
-		{"sparse", func(i int) int {
-			if i%2 == 0 {
-				return -1 - i
+	phase := func(ph *Phase, id func(i int) int) {
+		ph.Reset(c, n)
+		for i := 0; i < n; i++ {
+			in[0], out[0] = Xfer(buf, i, 1), Xfer(buf, i, 1)
+			task := Task{ID: id(i), H2D: in[:], Cost: cost, D2H: out[:], StreamHint: -1}
+			if err := ph.Add(&task); err != nil {
+				t.Fatal(err)
 			}
-			return 1e9 + i
-		}, false},
-	} {
-		var ph Phase
-		phase := func() {
-			ph.Reset(c, n)
-			for i := 0; i < n; i++ {
-				in[0], out[0] = Xfer(buf, i, 1), Xfer(buf, i, 1)
-				task := Task{ID: tc.id(i), H2D: in[:], Cost: cost, D2H: out[:], StreamHint: -1}
-				if err := ph.Add(&task); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.Barrier()
 		}
-		phase() // warm the index and the engine's heap
-		got := testing.AllocsPerRun(20, phase)
-		if got > chunks || tc.exact && got != chunks {
-			t.Errorf("%s: warm Phase allocated %.2f objects, want %d (at most, if sparse)", tc.name, got, chunks)
+		c.Barrier()
+	}
+	// allocs warms a Phase (its index, the engine's heap and the
+	// context's free list) and then counts a phase's allocations.
+	allocs := func(ph *Phase, id func(i int) int) float64 {
+		phase(ph, id)
+		return testing.AllocsPerRun(20, func() { phase(ph, id) })
+	}
+	var dense, sparse Phase
+	d := allocs(&dense, func(i int) int { return i })
+	s := allocs(&sparse, func(i int) int {
+		if i%2 == 0 {
+			return -1 - i
 		}
-		if !tc.exact && len(ph.ev.dense) != 0 {
-			t.Errorf("sparse: %d dense slots in use, want none", len(ph.ev.dense))
-		}
+		return 1e9 + i
+	})
+	if d != 0 {
+		t.Errorf("dense: warm Phase allocated %.2f objects, want 0", d)
+	}
+	if s > d {
+		t.Errorf("sparse: warm Phase allocated %.2f objects, more than the dense phase's %.2f", s, d)
+	}
+	if len(sparse.ev.dense) != 0 {
+		t.Errorf("sparse: %d dense slots in use, want none", len(sparse.ev.dense))
 	}
 }

@@ -75,9 +75,13 @@ type Task struct {
 	// negative value) selects round-robin placement.
 	StreamHint int
 	// TransferOnly marks a task that ships data but launches no
-	// kernel (e.g. a shared input panel used by many compute tasks).
-	// Its "kernel" event — what dependents gate on — is the
-	// completion of its last H2D. Cost, Body and D2H must be empty.
+	// kernel: an H2D-only task (e.g. a shared input panel used by many
+	// compute tasks) or a D2H-only one (a result tile shipped back
+	// after a barrier). Its declared dependencies gate its first
+	// transfer, and its "kernel" event — what dependents gate on — is
+	// the completion of its last transfer, so Kernel(id) == Done(id).
+	// Cost and Body must be empty, and exactly one of H2D and D2H
+	// must be non-empty.
 	TransferOnly bool
 }
 
@@ -153,14 +157,20 @@ func (e *PhaseEvents) reset() {
 // instead of materialising the phase as a []*Task.
 //
 // The zero Phase is ready for Reset, and Reset starts the next phase
-// on the same storage: a caller that enqueues phase after phase
-// allocates its event index once.
+// on the same storage. A phase owns the events its Add calls create:
+// Reset hands the resolved ones back to their context for reuse, so a
+// caller that enqueues phase after phase, each after a Barrier,
+// allocates its event index and its events once, for its largest
+// phase.
 type Phase struct {
 	ctx  *hstreams.Context
 	ev   PhaseEvents
 	hint int // Reset's sizeHint
 	n    int // tasks added since Reset
 	rr   int // next round-robin stream
+	// owned lists every event enqueued since Reset, each once, for
+	// Reset to recycle.
+	owned []*hstreams.Event
 
 	// deps and xdeps are Add's dependency scratch; hstreams reads a
 	// dependency list only during the enqueue call.
@@ -178,10 +188,20 @@ const denseSlack = 64
 // within a constant factor of the phase however large its IDs.
 func (p *Phase) denseLimit() int { return 2*max(p.hint, p.n) + denseSlack }
 
-// Reset starts a phase on ctx, dropping the previous phase's events.
-// sizeHint, the expected task count, sizes the event index and its
-// dense limit.
+// Reset starts a phase on ctx, ending the previous one: its events
+// that have resolved go back to their context (hstreams.Context.Recycle)
+// to be reused by later enqueues, and its unresolved ones are dropped
+// unreused. No event of the previous phase may be used after Reset,
+// which is why a callback that resets the phase while one of its
+// events is still running that event's waiters is safe: it is the
+// last use. sizeHint, the expected task count, sizes the event index
+// and its dense limit.
 func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
+	if p.ctx != nil {
+		p.ctx.Recycle(p.owned)
+	}
+	clear(p.owned)
+	p.owned = p.owned[:0]
 	p.ctx, p.hint, p.n, p.rr = ctx, sizeHint, 0, 0
 	p.ev.reset()
 	if cap(p.ev.dense) < p.hint {
@@ -190,8 +210,8 @@ func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
 }
 
 // Events returns the completion events of the tasks added since Reset.
-// They stay valid until the next Reset, and are partial after Add
-// returns an error.
+// They stay valid until the next Reset, which may reuse them for other
+// actions, and are partial after Add returns an error.
 func (p *Phase) Events() *PhaseEvents { return &p.ev }
 
 // Add enqueues t. Its dependencies, and the tasks its H2D transfers
@@ -223,7 +243,17 @@ func (p *Phase) Add(t *Task) error {
 		deps = append(deps, kev)
 	}
 	p.deps = deps
-	var lastH2D *hstreams.Event
+	if t.TransferOnly {
+		switch {
+		case t.Body != nil || t.Cost != (device.KernelCost{}):
+			return fmt.Errorf("core: transfer-only task %d carries a kernel body or cost", t.ID)
+		case len(t.H2D) > 0 && len(t.D2H) > 0:
+			return fmt.Errorf("core: transfer-only task %d moves data both ways", t.ID)
+		case len(t.H2D) == 0 && len(t.D2H) == 0:
+			return fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
+		}
+	}
+	var kev, last *hstreams.Event
 	for xi, x := range t.H2D {
 		xdeps := p.xdeps[:0]
 		if t.TransferOnly && xi == 0 {
@@ -244,28 +274,28 @@ func (p *Phase) Add(t *Task) error {
 		if err != nil {
 			return fmt.Errorf("core: task %d H2D: %w", t.ID, err)
 		}
-		lastH2D = hev
+		p.owned = append(p.owned, hev)
+		last = hev
 	}
-	if t.TransferOnly {
-		if t.Body != nil || len(t.D2H) > 0 {
-			return fmt.Errorf("core: transfer-only task %d carries a body or outputs", t.ID)
-		}
-		if lastH2D == nil {
-			return fmt.Errorf("core: transfer-only task %d has no transfers", t.ID)
-		}
-		// Honour declared dependencies even without a kernel:
-		// a pathological graph could gate a pure transfer.
-		ev.set(t.ID, p.denseLimit(), taskEvents{lastH2D, lastH2D})
-		return nil
+	if !t.TransferOnly {
+		kev = s.EnqueueKernel(t.Cost, t.ID, t.Body, deps...)
+		p.owned = append(p.owned, kev)
+		last = kev
+		deps = nil
 	}
-	kev := s.EnqueueKernel(t.Cost, t.ID, t.Body, deps...)
-	last := kev
 	for _, x := range t.D2H {
-		dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID)
+		// A D2H-only task's dependencies gate its first transfer, as
+		// an H2D-only task's do; a kernel's outputs follow it by
+		// stream FIFO.
+		dev, err := s.EnqueueD2H(x.Buf, x.Off, x.N, t.ID, deps...)
 		if err != nil {
 			return fmt.Errorf("core: task %d D2H: %w", t.ID, err)
 		}
-		last = dev
+		p.owned = append(p.owned, dev)
+		last, deps = dev, nil
+	}
+	if t.TransferOnly {
+		kev = last
 	}
 	ev.set(t.ID, p.denseLimit(), taskEvents{kev, last})
 	return nil

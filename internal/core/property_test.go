@@ -446,3 +446,164 @@ func TestPropertyEnqueueWaysAgree(t *testing.T) {
 		t.Error("no trial duplicated an ID across the dense/sparse split")
 	}
 }
+
+// How a multi-phase scenario moves from one phase to the next.
+const (
+	// linkBarrier synchronizes the host before the next phase, so
+	// every event of the phase has resolved when Reset recycles it.
+	linkBarrier = iota
+	// linkNone enqueues the next phase at once, so Reset meets the
+	// phase's events still in flight.
+	linkNone
+	// linkOnDone enqueues the next phase from an OnDone callback on
+	// the phase's last-added task, as the online scheduler dispatches
+	// from a slice's completion: Reset runs while that event is still
+	// running its waiters.
+	linkOnDone
+	numLinks
+)
+
+// multiPhase is a random scenario: phases of tasks and, after each
+// phase, how the next one follows it.
+type multiPhase struct {
+	phases [][]*Task
+	links  []int
+}
+
+// randomMultiPhase draws 2–6 phases of random DAGs with dependencies,
+// pinned tasks, H2D transfers gated on earlier tasks, and H2D-only and
+// D2H-only transfer tasks, counting what it drew in drawn: [0] gated
+// transfers, [1] H2D-only tasks, [2] D2H-only tasks, [3 + link] links.
+func randomMultiPhase(rng *workload.RNG, buf *hstreams.Buffer, streams int, drawn *[3 + numLinks]int) multiPhase {
+	var sc multiPhase
+	for range 2 + rng.Intn(5) {
+		tasks := randomDAG(rng, buf, 2+rng.Intn(30))
+		relabel(rng, tasks, idsDense)
+		for _, t := range tasks {
+			for _, x := range t.H2D {
+				if x.AfterTask >= 0 {
+					drawn[0]++
+				}
+			}
+			if rng.Intn(4) == 0 {
+				t.StreamHint = rng.Intn(streams)
+			}
+			switch rng.Intn(6) {
+			case 0:
+				if len(t.H2D) == 0 {
+					t.H2D = []TransferSpec{Xfer(buf, 0, 1+rng.Intn(buf.Len()-1))}
+				}
+				t.Cost, t.D2H, t.TransferOnly = device.KernelCost{}, nil, true
+				drawn[1]++
+			case 1:
+				if len(t.D2H) == 0 {
+					t.D2H = []TransferSpec{Xfer(buf, 0, 1+rng.Intn(buf.Len()-1))}
+				}
+				t.Cost, t.H2D, t.TransferOnly = device.KernelCost{}, nil, true
+				drawn[2]++
+			}
+		}
+		link := rng.Intn(numLinks)
+		drawn[3+link]++
+		sc.phases = append(sc.phases, tasks)
+		sc.links = append(sc.links, link)
+	}
+	return sc
+}
+
+// taskTimes are the resolution instants of one task's kernel and done
+// events.
+type taskTimes struct{ kernel, done sim.Time }
+
+// play runs sc on ctx, enqueueing each phase with enqueue, and returns
+// every task's completion instants, phase by phase. They are recorded
+// by OnDone callbacks at resolution, so no event is read after the
+// phase that made it has been reset. A barrier link inside a callback
+// chain cannot synchronize the host, so it acts as linkOnDone there.
+func play(t *testing.T, ctx *hstreams.Context, sc multiPhase, enqueue func([]*Task) (*PhaseEvents, error)) [][]taskTimes {
+	times := make([][]taskTimes, len(sc.phases))
+	var run func(j int, nested bool)
+	run = func(j int, nested bool) {
+		tasks := sc.phases[j]
+		ev, err := enqueue(tasks)
+		if err != nil {
+			t.Fatalf("phase %d: %v", j, err)
+		}
+		times[j] = make([]taskTimes, len(tasks))
+		for i, task := range tasks {
+			tt := &times[j][i]
+			if ev.Kernel(task.ID).Done() || ev.Done(task.ID).Done() {
+				t.Fatalf("phase %d: task %d resolved while it was being enqueued", j, task.ID)
+			}
+			ev.Kernel(task.ID).OnDone(func() { tt.kernel = ctx.Now() })
+			ev.Done(task.ID).OnDone(func() { tt.done = ctx.Now() })
+		}
+		if j+1 == len(sc.phases) {
+			return
+		}
+		switch link := sc.links[j]; {
+		case link == linkNone:
+			run(j+1, nested)
+		case link == linkBarrier && !nested:
+			ctx.Barrier()
+			run(j+1, false)
+		default:
+			ev.Done(tasks[len(tasks)-1].ID).OnDone(func() { run(j+1, true) })
+		}
+	}
+	run(0, false)
+	ctx.Drain()
+	return times
+}
+
+// Property: a Phase reused across phases, whose Reset recycles the
+// previous phase's resolved events, schedules exactly as a fresh
+// EnqueuePhase per phase, which recycles nothing. Over random
+// multi-phase scenarios — barriers between phases, phases enqueued
+// while the previous one is in flight, and phases enqueued from an
+// OnDone callback that resets the phase while its last event is still
+// resolving — every task's kernel and done events resolve at the same
+// instants both ways. A recycled event that was still in flight, or a
+// stream that kept a recycled event as its last, would show here as a
+// moved or missing completion.
+func TestPropertyRecycledPhaseEventsAgree(t *testing.T) {
+	rng := workload.NewRNG(2323)
+	var drawn [3 + numLinks]int
+	for trial := 0; trial < 120; trial++ {
+		cfg := hstreams.Config{Partitions: 1 + rng.Intn(6), StreamsPerPartition: 1 + rng.Intn(2)}
+		seed := rng.Uint64()
+		var want [][]taskTimes
+		for way := 0; way < 2; way++ {
+			ctx, err := hstreams.Init(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := hstreams.AllocVirtual(ctx, "b", 1<<20, 4)
+			counts := new([3 + numLinks]int)
+			if way == 0 {
+				counts = &drawn
+			}
+			sc := randomMultiPhase(workload.NewRNG(seed), buf, ctx.NumStreams(), counts)
+			if way == 0 {
+				want = play(t, ctx, sc, func(tasks []*Task) (*PhaseEvents, error) {
+					return EnqueuePhase(ctx, tasks)
+				})
+				continue
+			}
+			var ph Phase
+			got := play(t, ctx, sc, func(tasks []*Task) (*PhaseEvents, error) {
+				ph.Reset(ctx, len(tasks))
+				err := ph.add(tasks)
+				return ph.Events(), err
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: reused Phase completion times %v, fresh EnqueuePhase %v", trial, got, want)
+			}
+		}
+	}
+	for i, c := range drawn {
+		if c == 0 {
+			t.Errorf("scenario feature %d never drawn", i)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"micstream/internal/core"
+	"micstream/internal/sim"
 	"micstream/internal/stats"
 )
 
@@ -46,6 +50,42 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(ids) != len(want) {
 		t.Errorf("registry has %d experiments, want %d: %v", len(ids), len(want), ids)
+	}
+}
+
+// sweep returns its results in point order, and of the points that
+// fail, the first in point order gives the error, even when a later
+// point fails first. With two workers the point-0 worker blocks until
+// point 1 has failed on the other.
+func TestSweepKeepsPointOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rs, err := sweep(50, func(i int) (core.Result, error) { return core.Result{Wall: sim.Duration(i)}, nil })
+	if err != nil || len(rs) != 50 {
+		t.Fatalf("sweep of 50 points: %d results, error %v", len(rs), err)
+	}
+	for i, r := range rs {
+		if r.Wall != sim.Duration(i) {
+			t.Fatalf("slot %d holds point %d's result", i, r.Wall)
+		}
+	}
+	first, later := errors.New("point 0"), errors.New("point 1")
+	laterFailed := make(chan struct{})
+	_, err = sweep(4, func(i int) (core.Result, error) {
+		switch i {
+		case 0:
+			<-laterFailed
+			return core.Result{}, first
+		case 1:
+			close(laterFailed)
+			return core.Result{}, later
+		}
+		return core.Result{}, nil
+	})
+	if err != first {
+		t.Fatalf("sweep error %v, want point 0's %v", err, first)
+	}
+	if rs, err := sweep(0, nil); err != nil || len(rs) != 0 {
+		t.Fatalf("empty sweep: %v, %v", rs, err)
 	}
 }
 

@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"micstream/internal/apps/cf"
 	"micstream/internal/apps/hotspot"
@@ -18,7 +21,8 @@ import (
 // single-stream run with the best of a few streamed candidates per
 // dataset, Fig. 9 sweeps P at a fixed T, and Fig. 10 sweeps T at P=4.
 // Each application is one appSpec below; the three generators read it
-// and measure every point through sweep.
+// and measure every point through sweep, which runs the points in
+// parallel and returns them in order.
 
 // runner measures an application instance at P partitions and
 // granularity T: a square grid's edge for MM and CF, a task count for
@@ -271,15 +275,31 @@ func init() {
 	}
 }
 
-// sweep measures run at every (P, T) point, in order.
-func sweep(run runner, points [][2]int) ([]core.Result, error) {
-	out := make([]core.Result, len(points))
-	for i, pt := range points {
-		r, err := run(pt[0], pt[1])
+// sweep measures n points, point i by at(i), on min(GOMAXPROCS, n)
+// workers that take the points in index order. Each result lands in
+// slot i, so the slice is in point order whatever order the points
+// finish in, and of the points that fail, the first in point order
+// gives the error. A point must share nothing mutable with another:
+// every app run builds its own hstreams context.
+func sweep(n int, at func(i int) (core.Result, error)) ([]core.Result, error) {
+	out := make([]core.Result, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = at(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = r
 	}
 	return out, nil
 }
@@ -304,17 +324,27 @@ func (s *appSpec) fig8() (*Table, error) {
 		Title:   s.name + ": single stream vs multiple streams (" + what + ")",
 		Columns: []string{"dataset", "w/o[" + u + "]", "w/[" + u + "]", change},
 	}
+	// One sweep over datasets × points, so the workers share the
+	// whole figure rather than one dataset's handful of points.
 	points := append([][2]int{{1, 1}}, s.configs...)
-	sumGain := 0.0
-	for _, size := range s.datasets {
+	runs := make([]runner, len(s.datasets))
+	for i, size := range s.datasets {
 		run, err := s.open(size, s.paperIters)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := sweep(run, points)
-		if err != nil {
-			return nil, err
-		}
+		runs[i] = run
+	}
+	all, err := sweep(len(runs)*len(points), func(i int) (core.Result, error) {
+		pt := points[i%len(points)]
+		return runs[i/len(points)](pt[0], pt[1])
+	})
+	if err != nil {
+		return nil, err
+	}
+	sumGain := 0.0
+	for di, size := range s.datasets {
+		rs := all[di*len(points) : (di+1)*len(points)]
 		base, best := rs[0], rs[1]
 		for _, r := range rs[2:] {
 			if r.Wall < best.Wall {
@@ -366,7 +396,7 @@ func (s *appSpec) axisSweep(figure, title, x string, xs []int, points [][2]int, 
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sweep(run, points)
+	rs, err := sweep(len(points), func(i int) (core.Result, error) { return run(points[i][0], points[i][1]) })
 	if err != nil {
 		return nil, err
 	}

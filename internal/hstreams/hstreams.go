@@ -83,26 +83,58 @@ type Context struct {
 	devs    []*device.Device
 	links   []*pcie.Link
 	streams []*Stream
-	// events is the unused tail of the current event chunk; see
-	// newEvent.
+	// free holds the events handed back by Recycle, and events is the
+	// unused tail of the current event chunk; see newEvent.
+	free   []*Event
 	events []Event
 }
 
 // eventSlab is the number of events a context allocates at once.
 const eventSlab = 64
 
-// newEvent hands out a zeroed event from the context's current chunk,
-// allocating a chunk of eventSlab events when it runs out, so a stream
-// operation costs a sixty-fourth of a heap object. A chunk stays live
-// while any of its events is referenced, so a caller that keeps one
-// event keeps at most its chunk's other 63 slots with it.
+// newEvent hands out a zeroed event: the most recently recycled one if
+// any, else the next slot of the context's current chunk, allocating a
+// chunk of eventSlab events when it runs out. A caller that recycles
+// each phase's events (core.Phase does) therefore allocates chunks
+// only while a phase is larger than every phase before it, and a
+// caller that never recycles pays a sixty-fourth of a heap object per
+// stream operation. A chunk stays live while any of its events is
+// referenced or waits on the free list.
 func (c *Context) newEvent() *Event {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		*e = Event{}
+		return e
+	}
 	if len(c.events) == 0 {
 		c.events = make([]Event, eventSlab)
 	}
 	e := &c.events[0]
 	c.events = c.events[1:]
 	return e
+}
+
+// Recycle hands the resolved events of evs back to the context, which
+// reuses them for later enqueues; unresolved events are skipped and
+// never reused. evs must come from this context and hold no event
+// twice, and the caller must drop every reference to the resolved ones:
+// a recycled event may become any later action, so reading it or
+// gating on it afterwards sees that action instead. An event that is
+// still running its waiters counts as resolved, so an OnDone callback
+// may recycle the event that invoked it. A stream whose last event is
+// recycled forgets it, since a resolved event gates nothing, and its
+// Last reads nil until its next enqueue.
+func (c *Context) Recycle(evs []*Event) {
+	for _, e := range evs {
+		if !e.done {
+			continue
+		}
+		if e.s.last == e {
+			e.s.last = nil
+		}
+		c.free = append(c.free, e)
+	}
 }
 
 // Init builds the platform: Devices coprocessors, each partitioned into
@@ -248,8 +280,9 @@ func (s *Stream) DeviceIndex() int { return s.devIdx }
 // Partition reports the place the stream is bound to.
 func (s *Stream) Partition() *device.Partition { return s.part }
 
-// Last returns the stream's most recently enqueued event (nil if none);
-// waiting on it is a stream-level sync.
+// Last returns the stream's most recently enqueued event, or nil if
+// there is none or Context.Recycle has recycled it; waiting on it is a
+// stream-level sync either way.
 func (s *Stream) Last() *Event { return s.last }
 
 // Sync blocks the host until everything enqueued on the stream so far
@@ -263,7 +296,8 @@ func (s *Stream) Sync() { s.ctx.Wait(s.last) }
 // parameters, the count of unresolved predecessors, and the list of
 // waiters to run at its resolution, and it is the completion target the
 // simulation fires. An untraced enqueue therefore allocates nothing but
-// its share of the context's event chunk (DESIGN.md §4).
+// its share of the context's event chunk, and nothing at all when it
+// reuses a recycled event (Context.Recycle, DESIGN.md §4).
 type Event struct {
 	done bool
 	kind actionKind

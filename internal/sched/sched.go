@@ -757,6 +757,10 @@ func (s *Scheduler) start(p *Pending, stream int) {
 // — slices of one job serialize — and are stripped from the copies,
 // since a phase must not see references to tasks outside it.
 func (s *Scheduler) enqueue(chunk []*core.Task, stream int, sliced bool) error {
+	// Reset recycles the previous slice's resolved events. Under
+	// grantDone, the previous slice may be the one whose final event
+	// is still running its waiters; g.done is that event's last use,
+	// so the refill may reuse it.
 	s.phase.Reset(s.ctx, len(chunk))
 	if sliced {
 		if s.inChunk == nil {

@@ -19,8 +19,10 @@
 #     sorted, so the exemption is visible at the loop.
 #
 # Scope: internal/{sim,core,hstreams,device,pcie,trace,sched,cluster,
-# telemetry,obs,slo}, non-test files (tests may use wall clocks for timeouts and maps for
-# assertions).
+# telemetry,obs,slo,apps,experiments}, non-test files (tests may use
+# wall clocks for timeouts and maps for assertions). The experiments
+# run their sweeps on worker goroutines, so the ordered reduction the
+# tables rely on must not lean on a map's order either.
 #
 # A dynamic check rides along: two back-to-back `miccluster -slo
 # -flight` runs of the same seed must write byte-identical SLO reports
@@ -30,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-dirs="internal/sim internal/core internal/hstreams internal/device internal/pcie internal/trace internal/sched internal/cluster internal/telemetry internal/obs internal/slo"
+dirs="internal/sim internal/core internal/hstreams internal/device internal/pcie internal/trace internal/sched internal/cluster internal/telemetry internal/obs internal/slo internal/apps internal/experiments"
 status=0
 
 if out=$(grep -rn --include='*.go' -E 'time\.(Now|Since|Until|Sleep)\(' $dirs | grep -v '_test.go'); then
