@@ -142,6 +142,7 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	b := a.p.N / grid
 	nt := numTiles(grid)
 	var buf *hstreams.Buffer
@@ -155,7 +156,9 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 	}
 
 	start := ctx.Now()
-	if err := a.enqueueDAG(ctx, buf, grid, b); err != nil {
+	var ph core.Phase
+	defer ph.Close()
+	if err := a.enqueueDAG(&ph, ctx, buf, grid, b); err != nil {
 		return core.Result{}, err
 	}
 	res := core.Summarize(ctx, a.TotalFlops(), ctx.Barrier().Sub(start))
@@ -166,11 +169,11 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 }
 
 // enqueueDAG enqueues the right-looking factorization task graph as
-// one phase, task by task. Tasks are pinned to streams by tile
+// one phase on ph, task by task. Tasks are pinned to streams by tile
 // ownership (round-robin over the context's streams by tile index) so
 // repeated writers of a tile share a FIFO, and cross-device consumers
 // stage tiles through the host.
-func (a *App) enqueueDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int) error {
+func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Buffer, grid, b int) error {
 	nstreams := ctx.NumStreams()
 	spp := ctx.Config().StreamsPerPartition
 	perDev := ctx.Config().Partitions * spp
@@ -183,7 +186,6 @@ func (a *App) enqueueDAG(ctx *hstreams.Context, buf *hstreams.Buffer, grid, b in
 	// tileHome[tile] is the device holding the authoritative copy.
 	lastWriter := make(map[int]int)
 	tileHome := make(map[int]int)
-	var ph core.Phase
 	// One task per (k, j, i) with k ≤ j ≤ i < grid.
 	ph.Reset(ctx, grid*(grid+1)*(grid+2)/6)
 	// ph keeps neither a task nor its lists, so every task's lists are

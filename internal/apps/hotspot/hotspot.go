@@ -122,6 +122,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	d := a.p.Dim
 	var bufIn, bufOut, bufPower *hstreams.Buffer
 	if a.p.Functional {
@@ -146,6 +147,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and xfer serve every tile.
 	var ph core.Phase
+	defer ph.Close()
 	var xfer [1]core.TransferSpec
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Stage 1: ship the current grid, tiled; synchronize.

@@ -33,6 +33,7 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	d := a.p.Dim
 	var bufA, bufB, bufPower *hstreams.Buffer
 	if a.p.Functional {
@@ -62,6 +63,7 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 	// whole graph.
 	iters := a.p.Iterations
 	var ph core.Phase
+	defer ph.Close()
 	ph.Reset(ctx, 2*tasks*iters)
 	var xfer [1]core.TransferSpec
 	var deps [3]int

@@ -131,6 +131,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	p := a.p
 	kf := p.K * p.Features
 	// Partials per task: K×F sums followed by K counts.
@@ -162,6 +163,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	// nor its lists, so one task variable, xfer and gate serve every
 	// tile.
 	var ph core.Phase
+	defer ph.Close()
 	var xfer [1]core.TransferSpec
 	const centroidTask = 0
 	gate := [1]int{centroidTask}

@@ -110,6 +110,7 @@ func (a *App) Run(partitions, grid int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	n, bs := a.p.N, a.p.N/grid
 	var bufA, bufBt, bufC *hstreams.Buffer
 	if a.p.Functional {
@@ -133,6 +134,7 @@ func (a *App) Run(partitions, grid int) (core.Result, error) {
 	// panel and tile.
 	start := ctx.Now()
 	var ph core.Phase
+	defer ph.Close()
 	ph.Reset(ctx, grid*(grid+2))
 	var xfer [1]core.TransferSpec
 	var deps [2]int

@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"micstream/internal/stats"
@@ -155,5 +157,34 @@ func TestOverlapAchieved(t *testing.T) {
 	}
 	if r.OverlapFraction < 0.3 {
 		t.Fatalf("MM is overlappable; overlap fraction %.2f too low", r.OverlapFraction)
+	}
+}
+
+// A run closes its phase and its context, and the next run's context
+// takes their storage: its events, waiter nodes and stage recorder. So
+// with collection paused — a collection may drop that storage — the
+// second of two identical runs allocates at most a quarter of the
+// bytes of the first. The first starts cold, after a collection has
+// dropped whatever earlier runs left.
+func TestRepeatRunReusesClosedStorage(t *testing.T) {
+	app, err := New(Params{N: 6000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytes := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := app.Run(56, 40); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := bytes(), bytes()
+	t.Logf("Run(56, 40) allocated %d B cold, %d B after a closed run", first, second)
+	if second > first/4 {
+		t.Errorf("second Run(56, 40) allocated %d B, more than a quarter of the first's %d B", second, first)
 	}
 }

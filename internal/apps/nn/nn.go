@@ -119,6 +119,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	var bufLat, bufLon, bufDist *hstreams.Buffer
 	if a.p.Functional {
 		bufLat = hstreams.Alloc1D(ctx, "lat", a.lat)
@@ -134,6 +135,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	// nor its lists, so one task variable and in/out serve every chunk.
 	start := ctx.Now()
 	var ph core.Phase
+	defer ph.Close()
 	ph.Reset(ctx, tasks)
 	var in [2]core.TransferSpec
 	var out [1]core.TransferSpec

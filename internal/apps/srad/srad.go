@@ -139,6 +139,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer ctx.Close()
 	d := a.p.Dim
 	var bufImg, bufC, bufDeriv, bufStats *hstreams.Buffer
 	var statsHost []float64
@@ -172,6 +173,7 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and stats serve every stripe.
 	var ph core.Phase
+	defer ph.Close()
 	var stats [1]core.TransferSpec
 	q0sqr := 0.0
 	for iter := 0; iter < a.p.Iterations; iter++ {

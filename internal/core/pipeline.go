@@ -161,7 +161,8 @@ func (e *PhaseEvents) reset() {
 // Reset hands the resolved ones back to their context for reuse, so a
 // caller that enqueues phase after phase, each after a Barrier,
 // allocates its event index and its events once, for its largest
-// phase.
+// phase. Close ends the last phase the same way, so that closing the
+// context next hands those events on to the next context.
 type Phase struct {
 	ctx  *hstreams.Context
 	ev   PhaseEvents
@@ -208,6 +209,14 @@ func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
 		p.ev.dense = make([]taskEvents, 0, p.hint)
 	}
 }
+
+// Close ends the phase as Reset does — its resolved events go back to
+// their context, its unresolved ones are dropped unreused — and
+// detaches it from the context, so a caller can close the phase and
+// then its context (hstreams.Context.Close), which hands the recycled
+// events on to the next context. No event of the phase may be used
+// after Close. A closed phase is ready for Reset, like the zero Phase.
+func (p *Phase) Close() { p.Reset(nil, 0) }
 
 // Events returns the completion events of the tasks added since Reset.
 // They stay valid until the next Reset, which may reuse them for other

@@ -2,11 +2,13 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"micstream/internal/device"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
+	"micstream/internal/trace"
 	"micstream/internal/workload"
 )
 
@@ -599,6 +601,67 @@ func TestPropertyRecycledPhaseEventsAgree(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: reused Phase completion times %v, fresh EnqueuePhase %v", trial, got, want)
 			}
+		}
+	}
+	for i, c := range drawn {
+		if c == 0 {
+			t.Errorf("scenario feature %d never drawn", i)
+		}
+	}
+}
+
+// Property: a context built from a closed context's spares — its free
+// events, chunk tail, waiter nodes and stage recorder — schedules
+// exactly as a fresh one. Each trial first dirties a context with one
+// random multi-phase scenario and closes its phase and then the
+// context, builds the next context at once so it takes that storage,
+// and plays a second scenario on it; every task's kernel and done
+// events resolve at the same instants, and the stage analysis reads
+// the same, as the second scenario played on a context made after a
+// collection has dropped every spare. Stale event fields, waiter
+// links or recorder intervals carried over would show here.
+func TestPropertySpareContextsAgree(t *testing.T) {
+	rng := workload.NewRNG(2424)
+	var drawn [3 + numLinks]int
+	for trial := 0; trial < 60; trial++ {
+		cfg := hstreams.Config{Partitions: 1 + rng.Intn(6), StreamsPerPartition: 1 + rng.Intn(2), Stages: true}
+		dirty, seed := rng.Uint64(), rng.Uint64()
+		run := func(ctx *hstreams.Context, seed uint64, counts *[3 + numLinks]int) ([][]taskTimes, trace.StageTimes) {
+			buf := hstreams.AllocVirtual(ctx, "b", 1<<20, 4)
+			sc := randomMultiPhase(workload.NewRNG(seed), buf, ctx.NumStreams(), counts)
+			var ph Phase
+			times := play(t, ctx, sc, func(tasks []*Task) (*PhaseEvents, error) {
+				ph.Reset(ctx, len(tasks))
+				err := ph.add(tasks)
+				return ph.Events(), err
+			})
+			ph.Close()
+			return times, ctx.Recorder().StageTimes()
+		}
+		runtime.GC()
+		fresh, err := hstreams.Init(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStages := run(fresh, seed, &drawn)
+
+		used, err := hstreams.Init(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(used, dirty, new([3 + numLinks]int))
+		used.Close()
+		spare, err := hstreams.Init(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotStages := run(spare, seed, new([3 + numLinks]int))
+		spare.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: completion times on a spare context %v, on a fresh one %v", trial, got, want)
+		}
+		if gotStages != wantStages {
+			t.Fatalf("trial %d: stage analysis on a spare context %+v, on a fresh one %+v", trial, gotStages, wantStages)
 		}
 	}
 	for i, c := range drawn {

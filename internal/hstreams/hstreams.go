@@ -21,6 +21,8 @@ package hstreams
 
 import (
 	"fmt"
+	"sync"
+	"weak"
 
 	"micstream/internal/device"
 	"micstream/internal/pcie"
@@ -87,6 +89,17 @@ type Context struct {
 	// unused tail of the current event chunk; see newEvent.
 	free   []*Event
 	events []Event
+	// waiters holds the nodes of the events' waiter lists past each
+	// event's inline first waiter; node 0 is never used, so index 0
+	// ends a list. freeWaiter heads the list of vacant nodes.
+	waiters    []waiter
+	freeWaiter int32
+}
+
+// waiter is one node of an event's waiter list.
+type waiter struct {
+	h    sim.Handler
+	next int32
 }
 
 // eventSlab is the number of events a context allocates at once.
@@ -98,8 +111,11 @@ const eventSlab = 64
 // each phase's events (core.Phase does) therefore allocates chunks
 // only while a phase is larger than every phase before it, and a
 // caller that never recycles pays a sixty-fourth of a heap object per
-// stream operation. A chunk stays live while any of its events is
-// referenced or waits on the free list.
+// stream operation. A context built from a closed one's spares (see
+// Close) starts with that context's free list and chunk tail, so a
+// sweep of same-shaped runs, each closed in turn, carves chunks only
+// for its largest run. A chunk stays live while any of its events is
+// referenced or waits on a free list.
 func (c *Context) newEvent() *Event {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -113,6 +129,20 @@ func (c *Context) newEvent() *Event {
 	e := &c.events[0]
 	c.events = c.events[1:]
 	return e
+}
+
+// newWaiter stores h in a vacant waiter node and returns its index.
+func (c *Context) newWaiter(h sim.Handler) int32 {
+	if i := c.freeWaiter; i != 0 {
+		c.freeWaiter = c.waiters[i].next
+		c.waiters[i] = waiter{h: h}
+		return i
+	}
+	if len(c.waiters) == 0 {
+		c.waiters = append(c.waiters, waiter{})
+	}
+	c.waiters = append(c.waiters, waiter{h: h})
+	return int32(len(c.waiters) - 1)
 }
 
 // Recycle hands the resolved events of evs back to the context, which
@@ -133,8 +163,78 @@ func (c *Context) Recycle(evs []*Event) {
 		if e.s.last == e {
 			e.s.last = nil
 		}
+		// A recycled event keeps no stream, so a free list handed
+		// on by Close pins nothing of this context.
+		e.s = nil
 		c.free = append(c.free, e)
 	}
+}
+
+// spare is the storage a closed context leaves for the next Init: its
+// free list and chunk tail, its waiter nodes (cleared), and its stage
+// recorder (reset), if it had one.
+type spare struct {
+	free    []*Event
+	events  []Event
+	waiters []waiter
+	rec     *trace.Recorder
+}
+
+// maxSpares bounds the spare list; a Close that finds it full drops
+// the oldest entry.
+const maxSpares = 16
+
+// spares holds the closed contexts' storage weakly: a collection drops
+// every spare that no Init has taken, so spares never count as live
+// heap, and a spare dropped that way costs the next Init only the
+// allocations a fresh context makes.
+var spares struct {
+	mu   sync.Mutex
+	list []weak.Pointer[spare]
+}
+
+// takeSpare pops the most recently closed spare that the collector has
+// not dropped, or returns nil.
+func takeSpare() *spare {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	for len(spares.list) > 0 {
+		n := len(spares.list) - 1
+		sp := spares.list[n].Value()
+		spares.list = spares.list[:n]
+		if sp != nil {
+			return sp
+		}
+	}
+	return nil
+}
+
+// Close ends the context and hands its reusable storage to the next
+// Init: the events on its free list, the unused tail of its event
+// chunk, its waiter nodes (cleared) and its stage recorder (reset). A
+// caller that runs one context after another — the paper apps, one
+// context per run — therefore carves events and nodes only for its
+// largest run. Recycle a phase's events first (core.Phase.Close) or
+// Close hands on none of them. Nothing of the context may be used
+// after Close: not its streams, events, buffers or recorder, whose
+// storage the next context may already own. Close does not drain the
+// engine; events still pending there are dropped with it. A context
+// that is never closed keeps its storage, as a long-lived one (a
+// scheduler's, a cluster's) should.
+func (c *Context) Close() {
+	clear(c.waiters)
+	sp := &spare{free: c.free, events: c.events, waiters: c.waiters[:0]}
+	if c.rec != nil && !c.rec.KeepsSpans() {
+		c.rec.Reset()
+		sp.rec = c.rec
+	}
+	c.free, c.events, c.waiters, c.freeWaiter, c.rec = nil, nil, nil, 0, nil
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	if len(spares.list) == maxSpares {
+		spares.list = append(spares.list[:0], spares.list[1:]...)
+	}
+	spares.list = append(spares.list, weak.Make(sp))
 }
 
 // Init builds the platform: Devices coprocessors, each partitioned into
@@ -149,9 +249,15 @@ func Init(cfg Config) (*Context, error) {
 		return nil, fmt.Errorf("hstreams: streams per partition %d < 1", cfg.StreamsPerPartition)
 	}
 	c := &Context{cfg: cfg, eng: sim.NewEngine()}
+	var rec *trace.Recorder // a spare stage recorder
+	if sp := takeSpare(); sp != nil {
+		c.free, c.events, c.waiters, rec = sp.free, sp.events, sp.waiters, sp.rec
+	}
 	switch {
 	case cfg.Trace:
 		c.rec = trace.NewRecorder()
+	case cfg.Stages && rec != nil:
+		c.rec = rec
 	case cfg.Stages:
 		c.rec = trace.NewStageRecorder()
 	}
@@ -295,9 +401,13 @@ func (s *Stream) Sync() { s.ctx.Wait(s.last) }
 // An event is also the action itself: it carries the action's
 // parameters, the count of unresolved predecessors, and the list of
 // waiters to run at its resolution, and it is the completion target the
-// simulation fires. An untraced enqueue therefore allocates nothing but
-// its share of the context's event chunk, and nothing at all when it
-// reuses a recycled event (Context.Recycle, DESIGN.md §4).
+// simulation fires. The waiter list keeps no slice of its own: past
+// the inline first waiter, its nodes live in the context's waiter
+// array, so a resolved event holds nothing to drop and an event costs
+// 128 B however many waiters it has had. An untraced enqueue therefore
+// allocates nothing but its share of the context's event chunk, and
+// nothing at all when it reuses a recycled event (Context.Recycle,
+// DESIGN.md §4).
 type Event struct {
 	done bool
 	kind actionKind
@@ -305,10 +415,10 @@ type Event struct {
 	at   sim.Time
 
 	// w0 is the first waiter, held inline because almost every event
-	// has at most one successor; more holds the rest in registration
-	// order.
-	w0   sim.Handler
-	more []sim.Handler
+	// has at most one successor; head and tail index the rest, in
+	// registration order, in the context's waiter nodes (0: none).
+	w0         sim.Handler
+	head, tail int32
 
 	s       *Stream
 	pending int
@@ -362,17 +472,27 @@ func (e *Event) CompletedAt() sim.Time { return e.at }
 
 // resolve marks the event complete and runs its waiters — OnDone
 // callbacks and dependent actions alike — in exact registration order.
+// It detaches the list before firing anything and then reads only the
+// nodes, each of which it frees before firing its waiter, so a waiter
+// may recycle and refill the event, or register waiters anywhere,
+// without touching the rest of the list.
 func (e *Event) resolve(at sim.Time) {
 	e.done = true
 	e.at = at
 	e.buf, e.body = nil, nil
-	w0, more := e.w0, e.more
-	e.w0, e.more = nil, nil
+	c := e.s.ctx
+	w0, i := e.w0, e.head
+	e.w0, e.head, e.tail = nil, 0, 0
 	if w0 != nil {
 		w0.Fire()
 	}
-	for _, w := range more {
-		w.Fire()
+	for i != 0 {
+		n := &c.waiters[i]
+		h, next := n.h, n.next
+		*n = waiter{next: c.freeWaiter}
+		c.freeWaiter = i
+		h.Fire()
+		i = next
 	}
 }
 
@@ -382,7 +502,14 @@ func (e *Event) wait(h sim.Handler) {
 		e.w0 = h
 		return
 	}
-	e.more = append(e.more, h)
+	c := e.s.ctx
+	i := c.newWaiter(h)
+	if e.tail == 0 {
+		e.head = i
+	} else {
+		c.waiters[e.tail].next = i
+	}
+	e.tail = i
 }
 
 // after registers d as a predecessor of e's action when d is still
@@ -429,7 +556,8 @@ func (e *Event) start(ready sim.Time) {
 // completion time as Context.Now() and may enqueue further work — this
 // is the hook the online scheduler (internal/sched) uses to make
 // dispatch decisions at job-completion instants. Registering allocates
-// nothing beyond a spilled waiter slot.
+// nothing once the context's waiter nodes have grown to its largest
+// list.
 func (e *Event) OnDone(fn func()) {
 	if e == nil || e.done {
 		fn()

@@ -229,9 +229,8 @@ type Scheduler struct {
 
 	// Dispatch scratch, reused across decisions so a dispatch allocates
 	// nothing of its own: the policy's View and idle list (refreshed
-	// copies, valid only during Pick), the phase a slice is enqueued
-	// through and its dependency scratch, and one grant record per
-	// stream for the slice in flight there.
+	// copies, valid only during Pick), a slice's dependency scratch,
+	// and one grant record per stream for the slice in flight there.
 	view     View
 	viewLoad []sim.Duration
 	viewPart []int
@@ -239,19 +238,22 @@ type Scheduler struct {
 	idle     []int
 	depBuf   []int
 	inChunk  map[int]bool
-	phase    core.Phase
 	grants   []grant
 }
 
 // grant is the record of one stream grant in flight, one per stream
 // because a stream runs at most one slice at a time. done is its
 // completion callback, made once per stream in New, so registering it
-// on a slice's final event allocates nothing per grant.
+// on a slice's final event allocates nothing per grant. phase is the
+// stream's own phase, which each slice granted there is enqueued
+// through: the previous slice on a stream has always resolved when
+// the next one resets the phase, so its events are all recycled.
 type grant struct {
 	p       *Pending
 	end     int      // index after the slice's last task
 	granted sim.Time // dispatch instant
 	done    func()
+	phase   core.Phase
 }
 
 // binder is implemented by policies that derive state from the
@@ -730,7 +732,8 @@ func (s *Scheduler) start(p *Pending, stream int) {
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global, Dur: est})
 	}
 
-	if err := s.enqueue(chunk, global, p.Next > 0); err != nil {
+	g := &s.grants[stream]
+	if err := s.enqueue(&g.phase, chunk, global, p.Next > 0); err != nil {
 		// The job claimed its stream but will never complete there;
 		// mark it failed before stranding the queue behind it.
 		s.outcomes[idx].Failed = true
@@ -746,22 +749,22 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	}
 	// Every action of the slice sits on one FIFO stream, so the last
 	// task's final event is the last to resolve.
-	g := &s.grants[stream]
 	g.p, g.end, g.granted = p, end, s.ctx.Now()
-	s.phase.Events().Done(chunk[len(chunk)-1].ID).OnDone(g.done)
+	g.phase.Events().Done(chunk[len(chunk)-1].ID).OnDone(g.done)
 }
 
-// enqueue enqueues chunk as one phase with every task pinned to the
-// given stream, each through a copy that the phase does not keep.
+// enqueue enqueues chunk as one phase on ph with every task pinned to
+// the given stream, each through a copy that the phase does not keep.
 // Dependencies on earlier slices (sliced true) are satisfied temporally
 // — slices of one job serialize — and are stripped from the copies,
 // since a phase must not see references to tasks outside it.
-func (s *Scheduler) enqueue(chunk []*core.Task, stream int, sliced bool) error {
-	// Reset recycles the previous slice's resolved events. Under
-	// grantDone, the previous slice may be the one whose final event
-	// is still running its waiters; g.done is that event's last use,
-	// so the refill may reuse it.
-	s.phase.Reset(s.ctx, len(chunk))
+func (s *Scheduler) enqueue(ph *core.Phase, chunk []*core.Task, stream int, sliced bool) error {
+	// Reset recycles the stream's previous slice, which has resolved:
+	// its actions all sit on this one FIFO stream, and the stream was
+	// granted again only after the slice's final event. Under
+	// grantDone, that event may still be running its waiters; g.done
+	// is its last use, so the refill may reuse it.
+	ph.Reset(s.ctx, len(chunk))
 	if sliced {
 		if s.inChunk == nil {
 			s.inChunk = make(map[int]bool, len(chunk))
@@ -784,7 +787,7 @@ func (s *Scheduler) enqueue(chunk []*core.Task, stream int, sliced bool) error {
 			s.depBuf = deps
 			c.DependsOn = deps
 		}
-		if err := s.phase.Add(&c); err != nil {
+		if err := ph.Add(&c); err != nil {
 			return err
 		}
 	}

@@ -18,76 +18,80 @@ type Func func()
 // Fire implements Handler.
 func (f Func) Fire() { f() }
 
-// event is a scheduled callback. Events with equal timestamps dispatch
-// in scheduling order (seq), which makes the whole simulation
-// deterministic.
-type event struct {
-	at  Time
-	seq uint64
-	h   Handler
+// key orders one scheduled callback: events with equal timestamps
+// dispatch in scheduling order (seq), which makes the whole simulation
+// deterministic. slot indexes the engine's slot table, where the
+// callback itself waits. A key holds no pointers, so the collector
+// never scans the heap array and a sift writes no pointer: the
+// write barrier stays off the engine's hottest path.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
 }
 
-// eventHeap is a min-heap ordered by (at, seq), maintained by the
-// hand-rolled sift routines below instead of container/heap: the
-// standard interface forces every Push and Pop through an interface{}
-// box, which allocates one event-sized heap object per scheduled
-// event. In service mode the engine is a steady-state hot loop that
-// schedules and dispatches events forever, so the heap operates
-// in-place on the backing array — once the array has grown to the
-// session's high-water mark, scheduling is allocation-free
-// (DESIGN.md §15; BenchmarkEngineSteadyState guards this).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (k key) less(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return k.seq < o.seq
 }
 
-// push appends ev and restores the heap order (sift-up).
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
+// eventHeap is a min-heap of keys ordered by (at, seq), maintained by
+// the hand-rolled sift routines below instead of container/heap: the
+// standard interface forces every Push and Pop through an interface{}
+// box, which allocates one key-sized heap object per scheduled event.
+// In service mode the engine is a steady-state hot loop that schedules
+// and dispatches events forever, so the heap operates in-place on the
+// backing array — once the array has grown to the session's high-water
+// mark, scheduling is allocation-free (DESIGN.md §15;
+// BenchmarkEngineSteadyState guards this). Both sifts move a hole
+// rather than swapping, so each level costs one key copy.
+type eventHeap []key
+
+// push appends k and restores the heap order (sift-up).
+func (h *eventHeap) push(k key) {
+	*h = append(*h, k)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !k.less(q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = k
 }
 
-// pop removes and returns the minimum event (sift-down). The vacated
-// slot's handler is cleared so the backing array does not pin it (and
-// whatever it references) until the slot is overwritten.
-func (h *eventHeap) pop() event {
+// pop removes and returns the minimum key (sift-down).
+func (h *eventHeap) pop() key {
 	q := *h
 	n := len(q) - 1
-	ev := q[0]
-	q[0] = q[n]
-	q[n] = event{}
+	top, last := q[0], q[n]
 	q = q[:n]
 	*h = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := child + 1; right < n && q[right].less(q[child]) {
 			child = right
 		}
-		if !q.less(child, i) {
+		if !q[child].less(last) {
 			break
 		}
-		q[i], q[child] = q[child], q[i]
+		q[i] = q[child]
 		i = child
 	}
-	return ev
+	q[i] = last
+	return top
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
@@ -99,6 +103,11 @@ type Engine struct {
 	heap   eventHeap
 	seq    uint64
 	nsteps uint64
+	// slots holds the callbacks of the pending events, indexed by
+	// their keys' slot; free lists the vacant slots, reused most
+	// recently vacated first.
+	slots []Handler
+	free  []int32
 }
 
 // NewEngine returns an engine with the virtual clock at zero.
@@ -141,8 +150,17 @@ func (e *Engine) Schedule(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[slot] = h
+	} else {
+		slot = int32(len(e.slots))
+		e.slots = append(e.slots, h)
+	}
 	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, h: h})
+	e.heap.push(key{at: t, seq: e.seq, slot: slot})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -159,10 +177,15 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.heap.pop()
-	e.now = ev.at
+	k := e.heap.pop()
+	// The vacated slot is cleared so the table does not pin the
+	// handler (and whatever it references) until the slot is reused.
+	h := e.slots[k.slot]
+	e.slots[k.slot] = nil
+	e.free = append(e.free, k.slot)
+	e.now = k.at
 	e.nsteps++
-	ev.h.Fire()
+	h.Fire()
 	return true
 }
 

@@ -65,18 +65,26 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 // lengths, and the latest span end. Its BusyTime, Overlap,
 // TransferComputeOverlap, StageTimes, TotalTime and Makespan equal a
 // full recorder's fed the same spans; Spans is nil and Gantt prints
-// the empty trace.
+// the empty trace. Its analysis works in the recorder's own storage —
+// it merges each class's intervals in place and builds the transfer
+// union in one reused scratch slice — so, unlike a full recorder's, it
+// must not run concurrently with another call on the same recorder.
 type Recorder struct {
 	spans []Span
 	// classes is non-nil exactly in stage mode, indexed by Kind.
 	classes []stageClass
 	end     sim.Time // latest span end
+	// xfer is StageTimes' scratch for the transfer union in stage
+	// mode.
+	xfer []interval
 }
 
 // stageClass is one Kind's record in stage mode. busy holds the
 // non-empty spans with each one that touches or overlaps its
-// predecessor folded into it, so it has the spans' union; it holds
-// no pointers, so the collector never scans it.
+// predecessor folded into it, so it has the spans' union; the
+// analysis sorts and merges it in place, which keeps that union, and
+// later spans fold into its last interval as before. It holds no
+// pointers, so the collector never scans it.
 type stageClass struct {
 	busy  []interval
 	total sim.Duration
@@ -206,7 +214,13 @@ type StageTimes struct {
 func (r *Recorder) StageTimes() StageTimes {
 	h2d, d2h, exe := r.busy(H2D), r.busy(D2H), r.busy(Kernel)
 	st := StageTimes{H2D: length(h2d), D2H: length(d2h), Kernel: length(exe)}
-	xfer := mergeIntervals(slices.Concat(h2d, d2h))
+	var xfer []interval
+	if r != nil && r.classes != nil {
+		r.xfer = mergeIntervals(append(append(r.xfer[:0], h2d...), d2h...))
+		xfer = r.xfer
+	} else {
+		xfer = mergeIntervals(slices.Concat(h2d, d2h))
+	}
 	if total := length(xfer); total > 0 {
 		st.TransferComputeOverlap = intersectionLength(xfer, exe).Seconds() / total.Seconds()
 	}
@@ -222,14 +236,18 @@ func (r *Recorder) TransferComputeOverlap() float64 {
 
 type interval struct{ lo, hi sim.Time }
 
-// busy returns the merged busy intervals of one kind in a fresh slice.
+// busy returns the merged busy intervals of one kind: in a stage
+// recorder, the class's own intervals, merged in place; otherwise a
+// fresh slice.
 func (r *Recorder) busy(kind Kind) []interval {
 	var out []interval
 	switch {
 	case r == nil:
 	case r.classes != nil:
 		if int(kind) < len(r.classes) {
-			out = append(out, r.classes[kind].busy...)
+			c := &r.classes[kind]
+			c.busy = mergeIntervals(c.busy)
+			return c.busy
 		}
 	default:
 		for _, s := range r.spans {
@@ -246,7 +264,7 @@ func (r *Recorder) busy(kind Kind) []interval {
 // non-touching intervals with the same union, whatever the input order.
 func mergeIntervals(in []interval) []interval {
 	if len(in) == 0 {
-		return nil
+		return in
 	}
 	slices.SortFunc(in, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 	out := in[:1]

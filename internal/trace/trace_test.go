@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,43 +252,67 @@ func randomSpans(rng *rand.Rand) []Span {
 
 // Property: a stage recorder fed the same spans as a full recorder
 // reports exactly the same stage analysis, and again after Reset.
+// Spans arrive in batches with the analysis run after each, so the
+// stage recorder's in-place merge must leave intervals that later Add
+// calls still fold into correctly.
 func TestPropertyStageRecorderMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	kinds := make([]Kind, len(kindNames)+1)
 	for i := range kinds {
 		kinds[i] = Kind(i)
 	}
+	batched := 0
 	for trial := 0; trial < 300; trial++ {
 		full, stage := NewRecorder(), NewStageRecorder()
 		for round := 0; round < 2; round++ {
 			full.Reset()
 			stage.Reset()
-			for _, s := range randomSpans(rng) {
-				full.Add(s)
-				stage.Add(s)
-			}
-			for _, a := range kinds {
-				if f, s := full.BusyTime(a), stage.BusyTime(a); f != s {
-					t.Fatalf("trial %d round %d: BusyTime(%v) full %v, stage %v", trial, round, a, f, s)
+			spans := randomSpans(rng)
+			for len(spans) > 0 {
+				n := 1 + rng.Intn(len(spans))
+				if n < len(spans) {
+					batched++
 				}
-				if f, s := full.TotalTime(a), stage.TotalTime(a); f != s {
-					t.Fatalf("trial %d round %d: TotalTime(%v) full %v, stage %v", trial, round, a, f, s)
+				for _, s := range spans[:n] {
+					full.Add(s)
+					stage.Add(s)
 				}
-				for _, b := range kinds {
-					if f, s := full.Overlap(a, b), stage.Overlap(a, b); f != s {
-						t.Fatalf("trial %d round %d: Overlap(%v, %v) full %v, stage %v", trial, round, a, b, f, s)
-					}
+				spans = spans[n:]
+				if err := compareAnalysis(full, stage, kinds); err != "" {
+					t.Fatalf("trial %d round %d: %s", trial, round, err)
 				}
-			}
-			if f, s := full.TransferComputeOverlap(), stage.TransferComputeOverlap(); f != s {
-				t.Fatalf("trial %d round %d: TransferComputeOverlap full %v, stage %v", trial, round, f, s)
-			}
-			if f, s := full.StageTimes(), stage.StageTimes(); f != s {
-				t.Fatalf("trial %d round %d: StageTimes full %+v, stage %+v", trial, round, f, s)
-			}
-			if f, s := full.Makespan(), stage.Makespan(); f != s {
-				t.Fatalf("trial %d round %d: Makespan full %v, stage %v", trial, round, f, s)
 			}
 		}
 	}
+	if batched == 0 {
+		t.Fatal("no round was analysed before its last span")
+	}
+}
+
+// compareAnalysis returns how the stage analysis of two recorders
+// differs, or "" when it agrees.
+func compareAnalysis(full, stage *Recorder, kinds []Kind) string {
+	for _, a := range kinds {
+		if f, s := full.BusyTime(a), stage.BusyTime(a); f != s {
+			return fmt.Sprintf("BusyTime(%v) full %v, stage %v", a, f, s)
+		}
+		if f, s := full.TotalTime(a), stage.TotalTime(a); f != s {
+			return fmt.Sprintf("TotalTime(%v) full %v, stage %v", a, f, s)
+		}
+		for _, b := range kinds {
+			if f, s := full.Overlap(a, b), stage.Overlap(a, b); f != s {
+				return fmt.Sprintf("Overlap(%v, %v) full %v, stage %v", a, b, f, s)
+			}
+		}
+	}
+	if f, s := full.TransferComputeOverlap(), stage.TransferComputeOverlap(); f != s {
+		return fmt.Sprintf("TransferComputeOverlap full %v, stage %v", f, s)
+	}
+	if f, s := full.StageTimes(), stage.StageTimes(); f != s {
+		return fmt.Sprintf("StageTimes full %+v, stage %+v", f, s)
+	}
+	if f, s := full.Makespan(), stage.Makespan(); f != s {
+		return fmt.Sprintf("Makespan full %v, stage %v", f, s)
+	}
+	return ""
 }
