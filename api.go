@@ -535,7 +535,9 @@ func WithClusterDevicePolicy(factory func() SchedPolicy) ClusterOption {
 // feeds back into a decision — a traced run's ClusterResult is
 // bit-identical to an untraced one (DESIGN.md §12). Use Cluster.Trace
 // to export the log and the spans as Chrome trace-event JSON and
-// Cluster.Metrics for the snapshots.
+// Cluster.Metrics for the snapshots. A served cluster with observers
+// attached streams instead: after Serve, the recorder's Events() and
+// Cluster.Metrics() no longer grow.
 func WithClusterTelemetry(rec *Telemetry) ClusterOption {
 	return func(c *clusterConfig) {
 		c.traced = rec != nil

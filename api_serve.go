@@ -47,7 +47,10 @@ type (
 var ErrServerStopped = serve.ErrStopped
 
 // Serve opens service mode on a cluster and starts its run loop. The
-// cluster is borrowed exclusively until Drain completes.
+// cluster is borrowed exclusively until Drain completes. With an
+// exporter, flight recorder or SLO evaluator attached, the cluster's
+// Telemetry streams to them and keeps no log: after Serve, its
+// Events() and Cluster.Metrics() no longer grow.
 func Serve(c *Cluster, opts ...ServeOption) (*ClusterServer, error) {
 	return serve.New(c, opts...)
 }

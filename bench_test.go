@@ -238,24 +238,55 @@ func BenchmarkClusterAdmission(b *testing.B) {
 // live ClusterServer and the sustained wall-clock ingest rate is
 // reported as jobs/s — the same figure cmd/micserve prints and
 // scripts/bench.sh tracks in the throughput series.
-func BenchmarkServeIngest(b *testing.B) {
+func BenchmarkServeIngest(b *testing.B) { benchServe(b, false) }
+
+// BenchmarkServeObserved is BenchmarkServeIngest with the full observer
+// stack a monitored server runs: telemetry, the OpenMetrics exporter, a
+// DefaultFlightCap flight recorder and an SLO evaluator. Its jobs/s
+// and B/job against the bare canary are the observers' cost.
+func BenchmarkServeObserved(b *testing.B) { benchServe(b, true) }
+
+// benchServe runs the serve canaries: per iteration a fresh server
+// over a 2×2×2 cluster, eight submitters of 32 jobs each, then a
+// drain. It reports the sustained ingest rate as jobs/s and the bytes
+// allocated per job as B/job.
+func benchServe(b *testing.B, observed bool) {
 	const submitters, perG = 8, 32
 	jobs := 0
 	var inRun time.Duration
+	var bytes uint64
+	var m0, m1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := NewCluster(
+		opts := []ClusterOption{
 			WithClusterDevices(2),
 			WithClusterPartitions(2),
 			WithClusterStreams(2),
-		)
+		}
+		var serveOpts []ServeOption
+		if observed {
+			ev, err := NewSLOEvaluator(SLOSpec{Objectives: []SLOObjective{
+				{Tenant: "ta", Name: "ta-latency", Kind: "latency", Target: 0.95, Threshold: Duration(10 * time.Millisecond)},
+				{Tenant: "tb", Name: "tb-throughput", Kind: "throughput", Target: 0.9, Floor: 1},
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts = append(opts, WithClusterTelemetry(NewTelemetry()))
+			serveOpts = append(serveOpts,
+				WithServeExporter(NewOpenMetricsExporter()),
+				WithServeFlight(NewFlightRecorder(DefaultFlightCap)),
+				WithServeSLO(ev))
+		}
+		c, err := NewCluster(opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := Serve(c)
+		srv, err := Serve(c, serveOpts...)
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&m0)
 		b.StartTimer()
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -286,6 +317,10 @@ func BenchmarkServeIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		inRun += time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		b.StartTimer()
 		st := srv.Stats()
 		if st.Completed != submitters*perG {
 			b.Fatalf("completed %d of %d jobs", st.Completed, submitters*perG)
@@ -294,6 +329,9 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 	if sec := inRun.Seconds(); sec > 0 {
 		b.ReportMetric(float64(jobs)/sec, "jobs/s")
+	}
+	if jobs > 0 {
+		b.ReportMetric(float64(bytes)/float64(jobs), "B/job")
 	}
 }
 

@@ -322,6 +322,9 @@ type Cluster struct {
 	// telStaged.
 	telHit  int64
 	telMiss int64
+	// tput is snapshotMetrics' scratch for the Jain index input, which
+	// stats.JainIndex does not retain.
+	tput []float64
 
 	// eligible and eligDev are the placement snapshot's scratch,
 	// refreshed by eligibleViews at every placement decision.
@@ -465,7 +468,9 @@ func (c *Cluster) PricingModel() *model.Model {
 }
 
 // Metrics returns the drain-instant metrics snapshots recorded so far
-// (nil when telemetry is disabled).
+// (nil when telemetry is disabled). A served cluster's recorder only
+// streams (Recorder.StreamOnly), so after serve.New the slice no
+// longer grows.
 func (c *Cluster) Metrics() []telemetry.MetricsSnapshot { return c.tel.Metrics() }
 
 // Trace writes the cluster's runs so far as Chrome trace-event JSON,
@@ -1049,6 +1054,9 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		MissBytes:    c.telMiss,
 	}
 	parts := c.ctx.Config().Partitions
+	// Devices and Tenants are fresh for every snapshot: the exporter
+	// and the observer stack keep the latest one and render it outside
+	// the run loop.
 	snap.Devices = make([]telemetry.DeviceMetrics, len(c.scheds))
 	for d, s := range c.scheds {
 		dm := telemetry.DeviceMetrics{
@@ -1068,18 +1076,21 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		}
 		snap.Devices[d] = dm
 	}
-	tput := make([]float64, 0, len(c.tenantSeen))
-	for _, name := range c.tenantSeen {
+	if len(c.tenantSeen) > 0 {
+		snap.Tenants = make([]telemetry.TenantMetrics, len(c.tenantSeen))
+	}
+	c.tput = c.tput[:0]
+	for i, name := range c.tenantSeen {
 		acc := c.tenantLat[name]
 		tm := telemetry.TenantMetrics{Tenant: name, Done: acc.N(),
 			MeanLatency: sim.Duration(acc.Mean()), P95: sim.Duration(acc.P95())}
 		if secs > 0 {
 			tm.Throughput = float64(tm.Done) / secs
 		}
-		snap.Tenants = append(snap.Tenants, tm)
-		tput = append(tput, float64(tm.Done))
+		snap.Tenants[i] = tm
+		c.tput = append(c.tput, float64(tm.Done))
 	}
-	snap.Fairness = stats.JainIndex(tput)
+	snap.Fairness = stats.JainIndex(c.tput)
 	return snap
 }
 

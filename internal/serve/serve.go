@@ -162,7 +162,10 @@ type Server struct {
 
 // New opens a session on the cluster and starts the run loop. The
 // cluster is borrowed exclusively until Drain returns — calling Run
-// on it, or touching its schedulers, corrupts the service.
+// on it, or touching its schedulers, corrupts the service. With an
+// exporter, flight recorder or SLO evaluator attached, the cluster's
+// telemetry recorder only streams to them from here on: its Events
+// and Metrics keep what was recorded before New and no longer grow.
 func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	if c == nil {
 		return nil, fmt.Errorf("serve: nil cluster")
@@ -188,6 +191,10 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 			return nil, fmt.Errorf("serve: metrics/flight/slo require a cluster built WithTelemetry")
 		}
 		st.Attach(c.Telemetry())
+		// The stack consumes every event and snapshot as it arrives and
+		// nothing reads a served cluster's log, so keep none: the flight
+		// recorder's ring is the bounded history.
+		c.Telemetry().StreamOnly()
 	}
 	sess, err := c.NewSession(s.fanout)
 	if err != nil {

@@ -131,6 +131,10 @@ type Evaluator struct {
 	byTenant map[string][]int
 
 	jobs map[int]*jobState
+	// free holds finished jobStates for the next admissions to reuse,
+	// events slice included: judge reads a job's events only before
+	// its state is released.
+	free []*jobState
 
 	onExhausted func(Objective, sim.Time)
 
@@ -184,12 +188,15 @@ func (ev *Evaluator) OnEvent(e telemetry.Event) {
 		if len(ev.byTenant[e.Tenant]) == 0 {
 			return
 		}
-		ev.jobs[e.Job] = &jobState{
-			admitAt:  e.At,
-			deadline: e.Deadline,
-			tenant:   e.Tenant,
-			events:   []telemetry.Event{e},
+		var js *jobState
+		if n := len(ev.free); n > 0 {
+			js, ev.free = ev.free[n-1], ev.free[:n-1]
+		} else {
+			js = new(jobState)
 		}
+		js.admitAt, js.deadline, js.tenant = e.At, e.Deadline, e.Tenant
+		js.events = append(js.events[:0], e)
+		ev.jobs[e.Job] = js
 	case telemetry.Complete:
 		js := ev.jobs[e.Job]
 		if js == nil {
@@ -197,14 +204,22 @@ func (ev *Evaluator) OnEvent(e telemetry.Event) {
 		}
 		js.events = append(js.events, e)
 		ev.judge(js, e)
-		delete(ev.jobs, e.Job)
+		ev.release(e.Job, js)
 	case telemetry.Fail:
-		delete(ev.jobs, e.Job)
+		if js := ev.jobs[e.Job]; js != nil {
+			ev.release(e.Job, js)
+		}
 	default:
 		if js := ev.jobs[e.Job]; js != nil && e.Job >= 0 {
 			js.events = append(js.events, e)
 		}
 	}
+}
+
+// release ends job's tracking and keeps its state for reuse.
+func (ev *Evaluator) release(job int, js *jobState) {
+	delete(ev.jobs, job)
+	ev.free = append(ev.free, js)
 }
 
 // judge scores one completed job against its tenant's per-job

@@ -93,8 +93,10 @@ type Score struct {
 type Event struct {
 	// At is the virtual instant the decision happened.
 	At sim.Time
-	// Seq is the event's position in the log (stamped by Emit) —
-	// events sharing a virtual instant keep their decision order.
+	// Seq is the event's emission index since the recorder's last
+	// Reset (stamped by Emit), not a position in the log: a served
+	// recorder keeps no log, yet its Seq keeps counting. Events
+	// sharing a virtual instant keep their decision order.
 	Seq int
 	// Kind classifies the decision.
 	Kind Kind
@@ -146,13 +148,16 @@ type Event struct {
 // scores, metrics snapshots) guard with Enabled so the disabled path
 // allocates nothing. The recorder is append-only across runs — like
 // the residency cache, it survives Cluster.Run calls, so a multi-run
-// session logs one continuous timeline.
+// session logs one continuous timeline — until StreamOnly, after
+// which it only stamps and forwards.
 type Recorder struct {
 	events []Event
 	snaps  []MetricsSnapshot
+	seq    int  // the next event's Seq
+	stream bool // set by StreamOnly: append nothing more
 
 	// onEvent and onMetrics are live observers (a flight recorder, a
-	// metrics exporter) invoked synchronously after each append, in
+	// metrics exporter) invoked synchronously after each record, in
 	// decision order with virtual timestamps. Observers are pure
 	// consumers: nothing they do feeds back into a scheduling decision,
 	// so an observed run stays bit-identical to a bare one. A nil
@@ -164,28 +169,39 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Enabled reports whether events will be kept. Emission sites use it
-// to skip building per-event state (score slices, metric snapshots) on
-// the disabled path.
+// Enabled reports whether events will be recorded or streamed to the
+// observers. Emission sites use it to skip building per-event state
+// (score slices, metric snapshots) on the disabled path.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit appends one event, stamping its Seq. Calls on a nil recorder
-// are dropped without allocating.
+// Emit stamps one event's Seq, appends it to the log unless the
+// recorder only streams, and hands it to the event observer. Calls on
+// a nil recorder are dropped without allocating.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	e.Seq = len(r.events)
-	r.events = append(r.events, e)
+	e.Seq = r.seq
+	r.seq++
+	if !r.stream {
+		r.events = append(r.events, e)
+	}
 	if r.onEvent != nil {
 		r.onEvent(e)
 	}
 }
 
+// StreamOnly stops the log growing: later events and snapshots reach only the observers.
+func (r *Recorder) StreamOnly() {
+	if r != nil {
+		r.stream = true
+	}
+}
+
 // SetOnEvent installs (or clears, with nil) a live event observer.
-// The observer sees every event after it is appended, Seq stamped, in
-// decision order. Install before Run; observers must not mutate the
-// recorder.
+// The observer sees every event once its Seq is stamped (and it is
+// appended, unless the recorder only streams), in decision order.
+// Install before Run; observers must not mutate the recorder.
 func (r *Recorder) SetOnEvent(fn func(Event)) {
 	if r != nil {
 		r.onEvent = fn
@@ -193,15 +209,17 @@ func (r *Recorder) SetOnEvent(fn func(Event)) {
 }
 
 // SetOnMetrics installs (or clears, with nil) a live metrics-snapshot
-// observer, called after each drain-instant snapshot is appended.
+// observer, called with each drain-instant snapshot once AddMetrics
+// has appended it (unless the recorder only streams).
 func (r *Recorder) SetOnMetrics(fn func(MetricsSnapshot)) {
 	if r != nil {
 		r.onMetrics = fn
 	}
 }
 
-// Events returns the recorded events in emission order. The returned
-// slice aliases the recorder's storage; callers must not mutate it.
+// Events returns the recorded events in emission order — after
+// StreamOnly, only those recorded before it. The returned slice
+// aliases the recorder's storage; callers must not mutate it.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -217,21 +235,24 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// AddMetrics appends one drain-instant metrics snapshot. Calls on a
-// nil recorder are dropped.
+// AddMetrics appends one drain-instant metrics snapshot, unless the
+// recorder only streams, and hands it to the metrics observer. Calls
+// on a nil recorder are dropped.
 func (r *Recorder) AddMetrics(s MetricsSnapshot) {
 	if r == nil {
 		return
 	}
-	r.snaps = append(r.snaps, s)
+	if !r.stream {
+		r.snaps = append(r.snaps, s)
+	}
 	if r.onMetrics != nil {
 		r.onMetrics(s)
 	}
 }
 
-// Metrics returns the recorded snapshots in emission order. The
-// returned slice aliases the recorder's storage; callers must not
-// mutate it.
+// Metrics returns the recorded snapshots in emission order — after
+// StreamOnly, only those recorded before it. The returned slice
+// aliases the recorder's storage; callers must not mutate it.
 func (r *Recorder) Metrics() []MetricsSnapshot {
 	if r == nil {
 		return nil
@@ -239,12 +260,13 @@ func (r *Recorder) Metrics() []MetricsSnapshot {
 	return r.snaps
 }
 
-// Reset discards all recorded events and snapshots but keeps the
-// recorder usable.
+// Reset discards all recorded events and snapshots and restarts Seq
+// at zero, but keeps the recorder usable.
 func (r *Recorder) Reset() {
 	if r != nil {
 		r.events = r.events[:0]
 		r.snaps = r.snaps[:0]
+		r.seq = 0
 	}
 }
 

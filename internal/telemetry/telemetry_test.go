@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
 	"micstream/internal/sim"
@@ -43,6 +44,30 @@ func TestRecorderSemantics(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || len(r.Metrics()) != 0 {
 		t.Fatal("Reset did not clear the recorder")
+	}
+
+	// Reset restarts Seq; StreamOnly keeps the log recorded so far,
+	// appends nothing more, and keeps Seq counting for the observers.
+	var seqs []int
+	snaps := 0
+	r.SetOnEvent(func(e Event) { seqs = append(seqs, e.Seq) })
+	r.SetOnMetrics(func(MetricsSnapshot) { snaps++ })
+	r.Emit(Event{At: 30, Kind: Admit, Job: 1})
+	r.AddMetrics(MetricsSnapshot{At: 30})
+	r.StreamOnly()
+	r.Emit(Event{At: 40, Kind: Place, Job: 1, Device: 0})
+	r.Emit(Event{At: 40, Kind: Dispatch, Job: 1, Device: 0})
+	r.AddMetrics(MetricsSnapshot{At: 40, Done: 1})
+	if r.Len() != 1 || len(r.Metrics()) != 1 || r.Events()[0].Seq != 0 || r.Metrics()[0].At != 30 {
+		t.Fatalf("StreamOnly recorder holds %d events, %d snapshots; want the 1 and 1 recorded before it", r.Len(), len(r.Metrics()))
+	}
+	if !reflect.DeepEqual(seqs, []int{0, 1, 2}) || snaps != 2 {
+		t.Fatalf("observers saw Seqs %v and %d snapshots; want [0 1 2] and 2", seqs, snaps)
+	}
+	r.Reset()
+	r.Emit(Event{At: 50, Kind: Admit, Job: 2})
+	if seqs[len(seqs)-1] != 0 || r.Len() != 0 {
+		t.Fatalf("after Reset: Seq %d, %d events logged; want Seq 0 and nothing logged", seqs[len(seqs)-1], r.Len())
 	}
 }
 
