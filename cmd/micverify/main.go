@@ -23,12 +23,15 @@ import (
 	"micstream/internal/apps/mm"
 	"micstream/internal/apps/nn"
 	"micstream/internal/apps/srad"
+	"micstream/internal/core"
 )
 
 func main() {
 	seed := flag.Uint64("seed", 1, "input generator seed")
 	flag.Parse()
 
+	// One rig serves every check, so each runs on a reshaped platform.
+	rig := new(core.Rig)
 	checks := []struct {
 		name string
 		run  func(seed uint64) error
@@ -48,7 +51,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(4, 4); err != nil {
+			if _, err := app.Run(rig, 4, 4); err != nil {
 				return err
 			}
 			return app.VerifyGrid(4)
@@ -58,7 +61,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(1, 4, 4); err != nil {
+			if _, err := app.Run(rig, 1, 4, 4); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -68,7 +71,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(2, 2, 4); err != nil {
+			if _, err := app.Run(rig, 2, 2, 4); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -78,7 +81,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(4, 8); err != nil {
+			if _, err := app.Run(rig, 4, 8); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -88,7 +91,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(4, 6); err != nil {
+			if _, err := app.Run(rig, 4, 6); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -98,7 +101,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.RunPipelined(4, 6); err != nil {
+			if _, err := app.RunPipelined(rig, 4, 6); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -108,7 +111,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(4, 8); err != nil {
+			if _, err := app.Run(rig, 4, 8); err != nil {
 				return err
 			}
 			return app.Verify()
@@ -118,7 +121,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if _, err := app.Run(4, 8); err != nil {
+			if _, err := app.Run(rig, 4, 8); err != nil {
 				return err
 			}
 			return app.Verify()

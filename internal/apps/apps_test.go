@@ -50,7 +50,7 @@ func TestPropertyNNConfigInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.Run(1+rng.Intn(8), 1+rng.Intn(16)); err != nil {
+		if _, err := app.Run(new(core.Rig), 1+rng.Intn(8), 1+rng.Intn(16)); err != nil {
 			t.Fatal(err)
 		}
 		if err := app.Verify(); err != nil {
@@ -70,7 +70,7 @@ func TestPropertyKmeansConfigInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.Run(1+rng.Intn(8), 1+rng.Intn(8)); err != nil {
+		if _, err := app.Run(new(core.Rig), 1+rng.Intn(8), 1+rng.Intn(8)); err != nil {
 			t.Fatal(err)
 		}
 		if err := app.Verify(); err != nil {
@@ -92,11 +92,11 @@ func TestPropertyHotspotConfigInvariance(t *testing.T) {
 		}
 		tasks := 1 + rng.Intn(dim-1)
 		if rng.Intn(2) == 0 {
-			if _, err := app.Run(1+rng.Intn(6), tasks); err != nil {
+			if _, err := app.Run(new(core.Rig), 1+rng.Intn(6), tasks); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := app.RunPipelined(1+rng.Intn(6), tasks); err != nil {
+			if _, err := app.RunPipelined(new(core.Rig), 1+rng.Intn(6), tasks); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,7 +117,7 @@ func TestPropertySRADConfigInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.Run(1+rng.Intn(6), 1+rng.Intn(dim-1)); err != nil {
+		if _, err := app.Run(new(core.Rig), 1+rng.Intn(6), 1+rng.Intn(dim-1)); err != nil {
 			t.Fatal(err)
 		}
 		if err := app.Verify(); err != nil {
@@ -143,14 +143,14 @@ func TestIterationsAllocateNoEvents(t *testing.T) {
 			if err != nil {
 				return core.Result{}, err
 			}
-			return app.Run(4, 256)
+			return app.Run(new(core.Rig), 4, 256)
 		}},
 		{"srad", func(iters int) (core.Result, error) {
 			app, err := srad.New(srad.Params{Dim: 1024, Iterations: iters, Lambda: 0.5})
 			if err != nil {
 				return core.Result{}, err
 			}
-			return app.Run(4, 256)
+			return app.Run(new(core.Rig), 4, 256)
 		}},
 	} {
 		allocs := func(iters int) float64 {

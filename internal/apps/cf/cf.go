@@ -121,19 +121,19 @@ func gemmCost(b int) device.KernelCost {
 	return kernelCost("cf.gemm", 2*bs*bs*bs, b)
 }
 
-// Run factors the matrix with a grid×grid tiling (T = grid(grid+1)/2
-// lower tiles; the paper counts T = grid² as if the full square were
-// tiled) on partitions partitions per device across devices devices.
-// grid must divide N. partitions=1, grid=1, devices=1 is the
-// non-streamed baseline.
-func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
+// Run factors the matrix on rig with a grid×grid tiling
+// (T = grid(grid+1)/2 lower tiles; the paper counts T = grid² as if the
+// full square were tiled) on partitions partitions per device across
+// devices devices. grid must divide N. partitions=1, grid=1, devices=1
+// is the non-streamed baseline.
+func (a *App) Run(rig *core.Rig, devices, partitions, grid int) (core.Result, error) {
 	if grid < 1 || a.p.N%grid != 0 {
 		return core.Result{}, fmt.Errorf("cf: tile grid %d must divide N=%d", grid, a.p.N)
 	}
 	if devices < 1 {
 		return core.Result{}, fmt.Errorf("cf: need at least one device")
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Devices:        devices,
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
@@ -142,23 +142,17 @@ func (a *App) Run(devices, partitions, grid int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	b := a.p.N / grid
 	nt := numTiles(grid)
-	var buf *hstreams.Buffer
 	if a.p.Functional {
 		a.grid = grid
 		a.tiles = make([]float64, nt*b*b)
 		a.packTiles(grid, b)
-		buf = hstreams.Alloc1D(ctx, "A", a.tiles)
-	} else {
-		buf = hstreams.AllocVirtual(ctx, "A", nt*b*b, 8)
 	}
+	buf := hstreams.Alloc(ctx, "A", a.tiles, nt*b*b)
 
 	start := ctx.Now()
-	var ph core.Phase
-	defer ph.Close()
-	if err := a.enqueueDAG(&ph, ctx, buf, grid, b); err != nil {
+	if err := a.enqueueDAG(ph, ctx, buf, grid, b); err != nil {
 		return core.Result{}, err
 	}
 	res := core.Summarize(ctx, a.TotalFlops(), ctx.Barrier().Sub(start))

@@ -3,6 +3,7 @@ package cf
 import (
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -14,10 +15,10 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 4, 5); err == nil {
+	if _, err := app.Run(new(core.Rig), 1, 4, 5); err == nil {
 		t.Fatal("non-dividing grid accepted")
 	}
-	if _, err := app.Run(0, 4, 4); err == nil {
+	if _, err := app.Run(new(core.Rig), 0, 4, 4); err == nil {
 		t.Fatal("zero devices accepted")
 	}
 }
@@ -40,7 +41,7 @@ func TestFunctionalFactorizationTiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 4, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -53,7 +54,7 @@ func TestFunctionalFactorizationNonStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 1, 1); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -66,7 +67,7 @@ func TestFunctionalFactorizationMultiDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, 2, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 2, 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -91,11 +92,11 @@ func TestStreamedBeatsNonStreamedAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(1, 4, 12) // tile 800×800, the Fig. 9b setup
+	streamed, err := app.Run(new(core.Rig), 1, 4, 12) // tile 800×800, the Fig. 9b setup
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDivisorPartitionsWin(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(p int) float64 {
-		r, err := app.Run(1, p, 6)
+		r, err := app.Run(new(core.Rig), 1, p, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestTileSweepHasInteriorOptimum(t *testing.T) {
 	grids := []int{2, 4, 8, 12, 24, 48, 96}
 	var gf []float64
 	for _, g := range grids {
-		r, err := app.Run(1, 4, g)
+		r, err := app.Run(new(core.Rig), 1, 4, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +162,11 @@ func TestMultiMICScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := app.Run(1, 4, 14)
+	one, err := app.Run(new(core.Rig), 1, 4, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := app.Run(2, 4, 14)
+	two, err := app.Run(new(core.Rig), 2, 4, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,5 +22,9 @@
 // executes the non-streamed baseline with partitions = tasks = 1 and
 // the streamed variant otherwise. hotspot additionally provides
 // RunPipelined, the §VII future-work transformation to an overlappable
-// flow.
+// flow. Run and RunPipelined take the caller's core.Rig and reshape it
+// for the run rather than building a platform, so a sweep worker runs
+// all its points on one; the run's buffers and events belong to the
+// rig's context until its next Reset. hbench's one-shot measurements
+// build their own context with hstreams.Init.
 package apps

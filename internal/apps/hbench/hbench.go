@@ -106,11 +106,7 @@ func (a *App) newContext(partitions int) (*hstreams.Context, error) {
 }
 
 func (a *App) buffers(ctx *hstreams.Context) (bufA, bufB *hstreams.Buffer) {
-	if a.p.Functional {
-		return hstreams.Alloc1D(ctx, "A", a.a), hstreams.Alloc1D(ctx, "B", a.b)
-	}
-	return hstreams.AllocVirtual(ctx, "A", a.p.Elements, 4),
-		hstreams.AllocVirtual(ctx, "B", a.p.Elements, 4)
+	return hstreams.Alloc(ctx, "A", a.a, a.p.Elements), hstreams.Alloc(ctx, "B", a.b, a.p.Elements)
 }
 
 // body returns the functional kernel over [off, off+n).
@@ -140,7 +136,6 @@ func TransferPattern(hd, dh int, blockBytes int64) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer ctx.Close()
 	elems := int(blockBytes) // 1-byte elements
 	buf := hstreams.AllocVirtual(ctx, "blocks", elems, 1)
 	// Two streams so that the H2D and D2H queues are independent:
@@ -166,7 +161,6 @@ func (a *App) DataTime() (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer ctx.Close()
 	bufA, bufB := a.buffers(ctx)
 	s := ctx.Stream(0)
 	if _, err := s.EnqueueH2D(bufA, 0, a.p.Elements, 0); err != nil {
@@ -185,7 +179,6 @@ func (a *App) KernelTime() (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer ctx.Close()
 	bufA, bufB := a.buffers(ctx)
 	s := ctx.Stream(0)
 	s.EnqueueKernel(Cost(a.p.Elements, a.p.Iterations), 0, a.body(bufA, bufB, 0, a.p.Elements))
@@ -200,7 +193,6 @@ func (a *App) RunSerial() (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	bufA, bufB := a.buffers(ctx)
 	tasks := []*core.Task{{
 		ID:         0,
@@ -224,12 +216,10 @@ func (a *App) RunStreamed(partitions, tiles int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	bufA, bufB := a.buffers(ctx)
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and in/out serve every tile.
 	var ph core.Phase
-	defer ph.Close()
 	ph.Reset(ctx, tiles)
 	var in, out [1]core.TransferSpec
 	for i := 0; i < tiles; i++ {
@@ -265,7 +255,6 @@ func (a *App) KernelPhase(partitions, tiles int) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer ctx.Close()
 	bufA, bufB := a.buffers(ctx)
 	// Phase 1: ship the whole input, then synchronize.
 	if _, err := ctx.Stream(0).EnqueueH2D(bufA, 0, a.p.Elements, -1); err != nil {
@@ -274,7 +263,6 @@ func (a *App) KernelPhase(partitions, tiles int) (sim.Duration, error) {
 	start := ctx.Barrier()
 	// Phase 2: tiled kernels across all streams.
 	var ph core.Phase
-	defer ph.Close()
 	ph.Reset(ctx, tiles)
 	for i := 0; i < tiles; i++ {
 		off := i * a.p.Elements / tiles

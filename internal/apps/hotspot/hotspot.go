@@ -106,15 +106,15 @@ func (a *App) taskCost(rows int) device.KernelCost {
 	}
 }
 
-// Run simulates with the grid split into tasks horizontal stripes on
-// partitions partitions. partitions=1, tasks=1 is the non-streamed
-// baseline. Each iteration performs the paper's synchronized
-// H2D→EXE→D2H sequence.
-func (a *App) Run(partitions, tasks int) (core.Result, error) {
+// Run simulates on rig with the grid split into tasks horizontal
+// stripes on partitions partitions. partitions=1, tasks=1 is the
+// non-streamed baseline. Each iteration performs the paper's
+// synchronized H2D→EXE→D2H sequence.
+func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	if tasks < 1 || tasks > a.p.Dim {
 		return core.Result{}, fmt.Errorf("hotspot: task count %d out of range [1,%d]", tasks, a.p.Dim)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -122,18 +122,10 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	d := a.p.Dim
-	var bufIn, bufOut, bufPower *hstreams.Buffer
-	if a.p.Functional {
-		bufIn = hstreams.Alloc1D(ctx, "temp", a.temp)
-		bufOut = hstreams.Alloc1D(ctx, "tempOut", a.out)
-		bufPower = hstreams.Alloc1D(ctx, "power", a.power)
-	} else {
-		bufIn = hstreams.AllocVirtual(ctx, "temp", d*d, 8)
-		bufOut = hstreams.AllocVirtual(ctx, "tempOut", d*d, 8)
-		bufPower = hstreams.AllocVirtual(ctx, "power", d*d, 8)
-	}
+	bufIn := hstreams.Alloc(ctx, "temp", a.temp, d*d)
+	bufOut := hstreams.Alloc(ctx, "tempOut", a.out, d*d)
+	bufPower := hstreams.Alloc(ctx, "power", a.power, d*d)
 
 	start := ctx.Now()
 	// Power is shipped once and stays resident.
@@ -146,8 +138,6 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and xfer serve every tile.
-	var ph core.Phase
-	defer ph.Close()
 	var xfer [1]core.TransferSpec
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Stage 1: ship the current grid, tiled; synchronize.

@@ -3,6 +3,7 @@ package hotspot
 import (
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -17,10 +18,10 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 0); err == nil {
+	if _, err := app.Run(new(core.Rig), 1, 0); err == nil {
 		t.Fatal("zero tasks accepted")
 	}
-	if _, err := app.Run(1, 9); err == nil {
+	if _, err := app.Run(new(core.Rig), 1, 9); err == nil {
 		t.Fatal("more tasks than rows accepted")
 	}
 }
@@ -30,7 +31,7 @@ func TestFunctionalMatchesReferenceTiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 6); err != nil {
+	if _, err := app.Run(new(core.Rig), 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -43,7 +44,7 @@ func TestFunctionalMatchesReferenceNonStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 1); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -58,7 +59,7 @@ func TestHotSpotsHeatUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	temp := app.Temperature()
@@ -82,11 +83,11 @@ func TestStreamedRoughlyEqualAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 16)
+	streamed, err := app.Run(new(core.Rig), 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestStreamedSlowerOnSmallGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 16)
+	streamed, err := app.Run(new(core.Rig), 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestPartitionSweepDipLocation(t *testing.T) {
 	var ps []int
 	var times []float64
 	for p := 4; p <= 56; p += 1 {
-		r, err := app.Run(p, 256)
+		r, err := app.Run(new(core.Rig), p, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestTaskSweepShape(t *testing.T) {
 	counts := []int{1, 4, 16, 64, 256, 1024, 4096}
 	var times []float64
 	for _, tc := range counts {
-		r, err := app.Run(4, tc)
+		r, err := app.Run(new(core.Rig), 4, tc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,12 +20,12 @@ import (
 // Per-tile chains keep the double-buffer reuse safe without any global
 // barrier: tile t's iteration-k+1 H2D gates on its iteration-k D2H
 // (host swap), and the same-tile chain orders any write against the
-// transfers that read the previous contents.
-func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
+// transfers that read the previous contents. Like Run, it runs on rig.
+func (a *App) RunPipelined(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	if tasks < 1 || tasks > a.p.Dim {
 		return core.Result{}, fmt.Errorf("hotspot: task count %d out of range [1,%d]", tasks, a.p.Dim)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -33,18 +33,10 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	d := a.p.Dim
-	var bufA, bufB, bufPower *hstreams.Buffer
-	if a.p.Functional {
-		bufA = hstreams.Alloc1D(ctx, "temp", a.temp)
-		bufB = hstreams.Alloc1D(ctx, "tempOut", a.out)
-		bufPower = hstreams.Alloc1D(ctx, "power", a.power)
-	} else {
-		bufA = hstreams.AllocVirtual(ctx, "temp", d*d, 8)
-		bufB = hstreams.AllocVirtual(ctx, "tempOut", d*d, 8)
-		bufPower = hstreams.AllocVirtual(ctx, "power", d*d, 8)
-	}
+	bufA := hstreams.Alloc(ctx, "temp", a.temp, d*d)
+	bufB := hstreams.Alloc(ctx, "tempOut", a.out, d*d)
+	bufPower := hstreams.Alloc(ctx, "power", a.power, d*d)
 
 	start := ctx.Now()
 	if _, err := ctx.Stream(0).EnqueueH2D(bufPower, 0, d*d, -1); err != nil {
@@ -62,8 +54,6 @@ func (a *App) RunPipelined(partitions, tasks int) (core.Result, error) {
 	// nor its lists, so one task variable, xfer and deps serve the
 	// whole graph.
 	iters := a.p.Iterations
-	var ph core.Phase
-	defer ph.Close()
 	ph.Reset(ctx, 2*tasks*iters)
 	var xfer [1]core.TransferSpec
 	var deps [3]int

@@ -2,6 +2,8 @@ package hotspot
 
 import (
 	"testing"
+
+	"micstream/internal/core"
 )
 
 func TestPipelinedMatchesReference(t *testing.T) {
@@ -9,7 +11,7 @@ func TestPipelinedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RunPipelined(4, 6); err != nil {
+	if _, err := app.RunPipelined(new(core.Rig), 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -23,7 +25,7 @@ func TestPipelinedMatchesReferenceOddIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RunPipelined(2, 4); err != nil {
+	if _, err := app.RunPipelined(new(core.Rig), 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -38,7 +40,7 @@ func TestPipelinedSingleTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RunPipelined(1, 1); err != nil {
+	if _, err := app.RunPipelined(new(core.Rig), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -48,10 +50,10 @@ func TestPipelinedSingleTile(t *testing.T) {
 
 func TestPipelinedValidation(t *testing.T) {
 	app, _ := New(Params{Dim: 8, Iterations: 1})
-	if _, err := app.RunPipelined(1, 0); err == nil {
+	if _, err := app.RunPipelined(new(core.Rig), 1, 0); err == nil {
 		t.Fatal("zero tasks accepted")
 	}
-	if _, err := app.RunPipelined(1, 9); err == nil {
+	if _, err := app.RunPipelined(new(core.Rig), 1, 9); err == nil {
 		t.Fatal("more tasks than rows accepted")
 	}
 }
@@ -64,11 +66,11 @@ func TestPipelinedBeatsBarrierVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	barrier, err := app.Run(4, 16)
+	barrier, err := app.Run(new(core.Rig), 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := app.RunPipelined(4, 16)
+	pipelined, err := app.RunPipelined(new(core.Rig), 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,13 +117,14 @@ func (a *App) taskCost(n int) device.KernelCost {
 	}
 }
 
-// Run clusters with the points split into tasks tiles on partitions
-// partitions. partitions=1, tasks=1 is the non-streamed baseline.
-func (a *App) Run(partitions, tasks int) (core.Result, error) {
+// Run clusters on rig with the points split into tasks tiles on
+// partitions partitions. partitions=1, tasks=1 is the non-streamed
+// baseline.
+func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	if tasks < 1 || tasks > a.p.N {
 		return core.Result{}, fmt.Errorf("kmeans: task count %d out of range", tasks)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -131,26 +132,20 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	p := a.p
 	kf := p.K * p.Features
 	// Partials per task: K×F sums followed by K counts.
 	partialLen := kf + p.K
 
-	var bufPoints, bufCentroids, bufPartials *hstreams.Buffer
 	var centroids, partials []float64
 	if p.Functional {
 		centroids = make([]float64, kf)
 		copy(centroids, a.points[:kf]) // standard first-K init
 		partials = make([]float64, tasks*partialLen)
-		bufPoints = hstreams.Alloc1D(ctx, "points", a.points)
-		bufCentroids = hstreams.Alloc1D(ctx, "centroids", centroids)
-		bufPartials = hstreams.Alloc1D(ctx, "partials", partials)
-	} else {
-		bufPoints = hstreams.AllocVirtual(ctx, "points", p.N*p.Features, 8)
-		bufCentroids = hstreams.AllocVirtual(ctx, "centroids", kf, 8)
-		bufPartials = hstreams.AllocVirtual(ctx, "partials", tasks*partialLen, 8)
 	}
+	bufPoints := hstreams.Alloc(ctx, "points", a.points, p.N*p.Features)
+	bufCentroids := hstreams.Alloc(ctx, "centroids", centroids, kf)
+	bufPartials := hstreams.Alloc(ctx, "partials", partials, tasks*partialLen)
 
 	start := ctx.Now()
 	// Ship the points once; they stay resident.
@@ -162,8 +157,6 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable, xfer and gate serve every
 	// tile.
-	var ph core.Phase
-	defer ph.Close()
 	var xfer [1]core.TransferSpec
 	const centroidTask = 0
 	gate := [1]int{centroidTask}

@@ -3,6 +3,7 @@ package kmeans
 import (
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -23,10 +24,10 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, 0); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 0); err == nil {
 		t.Fatal("zero tasks accepted")
 	}
-	if _, err := app.Run(2, 101); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 101); err == nil {
 		t.Fatal("more tasks than points accepted")
 	}
 }
@@ -36,7 +37,7 @@ func TestFunctionalMatchesReferenceTiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 8); err != nil {
+	if _, err := app.Run(new(core.Rig), 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -49,7 +50,7 @@ func TestFunctionalMatchesReferenceNonStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 1); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -67,7 +68,7 @@ func TestObjectiveImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	wcss := func(centroids []float64) float64 {
@@ -115,11 +116,11 @@ func TestStreamedBeatsNonStreamedAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 4)
+	streamed, err := app.Run(new(core.Rig), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPartitionSweepMonotoneDecreasing(t *testing.T) {
 	}
 	var times []float64
 	for _, parts := range []int{1, 2, 4, 8, 14, 28, 56} {
-		r, err := app.Run(parts, 56) // T=56 tasks ⇒ 20000 points each, the Fig. 9c setup
+		r, err := app.Run(new(core.Rig), parts, 56) // T=56 tasks ⇒ 20000 points each, the Fig. 9c setup
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestTaskSweepShape(t *testing.T) {
 	counts := []int{1, 2, 4, 8, 16, 56, 112, 224}
 	var times []float64
 	for _, tc := range counts {
-		r, err := app.Run(4, tc)
+		r, err := app.Run(new(core.Rig), 4, tc)
 		if err != nil {
 			t.Fatal(err)
 		}

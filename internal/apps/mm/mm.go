@@ -95,14 +95,14 @@ func (a *App) TileCost(g int) device.KernelCost {
 	}
 }
 
-// Run executes the workload with C tiled into grid×grid tasks on
+// Run executes the workload on rig with C tiled into grid×grid tasks on
 // partitions streams; grid = 1, partitions = 1 is the non-streamed
 // baseline. grid must divide N.
-func (a *App) Run(partitions, grid int) (core.Result, error) {
+func (a *App) Run(rig *core.Rig, partitions, grid int) (core.Result, error) {
 	if grid < 1 || a.p.N%grid != 0 {
 		return core.Result{}, fmt.Errorf("mm: tile grid %d must divide N=%d", grid, a.p.N)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -110,18 +110,10 @@ func (a *App) Run(partitions, grid int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	n, bs := a.p.N, a.p.N/grid
-	var bufA, bufBt, bufC *hstreams.Buffer
-	if a.p.Functional {
-		bufA = hstreams.Alloc1D(ctx, "A", a.a)
-		bufBt = hstreams.Alloc1D(ctx, "Bt", a.bt)
-		bufC = hstreams.Alloc1D(ctx, "C", a.c)
-	} else {
-		bufA = hstreams.AllocVirtual(ctx, "A", n*n, 4)
-		bufBt = hstreams.AllocVirtual(ctx, "Bt", n*n, 4)
-		bufC = hstreams.AllocVirtual(ctx, "C", n*n, 4)
-	}
+	bufA := hstreams.Alloc(ctx, "A", a.a, n*n)
+	bufBt := hstreams.Alloc(ctx, "Bt", a.bt, n*n)
+	bufC := hstreams.Alloc(ctx, "C", a.c, n*n)
 
 	cost := a.TileCost(grid)
 	// Each A row-panel and B column-panel is shipped exactly once as
@@ -133,8 +125,6 @@ func (a *App) Run(partitions, grid int) (core.Result, error) {
 	// nor its lists, so one task variable, xfer and deps serve every
 	// panel and tile.
 	start := ctx.Now()
-	var ph core.Phase
-	defer ph.Close()
 	ph.Reset(ctx, grid*(grid+2))
 	var xfer [1]core.TransferSpec
 	var deps [2]int

@@ -1,10 +1,9 @@
 package mm
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -16,10 +15,10 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 3); err == nil {
+	if _, err := app.Run(new(core.Rig), 4, 3); err == nil {
 		t.Fatal("non-dividing grid accepted")
 	}
-	if _, err := app.Run(4, 0); err == nil {
+	if _, err := app.Run(new(core.Rig), 4, 0); err == nil {
 		t.Fatal("zero grid accepted")
 	}
 }
@@ -29,7 +28,7 @@ func TestFunctionalCorrectnessTiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.VerifyGrid(4); err != nil {
@@ -42,7 +41,7 @@ func TestFunctionalCorrectnessNonStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 1); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.VerifyGrid(1); err != nil {
@@ -75,11 +74,11 @@ func TestStreamedBeatsNonStreamedAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 2) // the tuned optimum: T = 4 tiles (Fig. 10a)
+	streamed, err := app.Run(new(core.Rig), 4, 2) // the tuned optimum: T = 4 tiles (Fig. 10a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestDivisorPartitionsWin(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(p int) float64 {
-		r, err := app.Run(p, 12)
+		r, err := app.Run(new(core.Rig), p, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +127,7 @@ func TestTileSweepUnimodal(t *testing.T) {
 	grids := []int{1, 2, 3, 4, 6, 10, 15, 20}
 	var gf []float64
 	for _, g := range grids {
-		r, err := app.Run(4, g)
+		r, err := app.Run(new(core.Rig), 4, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +150,7 @@ func TestOverlapAchieved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := app.Run(4, 6)
+	r, err := app.Run(new(core.Rig), 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,31 +159,26 @@ func TestOverlapAchieved(t *testing.T) {
 	}
 }
 
-// A run closes its phase and its context, and the next run's context
-// takes their storage: its events, waiter nodes and stage recorder. So
-// with collection paused — a collection may drop that storage — the
-// second of two identical runs allocates at most a quarter of the
-// bytes of the first. The first starts cold, after a collection has
-// dropped whatever earlier runs left.
-func TestRepeatRunReusesClosedStorage(t *testing.T) {
+// A warm rig runs without rebuilding its platform: a run of a shape
+// the rig already has, and a reshape to a shape it has had before,
+// each allocate at most 16 objects — the run's three buffers and
+// little else — where a run on a new rig allocates hundreds.
+func TestWarmRigRunAllocs(t *testing.T) {
 	app, err := New(Params{N: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	bytes := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := app.Run(56, 40); err != nil {
+	rig := new(core.Rig)
+	run := func(p, g int) {
+		if _, err := app.Run(rig, p, g); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
 	}
-	first, second := bytes(), bytes()
-	t.Logf("Run(56, 40) allocated %d B cold, %d B after a closed run", first, second)
-	if second > first/4 {
-		t.Errorf("second Run(56, 40) allocated %d B, more than a quarter of the first's %d B", second, first)
+	same := testing.AllocsPerRun(10, func() { run(56, 40) })
+	reshape := testing.AllocsPerRun(10, func() { run(4, 12); run(56, 40) }) / 2
+	cold := testing.AllocsPerRun(1, func() { rig = new(core.Rig); run(56, 40) })
+	t.Logf("objects per Run: %.0f same shape, %.0f reshaped, %.0f on a new rig", same, reshape, cold)
+	if same > 16 || reshape > 16 {
+		t.Errorf("a warm rig's Run allocated %.0f objects at the same shape and %.0f reshaped, want at most 16", same, reshape)
 	}
 }

@@ -105,13 +105,14 @@ func taskCost(n int) device.KernelCost {
 	}
 }
 
-// Run searches with the records split into tasks chunks on partitions
-// partitions. partitions=1, tasks=1 is the non-streamed baseline.
-func (a *App) Run(partitions, tasks int) (core.Result, error) {
+// Run searches on rig with the records split into tasks chunks on
+// partitions partitions. partitions=1, tasks=1 is the non-streamed
+// baseline.
+func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	if tasks < 1 || tasks > a.p.N {
 		return core.Result{}, fmt.Errorf("nn: task count %d out of range", tasks)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -119,23 +120,13 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
-	var bufLat, bufLon, bufDist *hstreams.Buffer
-	if a.p.Functional {
-		bufLat = hstreams.Alloc1D(ctx, "lat", a.lat)
-		bufLon = hstreams.Alloc1D(ctx, "lon", a.lon)
-		bufDist = hstreams.Alloc1D(ctx, "dist", a.dist)
-	} else {
-		bufLat = hstreams.AllocVirtual(ctx, "lat", a.p.N, 4)
-		bufLon = hstreams.AllocVirtual(ctx, "lon", a.p.N, 4)
-		bufDist = hstreams.AllocVirtual(ctx, "dist", a.p.N, 4)
-	}
+	bufLat := hstreams.Alloc(ctx, "lat", a.lat, a.p.N)
+	bufLon := hstreams.Alloc(ctx, "lon", a.lon, a.p.N)
+	bufDist := hstreams.Alloc(ctx, "dist", a.dist, a.p.N)
 
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and in/out serve every chunk.
 	start := ctx.Now()
-	var ph core.Phase
-	defer ph.Close()
 	ph.Reset(ctx, tasks)
 	var in [2]core.TransferSpec
 	var out [1]core.TransferSpec

@@ -3,6 +3,7 @@ package nn
 import (
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -17,10 +18,10 @@ func TestValidation(t *testing.T) {
 		t.Fatal("K>N accepted")
 	}
 	app, _ := New(Params{N: 100, K: 3})
-	if _, err := app.Run(2, 0); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 0); err == nil {
 		t.Fatal("zero tasks accepted")
 	}
-	if _, err := app.Run(2, 101); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 101); err == nil {
 		t.Fatal("more tasks than records accepted")
 	}
 }
@@ -30,7 +31,7 @@ func TestFunctionalMatchesReferenceTiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 8); err != nil {
+	if _, err := app.Run(new(core.Rig), 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -46,7 +47,7 @@ func TestFunctionalMatchesReferenceNonStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(1, 1); err != nil {
+	if _, err := app.Run(new(core.Rig), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -59,7 +60,7 @@ func TestNeighborsSortedAscending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	ns := app.Nearest()
@@ -84,11 +85,11 @@ func TestStreamedBeatsNonStreamedAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 8)
+	streamed, err := app.Run(new(core.Rig), 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPartitionSweepFlattensAtFour(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(p int) float64 {
-		r, err := app.Run(p, 512)
+		r, err := app.Run(new(core.Rig), p, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestTaskSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(tasks int) float64 {
-		r, err := app.Run(4, tasks)
+		r, err := app.Run(new(core.Rig), 4, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}

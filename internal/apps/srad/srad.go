@@ -124,14 +124,14 @@ func stencilCost(name string, n int, ws int64) device.KernelCost {
 	}
 }
 
-// Run denoises with the image split into tasks horizontal stripes on
-// partitions partitions. partitions=1, tasks=1 is the non-streamed
-// baseline.
-func (a *App) Run(partitions, tasks int) (core.Result, error) {
+// Run denoises on rig with the image split into tasks horizontal
+// stripes on partitions partitions. partitions=1, tasks=1 is the
+// non-streamed baseline.
+func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	if tasks < 1 || tasks > a.p.Dim {
 		return core.Result{}, fmt.Errorf("srad: task count %d out of range [1,%d]", tasks, a.p.Dim)
 	}
-	ctx, err := hstreams.Init(hstreams.Config{
+	ctx, ph, err := rig.Reset(hstreams.Config{
 		Partitions:     partitions,
 		ExecuteKernels: a.p.Functional,
 		Stages:         true,
@@ -139,25 +139,18 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	defer ctx.Close()
 	d := a.p.Dim
-	var bufImg, bufC, bufDeriv, bufStats *hstreams.Buffer
-	var statsHost []float64
+	// deriv holds the directional derivatives dN,dS,dW,dE stored by
+	// phase 2 and consumed by phase 3, exactly as Rodinia's srad
+	// kernels do; device-resident, never transferred.
+	var deriv, statsHost []float64
 	if a.p.Functional {
-		bufImg = hstreams.Alloc1D(ctx, "img", a.img)
-		bufC = hstreams.Alloc1D(ctx, "c", a.c)
-		// Directional derivatives dN,dS,dW,dE stored by phase 2 and
-		// consumed by phase 3, exactly as Rodinia's srad kernels do;
-		// device-resident, never transferred.
-		bufDeriv = hstreams.Alloc1D(ctx, "deriv", make([]float64, 4*d*d))
-		statsHost = make([]float64, 2*tasks)
-		bufStats = hstreams.Alloc1D(ctx, "stats", statsHost)
-	} else {
-		bufImg = hstreams.AllocVirtual(ctx, "img", d*d, 8)
-		bufC = hstreams.AllocVirtual(ctx, "c", d*d, 8)
-		bufDeriv = hstreams.AllocVirtual(ctx, "deriv", 4*d*d, 8)
-		bufStats = hstreams.AllocVirtual(ctx, "stats", 2*tasks, 8)
+		deriv, statsHost = make([]float64, 4*d*d), make([]float64, 2*tasks)
 	}
+	bufImg := hstreams.Alloc(ctx, "img", a.img, d*d)
+	bufC := hstreams.Alloc(ctx, "c", a.c, d*d)
+	bufDeriv := hstreams.Alloc(ctx, "deriv", deriv, 4*d*d)
+	bufStats := hstreams.Alloc(ctx, "stats", statsHost, 2*tasks)
 
 	start := ctx.Now()
 	// The image is extracted to the device once and stays resident.
@@ -172,8 +165,6 @@ func (a *App) Run(partitions, tasks int) (core.Result, error) {
 
 	// ph enqueues each task as it is built and keeps neither the task
 	// nor its lists, so one task variable and stats serve every stripe.
-	var ph core.Phase
-	defer ph.Close()
 	var stats [1]core.TransferSpec
 	q0sqr := 0.0
 	for iter := 0; iter < a.p.Iterations; iter++ {
@@ -360,7 +351,7 @@ func (a *App) Reference() ([]float64, error) {
 		return nil, err
 	}
 	// Single task, single partition: the same kernels, no tiling.
-	if _, err := ref.Run(1, 1); err != nil {
+	if _, err := ref.Run(new(core.Rig), 1, 1); err != nil {
 		return nil, err
 	}
 	return ref.img, nil

@@ -3,6 +3,7 @@ package srad
 import (
 	"testing"
 
+	"micstream/internal/core"
 	"micstream/internal/stats"
 )
 
@@ -19,10 +20,10 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	app, _ := New(Params{Dim: 16, Iterations: 1, Lambda: 0.5})
-	if _, err := app.Run(2, 0); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 0); err == nil {
 		t.Fatal("zero tasks accepted")
 	}
-	if _, err := app.Run(2, 17); err == nil {
+	if _, err := app.Run(new(core.Rig), 2, 17); err == nil {
 		t.Fatal("more tasks than rows accepted")
 	}
 }
@@ -32,7 +33,7 @@ func TestTiledMatchesSingleTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(4, 8); err != nil {
+	if _, err := app.Run(new(core.Rig), 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(); err != nil {
@@ -46,7 +47,7 @@ func TestSpeckleReduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := SpeckleIndex(app.Image())
-	if _, err := app.Run(2, 4); err != nil {
+	if _, err := app.Run(new(core.Rig), 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	after := SpeckleIndex(app.Image())
@@ -71,11 +72,11 @@ func TestStreamedSlowerOnSmallImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 20)
+	streamed, err := app.Run(new(core.Rig), 4, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestStreamedFasterOnLargeImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := app.Run(1, 1)
+	base, err := app.Run(new(core.Rig), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := app.Run(4, 400) // the paper's optimum T=400
+	streamed, err := app.Run(new(core.Rig), 4, 400) // the paper's optimum T=400
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestPartitionSweepUnimodalish(t *testing.T) {
 	parts := []int{1, 2, 4, 8, 14, 28, 56}
 	var times []float64
 	for _, p := range parts {
-		r, err := app.Run(p, 400)
+		r, err := app.Run(new(core.Rig), p, 400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestTaskSweepOptimumIsFineGrained(t *testing.T) {
 	counts := []int{1, 4, 25, 100, 400, 2500, 10000}
 	var times []float64
 	for _, tc := range counts {
-		r, err := app.Run(4, tc)
+		r, err := app.Run(new(core.Rig), 4, tc)
 		if err != nil {
 			t.Fatal(err)
 		}

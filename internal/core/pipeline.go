@@ -161,8 +161,7 @@ func (e *PhaseEvents) reset() {
 // Reset hands the resolved ones back to their context for reuse, so a
 // caller that enqueues phase after phase, each after a Barrier,
 // allocates its event index and its events once, for its largest
-// phase. Close ends the last phase the same way, so that closing the
-// context next hands those events on to the next context.
+// phase. A Rig carries a phase from run to run the same way.
 type Phase struct {
 	ctx  *hstreams.Context
 	ev   PhaseEvents
@@ -196,7 +195,8 @@ func (p *Phase) denseLimit() int { return 2*max(p.hint, p.n) + denseSlack }
 // which is why a callback that resets the phase while one of its
 // events is still running that event's waiters is safe: it is the
 // last use. sizeHint, the expected task count, sizes the event index
-// and its dense limit.
+// and its dense limit. A nil ctx ends the previous phase and starts
+// none.
 func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
 	if p.ctx != nil {
 		p.ctx.Recycle(p.owned)
@@ -210,13 +210,33 @@ func (p *Phase) Reset(ctx *hstreams.Context, sizeHint int) {
 	}
 }
 
-// Close ends the phase as Reset does — its resolved events go back to
-// their context, its unresolved ones are dropped unreused — and
-// detaches it from the context, so a caller can close the phase and
-// then its context (hstreams.Context.Close), which hands the recycled
-// events on to the next context. No event of the phase may be used
-// after Close. A closed phase is ready for Reset, like the zero Phase.
-func (p *Phase) Close() { p.Reset(nil, 0) }
+// Rig is one reusable platform: a context and a phase on it, reshaped
+// for each run instead of built and dropped. The zero Rig is ready for
+// Reset. A rig is for one goroutine; the paper sweeps give each worker
+// its own.
+type Rig struct {
+	ctx *hstreams.Context
+	ph  Phase
+}
+
+// Reset ends the rig's previous run and shapes its context as cfg
+// (hstreams.Context.Reset), returning the context and the rig's phase,
+// which is ended: start it on the context with Phase.Reset. The
+// previous phase's resolved events go back to the context before the
+// context is reshaped, so the new run reuses them; Reset is where that
+// order is kept. Nothing of the previous run may be used afterwards.
+// A failed Reset returns hstreams.Init's error for cfg and leaves the
+// context in its previous shape, its previous run ended.
+func (r *Rig) Reset(cfg hstreams.Config) (*hstreams.Context, *Phase, error) {
+	r.ph.Reset(nil, 0)
+	if r.ctx == nil {
+		r.ctx = new(hstreams.Context)
+	}
+	if err := r.ctx.Reset(cfg); err != nil {
+		return nil, nil, err
+	}
+	return r.ctx, &r.ph, nil
+}
 
 // Events returns the completion events of the tasks added since Reset.
 // They stay valid until the next Reset, which may reuse them for other

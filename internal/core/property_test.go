@@ -2,11 +2,11 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"micstream/internal/device"
 	"micstream/internal/hstreams"
+	"micstream/internal/pcie"
 	"micstream/internal/sim"
 	"micstream/internal/trace"
 	"micstream/internal/workload"
@@ -610,63 +610,88 @@ func TestPropertyRecycledPhaseEventsAgree(t *testing.T) {
 	}
 }
 
-// Property: a context built from a closed context's spares — its free
-// events, chunk tail, waiter nodes and stage recorder — schedules
-// exactly as a fresh one. Each trial first dirties a context with one
-// random multi-phase scenario and closes its phase and then the
-// context, builds the next context at once so it takes that storage,
-// and plays a second scenario on it; every task's kernel and done
-// events resolve at the same instants, and the stage analysis reads
-// the same, as the second scenario played on a context made after a
-// collection has dropped every spare. Stale event fields, waiter
-// links or recorder intervals carried over would show here.
-func TestPropertySpareContextsAgree(t *testing.T) {
+// randomShape draws a platform shape: 1–4 devices, 1–6 partitions,
+// one or two streams per partition, a full span log, a stage record or
+// none, and a half- or full-duplex link. It counts the recorder kinds
+// and link modes drawn in drawn.
+func randomShape(rng *workload.RNG, drawn *[5]int) hstreams.Config {
+	cfg := hstreams.Config{
+		Devices:             1 + rng.Intn(4),
+		Partitions:          1 + rng.Intn(6),
+		StreamsPerPartition: 1 + rng.Intn(2),
+		Link:                pcie.DefaultConfig(),
+	}
+	rec := rng.Intn(3)
+	cfg.Trace, cfg.Stages = rec == 0, rec == 1
+	cfg.Link.FullDuplex = rng.Intn(2) == 0
+	drawn[rec]++
+	if cfg.Link.FullDuplex {
+		drawn[3]++
+	} else {
+		drawn[4]++
+	}
+	return cfg
+}
+
+// Property: a rig reset to a new shape runs exactly as a context fresh
+// from Init. Each trial dirties a rig with one random multi-phase
+// scenario on a random shape, resets it to another random shape, and
+// plays a second scenario there, with work of the first still in
+// flight at the reset; every task's kernel and done events
+// resolve at the same instants, the stage analysis reads the same,
+// and a traced run records the same spans, as the second scenario on
+// a fresh context. Stale events, waiter links, engine entries, server
+// reservations, streams, partitions or recorder intervals carried
+// over by Reset would show here.
+func TestPropertyResetContextsAgree(t *testing.T) {
 	rng := workload.NewRNG(2424)
 	var drawn [3 + numLinks]int
-	for trial := 0; trial < 60; trial++ {
-		cfg := hstreams.Config{Partitions: 1 + rng.Intn(6), StreamsPerPartition: 1 + rng.Intn(2), Stages: true}
+	var shapes [5]int
+	var rig Rig
+	for trial := 0; trial < 150; trial++ {
+		first, cfg := randomShape(rng, &shapes), randomShape(rng, &shapes)
 		dirty, seed := rng.Uint64(), rng.Uint64()
-		run := func(ctx *hstreams.Context, seed uint64, counts *[3 + numLinks]int) ([][]taskTimes, trace.StageTimes) {
+		run := func(ctx *hstreams.Context, ph *Phase, seed uint64, counts *[3 + numLinks]int) ([][]taskTimes, trace.StageTimes, []trace.Span) {
 			buf := hstreams.AllocVirtual(ctx, "b", 1<<20, 4)
 			sc := randomMultiPhase(workload.NewRNG(seed), buf, ctx.NumStreams(), counts)
-			var ph Phase
 			times := play(t, ctx, sc, func(tasks []*Task) (*PhaseEvents, error) {
 				ph.Reset(ctx, len(tasks))
 				err := ph.add(tasks)
 				return ph.Events(), err
 			})
-			ph.Close()
-			return times, ctx.Recorder().StageTimes()
+			return times, ctx.Recorder().StageTimes(), ctx.Recorder().Spans()
 		}
-		runtime.GC()
 		fresh, err := hstreams.Init(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStages := run(fresh, seed, &drawn)
+		want, wantStages, wantSpans := run(fresh, new(Phase), seed, &drawn)
 
-		used, err := hstreams.Init(cfg)
+		ctx, ph, err := rig.Reset(first)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run(used, dirty, new([3 + numLinks]int))
-		used.Close()
-		spare, err := hstreams.Init(cfg)
-		if err != nil {
+		run(ctx, ph, dirty, new([3 + numLinks]int))
+		// Leave work in flight: Reset must drop it undelivered.
+		left := ctx.Stream(ctx.NumStreams()-1).EnqueueKernel(device.KernelCost{Name: "left", Flops: 1e9}, 0, nil)
+		left.OnDone(func() { t.Errorf("trial %d: work in flight at Reset ran after it", trial) })
+		if ctx, ph, err = rig.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		got, gotStages := run(spare, seed, new([3 + numLinks]int))
-		spare.Close()
+		got, gotStages, gotSpans := run(ctx, ph, seed, new([3 + numLinks]int))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: completion times on a spare context %v, on a fresh one %v", trial, got, want)
+			t.Fatalf("trial %d: completion times on a reset rig %v, on a fresh context %v", trial, got, want)
 		}
 		if gotStages != wantStages {
-			t.Fatalf("trial %d: stage analysis on a spare context %+v, on a fresh one %+v", trial, gotStages, wantStages)
+			t.Fatalf("trial %d: stage analysis on a reset rig %+v, on a fresh context %+v", trial, gotStages, wantStages)
+		}
+		if !reflect.DeepEqual(gotSpans, wantSpans) {
+			t.Fatalf("trial %d: a reset rig recorded %d spans, a fresh context %d, or they differ", trial, len(gotSpans), len(wantSpans))
 		}
 	}
-	for i, c := range drawn {
+	for i, c := range append(drawn[:], shapes[:]...) {
 		if c == 0 {
-			t.Errorf("scenario feature %d never drawn", i)
+			t.Errorf("scenario or shape feature %d never drawn", i)
 		}
 	}
 }

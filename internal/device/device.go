@@ -189,6 +189,9 @@ type Device struct {
 	rec   *trace.Recorder
 	name  string
 	parts []*Partition
+	// pool holds every partition built so far, parts being its
+	// prefix; see SetPartitions.
+	pool []*Partition
 }
 
 // New builds a device with a single partition covering every usable
@@ -233,43 +236,60 @@ type PartitionShape struct {
 // remainder spread over the leading partitions (mirroring hStreams'
 // even places). It returns nil when n is out of [1, TotalThreads].
 func (c Config) PartitionLayout(n int) []PartitionShape {
-	total := c.TotalThreads()
-	if n < 1 || n > total {
+	if c.CheckPartitions(n) != nil {
 		return nil
 	}
 	shapes := make([]PartitionShape, n)
-	base, rem := total/n, total%n
-	first := 0
-	for i := 0; i < n; i++ {
-		threads := base
-		if i < rem {
-			threads++
-		}
-		shapes[i] = PartitionShape{
-			FirstThread:  first,
-			Threads:      threads,
-			CoresSpanned: coresSpanned(first, threads, c.ThreadsPerCore),
-			SharesCore:   sharesCore(first, threads, c.ThreadsPerCore, total),
-		}
-		first += threads
+	for i := range shapes {
+		shapes[i] = c.partitionShape(n, i)
 	}
 	return shapes
 }
 
-// SetPartitions divides the usable hardware threads contiguously into n
-// partitions following PartitionLayout. Re-partitioning discards
-// previous partitions; callers must not hold kernels in flight across a
-// repartition.
-func (d *Device) SetPartitions(n int) error {
-	shapes := d.cfg.PartitionLayout(n)
-	if shapes == nil {
-		return fmt.Errorf("device: partition count %d out of range [1,%d]", n, d.cfg.TotalThreads())
+// CheckPartitions reports whether n partitions fit the device: at least
+// one, and no more than one per usable hardware thread.
+func (c Config) CheckPartitions(n int) error {
+	if total := c.TotalThreads(); n < 1 || n > total {
+		return fmt.Errorf("device: partition count %d out of range [1,%d]", n, total)
 	}
-	d.parts = make([]*Partition, n)
-	for i, sh := range shapes {
-		p := &Partition{dev: d, idx: i, shape: sh}
-		p.srv = sim.NewServer(d.eng, fmt.Sprintf("%s/part%d", d.name, i))
-		d.parts[i] = p
+	return nil
+}
+
+// partitionShape is the shape of partition i of PartitionLayout(n).
+func (c *Config) partitionShape(n, i int) PartitionShape {
+	total := (c.Cores - c.ReservedCores) * c.ThreadsPerCore
+	base, rem := total/n, total%n
+	first, threads := i*base+min(i, rem), base
+	if i < rem {
+		threads++
+	}
+	return PartitionShape{
+		FirstThread:  first,
+		Threads:      threads,
+		CoresSpanned: coresSpanned(first, threads, c.ThreadsPerCore),
+		SharesCore:   sharesCore(first, threads, c.ThreadsPerCore, total),
+	}
+}
+
+// SetPartitions divides the usable hardware threads contiguously into n
+// partitions following PartitionLayout, each starting idle.
+// Re-partitioning discards the previous partitions' state; callers must
+// not hold kernels in flight across a repartition. The device keeps
+// every partition it has built, with its server and name, and reuses
+// it at the same index, so a split into no more partitions than an
+// earlier one allocates nothing.
+func (d *Device) SetPartitions(n int) error {
+	if err := d.cfg.CheckPartitions(n); err != nil {
+		return err
+	}
+	for i := len(d.pool); i < n; i++ {
+		srv := sim.NewServer(d.eng, fmt.Sprintf("%s/part%d", d.name, i))
+		d.pool = append(d.pool, &Partition{dev: d, idx: i, srv: srv})
+	}
+	d.parts = d.pool[:n:n]
+	for i, p := range d.parts {
+		p.shape = d.cfg.partitionShape(n, i)
+		p.srv.Reset()
 	}
 	return nil
 }

@@ -181,16 +181,17 @@ func ExtHotspotPipelined() (*Table, error) {
 		Columns: []string{"dataset", "barrier[s]", "pipelined[s]", "gain", "overlap"},
 	}
 	const iters, paperIters = 5, 50
+	rig := new(core.Rig)
 	for _, d := range []int{4096, 8192, 16384} {
 		app, err := hotspot.New(hotspot.Params{Dim: d, Iterations: iters})
 		if err != nil {
 			return nil, err
 		}
-		barrier, err := app.Run(4, 16)
+		barrier, err := app.Run(rig, 4, 16)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := app.RunPipelined(4, 16)
+		pipe, err := app.RunPipelined(rig, 4, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -222,8 +223,9 @@ func ExtMultiMIC() (*Table, error) {
 		Columns: []string{"devices", "GFLOPS", "projected", "efficiency"},
 	}
 	var base float64
+	rig := new(core.Rig)
 	for devs := 1; devs <= 4; devs++ {
-		r, err := app.Run(devs, 4, 16)
+		r, err := app.Run(rig, devs, 4, 16)
 		if err != nil {
 			return nil, err
 		}

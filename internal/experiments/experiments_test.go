@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"micstream/internal/core"
 	"micstream/internal/sim"
 	"micstream/internal/stats"
+	"micstream/internal/workload"
 )
 
 func gen(t *testing.T, id string) *Table {
@@ -59,7 +61,7 @@ func TestRegistryComplete(t *testing.T) {
 // point 1 has failed on the other.
 func TestSweepKeepsPointOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rs, err := sweep(50, func(i int) (core.Result, error) { return core.Result{Wall: sim.Duration(i)}, nil })
+	rs, err := sweep(50, func(_ *core.Rig, i int) (core.Result, error) { return core.Result{Wall: sim.Duration(i)}, nil })
 	if err != nil || len(rs) != 50 {
 		t.Fatalf("sweep of 50 points: %d results, error %v", len(rs), err)
 	}
@@ -70,7 +72,7 @@ func TestSweepKeepsPointOrder(t *testing.T) {
 	}
 	first, later := errors.New("point 0"), errors.New("point 1")
 	laterFailed := make(chan struct{})
-	_, err = sweep(4, func(i int) (core.Result, error) {
+	_, err = sweep(4, func(_ *core.Rig, i int) (core.Result, error) {
 		switch i {
 		case 0:
 			<-laterFailed
@@ -86,6 +88,47 @@ func TestSweepKeepsPointOrder(t *testing.T) {
 	}
 	if rs, err := sweep(0, nil); err != nil || len(rs) != 0 {
 		t.Fatalf("empty sweep: %v, %v", rs, err)
+	}
+}
+
+// A sweep worker runs its points on one rig, so a point must leave
+// nothing behind that changes the next. Every app's Fig. 9 points
+// (P = 1..56), run on one rig in a seeded shuffled order that mixes
+// the apps, each give the Result the same point gives on a fresh rig.
+func TestShuffledPointsOnOneRigMatchFreshRigs(t *testing.T) {
+	type point struct {
+		run  runner
+		p, t int
+	}
+	var points []point
+	for i := range paperApps {
+		s := &paperApps[i]
+		run, err := s.open(s.ref, s.iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 1; p <= 56; p++ {
+			points = append(points, point{run, p, s.fixedT})
+		}
+	}
+	rng := workload.NewRNG(9)
+	for i := len(points) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		points[i], points[j] = points[j], points[i]
+	}
+	var rig core.Rig
+	for _, pt := range points {
+		got, err := pt.run(&rig, pt.p, pt.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pt.run(new(core.Rig), pt.p, pt.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("(P=%d, T=%d) on a shared rig gave %+v, on a fresh rig %+v", pt.p, pt.t, got, want)
+		}
 	}
 }
 

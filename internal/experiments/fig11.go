@@ -24,17 +24,18 @@ func Fig11() (*Table, error) {
 		Title:   "CF on multiple MICs (GFLOPS)",
 		Columns: []string{"dataset", "1-mic", "2-mics", "projected"},
 	}
+	rig := new(core.Rig)
 	for _, d := range []int{14000, 16000} {
 		app, err := cf.New(cf.Params{N: d})
 		if err != nil {
 			return nil, err
 		}
 		grid := d / 1000 // ≈1000×1000 tiles
-		one, err := app.Run(1, 4, grid)
+		one, err := app.Run(rig, 1, 4, grid)
 		if err != nil {
 			return nil, err
 		}
-		two, err := app.Run(2, 4, grid)
+		two, err := app.Run(rig, 2, 4, grid)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +68,8 @@ func Heuristics() (*Table, error) {
 	// grid, so the grid is measured once, in parallel, and the
 	// searches look their points up. Each still counts a lookup as an
 	// evaluation, so the table reports the searches' own costs.
-	grid, err := sweep(56*len(divGrids), func(i int) (core.Result, error) {
-		return app.Run(i/len(divGrids)+1, divGrids[i%len(divGrids)])
+	grid, err := sweep(56*len(divGrids), func(rig *core.Rig, i int) (core.Result, error) {
+		return app.Run(rig, i/len(divGrids)+1, divGrids[i%len(divGrids)])
 	})
 	if err != nil {
 		return nil, err

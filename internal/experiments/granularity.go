@@ -24,10 +24,10 @@ import (
 // and measure every point through sweep, which runs the points in
 // parallel and returns them in order.
 
-// runner measures an application instance at P partitions and
+// runner measures an application instance on rig at P partitions and
 // granularity T: a square grid's edge for MM and CF, a task count for
 // the others.
-type runner func(p, t int) (core.Result, error)
+type runner func(rig *core.Rig, p, t int) (core.Result, error)
 
 // appSpec is one application: its panel (a–f) of each of Figs. 8–10.
 type appSpec struct {
@@ -111,7 +111,7 @@ func (m metric) gain(base, streamed core.Result) float64 {
 
 // runnerOf returns a freshly built app's Run as its runner.
 func runnerOf[A interface {
-	Run(p, t int) (core.Result, error)
+	Run(rig *core.Rig, p, t int) (core.Result, error)
 }](app A, err error) (runner, error) {
 	if err != nil {
 		return nil, err
@@ -157,7 +157,7 @@ var paperApps = []appSpec{{
 		if err != nil {
 			return nil, err
 		}
-		return func(p, grid int) (core.Result, error) { return app.Run(1, p, grid) }, nil
+		return func(rig *core.Rig, p, grid int) (core.Result, error) { return app.Run(rig, 1, p, grid) }, nil
 	},
 	metric:   gflops,
 	datasets: []int{7200, 9600, 12000, 14400, 16800, 19200},
@@ -275,13 +275,15 @@ func init() {
 	}
 }
 
-// sweep measures n points, point i by at(i), on min(GOMAXPROCS, n)
-// workers that take the points in index order. Each result lands in
+// sweep measures n points, point i by at(rig, i), on min(GOMAXPROCS, n)
+// workers that take the points in index order. Each worker owns one
+// rig and runs all its points on it, so a point must leave nothing
+// behind that the next point on the rig could see, and must share
+// nothing mutable with a point on another worker. Each result lands in
 // slot i, so the slice is in point order whatever order the points
 // finish in, and of the points that fail, the first in point order
-// gives the error. A point must share nothing mutable with another:
-// every app run builds its own hstreams context.
-func sweep(n int, at func(i int) (core.Result, error)) ([]core.Result, error) {
+// gives the error.
+func sweep(n int, at func(rig *core.Rig, i int) (core.Result, error)) ([]core.Result, error) {
 	out := make([]core.Result, n)
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -290,8 +292,9 @@ func sweep(n int, at func(i int) (core.Result, error)) ([]core.Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var rig core.Rig
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				out[i], errs[i] = at(i)
+				out[i], errs[i] = at(&rig, i)
 			}
 		}()
 	}
@@ -335,9 +338,9 @@ func (s *appSpec) fig8() (*Table, error) {
 		}
 		runs[i] = run
 	}
-	all, err := sweep(len(runs)*len(points), func(i int) (core.Result, error) {
+	all, err := sweep(len(runs)*len(points), func(rig *core.Rig, i int) (core.Result, error) {
 		pt := points[i%len(points)]
-		return runs[i/len(points)](pt[0], pt[1])
+		return runs[i/len(points)](rig, pt[0], pt[1])
 	})
 	if err != nil {
 		return nil, err
@@ -396,7 +399,9 @@ func (s *appSpec) axisSweep(figure, title, x string, xs []int, points [][2]int, 
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sweep(len(points), func(i int) (core.Result, error) { return run(points[i][0], points[i][1]) })
+	rs, err := sweep(len(points), func(rig *core.Rig, i int) (core.Result, error) {
+		return run(rig, points[i][0], points[i][1])
+	})
 	if err != nil {
 		return nil, err
 	}

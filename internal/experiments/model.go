@@ -31,7 +31,8 @@ type ModelApp struct {
 	Name string
 	// Workload is the application's analytic self-description.
 	Workload model.Workload
-	// Eval runs the simulation at one configuration.
+	// Eval runs the simulation at one configuration. It may reuse one
+	// platform from call to call, so it is for one goroutine.
 	Eval core.EvalFunc
 	// Partitions lists the validation sweep's partition counts.
 	Partitions []int
@@ -41,10 +42,12 @@ type ModelApp struct {
 	TilesFor func(p int) []int
 }
 
-// resultEval adapts an application Run method to core.EvalFunc.
-func resultEval(run func(p, t int) (core.Result, error)) core.EvalFunc {
+// resultEval adapts an application's Run method to core.EvalFunc,
+// running every evaluation on the one rig it makes.
+func resultEval(run runner) core.EvalFunc {
+	rig := new(core.Rig)
 	return func(p, t int) (float64, error) {
-		res, err := run(p, t)
+		res, err := run(rig, p, t)
 		if err != nil {
 			return 0, err
 		}
@@ -100,7 +103,9 @@ func ModelApps() ([]ModelApp, error) {
 	return []ModelApp{
 		{
 			Name: "hbench", Workload: hb.Model(),
-			Eval:       resultEval(hb.RunStreamed),
+			Eval: resultEval(func(_ *core.Rig, p, t int) (core.Result, error) {
+				return hb.RunStreamed(p, t)
+			}),
 			Partitions: divisors, TilesFor: tileList,
 		},
 		{
@@ -130,8 +135,8 @@ func ModelApps() ([]ModelApp, error) {
 		},
 		{
 			Name: "cf", Workload: cfApp.Model(),
-			Eval: resultEval(func(p, g int) (core.Result, error) {
-				return cfApp.Run(1, p, g)
+			Eval: resultEval(func(rig *core.Rig, p, g int) (core.Result, error) {
+				return cfApp.Run(rig, 1, p, g)
 			}),
 			Partitions: divisors, TilesFor: gridList,
 		},

@@ -36,11 +36,12 @@ func ExtTaxonomy() (*Table, error) {
 		return nil
 	}
 
+	rig := new(core.Rig)
 	mmApp, err := mm.New(mm.Params{N: 4000})
 	if err != nil {
 		return nil, err
 	}
-	res, err := mmApp.Run(4, 8)
+	res, err := mmApp.Run(rig, 4, 8)
 	if err := add("mm", "overlappable", res, err); err != nil {
 		return nil, err
 	}
@@ -49,7 +50,7 @@ func ExtTaxonomy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err = cfApp.Run(1, 4, 8)
+	res, err = cfApp.Run(rig, 1, 4, 8)
 	if err := add("cf", "overlappable", res, err); err != nil {
 		return nil, err
 	}
@@ -58,7 +59,7 @@ func ExtTaxonomy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err = nnApp.Run(4, 16)
+	res, err = nnApp.Run(rig, 4, 16)
 	if err := add("nn", "overlappable", res, err); err != nil {
 		return nil, err
 	}
@@ -67,7 +68,7 @@ func ExtTaxonomy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err = kmApp.Run(4, 4)
+	res, err = kmApp.Run(rig, 4, 4)
 	if err := add("kmeans", "non-overlappable", res, err); err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func ExtTaxonomy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err = hsApp.Run(4, 16)
+	res, err = hsApp.Run(rig, 4, 16)
 	if err := add("hotspot", "non-overlappable", res, err); err != nil {
 		return nil, err
 	}
@@ -85,13 +86,13 @@ func ExtTaxonomy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err = srApp.Run(4, 16)
+	res, err = srApp.Run(rig, 4, 16)
 	if err := add("srad", "non-overlappable", res, err); err != nil {
 		return nil, err
 	}
 
 	// The transformation of ext-hotspot-pipe, for contrast.
-	res, err = hsApp.RunPipelined(4, 16)
+	res, err = hsApp.RunPipelined(rig, 4, 16)
 	if err := add("hotspot-pipelined", "transformed (§VII)", res, err); err != nil {
 		return nil, err
 	}

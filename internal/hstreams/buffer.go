@@ -72,6 +72,22 @@ func AllocVirtual(c *Context, name string, elems, elemSize int) *Buffer {
 	return &Buffer{name: name, elems: elems, elemSize: elemSize}
 }
 
+// Alloc registers a buffer of elems elements of T in the context's
+// mode: host itself (Alloc1D) when the context executes kernels, and
+// otherwise a virtual buffer of T's element size (AllocVirtual), which
+// ignores host. A functional host slice must hold exactly elems
+// elements.
+func Alloc[T any](c *Context, name string, host []T, elems int) *Buffer {
+	if c.cfg.ExecuteKernels {
+		if len(host) != elems {
+			panic(fmt.Sprintf("hstreams: buffer %q holds %d elements, want %d", name, len(host), elems))
+		}
+		return Alloc1D(c, name, host)
+	}
+	var zero T
+	return AllocVirtual(c, name, elems, int(sizeOf(zero)))
+}
+
 // DeviceSlice returns the device-resident shadow of b on device devIdx,
 // allocating it on first use. It panics when the buffer's element type
 // is not T or the buffer is virtual — both programming errors.

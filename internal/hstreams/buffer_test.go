@@ -23,6 +23,27 @@ func TestBufferAccessors(t *testing.T) {
 	}
 }
 
+// Alloc follows the context's mode: the host slice itself when kernels
+// execute, a virtual buffer of T's element size when they do not, and
+// a panic for a functional host slice of the wrong length.
+func TestAllocFollowsMode(t *testing.T) {
+	host := []float32{1, 2, 3}
+	fn := Alloc(newCtx(t, Config{ExecuteKernels: true}), "f", host, 3)
+	if hs := HostSlice[float32](fn); &hs[0] != &host[0] {
+		t.Fatal("a functional Alloc does not alias the host slice")
+	}
+	virt := Alloc[float32](newCtx(t, Config{}), "v", nil, 5)
+	if virt.Len() != 5 || virt.Bytes() != 20 || virt.hostAny != nil {
+		t.Fatalf("a timing-only Alloc gave %d elements, %d B, host %v", virt.Len(), virt.Bytes(), virt.hostAny)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a functional Alloc of a short host slice did not panic")
+		}
+	}()
+	Alloc(newCtx(t, Config{ExecuteKernels: true}), "short", host, 4)
+}
+
 func TestHostSlicePanicsOnVirtualAndMismatch(t *testing.T) {
 	c := newCtx(t, Config{})
 	v := AllocVirtual(c, "v", 4, 8)

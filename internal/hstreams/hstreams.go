@@ -21,8 +21,6 @@ package hstreams
 
 import (
 	"fmt"
-	"sync"
-	"weak"
 
 	"micstream/internal/device"
 	"micstream/internal/pcie"
@@ -77,6 +75,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate reports why a defaulted configuration cannot be built, or
+// nil.
+func (c Config) validate() error {
+	if c.Devices < 0 {
+		return fmt.Errorf("hstreams: negative device count %d", c.Devices)
+	}
+	if c.StreamsPerPartition < 1 {
+		return fmt.Errorf("hstreams: streams per partition %d < 1", c.StreamsPerPartition)
+	}
+	if err := c.Device.Validate(); err != nil {
+		return err
+	}
+	if err := c.Device.CheckPartitions(c.Partitions); err != nil {
+		return err
+	}
+	return c.Link.Validate()
+}
+
 // Context is an initialized platform: the hStreams "app context".
 type Context struct {
 	cfg     Config
@@ -84,7 +100,7 @@ type Context struct {
 	rec     *trace.Recorder
 	devs    []*device.Device
 	links   []*pcie.Link
-	streams []*Stream
+	streams []Stream
 	// free holds the events handed back by Recycle, and events is the
 	// unused tail of the current event chunk; see newEvent.
 	free   []*Event
@@ -111,11 +127,10 @@ const eventSlab = 64
 // each phase's events (core.Phase does) therefore allocates chunks
 // only while a phase is larger than every phase before it, and a
 // caller that never recycles pays a sixty-fourth of a heap object per
-// stream operation. A context built from a closed one's spares (see
-// Close) starts with that context's free list and chunk tail, so a
-// sweep of same-shaped runs, each closed in turn, carves chunks only
-// for its largest run. A chunk stays live while any of its events is
-// referenced or waits on a free list.
+// stream operation. Reset keeps the free list and the chunk tail, so a
+// sweep of runs on one context, each recycling its events, carves
+// chunks only for its largest run. A chunk stays live while any of its
+// events is referenced or waits on a free list.
 func (c *Context) newEvent() *Event {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -163,133 +178,91 @@ func (c *Context) Recycle(evs []*Event) {
 		if e.s.last == e {
 			e.s.last = nil
 		}
-		// A recycled event keeps no stream, so a free list handed
-		// on by Close pins nothing of this context.
+		// A recycled event keeps no stream, so the free list, which
+		// Reset keeps, pins no stream of an earlier shape.
 		e.s = nil
 		c.free = append(c.free, e)
 	}
-}
-
-// spare is the storage a closed context leaves for the next Init: its
-// free list and chunk tail, its waiter nodes (cleared), and its stage
-// recorder (reset), if it had one.
-type spare struct {
-	free    []*Event
-	events  []Event
-	waiters []waiter
-	rec     *trace.Recorder
-}
-
-// maxSpares bounds the spare list; a Close that finds it full drops
-// the oldest entry.
-const maxSpares = 16
-
-// spares holds the closed contexts' storage weakly: a collection drops
-// every spare that no Init has taken, so spares never count as live
-// heap, and a spare dropped that way costs the next Init only the
-// allocations a fresh context makes.
-var spares struct {
-	mu   sync.Mutex
-	list []weak.Pointer[spare]
-}
-
-// takeSpare pops the most recently closed spare that the collector has
-// not dropped, or returns nil.
-func takeSpare() *spare {
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	for len(spares.list) > 0 {
-		n := len(spares.list) - 1
-		sp := spares.list[n].Value()
-		spares.list = spares.list[:n]
-		if sp != nil {
-			return sp
-		}
-	}
-	return nil
-}
-
-// Close ends the context and hands its reusable storage to the next
-// Init: the events on its free list, the unused tail of its event
-// chunk, its waiter nodes (cleared) and its stage recorder (reset). A
-// caller that runs one context after another — the paper apps, one
-// context per run — therefore carves events and nodes only for its
-// largest run. Recycle a phase's events first (core.Phase.Close) or
-// Close hands on none of them. Nothing of the context may be used
-// after Close: not its streams, events, buffers or recorder, whose
-// storage the next context may already own. Close does not drain the
-// engine; events still pending there are dropped with it. A context
-// that is never closed keeps its storage, as a long-lived one (a
-// scheduler's, a cluster's) should.
-func (c *Context) Close() {
-	clear(c.waiters)
-	sp := &spare{free: c.free, events: c.events, waiters: c.waiters[:0]}
-	if c.rec != nil && !c.rec.KeepsSpans() {
-		c.rec.Reset()
-		sp.rec = c.rec
-	}
-	c.free, c.events, c.waiters, c.freeWaiter, c.rec = nil, nil, nil, 0, nil
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	if len(spares.list) == maxSpares {
-		spares.list = append(spares.list[:0], spares.list[1:]...)
-	}
-	spares.list = append(spares.list, weak.Make(sp))
 }
 
 // Init builds the platform: Devices coprocessors, each partitioned into
 // Partitions places with StreamsPerPartition streams per place —
 // the analogue of hStreams_app_init(places, streams_per_place).
 func Init(cfg Config) (*Context, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("hstreams: negative device count %d", cfg.Devices)
-	}
-	if cfg.StreamsPerPartition < 1 {
-		return nil, fmt.Errorf("hstreams: streams per partition %d < 1", cfg.StreamsPerPartition)
-	}
-	c := &Context{cfg: cfg, eng: sim.NewEngine()}
-	var rec *trace.Recorder // a spare stage recorder
-	if sp := takeSpare(); sp != nil {
-		c.free, c.events, c.waiters, rec = sp.free, sp.events, sp.waiters, sp.rec
-	}
-	switch {
-	case cfg.Trace:
-		c.rec = trace.NewRecorder()
-	case cfg.Stages && rec != nil:
-		c.rec = rec
-	case cfg.Stages:
-		c.rec = trace.NewStageRecorder()
-	}
-	for i := 0; i < cfg.Devices; i++ {
-		name := fmt.Sprintf("mic%d", i)
-		dev, err := device.New(c.eng, cfg.Device, name, c.rec)
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.SetPartitions(cfg.Partitions); err != nil {
-			return nil, err
-		}
-		link, err := pcie.NewLink(c.eng, cfg.Link, name, c.rec)
-		if err != nil {
-			return nil, err
-		}
-		c.devs = append(c.devs, dev)
-		c.links = append(c.links, link)
-		for p := 0; p < cfg.Partitions; p++ {
-			for s := 0; s < cfg.StreamsPerPartition; s++ {
-				st := &Stream{
-					ctx:    c,
-					id:     len(c.streams),
-					devIdx: i,
-					part:   dev.Partition(p),
-					link:   link,
-				}
-				c.streams = append(c.streams, st)
-			}
-		}
+	c := new(Context)
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// Reset rebuilds the context in place as Init(cfg) would, so one
+// context serves run after run. It validates cfg first, so a failed
+// Reset returns Init's error and changes nothing. It keeps the engine's
+// heap and slots, the event free list and chunk tail, the waiter nodes
+// (cleared), and the recorder (reset) if its kind is unchanged; while
+// the recorder, device and link configurations are unchanged, it keeps
+// the devices and links too, idle and repartitioned, each device
+// reusing the partitions of its earlier splits. Nothing of the previous
+// run may be used after Reset: not its streams, events, buffers or
+// spans. Its pending events are dropped undelivered, and only events
+// handed back by Recycle are reused.
+func (c *Context) Reset(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if c.eng == nil {
+		c.eng = sim.NewEngine()
+	}
+	c.eng.Reset()
+	rec := recorderFor(c.rec, cfg)
+	if rec != c.rec || cfg.Device != c.cfg.Device || cfg.Link != c.cfg.Link {
+		c.devs, c.links, c.rec = c.devs[:0], c.links[:0], rec
+	}
+	kept := min(len(c.devs), cfg.Devices) // devs and links have one length
+	c.devs, c.links = c.devs[:kept], c.links[:kept]
+	// cfg is valid, so neither building nor repartitioning can fail.
+	for i := len(c.devs); i < cfg.Devices; i++ {
+		name := fmt.Sprintf("mic%d", i)
+		dev, _ := device.New(c.eng, cfg.Device, name, c.rec)
+		link, _ := pcie.NewLink(c.eng, cfg.Link, name, c.rec)
+		c.devs, c.links = append(c.devs, dev), append(c.links, link)
+	}
+	for i, dev := range c.devs {
+		_ = dev.SetPartitions(cfg.Partitions)
+		c.links[i].Reset()
+	}
+	perDev := cfg.Partitions * cfg.StreamsPerPartition
+	if n := cfg.Devices * perDev; cap(c.streams) < n {
+		c.streams = make([]Stream, n)
+	} else {
+		c.streams = c.streams[:n]
+	}
+	for id := range c.streams {
+		i, part := id/perDev, id%perDev/cfg.StreamsPerPartition
+		c.streams[id] = Stream{ctx: c, id: id, devIdx: i, part: c.devs[i].Partition(part), link: c.links[i]}
+	}
+	clear(c.waiters)
+	c.waiters, c.freeWaiter = c.waiters[:0], 0
+	c.cfg = cfg
+	return nil
+}
+
+// recorderFor returns an empty recorder of the kind cfg asks for — full
+// with Trace, stage-only with Stages, else none: rec itself, reset, if
+// it is of that kind.
+func recorderFor(rec *trace.Recorder, cfg Config) *trace.Recorder {
+	switch {
+	case !cfg.Trace && !cfg.Stages:
+		return nil
+	case rec != nil && rec.KeepsSpans() == cfg.Trace:
+		rec.Reset()
+		return rec
+	case cfg.Trace:
+		return trace.NewRecorder()
+	}
+	return trace.NewStageRecorder()
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -319,12 +292,12 @@ func (c *Context) NumStreams() int { return len(c.streams) }
 
 // Stream returns logical stream i. Streams are enumerated device-major
 // then partition-major, so stream 0 is (device 0, partition 0).
-func (c *Context) Stream(i int) *Stream { return c.streams[i] }
+func (c *Context) Stream(i int) *Stream { return &c.streams[i] }
 
 // StreamAt returns the k-th stream bound to (device dev, partition p).
 func (c *Context) StreamAt(dev, p, k int) *Stream {
 	base := dev*c.cfg.Partitions*c.cfg.StreamsPerPartition + p*c.cfg.StreamsPerPartition
-	return c.streams[base+k]
+	return &c.streams[base+k]
 }
 
 // HostWork advances the host clock by d, modeling CPU-side computation
@@ -355,8 +328,8 @@ func (c *Context) Wait(ev *Event) {
 // Barrier synchronizes the host with every stream (the analogue of
 // hStreams_app_thread_sync) and returns the virtual time afterwards.
 func (c *Context) Barrier() sim.Time {
-	for _, s := range c.streams {
-		c.Wait(s.last)
+	for i := range c.streams {
+		c.Wait(c.streams[i].last)
 	}
 	return c.eng.Now()
 }

@@ -1,13 +1,11 @@
 package hstreams
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"micstream/internal/device"
+	"micstream/internal/pcie"
 	"micstream/internal/sim"
-	"micstream/internal/trace"
 )
 
 // An event with 1–100 waiters — OnDone callbacks interleaved with
@@ -117,84 +115,77 @@ func TestRefillFromOnDoneKeepsLaterWaiters(t *testing.T) {
 	}
 }
 
-// Close keeps at most maxSpares spares and hands out the most recent
-// first, and a collection drops every spare that no Init has taken.
-func TestSparesAreBoundedAndWeak(t *testing.T) {
-	runtime.GC()
-	ctxs := make([]*Context, 2*maxSpares)
-	for i := range ctxs {
-		ctxs[i] = newCtx(t, Config{Stages: true})
-	}
-	last := ctxs[len(ctxs)-1].Recorder()
-	for _, c := range ctxs {
-		c.Close()
-	}
-	spares.mu.Lock()
-	n := len(spares.list)
-	spares.mu.Unlock()
-	if n != maxSpares {
-		t.Fatalf("%d closed contexts left %d spares, want %d", len(ctxs), n, maxSpares)
-	}
-	if sp := takeSpare(); sp == nil || sp.rec != last {
-		t.Fatal("the first spare taken is not the last context closed")
-	}
-	runtime.GC()
-	if takeSpare() != nil {
-		t.Fatal("a spare survived a collection with nothing referencing it")
-	}
-}
-
-// spareRun plays a small pipeline — two streams, every kernel gating
-// the next transfer on the other stream and carrying a second waiter —
-// on a stage-recording context, recycles its events, closes the
-// context and returns what it measured.
-func spareRun(t *testing.T) [3]sim.Duration {
-	c, err := Init(Config{Partitions: 2, Stages: true})
-	if err != nil {
-		t.Error(err)
-		return [3]sim.Duration{}
-	}
-	buf := AllocVirtual(c, "b", 1<<16, 4)
-	cost := device.KernelCost{Name: "k", Flops: 1e8}
-	var evs []*Event
-	var prev *Event
-	for i := 0; i < 40; i++ {
-		s := c.Stream(i % 2)
-		h, err := s.EnqueueH2D(buf, 0, 1<<12, i, prev)
-		if err != nil {
-			t.Error(err)
-			return [3]sim.Duration{}
-		}
-		k := s.EnqueueKernel(cost, i, nil)
-		k.OnDone(func() {})
-		evs, prev = append(evs, h, k), k
-	}
-	end := c.Barrier()
-	rec := c.Recorder()
-	got := [3]sim.Duration{sim.Duration(end), rec.BusyTime(trace.H2D), rec.BusyTime(trace.Kernel)}
-	c.Recycle(evs)
-	c.Close()
-	return got
-}
-
-// Contexts closed and built on several goroutines at once, as the
-// paper sweeps' workers do, share the spare list safely and measure
-// exactly what a context built from fresh storage measures.
-func TestConcurrentCloseAndInit(t *testing.T) {
-	runtime.GC()
-	want := spareRun(t)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if got := spareRun(t); got != want {
-					t.Errorf("run on shared spares measured %v, want %v", got, want)
-					return
-				}
+// A Reset to a configuration that Init rejects returns Init's error and
+// changes nothing: the context keeps its previous shape, clock, record
+// and pending work, and runs on as if Reset had not been called.
+func TestResetRejectsBadConfigAndKeepsShape(t *testing.T) {
+	badDevice := device.Xeon31SP()
+	badDevice.ClockHz = -1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative devices", Config{Devices: -1}},
+		{"partitions beyond threads", Config{Partitions: device.Xeon31SP().TotalThreads() + 1}},
+		{"streams per partition below one", Config{StreamsPerPartition: -1}},
+		{"invalid device", Config{Device: badDevice}},
+		{"invalid link", Config{Link: pcie.Config{BandwidthBps: -1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, initErr := Init(tc.cfg)
+			if initErr == nil {
+				t.Fatal("Init accepted the configuration")
 			}
-		}()
+			c := newCtx(t, Config{Devices: 2, Partitions: 3, StreamsPerPartition: 2, Stages: true})
+			cost := device.KernelCost{Name: "k", Flops: 1e9}
+			c.Stream(0).EnqueueKernel(cost, 0, nil)
+			c.Barrier()
+			pending := c.Stream(c.NumStreams()-1).EnqueueKernel(cost, 1, nil)
+			cfg, now, stages := c.Config(), c.Now(), c.Recorder().StageTimes()
+			err := c.Reset(tc.cfg)
+			if err == nil || err.Error() != initErr.Error() {
+				t.Fatalf("Reset returned %v, want Init's %v", err, initErr)
+			}
+			if c.Config() != cfg || c.Now() != now || c.NumStreams() != 12 || c.Device(1).NumPartitions() != 3 {
+				t.Fatalf("a failed Reset changed the context: %+v at %v with %d streams", c.Config(), c.Now(), c.NumStreams())
+			}
+			if got := c.Recorder().StageTimes(); got != stages {
+				t.Fatalf("a failed Reset changed the record: %+v, want %+v", got, stages)
+			}
+			c.Barrier()
+			if !pending.Done() || pending.CompletedAt() <= now {
+				t.Fatal("work pending before a failed Reset did not run after it")
+			}
+		})
 	}
-	wg.Wait()
+}
+
+// Reset keeps the recorder, devices and links while the recorder kind
+// and the device and link configurations are unchanged, and rebuilds
+// the devices and links when any of them changes.
+func TestResetKeepsWhatTheShapeAllows(t *testing.T) {
+	c := newCtx(t, Config{Devices: 2, Partitions: 4, Stages: true})
+	dev, link, rec := c.Device(0), c.Link(0), c.Recorder()
+	if err := c.Reset(Config{Partitions: 8, StreamsPerPartition: 2, Stages: true}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Device(0) != dev || c.Link(0) != link || c.Recorder() != rec {
+		t.Fatal("a reshape with the same configurations and recorder kind rebuilt the platform")
+	}
+	if c.NumDevices() != 1 || c.NumStreams() != 16 || c.Device(0).NumPartitions() != 8 || c.StreamAt(0, 7, 1) != c.Stream(15) {
+		t.Fatalf("reshaped to %d devices, %d streams, %d partitions", c.NumDevices(), c.NumStreams(), c.Device(0).NumPartitions())
+	}
+	if err := c.Reset(Config{Partitions: 8, Trace: true}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Device(0) == dev || c.Link(0) == link || !c.Recorder().KeepsSpans() {
+		t.Fatal("a new recorder kind kept the devices or links built for the old one")
+	}
+	dev, link = c.Device(0), c.Link(0)
+	if err := c.Reset(Config{Partitions: 8, Trace: true, Link: pcie.Config{BandwidthBps: 1e9, FullDuplex: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Device(0) == dev || c.Link(0) == link || !c.Link(0).Config().FullDuplex {
+		t.Fatal("a new link configuration kept the devices or links built for the old one")
+	}
 }

@@ -117,6 +117,14 @@ func NewLink(eng *sim.Engine, cfg Config, name string, rec *trace.Recorder) (*Li
 	return l, nil
 }
 
+// Reset makes the link idle and forgets its reservations, keeping its
+// configuration, servers and recorder; it is for an engine that has
+// been Reset.
+func (l *Link) Reset() {
+	l.h2d.Reset()
+	l.d2h.Reset()
+}
+
 // Config returns the link's configuration.
 func (l *Link) Config() Config { return l.cfg }
 

@@ -115,6 +115,15 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset empties the engine and puts its clock back to zero, as
+// NewEngine would, keeping its heap and slot storage. Events still
+// pending are dropped undelivered.
+func (e *Engine) Reset() {
+	clear(e.slots)
+	e.now, e.heap, e.seq, e.nsteps = 0, e.heap[:0], 0, 0
+	e.slots, e.free = e.slots[:0], e.free[:0]
+}
+
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -24,6 +24,10 @@ func NewServer(eng *Engine, name string) *Server {
 	return &Server{eng: eng, name: name}
 }
 
+// Reset makes the server idle and forgets its reservations, keeping
+// its engine and name; it is for an engine that has been Reset.
+func (s *Server) Reset() { s.free, s.busy, s.count = 0, 0, 0 }
+
 // Name reports the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
 

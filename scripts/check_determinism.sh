@@ -18,6 +18,12 @@
 #     or carry a nearby comment marking it order-independent /
 #     sorted, so the exemption is visible at the loop.
 #
+#  3. Shared state in the engine packages. internal/{sim,core,
+#     hstreams,device,pcie,trace} run one engine per goroutine and
+#     share nothing between engines: a sweep worker owns its platform
+#     (core.Rig). A non-test file there that imports sync, sync/atomic
+#     or weak is the start of process-wide state, and fails the lint.
+#
 # Scope: internal/{sim,core,hstreams,device,pcie,trace,sched,cluster,
 # telemetry,obs,slo,apps,experiments}, non-test files (tests may use
 # wall clocks for timeouts and maps for assertions). The experiments
@@ -37,6 +43,13 @@ status=0
 
 if out=$(grep -rn --include='*.go' -E 'time\.(Now|Since|Until|Sleep)\(' $dirs | grep -v '_test.go'); then
   echo "check_determinism: wall-clock use in virtual-time packages:" >&2
+  echo "$out" >&2
+  status=1
+fi
+
+engine="internal/sim internal/core internal/hstreams internal/device internal/pcie internal/trace"
+if out=$(grep -rnE --include='*.go' '^(import +)?[[:space:]]*(_ +)?"(sync|sync/atomic|weak)"' $engine | grep -v '_test.go'); then
+  echo "check_determinism: shared-state import in an engine package:" >&2
   echo "$out" >&2
   status=1
 fi
@@ -127,4 +140,4 @@ if ! grep -q 'error budget exhausted' "$tmp/flight_a.txt"; then
   exit 1
 fi
 
-echo "check_determinism: ok (no wall-clock reads, all map iterations ordered or annotated, SLO and flight reports byte-identical)"
+echo "check_determinism: ok (no wall-clock reads, all map iterations ordered or annotated, no shared-state imports in the engine packages, SLO and flight reports byte-identical)"
