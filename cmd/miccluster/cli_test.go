@@ -5,16 +5,20 @@ package main
 // (exit 2) naming the offending flag, and the legal spellings of the
 // same features must still run. The test re-executes its own binary
 // with RUN_MICCLUSTER_MAIN=1 so main() runs exactly as installed,
-// os.Exit and all.
+// os.Exit and all. The default run and the four-device scaling study
+// match their golden outputs byte for byte; -update rewrites them.
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden outputs")
 
 func TestMain(m *testing.M) {
 	if os.Getenv("RUN_MICCLUSTER_MAIN") == "1" {
@@ -169,5 +173,38 @@ func TestCLISLOSpecValidation(t *testing.T) {
 	}
 	if !bytes.Contains(a, []byte(`"schema": "micstream-slo-v1"`)) {
 		t.Fatalf("report missing schema header:\n%s", a)
+	}
+}
+
+func TestCLIGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"default.golden", nil},
+		{"scaling4.golden", []string{"-scaling", "-devices", "4"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "RUN_MICCLUSTER_MAIN=1")
+			var out, errOut bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &out, &errOut
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("miccluster %v: %v\n%s", tc.args, err, errOut.String())
+			}
+			path := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("output differs from %s:\n got:\n%s\nwant:\n%s", path, out.String(), want)
+			}
+		})
 	}
 }

@@ -2,15 +2,22 @@ package main
 
 // Table-driven validation of the flag matrix (see the miccluster
 // counterpart): malformed flags exit 2 with a usage error naming the
-// flag, legal runs succeed. Re-executes the test binary with
-// RUN_MICSCHED_MAIN=1 so main() runs as installed.
+// flag, legal runs succeed, and the default run matches its golden
+// output byte for byte. Re-executes the test binary with
+// RUN_MICSCHED_MAIN=1 so main() runs as installed; -update rewrites
+// the golden.
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden output")
 
 func TestMain(m *testing.M) {
 	if os.Getenv("RUN_MICSCHED_MAIN") == "1" {
@@ -69,5 +76,28 @@ func TestCLIFlagMatrix(t *testing.T) {
 				t.Fatalf("micsched %v: output missing %q\n%s", tc.args, tc.want, out)
 			}
 		})
+	}
+}
+
+func TestCLIGolden(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "RUN_MICSCHED_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("micsched: %v\n%s", err, errOut.String())
+	}
+	path := filepath.Join("testdata", "default.golden")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("output differs from %s:\n got:\n%s\nwant:\n%s", path, out.String(), want)
 	}
 }

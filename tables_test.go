@@ -26,8 +26,9 @@ var clusterTableIDs = []string{
 
 // TestTablesMatchDigests pins the rendered bytes of the paper's tables
 // to the perf ledger's digest, read from the ledger's own testdata, and
-// of the two tables that print the transfer–compute overlap fraction
-// to a digest of their own. A change to the simulated schedule or to
+// of the two tables that print the transfer–compute overlap fraction,
+// the cluster studies and the multi-tenant scheduler studies to digests
+// of their own. A change to the simulated schedule or to
 // the stage analysis shows here, not only in the ledger.
 func TestTablesMatchDigests(t *testing.T) {
 	for _, c := range []struct {
@@ -37,6 +38,7 @@ func TestTablesMatchDigests(t *testing.T) {
 		{"bench/ledger/testdata/paper_tables.sha256", paperTableIDs},
 		{"internal/experiments/testdata/overlap_tables.sha256", []string{"ext-taxonomy", "ext-hotspot-pipe"}},
 		{"internal/experiments/testdata/cluster_tables.sha256", clusterTableIDs},
+		{"internal/experiments/testdata/sched_tables.sha256", []string{"fairness", "imbalance"}},
 	} {
 		want, err := os.ReadFile(c.file)
 		if err != nil {
