@@ -16,7 +16,6 @@ import (
 	"micstream/internal/sched"
 	"micstream/internal/sim"
 	"micstream/internal/telemetry"
-	"micstream/internal/trace"
 	"micstream/internal/workload"
 )
 
@@ -42,9 +41,6 @@ type (
 	Time = sim.Time
 	// Duration is a span of virtual time (nanoseconds).
 	Duration = sim.Duration
-	// TraceSpan is one recorded resource-occupancy interval (H2D, EXE,
-	// D2H) from the platform's span recorder.
-	TraceSpan = trace.Span
 )
 
 // Pipeline layer, re-exported from the core package.
@@ -216,20 +212,6 @@ func NewScheduler(p *Platform, opts ...SchedOption) (*Scheduler, error) {
 
 // WithPolicy selects the scheduling policy (default FIFO).
 func WithPolicy(policy SchedPolicy) SchedOption { return sched.WithPolicy(policy) }
-
-// WithSchedulerSlicing enables preemptive job slicing on a standalone
-// scheduler: each stream grant dispatches at most maxTasksPerSlice
-// tasks and re-queues the remainder, so the policy re-plans at every
-// slice boundary (DESIGN.md §13). 0 (the default) dispatches whole
-// jobs.
-func WithSchedulerSlicing(maxTasksPerSlice int) SchedOption {
-	return sched.WithSlicing(maxTasksPerSlice)
-}
-
-// SchedSliceable reports whether a task list is dependency-ordered —
-// every DependsOn target precedes its dependent — the shape slicing
-// requires so any prefix of the remaining list is dependency-closed.
-func SchedSliceable(tasks []*Task) error { return sched.Sliceable(tasks) }
 
 // FIFOPolicy serves jobs in arrival order on the lowest idle stream.
 func FIFOPolicy() SchedPolicy { return sched.FIFO() }
@@ -428,14 +410,6 @@ func WriteMetricsJSON(w io.Writer, snaps []MetricsSnapshot) error {
 // timeline.
 func NewTelemetry() *Telemetry { return telemetry.NewRecorder() }
 
-// WriteChromeTrace renders spans and telemetry as Chrome trace-event
-// JSON (chrome://tracing / Perfetto). Cluster users normally call
-// Cluster.Trace, which feeds both recorders in; this entry point
-// serves custom span sources.
-func WriteChromeTrace(w io.Writer, spans []TraceSpan, rec *Telemetry) error {
-	return telemetry.WriteChromeTrace(w, spans, rec)
-}
-
 // ClusterOption configures NewCluster: the platform shape
 // (WithClusterDevices, WithClusterPartitions, WithClusterStreams) and
 // the scheduler's knobs (WithPlacement, WithClusterQueueDepth,
@@ -514,8 +488,9 @@ func WithClusterStealing(threshold time.Duration) ClusterOption {
 // where lighter jobs can overtake it and — with WithClusterStealing
 // also enabled — another device can migrate it mid-job, re-pricing
 // staging and residency for only the tiles the remainder still needs
-// (DESIGN.md §13). Task lists must be dependency-ordered
-// (SchedSliceable). 0 (the default) dispatches whole jobs.
+// (DESIGN.md §13). Task lists must be dependency-ordered: every
+// DependsOn target precedes its dependent. 0 (the default) dispatches
+// whole jobs.
 func WithClusterSlicing(maxTasksPerSlice int) ClusterOption {
 	return func(c *clusterConfig) { c.opts = append(c.opts, cluster.WithSlicing(maxTasksPerSlice)) }
 }

@@ -294,10 +294,13 @@ func main() {
 		devices: *devices, partitions: *partitions, streams: *streams,
 		policy: *policy, depth: *depth, steal: *steal, slice: *slice,
 		staging: *staging, cache: *cache, cachecap: *cachecap,
-		njobs: *njobs * *scale, spread: *spread, affinity: *affinity,
-		datasets: *datasets, writefrac: *writefrac,
-		xfer: *xfer, origins: origin, arrival: *arrival, seed: *seed,
-		windowNs: window.Nanoseconds(), tenants: *tenants,
+		scenario: micstream.ClusterScenarioConfig{
+			Jobs: *njobs * *scale, Seed: *seed, Arrival: *arrival,
+			WindowNs: window.Nanoseconds(), Tenants: *tenants,
+			SizeSpread: *spread, AffinityFraction: *affinity,
+			Datasets: *datasets, WriteFraction: *writefrac,
+			XferBytes: *xfer, Origins: origin,
+		},
 	}
 	if *scaling {
 		runScaling(cf)
@@ -437,6 +440,8 @@ func explainJob(rec *micstream.Telemetry, job int) {
 	}
 }
 
+// clusterFlags holds the validated flags: the cluster's shape and
+// scheduler knobs, and the scenario the single-run modes build.
 type clusterFlags struct {
 	devices, partitions, streams int
 	policy                       string
@@ -446,16 +451,7 @@ type clusterFlags struct {
 	staging                      float64
 	cache                        string
 	cachecap                     int64
-	njobs                        int
-	spread, affinity             float64
-	datasets                     int
-	writefrac                    float64
-	xfer                         int64
-	origins                      []int
-	arrival                      string
-	seed                         uint64
-	windowNs                     int64
-	tenants                      int
+	scenario                     micstream.ClusterScenarioConfig
 }
 
 // options builds the cluster configuration the flags declare on devs
@@ -509,26 +505,7 @@ func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *mi
 	if err != nil {
 		fatal(err)
 	}
-	origins := f.origins
-	if len(origins) == 0 {
-		origins = make([]int, f.devices)
-		for d := range origins {
-			origins[d] = d
-		}
-	}
-	scenario, err := micstream.BuildClusterScenario(c, micstream.ClusterScenarioConfig{
-		Jobs:             f.njobs,
-		Seed:             f.seed,
-		Arrival:          f.arrival,
-		WindowNs:         f.windowNs,
-		Tenants:          f.tenants,
-		SizeSpread:       f.spread,
-		AffinityFraction: f.affinity,
-		Datasets:         f.datasets,
-		WriteFraction:    f.writefrac,
-		XferBytes:        f.xfer,
-		Origins:          origins,
-	})
+	scenario, err := micstream.BuildClusterScenario(c, f.scenario)
 	if err != nil {
 		fatal(err)
 	}
@@ -657,7 +634,7 @@ func printMetrics(snaps []micstream.MetricsSnapshot) {
 // -seed are honoured, the mix-shaping flags (-spread, -affinity,
 // -arrival, -window, -tenants) do not apply here.
 func runScaling(f clusterFlags) {
-	fmt.Printf("multi-MIC scaling through the cluster scheduler (predicted placement, %d identical jobs resident on device 0)\n\n", f.njobs)
+	fmt.Printf("multi-MIC scaling through the cluster scheduler (predicted placement, %d identical jobs resident on device 0)\n\n", f.scenario.Jobs)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "devices\tmakespan\tGFLOPS\tspeedup\tprojected\tstaged")
 	// Powers of two up to the requested count, always including the
@@ -676,13 +653,13 @@ func runScaling(f clusterFlags) {
 			fatal(err)
 		}
 		scenario, err := micstream.BuildClusterScenario(c, micstream.ClusterScenarioConfig{
-			Jobs:             f.njobs,
-			Seed:             f.seed,
+			Jobs:             f.scenario.Jobs,
+			Seed:             f.scenario.Seed,
 			SizeSpread:       1,
 			AffinityFraction: 1,
 			Origins:          []int{0},
 			KernelFlops:      6e9,
-			XferBytes:        f.xfer,
+			XferBytes:        f.scenario.XferBytes,
 			WindowNs:         1_000_000,
 		})
 		if err != nil {
@@ -707,10 +684,14 @@ func runScaling(f clusterFlags) {
 }
 
 // parseOrigins parses the -origins flag: a comma-separated device
-// list, each in [0, devices).
+// list, each in [0, devices). Empty means every device in order.
 func parseOrigins(s string, devices int) ([]int, error) {
 	if s == "" {
-		return nil, nil
+		out := make([]int, devices)
+		for d := range out {
+			out[d] = d
+		}
+		return out, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {

@@ -11,8 +11,9 @@
 //	micmodel -app mm               # predicted-vs-simulated curve for one app
 //	micmodel -app all              # every app, with per-app error summaries
 //	micmodel -app nn -fit          # calibrate against 5 probe runs first
-//	micmodel -validate             # per-app error summary (the modelval experiment)
-//	micmodel -guided               # search-cost study (the guided experiment)
+//
+// The per-app error summary and the search-cost study are tables of
+// their own: micbench -fig modelval and micbench -fig guided.
 //
 // The T column carries each application's own tile meaning: task count
 // for the stripe/chunk apps, tile-grid edge for MM and CF.
@@ -31,32 +32,13 @@ import (
 
 func main() {
 	var (
-		app      = flag.String("app", "all", "application to sweep (or \"all\")")
-		list     = flag.Bool("list", false, "list modeled applications")
-		fit      = flag.Bool("fit", false, "calibrate the model with probe runs before predicting")
-		probes   = flag.Int("probes", 5, "probe simulations used by -fit")
-		validate = flag.Bool("validate", false, "print the per-app error summary (modelval)")
-		guided   = flag.Bool("guided", false, "print the search-cost study (guided)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		app    = flag.String("app", "all", "application to sweep (or \"all\")")
+		list   = flag.Bool("list", false, "list modeled applications")
+		fit    = flag.Bool("fit", false, "calibrate the model with probe runs before predicting")
+		probes = flag.Int("probes", 5, "probe simulations used by -fit")
+		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()
-
-	render := micstream.RunExperiment
-	if *csv {
-		render = micstream.RunExperimentCSV
-	}
-	switch {
-	case *validate:
-		if err := render("modelval", os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	case *guided:
-		if err := render("guided", os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	apps, err := experiments.ModelApps()
 	if err != nil {

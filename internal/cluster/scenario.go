@@ -1,11 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 
-	"micstream/internal/core"
-	"micstream/internal/device"
 	"micstream/internal/hstreams"
 	"micstream/internal/residency"
 	"micstream/internal/sched"
@@ -69,33 +67,8 @@ type ScenarioConfig struct {
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Jobs == 0 {
-		c.Jobs = 48
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Arrival == "" {
-		c.Arrival = "poisson"
-	}
-	if c.WindowNs == 0 {
-		c.WindowNs = 40_000_000
-	}
-	if c.Tenants == 0 {
-		c.Tenants = 4
-	}
-	if c.TilesPerJob == 0 {
-		c.TilesPerJob = 2
-	}
-	if c.KernelFlops == 0 {
-		c.KernelFlops = 2e8
-	}
-	if c.XferBytes == 0 {
-		c.XferBytes = 1 << 20
-	}
-	if c.SizeSpread == 0 {
-		c.SizeSpread = 4
-	}
+	c.Jobs = cmp.Or(c.Jobs, 48)
+	c.Tenants = cmp.Or(c.Tenants, 4)
 	if len(c.Origins) == 0 {
 		c.Origins = []int{0}
 	}
@@ -107,9 +80,7 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 // Cluster.Run. Everything is a pure function of the configuration.
 func BuildScenario(ctx *hstreams.Context, cfg ScenarioConfig) ([]Job, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Jobs < 0 || cfg.WindowNs <= 0 || cfg.Tenants < 1 || cfg.TilesPerJob < 1 ||
-		cfg.SizeSpread < 1 || cfg.KernelFlops < 0 || cfg.XferBytes < 0 ||
-		cfg.AffinityFraction > 1 || cfg.Datasets < 0 || cfg.WriteFraction > 1 {
+	if cfg.Jobs < 0 || cfg.Tenants < 1 || cfg.AffinityFraction > 1 || cfg.Datasets < 0 || cfg.WriteFraction > 1 {
 		return nil, fmt.Errorf("cluster: invalid scenario config %+v", cfg)
 	}
 	for _, d := range cfg.Origins {
@@ -117,52 +88,27 @@ func BuildScenario(ctx *hstreams.Context, cfg ScenarioConfig) ([]Job, error) {
 			return nil, fmt.Errorf("cluster: scenario origin device %d out of range [0,%d)", d, ctx.NumDevices())
 		}
 	}
-
-	tileBytes := int(cfg.XferBytes) / cfg.TilesPerJob
-	if tileBytes < 1 {
-		tileBytes = 1
+	tj := sched.TileJobs{Arrival: cfg.Arrival, Seed: cfg.Seed, WindowNs: cfg.WindowNs, TilesPerJob: cfg.TilesPerJob,
+		KernelFlops: cfg.KernelFlops, XferBytes: cfg.XferBytes, SizeSpread: cfg.SizeSpread}
+	if err := tj.Init(ctx, "cluster-scenario"); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	var in, out *hstreams.Buffer
-	if ctx.Config().ExecuteKernels {
-		in = hstreams.Alloc1D(ctx, "cluster-scenario/in", make([]byte, tileBytes))
-		out = hstreams.Alloc1D(ctx, "cluster-scenario/out", make([]byte, tileBytes))
-	} else {
-		in = hstreams.AllocVirtual(ctx, "cluster-scenario/in", tileBytes, 1)
-		out = hstreams.AllocVirtual(ctx, "cluster-scenario/out", tileBytes, 1)
-	}
-	tileFlops := cfg.KernelFlops / float64(cfg.TilesPerJob)
 
-	arrivals, err := workload.Arrivals(cfg.Arrival, cfg.Seed, cfg.Jobs,
-		float64(cfg.WindowNs)/float64(max(cfg.Jobs, 1)))
+	arrivals, err := tj.Arrivals(tj.Seed, cfg.Jobs)
 	if err != nil {
 		return nil, err
 	}
-	rng := workload.NewRNG(cfg.Seed ^ 0x636c7573746572) // "cluster"
+	rng := workload.NewRNG(tj.Seed ^ 0x636c7573746572) // "cluster"
 	tenants := sched.TenantNames(cfg.Tenants)
 
 	jobs := make([]Job, cfg.Jobs)
 	affine := 0
 	for j := range jobs {
-		factor := math.Pow(cfg.SizeSpread, 2*rng.Float64()-1)
-		tasks := make([]*core.Task, cfg.TilesPerJob)
-		for k := range tasks {
-			tasks[k] = &core.Task{
-				ID:  k,
-				H2D: []core.TransferSpec{core.Xfer(in, 0, tileBytes)},
-				Cost: device.KernelCost{
-					Name:  fmt.Sprintf("job%d", j),
-					Flops: tileFlops * factor,
-					Bytes: float64(tileBytes) * 2,
-				},
-				D2H:        []core.TransferSpec{core.Xfer(out, 0, tileBytes)},
-				StreamHint: -1,
-			}
-		}
 		job := Job{
 			ID:      j,
 			Tenant:  tenants[j%cfg.Tenants],
 			Arrival: sim.Time(arrivals[j]),
-			Tasks:   tasks,
+			Tasks:   tj.Tasks(fmt.Sprintf("job%d", j), rng.Float64()),
 			Origin:  -1,
 		}
 		if rng.Float64() < cfg.AffinityFraction {
@@ -176,8 +122,8 @@ func BuildScenario(ctx *hstreams.Context, cfg ScenarioConfig) ([]Job, error) {
 				job.Reads = []residency.Region{{
 					Dataset:   fmt.Sprintf("ds%d", ds),
 					First:     0,
-					Tiles:     cfg.TilesPerJob,
-					TileBytes: int64(tileBytes),
+					Tiles:     tj.TilesPerJob,
+					TileBytes: int64(tj.TileBytes),
 				}}
 				job.StagingBytes = residency.TotalBytes(job.Reads)
 				// Guard the draw so read-only configs consume the same
@@ -187,7 +133,7 @@ func BuildScenario(ctx *hstreams.Context, cfg ScenarioConfig) ([]Job, error) {
 				}
 			} else {
 				job.Origin = cfg.Origins[affine%len(cfg.Origins)]
-				job.StagingBytes = cfg.XferBytes
+				job.StagingBytes = tj.XferBytes
 			}
 			affine++
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -82,33 +83,8 @@ type ScenarioConfig struct {
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Pattern == "" {
-		c.Pattern = "balanced"
-	}
-	if c.Arrival == "" {
-		c.Arrival = "poisson"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.JobScale == 0 {
-		c.JobScale = 1
-	}
-	if c.WindowNs == 0 {
-		c.WindowNs = 40_000_000
-	}
-	if c.TilesPerJob == 0 {
-		c.TilesPerJob = 2
-	}
-	if c.KernelFlops == 0 {
-		c.KernelFlops = 2e8
-	}
-	if c.XferBytes == 0 {
-		c.XferBytes = 1 << 20
-	}
-	if c.SizeSpread == 0 {
-		c.SizeSpread = 4
-	}
+	c.Pattern = cmp.Or(c.Pattern, "balanced")
+	c.JobScale = cmp.Or(c.JobScale, 1)
 	return c
 }
 
@@ -121,6 +97,76 @@ func TenantNames(n int) []string {
 	return names
 }
 
+// TileJobs is the core the scheduler's and the cluster's scenario
+// builders share: the arrival process and the shape of one tiled
+// offload job, whose TilesPerJob H2D+kernel+D2H tasks all move one
+// tile of a shared input and output buffer. Init applies the defaults
+// ScenarioConfig documents to the zero fields.
+type TileJobs struct {
+	Arrival     string
+	Seed        uint64
+	WindowNs    int64
+	TilesPerJob int
+	KernelFlops float64
+	XferBytes   int64
+	SizeSpread  float64
+	// TileBytes is one tile's transfer size, set by Init.
+	TileBytes int
+
+	in, out *hstreams.Buffer
+}
+
+// Init fills the zero fields with their defaults, validates the shape,
+// and allocates the shared buffers on ctx as prefix/in and prefix/out.
+// A functional context moves real data on every transfer, so its
+// buffers need real backing; timing-only contexts use data-less
+// virtual buffers.
+func (t *TileJobs) Init(ctx *hstreams.Context, prefix string) error {
+	t.Arrival = cmp.Or(t.Arrival, "poisson")
+	t.Seed = cmp.Or(t.Seed, 1)
+	t.WindowNs = cmp.Or(t.WindowNs, 40_000_000)
+	t.TilesPerJob = cmp.Or(t.TilesPerJob, 2)
+	t.KernelFlops = cmp.Or(t.KernelFlops, 2e8)
+	t.XferBytes = cmp.Or(t.XferBytes, 1<<20)
+	t.SizeSpread = cmp.Or(t.SizeSpread, 4)
+	if t.WindowNs <= 0 || t.TilesPerJob < 1 || t.SizeSpread < 1 || t.KernelFlops < 0 || t.XferBytes < 0 {
+		return fmt.Errorf("invalid job shape %+v", *t)
+	}
+	t.TileBytes = max(int(t.XferBytes)/t.TilesPerJob, 1)
+	if ctx.Config().ExecuteKernels {
+		t.in = hstreams.Alloc1D(ctx, prefix+"/in", make([]byte, t.TileBytes))
+		t.out = hstreams.Alloc1D(ctx, prefix+"/out", make([]byte, t.TileBytes))
+	} else {
+		t.in = hstreams.AllocVirtual(ctx, prefix+"/in", t.TileBytes, 1)
+		t.out = hstreams.AllocVirtual(ctx, prefix+"/out", t.TileBytes, 1)
+	}
+	return nil
+}
+
+// Arrivals draws n arrival offsets from the arrival process, seeded
+// with seed, at a mean gap that spreads them over the window.
+func (t *TileJobs) Arrivals(seed uint64, n int) ([]int64, error) {
+	return workload.Arrivals(t.Arrival, seed, n, float64(t.WindowNs)/float64(max(n, 1)))
+}
+
+// Tasks returns one job's tiles, each kernel named kernel. The job's
+// work is KernelFlops scaled by SizeSpread^(2u-1), so u uniform in
+// [0, 1) spreads jobs over a SizeSpread² range.
+func (t *TileJobs) Tasks(kernel string, u float64) []*core.Task {
+	flops := t.KernelFlops / float64(t.TilesPerJob) * math.Pow(t.SizeSpread, 2*u-1)
+	tasks := make([]*core.Task, t.TilesPerJob)
+	for k := range tasks {
+		tasks[k] = &core.Task{
+			ID:         k,
+			H2D:        []core.TransferSpec{core.Xfer(t.in, 0, t.TileBytes)},
+			Cost:       device.KernelCost{Name: kernel, Flops: flops, Bytes: float64(t.TileBytes) * 2},
+			D2H:        []core.TransferSpec{core.Xfer(t.out, 0, t.TileBytes)},
+			StreamHint: -1,
+		}
+	}
+	return tasks
+}
+
 // BuildScenario allocates the scenario's shared virtual buffers on ctx
 // and returns the full job list in tenant-major order, ready for
 // Scheduler.Run. Everything is a pure function of the configuration,
@@ -131,80 +177,35 @@ func BuildScenario(ctx *hstreams.Context, cfg ScenarioConfig) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.JobScale < 0 || cfg.WindowNs <= 0 || cfg.TilesPerJob < 1 || cfg.SizeSpread < 1 ||
-		cfg.KernelFlops < 0 || cfg.XferBytes < 0 {
+	if cfg.JobScale < 0 {
 		return nil, fmt.Errorf("sched: invalid scenario config %+v", cfg)
 	}
-
-	tileBytes := int(cfg.XferBytes) / cfg.TilesPerJob
-	if tileBytes < 1 {
-		tileBytes = 1
+	tj := TileJobs{Arrival: cfg.Arrival, Seed: cfg.Seed, WindowNs: cfg.WindowNs, TilesPerJob: cfg.TilesPerJob,
+		KernelFlops: cfg.KernelFlops, XferBytes: cfg.XferBytes, SizeSpread: cfg.SizeSpread}
+	if err := tj.Init(ctx, "scenario"); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
-	// A functional context moves real data on every transfer, so its
-	// buffers need real backing; timing-only contexts use data-less
-	// virtual buffers.
-	var in, out *hstreams.Buffer
-	if ctx.Config().ExecuteKernels {
-		in = hstreams.Alloc1D(ctx, "scenario/in", make([]byte, tileBytes))
-		out = hstreams.Alloc1D(ctx, "scenario/out", make([]byte, tileBytes))
-	} else {
-		in = hstreams.AllocVirtual(ctx, "scenario/in", tileBytes, 1)
-		out = hstreams.AllocVirtual(ctx, "scenario/out", tileBytes, 1)
-	}
-	tileFlops := cfg.KernelFlops / float64(cfg.TilesPerJob)
 
 	// One seed per tenant, drawn from the scenario seed so tenants
 	// have independent but reproducible arrival streams.
-	seeder := workload.NewRNG(cfg.Seed)
-	tenants := TenantNames(len(weights))
-
+	seeder := workload.NewRNG(tj.Seed)
 	var jobs []Job
-	id := 0
-	for ti, tenant := range tenants {
+	for ti, tenant := range TenantNames(len(weights)) {
 		count := weights[ti] * cfg.JobScale
-		tseed := seeder.Uint64()
-		sizes := workload.NewRNG(seeder.Uint64())
-		arrivals, err := buildArrivals(cfg.Arrival, tseed, count, float64(cfg.WindowNs)/float64(max(count, 1)))
+		arrivals, err := tj.Arrivals(seeder.Uint64(), count)
 		if err != nil {
 			return nil, err
 		}
-		for j := 0; j < count; j++ {
-			factor := math.Pow(cfg.SizeSpread, 2*sizes.Float64()-1)
-			tasks := make([]*core.Task, cfg.TilesPerJob)
-			for k := range tasks {
-				tasks[k] = &core.Task{
-					ID: k,
-					H2D: []core.TransferSpec{
-						core.Xfer(in, 0, tileBytes),
-					},
-					Cost: device.KernelCost{
-						Name:  fmt.Sprintf("%s/job%d", tenant, id),
-						Flops: tileFlops * factor,
-						Bytes: float64(tileBytes) * 2,
-					},
-					D2H: []core.TransferSpec{
-						core.Xfer(out, 0, tileBytes),
-					},
-					StreamHint: -1,
-				}
-			}
+		sizes := workload.NewRNG(seeder.Uint64())
+		for j := range count {
+			id := len(jobs)
 			jobs = append(jobs, Job{
 				ID:      id,
 				Tenant:  tenant,
 				Arrival: sim.Time(arrivals[j]),
-				Tasks:   tasks,
+				Tasks:   tj.Tasks(fmt.Sprintf("%s/job%d", tenant, id), sizes.Float64()),
 			})
-			id++
 		}
 	}
 	return jobs, nil
-}
-
-// buildArrivals dispatches to the named workload arrival generator
-// with a mean inter-arrival gap.
-func buildArrivals(kind string, seed uint64, n int, meanGapNs float64) ([]int64, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	return workload.Arrivals(kind, seed, n, meanGapNs)
 }

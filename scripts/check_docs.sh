@@ -3,15 +3,15 @@
 #
 # 1. Every library package (root + internal/...) must carry a
 #    `// Package <name>` doc comment; every command under cmd/ a
-#    `// Command <name>` one; every example program some leading
-#    comment before `package main`.
+#    `// Command <name>` one.
 # 2. Every relative markdown link in the top-level documents must
 #    point at a file that exists.
 # 3. Every bare `*.md` file reference in a Go comment must name a file
 #    that exists, relative to the repository root or to the Go file.
 # 4. Every cmd/ directory must have a row in README's "Command-line
-#    tools" table, and every examples/ directory must be named in
-#    README.
+#    tools" table, and every `func Example...` in the root package's
+#    tests must be named in README's "Runnable godoc examples"
+#    sentence.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -28,8 +28,6 @@ for dir in $(go list -f '{{.Dir}}' ./...); do
     case "$rel" in
     cmd/*)
         pattern='^// Command ' ;;
-    examples/*)
-        pattern='^//' ;;
     *)
         pattern='^// Package ' ;;
     esac
@@ -76,7 +74,8 @@ fi
 
 # --- README inventory -------------------------------------------------
 # Every command has a row in README's "Command-line tools" table, and
-# every example is named in README (as `name` or examples/name).
+# every godoc example is named in the sentence that lists them, which
+# runs from "Runnable godoc examples:" to the next blank line.
 for dir in cmd/*/; do
     name=$(basename "$dir")
     if ! sed -n '/^## Command-line tools/,/^## /p' README.md | grep -q "^| \`$name\` |"; then
@@ -84,10 +83,10 @@ for dir in cmd/*/; do
         fail=1
     fi
 done
-for dir in examples/*/; do
-    name=$(basename "$dir")
-    if ! grep -qE "\`$name\`|examples/$name([^A-Za-z0-9_-]|\$)" README.md; then
-        echo "README.md: example $name is not named"
+listed=$(sed -n '/^Runnable godoc examples:/,/^$/p' README.md)
+for name in $(sed -n 's/^func \(Example[A-Za-z0-9_]*\)().*/\1/p' ./*_test.go); do
+    if ! printf '%s\n' "$listed" | grep -q "\`$name\`"; then
+        echo "README.md: godoc example $name is not named in the Runnable godoc examples sentence"
         fail=1
     fi
 done
