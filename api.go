@@ -512,7 +512,8 @@ func WithClusterDevicePolicy(factory func() SchedPolicy) ClusterOption {
 // to export the log and the spans as Chrome trace-event JSON and
 // Cluster.Metrics for the snapshots. A served cluster with observers
 // attached streams instead: after Serve, the recorder's Events() and
-// Cluster.Metrics() no longer grow.
+// Cluster.Metrics() no longer grow, and the platform keeps no more
+// resource spans, so Cluster.Trace holds only what ran before Serve.
 func WithClusterTelemetry(rec *Telemetry) ClusterOption {
 	return func(c *clusterConfig) {
 		c.traced = rec != nil

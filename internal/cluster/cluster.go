@@ -43,6 +43,7 @@ import (
 	"slices"
 	"sort"
 
+	"micstream/internal/arena"
 	"micstream/internal/core"
 	"micstream/internal/hstreams"
 	"micstream/internal/model"
@@ -157,6 +158,8 @@ type Queued struct {
 	stagedBytes         int64
 	stagingEst          sim.Duration
 	hitBytes, missBytes int64
+	// notified marks the job's outcome as streamed (emitOutcome).
+	notified bool
 }
 
 // Option configures a Cluster.
@@ -279,11 +282,13 @@ type Cluster struct {
 	// itself stays warm across runs.
 	resStart residency.Stats
 
-	// Per-run state, reset when a session opens (Run opens one); the
-	// per-job slices grow batch by batch as the session admits jobs.
-	queue       []*Queued
-	admitted    []*Queued // outcome index → admission record
-	outcomes    []Outcome
+	// Per-run state, reset when a session opens (Run opens one). The
+	// per-job records, indexed by outcome index, grow batch by batch as
+	// the session admits jobs and never move: a batch Run sizes each
+	// exactly once, so its Result.Jobs aliases outcomes.
+	queue       arena.Queue[*Queued]
+	admitted    arena.Slab[Queued] // a job's admission record
+	outcomes    arena.Slab[Outcome]
 	submitted   [][]int // device → per-device outcome index → cluster index (-1: withdrawn)
 	runFlops    float64
 	done        int
@@ -295,12 +300,11 @@ type Cluster struct {
 
 	// onOutcome streams each job's outcome the instant it becomes
 	// terminal (completed or failed) — the Session's per-job emission
-	// channel. nil (the batch Run default) disables streaming; notified
-	// guards every emission site so no outcome is streamed twice, and
-	// nterminal counts terminal outcomes for the session's drain
-	// accounting.
+	// channel. nil (the batch Run default) disables streaming;
+	// Queued.notified guards every emission site so no outcome is
+	// streamed twice, and nterminal counts terminal outcomes for the
+	// session's drain accounting.
 	onOutcome func(Outcome)
-	notified  []bool
 	nterminal int
 
 	// runStart anchors the run's elapsed-time accounting; linkBusy0 and
@@ -323,8 +327,12 @@ type Cluster struct {
 	telHit  int64
 	telMiss int64
 	// tput is snapshotMetrics' scratch for the Jain index input, which
-	// stats.JainIndex does not retain.
-	tput []float64
+	// stats.JainIndex does not retain; snapDevs and snapTens back every
+	// snapshot's Devices and Tenants, which the recorder lends to its
+	// observers for the call only (telemetry.Recorder.SetOnMetrics).
+	tput     []float64
+	snapDevs []telemetry.DeviceMetrics
+	snapTens []telemetry.TenantMetrics
 
 	// eligible and eligDev are the placement snapshot's scratch,
 	// refreshed by eligibleViews at every placement decision.
@@ -634,13 +642,14 @@ func (c *Cluster) Run(jobs []Job) (*Result, error) {
 // terminal counter feeds the session's drain accounting whether or not
 // a sink is attached.
 func (c *Cluster) emitOutcome(idx int) {
-	if c.notified == nil || c.notified[idx] {
+	q := c.admitted.At(idx)
+	if q.notified {
 		return
 	}
-	c.notified[idx] = true
+	q.notified = true
 	c.nterminal++
 	if c.onOutcome != nil {
-		c.onOutcome(c.outcomes[idx])
+		c.onOutcome(*c.outcomes.At(idx))
 	}
 }
 
@@ -656,7 +665,8 @@ func (c *Cluster) admit(job *Job, idx int) {
 	if origin < 0 {
 		origin = -1
 	}
-	c.outcomes[idx] = Outcome{
+	o := c.outcomes.At(idx)
+	*o = Outcome{
 		Index:      idx,
 		ID:         job.ID,
 		Tenant:     tenantOf(job),
@@ -669,7 +679,7 @@ func (c *Cluster) admit(job *Job, idx int) {
 		Deadline:   job.Deadline,
 	}
 	if c.runErr != nil {
-		c.outcomes[idx].Failed = true
+		o.Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
 				Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1})
@@ -677,10 +687,10 @@ func (c *Cluster) admit(job *Job, idx int) {
 		c.emitOutcome(idx)
 		return
 	}
-	q := &Queued{Job: job, Est: est, Seq: c.seq, idx: idx, dev: -1, devIdx: -1,
+	q := c.admitted.At(idx)
+	*q = Queued{Job: job, Est: est, Seq: c.seq, idx: idx, dev: -1, devIdx: -1,
 		reads: job.Reads, demand: job.StagingDemand()}
-	c.admitted[idx] = q
-	c.queue = append(c.queue, q)
+	c.queue.Push(q)
 	c.seq++
 	if c.tel.Enabled() {
 		c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Admit,
@@ -698,16 +708,16 @@ func (c *Cluster) fail(err error) {
 		return
 	}
 	c.runErr = err
-	stranded := c.queue
-	c.queue = nil
+	stranded := c.queue.Items()
 	for _, q := range stranded {
-		c.outcomes[q.idx].Failed = true
+		c.outcomes.At(q.idx).Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
 				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job), Device: -1, From: -1, Stream: -1})
 		}
 		c.emitOutcome(q.idx)
 	}
+	c.queue.Pop(len(stranded))
 }
 
 // eligibleViews snapshots the devices with admission capacity for the
@@ -744,12 +754,12 @@ func (c *Cluster) eligibleViews() []DeviceView {
 // non-empty queue implies every device is saturated (full committed
 // queue, hence no idle streams).
 func (c *Cluster) dispatch() {
-	for len(c.queue) > 0 && c.runErr == nil {
+	for c.queue.Len() > 0 && c.runErr == nil {
 		eligible := c.eligibleViews()
 		if len(eligible) == 0 {
 			break
 		}
-		q := c.queue[0]
+		q := c.queue.Items()[0]
 		pick := c.place.Place(q, eligible)
 		if pick < 0 {
 			// The policy deferred placement (a pinning policy whose
@@ -762,7 +772,7 @@ func (c *Cluster) dispatch() {
 			break
 		}
 		dev := c.eligDev[pick]
-		c.queue = c.queue[1:]
+		c.queue.Pop(1)
 		if c.tel.Enabled() {
 			e := telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Place,
 				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
@@ -771,9 +781,11 @@ func (c *Cluster) dispatch() {
 				// The scoring pass re-runs the policy's pricing against
 				// read-only state (residency Lookup never mutates) on
 				// fresh views, so capturing the scores cannot perturb
-				// the decision.
-				for i, s := range sc.Scores(q, c.eligibleViews()) {
-					e.Scores = append(e.Scores, telemetry.Score{Device: c.eligDev[i], Predicted: s})
+				// the decision. The event keeps its own copy.
+				scores := sc.Scores(q, c.eligibleViews())
+				e.Scores = make([]telemetry.Score, len(scores))
+				for i, s := range scores {
+					e.Scores[i] = telemetry.Score{Device: c.eligDev[i], Predicted: s}
 				}
 			}
 			c.tel.Emit(e)
@@ -796,7 +808,7 @@ func (c *Cluster) dispatch() {
 func (c *Cluster) route(q *Queued, dev int) {
 	job := q.Job
 	idx := q.idx
-	o := &c.outcomes[idx]
+	o := c.outcomes.At(idx)
 	o.Device = dev
 	if q.dev < 0 {
 		o.Placed = c.ctx.Now()
@@ -894,6 +906,8 @@ func (c *Cluster) route(q *Queued, dev int) {
 		}
 	}
 
+	// The scheduler copies the job into its own record, so this one
+	// stays on the stack.
 	sjob := sched.Job{ID: job.ID, Tenant: job.Tenant, Tasks: tasks, Est: est, Ref: idx}
 	si, err := c.scheds[dev].Submit(&sjob)
 	if err != nil {
@@ -903,7 +917,7 @@ func (c *Cluster) route(q *Queued, dev int) {
 			// runs as phantom residency.
 			c.resident.Rollback(q.rcpt)
 		}
-		c.outcomes[idx].Failed = true
+		o.Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
 				Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: dev, From: -1, Stream: -1})
@@ -943,7 +957,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// under its new device; a late failure report here is stale.
 		return
 	}
-	out := &c.outcomes[idx]
+	out := c.outcomes.At(idx)
 	if o.Failed {
 		// The device scheduler aborted with this job still queued;
 		// mirror it as a failed cluster outcome, surface the device's
@@ -951,7 +965,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// transfer that never ran (the cache persists across runs, so
 		// phantom tiles would under-charge a later warm replay).
 		if c.resident != nil {
-			c.resident.Rollback(c.admitted[idx].rcpt)
+			c.resident.Rollback(c.admitted.At(idx).rcpt)
 		}
 		out.Failed = true
 		c.emitOutcome(idx)
@@ -996,7 +1010,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// device's copy of the completed job's written tiles, then
 		// LRU-evict each device back under its byte budget, so the
 		// placements priced below see the post-completion cache.
-		job := c.admitted[idx].Job
+		job := c.admitted.At(idx).Job
 		if len(job.Writes) > 0 {
 			var inv0 int64
 			if c.tel.Enabled() {
@@ -1049,15 +1063,15 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		Elapsed:      elapsed,
 		Done:         c.done,
 		Steals:       c.steals,
-		ClusterQueue: len(c.queue),
+		ClusterQueue: c.queue.Len(),
 		HitBytes:     c.telHit,
 		MissBytes:    c.telMiss,
 	}
 	parts := c.ctx.Config().Partitions
-	// Devices and Tenants are fresh for every snapshot: the exporter
-	// and the observer stack keep the latest one and render it outside
-	// the run loop.
-	snap.Devices = make([]telemetry.DeviceMetrics, len(c.scheds))
+	// Devices and Tenants reuse the cluster's scratch: the recorder's
+	// log and every observer that keeps a snapshot copy them.
+	c.snapDevs = slices.Grow(c.snapDevs[:0], len(c.scheds))[:len(c.scheds)]
+	snap.Devices = c.snapDevs
 	for d, s := range c.scheds {
 		dm := telemetry.DeviceMetrics{
 			Device:      d,
@@ -1077,7 +1091,8 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		snap.Devices[d] = dm
 	}
 	if len(c.tenantSeen) > 0 {
-		snap.Tenants = make([]telemetry.TenantMetrics, len(c.tenantSeen))
+		c.snapTens = slices.Grow(c.snapTens[:0], len(c.tenantSeen))[:len(c.tenantSeen)]
+		snap.Tenants = c.snapTens
 	}
 	c.tput = c.tput[:0]
 	for i, name := range c.tenantSeen {

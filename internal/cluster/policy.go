@@ -59,7 +59,8 @@ type Policy interface {
 // of policy and cluster state (the built-in predicted and affinity
 // policies qualify — their pricing consults only read-only residency
 // lookups), so scoring for observability can never perturb the
-// decision itself.
+// decision itself. The returned slice may be the policy's scratch,
+// valid until its next Place or Scores call.
 type Scorer interface {
 	Scores(q *Queued, eligible []DeviceView) []sim.Time
 }
@@ -229,9 +230,9 @@ func (p *predicted) score(q *Queued, v DeviceView, est sim.Duration, residual in
 // Scores implements Scorer: the predicted completion instant per
 // eligible device — exactly the quantities Place minimizes.
 func (p *predicted) Scores(q *Queued, eligible []DeviceView) []sim.Time {
-	out := make([]sim.Time, len(eligible))
-	p.scoreAll(q, eligible, out, make([]int64, len(eligible)))
-	return out
+	scores, residuals := p.scratch(len(eligible))
+	p.scoreAll(q, eligible, scores, residuals)
+	return scores
 }
 
 // scoreAll fills scores and residuals, parallel to eligible, and

@@ -159,15 +159,15 @@ func TestClusterQueueEmptyUnlessSaturated(t *testing.T) {
 	checks := 0
 	c.afterChange = func() {
 		checks++
-		if len(c.queue) == 0 {
+		if c.queue.Len() == 0 {
 			return
 		}
 		for d, s := range c.scheds {
 			if s.QueueDepth() < 1 {
-				t.Fatalf("cluster queue holds %d jobs while device %d has admission capacity", len(c.queue), d)
+				t.Fatalf("cluster queue holds %d jobs while device %d has admission capacity", c.queue.Len(), d)
 			}
 			if s.InFlight() < len(s.Streams()) {
-				t.Fatalf("cluster queue holds %d jobs while device %d has an idle stream", len(c.queue), d)
+				t.Fatalf("cluster queue holds %d jobs while device %d has an idle stream", c.queue.Len(), d)
 			}
 		}
 	}

@@ -203,14 +203,15 @@ func (r *Result) Tenant(name string) *sched.TenantStats {
 
 // summarize assembles the Result from the recorded outcomes.
 func (c *Cluster) summarize() *Result {
-	r := &Result{Placement: c.place.Name(), Jobs: c.outcomes}
+	outcomes := c.outcomes.Slice()
+	r := &Result{Placement: c.place.Name(), Jobs: outcomes}
 	end := c.runStart
 	devs := make([]DeviceStats, len(c.scheds))
 	for d := range devs {
 		devs[d].Device = d
 	}
-	schedOutcomes := make([]sched.JobOutcome, len(c.outcomes))
-	for i, o := range c.outcomes {
+	schedOutcomes := make([]sched.JobOutcome, len(outcomes))
+	for i, o := range outcomes {
 		schedOutcomes[i] = o.schedOutcome()
 		if o.Failed {
 			r.Failed++

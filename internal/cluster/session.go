@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"micstream/internal/arena"
 	"micstream/internal/sim"
 	"micstream/internal/stats"
 )
@@ -40,6 +41,22 @@ type Session struct {
 	epochs  int
 	running bool
 	closed  bool
+
+	// copies holds the batches Submit copies, for the session's
+	// lifetime.
+	copies arena.Runs[Job]
+	// arrived lists, in admission order, the submitted jobs whose
+	// arrival is the current epoch boundary; one engine event at the
+	// boundary (admitArrived, bound once as admitEvent) admits them
+	// all. A job arriving later keeps an event of its own.
+	arrived    []arrival
+	admitEvent func()
+}
+
+// arrival is one job waiting for its boundary's admission event.
+type arrival struct {
+	job *Job
+	idx int
 }
 
 // NewSession opens service mode on the cluster: it resets the per-run
@@ -60,10 +77,9 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		r.reset()
 	}
 	c.bindStealModel()
-	c.queue = nil
-	c.admitted = nil
-	c.outcomes = nil
-	c.notified = nil
+	c.queue = arena.Queue[*Queued]{}
+	c.admitted = arena.Slab[Queued]{}
+	c.outcomes = arena.Slab[Outcome]{}
 	c.nterminal = 0
 	c.onOutcome = onOutcome
 	c.submitted = make([][]int, len(c.scheds))
@@ -94,60 +110,97 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		c.tenantSeen = nil
 	}
 	c.runStart = c.ctx.Engine().Now()
-	return &Session{c: c}, nil
+	s := &Session{c: c}
+	s.admitEvent = s.admitArrived
+	return s, nil
 }
 
 // Submit admits one batch at the current epoch boundary and returns
 // the cluster index of the batch's first job (indices run densely
-// across the session, so batch job i is outcome base+i). Every job's
-// arrival clamps to the boundary's virtual instant — the session's
-// clock, not the caller's. The batch is copied; the caller may reuse
-// the slice. Several batches may stack at one boundary (each keeps
+// across the session, so batch job i is outcome base+i). A job whose
+// Arrival is at or before the boundary's virtual instant arrives at
+// that instant; a later Arrival is kept. The batch is copied into
+// storage the session keeps, so the caller may reuse the slice at
+// once. Several batches may stack at one boundary (each keeps
 // admission order); submitting mid-epoch — from inside an onOutcome
 // callback while RunEpoch is live — or after a scheduling error is
 // rejected without admitting anything.
 func (s *Session) Submit(jobs []Job) (base int, err error) {
-	if s.closed {
-		return 0, fmt.Errorf("cluster: session is closed")
-	}
-	if s.running {
-		return 0, fmt.Errorf("cluster: session submit mid-epoch")
-	}
-	if s.c.runErr != nil {
-		return 0, fmt.Errorf("cluster: session failed: %w", s.c.runErr)
-	}
-	if err := s.c.validate(jobs); err != nil {
+	if err := s.admissible(jobs); err != nil {
 		return 0, err
 	}
-	return s.submit(append([]Job(nil), jobs...)), nil
+	batch := s.copies.Take(len(jobs))
+	copy(batch, jobs)
+	return s.submit(batch), nil
+}
+
+// SubmitInPlace is Session.Submit without the copy: the session keeps
+// pointers into jobs, so the caller must not modify them until the
+// epoch that runs them has returned from RunEpoch. The serve layer
+// hands over its recorded batches, which nothing modifies, this way.
+func SubmitInPlace(s *Session, jobs []Job) (base int, err error) {
+	if err := s.admissible(jobs); err != nil {
+		return 0, err
+	}
+	return s.submit(jobs), nil
+}
+
+// admissible reports why the session cannot admit jobs now, or nil.
+func (s *Session) admissible(jobs []Job) error {
+	if s.closed {
+		return fmt.Errorf("cluster: session is closed")
+	}
+	if s.running {
+		return fmt.Errorf("cluster: session submit mid-epoch")
+	}
+	if s.c.runErr != nil {
+		return fmt.Errorf("cluster: session failed: %w", s.c.runErr)
+	}
+	return s.c.validate(jobs)
 }
 
 // submit admits a validated batch at the current epoch boundary. The
 // session keeps pointers into batch, so the caller must not touch it
-// until every job in it is terminal.
+// until every job in it is terminal. The jobs arriving at the boundary
+// join the boundary's one admission event, in batch order after any
+// batch already stacked there; each later arrival gets an event of its
+// own. Either way every job is admitted in the order, and at the
+// instant, that one event per job would admit it.
 func (s *Session) submit(batch []Job) (base int) {
-	eng := s.c.ctx.Engine()
-	base = len(s.c.outcomes)
-	s.c.outcomes = append(s.c.outcomes, make([]Outcome, len(batch))...)
-	s.c.admitted = append(s.c.admitted, make([]*Queued, len(batch))...)
-	s.c.notified = append(s.c.notified, make([]bool, len(batch))...)
+	c := s.c
+	eng := c.ctx.Engine()
+	base = c.outcomes.Grow(len(batch))
+	c.admitted.Grow(len(batch))
 	now := eng.Now()
 	for i := range batch {
 		job := &batch[i]
 		for _, t := range job.Tasks {
 			if !t.TransferOnly {
-				s.c.runFlops += t.Cost.Flops
+				c.runFlops += t.Cost.Flops
 			}
 		}
 		idx := base + i
-		at := job.Arrival
-		if at < now {
-			at = now
+		if job.Arrival <= now {
+			if len(s.arrived) == 0 {
+				eng.At(now, s.admitEvent)
+			}
+			s.arrived = append(s.arrived, arrival{job, idx})
+			continue
 		}
-		eng.At(at, func() { s.c.admit(job, idx) })
+		eng.At(job.Arrival, func() { c.admit(job, idx) })
 	}
 	s.total += len(batch)
 	return base
+}
+
+// admitArrived is the boundary's admission event: it admits every job
+// that arrived at the boundary, in submission order.
+func (s *Session) admitArrived() {
+	for _, a := range s.arrived {
+		s.c.admit(a.job, a.idx)
+	}
+	clear(s.arrived)
+	s.arrived = s.arrived[:0]
 }
 
 // RunEpoch drives the engine to the next quiescent boundary, draining
@@ -201,10 +254,10 @@ func (s *Session) Err() error { return s.c.runErr }
 // Outcome returns terminal outcome idx (a Submit base plus the job's
 // batch offset); ok is false while the job is still in flight.
 func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
-	if idx < 0 || idx >= len(s.c.outcomes) || !s.c.notified[idx] {
+	if idx < 0 || idx >= s.c.outcomes.Len() || !s.c.admitted.At(idx).notified {
 		return Outcome{}, false
 	}
-	return s.c.outcomes[idx], true
+	return *s.c.outcomes.At(idx), true
 }
 
 // Result summarizes everything the session has run so far — the same

@@ -242,3 +242,127 @@ func TestSessionSubmitRejections(t *testing.T) {
 		t.Fatalf("Run after session Close: %v", err)
 	}
 }
+
+// Two batches stacked at one epoch boundary run exactly like one batch
+// of their concatenation, epoch after epoch: the same Result, the same
+// outcome stream and the same telemetry. Stacking joins the second
+// batch's boundary arrivals to the boundary's one admission event, so
+// this holds only if that event admits them after the first batch's,
+// in order — with every job at the boundary and with staggered later
+// arrivals alike.
+func TestSessionStackedBatchesMatchConcatenation(t *testing.T) {
+	for _, staggered := range []bool{false, true} {
+		jobs := sessionWorkload(24)
+		if !staggered {
+			for i := range jobs {
+				jobs[i].Arrival = 0
+			}
+		}
+		type run struct {
+			res    *Result
+			stream []Outcome
+			events []telemetry.Event
+		}
+		play := func(cut int) run {
+			rec := telemetry.NewRecorder()
+			c, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r run
+			sess, err := c.NewSession(func(o Outcome) { r.stream = append(r.stream, o) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, epoch := range [][]Job{jobs[:12], jobs[12:]} {
+				parts := [][]Job{epoch}
+				if cut > 0 {
+					parts = [][]Job{epoch[:cut], epoch[cut:]}
+				}
+				for _, p := range parts {
+					if _, err := sess.Submit(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := sess.RunEpoch(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.res, r.events = sess.Result(), rec.Events()
+			return r
+		}
+		want := play(0)
+		for _, cut := range []int{1, 5, 11} {
+			got := play(cut)
+			if !reflect.DeepEqual(got.res, want.res) {
+				t.Fatalf("staggered=%v cut=%d: stacked batches' Result differs from the concatenation's", staggered, cut)
+			}
+			if !reflect.DeepEqual(got.stream, want.stream) || !reflect.DeepEqual(got.events, want.events) {
+				t.Fatalf("staggered=%v cut=%d: stacked batches' outcome stream or telemetry differs", staggered, cut)
+			}
+		}
+	}
+}
+
+// A batch mixing jobs that arrive at the boundary — at its instant or
+// clamped up from before it — with jobs arriving later is admitted in
+// index order within each instant: the boundary's jobs first, by one
+// event, then each later arrival at its own instant. The telemetry
+// Admit events carry the order and the instants.
+func TestSessionMixedArrivalsAdmitInIndexOrder(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	c, err := New(newCtx(t, 2, 2, 2), WithTelemetry(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first epoch moves the boundary off zero, so arrivals before it
+	// clamp up to it.
+	if _, err := sess.Submit(sessionWorkload(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	now := sess.Now()
+	if now <= 0 {
+		t.Fatal("the first epoch did not advance the clock")
+	}
+	ms := sim.Time(sim.Millisecond)
+	arrivals := []sim.Time{now + 2*ms, 0, now, now + ms, now - 1, now + 2*ms, now, now + ms, 1}
+	batch := make([]Job, len(arrivals))
+	for i, at := range arrivals {
+		batch[i] = syntheticJob(100+i, "T", at, 2e8)
+	}
+	base, err := sess.Submit(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) sim.Time { return max(arrivals[i], now) }
+	var order []int
+	for _, e := range rec.Events() {
+		if e.Kind != telemetry.Admit || e.Job < base {
+			continue
+		}
+		i := e.Job - base
+		if e.At != at(i) {
+			t.Fatalf("job %d admitted at %v, want %v", i, e.At, at(i))
+		}
+		order = append(order, i)
+	}
+	if len(order) != len(batch) {
+		t.Fatalf("%d Admit events for %d jobs", len(order), len(batch))
+	}
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if at(a) > at(b) || (at(a) == at(b) && a > b) {
+			t.Fatalf("admission order %v is not by (instant, index)", order)
+		}
+	}
+}

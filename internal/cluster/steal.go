@@ -98,7 +98,7 @@ func (c *Cluster) stealInto(thief int) bool {
 		if idx < 0 {
 			continue
 		}
-		q := c.admitted[idx]
+		q := c.admitted.At(idx)
 		// Predicted completion if the job waits out the queue ahead of
 		// it on the victim: next drain, the backlog spread over the
 		// victim's streams, then its own service (pv.Est already
@@ -133,13 +133,13 @@ func (c *Cluster) stealInto(thief int) bool {
 		return false
 	}
 
-	q := c.admitted[best]
+	q := c.admitted.At(best)
 	if _, ok := c.scheds[victim].Withdraw(q.devIdx); !ok {
 		// Cannot happen: the job was listed as pending this instant.
 		return false
 	}
 	c.submitted[victim][q.devIdx] = -1
-	o := &c.outcomes[q.idx]
+	o := c.outcomes.At(q.idx)
 	if bestNext > 0 {
 		c.preemptRemainder(q, victim, thief, bestNext, bestEst, bestGain)
 		return c.runErr == nil
@@ -190,7 +190,7 @@ func (c *Cluster) stealInto(thief int) bool {
 // thief.
 func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst, gain sim.Duration) {
 	now := c.ctx.Now()
-	o := &c.outcomes[q.idx]
+	o := c.outcomes.At(q.idx)
 	origNext := q.next + pvNext
 	if q.staged {
 		origNext-- // the stage task held slot 0 of the submitted list
@@ -202,7 +202,7 @@ func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst,
 	// Capture the victim's realized lifecycle before the slot goes
 	// stale: the job's dispatch instant is its first slice's, wherever
 	// that ran, and its slice count spans every device.
-	vo := c.scheds[victim].Outcomes()[q.devIdx]
+	vo := c.scheds[victim].Outcome(q.devIdx)
 	if o.Slices == 0 {
 		o.Start = vo.Start
 	}

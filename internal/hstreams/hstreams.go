@@ -251,15 +251,19 @@ func (c *Context) Reset(cfg Config) error {
 
 // recorderFor returns an empty recorder of the kind cfg asks for — full
 // with Trace, stage-only with Stages, else none: rec itself, reset, if
-// it is of that kind.
+// it is of that kind. Reset comes first because a stopped full
+// recorder keeps no spans until it is reset.
 func recorderFor(rec *trace.Recorder, cfg Config) *trace.Recorder {
-	switch {
-	case !cfg.Trace && !cfg.Stages:
+	if !cfg.Trace && !cfg.Stages {
 		return nil
-	case rec != nil && rec.KeepsSpans() == cfg.Trace:
+	}
+	if rec != nil {
 		rec.Reset()
-		return rec
-	case cfg.Trace:
+		if rec.KeepsSpans() == cfg.Trace {
+			return rec
+		}
+	}
+	if cfg.Trace {
 		return trace.NewRecorder()
 	}
 	return trace.NewStageRecorder()

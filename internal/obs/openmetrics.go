@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 
 	"micstream/internal/telemetry"
@@ -23,7 +24,9 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // tenant order is the snapshot's own sorted order, floats render in
 // shortest round-trip form).
 type Exporter struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// snap is the latest snapshot, its Devices and Tenants copied into
+	// storage the exporter owns and reuses.
 	snap telemetry.MetricsSnapshot
 	seen bool
 	aux  func(io.Writer) error
@@ -33,11 +36,15 @@ type Exporter struct {
 // only the trailing # EOF until one arrives).
 func NewExporter() *Exporter { return &Exporter{} }
 
-// Observe replaces the exporter's current snapshot. Safe for
+// Observe replaces the exporter's current snapshot with a copy, so
+// the caller may reuse the snapshot's slices afterwards. Safe for
 // concurrent use with Render/ServeHTTP.
 func (x *Exporter) Observe(s telemetry.MetricsSnapshot) {
 	x.mu.Lock()
+	devs := append(x.snap.Devices[:0], s.Devices...)
+	tens := append(x.snap.Tenants[:0], s.Tenants...)
 	x.snap = s
+	x.snap.Devices, x.snap.Tenants = devs, tens
 	x.seen = true
 	x.mu.Unlock()
 }
@@ -59,6 +66,9 @@ func (x *Exporter) SetAux(fn func(io.Writer) error) {
 func (x *Exporter) Render(w io.Writer) error {
 	x.mu.Lock()
 	snap, seen, aux := x.snap, x.seen, x.aux
+	// The next Observe reuses the exporter's slices; render a copy.
+	snap.Devices = slices.Clone(snap.Devices)
+	snap.Tenants = slices.Clone(snap.Tenants)
 	x.mu.Unlock()
 	mw := &TextSink{W: w}
 	if seen {

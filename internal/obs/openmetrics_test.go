@@ -83,6 +83,40 @@ func TestOpenMetricsDeterministic(t *testing.T) {
 	}
 }
 
+// The exporter keeps its own copy of an observed snapshot: a producer
+// reusing the snapshot's slices for its next one, before any Render,
+// changes nothing the exporter renders, and observing a snapshot with
+// fewer tenants after one with more renders only the new tenants.
+func TestOpenMetricsObserveCopiesTheSnapshot(t *testing.T) {
+	render := func(x *Exporter) string {
+		var buf bytes.Buffer
+		if err := x.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	ref := NewExporter()
+	ref.Observe(goldenSnapshot())
+	want := render(ref)
+
+	x := NewExporter()
+	lent := goldenSnapshot()
+	x.Observe(lent)
+	lent.Devices[0] = telemetry.DeviceMetrics{Device: 7, Queued: 99}
+	lent.Tenants[1].Tenant = "overwritten"
+	if got := render(x); got != want {
+		t.Fatalf("reusing the observed snapshot's slices changed the exposition:\n%s", got)
+	}
+
+	fewer := goldenSnapshot()
+	fewer.Tenants = fewer.Tenants[1:]
+	x.Observe(fewer)
+	ref.Observe(fewer)
+	if got := render(x); got != render(ref) || strings.Contains(got, "quoted") {
+		t.Fatalf("a later snapshot with fewer tenants renders stale ones:\n%s", got)
+	}
+}
+
 // TestOpenMetricsExposition checks the structural contract: every
 // line is a comment or a sample, the required families appear, label
 // escaping holds, and the text ends with the mandatory # EOF.

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"sort"
 
+	"micstream/internal/arena"
 	"micstream/internal/core"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
@@ -82,7 +83,8 @@ type Job struct {
 
 // Pending is a queued job together with the bookkeeping policies see.
 type Pending struct {
-	// Job is the queued job.
+	// Job is the queued job: the scheduler's own copy of the job
+	// submitted.
 	Job *Job
 	// Est is the service-time estimate (declared or derived). For a
 	// partially-dispatched job under WithSlicing it covers only the
@@ -98,6 +100,8 @@ type Pending struct {
 
 	// idx is the job's outcome slot (its position in the Run slice).
 	idx int
+	// job is the copy Job points at.
+	job Job
 }
 
 // View is the platform snapshot handed to a policy at a decision
@@ -128,9 +132,11 @@ type View struct {
 // next and on which idle stream. pending and idle are non-empty;
 // pending is in admission order. idle and the View are per-scheduler
 // scratch, refreshed copies valid only during the Pick call; pending is
-// the admission queue itself and must not be modified. Implementations
-// may keep per-run state (e.g. a round-robin cursor) and must be
-// deterministic functions of their inputs and that state.
+// the admission queue itself and must not be modified, and its records
+// are reused once their jobs leave the scheduler, so a policy must not
+// keep one, or its Job, past Pick. Implementations may keep per-run
+// state (e.g. a round-robin cursor) and must be deterministic
+// functions of their inputs and that state.
 type Policy interface {
 	// Name identifies the policy in results and CLIs.
 	Name() string
@@ -215,13 +221,15 @@ type Scheduler struct {
 	streamPart []int
 	nparts     int
 
-	// Per-run state, reset by Reset (and therefore by Run).
+	// Per-run state, reset by Reset (and therefore by Run). outcomes
+	// never moves an element as it grows: Run sizes it once for the
+	// whole batch, an embedding layer's Submit calls fill chunks.
 	pending      []*Pending
 	busy         []bool
 	load         []sim.Duration
 	freeAt       []sim.Time
 	streamTenant []string
-	outcomes     []JobOutcome
+	outcomes     arena.Slab[JobOutcome]
 	done         int
 	seq          int
 	runErr       error
@@ -239,6 +247,13 @@ type Scheduler struct {
 	depBuf   []int
 	inChunk  map[int]bool
 	grants   []grant
+
+	// spare holds Pending records whose job left the queue and the
+	// streams for good, for admit to reuse: a job's record lives only
+	// from admission to completion, withdrawal or failure, so the
+	// records in use never outnumber the queued and in-flight jobs.
+	spare   []*Pending
+	records arena.Runs[Pending]
 }
 
 // grant is the record of one stream grant in flight, one per stream
@@ -389,7 +404,7 @@ func (s *Scheduler) Reset() {
 	s.load = make([]sim.Duration, n)
 	s.freeAt = make([]sim.Time, n)
 	s.streamTenant = make([]string, n)
-	s.outcomes = nil
+	s.outcomes = arena.Slab[JobOutcome]{}
 	s.done = 0
 	s.seq = 0
 	s.runErr = nil
@@ -399,7 +414,9 @@ func (s *Scheduler) Reset() {
 // field is ignored — the embedding layer owns arrival timing) and runs
 // the dispatch loop. It returns the job's outcome index; the outcome's
 // completion fields fill in at the completion instant, observable via
-// SetOnDone.
+// SetOnDone. The scheduler keeps a copy of *job, not the pointer, so
+// the caller may reuse *job at once; the task list is shared, and must
+// stay unchanged until the job completes.
 func (s *Scheduler) Submit(job *Job) (int, error) {
 	if err := s.validate(job); err != nil {
 		return -1, err
@@ -407,8 +424,7 @@ func (s *Scheduler) Submit(job *Job) (int, error) {
 	if s.runErr != nil {
 		return -1, s.runErr
 	}
-	idx := len(s.outcomes)
-	s.outcomes = append(s.outcomes, JobOutcome{})
+	idx := s.outcomes.Grow(1)
 	s.admit(job, idx)
 	return idx, s.runErr
 }
@@ -440,23 +456,52 @@ func (s *Scheduler) PendingJobs() []PendingView {
 }
 
 // Withdraw removes the queued job with the given outcome index from
-// the admission queue and returns the submitted job. It reports false
-// when the index is unknown or the job is not currently queued — a
-// withdrawn job must be in the queue, either never dispatched or (with
-// WithSlicing) a remainder re-queued between slices; a job with a
-// slice in flight is never in the queue and therefore never
-// withdrawable mid-slice. The outcome slot remains allocated but
+// the admission queue and returns a copy of the submitted job. It
+// reports false when the index is unknown or the job is not currently
+// queued — a withdrawn job must be in the queue, either never
+// dispatched or (with WithSlicing) a remainder re-queued between
+// slices; a job with a slice in flight is never in the queue and
+// therefore never withdrawable mid-slice. The outcome slot remains allocated but
 // permanently unrun; the cluster layer withdraws committed jobs and
 // mid-job remainders at drain instants to re-bind them elsewhere
 // (DESIGN.md §10, §13).
-func (s *Scheduler) Withdraw(idx int) (*Job, bool) {
+func (s *Scheduler) Withdraw(idx int) (Job, bool) {
 	for i, p := range s.pending {
 		if p.idx == idx {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return p.Job, true
+			s.unqueue(i)
+			job := p.job
+			s.release(p)
+			return job, true
 		}
 	}
-	return nil, false
+	return Job{}, false
+}
+
+// unqueue removes pending[i], clearing the vacated slot past the new
+// length so the queue's array keeps no stale record alive.
+func (s *Scheduler) unqueue(i int) {
+	n := len(s.pending) - 1
+	copy(s.pending[i:], s.pending[i+1:])
+	s.pending[n] = nil
+	s.pending = s.pending[:n]
+}
+
+// newPending returns a record for an admitted job, reusing a released
+// one when it can.
+func (s *Scheduler) newPending() *Pending {
+	if n := len(s.spare); n > 0 {
+		p := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return p
+	}
+	return &s.records.Take(1)[0]
+}
+
+// release returns the record of a job that left the queue and the
+// streams for good; the caller must not touch p afterwards.
+func (s *Scheduler) release(p *Pending) {
+	*p = Pending{}
+	s.spare = append(s.spare, p)
 }
 
 // SetTelemetry attaches a scheduling-event recorder in embedded mode,
@@ -487,7 +532,13 @@ func (s *Scheduler) SetOnDone(fn func(JobOutcome)) { s.onDone = fn }
 
 // Outcomes returns the outcomes recorded since the last Reset, in
 // submission order; entries whose Done is unset are still in flight.
-func (s *Scheduler) Outcomes() []JobOutcome { return s.outcomes }
+// After a Run it aliases the Result's Jobs; after embedded Submits it
+// may be a copy.
+func (s *Scheduler) Outcomes() []JobOutcome { return s.outcomes.Slice() }
+
+// Outcome returns outcome idx (a Submit result) without copying the
+// rest.
+func (s *Scheduler) Outcome(idx int) JobOutcome { return *s.outcomes.At(idx) }
 
 // Err reports a dispatch error raised since the last Reset (a policy
 // picking an invalid job or stream), nil while healthy.
@@ -559,7 +610,7 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 		}
 	}
 	s.Reset()
-	s.outcomes = make([]JobOutcome, len(jobs))
+	s.outcomes.Grow(len(jobs))
 
 	eng := s.ctx.Engine()
 	runStart := eng.Now()
@@ -594,7 +645,8 @@ func (s *Scheduler) admit(job *Job, idx int) {
 	if est <= 0 {
 		est = s.Estimate(job.Tasks)
 	}
-	s.outcomes[idx] = JobOutcome{
+	o := s.outcomes.At(idx)
+	*o = JobOutcome{
 		Index:    idx,
 		ID:       job.ID,
 		Tenant:   tenantOf(job),
@@ -604,13 +656,13 @@ func (s *Scheduler) admit(job *Job, idx int) {
 		Deadline: job.Deadline,
 	}
 	if s.runErr != nil {
-		s.outcomes[idx].Failed = true
+		o.Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, job), ID: job.ID,
 				Tenant: tenantOf(job), Device: s.telDev, From: -1, Stream: -1})
 		}
 		if s.onDone != nil {
-			s.onDone(s.outcomes[idx])
+			s.onDone(*o)
 		}
 		return
 	}
@@ -620,7 +672,10 @@ func (s *Scheduler) admit(job *Job, idx int) {
 		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Admit, Job: idx, ID: job.ID,
 			Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1, Dur: est, Deadline: job.Deadline})
 	}
-	s.pending = append(s.pending, &Pending{Job: job, Est: est, Seq: s.seq, idx: idx})
+	p := s.newPending()
+	*p = Pending{Est: est, Seq: s.seq, idx: idx, job: *job}
+	p.Job = &p.job
+	s.pending = append(s.pending, p)
 	s.seq++
 	s.dispatch()
 }
@@ -637,13 +692,15 @@ func (s *Scheduler) fail(err error) {
 	stranded := s.pending
 	s.pending = nil
 	for _, p := range stranded {
-		s.outcomes[p.idx].Failed = true
+		o := s.outcomes.At(p.idx)
+		o.Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(p.idx, p.Job), ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: -1})
 		}
+		s.release(p)
 		if s.onDone != nil {
-			s.onDone(s.outcomes[p.idx])
+			s.onDone(*o)
 		}
 	}
 }
@@ -667,7 +724,7 @@ func (s *Scheduler) dispatch() {
 			return
 		}
 		p := s.pending[pi]
-		s.pending = append(s.pending[:pi], s.pending[pi+1:]...)
+		s.unqueue(pi)
 		s.start(p, stream)
 	}
 }
@@ -718,11 +775,12 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	s.streamTenant[stream] = tenantOf(p.Job)
 	s.load[stream] += est
 	s.freeAt[stream] = s.ctx.Now().Add(est)
-	s.outcomes[idx].Stream = global
+	o := s.outcomes.At(idx)
+	o.Stream = global
 	if first {
-		s.outcomes[idx].Start = s.ctx.Now()
+		o.Start = s.ctx.Now()
 	}
-	s.outcomes[idx].Slices++
+	o.Slices++
 	if s.tel.Enabled() {
 		kind := telemetry.Dispatch
 		if !first {
@@ -736,14 +794,15 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	if err := s.enqueue(&g.phase, chunk, global, p.Next > 0); err != nil {
 		// The job claimed its stream but will never complete there;
 		// mark it failed before stranding the queue behind it.
-		s.outcomes[idx].Failed = true
+		o.Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global})
 		}
 		s.fail(fmt.Errorf("sched: job %d: %w", p.Job.ID, err))
+		s.release(p)
 		if s.onDone != nil {
-			s.onDone(s.outcomes[idx])
+			s.onDone(*o)
 		}
 		return
 	}
@@ -826,9 +885,10 @@ func (s *Scheduler) grantDone(stream int) {
 		s.dispatch()
 		return
 	}
-	s.outcomes[idx].Done = s.ctx.Now()
-	if d := s.outcomes[idx].Deadline; d > 0 && s.outcomes[idx].Latency() > d {
-		s.outcomes[idx].Missed = true
+	o := s.outcomes.At(idx)
+	o.Done = s.ctx.Now()
+	if o.Deadline > 0 && o.Latency() > o.Deadline {
+		o.Missed = true
 	}
 	s.done++
 	s.busy[stream] = false
@@ -836,11 +896,12 @@ func (s *Scheduler) grantDone(stream int) {
 	if s.tel.Enabled() {
 		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
-			Dur: s.outcomes[idx].Done.Sub(s.outcomes[idx].Start)})
+			Dur: o.Done.Sub(o.Start)})
 	}
+	s.release(p)
 	s.dispatch()
 	if s.onDone != nil {
-		s.onDone(s.outcomes[idx])
+		s.onDone(*o)
 	}
 }
 
@@ -1059,9 +1120,13 @@ func AggregateTenants(outcomes []JobOutcome, makespan sim.Duration) []TenantStat
 
 // summarize assembles the Result from the recorded outcomes.
 func (s *Scheduler) summarize(runStart sim.Time) *Result {
-	r := &Result{Policy: s.policy.Name(), Jobs: s.outcomes}
+	outcomes := s.outcomes.Slice()
+	if outcomes == nil {
+		outcomes = []JobOutcome{} // a Run of no jobs reports empty, not nil, Jobs
+	}
+	r := &Result{Policy: s.policy.Name(), Jobs: outcomes}
 	end := runStart
-	for _, o := range s.outcomes {
+	for _, o := range outcomes {
 		if o.Failed {
 			r.Failed++
 			continue
@@ -1071,7 +1136,7 @@ func (s *Scheduler) summarize(runStart sim.Time) *Result {
 		}
 	}
 	r.Makespan = end.Sub(runStart)
-	r.Tenants = AggregateTenants(s.outcomes, r.Makespan)
+	r.Tenants = AggregateTenants(outcomes, r.Makespan)
 
 	var slowdowns, throughputs []float64
 	for _, ts := range r.Tenants {

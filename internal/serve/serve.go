@@ -29,10 +29,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
 
+	"micstream/internal/arena"
 	"micstream/internal/cluster"
 	"micstream/internal/obs"
 	"micstream/internal/slo"
@@ -137,7 +139,7 @@ type Server struct {
 	mu       sync.Mutex
 	work     sync.Cond // wakes the loop: a job queued or a drain begun
 	moved    sync.Cond // wakes submitters: a batch admitted or refused, or a drain begun
-	queue    []cluster.Job
+	queue    arena.Queue[cluster.Job]
 	next     int
 	admitted int
 	subErr   error
@@ -150,6 +152,11 @@ type Server struct {
 	subs       []*Subscription
 	subsClosed bool
 	batches    []Batch
+
+	// store holds every admitted batch's jobs: the loop copies each
+	// batch out of the queue into it once, and the session and the
+	// recorded Batch share that copy for the server's lifetime.
+	store arena.Runs[cluster.Job]
 
 	// statMu guards the ingest counters behind Stats.
 	statMu    sync.Mutex
@@ -165,7 +172,8 @@ type Server struct {
 // on it, or touching its schedulers, corrupts the service. With an
 // exporter, flight recorder or SLO evaluator attached, the cluster's
 // telemetry recorder only streams to them from here on: its Events
-// and Metrics keep what was recorded before New and no longer grow.
+// and Metrics keep what was recorded before New and no longer grow,
+// and neither does the platform's span log (hstreams Config.Trace).
 func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	if c == nil {
 		return nil, fmt.Errorf("serve: nil cluster")
@@ -192,9 +200,11 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 		}
 		st.Attach(c.Telemetry())
 		// The stack consumes every event and snapshot as it arrives and
-		// nothing reads a served cluster's log, so keep none: the flight
-		// recorder's ring is the bounded history.
+		// nothing reads a served cluster's log or its resource spans, so
+		// keep neither: the flight recorder's ring is the bounded
+		// history.
 		c.Telemetry().StreamOnly()
+		c.Context().Recorder().Stop()
 	}
 	sess, err := c.NewSession(s.fanout)
 	if err != nil {
@@ -222,7 +232,7 @@ func (s *Server) Submit(job cluster.Job) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.stopping && len(s.queue) >= s.queueCap {
+	for !s.stopping && s.queue.Len() >= s.queueCap {
 		s.moved.Wait()
 	}
 	if s.stopping {
@@ -230,7 +240,7 @@ func (s *Server) Submit(job cluster.Job) (int, error) {
 	}
 	ticket := s.next
 	s.next++
-	s.queue = append(s.queue, job)
+	s.queue.Push(job)
 	s.work.Signal()
 	for ticket >= s.admitted && s.subErr == nil {
 		s.moved.Wait()
@@ -251,10 +261,10 @@ func (s *Server) loop() {
 	defer s.closeSubs()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.stopping {
+		for s.queue.Len() == 0 && !s.stopping {
 			s.work.Wait()
 		}
-		n := len(s.queue)
+		n := s.queue.Len()
 		if n == 0 {
 			s.mu.Unlock()
 			return
@@ -262,19 +272,22 @@ func (s *Server) loop() {
 		if s.batchCap > 0 && n > s.batchCap {
 			n = s.batchCap
 		}
-		batch := s.queue[:n:n]
-		s.queue = s.queue[n:]
+		batch := s.store.Take(n)
+		copy(batch, s.queue.Items())
+		s.queue.Pop(n)
 		s.mu.Unlock()
 		s.runBatch(batch)
 	}
 }
 
 // runBatch admits one batch at the current epoch boundary, records it
-// for replay, releases its submitters and runs the epoch. Every job
-// was validated by its submitter, so the session rejects a batch only
-// once it has failed.
+// for replay, releases its submitters and runs the epoch. The session
+// and the record share the batch, which nothing modifies afterwards,
+// so the session admits it without a copy. Every job was validated by
+// its submitter, so the session rejects a batch only once it has
+// failed.
 func (s *Server) runBatch(jobs []cluster.Job) {
-	_, err := s.sess.Submit(jobs)
+	_, err := cluster.SubmitInPlace(s.sess, jobs)
 	if err == nil {
 		s.record(Batch{Jobs: jobs})
 		s.statMu.Lock()
@@ -295,6 +308,11 @@ func (s *Server) runBatch(jobs []cluster.Job) {
 	if _, err := s.sess.RunEpoch(); err != nil && s.runErr == nil {
 		s.runErr = err
 	}
+	// The submitters this batch released and the subscribers its
+	// outcomes woke wait in this goroutine's local run queue. Yield, so
+	// they run now instead of behind the next epoch, or only once an
+	// idle processor wakes up to steal them.
+	runtime.Gosched()
 }
 
 // fanout is the session's outcome sink: it runs on the run-loop
@@ -489,7 +507,7 @@ func (s *Server) health() (status string, reasons []string) {
 		return "unhealthy", append(reasons, degraded...)
 	}
 	s.mu.Lock()
-	occ := len(s.queue)
+	occ := s.queue.Len()
 	s.mu.Unlock()
 	if occ*10 >= s.queueCap*9 {
 		degraded = append(degraded, fmt.Sprintf("ingest-backpressure: frontier %d/%d", occ, s.queueCap))
@@ -542,10 +560,11 @@ func Replay(c *cluster.Cluster, batches []Batch, onOutcome func(cluster.Outcome)
 }
 
 // Subscription is one subscriber's outcome stream. It buffers without
-// bound so the engine's cascade never blocks on a slow reader.
+// bound so the engine's cascade never blocks on a slow reader; a
+// reader that keeps up reuses one buffer.
 type Subscription struct {
 	mu     sync.Mutex
-	buf    []cluster.Outcome
+	buf    arena.Queue[cluster.Outcome]
 	closed bool
 	notify chan struct{}
 }
@@ -556,7 +575,7 @@ func (sub *Subscription) push(o cluster.Outcome) {
 		sub.mu.Unlock()
 		return
 	}
-	sub.buf = append(sub.buf, o)
+	sub.buf.Push(o)
 	sub.mu.Unlock()
 	select {
 	case sub.notify <- struct{}{}:
@@ -580,9 +599,9 @@ func (sub *Subscription) close() {
 func (sub *Subscription) Next() (o cluster.Outcome, ok bool) {
 	for {
 		sub.mu.Lock()
-		if len(sub.buf) > 0 {
-			o = sub.buf[0]
-			sub.buf = sub.buf[1:]
+		if sub.buf.Len() > 0 {
+			o = sub.buf.Items()[0]
+			sub.buf.Pop(1)
 			sub.mu.Unlock()
 			return o, true
 		}
@@ -595,12 +614,18 @@ func (sub *Subscription) Next() (o cluster.Outcome, ok bool) {
 	}
 }
 
-// Drain takes every currently buffered outcome without blocking.
+// Drain takes every currently buffered outcome without blocking, as
+// a slice of its own (nil when none is buffered).
 func (sub *Subscription) Drain() []cluster.Outcome {
 	sub.mu.Lock()
-	out := sub.buf
-	sub.buf = nil
-	sub.mu.Unlock()
+	defer sub.mu.Unlock()
+	n := sub.buf.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]cluster.Outcome, n)
+	copy(out, sub.buf.Items())
+	sub.buf.Pop(n)
 	return out
 }
 

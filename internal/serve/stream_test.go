@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"micstream/internal/cluster"
+	"micstream/internal/hstreams"
 	"micstream/internal/obs"
 	"micstream/internal/sim"
 	"micstream/internal/slo"
@@ -138,5 +139,140 @@ func TestObserversOnStreamingServerMatchLoggedReplay(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Interleaving Next, Drain and Cancel with pushes delivers every
+// outcome pushed before the cancel exactly once, in push order, and
+// none after it: the subscription reuses one buffer, so a reader that
+// falls behind, catches up and restarts must never see a stale or
+// repeated slot.
+func TestSubscriptionInterleavingDeliversEachOutcomeOnce(t *testing.T) {
+	sub := &Subscription{notify: make(chan struct{}, 1)}
+	var got []int
+	next := func() {
+		o, ok := sub.Next()
+		if !ok {
+			t.Fatal("Next reported exhaustion with outcomes buffered")
+		}
+		got = append(got, o.Index)
+	}
+	pushed := 0
+	push := func(n int) {
+		for k := 0; k < n; k++ {
+			sub.push(cluster.Outcome{Index: pushed})
+			pushed++
+		}
+	}
+	for round := 0; round < 300; round++ {
+		push(round % 7)
+		switch round % 4 {
+		case 0, 1:
+			for k := 0; k < round%5 && sub.buf.Len() > 0; k++ {
+				next()
+			}
+		case 2:
+			for _, o := range sub.Drain() {
+				got = append(got, o.Index)
+			}
+		}
+	}
+	push(3)
+	cancelled := pushed
+	sub.Cancel()
+	push(5) // dropped: the subscription is detached
+	next()
+	for _, o := range sub.Drain() {
+		got = append(got, o.Index)
+	}
+	if o, ok := sub.Next(); ok {
+		t.Fatalf("Next after the buffer emptied returned %+v", o)
+	}
+	if len(got) != cancelled {
+		t.Fatalf("received %d outcomes, want the %d pushed before Cancel", len(got), cancelled)
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("outcome %d carries index %d: lost, repeated or reordered", i, idx)
+		}
+	}
+}
+
+// A reader racing the run loop sees every outcome exactly once, in
+// order, whether it reads with Next or Drain.
+func TestSubscriptionConcurrentReaderSeesEachOutcomeOnce(t *testing.T) {
+	const n = 5000
+	sub := &Subscription{notify: make(chan struct{}, 1)}
+	go func() {
+		for i := 0; i < n; i++ {
+			sub.push(cluster.Outcome{Index: i})
+		}
+		sub.close()
+	}()
+	want := 0
+	for k := 0; ; k++ {
+		if k%3 == 0 {
+			for _, o := range sub.Drain() {
+				if o.Index != want {
+					t.Fatalf("Drain gave index %d, want %d", o.Index, want)
+				}
+				want++
+			}
+			continue
+		}
+		o, ok := sub.Next()
+		if !ok {
+			break
+		}
+		if o.Index != want {
+			t.Fatalf("Next gave index %d, want %d", o.Index, want)
+		}
+		want++
+	}
+	if want != n {
+		t.Fatalf("received %d outcomes, want %d", want, n)
+	}
+}
+
+// A served cluster with observers keeps no resource spans once the
+// server owns it, like its telemetry log; without observers it keeps
+// both, as a batch run does.
+func TestServedClusterStopsKeepingSpans(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(ctx, cluster.WithTelemetry(telemetry.NewRecorder()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run([]cluster.Job{ingestJob(0)}); err != nil {
+			t.Fatal(err)
+		}
+		before := ctx.Recorder().Len()
+		var opts []Option
+		if observed {
+			opts = append(opts, WithExporter(obs.NewExporter()))
+		}
+		s, err := New(c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 20; i++ {
+			if _, err := s.Submit(ingestJob(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Drain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		after := ctx.Recorder().Len()
+		if observed && after != before {
+			t.Fatalf("observed server: span log grew from %d to %d", before, after)
+		}
+		if !observed && after <= before {
+			t.Fatalf("unobserved server: span log stayed at %d spans", after)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package slo
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"micstream/internal/obs"
@@ -28,7 +29,9 @@ type Observers struct {
 	Flight   *obs.FlightRecorder
 	SLO      *Evaluator
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// last is the latest snapshot, its Devices and Tenants copied into
+	// storage the stack owns and reuses.
 	last telemetry.MetricsSnapshot
 	seen bool
 }
@@ -79,7 +82,10 @@ func (o *Observers) onMetrics(s telemetry.MetricsSnapshot) {
 	if o.Flight != nil {
 		o.Flight.OnMetrics(s)
 	}
+	devs := append(o.last.Devices[:0], s.Devices...)
+	tens := append(o.last.Tenants[:0], s.Tenants...)
 	o.last, o.seen = s, true
+	o.last.Devices, o.last.Tenants = devs, tens
 	o.mu.Unlock()
 }
 
@@ -109,6 +115,8 @@ func (o *Observers) Health() (exhausted, alerting []string, last *telemetry.Metr
 	}
 	if o.seen {
 		snap := o.last
+		snap.Devices = slices.Clone(snap.Devices)
+		snap.Tenants = slices.Clone(snap.Tenants)
 		last = &snap
 	}
 	return exhausted, alerting, last

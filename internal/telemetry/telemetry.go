@@ -23,6 +23,8 @@
 package telemetry
 
 import (
+	"slices"
+
 	"micstream/internal/sim"
 )
 
@@ -210,7 +212,10 @@ func (r *Recorder) SetOnEvent(fn func(Event)) {
 
 // SetOnMetrics installs (or clears, with nil) a live metrics-snapshot
 // observer, called with each drain-instant snapshot once AddMetrics
-// has appended it (unless the recorder only streams).
+// has appended it (unless the recorder only streams). The snapshot's
+// Devices and Tenants are lent for the call: the producer may reuse
+// them for its next snapshot, so an observer that keeps a snapshot
+// copies them into storage of its own.
 func (r *Recorder) SetOnMetrics(fn func(MetricsSnapshot)) {
 	if r != nil {
 		r.onMetrics = fn
@@ -236,14 +241,19 @@ func (r *Recorder) Len() int {
 }
 
 // AddMetrics appends one drain-instant metrics snapshot, unless the
-// recorder only streams, and hands it to the metrics observer. Calls
-// on a nil recorder are dropped.
+// recorder only streams, and hands it to the metrics observer. The log
+// keeps its own copy of the Devices and Tenants slices, so the caller
+// may reuse them for its next snapshot. Calls on a nil recorder are
+// dropped.
 func (r *Recorder) AddMetrics(s MetricsSnapshot) {
 	if r == nil {
 		return
 	}
 	if !r.stream {
-		r.snaps = append(r.snaps, s)
+		kept := s
+		kept.Devices = slices.Clone(s.Devices)
+		kept.Tenants = slices.Clone(s.Tenants)
+		r.snaps = append(r.snaps, kept)
 	}
 	if r.onMetrics != nil {
 		r.onMetrics(s)

@@ -115,3 +115,21 @@ func TestMakespan(t *testing.T) {
 		t.Fatalf("Makespan = %v, want 30", r.Makespan())
 	}
 }
+
+// The log keeps its own copy of a snapshot's slices, so a producer may
+// reuse them for the next snapshot without rewriting the history.
+func TestAddMetricsKeepsItsOwnCopy(t *testing.T) {
+	r := NewRecorder()
+	devs := []DeviceMetrics{{Device: 0, Queued: 1}, {Device: 1, Queued: 2}}
+	tens := []TenantMetrics{{Tenant: "A", Done: 3}}
+	r.AddMetrics(MetricsSnapshot{At: 10, Devices: devs, Tenants: tens})
+	devs[0].Queued, tens[0].Done = 50, 60
+	r.AddMetrics(MetricsSnapshot{At: 20, Devices: devs})
+	got := r.Metrics()
+	if got[0].Devices[0].Queued != 1 || got[0].Tenants[0].Done != 3 {
+		t.Fatalf("the logged snapshot changed with its producer's slices: %+v", got[0])
+	}
+	if got[1].Devices[0].Queued != 50 || got[1].Tenants != nil {
+		t.Fatalf("the second snapshot was not logged as given: %+v", got[1])
+	}
+}

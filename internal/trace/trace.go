@@ -73,6 +73,8 @@ type Recorder struct {
 	spans []Span
 	// classes is non-nil exactly in stage mode, indexed by Kind.
 	classes []stageClass
+	// stopped is set by Stop: Add drops every span until Reset.
+	stopped bool
 	end     sim.Time // latest span end
 	// xfer is StageTimes' scratch for the transfer union in stage
 	// mode.
@@ -101,12 +103,20 @@ func NewStageRecorder() *Recorder {
 
 // KeepsSpans reports whether Add stores the span itself, so that call
 // sites format labels only when a span is kept. It is false for a nil
-// recorder and for a stage recorder.
-func (r *Recorder) KeepsSpans() bool { return r != nil && r.classes == nil }
+// recorder, a stage recorder and a stopped one.
+func (r *Recorder) KeepsSpans() bool { return r != nil && r.classes == nil && !r.stopped }
 
-// Add records a span. Calls on a nil recorder are dropped.
+// Stop makes Add drop every later span, until Reset: what was recorded
+// stays readable, but nothing more is kept or analysed.
+func (r *Recorder) Stop() {
+	if r != nil {
+		r.stopped = true
+	}
+}
+
+// Add records a span. Calls on a nil or stopped recorder are dropped.
 func (r *Recorder) Add(s Span) {
-	if r == nil {
+	if r == nil || r.stopped {
 		return
 	}
 	if s.End > r.end {
@@ -133,11 +143,12 @@ func (r *Recorder) Add(s Span) {
 }
 
 // Reset discards everything recorded but keeps the recorder usable,
-// in the same mode.
+// in the same mode; a stopped recorder records again.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
+	r.stopped = false
 	r.spans = r.spans[:0]
 	r.end = 0
 	for i := range r.classes {

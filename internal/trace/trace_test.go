@@ -316,3 +316,23 @@ func compareAnalysis(full, stage *Recorder, kinds []Kind) string {
 	}
 	return ""
 }
+
+// A stopped recorder keeps what it recorded, records nothing more and
+// formats no labels (KeepsSpans is false) until Reset, which resumes
+// recording in the same mode.
+func TestRecorderStop(t *testing.T) {
+	r := NewRecorder()
+	r.Add(Span{Kind: Kernel, Start: 0, End: 5})
+	r.Stop()
+	r.Add(Span{Kind: Kernel, Start: 5, End: 9})
+	if r.Len() != 1 || r.KeepsSpans() || r.Makespan() != 5 {
+		t.Fatalf("stopped recorder: %d spans, KeepsSpans %v, makespan %v; want 1, false, 5", r.Len(), r.KeepsSpans(), r.Makespan())
+	}
+	r.Reset()
+	r.Add(Span{Kind: Kernel, Start: 1, End: 2})
+	if r.Len() != 1 || !r.KeepsSpans() {
+		t.Fatalf("reset recorder: %d spans, KeepsSpans %v; want 1, true", r.Len(), r.KeepsSpans())
+	}
+	var nilRec *Recorder
+	nilRec.Stop()
+}
