@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"micstream/internal/experiments"
-	"micstream/internal/residency"
 )
 
 // benchFigure runs one experiment generator per iteration and reports
@@ -144,7 +143,9 @@ func BenchmarkEnqueueTransfer(b *testing.B) {
 // regression canaries for the dispatch hot paths — the virtual-time
 // results are asserted elsewhere; here only the simulator's own cost
 // is measured, as jobs/s and as heap allocations per job (allocs/job,
-// counted around Run alone). CI runs them once per push (-benchtime 1x).
+// counted around Run alone). CI's smoke runs them once per push
+// (-benchtime 1x) to catch crashes; one run is no measurement, so
+// commits are compared by bench/ledger's paired runs.
 
 func BenchmarkSchedAdmission(b *testing.B) {
 	b.ReportAllocs()
@@ -236,8 +237,7 @@ func BenchmarkClusterAdmission(b *testing.B) {
 // BenchmarkServeIngest is the service-mode admission canary: eight
 // submitter goroutines race jobs through the admission frontier of a
 // live ClusterServer and the sustained wall-clock ingest rate is
-// reported as jobs/s — the same figure cmd/micserve prints and
-// scripts/bench.sh tracks in the throughput series.
+// reported as jobs/s — the same figure cmd/micserve prints.
 func BenchmarkServeIngest(b *testing.B) { benchServe(b, false) }
 
 // BenchmarkServeObserved is BenchmarkServeIngest with the full observer
@@ -335,45 +335,9 @@ func benchServe(b *testing.B, observed bool) {
 	}
 }
 
-// BenchmarkResidencyLookup measures the staging cache's read-only
-// probe — the call every placement score and steal estimate makes per
-// candidate device, so its cost multiplies into the dispatch hot path.
-// CI's bench smoke runs it once per push alongside the admission
-// canaries.
-func BenchmarkResidencyLookup(b *testing.B) {
-	tr, err := residency.New(4, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for ds := 0; ds < 16; ds++ {
-		tr.Commit(ds%4, []residency.Region{
-			{Dataset: "ds" + string(rune('a'+ds)), First: 0, Tiles: 64, TileBytes: 1 << 20},
-		})
-	}
-	probe := []residency.Region{
-		{Dataset: "dsc", First: 16, Tiles: 32, TileBytes: 1 << 20},
-		{Dataset: "dsq", First: 0, Tiles: 8, TileBytes: 1 << 20},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(i%4, probe)
-	}
-}
-
-// BenchmarkTelemetryDisabledEmit guards the nil-sink contract on the
-// dispatch hot path: emitting into a disabled recorder must cost a
-// branch, not an allocation (0 B/op, 0 allocs/op in the report).
-func BenchmarkTelemetryDisabledEmit(b *testing.B) {
-	var rec *Telemetry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.Emit(TelemetryEvent{At: Time(i), Job: i, ID: i, Device: 0, Stream: 1})
-	}
-}
-
 // BenchmarkClusterTraced is BenchmarkClusterAdmission with telemetry
 // enabled: the jobs/s delta against the untraced canary is the
-// recording overhead CI's perf trajectory tracks.
+// recording overhead (bench/ledger measures it as bench.trace_overhead).
 func BenchmarkClusterTraced(b *testing.B) {
 	jobs := 0
 	var inRun time.Duration

@@ -3,9 +3,8 @@ package main
 // Table-driven validation of the flag matrix (see the miccluster
 // counterpart): malformed flags and contradictory combos exit 2 with
 // a usage error naming the flag, legal ingest runs succeed — including
-// the -verify replay check and the -rate-only harness mode bench.sh
-// scrapes. Re-executes the test binary with RUN_MICSERVE_MAIN=1 so
-// main() runs as installed.
+// the -verify replay check. Re-executes the test binary with
+// RUN_MICSERVE_MAIN=1 so main() runs as installed.
 
 import (
 	"os"
@@ -57,8 +56,6 @@ func TestCLIFlagMatrix(t *testing.T) {
 		{"bad place", []string{"-place=bogus"}, 2, "-place:"},
 		{"bad cache", []string{"-cache=bogus"}, 2, "-cache: unknown cache mode"},
 		{"cachecap without lru", []string{"-cachecap=1048576"}, 2, "-cachecap needs -cache=lru"},
-		{"rate-only with serve", []string{"-rate-only", "-serve=:0"}, 2, "-rate-only is the harness mode"},
-		{"rate-only with slo", []string{"-rate-only", "-slo=spec.json"}, 2, "-rate-only is the harness mode; drop -slo"},
 		{"slo-json without slo", []string{"-slo-json=x.json"}, 2, "-slo-json needs -slo"},
 		{"slo missing file", []string{"-slo=/nonexistent/spec.json"}, 2, "-slo:"},
 		{"ingest run", []string{"-jobs=64", "-submitters=4"}, 0, "jobs/sec sustained"},
@@ -117,21 +114,5 @@ func TestSLOIngest(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"schema": "micstream-slo-v1"`) {
 		t.Fatalf("report missing schema header:\n%s", b)
-	}
-}
-
-// TestRateOnlyPrintsBareNumber pins the harness contract bench.sh
-// depends on: -rate-only prints exactly one parseable float line.
-func TestRateOnlyPrintsBareNumber(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-executes the test binary")
-	}
-	out, code := runCLI(t, "-rate-only", "-jobs=64", "-submitters=4")
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, out)
-	}
-	fields := strings.Fields(out)
-	if len(fields) != 1 || !strings.Contains(fields[0], ".") {
-		t.Fatalf("-rate-only output is not one bare number: %q", out)
 	}
 }

@@ -1,8 +1,7 @@
 // Command micserve runs the cluster in service mode: a long-running
 // server ingesting jobs concurrently from many submitter goroutines
 // through the admission frontier, reporting the sustained ingest rate
-// in jobs per second — the hot-loop number the perf trajectory tracks
-// (scripts/bench.sh appends it to the throughput series).
+// in jobs per second.
 //
 // Usage:
 //
@@ -11,7 +10,6 @@
 //	micserve -jobs=1000 -verify            # prove the replay bit-identity
 //	micserve -serve=:9090 -jobs=100000     # live /metrics, /flight, /stats
 //	micserve -slo=objectives.json -serve=:9090   # adds live /slo and /health
-//	micserve -rate-only -jobs=2000         # bare jobs/sec, for harnesses
 //
 // Wall-clock time decides only which epoch batch each job lands in;
 // the schedule itself runs in virtual time, so -verify can replay the
@@ -54,7 +52,6 @@ func main() {
 		sloPath    = flag.String("slo", "", "evaluate SLO objectives from this JSON spec file; adds live /slo and /health to -serve")
 		sloOut     = flag.String("slo-json", "", "write the final SLO verdict as SLO JSON to this file (needs -slo)")
 		verify     = flag.Bool("verify", false, "after draining, replay the recorded admission sequence single-threaded and check bit-identity")
-		rateOnly   = flag.Bool("rate-only", false, "print only the sustained jobs/sec figure")
 		list       = flag.Bool("list", false, "list placements and cache modes")
 	)
 	flag.Parse()
@@ -108,12 +105,6 @@ func main() {
 	})
 	if cachecapSet && *cache != "lru" {
 		usageError("-cachecap needs -cache=lru (cache mode %q ignores it)", *cache)
-	}
-	if *rateOnly && *serveAddr != "" {
-		usageError("-rate-only is the harness mode; drop -serve")
-	}
-	if *rateOnly && *sloPath != "" {
-		usageError("-rate-only is the harness mode; drop -slo")
 	}
 	if *sloOut != "" && *sloPath == "" {
 		usageError("-slo-json needs -slo to declare the objectives")
@@ -250,28 +241,24 @@ func main() {
 	}
 	sustained := float64(st.Completed) / wall.Seconds()
 
-	if *rateOnly {
-		fmt.Printf("%.1f\n", sustained)
-	} else {
-		fmt.Printf("ingest     %d jobs, %d submitters, %d epochs\n", st.Completed, *submitters, st.Epochs)
-		fmt.Printf("wall       %v (%.1f jobs/sec sustained)\n", wall.Round(time.Millisecond), sustained)
-		fmt.Printf("virtual    %v makespan, %.2f GFlop/s\n", r.Makespan, r.GFlops)
-		fmt.Printf("placement  %s; %d steals, %d preempts, %d staged jobs (%d MiB)\n",
-			r.Placement, r.Steals, r.Preempts, r.StagedJobs, r.StagedBytes>>20)
-		if r.Failed > 0 {
-			fmt.Printf("failed     %d jobs\n", r.Failed)
+	fmt.Printf("ingest     %d jobs, %d submitters, %d epochs\n", st.Completed, *submitters, st.Epochs)
+	fmt.Printf("wall       %v (%.1f jobs/sec sustained)\n", wall.Round(time.Millisecond), sustained)
+	fmt.Printf("virtual    %v makespan, %.2f GFlop/s\n", r.Makespan, r.GFlops)
+	fmt.Printf("placement  %s; %d steals, %d preempts, %d staged jobs (%d MiB)\n",
+		r.Placement, r.Steals, r.Preempts, r.StagedJobs, r.StagedBytes>>20)
+	if r.Failed > 0 {
+		fmt.Printf("failed     %d jobs\n", r.Failed)
+	}
+	for _, st := range sloStates(sloEval) {
+		verdict := "compliant"
+		if st.Exhausted {
+			verdict = fmt.Sprintf("budget exhausted at %v", st.ExhaustedAt)
+		} else if st.Alerting {
+			verdict = "burn-rate alert firing"
 		}
-		for _, st := range sloStates(sloEval) {
-			verdict := "compliant"
-			if st.Exhausted {
-				verdict = fmt.Sprintf("budget exhausted at %v", st.ExhaustedAt)
-			} else if st.Alerting {
-				verdict = "burn-rate alert firing"
-			}
-			fmt.Printf("slo        %s (tenant %s): budget %.2f, %d/%d bad, burn %.1f fast / %.1f slow — %s\n",
-				st.Objective.Name, st.Objective.TenantLabel(), st.BudgetRemaining,
-				st.Bad, st.Samples, st.BurnFast, st.BurnSlow, verdict)
-		}
+		fmt.Printf("slo        %s (tenant %s): budget %.2f, %d/%d bad, burn %.1f fast / %.1f slow — %s\n",
+			st.Objective.Name, st.Objective.TenantLabel(), st.BudgetRemaining,
+			st.Bad, st.Samples, st.BurnFast, st.BurnSlow, verdict)
 	}
 	if sloEval != nil && *sloOut != "" {
 		f, err := os.Create(*sloOut)
@@ -285,9 +272,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		if !*rateOnly {
-			fmt.Printf("slo report → %s\n", *sloOut)
-		}
+		fmt.Printf("slo report → %s\n", *sloOut)
 	}
 
 	if *verify {
@@ -305,9 +290,7 @@ func main() {
 		if !reflect.DeepEqual(live, replayed) {
 			fatal(fmt.Errorf("replay diverged from the live outcome stream (%d vs %d outcomes)", len(replayed), len(live)))
 		}
-		if !*rateOnly {
-			fmt.Printf("replay     bit-identical (%d outcomes, %d batches)\n", len(live), len(srv.Batches()))
-		}
+		fmt.Printf("replay     bit-identical (%d outcomes, %d batches)\n", len(live), len(srv.Batches()))
 	}
 }
 

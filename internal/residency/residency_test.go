@@ -348,6 +348,9 @@ func TestEnforceUnbounded(t *testing.T) {
 	}
 }
 
+// BenchmarkResidencyLookup measures the read-only probe every
+// placement score and steal estimate makes per candidate device, so its
+// cost multiplies into the cluster's dispatch hot path.
 func BenchmarkResidencyLookup(b *testing.B) {
 	tr, err := New(4, 0)
 	if err != nil {

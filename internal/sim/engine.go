@@ -45,7 +45,7 @@ func (k key) less(o key) bool {
 // and dispatches events forever, so the heap operates in-place on the
 // backing array — once the array has grown to the session's high-water
 // mark, scheduling is allocation-free (DESIGN.md §15;
-// BenchmarkEngineSteadyState guards this). Both sifts move a hole
+// TestEngineSteadyStateZeroAlloc guards this). Both sifts move a hole
 // rather than swapping, so each level costs one key copy.
 type eventHeap []key
 

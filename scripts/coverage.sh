@@ -10,9 +10,8 @@
 # coverage drops below COVERAGE_THRESHOLD (default 70%, below the
 # seed's measured state so the gate catches erosion, not noise), and
 # renders the per-package mean function coverage into
-# COVERAGE_<run-id>.json. CI uploads the file next to
-# BENCH_<run-id>.json, so the artifact sequence records the coverage
-# trajectory alongside the perf one.
+# COVERAGE_<run-id>.json. CI uploads the file with its drift and SLO
+# artifacts, so the artifact sequence records the coverage trajectory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
