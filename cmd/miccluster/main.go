@@ -93,7 +93,6 @@ func main() {
 		datasets   = flag.Int("datasets", 0, "shared datasets device-resident jobs cycle through (0 = private inputs, nothing for the cache to reuse)")
 		writefrac  = flag.Float64("writefrac", 0, "fraction of dataset jobs that overwrite their region, invalidating cached copies (needs -datasets)")
 		njobs      = flag.Int("njobs", 48, "job count")
-		scale      = flag.Int("scale", 1, "multiplier on the job count")
 		spread     = flag.Float64("spread", 4, "geometric job-size spread (1 = identical jobs)")
 		affinity   = flag.Float64("affinity", 0.25, "fraction of jobs with device-resident inputs")
 		xfer       = flag.Int64("xfer", 1<<20, "per-job transfer (and staging) volume in bytes")
@@ -136,8 +135,6 @@ func main() {
 		usageError("-partitions must be positive, got %d", *partitions)
 	case *streams < 1:
 		usageError("-streams must be positive, got %d", *streams)
-	case *scale < 1:
-		usageError("-scale must be positive, got %d", *scale)
 	case *njobs < 1:
 		usageError("-njobs must be positive, got %d", *njobs)
 	case *depth < 1:
@@ -225,8 +222,8 @@ func main() {
 	if explaining && (*compare || *scaling) {
 		usageError("-explain/-serve/-metrics-json/-drift/-flight describe one run; drop -compare/-scaling")
 	}
-	if *explain < -1 || *explain >= *njobs*(*scale) {
-		usageError("-explain: job index %d out of range [0,%d)", *explain, *njobs*(*scale))
+	if *explain < -1 || *explain >= *njobs {
+		usageError("-explain: job index %d out of range [0,%d)", *explain, *njobs)
 	}
 	if *flightCap < 1 {
 		usageError("-flight-cap must be positive, got %d", *flightCap)
@@ -295,7 +292,7 @@ func main() {
 		policy: *policy, depth: *depth, steal: *steal, slice: *slice,
 		staging: *staging, cache: *cache, cachecap: *cachecap,
 		scenario: micstream.ClusterScenarioConfig{
-			Jobs: *njobs * *scale, Seed: *seed, Arrival: *arrival,
+			Jobs: *njobs, Seed: *seed, Arrival: *arrival,
 			WindowNs: window.Nanoseconds(), Tenants: *tenants,
 			SizeSpread: *spread, AffinityFraction: *affinity,
 			Datasets: *datasets, WriteFraction: *writefrac,

@@ -304,8 +304,9 @@ func sloStates(ev *micstream.SLOEvaluator) []micstream.SLOState {
 }
 
 // ingestJob builds job id's spec: tenant and cost derive from the id,
-// every fourth job is staged off-origin so the placement and
-// residency paths stay hot.
+// and every fourth job holds its input on a device, the pinned jobs
+// taking the devices in turn, so placement weighs staging against
+// load.
 func ingestJob(id, tenants, devices int, xferMiB int64) micstream.ClusterJob {
 	j := micstream.ClusterJob{
 		ID:     id,
@@ -318,7 +319,7 @@ func ingestJob(id, tenants, devices int, xferMiB int64) micstream.ClusterJob {
 		Origin: -1,
 	}
 	if id%4 == 0 {
-		j.Origin = id % devices
+		j.Origin = (id / 4) % devices
 		j.StagingBytes = xferMiB << 20
 	}
 	return j

@@ -134,7 +134,7 @@ func serviceJob(id int) micstream.ClusterJob {
 		Origin: -1,
 	}
 	if id%4 == 0 {
-		j.Origin = id % 2
+		j.Origin = (id / 4) % 2
 		j.StagingBytes = 4 << 20
 	}
 	return j

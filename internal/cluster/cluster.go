@@ -133,12 +133,12 @@ type Queued struct {
 	// Seq is the cluster admission sequence number.
 	Seq int
 
-	// idx is the job's outcome slot.
+	// idx is the job's cluster index: its outcome slot, and the key its
+	// device scheduler knows it by.
 	idx int
-	// dev and devIdx locate the job after commitment: the device it
-	// was routed to and its outcome index on that device's scheduler.
-	// Work stealing uses them to withdraw a committed job.
-	dev, devIdx int
+	// dev is the device the job is committed to (-1 before placement).
+	// Work stealing withdraws the job from there under idx.
+	dev int
 	// next is the index of the job's first not-yet-dispatched task in
 	// the original task list: 0 until a mid-job steal migrates a
 	// partially-run remainder (DESIGN.md §13).
@@ -289,7 +289,6 @@ type Cluster struct {
 	queue       arena.Queue[*Queued]
 	admitted    arena.Slab[Queued] // a job's admission record
 	outcomes    arena.Slab[Outcome]
-	submitted   [][]int // device → per-device outcome index → cluster index (-1: withdrawn)
 	runFlops    float64
 	done        int
 	steals      int
@@ -688,7 +687,7 @@ func (c *Cluster) admit(job *Job, idx int) {
 		return
 	}
 	q := c.admitted.At(idx)
-	*q = Queued{Job: job, Est: est, Seq: c.seq, idx: idx, dev: -1, devIdx: -1,
+	*q = Queued{Job: job, Est: est, Seq: c.seq, idx: idx, dev: -1,
 		reads: job.Reads, demand: job.StagingDemand()}
 	c.queue.Push(q)
 	c.seq++
@@ -778,11 +777,9 @@ func (c *Cluster) dispatch() {
 				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
 				Device: dev, From: -1, Stream: -1}
 			if sc, ok := c.place.(Scorer); ok {
-				// The scoring pass re-runs the policy's pricing against
-				// read-only state (residency Lookup never mutates) on
-				// fresh views, so capturing the scores cannot perturb
-				// the decision. The event keeps its own copy.
-				scores := sc.Scores(q, c.eligibleViews())
+				// The scores the decision just computed; the event keeps
+				// its own copy.
+				scores := sc.Scores()
 				e.Scores = make([]telemetry.Score, len(scores))
 				for i, s := range scores {
 					e.Scores[i] = telemetry.Score{Device: c.eligDev[i], Predicted: s}
@@ -908,9 +905,8 @@ func (c *Cluster) route(q *Queued, dev int) {
 
 	// The scheduler copies the job into its own record, so this one
 	// stays on the stack.
-	sjob := sched.Job{ID: job.ID, Tenant: job.Tenant, Tasks: tasks, Est: est, Ref: idx}
-	si, err := c.scheds[dev].Submit(&sjob)
-	if err != nil {
+	sjob := sched.Job{ID: job.ID, Tenant: job.Tenant, Tasks: tasks, Est: est}
+	if err := c.scheds[dev].Submit(idx, &sjob); err != nil {
 		if c.resident != nil {
 			// The rejected job's staged transfer never enqueued: the
 			// tiles its commit installed must not survive into later
@@ -926,13 +922,7 @@ func (c *Cluster) route(q *Queued, dev int) {
 		c.fail(fmt.Errorf("cluster: job %d on device %d: %w", job.ID, dev, err))
 		return
 	}
-	if si != len(c.submitted[dev]) {
-		c.fail(fmt.Errorf("cluster: internal error: device %d outcome index %d, want %d", dev, si, len(c.submitted[dev])))
-		return
-	}
-	c.submitted[dev] = append(c.submitted[dev], idx)
 	q.dev = dev
-	q.devIdx = si
 }
 
 // jobDone records a completion reported by a per-device scheduler and
@@ -940,21 +930,18 @@ func (c *Cluster) route(q *Queued, dev int) {
 // admission capacity for a cluster-queued job, and — with stealing
 // enabled — the drain instant is where committed jobs may re-bind.
 func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
-	if o.Index >= len(c.submitted[dev]) {
+	idx := o.Index
+	q := c.admitted.At(idx)
+	if q.dev != dev {
 		if o.Failed {
-			// A failure fired inside a Submit that has not returned
-			// yet (an enqueue error during the synchronous dispatch):
-			// route() sees Submit's error and records the real cause —
-			// reporting "unknown outcome" here would mask it.
+			// A report from a device the job is not committed to: a
+			// failure fired inside route's own Submit (an enqueue error
+			// during the synchronous dispatch) before route recorded
+			// the commitment. route sees Submit's error and records the
+			// real cause.
 			return
 		}
-		c.fail(fmt.Errorf("cluster: internal error: device %d reported unknown outcome %d", dev, o.Index))
-		return
-	}
-	idx := c.submitted[dev][o.Index]
-	if idx < 0 {
-		// A withdrawn slot: the job was stolen away and is accounted
-		// under its new device; a late failure report here is stale.
+		c.fail(fmt.Errorf("cluster: internal error: device %d reported job %d, committed to device %d", dev, idx, q.dev))
 		return
 	}
 	out := c.outcomes.At(idx)
@@ -965,7 +952,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// transfer that never ran (the cache persists across runs, so
 		// phantom tiles would under-charge a later warm replay).
 		if c.resident != nil {
-			c.resident.Rollback(c.admitted.At(idx).rcpt)
+			c.resident.Rollback(q.rcpt)
 		}
 		out.Failed = true
 		c.emitOutcome(idx)
@@ -1010,7 +997,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// device's copy of the completed job's written tiles, then
 		// LRU-evict each device back under its byte budget, so the
 		// placements priced below see the post-completion cache.
-		job := c.admitted.At(idx).Job
+		job := q.Job
 		if len(job.Writes) > 0 {
 			var inv0 int64
 			if c.tel.Enabled() {
@@ -1024,9 +1011,8 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 				}
 			}
 		}
-		// Per-device enforcement in device order — the same pass
-		// EnforceAll runs, unrolled so each device's evicted volume is
-		// observable.
+		// Per-device enforcement in device order, so each device's
+		// evicted volume is observable.
 		for d := range c.scheds {
 			if ev := c.resident.Enforce(d); ev > 0 && c.tel.Enabled() {
 				c.tel.Emit(telemetry.Event{At: now, Kind: telemetry.Evict,

@@ -53,16 +53,14 @@ type Policy interface {
 
 // Scorer is optionally implemented by placement policies whose
 // decision reduces to a comparable per-device score. Scores returns
-// the predicted completion instant of q on each eligible device,
-// parallel to eligible. The telemetry layer uses it to record the
-// scores behind a Place decision; implementations must be pure reads
-// of policy and cluster state (the built-in predicted and affinity
-// policies qualify — their pricing consults only read-only residency
-// lookups), so scoring for observability can never perturb the
-// decision itself. The returned slice may be the policy's scratch,
-// valid until its next Place or Scores call.
+// the scores the policy's last Place call computed — the predicted
+// completion instant of the job on each device, parallel to that
+// call's eligible list. The telemetry layer copies them into the Place
+// event, so recording the scores behind a decision prices nothing a
+// second time and cannot perturb the decision. The returned slice may
+// be the policy's scratch, valid until its next Place call.
 type Scorer interface {
-	Scores(q *Queued, eligible []DeviceView) []sim.Time
+	Scores() []sim.Time
 }
 
 // clusterBinder is implemented by policies that derive state from the
@@ -153,7 +151,8 @@ type predicted struct {
 	m          *model.Model
 	partitions int
 
-	// scores and residuals are Place's per-decision scratch.
+	// scores and residuals are Place's per-decision scratch, sliced to
+	// the last Place's eligible list.
 	scores    []sim.Time
 	residuals []int64
 }
@@ -228,12 +227,8 @@ func (p *predicted) score(q *Queued, v DeviceView, est sim.Duration, residual in
 }
 
 // Scores implements Scorer: the predicted completion instant per
-// eligible device — exactly the quantities Place minimizes.
-func (p *predicted) Scores(q *Queued, eligible []DeviceView) []sim.Time {
-	scores, residuals := p.scratch(len(eligible))
-	p.scoreAll(q, eligible, scores, residuals)
-	return scores
-}
+// eligible device that the last Place minimized.
+func (p *predicted) Scores() []sim.Time { return p.scores }
 
 // scoreAll fills scores and residuals, parallel to eligible, and
 // returns the index of the earliest predicted completion (the lowest
@@ -258,7 +253,8 @@ func (p *predicted) scratch(n int) ([]sim.Time, []int64) {
 		p.scores = make([]sim.Time, n)
 		p.residuals = make([]int64, n)
 	}
-	return p.scores[:n], p.residuals[:n]
+	p.scores, p.residuals = p.scores[:n], p.residuals[:n]
+	return p.scores, p.residuals
 }
 
 // Place implements Policy.

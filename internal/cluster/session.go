@@ -82,7 +82,6 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	c.outcomes = arena.Slab[Outcome]{}
 	c.nterminal = 0
 	c.onOutcome = onOutcome
-	c.submitted = make([][]int, len(c.scheds))
 	c.runFlops = 0
 	c.done = 0
 	c.steals = 0

@@ -343,3 +343,100 @@ func TestSlicingPropertyInvariants(t *testing.T) {
 		t.Error("no seed produced a mid-job migration; the mix no longer exercises slicing+stealing")
 	}
 }
+
+// returnTripRun scripts a job that migrates away from a device and
+// back: the convoy moves the 8-task heavy job's remainder from device
+// 0 to device 1, then two lights pinned to device 1 arrive inside its
+// second slice there. SJF parks the remainder behind them at the next
+// boundary, and at the first light's drain — the second one running,
+// device 0 idle since the convoy — the remainder migrates back to
+// device 0, where it completes. onOutcome sees every streamed outcome.
+func returnTripRun(t *testing.T, rec *telemetry.Recorder, onOutcome func(Outcome)) *Result {
+	t.Helper()
+	ctx := newCtx(t, 2, 1, 1)
+	opts := []Option{
+		WithPlacement(placeByID{m: map[int]int{5: 1, 6: 1}}), WithQueueDepth(8),
+		WithStealing(0), WithSlicing(1), sjfDevices(),
+	}
+	if rec != nil {
+		opts = append(opts, WithTelemetry(rec))
+	}
+	c, err := New(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := c.Scheduler(0).Estimate(slicedJob(0, "", 0, 1, 2e9).Tasks)
+	inSlice1 := sim.Time(0).Add(u / 3)
+	late := sim.Time(0).Add(u * 5 / 2)
+	jobs := []Job{
+		slicedJob(0, "heavy", 0, 8, 2e9),
+		slicedJob(1, "light", inSlice1, 1, 2.0e8),
+		slicedJob(2, "light", inSlice1, 1, 2.4e8),
+		slicedJob(3, "light", inSlice1, 1, 2.8e8),
+		slicedJob(4, "light", inSlice1, 1, 3.2e8),
+		slicedJob(5, "late", late, 1, 2.0e8),
+		slicedJob(6, "late", late, 1, 2.4e8),
+	}
+	sess, err := c.NewSession(onOutcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	return sess.Result()
+}
+
+// TestReturnTripCompletesOnce moves one job A→B→A: the cluster
+// submits it to device 0 twice under the same key, withdrawing it in
+// between. It must complete exactly once — one streamed outcome, one
+// Complete and one Drain event — on device 0, and the run must repeat
+// bit for bit.
+func TestReturnTripCompletesOnce(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	streamed := map[int]int{}
+	r := returnTripRun(t, rec, func(o Outcome) { streamed[o.Index]++ })
+	heavy := r.Jobs[0]
+	want := []Migration{{From: 0, To: 1}, {From: 1, To: 0}}
+	if len(heavy.Migrations) != len(want) {
+		t.Fatalf("heavy job migrations %+v, want 0→1 then 1→0", heavy.Migrations)
+	}
+	for i, m := range heavy.Migrations {
+		if m.From != want[i].From || m.To != want[i].To {
+			t.Fatalf("heavy job migrations %+v, want 0→1 then 1→0", heavy.Migrations)
+		}
+	}
+	if heavy.Failed || heavy.Device != 0 || heavy.Slices != 8 || heavy.Start != 0 {
+		t.Fatalf("heavy job = %+v, want completed on device 0 after 8 slices, started at 0", heavy)
+	}
+	for i := range r.Jobs {
+		if streamed[i] != 1 {
+			t.Fatalf("job %d streamed %d times, want once", i, streamed[i])
+		}
+	}
+	var completes, drains int
+	for _, e := range rec.Events() {
+		if e.Job != 0 {
+			continue
+		}
+		switch e.Kind {
+		case telemetry.Complete:
+			completes++
+			if e.Device != 0 {
+				t.Errorf("heavy job completed on device %d", e.Device)
+			}
+		case telemetry.Drain:
+			drains++
+		}
+	}
+	if completes != 1 || drains != 1 {
+		t.Fatalf("heavy job logged %d Complete and %d Drain events, want 1 each", completes, drains)
+	}
+	schedtest.UniqueCompletion(t, "return trip", clusterSpans(r), len(r.Jobs), clusterMarkNames)
+	if again := returnTripRun(t, nil, nil); !reflect.DeepEqual(r, again) {
+		t.Error("return-trip run is not bit-identical across repeats")
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"micstream/internal/sched"
 	"micstream/internal/sim"
 	"micstream/internal/telemetry"
 )
@@ -94,11 +95,7 @@ func (c *Cluster) stealInto(thief int) bool {
 	var bestEst sim.Duration
 	var ahead sim.Duration
 	for _, pv := range c.scheds[victim].PendingJobs() {
-		idx := c.submitted[victim][pv.Index]
-		if idx < 0 {
-			continue
-		}
-		q := c.admitted.At(idx)
+		q := c.admitted.At(pv.Index)
 		// Predicted completion if the job waits out the queue ahead of
 		// it on the victim: next drain, the backlog spread over the
 		// victim's streams, then its own service (pv.Est already
@@ -126,7 +123,7 @@ func (c *Cluster) stealInto(thief int) bool {
 		// because the move estimate cannot see the partition and link
 		// contention the stolen job adds on the thief.
 		if gain := stay.Sub(move); gain > 0 && (best < 0 || gain > bestGain) {
-			best, bestGain, bestNext, bestEst = idx, gain, pv.Next, pv.Est
+			best, bestGain, bestNext, bestEst = pv.Index, gain, pv.Next, pv.Est
 		}
 	}
 	if best < 0 {
@@ -134,14 +131,14 @@ func (c *Cluster) stealInto(thief int) bool {
 	}
 
 	q := c.admitted.At(best)
-	if _, ok := c.scheds[victim].Withdraw(q.devIdx); !ok {
+	_, vo, ok := c.scheds[victim].Withdraw(best)
+	if !ok {
 		// Cannot happen: the job was listed as pending this instant.
 		return false
 	}
-	c.submitted[victim][q.devIdx] = -1
 	o := c.outcomes.At(q.idx)
 	if bestNext > 0 {
-		c.preemptRemainder(q, victim, thief, bestNext, bestEst, bestGain)
+		c.preemptRemainder(q, vo, victim, thief, bestNext, bestEst, bestGain)
 		return c.runErr == nil
 	}
 	// The withdrawn job's staged transfer never ran on the victim's
@@ -179,16 +176,17 @@ func (c *Cluster) stealInto(thief int) bool {
 
 // preemptRemainder migrates a partially-run job's undispatched
 // remainder from victim to thief — the mid-job steal (DESIGN.md §13).
-// The remainder was already withdrawn from the victim's pending queue;
-// pvNext is its first undispatched task index in the victim's
-// *submitted* task list (which leads with a stage task when the last
-// commitment staged), remEst the sched-re-estimated remaining service.
+// The remainder was already withdrawn from the victim's pending queue,
+// vo being its progress there; pvNext is its first undispatched task
+// index in the victim's *submitted* task list (which leads with a
+// stage task when the last commitment staged), remEst the
+// sched-re-estimated remaining service.
 // Unlike a pre-dispatch steal nothing is un-charged: the victim's
 // staged transfer really ran, so its link traffic and the consumed
 // tiles stay; only the remainder's still-needed tiles roll back,
 // region-scoped, and route() re-prices exactly those against the
 // thief.
-func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst, gain sim.Duration) {
+func (c *Cluster) preemptRemainder(q *Queued, vo sched.JobOutcome, victim, thief, pvNext int, remEst, gain sim.Duration) {
 	now := c.ctx.Now()
 	o := c.outcomes.At(q.idx)
 	origNext := q.next + pvNext
@@ -199,10 +197,9 @@ func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst,
 	if c.resident != nil {
 		c.resident.RollbackRegions(q.rcpt, reads)
 	}
-	// Capture the victim's realized lifecycle before the slot goes
-	// stale: the job's dispatch instant is its first slice's, wherever
-	// that ran, and its slice count spans every device.
-	vo := c.scheds[victim].Outcome(q.devIdx)
+	// Carry over the victim's realized lifecycle: the job's dispatch
+	// instant is its first slice's, wherever that ran, and its slice
+	// count spans every device.
 	if o.Slices == 0 {
 		o.Start = vo.Start
 	}

@@ -441,13 +441,3 @@ func (t *Tracker) Enforce(dev int) int64 {
 	}
 	return evicted
 }
-
-// EnforceAll runs Enforce on every device in device order and returns
-// the total evicted volume.
-func (t *Tracker) EnforceAll() int64 {
-	var evicted int64
-	for d := range t.devs {
-		evicted += t.Enforce(d)
-	}
-	return evicted
-}

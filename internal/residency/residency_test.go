@@ -172,7 +172,9 @@ func TestBitIdenticalRepeats(t *testing.T) {
 			case 0:
 				tr.Invalidate(dev, reads, true)
 			case 1:
-				tr.EnforceAll()
+				for d := 0; d < 2; d++ {
+					tr.Enforce(d)
+				}
 			default:
 				tr.Commit(dev, reads)
 			}
@@ -325,7 +327,9 @@ func TestRollbackRegionsScopesToRemainder(t *testing.T) {
 func TestResetColdsTheTracker(t *testing.T) {
 	tr := newTracker(t, 2, 8<<10)
 	tr.Commit(0, []Region{reg("x", 0, 16, 1<<10)})
-	tr.EnforceAll()
+	for d := 0; d < 2; d++ {
+		tr.Enforce(d)
+	}
 	tr.Reset()
 	if tr.ResidentBytes(0) != 0 || tr.ResidentBytes(1) != 0 {
 		t.Error("Reset left resident bytes")
@@ -343,7 +347,7 @@ func TestResetColdsTheTracker(t *testing.T) {
 func TestEnforceUnbounded(t *testing.T) {
 	tr := newTracker(t, 1, 0)
 	tr.Commit(0, []Region{reg("big", 0, 1024, 1<<20)})
-	if ev := tr.EnforceAll(); ev != 0 {
+	if ev := tr.Enforce(0); ev != 0 {
 		t.Fatalf("unbounded tracker evicted %d bytes", ev)
 	}
 }

@@ -11,10 +11,12 @@ import (
 // FuzzSubmit fuzzes online admission over the job shapes validation
 // gates on — empty task lists, nil tasks, arbitrary dependency edges —
 // under every slicing cap. The invariants: Submit never panics,
-// structurally invalid jobs are rejected with a -1 index before
-// admission, an active slicing cap additionally rejects any job whose
-// dependency edges are not dependency-ordered, and a well-formed job
-// is admitted, dispatched and completed by the engine.
+// structurally invalid jobs are rejected before admission (nothing
+// queued, nothing in flight, no outcome), an active slicing cap
+// additionally rejects any job whose dependency edges are not
+// dependency-ordered, and a well-formed job is admitted, dispatched
+// and completed by the engine, its one outcome carrying the caller's
+// key.
 func FuzzSubmit(f *testing.F) {
 	f.Add(uint8(3), int8(-1), int8(0), uint8(9), uint8(2))
 	f.Add(uint8(0), int8(-1), int8(0), uint8(9), uint8(0))  // no tasks
@@ -48,17 +50,21 @@ func FuzzSubmit(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := s.Submit(&job)
+		var ended []JobOutcome
+		s.SetOnDone(func(o JobOutcome) { ended = append(ended, o) })
+		const key = 41
+		err = s.Submit(key, &job)
+		admitted := s.QueueDepth() > 0 || s.InFlight() > 0 || len(ended) > 0
 		structurallyBad := n == 0 || (int(nilAt) >= 0 && int(nilAt) < n)
 		switch {
 		case structurallyBad:
-			if err == nil || idx != -1 {
-				t.Fatalf("Submit admitted a structurally invalid job: idx %d, err %v", idx, err)
+			if err == nil || admitted {
+				t.Fatalf("Submit admitted a structurally invalid job: err %v, admitted %v", err, admitted)
 			}
 			return
 		case s.sliceMax > 0 && Sliceable(tasks) != nil:
-			if err == nil || idx != -1 {
-				t.Fatalf("Submit admitted an unsliceable job under WithSlicing(%d): idx %d, err %v", s.sliceMax, idx, err)
+			if err == nil || admitted {
+				t.Fatalf("Submit admitted an unsliceable job under WithSlicing(%d): err %v, admitted %v", s.sliceMax, err, admitted)
 			}
 			return
 		case err != nil:
@@ -67,15 +73,14 @@ func FuzzSubmit(f *testing.F) {
 			// panic is not.
 			return
 		}
-		if idx != 0 {
-			t.Fatalf("first admitted job got outcome index %d", idx)
-		}
 		ctx.Engine().Run()
-		o := s.Outcomes()[idx]
 		if s.Err() != nil {
 			return // failed at dispatch (e.g. dangling dependency), not a panic
 		}
-		if o.Failed || o.Done < o.Start {
+		if len(ended) != 1 {
+			t.Fatalf("admitted job ended %d times, want once", len(ended))
+		}
+		if o := ended[0]; o.Index != key || o.Failed || o.Done < o.Start {
 			t.Fatalf("admitted job finished in a broken state: %+v", o)
 		}
 	})

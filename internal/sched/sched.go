@@ -29,8 +29,10 @@
 // WithStreams restricts it to a subset — one scheduler per device is
 // how the multi-MIC cluster layer (internal/cluster) embeds it. In
 // that embedded mode the batch Run call is replaced by Reset + online
-// Submit calls, with SetOnDone exposing every completion instant to
-// the embedding layer (DESIGN.md §9).
+// Submit calls keyed by the embedding layer's own job index, with
+// SetOnDone handing each job's outcome to the embedding layer as the
+// job ends; the scheduler keeps no record of a job after that
+// (DESIGN.md §9).
 package sched
 
 import (
@@ -52,7 +54,8 @@ import (
 // one stream from dispatch to completion.
 type Job struct {
 	// ID labels the job in results; it need not be unique (the
-	// scheduler identifies jobs by submission order).
+	// scheduler identifies jobs by their key: the position in the Run
+	// slice, or the key given to Submit).
 	ID int
 	// Tenant attributes the job for per-tenant accounting. Empty means
 	// "default".
@@ -66,13 +69,6 @@ type Job struct {
 	// cost-aware policies; 0 means the scheduler derives one from the
 	// tasks' kernel costs and transfer sizes.
 	Est sim.Duration
-	// Ref is the embedding layer's index for the job. An embedded
-	// scheduler (WithDevice) stamps it onto every telemetry event it
-	// emits in place of its own outcome index, so a cluster log's
-	// dispatch/slice/requeue/complete events share the cluster-level
-	// index space with the admit/place/steal events — one index
-	// correlates all layers (DESIGN.md §14). Ignored standalone.
-	Ref int
 	// Deadline is the job's relative completion deadline (latency
 	// budget measured from admission); 0 means none. Deadlines are
 	// accounting only — they tag the outcome (JobOutcome.Missed) and
@@ -98,8 +94,9 @@ type Pending struct {
 	// partially-dispatched job re-queued between slices (WithSlicing).
 	Next int
 
-	// idx is the job's outcome slot (its position in the Run slice).
-	idx int
+	// out is the job's live outcome from admission until the job ends;
+	// out.Index is its key.
+	out JobOutcome
 	// job is the copy Job points at.
 	job Job
 }
@@ -174,7 +171,7 @@ func WithTelemetry(rec *telemetry.Recorder) Option {
 // heavy job between its slices, and the adaptive policy re-plans
 // tenant shares at every slice boundary. Slice boundaries are ordinary
 // drain instants, so determinism is unchanged; a re-queued remainder
-// keeps its admission sequence and outcome slot. Dependencies crossing
+// keeps its admission sequence and key. Dependencies crossing
 // a slice boundary are satisfied temporally — slices of one job
 // serialize — and are stripped from the enqueued copy.
 func WithSlicing(maxTasksPerSlice int) Option {
@@ -221,15 +218,16 @@ type Scheduler struct {
 	streamPart []int
 	nparts     int
 
-	// Per-run state, reset by Reset (and therefore by Run). outcomes
-	// never moves an element as it grows: Run sizes it once for the
-	// whole batch, an embedding layer's Submit calls fill chunks.
+	// Per-run state, reset by Reset (and therefore by Run). A job's
+	// outcome lives in its Pending record until the job ends; results
+	// is where Run collects the ended ones, by key, into Result.Jobs
+	// (nil between Runs: an embedded scheduler keeps no history).
 	pending      []*Pending
 	busy         []bool
 	load         []sim.Duration
 	freeAt       []sim.Time
 	streamTenant []string
-	outcomes     arena.Slab[JobOutcome]
+	results      []JobOutcome
 	done         int
 	seq          int
 	runErr       error
@@ -404,35 +402,38 @@ func (s *Scheduler) Reset() {
 	s.load = make([]sim.Duration, n)
 	s.freeAt = make([]sim.Time, n)
 	s.streamTenant = make([]string, n)
-	s.outcomes = arena.Slab[JobOutcome]{}
+	s.results = nil
 	s.done = 0
 	s.seq = 0
 	s.runErr = nil
 }
 
-// Submit admits one job at the current virtual instant (its Arrival
-// field is ignored — the embedding layer owns arrival timing) and runs
-// the dispatch loop. It returns the job's outcome index; the outcome's
-// completion fields fill in at the completion instant, observable via
-// SetOnDone. The scheduler keeps a copy of *job, not the pointer, so
-// the caller may reuse *job at once; the task list is shared, and must
-// stay unchanged until the job completes.
-func (s *Scheduler) Submit(job *Job) (int, error) {
+// Submit admits one job under the embedding layer's key at the current
+// virtual instant (its Arrival field is ignored — the embedding layer
+// owns arrival timing) and runs the dispatch loop. The key identifies
+// the job from then on: it is the job's JobOutcome.Index, its
+// PendingView.Index, the argument Withdraw takes and the Job of every
+// telemetry event about it. The scheduler does not check keys; the
+// caller keeps them unique among the jobs it has in the scheduler. The
+// job's outcome reaches SetOnDone's hook when the job ends, and the
+// scheduler keeps nothing of it afterwards. The scheduler keeps a copy
+// of *job, not the pointer, so the caller may reuse *job at once; the
+// task list is shared, and must stay unchanged until the job completes.
+func (s *Scheduler) Submit(key int, job *Job) error {
 	if err := s.validate(job); err != nil {
-		return -1, err
+		return err
 	}
 	if s.runErr != nil {
-		return -1, s.runErr
+		return s.runErr
 	}
-	idx := s.outcomes.Grow(1)
-	s.admit(job, idx)
-	return idx, s.runErr
+	s.admit(job, key)
+	return s.runErr
 }
 
 // PendingView describes one admitted-but-undispatched job to an
-// embedding layer: its outcome index (as returned by Submit), the
-// service estimate dispatch accounting uses (including any staging
-// transfer the embedder prepended), and the admission sequence number.
+// embedding layer: its key (as given to Submit), the service estimate
+// dispatch accounting uses (including any staging transfer the
+// embedder prepended), and the admission sequence number.
 type PendingView struct {
 	Index int
 	Est   sim.Duration
@@ -450,31 +451,33 @@ type PendingView struct {
 func (s *Scheduler) PendingJobs() []PendingView {
 	out := make([]PendingView, len(s.pending))
 	for i, p := range s.pending {
-		out[i] = PendingView{Index: p.idx, Est: p.Est, Seq: p.Seq, Next: p.Next}
+		out[i] = PendingView{Index: p.out.Index, Est: p.Est, Seq: p.Seq, Next: p.Next}
 	}
 	return out
 }
 
-// Withdraw removes the queued job with the given outcome index from
-// the admission queue and returns a copy of the submitted job. It
-// reports false when the index is unknown or the job is not currently
-// queued — a withdrawn job must be in the queue, either never
-// dispatched or (with WithSlicing) a remainder re-queued between
-// slices; a job with a slice in flight is never in the queue and
-// therefore never withdrawable mid-slice. The outcome slot remains allocated but
-// permanently unrun; the cluster layer withdraws committed jobs and
-// mid-job remainders at drain instants to re-bind them elsewhere
-// (DESIGN.md §10, §13).
-func (s *Scheduler) Withdraw(idx int) (Job, bool) {
+// Withdraw removes the queued job with the given key from the
+// admission queue and returns a copy of the submitted job together with
+// its outcome so far — Start and Slices record the progress of a
+// remainder withdrawn between slices. It reports false when the key is
+// unknown or the job is not currently queued — a withdrawn job must be
+// in the queue, either never dispatched or (with WithSlicing) a
+// remainder re-queued between slices; a job with a slice in flight is
+// never in the queue and therefore never withdrawable mid-slice. The
+// scheduler forgets the job: its outcome never reaches SetOnDone's
+// hook. The cluster layer withdraws committed jobs and mid-job
+// remainders at drain instants to re-bind them elsewhere (DESIGN.md
+// §10, §13).
+func (s *Scheduler) Withdraw(key int) (Job, JobOutcome, bool) {
 	for i, p := range s.pending {
-		if p.idx == idx {
+		if p.out.Index == key {
 			s.unqueue(i)
-			job := p.job
+			job, out := p.job, p.out
 			s.release(p)
-			return job, true
+			return job, out, true
 		}
 	}
-	return Job{}, false
+	return Job{}, JobOutcome{}, false
 }
 
 // unqueue removes pending[i], clearing the vacated slot past the new
@@ -514,31 +517,23 @@ func (s *Scheduler) SetTelemetry(rec *telemetry.Recorder, device int) {
 	s.telDev = device
 }
 
-// telIdx is the job index stamped on emitted events: the embedding
-// layer's Job.Ref in embedded mode (so cluster logs keep one index
-// space across layers), the scheduler-local outcome index standalone.
-func (s *Scheduler) telIdx(idx int, job *Job) int {
-	if s.telDev >= 0 {
-		return job.Ref
-	}
-	return idx
-}
-
-// SetOnDone registers fn to run at every job-completion instant, after
-// the scheduler has updated its own state and re-entered the dispatch
-// loop. The cluster layer uses it to place queued jobs at drain
-// instants.
+// SetOnDone registers fn to run with the outcome of every job that
+// ends — completed, or failed by a dispatch error — after the
+// scheduler has updated its own state and, at a completion instant,
+// re-entered the dispatch loop. The cluster layer uses it to place
+// queued jobs at drain instants. It fires under Run too.
 func (s *Scheduler) SetOnDone(fn func(JobOutcome)) { s.onDone = fn }
 
-// Outcomes returns the outcomes recorded since the last Reset, in
-// submission order; entries whose Done is unset are still in flight.
-// After a Run it aliases the Result's Jobs; after embedded Submits it
-// may be a copy.
-func (s *Scheduler) Outcomes() []JobOutcome { return s.outcomes.Slice() }
-
-// Outcome returns outcome idx (a Submit result) without copying the
-// rest.
-func (s *Scheduler) Outcome(idx int) JobOutcome { return *s.outcomes.At(idx) }
+// end hands the outcome of a job that ended to Run's results and to
+// the SetOnDone hook.
+func (s *Scheduler) end(o JobOutcome) {
+	if s.results != nil {
+		s.results[o.Index] = o
+	}
+	if s.onDone != nil {
+		s.onDone(o)
+	}
+}
 
 // Err reports a dispatch error raised since the last Reset (a policy
 // picking an invalid job or stream), nil while healthy.
@@ -610,7 +605,8 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 		}
 	}
 	s.Reset()
-	s.outcomes.Grow(len(jobs))
+	s.results = make([]JobOutcome, len(jobs))
+	defer func() { s.results = nil }()
 
 	eng := s.ctx.Engine()
 	runStart := eng.Now()
@@ -628,7 +624,12 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 		// The partial result surfaces every admitted job — the ones the
 		// aborted dispatch loop never ran are flagged Failed — so the
 		// caller can account for the whole submission, not just the
-		// jobs that happened to finish before the error.
+		// jobs that happened to finish before the error. A remainder
+		// re-queued at a slice boundary after the error never ends; its
+		// outcome is still in its record.
+		for _, p := range s.pending {
+			s.results[p.out.Index] = p.out
+		}
 		return s.summarize(runStart), s.runErr
 	}
 	if s.done != len(jobs) {
@@ -637,17 +638,16 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 	return s.summarize(runStart), nil
 }
 
-// admit enqueues one arriving job and runs the dispatch loop. Arrivals
-// after a dispatch error are recorded as failed outcomes immediately —
-// dropping them silently would understate the submission.
-func (s *Scheduler) admit(job *Job, idx int) {
+// admit enqueues one arriving job under key and runs the dispatch
+// loop. Arrivals after a dispatch error end at once as failed outcomes
+// — dropping them silently would understate the submission.
+func (s *Scheduler) admit(job *Job, key int) {
 	est := job.Est
 	if est <= 0 {
 		est = s.Estimate(job.Tasks)
 	}
-	o := s.outcomes.At(idx)
-	*o = JobOutcome{
-		Index:    idx,
+	o := JobOutcome{
+		Index:    key,
 		ID:       job.ID,
 		Tenant:   tenantOf(job),
 		Arrival:  s.ctx.Now(),
@@ -658,32 +658,30 @@ func (s *Scheduler) admit(job *Job, idx int) {
 	if s.runErr != nil {
 		o.Failed = true
 		if s.tel.Enabled() {
-			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, job), ID: job.ID,
+			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: key, ID: job.ID,
 				Tenant: tenantOf(job), Device: s.telDev, From: -1, Stream: -1})
 		}
-		if s.onDone != nil {
-			s.onDone(*o)
-		}
+		s.end(o)
 		return
 	}
 	// An embedded scheduler's admission instant is the cluster's
 	// commitment, which the cluster logs itself as a Place event.
 	if s.tel.Enabled() && s.telDev < 0 {
-		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Admit, Job: idx, ID: job.ID,
+		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Admit, Job: key, ID: job.ID,
 			Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1, Dur: est, Deadline: job.Deadline})
 	}
 	p := s.newPending()
-	*p = Pending{Est: est, Seq: s.seq, idx: idx, job: *job}
+	*p = Pending{Est: est, Seq: s.seq, out: o, job: *job}
 	p.Job = &p.job
 	s.pending = append(s.pending, p)
 	s.seq++
 	s.dispatch()
 }
 
-// fail records the first dispatch error and surfaces every queued job
-// as a failed outcome: the run cannot dispatch them anymore, and
-// leaving them silently pending would drop them from Outcomes() and
-// never fire onDone — the embedding layer would wait forever.
+// fail records the first dispatch error and ends every queued job as a
+// failed outcome: the run cannot dispatch them anymore, and leaving
+// them silently pending would drop them from Run's Result and never
+// fire onDone — the embedding layer would wait forever.
 func (s *Scheduler) fail(err error) {
 	if s.runErr != nil {
 		return
@@ -692,16 +690,14 @@ func (s *Scheduler) fail(err error) {
 	stranded := s.pending
 	s.pending = nil
 	for _, p := range stranded {
-		o := s.outcomes.At(p.idx)
-		o.Failed = true
+		p.out.Failed = true
 		if s.tel.Enabled() {
-			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(p.idx, p.Job), ID: p.Job.ID,
+			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: p.out.Index, ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: -1})
 		}
+		o := p.out
 		s.release(p)
-		if s.onDone != nil {
-			s.onDone(*o)
-		}
+		s.end(o)
 	}
 }
 
@@ -755,7 +751,6 @@ func (s *Scheduler) refreshView() *View {
 // completion re-queues the remainder behind the policy instead of
 // completing the job.
 func (s *Scheduler) start(p *Pending, stream int) {
-	idx := p.idx
 	global := s.streams[stream]
 	all := p.Job.Tasks
 	end := len(all)
@@ -775,7 +770,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	s.streamTenant[stream] = tenantOf(p.Job)
 	s.load[stream] += est
 	s.freeAt[stream] = s.ctx.Now().Add(est)
-	o := s.outcomes.At(idx)
+	o := &p.out
 	o.Stream = global
 	if first {
 		o.Start = s.ctx.Now()
@@ -786,7 +781,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 		if !first {
 			kind = telemetry.Slice
 		}
-		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: kind, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: kind, Job: o.Index, ID: p.Job.ID,
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global, Dur: est})
 	}
 
@@ -796,14 +791,13 @@ func (s *Scheduler) start(p *Pending, stream int) {
 		// mark it failed before stranding the queue behind it.
 		o.Failed = true
 		if s.tel.Enabled() {
-			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: o.Index, ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global})
 		}
 		s.fail(fmt.Errorf("sched: job %d: %w", p.Job.ID, err))
+		out := *o
 		s.release(p)
-		if s.onDone != nil {
-			s.onDone(*o)
-		}
+		s.end(out)
 		return
 	}
 	// Every action of the slice sits on one FIFO stream, so the last
@@ -861,7 +855,6 @@ func (s *Scheduler) grantDone(stream int) {
 	g := &s.grants[stream]
 	p := g.p
 	g.p = nil
-	idx := p.idx
 	global := s.streams[stream]
 	all := p.Job.Tasks
 	if g.end < len(all) {
@@ -877,7 +870,7 @@ func (s *Scheduler) grantDone(stream int) {
 		p.Next = g.end
 		p.Est = s.Estimate(all[g.end:])
 		if s.tel.Enabled() {
-			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: p.out.Index, ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
 				Dur: s.ctx.Now().Sub(g.granted)})
 		}
@@ -885,7 +878,7 @@ func (s *Scheduler) grantDone(stream int) {
 		s.dispatch()
 		return
 	}
-	o := s.outcomes.At(idx)
+	o := &p.out
 	o.Done = s.ctx.Now()
 	if o.Deadline > 0 && o.Latency() > o.Deadline {
 		o.Missed = true
@@ -894,15 +887,14 @@ func (s *Scheduler) grantDone(stream int) {
 	s.busy[stream] = false
 	s.streamTenant[stream] = ""
 	if s.tel.Enabled() {
-		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
+		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: o.Index, ID: p.Job.ID,
 			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
 			Dur: o.Done.Sub(o.Start)})
 	}
+	out := *o
 	s.release(p)
 	s.dispatch()
-	if s.onDone != nil {
-		s.onDone(*o)
-	}
+	s.end(out)
 }
 
 // requeue inserts a re-queued remainder back into the admission queue
@@ -963,9 +955,12 @@ func (s *Scheduler) Estimate(tasks []*core.Task) sim.Duration {
 	return total
 }
 
-// JobOutcome records one completed job.
+// JobOutcome records one job's lifecycle: complete when the job ends
+// (SetOnDone's argument, Run's Result.Jobs), its progress so far when
+// Withdraw returns it.
 type JobOutcome struct {
-	// Index is the job's position in the Run slice.
+	// Index is the job's key: its position in the Run slice, or the key
+	// an embedding layer gave Submit.
 	Index int
 	// ID and Tenant echo the job's labels.
 	ID     int
@@ -1118,12 +1113,9 @@ func AggregateTenants(outcomes []JobOutcome, makespan sim.Duration) []TenantStat
 	return out
 }
 
-// summarize assembles the Result from the recorded outcomes.
+// summarize assembles the Result from Run's collected outcomes.
 func (s *Scheduler) summarize(runStart sim.Time) *Result {
-	outcomes := s.outcomes.Slice()
-	if outcomes == nil {
-		outcomes = []JobOutcome{} // a Run of no jobs reports empty, not nil, Jobs
-	}
+	outcomes := s.results
 	r := &Result{Policy: s.policy.Name(), Jobs: outcomes}
 	end := runStart
 	for _, o := range outcomes {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"micstream/internal/core"
@@ -445,9 +446,9 @@ func TestSubmitOnline(t *testing.T) {
 	jobs := build()
 	eng := ctx2.Engine()
 	for i := range jobs {
-		job := &jobs[i]
+		job, key := &jobs[i], i
 		eng.At(job.Arrival, func() {
-			if _, err := s2.Submit(job); err != nil {
+			if err := s2.Submit(key, job); err != nil {
 				t.Errorf("Submit: %v", err)
 			}
 		})
@@ -456,9 +457,16 @@ func TestSubmitOnline(t *testing.T) {
 	if err := s2.Err(); err != nil {
 		t.Fatal(err)
 	}
-	online := s2.Outcomes()
-	if len(online) != len(batch.Jobs) {
-		t.Fatalf("online run completed %d jobs, want %d", len(online), len(batch.Jobs))
+	// The outcomes reach OnDone in completion order; the key Submit
+	// was given puts each back at its job's position.
+	online := make([]JobOutcome, len(batch.Jobs))
+	seen := make([]bool, len(batch.Jobs))
+	for _, o := range completions {
+		if o.Index < 0 || o.Index >= len(online) || seen[o.Index] {
+			t.Fatalf("OnDone reported key %d out of range or twice", o.Index)
+		}
+		seen[o.Index] = true
+		online[o.Index] = o
 	}
 	for i := range online {
 		if online[i].Start != batch.Jobs[i].Start || online[i].Done != batch.Jobs[i].Done ||
@@ -473,7 +481,7 @@ func TestSubmitOnline(t *testing.T) {
 		t.Errorf("drained scheduler reports queue %d, in-flight %d", s2.QueueDepth(), s2.InFlight())
 	}
 
-	if _, err := s2.Submit(&Job{ID: 9}); err == nil {
+	if err := s2.Submit(9, &Job{ID: 9}); err == nil {
 		t.Error("Submit of a task-less job should error")
 	}
 }
@@ -486,7 +494,7 @@ func TestEarliestFreeEstimates(t *testing.T) {
 		t.Fatalf("idle scheduler EarliestFree = %v, want now %v", got, now)
 	}
 	job := syntheticJob(0, "t", 0, 5e8)
-	if _, err := s.Submit(&job); err != nil {
+	if err := s.Submit(0, &job); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.EarliestFree(); got <= ctx.Now() {
@@ -496,7 +504,7 @@ func TestEarliestFreeEstimates(t *testing.T) {
 		t.Errorf("no queued jobs but backlog %v", s.PendingBacklog())
 	}
 	job2 := syntheticJob(1, "t", 0, 5e8)
-	if _, err := s.Submit(&job2); err != nil {
+	if err := s.Submit(1, &job2); err != nil {
 		t.Fatal(err)
 	}
 	if s.PendingBacklog() <= 0 {
@@ -601,54 +609,159 @@ func TestPolicyErrorSurfacesPendingJobs(t *testing.T) {
 }
 
 func TestWithdrawRemovesPendingJob(t *testing.T) {
-	// Embedded mode: one stream, three simultaneous submissions — the
-	// first dispatches, the other two queue. Withdrawing the middle job
-	// must remove exactly it, and a dispatched job must refuse.
+	// Embedded mode: one stream, three simultaneous submissions under
+	// caller keys — the first dispatches, the other two queue.
+	// Withdrawing the middle job must remove exactly it, and an unknown,
+	// a dispatched or an already withdrawn key must refuse.
 	ctx := newCtx(t, 1)
 	s, err := New(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Reset()
+	var ended []JobOutcome
+	s.SetOnDone(func(o JobOutcome) { ended = append(ended, o) })
 	jobs := []Job{
 		syntheticJob(0, "a", 0, 5e8),
 		syntheticJob(1, "b", 0, 5e8),
 		syntheticJob(2, "c", 0, 5e8),
 	}
-	var idxs []int
+	keys := []int{70, 71, 72}
 	for i := range jobs {
-		idx, err := s.Submit(&jobs[i])
-		if err != nil {
+		if err := s.Submit(keys[i], &jobs[i]); err != nil {
 			t.Fatal(err)
 		}
-		idxs = append(idxs, idx)
 	}
-	if got := s.PendingJobs(); len(got) != 2 || got[0].Index != idxs[1] || got[1].Index != idxs[2] {
+	if got := s.PendingJobs(); len(got) != 2 || got[0].Index != keys[1] || got[1].Index != keys[2] {
 		t.Fatalf("PendingJobs = %+v, want the two queued jobs in admission order", got)
 	}
-	if _, ok := s.Withdraw(idxs[0]); ok {
+	if _, _, ok := s.Withdraw(99); ok {
+		t.Fatal("withdrawing an unknown key should fail")
+	}
+	if _, _, ok := s.Withdraw(keys[0]); ok {
 		t.Fatal("withdrawing a dispatched job should fail")
 	}
-	if job, ok := s.Withdraw(idxs[1]); !ok || job.ID != 1 {
+	job, out, ok := s.Withdraw(keys[1])
+	if !ok || job.ID != 1 {
 		t.Fatalf("Withdraw(queued) = %v, %v; want job 1", job, ok)
 	}
-	if _, ok := s.Withdraw(idxs[1]); ok {
+	if out.Index != keys[1] || out.Slices != 0 || out.Start != 0 || out.Stream != -1 {
+		t.Fatalf("withdrawn never-dispatched job reports progress %+v", out)
+	}
+	if _, _, ok := s.Withdraw(keys[1]); ok {
 		t.Fatal("double withdraw should fail")
 	}
 	if s.QueueDepth() != 1 {
 		t.Fatalf("queue depth %d after withdraw, want 1", s.QueueDepth())
 	}
 	ctx.Drain()
-	done := 0
-	for _, o := range s.Outcomes() {
-		if o.Done > 0 {
-			done++
-		}
+	if len(ended) != 2 || ended[0].Index != keys[0] || ended[1].Index != keys[2] {
+		t.Fatalf("ended %+v, want keys %d and %d (one withdrawn)", ended, keys[0], keys[2])
 	}
-	if done != 2 {
-		t.Fatalf("%d jobs completed, want 2 (one withdrawn)", done)
+	for _, o := range ended {
+		if o.Failed || o.Done == 0 {
+			t.Fatalf("job %d did not complete: %+v", o.Index, o)
+		}
 	}
 	if s.Err() != nil {
 		t.Fatal(s.Err())
+	}
+}
+
+// TestWithdrawReportsRemainderProgress withdraws a sliced job between
+// its slices: the returned outcome carries the dispatch instant and
+// the slice count so far, which is all an embedding layer migrating
+// the remainder needs from the scheduler.
+func TestWithdrawReportsRemainderProgress(t *testing.T) {
+	ctx := newCtx(t, 1)
+	// LIFO: the remainder re-queued at a slice boundary waits behind
+	// the later job instead of taking the stream straight back.
+	lifo := policyFunc(func(pending []*Pending, idle []int, _ *View) (int, int) {
+		return len(pending) - 1, idle[0]
+	})
+	s, err := New(ctx, WithPolicy(lifo), WithSlicing(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	var ended []JobOutcome
+	s.SetOnDone(func(o JobOutcome) { ended = append(ended, o) })
+	eng := ctx.Engine()
+	at := sim.Time(sim.Millisecond)
+	eng.StepUntil(at)
+	a := multiTaskJob(0, "a", 0, 3, 1e8, false)
+	b := multiTaskJob(1, "b", 0, 3, 1e8, false)
+	if err := s.Submit(5, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Submit(6, &b); err != nil {
+		t.Fatal(err)
+	}
+	queuedRemainder := func() bool {
+		for _, pv := range s.PendingJobs() {
+			if pv.Index == 5 && pv.Next > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if !eng.RunUntil(queuedRemainder) {
+		t.Fatal("job 5's remainder never waited in the queue")
+	}
+	_, out, ok := s.Withdraw(5)
+	if !ok {
+		t.Fatal("withdrawing a queued remainder should succeed")
+	}
+	if out.Index != 5 || out.Start != at || out.Slices != 1 || out.Failed {
+		t.Fatalf("withdrawn remainder reports %+v, want key 5, start %v, 1 slice", out, at)
+	}
+	eng.Run()
+	if len(ended) != 1 || ended[0].Index != 6 || ended[0].Slices != 3 {
+		t.Fatalf("ended %+v, want only key 6 after 3 slices", ended)
+	}
+}
+
+// TestEmbeddedSchedulerKeepsNoRecords drains an embedded scheduler and
+// checks it holds nothing of the jobs it ran: no queued or in-flight
+// record, no outcome history, and every Pending record released and
+// zeroed, so no job's tasks stay reachable from the scheduler.
+func TestEmbeddedSchedulerKeepsNoRecords(t *testing.T) {
+	ctx := newCtx(t, 2)
+	s, err := New(ctx, WithSlicing(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	const n = 6
+	ended := 0
+	s.SetOnDone(func(JobOutcome) { ended++ })
+	for i := 0; i < n; i++ {
+		job := multiTaskJob(i, "t", 0, 2, 1e8, true)
+		if err := s.Submit(100+i, &job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx.Drain()
+	if ended != n || s.Err() != nil {
+		t.Fatalf("%d of %d jobs ended, err %v", ended, n, s.Err())
+	}
+	if s.QueueDepth() != 0 || s.InFlight() != 0 || s.results != nil {
+		t.Fatalf("drained scheduler holds queue %d, in-flight %d, results %v", s.QueueDepth(), s.InFlight(), s.results)
+	}
+	for i, g := range s.grants {
+		if g.p != nil {
+			t.Fatalf("stream %d still holds a grant for key %d", i, g.p.out.Index)
+		}
+	}
+	// All n jobs were live at once (two running, the rest queued), so n
+	// records were taken; every one must be back, zeroed, on the spare
+	// list.
+	if len(s.spare) != n {
+		t.Fatalf("%d records released, want %d", len(s.spare), n)
+	}
+	for _, p := range s.spare {
+		if !reflect.DeepEqual(*p, Pending{}) {
+			t.Fatalf("released record keeps %+v", *p)
+		}
 	}
 }

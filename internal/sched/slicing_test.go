@@ -63,7 +63,7 @@ func TestSlicingRejectsUnsliceableJobs(t *testing.T) {
 	}
 	s.Reset()
 	j := mk()
-	if _, err := s.Submit(&j); err == nil || !strings.Contains(err.Error(), "dependency-ordered") {
+	if err := s.Submit(0, &j); err == nil || !strings.Contains(err.Error(), "dependency-ordered") {
 		t.Fatalf("Submit accepted an unsliceable job under WithSlicing: %v", err)
 	}
 }

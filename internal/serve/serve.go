@@ -146,23 +146,21 @@ type Server struct {
 	stopping bool
 	loopDone chan struct{} // closed when the run loop has exited
 
-	// subMu guards the subscriber set and the recorded batches; both
-	// are written by the run loop and read from caller goroutines.
+	// subMu guards the subscriber set, the recorded batches and the
+	// count of terminal outcomes; all are written by the run loop and
+	// read from caller goroutines.
 	subMu      sync.Mutex
 	subs       []*Subscription
 	subsClosed bool
 	batches    []Batch
+	completed  int
 
 	// store holds every admitted batch's jobs: the loop copies each
 	// batch out of the queue into it once, and the session and the
 	// recorded Batch share that copy for the server's lifetime.
 	store arena.Runs[cluster.Job]
 
-	// statMu guards the ingest counters behind Stats.
-	statMu    sync.Mutex
-	submitted int
-	completed int
-	start     time.Time
+	start time.Time
 
 	runErr error // session error; written by the run loop, read after loopDone
 }
@@ -290,9 +288,6 @@ func (s *Server) runBatch(jobs []cluster.Job) {
 	_, err := cluster.SubmitInPlace(s.sess, jobs)
 	if err == nil {
 		s.record(Batch{Jobs: jobs})
-		s.statMu.Lock()
-		s.submitted += len(jobs)
-		s.statMu.Unlock()
 	}
 	s.mu.Lock()
 	if err == nil {
@@ -320,10 +315,8 @@ func (s *Server) runBatch(jobs []cluster.Job) {
 // — subscriptions buffer without bound and readers catch up on their
 // own time.
 func (s *Server) fanout(o cluster.Outcome) {
-	s.statMu.Lock()
-	s.completed++
-	s.statMu.Unlock()
 	s.subMu.Lock()
+	s.completed++
 	for _, sub := range s.subs {
 		sub.push(o)
 	}
@@ -373,20 +366,21 @@ func (s *Server) Batches() []Batch {
 	return out
 }
 
-// Stats snapshots the ingest counters.
+// Stats snapshots the ingest counters. Completed is read before
+// Submitted, and a job is admitted before its outcome can fan out, so
+// Completed never exceeds Submitted.
 func (s *Server) Stats() Stats {
-	s.statMu.Lock()
-	submitted, completed := s.submitted, s.completed
-	start := s.start
-	s.statMu.Unlock()
 	s.subMu.Lock()
-	epochs := len(s.batches)
+	completed, epochs := s.completed, len(s.batches)
 	s.subMu.Unlock()
+	s.mu.Lock()
+	submitted := s.admitted
+	s.mu.Unlock()
 	st := Stats{
 		Submitted: submitted,
 		Completed: completed,
 		Epochs:    epochs,
-		Elapsed:   time.Since(start),
+		Elapsed:   time.Since(s.start),
 	}
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.JobsPerSec = float64(completed) / secs

@@ -102,16 +102,16 @@ type Event struct {
 	Seq int
 	// Kind classifies the decision.
 	Kind Kind
-	// Job is the owning run's outcome index for the job. On cluster
-	// runs every event — including the dispatch/slice/requeue/complete
-	// events the embedded per-device schedulers emit — carries the
-	// cluster-level index (the cluster stamps it on the submitted
-	// sched.Job's Ref), so a single index space correlates all layers
-	// of one log; standalone scheduler events carry the scheduler-local
-	// index. -1 on events not tied to a job.
+	// Job is the owning run's index for the job. On cluster runs every
+	// event — including the dispatch/slice/requeue/complete events the
+	// embedded per-device schedulers emit — carries the cluster index,
+	// which is the key the cluster submits each job to its device
+	// scheduler under, so one index space correlates all layers of one
+	// log; standalone scheduler events carry the scheduler's key for
+	// the job (its position in the Run slice). -1 on events not tied to
+	// a job.
 	Job int
-	// ID echoes the job's caller-assigned label — the cross-layer
-	// correlator, since cluster and device indices differ.
+	// ID echoes the job's caller-assigned label.
 	ID int
 	// Tenant is the job's tenant label ("" on non-job events).
 	Tenant string
