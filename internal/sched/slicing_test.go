@@ -258,3 +258,45 @@ func TestPendingBacklogExcludesConsumedSlices(t *testing.T) {
 		t.Errorf("PendingBacklog %v still counts consumed slices (whole-job estimate %v)", gotBacklog, wholeEst)
 	}
 }
+
+// TestSlicedRemainderEndsAfterDispatchError is a regression test: a
+// sliced job whose slice was running when a policy error aborted the
+// run used to be re-queued at its slice boundary, where nothing
+// dispatched or failed it, so it never ended — no onDone, and neither
+// completed nor Failed in Run's partial Result. Two streams; the
+// saboteur's third pick fails while the chain's first slice runs, and
+// every job must still end exactly once.
+func TestSlicedRemainderEndsAfterDispatchError(t *testing.T) {
+	ctx := newCtx(t, 2)
+	s, err := New(ctx, WithSlicing(1), WithPolicy(&saboteurPolicy{good: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := map[int]int{}
+	s.SetOnDone(func(o JobOutcome) { ends[o.Index]++ })
+	jobs := []Job{
+		multiTaskJob(0, "a", 0, 3, 1e9, true),
+		syntheticJob(1, "b", 0, 1e7),
+		syntheticJob(2, "b", 0, 1e7),
+	}
+	r, err := s.Run(jobs)
+	if err == nil {
+		t.Fatal("saboteur policy should abort the run")
+	}
+	for i := range jobs {
+		if ends[i] != 1 {
+			t.Errorf("job %d ended %d times, want once", i, ends[i])
+		}
+	}
+	if r == nil {
+		t.Fatal("aborted run should still return the partial result")
+	}
+	for i, o := range r.Jobs {
+		if o.Done == 0 && !o.Failed {
+			t.Errorf("job %d is neither done nor failed: %+v", i, o)
+		}
+	}
+	if s.QueueDepth() != 0 || s.InFlight() != 0 {
+		t.Errorf("%d jobs left queued and %d in flight", s.QueueDepth(), s.InFlight())
+	}
+}
