@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"micstream/internal/hstreams"
+	"micstream/internal/sim"
 )
 
 // TestAllocBudgetSession pins the session rung's per-job allocation
@@ -62,4 +63,60 @@ func TestAllocBudgetSession(t *testing.T) {
 	if done != next {
 		t.Fatalf("%d outcomes for %d jobs", done, next)
 	}
+}
+
+// TestAllocBudgetContended pins the contended batch path's allocation
+// budget (DESIGN.md §15): a Cluster.Run on four devices with affinity
+// placement, stealing, one task per stream grant and a 4 MiB LRU cache
+// per device, over a bursty mix whose jobs read and write shared
+// datasets, costs at most a quarter of a heap object per job. Arrivals
+// come through one engine feed, staged jobs reuse the cluster's stage
+// records and the residency tracker's tiles sit in reused nodes;
+// scheduling each arrival with a closure of its own again (one object
+// per job) fails here. Each measured batch arrives after the engine's
+// current instant, as a fresh cluster's does: arrivals clamped to the
+// boundary would skip the feed.
+func TestAllocBudgetContended(t *testing.T) {
+	const budget, runs = 0.25, 3
+	ctx, err := hstreams.Init(hstreams.Config{Devices: 4, Partitions: 4, StreamsPerPartition: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ctx, WithPlacement(Affinity()), WithStealing(sim.Millisecond),
+		WithSlicing(1), WithResidency(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := BuildScenario(ctx, ScenarioConfig{Jobs: 2000, Seed: 7, Arrival: "bursty",
+		WindowNs: 150_000_000, TilesPerJob: 4, KernelFlops: 2.5e7, XferBytes: 1 << 20,
+		AffinityFraction: 0.7, Origins: []int{0, 1}, Datasets: 8, WriteFraction: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Job, len(mix))
+	var steals, evicted int64
+	run := func() {
+		// Each batch is a fresh copy of the mix, shifted past the
+		// engine's clock; the copy reuses one slice.
+		now := ctx.Now()
+		copy(batch, mix)
+		for i := range batch {
+			batch[i].Arrival += now + 1
+		}
+		res, err := c.Run(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steals += int64(res.Steals)
+		evicted += res.EvictedBytes
+	}
+	run()
+	perJob := testing.AllocsPerRun(runs, run) / float64(len(mix))
+	if steals == 0 || evicted == 0 {
+		t.Fatalf("mechanisms idle: %d steals, %d bytes evicted", steals, evicted)
+	}
+	if perJob > budget {
+		t.Fatalf("a contended job allocates %.3f objects, budget %.2f", perJob, budget)
+	}
+	t.Logf("%.3f objects per job", perJob)
 }

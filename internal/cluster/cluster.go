@@ -160,6 +160,19 @@ type Queued struct {
 	hitBytes, missBytes int64
 	// notified marks the job's outcome as streamed (emitOutcome).
 	notified bool
+	// stage holds the stage task route built the last time it staged
+	// the job; emitOutcome recycles it.
+	stage *stageRecord
+}
+
+// stageRecord is what route builds to stage a job: the stage task, its
+// one transfer and the task list the stage task leads. A cluster keeps
+// the records of ended jobs for reuse, so it holds only as many as it
+// has staged jobs in flight.
+type stageRecord struct {
+	task  core.Task
+	xfer  [1]core.TransferSpec
+	tasks []*core.Task
 }
 
 // Option configures a Cluster.
@@ -289,6 +302,7 @@ type Cluster struct {
 	queue       arena.Queue[*Queued]
 	admitted    arena.Slab[Queued] // a job's admission record
 	outcomes    arena.Slab[Outcome]
+	stageFree   []*stageRecord // records of ended jobs, for route
 	runFlops    float64
 	done        int
 	steals      int
@@ -646,6 +660,12 @@ func (c *Cluster) emitOutcome(idx int) {
 		return
 	}
 	q.notified = true
+	if r := q.stage; r != nil {
+		clear(r.tasks)
+		r.tasks = r.tasks[:0]
+		c.stageFree = append(c.stageFree, r)
+		q.stage = nil
+	}
 	c.nterminal++
 	if c.onOutcome != nil {
 		c.onOutcome(*c.outcomes.At(idx))
@@ -878,15 +898,22 @@ func (c *Cluster) route(q *Queued, dev int) {
 					maxID = t.ID
 				}
 			}
-			stage := &core.Task{
+			r := q.stage
+			if r == nil {
+				r = c.newStageRecord()
+				q.stage = r
+			}
+			r.xfer[0] = core.Xfer(buf, 0, int(charged))
+			r.task = core.Task{
 				ID:           maxID + 1,
-				H2D:          []core.TransferSpec{core.Xfer(buf, 0, int(charged))},
+				H2D:          r.xfer[:],
 				StreamHint:   -1,
 				TransferOnly: true,
 			}
 			// The stage task leads the job on its (single) stream, so
 			// FIFO order delays every real task behind the staged bytes.
-			tasks = append([]*core.Task{stage}, tasks...)
+			r.tasks = append(append(r.tasks[:0], &r.task), tasks...)
+			tasks = r.tasks
 			o.Staged = true
 			q.staged = true
 			q.stagedBytes = charged
@@ -923,6 +950,16 @@ func (c *Cluster) route(q *Queued, dev int) {
 		return
 	}
 	q.dev = dev
+}
+
+// newStageRecord takes a stage record from the free list, or makes one.
+func (c *Cluster) newStageRecord() *stageRecord {
+	if n := len(c.stageFree); n > 0 {
+		r := c.stageFree[n-1]
+		c.stageFree = c.stageFree[:n-1]
+		return r
+	}
+	return new(stageRecord)
 }
 
 // jobDone records a completion reported by a per-device scheduler and

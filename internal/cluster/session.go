@@ -48,7 +48,7 @@ type Session struct {
 	// arrived lists, in admission order, the submitted jobs whose
 	// arrival is the current epoch boundary; one engine event at the
 	// boundary (admitArrived, bound once as admitEvent) admits them
-	// all. A job arriving later keeps an event of its own.
+	// all. The jobs arriving later come through an arrival feed.
 	arrived    []arrival
 	admitEvent func()
 }
@@ -162,15 +162,18 @@ func (s *Session) admissible(jobs []Job) error {
 // session keeps pointers into batch, so the caller must not touch it
 // until every job in it is terminal. The jobs arriving at the boundary
 // join the boundary's one admission event, in batch order after any
-// batch already stacked there; each later arrival gets an event of its
-// own. Either way every job is admitted in the order, and at the
-// instant, that one event per job would admit it.
+// batch already stacked there; the later arrivals reach the engine as
+// one feed (sim.Feed), which takes the order numbers that an event per
+// arrival would take but keeps only the next due one pending. Either
+// way every job is admitted in the order, and at the instant, that one
+// event per job would admit it.
 func (s *Session) submit(batch []Job) (base int) {
 	c := s.c
 	eng := c.ctx.Engine()
 	base = c.outcomes.Grow(len(batch))
 	c.admitted.Grow(len(batch))
 	now := eng.Now()
+	var feed *sim.Feed
 	for i := range batch {
 		job := &batch[i]
 		for _, t := range job.Tasks {
@@ -186,10 +189,26 @@ func (s *Session) submit(batch []Job) (base int) {
 			s.arrived = append(s.arrived, arrival{job, idx})
 			continue
 		}
-		eng.At(job.Arrival, func() { c.admit(job, idx) })
+		if feed == nil {
+			feed = eng.Feed((*feedArrivals)(c))
+		}
+		c.admitted.At(idx).Job = job
+		feed.Add(job.Arrival, idx)
+	}
+	if feed != nil {
+		feed.Start()
 	}
 	s.total += len(batch)
 	return base
+}
+
+// feedArrivals is the target of submit's arrival feeds: arrival idx
+// admits the job its admission record already points at.
+type feedArrivals Cluster
+
+func (a *feedArrivals) Arrive(idx int) {
+	c := (*Cluster)(a)
+	c.admit(c.admitted.At(idx).Job, idx)
 }
 
 // admitArrived is the boundary's admission event: it admits every job

@@ -94,7 +94,9 @@ func (c *Cluster) stealInto(thief int) bool {
 	var bestNext int
 	var bestEst sim.Duration
 	var ahead sim.Duration
-	for _, pv := range c.scheds[victim].PendingJobs() {
+	vs := c.scheds[victim]
+	for i := range vs.QueueDepth() {
+		pv := vs.PendingAt(i)
 		q := c.admitted.At(pv.Index)
 		// Predicted completion if the job waits out the queue ahead of
 		// it on the victim: next drain, the backlog spread over the

@@ -34,11 +34,7 @@
 //     iteration order.
 package residency
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Region declares one (dataset, tile-range) a job reads or writes:
 // Tiles tiles of TileBytes each, starting at tile First of the named
@@ -88,7 +84,7 @@ func TotalBytes(regions []Region) int64 {
 // dataset agreeing on TileBytes (mixed sizes would make the hit/miss
 // byte split meaningless).
 func Validate(regions []Region) error {
-	seen := make(map[tileKey]struct{})
+	seen := make(map[namedTile]struct{})
 	sizes := make(map[string]int64)
 	for i, r := range regions {
 		switch {
@@ -106,7 +102,7 @@ func Validate(regions []Region) error {
 		}
 		sizes[r.Dataset] = r.TileBytes
 		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			k := tileKey{dataset: r.Dataset, tile: tile}
+			k := namedTile{dataset: r.Dataset, tile: tile}
 			if _, dup := seen[k]; dup {
 				return fmt.Errorf("residency: region %d (%s) overlaps tile %d of %q declared earlier in the list", i, r, tile, r.Dataset)
 			}
@@ -116,14 +112,27 @@ func Validate(regions []Region) error {
 	return nil
 }
 
-// tileKey identifies one resident tile.
-type tileKey struct {
+// namedTile identifies one tile of one named dataset while Validate
+// checks a list.
+type namedTile struct {
 	dataset string
 	tile    int
 }
 
-// entry is one resident tile on one device.
-type entry struct {
+// tileKey identifies one resident tile: its dataset's interned id and
+// its index.
+type tileKey struct {
+	ds   int32
+	tile int
+}
+
+// none is the null node index.
+const none = -1
+
+// node is one resident tile on one device, linked into the device's
+// recency list.
+type node struct {
+	key   tileKey
 	bytes int64
 	// used is the logical clock tick of the last commit that touched
 	// the tile — the LRU recency signal.
@@ -131,19 +140,16 @@ type entry struct {
 	// seq is the tile's global insertion sequence number; it breaks
 	// LRU ties deterministically (tiles installed by one commit share
 	// a tick but never a sequence number).
-	seq uint64
+	seq        uint64
+	prev, next int32
 }
 
-// victim is one eviction candidate of Enforce.
-type victim struct {
-	key tileKey
-	entry
-}
-
-// deviceCache is one device's resident set.
+// deviceCache is one device's resident set: an index from tile to node
+// and the nodes in a list ordered by (used, seq), least recent first.
 type deviceCache struct {
-	entries map[tileKey]entry
-	used    int64
+	tiles      map[tileKey]int32
+	head, tail int32
+	used       int64
 }
 
 // Stats are the tracker's cumulative counters. They span the
@@ -170,12 +176,17 @@ type Stats struct {
 }
 
 // Receipt records what one Commit installed, so a withdraw can roll
-// the installation back. The zero Receipt rolls back nothing.
+// the installation back: the commit's tick, the range of insertion
+// sequence numbers its installs took, and the read set it covered.
+// The zero Receipt rolls back nothing.
 type Receipt struct {
-	dev       int
-	tick      uint64
-	installed []tileKey
-	bytes     int64
+	dev  int
+	tick uint64
+	// The commit's installs took the sequence numbers in (seqLo,
+	// seqHi].
+	seqLo, seqHi uint64
+	reads        []Region
+	bytes        int64
 }
 
 // InstalledBytes is the volume the commit newly installed (its miss
@@ -191,8 +202,11 @@ type Tracker struct {
 	clock    uint64
 	seq      uint64
 	stats    Stats
-	// victims is Enforce's candidate scratch.
-	victims []victim
+	// ids interns dataset names; nodes holds every device's tiles,
+	// free the vacant node indices.
+	ids   map[string]int32
+	nodes []node
+	free  []int32
 }
 
 // New builds a tracker for the given device count with a per-device
@@ -204,9 +218,9 @@ func New(devices int, capacityBytes int64) (*Tracker, error) {
 	if capacityBytes < 0 {
 		return nil, fmt.Errorf("residency: negative capacity %d bytes", capacityBytes)
 	}
-	t := &Tracker{devs: make([]deviceCache, devices), capacity: capacityBytes}
+	t := &Tracker{devs: make([]deviceCache, devices), capacity: capacityBytes, ids: make(map[string]int32)}
 	for d := range t.devs {
-		t.devs[d].entries = make(map[tileKey]entry)
+		t.devs[d] = deviceCache{tiles: make(map[tileKey]int32), head: none, tail: none}
 	}
 	return t, nil
 }
@@ -227,8 +241,12 @@ func (t *Tracker) ResidentBytes(dev int) int64 { return t.cache(dev).used }
 // tracker, as if freshly built.
 func (t *Tracker) Reset() {
 	for d := range t.devs {
-		t.devs[d] = deviceCache{entries: make(map[tileKey]entry)}
+		dc := &t.devs[d]
+		clear(dc.tiles)
+		dc.head, dc.tail, dc.used = none, none, 0
 	}
+	clear(t.ids)
+	t.nodes, t.free = t.nodes[:0], t.free[:0]
 	t.clock, t.seq = 0, 0
 	t.stats = Stats{}
 }
@@ -240,6 +258,17 @@ func (t *Tracker) cache(dev int) *deviceCache {
 	return &t.devs[dev]
 }
 
+// intern returns the dataset's id, assigning the next one to a name
+// seen for the first time.
+func (t *Tracker) intern(dataset string) int32 {
+	id, ok := t.ids[dataset]
+	if !ok {
+		id = int32(len(t.ids))
+		t.ids[dataset] = id
+	}
+	return id
+}
+
 // Lookup splits the regions' demand into the bytes already resident
 // on dev and the cold-miss remainder. It is read-only: pricing probes
 // never perturb recency, so scoring many devices is side-effect-free.
@@ -249,8 +278,13 @@ func (t *Tracker) Lookup(dev int, regions []Region) (hit, miss int64) {
 	dc := t.cache(dev)
 	t.stats.Lookups++
 	for _, r := range regions {
+		id, ok := t.ids[r.Dataset]
+		if !ok {
+			miss += r.Bytes()
+			continue
+		}
 		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			if _, ok := dc.entries[tileKey{dataset: r.Dataset, tile: tile}]; ok {
+			if _, ok := dc.tiles[tileKey{id, tile}]; ok {
 				hit += r.TileBytes
 			} else {
 				miss += r.TileBytes
@@ -264,35 +298,156 @@ func (t *Tracker) Lookup(dev int, regions []Region) (hit, miss int64) {
 // instant: resident tiles refresh their recency (the hit share),
 // missing tiles install (the miss share — the bytes the job's staging
 // transfer actually ships). The returned Receipt identifies the
-// installed tiles so a later withdraw can roll them back. The split
-// equals what Lookup reported immediately before on the same device.
+// installed tiles so a later withdraw can roll them back; it keeps
+// reads, which the caller must leave unchanged. The split equals what
+// Lookup reported immediately before on the same device.
 func (t *Tracker) Commit(dev int, reads []Region) (hit, miss int64, rcpt Receipt) {
 	dc := t.cache(dev)
 	t.stats.Commits++
 	t.clock++
-	rcpt = Receipt{dev: dev, tick: t.clock}
+	rcpt = Receipt{dev: dev, tick: t.clock, seqLo: t.seq, reads: reads}
+	fresh := t.newChain()
 	for _, r := range reads {
+		id := t.intern(r.Dataset)
 		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			k := tileKey{dataset: r.Dataset, tile: tile}
-			if e, ok := dc.entries[k]; ok {
+			if t.stamp(dc, tileKey{id, tile}, r.TileBytes, &fresh) {
+				miss += r.TileBytes
+			} else {
 				hit += r.TileBytes
-				dc.used += r.TileBytes - e.bytes
-				e.bytes = r.TileBytes
-				e.used = t.clock
-				dc.entries[k] = e
-				continue
 			}
-			miss += r.TileBytes
-			t.seq++
-			dc.entries[k] = entry{bytes: r.TileBytes, used: t.clock, seq: t.seq}
-			dc.used += r.TileBytes
-			rcpt.installed = append(rcpt.installed, k)
-			rcpt.bytes += r.TileBytes
 		}
 	}
+	t.appendChain(dc, fresh)
+	rcpt.seqHi = t.seq
+	rcpt.bytes = miss
 	t.stats.HitBytes += hit
 	t.stats.MissBytes += miss
 	return hit, miss, rcpt
+}
+
+// chain is a run of nodes linked by prev/next outside any device list:
+// the tiles one commit installs, which take the sequence numbers after
+// since.
+type chain struct {
+	head, tail int32
+	since      uint64
+}
+
+// newChain starts an empty chain at the current sequence number.
+func (t *Tracker) newChain() chain { return chain{head: none, tail: none, since: t.seq} }
+
+// stamp touches tile k on dc at the current tick, as the tile's bytes,
+// and reports whether it installed the tile. A resident tile moves to
+// its new place in the recency list; a new one joins fresh, whose
+// nodes all order after every node in the list (they carry the current
+// tick and the newest sequence numbers), so the caller appends fresh
+// once it has stamped every tile.
+func (t *Tracker) stamp(dc *deviceCache, k tileKey, bytes int64, fresh *chain) (installed bool) {
+	if i, ok := dc.tiles[k]; ok {
+		n := &t.nodes[i]
+		dc.used += bytes - n.bytes
+		n.bytes = bytes
+		if n.seq <= fresh.since {
+			// Not one of this commit's own installs, which an
+			// overlapping list can touch twice: those stay in fresh.
+			n.used = t.clock
+			t.unlink(dc, i)
+			t.insertOrdered(dc, i)
+		}
+		return false
+	}
+	t.seq++
+	i := t.newNode(node{key: k, bytes: bytes, used: t.clock, seq: t.seq, prev: fresh.tail, next: none})
+	if fresh.tail == none {
+		fresh.head = i
+	} else {
+		t.nodes[fresh.tail].next = i
+	}
+	fresh.tail = i
+	dc.tiles[k] = i
+	dc.used += bytes
+	return true
+}
+
+// newNode stores n in a vacant node, or a new one, and returns its
+// index.
+func (t *Tracker) newNode(n node) int32 {
+	if k := len(t.free); k > 0 {
+		i := t.free[k-1]
+		t.free = t.free[:k-1]
+		t.nodes[i] = n
+		return i
+	}
+	t.nodes = append(t.nodes, n)
+	return int32(len(t.nodes) - 1)
+}
+
+// unlink takes node i out of dc's list.
+func (t *Tracker) unlink(dc *deviceCache, i int32) {
+	n := &t.nodes[i]
+	if n.prev == none {
+		dc.head = n.next
+	} else {
+		t.nodes[n.prev].next = n.next
+	}
+	if n.next == none {
+		dc.tail = n.prev
+	} else {
+		t.nodes[n.next].prev = n.prev
+	}
+}
+
+// insertOrdered links node i into dc's list at its (used, seq) place,
+// searching back from the tail: a node just stamped carries the
+// newest tick, so it passes only the nodes of its own tick with a
+// later sequence number.
+func (t *Tracker) insertOrdered(dc *deviceCache, i int32) {
+	n := &t.nodes[i]
+	at := dc.tail
+	for at != none {
+		p := &t.nodes[at]
+		if p.used < n.used || p.used == n.used && p.seq < n.seq {
+			break
+		}
+		at = p.prev
+	}
+	n.prev = at
+	if at == none {
+		n.next = dc.head
+		dc.head = i
+	} else {
+		n.next = t.nodes[at].next
+		t.nodes[at].next = i
+	}
+	if n.next == none {
+		dc.tail = i
+	} else {
+		t.nodes[n.next].prev = i
+	}
+}
+
+// appendChain links a chain after dc's tail.
+func (t *Tracker) appendChain(dc *deviceCache, c chain) {
+	if c.head == none {
+		return
+	}
+	t.nodes[c.head].prev = dc.tail
+	if dc.tail == none {
+		dc.head = c.head
+	} else {
+		t.nodes[dc.tail].next = c.head
+	}
+	dc.tail = c.tail
+}
+
+// remove drops node i from dc and returns its bytes.
+func (t *Tracker) remove(dc *deviceCache, i int32) int64 {
+	t.unlink(dc, i)
+	n := &t.nodes[i]
+	delete(dc.tiles, n.key)
+	dc.used -= n.bytes
+	t.free = append(t.free, i)
+	return n.bytes
 }
 
 // Rollback undoes a Commit's installations after the committed job
@@ -301,19 +456,7 @@ func (t *Tracker) Commit(dev int, reads []Region) (hit, miss int64, rcpt Receipt
 // later commit has touched since stay — another job refreshed them,
 // and its own staging decision already treated them as resident.
 func (t *Tracker) Rollback(rcpt Receipt) {
-	if len(rcpt.installed) == 0 {
-		return
-	}
-	dc := t.cache(rcpt.dev)
-	for _, k := range rcpt.installed {
-		e, ok := dc.entries[k]
-		if !ok || e.used != rcpt.tick {
-			continue
-		}
-		delete(dc.entries, k)
-		dc.used -= e.bytes
-		t.stats.RolledBackBytes += e.bytes
-	}
+	t.RollbackRegions(rcpt, rcpt.reads)
 }
 
 // RollbackRegions is the partial, region-scoped form of Rollback the
@@ -323,32 +466,33 @@ func (t *Tracker) Rollback(rcpt Receipt) {
 // (tiles the completed slices already consumed) stay resident, because
 // their transfer really ran and later jobs may hit them. The same
 // recency guard as Rollback applies: tiles a later commit touched
-// since stay. Returns the removed volume.
+// since stay. A tile is the receipt's install exactly when it still
+// carries the commit's tick and a sequence number from the commit's
+// range. Returns the removed volume.
 func (t *Tracker) RollbackRegions(rcpt Receipt, regions []Region) int64 {
-	if len(rcpt.installed) == 0 || len(regions) == 0 {
+	if rcpt.seqHi == rcpt.seqLo {
 		return 0
-	}
-	want := make(map[tileKey]struct{})
-	for _, r := range regions {
-		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			want[tileKey{dataset: r.Dataset, tile: tile}] = struct{}{}
-		}
 	}
 	dc := t.cache(rcpt.dev)
 	var removed int64
-	for _, k := range rcpt.installed {
-		if _, scoped := want[k]; !scoped {
+	for _, r := range regions {
+		id, ok := t.ids[r.Dataset]
+		if !ok {
 			continue
 		}
-		e, ok := dc.entries[k]
-		if !ok || e.used != rcpt.tick {
-			continue
+		for tile := r.First; tile < r.First+r.Tiles; tile++ {
+			i, ok := dc.tiles[tileKey{id, tile}]
+			if !ok {
+				continue
+			}
+			n := &t.nodes[i]
+			if n.used != rcpt.tick || n.seq <= rcpt.seqLo || n.seq > rcpt.seqHi {
+				continue
+			}
+			removed += t.remove(dc, i)
 		}
-		delete(dc.entries, k)
-		dc.used -= e.bytes
-		t.stats.RolledBackBytes += e.bytes
-		removed += e.bytes
 	}
+	t.stats.RolledBackBytes += removed
 	return removed
 }
 
@@ -371,12 +515,13 @@ func (t *Tracker) Invalidate(dev int, writes []Region, resident bool) {
 		}
 		dc := &t.devs[d]
 		for _, r := range writes {
+			id, ok := t.ids[r.Dataset]
+			if !ok {
+				continue
+			}
 			for tile := r.First; tile < r.First+r.Tiles; tile++ {
-				k := tileKey{dataset: r.Dataset, tile: tile}
-				if e, ok := dc.entries[k]; ok {
-					delete(dc.entries, k)
-					dc.used -= e.bytes
-					t.stats.InvalidatedBytes += e.bytes
+				if i, ok := dc.tiles[tileKey{id, tile}]; ok {
+					t.stats.InvalidatedBytes += t.remove(dc, i)
 					t.stats.Invalidations++
 				}
 			}
@@ -386,21 +531,14 @@ func (t *Tracker) Invalidate(dev int, writes []Region, resident bool) {
 		return
 	}
 	dc := t.cache(dev)
+	fresh := t.newChain()
 	for _, r := range writes {
+		id := t.intern(r.Dataset)
 		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			k := tileKey{dataset: r.Dataset, tile: tile}
-			if e, ok := dc.entries[k]; ok {
-				dc.used += r.TileBytes - e.bytes
-				e.bytes = r.TileBytes
-				e.used = t.clock
-				dc.entries[k] = e
-				continue
-			}
-			t.seq++
-			dc.entries[k] = entry{bytes: r.TileBytes, used: t.clock, seq: t.seq}
-			dc.used += r.TileBytes
+			t.stamp(dc, tileKey{id, tile}, r.TileBytes, &fresh)
 		}
 	}
+	t.appendChain(dc, fresh)
 }
 
 // Enforce evicts least-recently-used tiles from device dev until it
@@ -408,36 +546,18 @@ func (t *Tracker) Invalidate(dev int, writes []Region, resident bool) {
 // it at drain instants only — between them a device may transiently
 // exceed capacity, mirroring how a real runtime frees staged tiles
 // when a kernel completes, not mid-enqueue. Eviction order is total:
-// oldest use tick first, ties by insertion sequence, so it never
-// depends on map iteration order.
+// oldest use tick first, ties by insertion sequence — the order the
+// device's list keeps, so eviction takes tiles from its front.
 func (t *Tracker) Enforce(dev int) int64 {
 	dc := t.cache(dev)
-	if t.capacity <= 0 || dc.used <= t.capacity {
+	if t.capacity <= 0 {
 		return 0
 	}
-	// Collect and order the candidates once, in the tracker's reused
-	// scratch; evict from the front until under capacity.
-	victims := t.victims[:0]
-	for k, e := range dc.entries {
-		victims = append(victims, victim{key: k, entry: e})
-	}
-	slices.SortFunc(victims, func(a, b victim) int {
-		if c := cmp.Compare(a.used, b.used); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	t.victims = victims
 	var evicted int64
-	for _, v := range victims {
-		if dc.used <= t.capacity {
-			break
-		}
-		delete(dc.entries, v.key)
-		dc.used -= v.bytes
-		evicted += v.bytes
-		t.stats.EvictedBytes += v.bytes
+	for dc.used > t.capacity {
+		evicted += t.remove(dc, dc.head)
 		t.stats.Evictions++
 	}
+	t.stats.EvictedBytes += evicted
 	return evicted
 }

@@ -221,13 +221,15 @@ type Scheduler struct {
 	// Per-run state, reset by Reset (and therefore by Run). A job's
 	// outcome lives in its Pending record until the job ends; results
 	// is where Run collects the ended ones, by key, into Result.Jobs
-	// (nil between Runs: an embedded scheduler keeps no history).
+	// (nil between Runs: an embedded scheduler keeps no history), and
+	// runJobs the jobs Run's arrival feed admits.
 	pending      []*Pending
 	busy         []bool
 	load         []sim.Duration
 	freeAt       []sim.Time
 	streamTenant []string
 	results      []JobOutcome
+	runJobs      []Job
 	done         int
 	seq          int
 	runErr       error
@@ -445,15 +447,14 @@ type PendingView struct {
 	Next int
 }
 
-// PendingJobs snapshots the admission queue in admission order — the
-// per-job view the cluster layer's work stealing chooses victims from,
-// where PendingBacklog only reports the queue's total.
-func (s *Scheduler) PendingJobs() []PendingView {
-	out := make([]PendingView, len(s.pending))
-	for i, p := range s.pending {
-		out[i] = PendingView{Index: p.out.Index, Est: p.Est, Seq: p.Seq, Next: p.Next}
-	}
-	return out
+// PendingAt describes the admission queue's job i, for i below
+// QueueDepth, in admission order — the per-job view the cluster
+// layer's work stealing chooses victims from, where PendingBacklog
+// only reports the queue's total. A scan that calls nothing that
+// changes the queue reads it in place.
+func (s *Scheduler) PendingAt(i int) PendingView {
+	p := s.pending[i]
+	return PendingView{Index: p.out.Index, Est: p.Est, Seq: p.Seq, Next: p.Next}
 }
 
 // Withdraw removes the queued job with the given key from the
@@ -606,36 +607,37 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 	}
 	s.Reset()
 	s.results = make([]JobOutcome, len(jobs))
-	defer func() { s.results = nil }()
+	s.runJobs = jobs
+	defer func() { s.results, s.runJobs = nil, nil }()
 
 	eng := s.ctx.Engine()
 	runStart := eng.Now()
+	feed := eng.Feed((*runArrivals)(s))
 	for i := range jobs {
-		job := &jobs[i]
-		idx := i
-		at := job.Arrival
-		if at < runStart {
-			at = runStart
-		}
-		eng.At(at, func() { s.admit(job, idx) })
+		feed.Add(max(jobs[i].Arrival, runStart), i)
 	}
+	feed.Start()
 	eng.Run()
 	if s.runErr != nil {
 		// The partial result surfaces every admitted job — the ones the
 		// aborted dispatch loop never ran are flagged Failed — so the
 		// caller can account for the whole submission, not just the
-		// jobs that happened to finish before the error. A remainder
-		// re-queued at a slice boundary after the error never ends; its
-		// outcome is still in its record.
-		for _, p := range s.pending {
-			s.results[p.out.Index] = p.out
-		}
+		// jobs that happened to finish before the error.
 		return s.summarize(runStart), s.runErr
 	}
 	if s.done != len(jobs) {
 		return nil, fmt.Errorf("sched: internal error: %d of %d jobs completed", s.done, len(jobs))
 	}
 	return s.summarize(runStart), nil
+}
+
+// runArrivals is the target of Run's arrival feed: arrival i admits
+// the Run slice's job i under key i.
+type runArrivals Scheduler
+
+func (r *runArrivals) Arrive(i int) {
+	s := (*Scheduler)(r)
+	s.admit(&s.runJobs[i], i)
 }
 
 // admit enqueues one arriving job under key and runs the dispatch
@@ -873,6 +875,19 @@ func (s *Scheduler) grantDone(stream int) {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: p.out.Index, ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
 				Dur: s.ctx.Now().Sub(g.granted)})
+		}
+		if s.runErr != nil {
+			// After a dispatch error nothing dispatches the remainder
+			// again: end it as failed, as fail ends a stranded job.
+			p.out.Failed = true
+			if s.tel.Enabled() {
+				s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: p.out.Index, ID: p.Job.ID,
+					Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: -1})
+			}
+			o := p.out
+			s.release(p)
+			s.end(o)
+			return
 		}
 		s.requeue(p)
 		s.dispatch()

@@ -21,6 +21,15 @@ func newCtx(t *testing.T, partitions int) *hstreams.Context {
 	return ctx
 }
 
+// pendingViews lists the admission queue's PendingAt views in order.
+func pendingViews(s *Scheduler) []PendingView {
+	out := make([]PendingView, s.QueueDepth())
+	for i := range out {
+		out[i] = s.PendingAt(i)
+	}
+	return out
+}
+
 // syntheticJob builds a one-task compute job with the given flops.
 func syntheticJob(id int, tenant string, arrival sim.Time, flops float64) Job {
 	return Job{
@@ -632,8 +641,8 @@ func TestWithdrawRemovesPendingJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.PendingJobs(); len(got) != 2 || got[0].Index != keys[1] || got[1].Index != keys[2] {
-		t.Fatalf("PendingJobs = %+v, want the two queued jobs in admission order", got)
+	if got := pendingViews(s); len(got) != 2 || got[0].Index != keys[1] || got[1].Index != keys[2] {
+		t.Fatalf("queue = %+v, want the two queued jobs in admission order", got)
 	}
 	if _, _, ok := s.Withdraw(99); ok {
 		t.Fatal("withdrawing an unknown key should fail")
@@ -698,7 +707,7 @@ func TestWithdrawReportsRemainderProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	queuedRemainder := func() bool {
-		for _, pv := range s.PendingJobs() {
+		for _, pv := range pendingViews(s) {
 			if pv.Index == 5 && pv.Next > 0 {
 				return true
 			}

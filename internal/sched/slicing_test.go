@@ -234,7 +234,7 @@ func TestPendingBacklogExcludesConsumedSlices(t *testing.T) {
 	ctx.Engine().At(sim.Time(0).Add(sliceEst).Add(lightEst/2), func() {
 		probed = true
 		gotBacklog = s.PendingBacklog()
-		gotViews = s.PendingJobs()
+		gotViews = pendingViews(s)
 	})
 	if _, err := s.Run([]Job{heavy, light}); err != nil {
 		t.Fatal(err)

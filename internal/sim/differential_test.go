@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -156,5 +157,126 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 		if len(e.slots) != peak {
 			t.Fatalf("trial %d: slot table grew to %d with at most %d events pending", trial, len(e.slots), peak)
 		}
+	}
+}
+
+// arrivalLog is a feed target that reports each arrival's id.
+type arrivalLog func(id int)
+
+func (l arrivalLog) Arrive(i int) { l(i) }
+
+// Property: a Feed dispatches its arrivals exactly as one At call per
+// arrival would. Each trial drives two engines through the same seeded
+// sequence of operations, one scheduling every arrival with At and the
+// other through feeds. The arrival sets are unsorted and tie often;
+// ordinary At calls interleave with a feed's Adds, several feeds are
+// live at once, and a third of the fired events schedule a successor,
+// usually at the instant they fire. Both engines must dispatch the
+// same events in the same order at the same instants, with the same
+// clock, pending count and next timestamp after every operation.
+func TestPropertyFeedMatchesAt(t *testing.T) {
+	type dispatch struct {
+		at Time
+		id int
+	}
+	type state struct {
+		now     Time
+		pending int
+		next    Time
+		steps   uint64
+	}
+	run := func(seed int64, feed bool) (fired []dispatch, states []state) {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		ids := 0
+		var fire func(id int)
+		succ := func() {
+			id := ids
+			ids++
+			e.At(e.Now().Add(Duration(rng.Intn(3))), func() { fire(id) })
+		}
+		fire = func(id int) {
+			fired = append(fired, dispatch{e.Now(), id})
+			if rng.Intn(3) == 0 && e.Pending() < 400 {
+				succ()
+			}
+		}
+		for op := 0; op < 200; op++ {
+			switch k := rng.Intn(10); {
+			case k < 3:
+				// A batch of arrivals, with ordinary events scheduled
+				// between its Adds.
+				var f *Feed
+				if feed {
+					f = e.Feed(arrivalLog(fire))
+				}
+				for range rng.Intn(12) {
+					if rng.Intn(4) == 0 {
+						succ()
+					}
+					id := ids
+					ids++
+					at := e.Now().Add(Duration(rng.Intn(6)))
+					if feed {
+						f.Add(at, id)
+					} else {
+						e.At(at, func() { fire(id) })
+					}
+				}
+				if feed {
+					f.Start()
+				}
+			case k < 6:
+				e.Step()
+			case k < 8:
+				e.StepUntil(e.Now().Add(Duration(rng.Intn(5) - 1)))
+			case k < 9:
+				e.Advance(Duration(rng.Intn(4)))
+			default:
+				succ()
+			}
+			next, _ := e.NextAt()
+			states = append(states, state{e.Now(), e.Pending(), next, e.Steps()})
+		}
+		e.Run()
+		return fired, states
+	}
+	for trial := int64(0); trial < 300; trial++ {
+		wantFired, wantStates := run(trial, false)
+		gotFired, gotStates := run(trial, true)
+		if !reflect.DeepEqual(gotStates, wantStates) {
+			t.Fatalf("trial %d: engine states diverge:\nfeed %v\nAt   %v", trial, gotStates, wantStates)
+		}
+		if !reflect.DeepEqual(gotFired, wantFired) {
+			t.Fatalf("trial %d: dispatch order diverges:\nfeed %v\nAt   %v", trial, gotFired, wantFired)
+		}
+	}
+}
+
+// A Reset drops the arrivals of live feeds with every other pending
+// event, and the feeds' storage serves the next ones.
+func TestFeedReset(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	f := e.Feed(arrivalLog(func(id int) { got = append(got, id) }))
+	for i := range 5 {
+		f.Add(Time(i), i)
+	}
+	f.Start()
+	e.Step()
+	e.Reset()
+	if e.Pending() != 0 || !e.Quiescent() {
+		t.Fatalf("after Reset: %d pending", e.Pending())
+	}
+	g := e.Feed(arrivalLog(func(id int) { got = append(got, 10+id) }))
+	if g != f {
+		t.Fatal("Reset did not recycle the feed")
+	}
+	g.Add(3, 0)
+	g.Add(1, 1)
+	g.Start()
+	e.Run()
+	if want := []int{0, 11, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("arrivals %v, want %v", got, want)
 	}
 }

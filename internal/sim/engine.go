@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Handler is a scheduled callback in method form. A pointer type
@@ -21,9 +23,10 @@ func (f Func) Fire() { f() }
 // key orders one scheduled callback: events with equal timestamps
 // dispatch in scheduling order (seq), which makes the whole simulation
 // deterministic. slot indexes the engine's slot table, where the
-// callback itself waits. A key holds no pointers, so the collector
-// never scans the heap array and a sift writes no pointer: the
-// write barrier stays off the engine's hottest path.
+// callback itself waits; a negative slot ^f marks the next arrival of
+// feed f instead. A key holds no pointers, so the collector never
+// scans the heap array and a sift writes no pointer: the write barrier
+// stays off the engine's hottest path.
 type key struct {
 	at   Time
 	seq  uint64
@@ -108,6 +111,12 @@ type Engine struct {
 	// recently vacated first.
 	slots []Handler
 	free  []int32
+	// feeds holds every Feed the engine has handed out, live or not;
+	// freeFeeds lists the idle ones, and fed counts the arrivals
+	// that live feeds still hold outside the heap.
+	feeds     []*Feed
+	freeFeeds []int32
+	fed       int
 }
 
 // NewEngine returns an engine with the virtual clock at zero.
@@ -122,6 +131,11 @@ func (e *Engine) Reset() {
 	clear(e.slots)
 	e.now, e.heap, e.seq, e.nsteps = 0, e.heap[:0], 0, 0
 	e.slots, e.free = e.slots[:0], e.free[:0]
+	e.freeFeeds, e.fed = e.freeFeeds[:0], 0
+	for i, f := range e.feeds {
+		f.release()
+		e.freeFeeds = append(e.freeFeeds, int32(i))
+	}
 }
 
 // Now reports the current virtual time.
@@ -131,8 +145,9 @@ func (e *Engine) Now() Time { return e.now }
 // tests and for detecting runaway simulations.
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
-// Pending reports the number of scheduled-but-undelivered events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending reports the number of scheduled-but-undelivered events,
+// counting every arrival a feed still holds.
+func (e *Engine) Pending() int { return len(e.heap) + e.fed }
 
 // Quiescent reports whether no events remain — the epoch boundary of a
 // long-running session: an engine driven by a persistent server is
@@ -172,6 +187,120 @@ func (e *Engine) Schedule(t Time, h Handler) {
 	e.heap.push(key{at: t, seq: e.seq, slot: slot})
 }
 
+// Arrivals receives the arrivals of a Feed.
+type Arrivals interface {
+	// Arrive is called at the instant of the arrival that Feed.Add
+	// registered under i.
+	Arrive(i int)
+}
+
+// Feed is a batch of arrivals that costs the engine one pending event
+// however many it holds (DESIGN.md §1). Each Add reserves the order
+// number that an At call in its place would take, and the feed keeps
+// its arrivals sorted by (time, order number) outside the heap: only
+// the next due one waits in the heap, and firing it pushes the one
+// after. Every arrival therefore dispatches exactly when, and in
+// exactly the order that, one At call per arrival would dispatch it,
+// while the heap stays as small as the work in flight and no arrival
+// needs a callback of its own.
+//
+// A Feed comes from Engine.Feed, takes its arrivals through Add and is
+// handed to the engine by Start. The engine recycles it after its last
+// arrival fires (or at Reset), so the caller must not keep it past
+// Start.
+type Feed struct {
+	e     *Engine
+	id    int32
+	dst   Arrivals
+	items []fedArrival
+	next  int
+}
+
+// fedArrival is one arrival of a feed: its instant, its reserved
+// order number and the index its Arrivals target knows it by.
+type fedArrival struct {
+	at  Time
+	seq uint64
+	i   int
+}
+
+// Feed returns an empty arrival feed whose arrivals go to dst, reusing
+// the storage of a drained feed when there is one.
+func (e *Engine) Feed(dst Arrivals) *Feed {
+	var f *Feed
+	if n := len(e.freeFeeds); n > 0 {
+		f = e.feeds[e.freeFeeds[n-1]]
+		e.freeFeeds = e.freeFeeds[:n-1]
+	} else {
+		f = &Feed{e: e, id: int32(len(e.feeds))}
+		e.feeds = append(e.feeds, f)
+	}
+	f.dst = dst
+	return f
+}
+
+// Add registers arrival i at virtual time t, taking the order number
+// an At call made now would take. Like At, a time in the past panics.
+func (f *Feed) Add(t Time, i int) {
+	e := f.e
+	if t < e.now {
+		panic(fmt.Sprintf("sim: feeding an arrival at %v before now %v", t, e.now))
+	}
+	e.seq++
+	f.items = append(f.items, fedArrival{at: t, seq: e.seq, i: i})
+}
+
+// Start hands the feed to the engine: its earliest arrival enters the
+// heap. A feed with no arrivals is recycled at once.
+func (f *Feed) Start() {
+	if len(f.items) == 0 {
+		f.e.recycle(f)
+		return
+	}
+	// Order numbers ascend in Add order, so arrivals added in time
+	// order are sorted already, which the sort detects in one pass.
+	slices.SortFunc(f.items, func(a, b fedArrival) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	f.e.fed += len(f.items) - 1
+	f.push()
+}
+
+// push puts the feed's next arrival into the heap under its reserved
+// order number.
+func (f *Feed) push() {
+	a := f.items[f.next]
+	f.e.heap.push(key{at: a.at, seq: a.seq, slot: ^f.id})
+}
+
+// fire dispatches the feed's next arrival, first pushing the one after
+// it, or recycling the feed after its last.
+func (f *Feed) fire() {
+	dst, i := f.dst, f.items[f.next].i
+	f.next++
+	if f.next < len(f.items) {
+		f.e.fed--
+		f.push()
+	} else {
+		f.e.recycle(f)
+	}
+	dst.Arrive(i)
+}
+
+// recycle returns a drained feed to the engine's free list.
+func (e *Engine) recycle(f *Feed) {
+	f.release()
+	e.freeFeeds = append(e.freeFeeds, f.id)
+}
+
+// release empties the feed, keeping its storage.
+func (f *Feed) release() {
+	f.dst, f.items, f.next = nil, f.items[:0], 0
+}
+
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
@@ -187,6 +316,12 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	k := e.heap.pop()
+	if k.slot < 0 {
+		e.now = k.at
+		e.nsteps++
+		e.feeds[^k.slot].fire()
+		return true
+	}
 	// The vacated slot is cleared so the table does not pin the
 	// handler (and whatever it references) until the slot is reused.
 	h := e.slots[k.slot]
