@@ -506,8 +506,9 @@ func (c *Cluster) Trace(w io.Writer) error {
 }
 
 // link returns the PCIe model shared by the cluster's links (every
-// device link is configured identically).
-func (c *Cluster) link() pcie.Config { return c.ctx.Config().Link }
+// device link is configured identically), read from a link rather
+// than through a copy of the whole platform configuration.
+func (c *Cluster) link() pcie.Config { return c.ctx.Link(0).Config() }
 
 // stagingCharge converts a job's staging volume into the byte count
 // actually transferred on the target link.
@@ -1090,7 +1091,7 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		HitBytes:     c.telHit,
 		MissBytes:    c.telMiss,
 	}
-	parts := c.ctx.Config().Partitions
+	parts := c.ctx.Device(0).NumPartitions()
 	// Devices and Tenants reuse the cluster's scratch: the recorder's
 	// log and every observer that keeps a snapshot copy them.
 	c.snapDevs = slices.Grow(c.snapDevs[:0], len(c.scheds))[:len(c.scheds)]

@@ -84,8 +84,6 @@ func TotalBytes(regions []Region) int64 {
 // dataset agreeing on TileBytes (mixed sizes would make the hit/miss
 // byte split meaningless).
 func Validate(regions []Region) error {
-	seen := make(map[namedTile]struct{})
-	sizes := make(map[string]int64)
 	for i, r := range regions {
 		switch {
 		case r.Dataset == "":
@@ -97,26 +95,28 @@ func Validate(regions []Region) error {
 		case r.TileBytes < 1:
 			return fmt.Errorf("residency: region %d (%s) has non-positive tile size", i, r)
 		}
-		if prev, ok := sizes[r.Dataset]; ok && prev != r.TileBytes {
-			return fmt.Errorf("residency: region %d (%s) declares %d-byte tiles where an earlier region of %q declared %d", i, r, r.TileBytes, r.Dataset, prev)
-		}
-		sizes[r.Dataset] = r.TileBytes
-		for tile := r.First; tile < r.First+r.Tiles; tile++ {
-			k := namedTile{dataset: r.Dataset, tile: tile}
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("residency: region %d (%s) overlaps tile %d of %q declared earlier in the list", i, r, tile, r.Dataset)
+		// Compare with the earlier regions of the same dataset: a list
+		// holds a few regions, so the pairs cost less than a set of
+		// every tile would.
+		overlap := -1
+		for _, p := range regions[:i] {
+			if p.Dataset != r.Dataset {
+				continue
 			}
-			seen[k] = struct{}{}
+			if p.TileBytes != r.TileBytes {
+				return fmt.Errorf("residency: region %d (%s) declares %d-byte tiles where an earlier region of %q declared %d", i, r, r.TileBytes, r.Dataset, p.TileBytes)
+			}
+			if p.First < r.First+r.Tiles && r.First < p.First+p.Tiles {
+				if t := max(p.First, r.First); overlap < 0 || t < overlap {
+					overlap = t
+				}
+			}
+		}
+		if overlap >= 0 {
+			return fmt.Errorf("residency: region %d (%s) overlaps tile %d of %q declared earlier in the list", i, r, overlap, r.Dataset)
 		}
 	}
 	return nil
-}
-
-// namedTile identifies one tile of one named dataset while Validate
-// checks a list.
-type namedTile struct {
-	dataset string
-	tile    int
 }
 
 // tileKey identifies one resident tile: its dataset's interned id and

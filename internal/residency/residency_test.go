@@ -46,6 +46,7 @@ func TestRegionValidation(t *testing.T) {
 		{"no-tiles", []Region{reg("a", 0, 0, 1)}, "covers no tiles"},
 		{"no-bytes", []Region{reg("a", 0, 1, 0)}, "non-positive tile size"},
 		{"self-overlap", []Region{reg("a", 0, 4, 1), reg("a", 3, 2, 1)}, "overlaps tile 3"},
+		{"covers-earlier", []Region{reg("a", 6, 2, 1), reg("b", 0, 9, 1), reg("a", 2, 2, 1), reg("a", 0, 10, 1)}, "region 3 (a[0:10)×1B) overlaps tile 2"},
 		{"mixed-tile-size", []Region{reg("a", 0, 2, 256), reg("a", 2, 2, 512)}, "declares 512-byte tiles"},
 	}
 	for _, tc := range cases {

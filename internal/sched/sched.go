@@ -376,14 +376,18 @@ func (s *Scheduler) validate(j *Job) error {
 // WithSlicing scheduler, the cluster's mid-job migration — check it at
 // admission, before a half-dispatched job can strand.
 func Sliceable(tasks []*core.Task) error {
-	seen := make(map[int]bool, len(tasks))
-	for _, t := range tasks {
+	for i, t := range tasks {
 		for _, d := range t.DependsOn {
-			if !seen[d] {
+			// Search back from the dependent: a chain's target is the
+			// task just before it.
+			k := i - 1
+			for k >= 0 && tasks[k].ID != d {
+				k--
+			}
+			if k < 0 {
 				return fmt.Errorf("task %d depends on %d which is not an earlier task; slicing needs dependency-ordered task lists", t.ID, d)
 			}
 		}
-		seen[t.ID] = true
 	}
 	return nil
 }
@@ -947,8 +951,11 @@ func (s *Scheduler) idleStreams() []int {
 // — it is a ranking signal for cost-aware policies and the cluster's
 // placement scores, not a prediction.
 func (s *Scheduler) Estimate(tasks []*core.Task) sim.Duration {
-	part := s.ctx.Stream(s.streams[0]).Partition()
-	link := s.ctx.Config().Link
+	st := s.ctx.Stream(s.streams[0])
+	part := st.Partition()
+	// The link's own copy of its configuration, not Context.Config's
+	// copy of the whole platform's: Estimate runs at every slice.
+	link := s.ctx.Link(st.DeviceIndex()).Config()
 	var total sim.Duration
 	for _, t := range tasks {
 		if !t.TransferOnly {
