@@ -149,30 +149,37 @@ type Queued struct {
 	reads  []residency.Region
 	demand int64
 	// rcpt records what the last commitment installed in the residency
-	// tracker, so a steal's withdraw can roll it back; staged,
-	// stagedBytes, stagingEst and hitBytes/missBytes are that
-	// commitment's own staging accounting, so a pre-dispatch withdraw
-	// can un-charge exactly what this commitment added.
+	// tracker, so a steal's withdraw can roll it back; hitBytes,
+	// missBytes and stage are that commitment's own staging accounting
+	// (stage is nil when it staged nothing), so a pre-dispatch
+	// withdraw can un-charge exactly what this commitment added.
 	rcpt                residency.Receipt
-	staged              bool
-	stagedBytes         int64
-	stagingEst          sim.Duration
 	hitBytes, missBytes int64
+	stage               *stageRecord
 	// notified marks the job's outcome as streamed (emitOutcome).
 	notified bool
-	// stage holds the stage task route built the last time it staged
-	// the job; emitOutcome recycles it.
-	stage *stageRecord
 }
 
 // stageRecord is what route builds to stage a job: the stage task, its
-// one transfer and the task list the stage task leads. A cluster keeps
-// the records of ended jobs for reuse, so it holds only as many as it
-// has staged jobs in flight.
+// one transfer, the task list the stage task leads, and the charged
+// volume and its modeled link time. A cluster keeps the records of
+// routes it has undone and of ended jobs for reuse, so it holds only
+// as many as it has staged jobs in flight.
 type stageRecord struct {
 	task  core.Task
 	xfer  [1]core.TransferSpec
 	tasks []*core.Task
+	bytes int64
+	est   sim.Duration
+}
+
+// charge reports what the record's commitment staged: nothing for a
+// nil record.
+func (r *stageRecord) charge() (bytes int64, est sim.Duration) {
+	if r == nil {
+		return 0, 0
+	}
+	return r.bytes, r.est
 }
 
 // Option configures a Cluster.
@@ -661,12 +668,7 @@ func (c *Cluster) emitOutcome(idx int) {
 		return
 	}
 	q.notified = true
-	if r := q.stage; r != nil {
-		clear(r.tasks)
-		r.tasks = r.tasks[:0]
-		c.stageFree = append(c.stageFree, r)
-		q.stage = nil
-	}
+	c.releaseStage(q)
 	c.nterminal++
 	if c.onOutcome != nil {
 		c.onOutcome(*c.outcomes.At(idx))
@@ -843,9 +845,10 @@ func (c *Cluster) route(q *Queued, dev int) {
 		o.MissBytes = 0
 	}
 	q.rcpt = residency.Receipt{}
-	q.staged = false
-	q.stagedBytes, q.stagingEst = 0, 0
 	q.hitBytes, q.missBytes = 0, 0
+	// The device the job leaves (if any) withdrew it, so nothing runs
+	// the last commitment's stage task any more.
+	c.releaseStage(q)
 
 	tasks := job.Tasks[q.next:]
 	if q.next > 0 {
@@ -899,11 +902,8 @@ func (c *Cluster) route(q *Queued, dev int) {
 					maxID = t.ID
 				}
 			}
-			r := q.stage
-			if r == nil {
-				r = c.newStageRecord()
-				q.stage = r
-			}
+			r := c.newStageRecord()
+			q.stage = r
 			r.xfer[0] = core.Xfer(buf, 0, int(charged))
 			r.task = core.Task{
 				ID:           maxID + 1,
@@ -915,18 +915,16 @@ func (c *Cluster) route(q *Queued, dev int) {
 			// FIFO order delays every real task behind the staged bytes.
 			r.tasks = append(append(r.tasks[:0], &r.task), tasks...)
 			tasks = r.tasks
+			r.bytes, r.est = charged, c.stagingTime(miss)
 			o.Staged = true
-			q.staged = true
-			q.stagedBytes = charged
-			q.stagingEst = c.stagingTime(miss)
 			o.StagedBytes += charged
-			o.StagingEst += q.stagingEst
-			est += q.stagingEst
+			o.StagingEst += r.est
+			est += r.est
 			c.telStaged[dev] += charged
 			if c.tel.Enabled() {
 				c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Stage,
 					Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: dev, From: -1, Stream: -1,
-					Bytes: charged, Dur: q.stagingEst})
+					Bytes: charged, Dur: r.est})
 			}
 		}
 	}
@@ -961,6 +959,19 @@ func (c *Cluster) newStageRecord() *stageRecord {
 		return r
 	}
 	return new(stageRecord)
+}
+
+// releaseStage returns the job's stage record, if any, to the free
+// list, dropping its references to the job's tasks.
+func (c *Cluster) releaseStage(q *Queued) {
+	r := q.stage
+	if r == nil {
+		return
+	}
+	clear(r.tasks)
+	r.tasks = r.tasks[:0]
+	c.stageFree = append(c.stageFree, r)
+	q.stage = nil
 }
 
 // jobDone records a completion reported by a per-device scheduler and

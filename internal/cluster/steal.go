@@ -149,9 +149,10 @@ func (c *Cluster) stealInto(thief int) bool {
 	// the thief; for a never-migrated job this zeroes the fields route
 	// resets anyway, for a re-stolen remainder it keeps the earlier
 	// devices' real charges).
-	c.telStaged[victim] -= q.stagedBytes
-	o.StagedBytes -= q.stagedBytes
-	o.StagingEst -= q.stagingEst
+	stagedBytes, stagingEst := q.stage.charge()
+	c.telStaged[victim] -= stagedBytes
+	o.StagedBytes -= stagedBytes
+	o.StagingEst -= stagingEst
 	o.HitBytes -= q.hitBytes
 	o.MissBytes -= q.missBytes
 	c.telHit -= q.hitBytes
@@ -192,7 +193,7 @@ func (c *Cluster) preemptRemainder(q *Queued, vo sched.JobOutcome, victim, thief
 	now := c.ctx.Now()
 	o := c.outcomes.At(q.idx)
 	origNext := q.next + pvNext
-	if q.staged {
+	if q.stage != nil {
 		origNext-- // the stage task held slot 0 of the submitted list
 	}
 	reads, demand := remainderNeeds(q.Job, origNext)
@@ -255,7 +256,7 @@ func (c *Cluster) stealRemainderStagingEst(q *Queued, pvNext, thief int) sim.Dur
 		return 0
 	}
 	origNext := q.next + pvNext
-	if q.staged {
+	if q.stage != nil {
 		origNext--
 	}
 	reads, demand := remainderNeeds(job, origNext)

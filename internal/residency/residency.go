@@ -180,13 +180,13 @@ type Stats struct {
 // sequence numbers its installs took, and the read set it covered.
 // The zero Receipt rolls back nothing.
 type Receipt struct {
-	dev  int
-	tick uint64
-	// The commit's installs took the sequence numbers in (seqLo,
-	// seqHi].
-	seqLo, seqHi uint64
-	reads        []Region
-	bytes        int64
+	reads []Region
+	tick  uint64
+	// The commit's n installs took the sequence numbers after seq.
+	seq   uint64
+	bytes int64
+	n     uint32
+	dev   int32
 }
 
 // InstalledBytes is the volume the commit newly installed (its miss
@@ -305,7 +305,7 @@ func (t *Tracker) Commit(dev int, reads []Region) (hit, miss int64, rcpt Receipt
 	dc := t.cache(dev)
 	t.stats.Commits++
 	t.clock++
-	rcpt = Receipt{dev: dev, tick: t.clock, seqLo: t.seq, reads: reads}
+	rcpt = Receipt{reads: reads, tick: t.clock, seq: t.seq, dev: int32(dev)}
 	fresh := t.newChain()
 	for _, r := range reads {
 		id := t.intern(r.Dataset)
@@ -318,7 +318,7 @@ func (t *Tracker) Commit(dev int, reads []Region) (hit, miss int64, rcpt Receipt
 		}
 	}
 	t.appendChain(dc, fresh)
-	rcpt.seqHi = t.seq
+	rcpt.n = uint32(t.seq - rcpt.seq)
 	rcpt.bytes = miss
 	t.stats.HitBytes += hit
 	t.stats.MissBytes += miss
@@ -470,10 +470,10 @@ func (t *Tracker) Rollback(rcpt Receipt) {
 // carries the commit's tick and a sequence number from the commit's
 // range. Returns the removed volume.
 func (t *Tracker) RollbackRegions(rcpt Receipt, regions []Region) int64 {
-	if rcpt.seqHi == rcpt.seqLo {
+	if rcpt.n == 0 {
 		return 0
 	}
-	dc := t.cache(rcpt.dev)
+	dc := t.cache(int(rcpt.dev))
 	var removed int64
 	for _, r := range regions {
 		id, ok := t.ids[r.Dataset]
@@ -486,7 +486,7 @@ func (t *Tracker) RollbackRegions(rcpt Receipt, regions []Region) int64 {
 				continue
 			}
 			n := &t.nodes[i]
-			if n.used != rcpt.tick || n.seq <= rcpt.seqLo || n.seq > rcpt.seqHi {
+			if n.used != rcpt.tick || n.seq <= rcpt.seq || n.seq > rcpt.seq+uint64(rcpt.n) {
 				continue
 			}
 			removed += t.remove(dc, i)

@@ -132,9 +132,8 @@ func (e *Engine) Reset() {
 	e.now, e.heap, e.seq, e.nsteps = 0, e.heap[:0], 0, 0
 	e.slots, e.free = e.slots[:0], e.free[:0]
 	e.freeFeeds, e.fed = e.freeFeeds[:0], 0
-	for i, f := range e.feeds {
-		f.release()
-		e.freeFeeds = append(e.freeFeeds, int32(i))
+	for _, f := range e.feeds {
+		e.recycle(f)
 	}
 }
 
@@ -194,8 +193,8 @@ type Arrivals interface {
 	Arrive(i int)
 }
 
-// Feed is a batch of arrivals that costs the engine one pending event
-// however many it holds (DESIGN.md §1). Each Add reserves the order
+// Feed is a batch of arrivals that takes one entry of the engine's
+// heap however many it holds (DESIGN.md §1). Each Add reserves the order
 // number that an At call in its place would take, and the feed keeps
 // its arrivals sorted by (time, order number) outside the heap: only
 // the next due one waits in the heap, and firing it pushes the one
@@ -290,15 +289,11 @@ func (f *Feed) fire() {
 	dst.Arrive(i)
 }
 
-// recycle returns a drained feed to the engine's free list.
+// recycle empties a feed, keeping its storage, and returns it to the
+// engine's free list.
 func (e *Engine) recycle(f *Feed) {
-	f.release()
-	e.freeFeeds = append(e.freeFeeds, f.id)
-}
-
-// release empties the feed, keeping its storage.
-func (f *Feed) release() {
 	f.dst, f.items, f.next = nil, f.items[:0], 0
+	e.freeFeeds = append(e.freeFeeds, f.id)
 }
 
 // After schedules fn to run d after the current virtual time.
