@@ -309,7 +309,7 @@ type Cluster struct {
 	queue       arena.Queue[*Queued]
 	admitted    arena.Slab[Queued] // a job's admission record
 	outcomes    arena.Slab[Outcome]
-	stageFree   []*stageRecord // records of ended jobs, for route
+	stageFree   []*stageRecord // records no commitment uses, for route
 	runFlops    float64
 	done        int
 	steals      int
