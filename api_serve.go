@@ -81,8 +81,9 @@ func WithServeQueueCap(n int) ServeOption { return serve.WithQueueCap(n) }
 func WithServeBatchCap(n int) ServeOption { return serve.WithBatchCap(n) }
 
 // WithServeExporter attaches the OpenMetrics exporter to the server's
-// /metrics endpoint, fed live from every drain-instant snapshot.
-// Requires a cluster built WithClusterTelemetry.
+// /metrics endpoint, fed live at the end of every epoch with the
+// snapshot of the epoch's last drain instant. Requires a cluster built
+// WithClusterTelemetry.
 func WithServeExporter(x *OpenMetricsExporter) ServeOption { return serve.WithExporter(x) }
 
 // WithServeFlight attaches the flight recorder to the server's

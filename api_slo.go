@@ -32,6 +32,8 @@ type (
 	// SLOEvaluator (nil members absent) to one Telemetry recorder
 	// with Attach: one fan-out, budget exhaustion dumping the flight
 	// ring, the mic_slo_* families joining the exposition, one lock.
+	// Serve attaches it with AttachServed: one snapshot and one lock
+	// per epoch.
 	Observers = slo.Observers
 	// SLOState is one objective's verdict: samples, breaches,
 	// remaining budget, burn rates, alert and exhaustion instants.

@@ -41,7 +41,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"micstream/internal/arena"
 	"micstream/internal/core"
@@ -331,28 +330,41 @@ type Cluster struct {
 	// kernBusy0 snapshot each device's cumulative sim.Server occupancy
 	// at session open (the servers accumulate across runs, the Result and
 	// metrics report per-run deltas). telStaged accumulates the staging
-	// volume charged per device this run; tenantLat/tenantSeen feed the
+	// volume charged per device this run; tenantSeen/tenantLat feed the
 	// drain-instant per-tenant metrics when telemetry is enabled:
-	// tenantLat summarizes each tenant's completed latencies (virtual
-	// nanoseconds), tenantSeen lists its keys in sorted order.
+	// tenantSeen lists the tenants seen completing, in sorted order, and
+	// tenantLat[i] summarizes tenant i's completed latencies (virtual
+	// nanoseconds).
 	runStart   sim.Time
 	linkBusy0  []sim.Duration
 	kernBusy0  []sim.Duration
 	telStaged  []int64
-	tenantLat  map[string]*stats.Running
 	tenantSeen []string
+	tenantLat  []stats.Running
 	// telHit/telMiss accumulate the residency hit/miss byte split this
 	// run for the metrics snapshots, un-charged on steal withdraw like
 	// telStaged.
 	telHit  int64
 	telMiss int64
-	// tput is snapshotMetrics' scratch for the Jain index input, which
-	// stats.JainIndex does not retain; snapDevs and snapTens back every
-	// snapshot's Devices and Tenants, which the recorder lends to its
-	// observers for the call only (telemetry.Recorder.SetOnMetrics).
+	// snap is the latest drain instant's snapshot, built in two halves:
+	// captureMetrics takes the instant's scalars and devices, which later
+	// events change, and finishMetrics adds the tenants, which change
+	// only at drain instants. drained marks a snapshot whose second half
+	// waits for the epoch's end: a Deferred recorder gets one snapshot
+	// per epoch (DESIGN.md §12). tput is finishMetrics' scratch for the
+	// Jain index input, which stats.JainIndex does not retain; snapDevs
+	// and snapTens back every snapshot's Devices and Tenants, which the
+	// recorder lends to its observers for the call only
+	// (telemetry.Recorder.SetOnMetrics).
+	snap     telemetry.MetricsSnapshot
+	drained  bool
 	tput     []float64
 	snapDevs []telemetry.DeviceMetrics
 	snapTens []telemetry.TenantMetrics
+	// scoreChunk is what is left of the block Place events cut their
+	// scores from, one disjoint, capped sub-slice per event: a block
+	// serves many decisions with one allocation.
+	scoreChunk []telemetry.Score
 
 	// eligible and eligDev are the placement snapshot's scratch,
 	// refreshed by eligibleViews at every placement decision.
@@ -803,7 +815,7 @@ func (c *Cluster) dispatch() {
 				// The scores the decision just computed; the event keeps
 				// its own copy.
 				scores := sc.Scores()
-				e.Scores = make([]telemetry.Score, len(scores))
+				e.Scores = c.cutScores(len(scores))
 				for i, s := range scores {
 					e.Scores[i] = telemetry.Score{Device: c.eligDev[i], Predicted: s}
 				}
@@ -815,6 +827,20 @@ func (c *Cluster) dispatch() {
 	if c.afterChange != nil && c.runErr == nil {
 		c.afterChange()
 	}
+}
+
+// scoreChunkLen is how many scores one block for Place events holds.
+const scoreChunkLen = 256
+
+// cutScores returns a fresh slice of n scores, capped at n so an
+// append by a consumer never reaches the next event's scores.
+func (c *Cluster) cutScores(n int) []telemetry.Score {
+	if c.scoreChunk == nil || len(c.scoreChunk) < n {
+		c.scoreChunk = make([]telemetry.Score, max(scoreChunkLen, n))
+	}
+	out := c.scoreChunk[:n:n]
+	c.scoreChunk = c.scoreChunk[n:]
+	return out
 }
 
 // route commits one job to a device: charges the staging transfer when
@@ -1031,14 +1057,12 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 	if c.tel.Enabled() {
 		c.tel.Emit(telemetry.Event{At: now, Kind: telemetry.Drain,
 			Job: idx, ID: out.ID, Tenant: out.Tenant, Device: dev, From: -1, Stream: o.Stream})
-		acc := c.tenantLat[out.Tenant]
-		if acc == nil {
-			acc = new(stats.Running)
-			c.tenantLat[out.Tenant] = acc
-			i := sort.SearchStrings(c.tenantSeen, out.Tenant)
+		i, seen := slices.BinarySearch(c.tenantSeen, out.Tenant)
+		if !seen {
 			c.tenantSeen = slices.Insert(c.tenantSeen, i, out.Tenant)
+			c.tenantLat = slices.Insert(c.tenantLat, i, stats.Running{})
 		}
-		acc.Add(float64(out.Latency()))
+		c.tenantLat[i].Add(float64(out.Latency()))
 	}
 	if c.resident != nil {
 		// The drain instant is where write effects land and where
@@ -1072,7 +1096,22 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 	c.dispatch()
 	c.trySteals()
 	if c.tel.Enabled() {
-		c.tel.AddMetrics(c.snapshotMetrics(now))
+		c.captureMetrics(now)
+		if c.tel.Deferred() {
+			c.drained = true
+			c.tel.Instant(now)
+		} else {
+			c.tel.AddMetrics(c.finishMetrics())
+		}
+	}
+}
+
+// flushMetrics hands a Deferred recorder the snapshot of the epoch's
+// last drain instant, if the epoch had one.
+func (c *Cluster) flushMetrics() {
+	if c.drained {
+		c.drained = false
+		c.tel.AddMetrics(c.finishMetrics())
 	}
 }
 
@@ -1086,14 +1125,14 @@ func (c *Cluster) kernelBusy(d int) sim.Duration {
 	return b
 }
 
-// snapshotMetrics captures the cluster's state at a drain instant,
-// after the instant's placement and steal passes ran. Pure
-// observation: every input is a read-only accessor, so metering never
-// perturbs a decision.
-func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
+// captureMetrics takes the first half of the snapshot at a drain
+// instant, after the instant's placement and steal passes ran: the
+// scalars and the devices. Pure observation: every input is a
+// read-only accessor, so metering never perturbs a decision.
+func (c *Cluster) captureMetrics(at sim.Time) {
 	elapsed := at.Sub(c.runStart)
 	secs := elapsed.Seconds()
-	snap := telemetry.MetricsSnapshot{
+	c.snap = telemetry.MetricsSnapshot{
 		At:           at,
 		Elapsed:      elapsed,
 		Done:         c.done,
@@ -1106,6 +1145,7 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 	// Devices and Tenants reuse the cluster's scratch: the recorder's
 	// log and every observer that keeps a snapshot copy them.
 	c.snapDevs = slices.Grow(c.snapDevs[:0], len(c.scheds))[:len(c.scheds)]
+	snap := &c.snap
 	snap.Devices = c.snapDevs
 	for d, s := range c.scheds {
 		dm := telemetry.DeviceMetrics{
@@ -1125,13 +1165,20 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		}
 		snap.Devices[d] = dm
 	}
+}
+
+// finishMetrics completes the snapshot captureMetrics began with the
+// tenants and their fairness index, and returns it.
+func (c *Cluster) finishMetrics() telemetry.MetricsSnapshot {
+	snap := &c.snap
+	secs := snap.Elapsed.Seconds()
 	if len(c.tenantSeen) > 0 {
 		c.snapTens = slices.Grow(c.snapTens[:0], len(c.tenantSeen))[:len(c.tenantSeen)]
 		snap.Tenants = c.snapTens
 	}
 	c.tput = c.tput[:0]
 	for i, name := range c.tenantSeen {
-		acc := c.tenantLat[name]
+		acc := &c.tenantLat[i]
 		tm := telemetry.TenantMetrics{Tenant: name, Done: acc.N(),
 			MeanLatency: sim.Duration(acc.Mean()), P95: sim.Duration(acc.P95())}
 		if secs > 0 {
@@ -1141,7 +1188,7 @@ func (c *Cluster) snapshotMetrics(at sim.Time) telemetry.MetricsSnapshot {
 		c.tput = append(c.tput, float64(tm.Done))
 	}
 	snap.Fairness = stats.JainIndex(c.tput)
-	return snap
+	return *snap
 }
 
 // remainderNeeds maps a migrated remainder — tasks [next:] of the

@@ -94,24 +94,6 @@ func (o Outcome) Latency() sim.Duration { return o.Done.Sub(o.Arrival) }
 // including any staging transfer.
 func (o Outcome) Service() sim.Duration { return o.Done.Sub(o.Start) }
 
-// schedOutcome converts to the sched accounting form so the tenant
-// aggregation is shared with the single-device scheduler.
-func (o Outcome) schedOutcome() sched.JobOutcome {
-	return sched.JobOutcome{
-		Index:    o.Index,
-		ID:       o.ID,
-		Tenant:   o.Tenant,
-		Stream:   o.Stream,
-		Arrival:  o.Arrival,
-		Start:    o.Start,
-		Done:     o.Done,
-		Est:      o.Est,
-		Deadline: o.Deadline,
-		Missed:   o.Missed,
-		Failed:   o.Failed,
-	}
-}
-
 // DeviceStats aggregates the jobs of one device.
 type DeviceStats struct {
 	// Device is the device index.
@@ -210,9 +192,9 @@ func (c *Cluster) summarize() *Result {
 	for d := range devs {
 		devs[d].Device = d
 	}
-	schedOutcomes := make([]sched.JobOutcome, len(outcomes))
-	for i, o := range outcomes {
-		schedOutcomes[i] = o.schedOutcome()
+	var tally sched.TenantTally
+	for i := range outcomes {
+		o := &outcomes[i]
 		if o.Failed {
 			r.Failed++
 			continue
@@ -233,6 +215,7 @@ func (c *Cluster) summarize() *Result {
 		}
 		r.HitBytes += o.HitBytes
 		r.MissBytes += o.MissBytes
+		tally.Add(o.Tenant, o.Latency(), o.Service(), o.Missed)
 	}
 	if c.resident != nil {
 		r.EvictedBytes = c.resident.Stats().EvictedBytes - c.resStart.EvictedBytes
@@ -240,7 +223,7 @@ func (c *Cluster) summarize() *Result {
 	r.Steals = c.steals
 	r.Preempts = c.preempts
 	r.Makespan = end.Sub(c.runStart)
-	r.Tenants = sched.AggregateTenants(schedOutcomes, r.Makespan)
+	r.Tenants = tally.Stats(r.Makespan)
 	parts := c.ctx.Config().Partitions
 	for d := range devs {
 		devs[d].KernelBusy = c.kernelBusy(d) - c.kernBusy0[d]

@@ -5,7 +5,6 @@ import (
 
 	"micstream/internal/arena"
 	"micstream/internal/sim"
-	"micstream/internal/stats"
 )
 
 // Session is the cluster's embedded service mode: a persistent run
@@ -104,10 +103,9 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		c.linkBusy0[d] = c.ctx.Link(d).TotalBusy()
 		c.kernBusy0[d] = c.kernelBusy(d)
 	}
-	if c.tel.Enabled() {
-		c.tenantLat = make(map[string]*stats.Running)
-		c.tenantSeen = nil
-	}
+	c.tenantSeen = c.tenantSeen[:0]
+	c.tenantLat = c.tenantLat[:0]
+	c.drained = false
 	c.runStart = c.ctx.Engine().Now()
 	s := &Session{c: c}
 	s.admitEvent = s.admitArrived
@@ -235,6 +233,7 @@ func (s *Session) RunEpoch() (completed int, err error) {
 	s.running = true
 	s.c.ctx.Engine().Run()
 	s.running = false
+	s.c.flushMetrics()
 	s.epochs++
 	if s.c.runErr == nil {
 		for _, sc := range s.c.scheds {

@@ -58,6 +58,10 @@ func NewFlightRecorder(cap int) *FlightRecorder {
 // reporting any tenant's p95 above max dumps the ring (0 disarms).
 func (f *FlightRecorder) SetP95Threshold(max sim.Duration) { f.p95Max = max }
 
+// P95Threshold reports the armed latency trigger, 0 when disarmed.
+// Only an armed trigger reads drain-instant snapshots.
+func (f *FlightRecorder) P95Threshold() sim.Duration { return f.p95Max }
+
 // OnEvent records one event into the ring, dumping first if the event
 // is a failure (so the dump ends just before the Fail, and the Fail
 // itself seeds the next window).
@@ -70,7 +74,9 @@ func (f *FlightRecorder) OnEvent(e telemetry.Event) {
 		return
 	}
 	f.ring[f.next] = e
-	f.next = (f.next + 1) % f.cap
+	if f.next++; f.next == f.cap {
+		f.next = 0
+	}
 	f.full = true
 }
 

@@ -36,8 +36,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"micstream/internal/arena"
 	"micstream/internal/core"
@@ -94,6 +95,10 @@ type Pending struct {
 	// partially-dispatched job re-queued between slices (WithSlicing).
 	Next int
 
+	// rem is the unclamped price of tasks [Next:] (Scheduler.price)
+	// once the job has reached a slice boundary: each boundary subtracts
+	// the slice it ends instead of re-pricing the remainder.
+	rem sim.Duration
 	// out is the job's live outcome from admission until the job ends;
 	// out.Index is its key.
 	out JobOutcome
@@ -265,8 +270,9 @@ type Scheduler struct {
 // the next one resets the phase, so its events are all recycled.
 type grant struct {
 	p       *Pending
-	end     int      // index after the slice's last task
-	granted sim.Time // dispatch instant
+	end     int          // index after the slice's last task
+	price   sim.Duration // unclamped price of a partial slice's tasks
+	granted sim.Time     // dispatch instant
 	done    func()
 	phase   core.Phase
 }
@@ -767,9 +773,10 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	// A partial slice is accounted at its own estimate; the final (or
 	// only) slice carries whatever remains of the job's estimate, so
 	// the whole-job path is bit-identical to the pre-slicing scheduler.
-	est := p.Est
+	est, price := p.Est, sim.Duration(0)
 	if end < len(all) {
-		est = s.Estimate(chunk)
+		price = s.price(chunk)
+		est = max(price, 1)
 	}
 	first := p.Next == 0
 	s.busy[stream] = true
@@ -808,7 +815,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	}
 	// Every action of the slice sits on one FIFO stream, so the last
 	// task's final event is the last to resolve.
-	g.p, g.end, g.granted = p, end, s.ctx.Now()
+	g.p, g.end, g.price, g.granted = p, end, price, s.ctx.Now()
 	g.phase.Events().Done(chunk[len(chunk)-1].ID).OnDone(g.done)
 }
 
@@ -867,14 +874,22 @@ func (s *Scheduler) grantDone(stream int) {
 		// Slice boundary: free the stream, re-estimate the remainder
 		// (remaining tasks only — completed slices must not inflate
 		// PendingBacklog) and re-queue it in admission order, then let
-		// the policy re-plan. The job's outcome completes only at its
-		// final slice. The Requeue event closes the grant opened by
-		// Dispatch/Slice, carrying the slice's realized span, so the
-		// timeline folder can reconstruct per-slice execution exactly.
+		// the policy re-plan. The first boundary prices the remainder;
+		// later ones subtract the slice just run from it, exactly, since
+		// every price term is an integer duration. The job's outcome
+		// completes only at its final slice. The Requeue event closes the
+		// grant opened by Dispatch/Slice, carrying the slice's realized
+		// span, so the timeline folder can reconstruct per-slice
+		// execution exactly.
 		s.busy[stream] = false
 		s.streamTenant[stream] = ""
+		if p.Next == 0 {
+			p.rem = s.price(all[g.end:])
+		} else {
+			p.rem -= g.price
+		}
 		p.Next = g.end
-		p.Est = s.Estimate(all[g.end:])
+		p.Est = max(p.rem, 1)
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: p.out.Index, ID: p.Job.ID,
 				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
@@ -951,6 +966,11 @@ func (s *Scheduler) idleStreams() []int {
 // — it is a ranking signal for cost-aware policies and the cluster's
 // placement scores, not a prediction.
 func (s *Scheduler) Estimate(tasks []*core.Task) sim.Duration {
+	return max(s.price(tasks), 1)
+}
+
+// price sums Estimate's per-task terms without clamping the total.
+func (s *Scheduler) price(tasks []*core.Task) sim.Duration {
 	st := s.ctx.Stream(s.streams[0])
 	part := st.Partition()
 	// The link's own copy of its configuration, not Context.Config's
@@ -970,9 +990,6 @@ func (s *Scheduler) Estimate(tasks []*core.Task) sim.Duration {
 				total += sim.Duration(link.LatencyNs) + sim.DurationOf(bytes/link.BandwidthBps)
 			}
 		}
-	}
-	if total <= 0 {
-		total = 1
 	}
 	return total
 }
@@ -1020,12 +1037,15 @@ func (o JobOutcome) Latency() sim.Duration { return o.Done.Sub(o.Arrival) }
 func (o JobOutcome) Service() sim.Duration { return o.Done.Sub(o.Start) }
 
 // Slowdown is latency over service: 1 means the job never queued.
-func (o JobOutcome) Slowdown() float64 {
-	sv := o.Service().Seconds()
+func (o JobOutcome) Slowdown() float64 { return slowdown(o.Latency(), o.Service()) }
+
+// slowdown is latency over service, 1 for a job with no service time.
+func slowdown(latency, service sim.Duration) float64 {
+	sv := service.Seconds()
 	if sv <= 0 {
 		return 1
 	}
-	return o.Latency().Seconds() / sv
+	return latency.Seconds() / sv
 }
 
 // TenantStats aggregates the jobs of one tenant.
@@ -1086,49 +1106,79 @@ func (r *Result) Tenant(name string) *TenantStats {
 // AggregateTenants computes per-tenant aggregates over completed
 // outcomes, sorted by tenant label; makespan is the run span the
 // throughput denominators use. Failed outcomes are excluded — they
-// have no lifecycle to aggregate. The cluster layer reuses it to
-// account jobs that ran on several per-device schedulers.
+// have no lifecycle to aggregate.
 func AggregateTenants(outcomes []JobOutcome, makespan sim.Duration) []TenantStats {
-	perTenant := map[string][]JobOutcome{}
-	for _, o := range outcomes {
-		if o.Failed {
-			continue
+	var t TenantTally
+	for i := range outcomes {
+		if o := &outcomes[i]; !o.Failed {
+			t.Add(o.Tenant, o.Latency(), o.Service(), o.Missed)
 		}
-		perTenant[o.Tenant] = append(perTenant[o.Tenant], o)
 	}
-	names := make([]string, 0, len(perTenant))
-	for name := range perTenant {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	return t.Stats(makespan)
+}
 
-	span := makespan.Seconds()
-	out := make([]TenantStats, 0, len(names))
-	for _, name := range names {
-		jobs := perTenant[name]
-		lats := make([]float64, len(jobs))
-		slow := 0.0
-		misses := 0
-		for i, o := range jobs {
-			lats[i] = float64(o.Latency())
-			slow += o.Slowdown()
-			if o.Missed {
-				misses++
-			}
+// TenantTally folds completed jobs into per-tenant aggregates in the
+// order they are added, keeping each tenant's latencies, slowdown sum
+// and deadline misses rather than the outcomes. The cluster layer uses
+// it to account jobs that ran on several per-device schedulers. The
+// zero value is empty.
+type TenantTally struct {
+	index   map[string]int
+	tenants []tenantTally
+}
+
+type tenantTally struct {
+	name   string
+	lats   []float64
+	slow   float64
+	misses int
+}
+
+// Add folds one completed job of the tenant.
+func (t *TenantTally) Add(tenant string, latency, service sim.Duration, missed bool) {
+	i, ok := t.index[tenant]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[string]int)
 		}
-		p50, p95, p99 := stats.Percentiles(lats)
+		i = len(t.tenants)
+		t.index[tenant] = i
+		t.tenants = append(t.tenants, tenantTally{name: tenant})
+	}
+	a := &t.tenants[i]
+	a.lats = append(a.lats, float64(latency))
+	a.slow += slowdown(latency, service)
+	if missed {
+		a.misses++
+	}
+}
+
+// Stats returns the aggregates, sorted by tenant label; makespan is
+// the run span the throughput denominators use. Each mean sums in the
+// order the jobs were added; the percentiles then sort the tenant's
+// latencies in place, so a tally gives its Stats once.
+func (t *TenantTally) Stats(makespan sim.Duration) []TenantStats {
+	slices.SortFunc(t.tenants, func(a, b tenantTally) int { return cmp.Compare(a.name, b.name) })
+	span := makespan.Seconds()
+	out := make([]TenantStats, 0, len(t.tenants))
+	for i := range t.tenants {
+		a := &t.tenants[i]
+		n := len(a.lats)
+		mean := stats.Mean(a.lats)
+		slices.Sort(a.lats)
+		p50, p95, p99 := stats.SortedPercentiles(a.lats)
 		ts := TenantStats{
-			Tenant:       name,
-			Jobs:         len(jobs),
-			MeanLatency:  sim.Duration(stats.Mean(lats)),
+			Tenant:       a.name,
+			Jobs:         n,
+			MeanLatency:  sim.Duration(mean),
 			P50:          sim.Duration(p50),
 			P95:          sim.Duration(p95),
 			P99:          sim.Duration(p99),
-			Misses:       misses,
-			MeanSlowdown: slow / float64(len(jobs)),
+			Misses:       a.misses,
+			MeanSlowdown: a.slow / float64(n),
 		}
 		if span > 0 {
-			ts.Throughput = float64(len(jobs)) / span
+			ts.Throughput = float64(n) / span
 		}
 		out = append(out, ts)
 	}

@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"micstream/internal/core"
 	"micstream/internal/device"
+	"micstream/internal/hstreams"
 	"micstream/internal/sim"
 )
 
@@ -298,5 +300,66 @@ func TestSlicedRemainderEndsAfterDispatchError(t *testing.T) {
 	}
 	if s.QueueDepth() != 0 || s.InFlight() != 0 {
 		t.Errorf("%d jobs left queued and %d in flight", s.QueueDepth(), s.InFlight())
+	}
+}
+
+// estChecker is FIFO that, at every decision, checks each queued
+// remainder's estimate against a fresh pricing of its remaining tasks.
+type estChecker struct {
+	s       *Scheduler
+	checked int
+	bad     string
+}
+
+func (c *estChecker) Name() string { return "est-checker" }
+
+func (c *estChecker) Pick(pending []*Pending, idle []int, _ *View) (int, int) {
+	for _, p := range pending {
+		if p.Next == 0 {
+			continue
+		}
+		c.checked++
+		if want := c.s.Estimate(p.Job.Tasks[p.Next:]); p.Est != want && c.bad == "" {
+			c.bad = fmt.Sprintf("job %d at task %d: Est %v, Estimate of the remainder %v", p.Job.ID, p.Next, p.Est, want)
+		}
+	}
+	return 0, idle[0]
+}
+
+// A slice boundary subtracts the slice just run from the remainder's
+// price instead of re-pricing the remainder: under WithSlicing(1) the
+// remainder's Est after every slice equals Estimate(tasks[next:]),
+// transfers included.
+func TestSliceBoundaryEstimateMatchesRepricing(t *testing.T) {
+	ctx := newCtx(t, 1)
+	buf := hstreams.AllocVirtual(ctx, "est", 1<<20, 1)
+	var jobs []Job
+	for j := 0; j < 3; j++ {
+		job := multiTaskJob(j, "t", 0, 9, 1e8*float64(j+1), true)
+		for k, task := range job.Tasks {
+			task.Cost.Flops *= float64(1 + k%3)
+			if k%2 == 0 {
+				task.H2D = []core.TransferSpec{core.Xfer(buf, 0, 4096*(k+1))}
+			}
+			if k%3 == 0 {
+				task.D2H = []core.TransferSpec{core.Xfer(buf, 0, 1024*(j+1))}
+			}
+		}
+		jobs = append(jobs, job)
+	}
+	c := &estChecker{}
+	s, err := New(ctx, WithSlicing(1), WithPolicy(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.s = s
+	if _, err := s.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if c.bad != "" {
+		t.Fatal(c.bad)
+	}
+	if want := 3 * 8; c.checked < want {
+		t.Fatalf("checked %d queued remainders, want at least the %d slice boundaries", c.checked, want)
 	}
 }

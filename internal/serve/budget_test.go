@@ -7,28 +7,61 @@ import (
 
 	"micstream/internal/cluster"
 	"micstream/internal/hstreams"
+	"micstream/internal/obs"
+	"micstream/internal/sim"
+	"micstream/internal/slo"
+	"micstream/internal/telemetry"
 )
 
 // TestAllocBudgetServe pins the serve rung's per-job allocation budget
 // (DESIGN.md §15): a job submitted through Server.Submit, admitted and
 // run, and read back through a subscription costs at most four heap
 // objects, amortized, on the service path's untraced 2×4×2 cluster
-// under predicted placement. Two submitters keep the frontier busy, so
-// epochs admit one job or several depending on how the goroutines
-// interleave; the budget holds either way. testing.AllocsPerRun
-// measures at one P, so the same steps are measured again at the
-// ambient GOMAXPROCS, which CI sets to 1 and to 2.
+// under predicted placement.
 func TestAllocBudgetServe(t *testing.T) {
-	const budget, warm, runs = 4, 512, 2000
+	servedAllocBudget(t, 4, nil)
+}
+
+// TestAllocBudgetServeObserved pins the observed serve path's budget:
+// with the exporter, a flight recorder and an SLO evaluator attached,
+// the same served job costs at most half a heap object, amortized.
+// Place events cut their scores from shared blocks, the evaluator
+// tracks jobs in a reused ring, and the stack keeps one snapshot per
+// epoch in storage it reuses (DESIGN.md §12, §15).
+func TestAllocBudgetServeObserved(t *testing.T) {
+	spec := slo.Spec{Objectives: []slo.Objective{
+		{Tenant: "A", Name: "a-lat", Kind: slo.KindLatency, Target: 0.9, Threshold: 10 * sim.Millisecond},
+		{Tenant: "B", Name: "b-deadline", Kind: slo.KindDeadline, Target: 0.9, Threshold: 10 * sim.Millisecond},
+	}}
+	ev, err := slo.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedAllocBudget(t, 0.5, telemetry.NewRecorder(),
+		WithExporter(obs.NewExporter()), WithFlight(obs.NewFlightRecorder(256)), WithSLO(ev))
+}
+
+// servedAllocBudget measures the heap objects per served job and fails
+// above budget. Two submitters keep the frontier busy, so epochs admit
+// one job or several depending on how the goroutines interleave; the
+// budget holds either way. testing.AllocsPerRun measures at one P, so
+// the same steps are measured again at the ambient GOMAXPROCS, which CI
+// sets to 1 and to 2.
+func servedAllocBudget(t *testing.T, budget float64, rec *telemetry.Recorder, opts ...Option) {
+	const warm, runs = 512, 2000
 	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 4, StreamsPerPartition: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.New(ctx, cluster.WithPlacement(cluster.Predicted()))
+	copts := []cluster.Option{cluster.WithPlacement(cluster.Predicted())}
+	if rec != nil {
+		copts = append(copts, cluster.WithTelemetry(rec))
+	}
+	c, err := cluster.New(ctx, copts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(c)
+	s, err := New(c, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +115,7 @@ func TestAllocBudgetServe(t *testing.T) {
 	}
 	t.Logf("%.2f objects per job at one P, %.3f at GOMAXPROCS %d", got, ambient, runtime.GOMAXPROCS(0))
 	if got > budget || ambient > budget {
-		t.Fatalf("a served job allocates %.2f objects at one P and %.3f at GOMAXPROCS %d, budget %d",
+		t.Fatalf("a served job allocates %.2f objects at one P and %.3f at GOMAXPROCS %d, budget %g",
 			got, ambient, runtime.GOMAXPROCS(0), budget)
 	}
 	if st := s.Stats(); st.Completed != next {

@@ -82,9 +82,9 @@ func WithBatchCap(n int) Option {
 	return func(s *Server) { s.batchCap = n }
 }
 
-// WithExporter attaches the OpenMetrics exporter so every
-// drain-instant snapshot is exposed live on the server's /metrics
-// endpoint. Requires a cluster built WithTelemetry.
+// WithExporter attaches the OpenMetrics exporter so the server's
+// /metrics endpoint exposes the latest epoch's last drain-instant
+// snapshot live. Requires a cluster built WithTelemetry.
 func WithExporter(x *obs.Exporter) Option {
 	return func(s *Server) { s.stack.Exporter = x }
 }
@@ -98,8 +98,8 @@ func WithFlight(f *obs.FlightRecorder) Option {
 	return func(s *Server) { s.stack.Flight = f }
 }
 
-// WithSLO attaches an SLO evaluator: every event and drain-instant
-// snapshot feeds it live, its verdict is exposed on /slo, its
+// WithSLO attaches an SLO evaluator: every event and drain instant
+// feeds it live, its verdict is exposed on /slo, its
 // mic_slo_* families join the /metrics exposition (when WithExporter),
 // its alert and budget state feeds /health, and — when WithFlight —
 // a budget exhaustion triggers a flight-recorder dump. Requires a
@@ -129,8 +129,10 @@ type Server struct {
 
 	// stack wires the exporter, flight recorder and SLO evaluator to
 	// the cluster's recorder and serializes the run loop's writes
-	// against HTTP reads (/flight, /slo, /health, the /metrics aux).
-	stack slo.Observers
+	// against HTTP reads (/flight, /slo, /health, the /metrics aux):
+	// with observed set, the run loop holds its lock for each epoch.
+	stack    slo.Observers
+	observed bool
 
 	// mu guards the admission queue. Ticket t is the t-th job queued;
 	// the loop admits from the head, so tickets below admitted hold
@@ -172,6 +174,8 @@ type Server struct {
 // telemetry recorder only streams to them from here on: its Events
 // and Metrics keep what was recorded before New and no longer grow,
 // and neither does the platform's span log (hstreams Config.Trace).
+// Unless a flight p95 trigger is armed, the exporter and /health then
+// update once per epoch (slo.Observers.AttachServed).
 func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 	if c == nil {
 		return nil, fmt.Errorf("serve: nil cluster")
@@ -196,13 +200,13 @@ func New(c *cluster.Cluster, opts ...Option) (*Server, error) {
 		if !c.Telemetry().Enabled() {
 			return nil, fmt.Errorf("serve: metrics/flight/slo require a cluster built WithTelemetry")
 		}
-		st.Attach(c.Telemetry())
-		// The stack consumes every event and snapshot as it arrives and
-		// nothing reads a served cluster's log or its resource spans, so
-		// keep neither: the flight recorder's ring is the bounded
-		// history.
-		c.Telemetry().StreamOnly()
+		// The stack consumes every event and drain instant as it arrives
+		// and nothing reads a served cluster's log or its resource spans,
+		// so keep neither: the recorder only streams, and the flight
+		// recorder's ring is the bounded history.
+		st.AttachServed(c.Telemetry())
 		c.Context().Recorder().Stop()
+		s.observed = true
 	}
 	sess, err := c.NewSession(s.fanout)
 	if err != nil {
@@ -300,7 +304,16 @@ func (s *Server) runBatch(jobs []cluster.Job) {
 	if err != nil {
 		return
 	}
-	if _, err := s.sess.RunEpoch(); err != nil && s.runErr == nil {
+	// One lock per epoch, not one per event: HTTP reads of the stack
+	// wait for the epoch's end.
+	if s.observed {
+		s.stack.Lock()
+	}
+	_, err = s.sess.RunEpoch()
+	if s.observed {
+		s.stack.Unlock()
+	}
+	if err != nil && s.runErr == nil {
 		s.runErr = err
 	}
 	// The submitters this batch released and the subscribers its

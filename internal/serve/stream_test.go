@@ -276,3 +276,146 @@ func TestServedClusterStopsKeepingSpans(t *testing.T) {
 		}
 	}
 }
+
+// failingPlacement places least-loaded until its n-th decision after
+// the epoch's boundary instant — at a drain instant, with jobs still in
+// flight — which picks a device that does not exist and fails the run.
+type failingPlacement struct {
+	n        int
+	boundary sim.Time
+}
+
+func (p *failingPlacement) Name() string { return "failing" }
+
+func (p *failingPlacement) Place(q *cluster.Queued, eligible []cluster.DeviceView) int {
+	if eligible[0].Now > p.boundary {
+		if p.n--; p.n == 0 {
+			return len(eligible)
+		}
+	}
+	return cluster.LeastLoaded().Place(q, eligible)
+}
+
+// A served stack — a stream-only recorder whose drain instants reach
+// the evaluator bare, one snapshot per epoch, and one lock per epoch —
+// exposes after every epoch exactly what an eager stack over a logging
+// recorder exposes on the same batches: /metrics, /slo, /flight and
+// the Health snapshot. With a flight p95 trigger armed the served stack
+// takes every snapshot instead, and a run that fails mid-epoch keeps
+// the snapshot of its last drain instant, as the eager stack does,
+// though its jobs in flight complete after it.
+func TestServedStackMatchesEagerStackEveryEpoch(t *testing.T) {
+	spec := testSpec(t)
+	spec.Objectives = append(spec.Objectives,
+		slo.Objective{Tenant: "C", Name: "c-tight", Kind: slo.KindLatency, Target: 0.9, Threshold: 1200 * sim.Microsecond,
+			FastWindow: 5 * sim.Millisecond, SlowWindow: 20 * sim.Millisecond, FastBurn: 2, SlowBurn: 1},
+		slo.Objective{Tenant: "B", Name: "b-tp", Kind: slo.KindThroughput, Target: 0.5, Floor: 900,
+			FastWindow: 2 * sim.Millisecond, SlowWindow: 8 * sim.Millisecond})
+	meta := slo.Meta{Run: "epochs", Seed: 2, Policy: "predicted"}
+	cases := []struct {
+		name  string
+		p95   sim.Duration
+		fails bool
+	}{
+		{"deferred", 0, false},
+		{"p95-armed", 4 * sim.Millisecond, false},
+		{"run-fails", 0, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type side struct {
+				stack *slo.Observers
+				sess  *cluster.Session
+				fail  *failingPlacement
+			}
+			open := func(served bool) side {
+				ev, err := slo.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := &slo.Observers{Exporter: obs.NewExporter(), Flight: obs.NewFlightRecorder(32), SLO: ev}
+				st.Flight.SetP95Threshold(tc.p95)
+				rec := telemetry.NewRecorder()
+				place, fail := cluster.Predicted(), (*failingPlacement)(nil)
+				if tc.fails {
+					fail = &failingPlacement{n: 5}
+					place = fail
+				}
+				c := newCluster(t, cluster.WithTelemetry(rec), cluster.WithPlacement(place))
+				if served {
+					st.AttachServed(rec)
+					if rec.Deferred() != (tc.p95 == 0) {
+						t.Fatalf("served recorder deferred %v with p95 trigger %v", rec.Deferred(), tc.p95)
+					}
+				} else {
+					st.Attach(rec)
+				}
+				sess, err := c.NewSession(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return side{st, sess, fail}
+			}
+			served, eager := open(true), open(false)
+			expose := func(s side) (string, string, string) {
+				var m, sl, fl strings.Builder
+				if err := s.stack.Exporter.Render(&m); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.stack.WriteSLO(&sl, meta); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.stack.WriteFlight(&fl); err != nil {
+					t.Fatal(err)
+				}
+				return m.String(), sl.String(), fl.String()
+			}
+			id, failed := 0, false
+			for epoch := 0; epoch < 40 && !failed; epoch++ {
+				// Up to 23 jobs: more than the 8 streams and 8 queue
+				// slots take, so placements also happen at drain instants.
+				batch := make([]cluster.Job, 1+(epoch*7)%23)
+				for i := range batch {
+					batch[i] = ingestJob(id)
+					id++
+				}
+				for _, s := range []side{served, eager} {
+					if _, err := s.sess.Submit(batch); err != nil {
+						t.Fatalf("epoch %d: %v", epoch, err)
+					}
+					if s.fail != nil {
+						s.fail.boundary = s.sess.Now()
+					}
+				}
+				served.stack.Lock()
+				_, errServed := served.sess.RunEpoch()
+				served.stack.Unlock()
+				_, errEager := eager.sess.RunEpoch()
+				if (errServed == nil) != (errEager == nil) {
+					t.Fatalf("epoch %d: served error %v, eager error %v", epoch, errServed, errEager)
+				}
+				failed = errServed != nil
+				sm, ss, sf := expose(served)
+				em, es, ef := expose(eager)
+				for _, d := range []struct{ path, got, want string }{
+					{"/metrics", sm, em}, {"/slo", ss, es}, {"/flight", sf, ef},
+				} {
+					if d.got != d.want {
+						t.Fatalf("epoch %d: %s differs between the served and the eager stack:\n%s\n---\n%s", epoch, d.path, d.got, d.want)
+					}
+				}
+				sx, sa, slast := served.stack.Health()
+				ex, ea, elast := eager.stack.Health()
+				if !reflect.DeepEqual(sx, ex) || !reflect.DeepEqual(sa, ea) || !reflect.DeepEqual(slast, elast) {
+					t.Fatalf("epoch %d: Health differs:\nserved %v %v %+v\neager  %v %v %+v", epoch, sx, sa, slast, ex, ea, elast)
+				}
+			}
+			if failed != tc.fails {
+				t.Fatalf("run failed: %v, want %v", failed, tc.fails)
+			}
+			if len(served.stack.Flight.Dumps()) == 0 || len(served.stack.SLO.Alerts()) == 0 {
+				t.Fatalf("%d flight dumps, %d alerts: the comparison needs both", len(served.stack.Flight.Dumps()), len(served.stack.SLO.Alerts()))
+			}
+		})
+	}
+}

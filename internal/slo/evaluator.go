@@ -80,6 +80,88 @@ type segment struct {
 	bad      bool
 }
 
+// window is one burn window's running view of an objective's deque —
+// judged samples for the per-job kinds, observation segments for
+// throughput: first is the deque index of the oldest entry inside the
+// window, n and bad count the samples from there on, and span and
+// badSpan sum the full lengths of the segments from there on. Every
+// count is an integer, so a burn rate computed from a window is the
+// same float expression over the same numbers as a rescan of the deque.
+type window struct {
+	first         int
+	n, bad        int
+	span, badSpan sim.Duration
+}
+
+// addSample counts one sample appended to the deque.
+func (w *window) addSample(bad bool) {
+	w.n++
+	if bad {
+		w.bad++
+	}
+}
+
+// addSegment counts one segment appended to the deque.
+func (w *window) addSegment(seg segment) {
+	d := seg.to.Sub(seg.from)
+	w.span += d
+	if seg.bad {
+		w.badSpan += d
+	}
+}
+
+// skipSamples moves the window past the samples at or before edge.
+func (w *window) skipSamples(samples []sample, edge sim.Time) {
+	for w.first < len(samples) && samples[w.first].at <= edge {
+		w.n--
+		if samples[w.first].bad {
+			w.bad--
+		}
+		w.first++
+	}
+}
+
+// skipSegments moves the window past the segments ending at or before
+// edge.
+func (w *window) skipSegments(segs []segment, edge sim.Time) {
+	for w.first < len(segs) && segs[w.first].to <= edge {
+		seg := segs[w.first]
+		d := seg.to.Sub(seg.from)
+		w.span -= d
+		if seg.bad {
+			w.badSpan -= d
+		}
+		w.first++
+	}
+}
+
+// sampleBurn is burn's per-job rate over the window's samples.
+func (w *window) sampleBurn(tol float64) float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return (float64(w.bad) / float64(w.n)) / tol
+}
+
+// segmentBurn is burn's throughput rate over the window's segments
+// from edge on: only the oldest segment can straddle the edge, so it
+// alone is clipped.
+func (w *window) segmentBurn(segs []segment, edge sim.Time, tol float64) float64 {
+	covered, bad := w.span, w.badSpan
+	if w.first < len(segs) {
+		if seg := segs[w.first]; seg.from < edge {
+			covered -= edge.Sub(seg.from)
+			if seg.bad {
+				bad -= edge.Sub(seg.from)
+			}
+		}
+	}
+	if covered <= 0 {
+		return 0
+	}
+	return (bad.Seconds() / covered.Seconds()) / tol
+}
+
 // objState is one objective's accumulating evaluation state.
 type objState struct {
 	obj Objective
@@ -96,6 +178,17 @@ type objState struct {
 	badTime, totalTime sim.Duration
 	lastBelow          bool
 
+	// fast and slow are the burn windows over samples or segs, and tput
+	// indexes the first completion inside the throughput rate's window.
+	// They are valid while inc holds: every deque in time order, and no
+	// evaluation instant before evalAt, the last one. Then each
+	// evaluation only moves the windows forward over the entries that
+	// left them; otherwise it rescans (DESIGN.md §16).
+	fast, slow window
+	tput       int
+	inc        bool
+	evalAt     sim.Time
+
 	burnFast, burnSlow float64
 	budget             float64
 
@@ -108,13 +201,22 @@ type objState struct {
 	byPhase    map[string]int
 }
 
+// tenantObjectives lists one judged tenant's objective indexes, in
+// spec declaration order.
+type tenantObjectives struct {
+	tenant string
+	objs   []int
+}
+
 // jobState tracks one in-flight job of a judged tenant: its admission
-// instant, declared deadline, and accumulated event history for
-// breach attribution.
+// instant, declared deadline, objectives, and accumulated event
+// history for breach attribution.
 type jobState struct {
+	job      int // the cluster index the slot holds, while live
+	live     bool
 	admitAt  sim.Time
 	deadline sim.Duration
-	tenant   string
+	objs     []int
 	events   []telemetry.Event
 }
 
@@ -126,15 +228,20 @@ type jobState struct {
 // Like the flight recorder it is not itself thread-safe: Observers
 // serializes the run's writes against live reads.
 type Evaluator struct {
-	spec     Spec
-	objs     []*objState
-	byTenant map[string][]int
+	spec    Spec
+	objs    []*objState
+	tenants []tenantObjectives
 
-	jobs map[int]*jobState
-	// free holds finished jobStates for the next admissions to reuse,
-	// events slice included: judge reads a job's events only before
-	// its state is released.
-	free []*jobState
+	// jobs is a ring of the tracked jobs keyed by cluster index: job j
+	// sits in jobs[j&(len(jobs)-1)]. The jobs in flight at once have
+	// nearby indexes, so the ring stays small; a live job's slot is
+	// never shared, and a collision doubles the ring (a job admitted
+	// and never ended keeps its slot, so the ring grows to span it).
+	// bufs holds the event histories of released jobs for the next
+	// admissions to reuse: judge reads a job's events only before its
+	// slot is released.
+	jobs []jobState
+	bufs [][]telemetry.Event
 
 	onExhausted func(Objective, sim.Time)
 
@@ -142,6 +249,11 @@ type Evaluator struct {
 	start    sim.Time
 	lastEval sim.Time
 	evals    int
+
+	// rescan makes every evaluation rescan its deques, as the windows
+	// would without their running counts: the reference the
+	// differential test holds the windows to.
+	rescan bool
 }
 
 // New builds an evaluator over a normalized copy of the spec.
@@ -151,15 +263,20 @@ func New(spec Spec) (*Evaluator, error) {
 		return nil, err
 	}
 	ev := &Evaluator{
-		spec:     spec,
-		objs:     make([]*objState, len(spec.Objectives)),
-		byTenant: make(map[string][]int),
-		jobs:     make(map[int]*jobState),
+		spec: spec,
+		objs: make([]*objState, len(spec.Objectives)),
 	}
 	for i, o := range spec.Objectives {
 		ev.objs[i] = &objState{obj: o, budget: 1, byPhase: make(map[string]int)}
 		t := o.TenantLabel()
-		ev.byTenant[t] = append(ev.byTenant[t], i)
+		k := 0
+		for k < len(ev.tenants) && ev.tenants[k].tenant != t {
+			k++
+		}
+		if k == len(ev.tenants) {
+			ev.tenants = append(ev.tenants, tenantObjectives{tenant: t})
+		}
+		ev.tenants[k].objs = append(ev.tenants[k].objs, i)
 	}
 	return ev, nil
 }
@@ -173,11 +290,26 @@ func (ev *Evaluator) Spec() Spec { return ev.spec }
 // the breach neighborhood.
 func (ev *Evaluator) SetOnExhausted(fn func(Objective, sim.Time)) { ev.onExhausted = fn }
 
+// objectivesOf returns the tenant's objective indexes, nil for a
+// tenant no objective judges. A spec names few tenants, so a scan
+// beats hashing the label.
+func (ev *Evaluator) objectivesOf(tenant string) []int {
+	for i := range ev.tenants {
+		if ev.tenants[i].tenant == tenant {
+			return ev.tenants[i].objs
+		}
+	}
+	return nil
+}
+
 // OnEvent consumes one telemetry event: admissions of judged tenants
 // open per-job tracking, completions are judged against the tenant's
 // per-job objectives, and everything in between accumulates for
 // breach attribution.
-func (ev *Evaluator) OnEvent(e telemetry.Event) {
+func (ev *Evaluator) OnEvent(e telemetry.Event) { ev.onEvent(&e) }
+
+// onEvent is OnEvent without copying the event again.
+func (ev *Evaluator) onEvent(e *telemetry.Event) {
 	if !ev.started {
 		ev.started = true
 		ev.start = e.At
@@ -185,54 +317,109 @@ func (ev *Evaluator) OnEvent(e telemetry.Event) {
 	}
 	switch e.Kind {
 	case telemetry.Admit:
-		if len(ev.byTenant[e.Tenant]) == 0 {
+		objs := ev.objectivesOf(e.Tenant)
+		if len(objs) == 0 {
 			return
 		}
-		var js *jobState
-		if n := len(ev.free); n > 0 {
-			js, ev.free = ev.free[n-1], ev.free[:n-1]
-		} else {
-			js = new(jobState)
-		}
-		js.admitAt, js.deadline, js.tenant = e.At, e.Deadline, e.Tenant
-		js.events = append(js.events[:0], e)
-		ev.jobs[e.Job] = js
+		js := ev.track(e.Job)
+		js.admitAt, js.deadline, js.objs = e.At, e.Deadline, objs
+		js.events = append(js.events, *e)
 	case telemetry.Complete:
-		js := ev.jobs[e.Job]
+		js := ev.tracked(e.Job)
 		if js == nil {
 			return
 		}
-		js.events = append(js.events, e)
+		js.events = append(js.events, *e)
 		ev.judge(js, e)
-		ev.release(e.Job, js)
+		ev.release(js)
 	case telemetry.Fail:
-		if js := ev.jobs[e.Job]; js != nil {
-			ev.release(e.Job, js)
+		if js := ev.tracked(e.Job); js != nil {
+			ev.release(js)
 		}
 	default:
-		if js := ev.jobs[e.Job]; js != nil && e.Job >= 0 {
-			js.events = append(js.events, e)
+		if js := ev.tracked(e.Job); js != nil && e.Job >= 0 {
+			js.events = append(js.events, *e)
 		}
 	}
 }
 
-// release ends job's tracking and keeps its state for reuse.
-func (ev *Evaluator) release(job int, js *jobState) {
-	delete(ev.jobs, job)
-	ev.free = append(ev.free, js)
+// tracked returns job's live slot, or nil when the job is not tracked.
+func (ev *Evaluator) tracked(job int) *jobState {
+	if len(ev.jobs) == 0 {
+		return nil
+	}
+	js := &ev.jobs[job&(len(ev.jobs)-1)]
+	if !js.live || js.job != job {
+		return nil
+	}
+	return js
+}
+
+// track opens job's slot — a job admitted again restarts in its own
+// slot — with an empty event history.
+func (ev *Evaluator) track(job int) *jobState {
+	for {
+		if n := len(ev.jobs); n > 0 {
+			js := &ev.jobs[job&(n-1)]
+			if !js.live || js.job == job {
+				if !js.live {
+					if k := len(ev.bufs); k > 0 {
+						js.events, ev.bufs = ev.bufs[k-1], ev.bufs[:k-1]
+					}
+				}
+				js.job, js.live = job, true
+				js.events = js.events[:0]
+				return js
+			}
+		}
+		ev.grow()
+	}
+}
+
+// grow doubles the ring until every live job has a slot of its own.
+func (ev *Evaluator) grow() {
+	for n := max(2*len(ev.jobs), 16); ; n *= 2 {
+		ring := make([]jobState, n)
+		moved := true
+		for i := range ev.jobs {
+			js := &ev.jobs[i]
+			if !js.live {
+				continue
+			}
+			if slot := &ring[js.job&(n-1)]; !slot.live {
+				*slot = *js
+				continue
+			}
+			moved = false
+			break
+		}
+		if moved {
+			ev.jobs = ring
+			return
+		}
+	}
+}
+
+// release ends a job's tracking and keeps its event history for reuse.
+func (ev *Evaluator) release(js *jobState) {
+	ev.bufs = append(ev.bufs, js.events[:0])
+	*js = jobState{}
 }
 
 // judge scores one completed job against its tenant's per-job
 // objectives and records completions for throughput rates.
-func (ev *Evaluator) judge(js *jobState, e telemetry.Event) {
+func (ev *Evaluator) judge(js *jobState, e *telemetry.Event) {
 	lat := e.At.Sub(js.admitAt)
 	attributed := ""
-	// stable order: this ranges the slice value looked up in the map,
-	// which lists objective indexes in spec declaration order.
-	for _, i := range ev.byTenant[js.tenant] {
+	// js.objs lists the tenant's objective indexes in spec declaration
+	// order.
+	for _, i := range js.objs {
 		st := ev.objs[i]
 		switch st.obj.Kind {
 		case KindThroughput:
+			if n := len(st.completions); n > 0 && e.At < st.completions[n-1] {
+				st.inc = false
+			}
 			st.completions = append(st.completions, e.At)
 			continue
 		case KindDeadline:
@@ -252,9 +439,14 @@ func (ev *Evaluator) judge(js *jobState, e telemetry.Event) {
 
 // addSample records one judged per-job event and, on a breach, its
 // attributed violation.
-func (ev *Evaluator) addSample(st *objState, e telemetry.Event, lat, budget sim.Duration, attributed *string, js *jobState) {
+func (ev *Evaluator) addSample(st *objState, e *telemetry.Event, lat, budget sim.Duration, attributed *string, js *jobState) {
 	bad := lat > budget
+	if n := len(st.samples); n > 0 && e.At < st.samples[n-1].at {
+		st.inc = false
+	}
 	st.samples = append(st.samples, sample{at: e.At, bad: bad})
+	st.fast.addSample(bad)
+	st.slow.addSample(bad)
 	st.total++
 	if !bad {
 		return
@@ -289,25 +481,39 @@ func attributePhase(events []telemetry.Event, job int) string {
 	return obs.PhaseExec
 }
 
-// OnMetrics evaluates every objective at one drain instant: throughput
-// segments are integrated, windows pruned, burn rates and budgets
-// recomputed, alert edges detected, and exhaustion hooks fired. This
-// is the only place verdict state changes, so verdicts are a pure
-// function of the virtual-time event stream.
-func (ev *Evaluator) OnMetrics(s telemetry.MetricsSnapshot) {
-	now := s.At
+// OnMetrics evaluates every objective at the snapshot's drain instant;
+// the instant is all it reads (OnInstant).
+func (ev *Evaluator) OnMetrics(s telemetry.MetricsSnapshot) { ev.OnInstant(s.At) }
+
+// OnInstant evaluates every objective at one drain instant: throughput
+// segments are integrated, windows moved and pruned, burn rates and
+// budgets recomputed, alert edges detected, and exhaustion hooks
+// fired. This is the only place verdict state changes, so verdicts
+// are a pure function of the virtual-time event stream.
+func (ev *Evaluator) OnInstant(now sim.Time) {
 	if !ev.started {
 		ev.started = true
 		ev.start = now
 		ev.lastEval = now
 	}
 	for _, st := range ev.objs {
+		if now < st.evalAt {
+			st.inc = false
+		}
 		if st.obj.Kind == KindThroughput {
 			ev.integrateThroughput(st, now)
 		}
-		prune(st, now)
-		st.burnFast = burn(st, now, st.obj.FastWindow, ev.start)
-		st.burnSlow = burn(st, now, st.obj.SlowWindow, ev.start)
+		if !st.inc && !ev.rescan && st.ordered() {
+			st.resetWindows()
+		}
+		if st.inc && !ev.rescan {
+			st.advance(now, ev.start)
+		} else {
+			prune(st, now)
+			st.burnFast = burn(st, now, st.obj.FastWindow, ev.start)
+			st.burnSlow = burn(st, now, st.obj.SlowWindow, ev.start)
+		}
+		st.evalAt = now
 		st.budget = budgetRemaining(st)
 
 		active := st.burnFast >= st.obj.FastBurn && st.burnSlow >= st.obj.SlowBurn
@@ -352,9 +558,21 @@ func (ev *Evaluator) integrateThroughput(st *objState, now sim.Time) {
 	}
 	span := now.Sub(from)
 	n := 0
-	for _, at := range st.completions {
-		if at > from && at <= now {
-			n++
+	if st.inc && !ev.rescan {
+		// The completions are in time order and from only moves
+		// forward: count from the cursor, less any completion after now.
+		for st.tput < len(st.completions) && st.completions[st.tput] <= from {
+			st.tput++
+		}
+		n = len(st.completions) - st.tput
+		for k := len(st.completions) - 1; k >= st.tput && st.completions[k] > now; k-- {
+			n--
+		}
+	} else {
+		for _, at := range st.completions {
+			if at > from && at <= now {
+				n++
+			}
 		}
 	}
 	rate := 0.0
@@ -363,7 +581,12 @@ func (ev *Evaluator) integrateThroughput(st *objState, now sim.Time) {
 	}
 	below := rate < st.obj.Floor
 	seg := segment{from: ev.lastEval, to: now, bad: below}
+	if k := len(st.segs); k > 0 && seg.from < st.segs[k-1].to {
+		st.inc = false
+	}
 	st.segs = append(st.segs, seg)
+	st.fast.addSegment(seg)
+	st.slow.addSegment(seg)
 	st.totalTime += seg.to.Sub(seg.from)
 	if below {
 		st.badTime += seg.to.Sub(seg.from)
@@ -382,8 +605,88 @@ func (ev *Evaluator) integrateThroughput(st *objState, now sim.Time) {
 	st.lastBelow = below
 }
 
+// ordered reports whether every deque is in time order: samples and
+// completions by instant, segments each starting where (or after) the
+// one before ends. Only then can windows move forward over them.
+func (st *objState) ordered() bool {
+	for i := 1; i < len(st.samples); i++ {
+		if st.samples[i].at < st.samples[i-1].at {
+			return false
+		}
+	}
+	for i := 1; i < len(st.completions); i++ {
+		if st.completions[i] < st.completions[i-1] {
+			return false
+		}
+	}
+	for i := 1; i < len(st.segs); i++ {
+		if st.segs[i].from < st.segs[i-1].to {
+			return false
+		}
+	}
+	return true
+}
+
+// resetWindows opens both windows over every entry of the ordered
+// deques, for advance to move forward from, and marks them valid.
+func (st *objState) resetWindows() {
+	st.fast, st.slow, st.tput = window{}, window{}, 0
+	for _, sm := range st.samples {
+		st.fast.addSample(sm.bad)
+		st.slow.addSample(sm.bad)
+	}
+	for _, seg := range st.segs {
+		st.fast.addSegment(seg)
+		st.slow.addSegment(seg)
+	}
+	st.inc = true
+}
+
+// advance moves both windows forward to now, prunes the deques to the
+// slow window exactly as prune does, and computes the burn rates burn
+// would. The per-job prune point is the slow window's first sample;
+// the throughput windows' edges never fall before the prune edge, so
+// pruning only shifts their indexes.
+func (st *objState) advance(now, start sim.Time) {
+	tol := 1 - st.obj.Target
+	edge := now.Add(-st.obj.SlowWindow)
+	fastEdge := now.Add(-st.obj.FastWindow)
+	if st.obj.Kind != KindThroughput {
+		st.fast.skipSamples(st.samples, fastEdge)
+		st.slow.skipSamples(st.samples, edge)
+		p := st.slow.first
+		st.samples = st.samples[p:]
+		st.fast.first -= p
+		st.slow.first = 0
+		st.burnFast = st.fast.sampleBurn(tol)
+		st.burnSlow = st.slow.sampleBurn(tol)
+		return
+	}
+	slowEdge := max(edge, start)
+	fastEdge = max(fastEdge, start)
+	st.fast.skipSegments(st.segs, fastEdge)
+	st.slow.skipSegments(st.segs, slowEdge)
+	st.burnFast = st.fast.segmentBurn(st.segs, fastEdge, tol)
+	st.burnSlow = st.slow.segmentBurn(st.segs, slowEdge, tol)
+	p := 0
+	for p < len(st.segs) && st.segs[p].to <= edge {
+		p++
+	}
+	st.segs = st.segs[p:]
+	st.fast.first -= p
+	st.slow.first -= p
+	p = 0
+	for p < len(st.completions) && st.completions[p] <= edge {
+		p++
+	}
+	st.completions = st.completions[p:]
+	st.tput = max(st.tput-p, 0)
+}
+
 // prune drops samples, segments and completions that fell out of the
-// slow window — the only state the windowed burn rates need.
+// slow window — the only state the windowed burn rates need. With
+// burn, it is the rescan advance replaces while the deques are
+// ordered.
 func prune(st *objState, now sim.Time) {
 	edge := now.Add(-st.obj.SlowWindow)
 	i := 0
@@ -403,8 +706,9 @@ func prune(st *objState, now sim.Time) {
 	st.completions = st.completions[i:]
 }
 
-// burn computes one objective's burn rate over a trailing window:
-// the window's bad fraction over the tolerated bad fraction.
+// burn computes one objective's burn rate over a trailing window by
+// rescanning the pruned deque: the window's bad fraction over the
+// tolerated bad fraction.
 func burn(st *objState, now sim.Time, window sim.Duration, start sim.Time) float64 {
 	tol := 1 - st.obj.Target
 	edge := now.Add(-window)

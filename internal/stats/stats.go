@@ -230,6 +230,15 @@ func Percentiles(xs []float64) (p50, p95, p99 float64) {
 	}
 	ys := append([]float64(nil), xs...)
 	sort.Float64s(ys)
+	return SortedPercentiles(ys)
+}
+
+// SortedPercentiles is Percentiles over values already sorted in
+// ascending order, without the copy.
+func SortedPercentiles(ys []float64) (p50, p95, p99 float64) {
+	if len(ys) == 0 {
+		return 0, 0, 0
+	}
 	return percentileSorted(ys, 50), percentileSorted(ys, 95), percentileSorted(ys, 99)
 }
 

@@ -166,6 +166,9 @@ type Recorder struct {
 	// recorder never invokes them (the disabled path is unchanged).
 	onEvent   func(Event)
 	onMetrics func(MetricsSnapshot)
+	// onInstant is a drain-instant observer that reads only the
+	// instant; see SetOnInstant.
+	onInstant func(sim.Time)
 }
 
 // NewRecorder returns an empty recorder.
@@ -219,6 +222,33 @@ func (r *Recorder) SetOnEvent(fn func(Event)) {
 func (r *Recorder) SetOnMetrics(fn func(MetricsSnapshot)) {
 	if r != nil {
 		r.onMetrics = fn
+	}
+}
+
+// SetOnInstant installs (or clears, with nil) a drain-instant observer
+// that reads only the instant. On a recorder that only streams, it
+// makes snapshots per epoch instead of per drain instant (Deferred):
+// the producer hands each drain instant to Instant and, at the end of
+// the epoch, the snapshot of the epoch's last drain instant to
+// AddMetrics, whose metrics observer sees only those. A recorder that
+// keeps its log never calls it: every drain instant's snapshot reaches
+// the log and the metrics observer.
+func (r *Recorder) SetOnInstant(fn func(sim.Time)) {
+	if r != nil {
+		r.onInstant = fn
+	}
+}
+
+// Deferred reports whether drain instants reach the observers bare,
+// with one snapshot per epoch: the recorder only streams and has an
+// instant observer (SetOnInstant).
+func (r *Recorder) Deferred() bool { return r != nil && r.stream && r.onInstant != nil }
+
+// Instant hands one drain instant to the instant observer. Producers
+// call it in place of AddMetrics while the recorder is Deferred.
+func (r *Recorder) Instant(at sim.Time) {
+	if r.Deferred() {
+		r.onInstant(at)
 	}
 }
 
