@@ -5,8 +5,9 @@ package main
 // (exit 2) naming the offending flag, and the legal spellings of the
 // same features must still run. The test re-executes its own binary
 // with RUN_MICCLUSTER_MAIN=1 so main() runs exactly as installed,
-// os.Exit and all. The default run and the four-device scaling study
-// match their golden outputs byte for byte; -update rewrites them.
+// os.Exit and all. The default run, the four-device scaling study and
+// the explanation runs (drift audit, job timeline, SLO report) match
+// their golden outputs byte for byte; -update rewrites them.
 
 import (
 	"bytes"
@@ -176,35 +177,78 @@ func TestCLISLOSpecValidation(t *testing.T) {
 	}
 }
 
+// sloSpec is CI's reference objective spec (the "slo report" step).
+const sloSpec = `{"objectives": [
+  {"tenant": "A", "name": "a-lat", "kind": "latency", "target": 0.9, "threshold": "1500us", "fast_burn": 8, "slow_burn": 4},
+  {"tenant": "B", "name": "b-deadline", "kind": "deadline", "target": 0.8, "threshold": "2ms"}
+]}
+`
+
+// Each case runs in a fresh directory holding its inputs. Its stdout
+// must match testdata/<name>.golden, and every file it writes, named
+// relative to that directory, testdata/<name>.<file>.
 func TestCLIGolden(t *testing.T) {
 	for _, tc := range []struct {
-		golden string
+		name   string
 		args   []string
+		inputs map[string]string // files written before the run
+		files  []string          // files the run writes
 	}{
-		{"default.golden", nil},
-		{"scaling4.golden", []string{"-scaling", "-devices", "4"}},
+		{name: "default"},
+		{name: "scaling4", args: []string{"-scaling", "-devices", "4"}},
+		// CI's drift audit plus one job's timeline and both
+		// where-time-goes tables.
+		{name: "drift", args: []string{"-slice=1", "-steal=1ns", "-policy=sjf", "-njobs=96", "-spread=16", "-depth=4",
+			"-drift=DRIFT.json", "-explain", "7"}, files: []string{"DRIFT.json"}},
+		// README's stealing run, audited: the stolen and staged regimes.
+		{name: "steal-drift", args: []string{"-steal=1ns", "-arrival=bursty", "-affinity=1", "-origins=0",
+			"-xfer=8388608", "-depth=16", "-drift=DRIFT.json"}, files: []string{"DRIFT.json"}},
+		// CI's SLO report, violations with their attributed phases.
+		{name: "slo", args: []string{"-njobs=48", "-seed=3", "-slo=spec.json", "-slo-json=SLO.json"},
+			inputs: map[string]string{"spec.json": sloSpec}, files: []string{"SLO.json"}},
 	} {
-		t.Run(tc.golden, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, body := range tc.inputs {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Dir = dir
 			cmd.Env = append(os.Environ(), "RUN_MICCLUSTER_MAIN=1")
 			var out, errOut bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &out, &errOut
 			if err := cmd.Run(); err != nil {
 				t.Fatalf("miccluster %v: %v\n%s", tc.args, err, errOut.String())
 			}
-			path := filepath.Join("testdata", tc.golden)
-			if *update {
-				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			compareGolden(t, tc.name+".golden", out.Bytes())
+			for _, f := range tc.files {
+				got, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("output differs from %s:\n got:\n%s\nwant:\n%s", path, out.String(), want)
+				compareGolden(t, tc.name+"."+f, got)
 			}
 		})
+	}
+}
+
+// compareGolden matches got against testdata/<golden>, rewriting it
+// first under -update.
+func compareGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", golden)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
