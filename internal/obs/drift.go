@@ -64,11 +64,6 @@ func (s *DriftSample) ErrPct() float64 {
 // driftBuckets are the |error| histogram edges in percent.
 var driftBuckets = [...]float64{5, 10, 25, 50}
 
-// BucketLabels names the |error| histogram buckets of a DriftGroup.
-func BucketLabels() []string {
-	return []string{"<5%", "<10%", "<25%", "<50%", ">=50%"}
-}
-
 // DriftGroup is the error histogram and summary statistics of one
 // sample group (per kind, per tenant, per regime).
 type DriftGroup struct {
@@ -128,119 +123,52 @@ type DriftReport struct {
 	ByTenantService []DriftGroup
 }
 
-// auditJob is the per-job state the audit tracks between commitment
-// and completion.
-type auditJob struct {
-	placeAt   sim.Time
-	predicted sim.Duration
-	device    int
-	hasPlace  bool
-	stolen    bool
-	migrated  bool
-	staged    bool
-	resident  bool
-
-	grantAt  sim.Time
-	grantEst sim.Duration
-	inGrant  bool
-}
-
-func (a *auditJob) regime() string {
+// regime classifies the job's execution so far.
+func (j *JobFold) regime() string {
 	switch {
-	case a.migrated:
+	case j.Preempts > 0:
 		return RegimeMigrated
-	case a.stolen:
+	case j.Steals > 0:
 		return RegimeStolen
-	case a.staged:
+	case j.staged:
 		return RegimeStaged
-	case a.resident:
+	case j.hit:
 		return RegimeResident
 	default:
 		return RegimePlain
 	}
 }
 
-// AuditDrift extracts predicted-vs-actual samples from an event log.
-// Placement samples need Place events carrying Scores (the predicted
-// and affinity policies record them; load-blind policies yield none);
-// service samples need grants closed by Requeue/Complete, which every
-// traced run has. Samples whose realized duration is zero are dropped
-// (no meaningful relative error).
+// AuditDrift extracts predicted-vs-actual samples from an event log by
+// replaying it into a Folder: a service sample at each grant close and
+// a placement sample at each completion. Placement samples need Place
+// events carrying Scores (the predicted and affinity policies record
+// them; load-blind policies yield none); service samples need grants
+// closed by Requeue/Complete, which every traced run has. Samples
+// whose realized duration is zero are dropped (no meaningful relative
+// error).
 func AuditDrift(events []telemetry.Event) *DriftReport {
 	r := &DriftReport{}
-	live := make(map[int]*auditJob)
 	add := func(s DriftSample) {
 		if s.Actual > 0 {
 			r.Samples = append(r.Samples, s)
 		}
 	}
-	for _, e := range events {
-		if e.Job < 0 {
+	var f Folder
+	for i := range events {
+		e := &events[i]
+		if e.Kind == telemetry.Admit {
+			f.Open(e)
 			continue
 		}
-		switch e.Kind {
-		case telemetry.Admit:
-			live[e.Job] = &auditJob{device: -1}
-		case telemetry.Place:
-			a := live[e.Job]
-			if a == nil {
-				continue
-			}
-			if !a.hasPlace {
-				a.placeAt = e.At
-				a.device = e.Device
-				for _, sc := range e.Scores {
-					if sc.Device == e.Device {
-						a.predicted = sc.Predicted.Sub(e.At)
-						a.hasPlace = true
-						break
-					}
-				}
-			}
-		case telemetry.Steal:
-			if a := live[e.Job]; a != nil {
-				a.stolen = true
-			}
-		case telemetry.Preempt:
-			if a := live[e.Job]; a != nil {
-				a.migrated = true
-			}
-		case telemetry.Stage:
-			if a := live[e.Job]; a != nil {
-				a.staged = true
-			}
-		case telemetry.Hit:
-			if a := live[e.Job]; a != nil {
-				a.resident = true
-			}
-		case telemetry.Dispatch, telemetry.Slice:
-			if a := live[e.Job]; a != nil {
-				a.grantAt = e.At
-				a.grantEst = e.Dur
-				a.inGrant = true
-			}
-		case telemetry.Requeue:
-			if a := live[e.Job]; a != nil && a.inGrant {
-				add(DriftSample{Kind: SampleService, Job: e.Job, ID: e.ID, Tenant: e.Tenant,
-					Device: e.Device, Regime: a.regime(), Predicted: a.grantEst, Actual: e.At.Sub(a.grantAt)})
-				a.inGrant = false
-			}
-		case telemetry.Complete:
-			a := live[e.Job]
-			if a == nil {
-				continue
-			}
-			if a.inGrant {
-				add(DriftSample{Kind: SampleService, Job: e.Job, ID: e.ID, Tenant: e.Tenant,
-					Device: e.Device, Regime: a.regime(), Predicted: a.grantEst, Actual: e.At.Sub(a.grantAt)})
-			}
-			if a.hasPlace {
-				add(DriftSample{Kind: SamplePlacement, Job: e.Job, ID: e.ID, Tenant: e.Tenant,
-					Device: a.device, Regime: a.regime(), Predicted: a.predicted, Actual: e.At.Sub(a.placeAt)})
-			}
-			delete(live, e.Job)
-		case telemetry.Fail:
-			delete(live, e.Job)
+		j, c := f.Apply(e)
+		if c&GrantClosed != 0 {
+			add(DriftSample{Kind: SampleService, Job: e.Job, ID: e.ID, Tenant: e.Tenant,
+				Device: e.Device, Regime: j.regime(), Predicted: j.grantEst, Actual: e.At.Sub(j.grantAt)})
+		}
+		if c&Ended != 0 && !j.Failed && j.scored {
+			add(DriftSample{Kind: SamplePlacement, Job: e.Job, ID: e.ID, Tenant: e.Tenant,
+				Device: j.placeDevice, Regime: j.regime(), Predicted: j.predicted, Actual: e.At.Sub(j.placeAt)})
 		}
 	}
 	r.group()

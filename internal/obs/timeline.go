@@ -2,17 +2,22 @@
 // it answers "why was this job slow?" and "how wrong is the model?"
 // from the decision stream alone, without touching the schedulers.
 //
-// Three consumers share the package. The timeline folder (this file)
-// folds a run's events into per-job causal phase breakdowns — queue
-// wait, commit wait, execution slices, slice waits, migration gaps —
-// whose durations sum exactly to the job's observed end-to-end
-// latency, so `miccluster -explain` is an identity, not an estimate
-// (DESIGN.md §14). The drift audit (drift.go) compares the predicted
-// completion scores recorded at Place instants and the service
-// estimates recorded at grant instants against realized outcomes,
-// quantifying where the closed forms are weak. The live exporters
-// (openmetrics.go, flight.go, metricsjson.go) render MetricsSnapshot
-// series and bounded event rings for scrapers and post-mortems.
+// One folder sits at its center. Folder (this file) is the package's
+// only per-job state machine: it folds a telemetry stream, one event
+// at a time, into each job's causal phase breakdown — queue wait,
+// commit wait, execution slices, slice waits, migration gaps — whose
+// durations sum exactly to the job's observed end-to-end latency
+// (DESIGN.md §14). Three views read it: Fold replays a log into it for
+// `miccluster -explain`, so the breakdown is an identity, not an
+// estimate; the drift audit (drift.go) replays a log into it and
+// compares the predicted completion scores recorded at Place instants
+// and the service estimates recorded at grant instants against
+// realized outcomes, quantifying where the closed forms are weak; and
+// the SLO evaluator (internal/slo) folds the live stream of its judged
+// tenants and attributes each breach to the folded timeline. The live
+// exporters (openmetrics.go, flight.go, metricsjson.go) render
+// MetricsSnapshot series and bounded event rings for scrapers and
+// post-mortems.
 //
 // Everything here is a pure consumer of recorded data: folding,
 // auditing and exporting never feed back into a scheduling decision,
@@ -128,146 +133,241 @@ type Phase struct {
 	Dur  sim.Duration
 }
 
-// foldState tracks one in-flight job while folding.
-type foldState struct {
-	t *Timeline
-	// grantAt is the open grant's start instant; inGrant marks one
-	// open.
-	grantAt sim.Time
-	inGrant bool
+// JobFold is one job's fold in a Folder: its timeline so far and the
+// few facts the drift audit and the SLO evaluator read besides.
+type JobFold struct {
+	Timeline
+	// Deadline echoes the Admit event's relative deadline.
+	Deadline sim.Duration
+
+	// seq is the job's admission ordinal in its folder: the n-th Open
+	// gets n.
+	seq  int
+	live bool
+	// scored marks that a Place event carried a score for its own
+	// device; placeAt, placeDevice and predicted (the score less the
+	// instant) are the first such placement's.
+	scored      bool
+	placeAt     sim.Time
+	placeDevice int
+	predicted   sim.Duration
+	// staged and hit mark that any Stage or Hit event arrived, whether
+	// or not a Steal withdrew its charge later.
+	staged, hit bool
+	// grantAt and grantEst are the latest grant's start instant and
+	// service estimate; inGrant marks it open.
+	grantAt  sim.Time
+	grantEst sim.Duration
+	inGrant  bool
 	// boundary is the last grant's end (the Requeue instant) — the
 	// anchor the next grant's gap is measured from.
 	boundary sim.Time
 	// pendingPreempt marks that the gap in progress crossed devices.
-	pendingPreempt bool
-	placed         bool
-	started        bool
-	// curStaging/curStagedBytes/curHitBytes hold the staging charges
-	// of the current commitment, flushed into the timeline at the next
+	pendingPreempt  bool
+	placed, started bool
+	// curStaging/curStagedBytes/curHits hold the staging charges of
+	// the current commitment, flushed into the timeline at the next
 	// grant (they ran) or discarded at a Steal (the withdraw
 	// un-charged them — the thief's re-route re-emits its own).
 	curStaging              sim.Duration
 	curStagedBytes, curHits int64
 }
 
-func (f *foldState) flushStaging() {
-	f.t.Staging += f.curStaging
-	f.t.StagedBytes += f.curStagedBytes
-	f.t.HitBytes += f.curHits
-	f.curStaging, f.curStagedBytes, f.curHits = 0, 0, 0
+// Closed reports what one event applied to a Folder closed.
+type Closed uint8
+
+const (
+	// GrantClosed: a Requeue or Complete ended the open grant.
+	GrantClosed Closed = 1 << iota
+	// Ended: a Complete or Fail ended the job, and its slot is free.
+	Ended
+)
+
+// Folder folds a telemetry stream, one event at a time, into per-job
+// state: the one per-job lifecycle state machine behind Fold,
+// AuditDrift and the SLO evaluator. Jobs sit in a ring keyed by job
+// index: job j in ring[j&(len(ring)-1)]. The jobs in flight at once
+// have nearby indexes, so the ring stays small; a live job's slot is
+// never shared, and a collision doubles the ring (a job admitted and
+// never ended keeps its slot, so the ring grows to span it).
+type Folder struct {
+	ring   []JobFold
+	opened int
+}
+
+// Job returns job's live fold, or nil when the job is not open.
+func (f *Folder) Job(job int) *JobFold {
+	if len(f.ring) == 0 {
+		return nil
+	}
+	j := &f.ring[job&(len(f.ring)-1)]
+	if !j.live || j.Job != job {
+		return nil
+	}
+	return j
+}
+
+// Open starts a fold at an Admit event; a job admitted again restarts
+// in its own slot. The fold stays valid until the next Open.
+func (f *Folder) Open(e *telemetry.Event) *JobFold {
+	for {
+		if n := len(f.ring); n > 0 {
+			if j := &f.ring[e.Job&(n-1)]; !j.live || j.Job == e.Job {
+				*j = JobFold{
+					Timeline: Timeline{Job: e.Job, ID: e.ID, Tenant: e.Tenant, Device: -1, Admitted: e.At},
+					seq:      f.opened,
+					Deadline: e.Deadline,
+					live:     true,
+				}
+				f.opened++
+				return j
+			}
+		}
+		f.grow()
+	}
+}
+
+// grow doubles the ring until every live job has a slot of its own.
+func (f *Folder) grow() {
+	for n := max(2*len(f.ring), 16); ; n *= 2 {
+		ring := make([]JobFold, n)
+		moved := true
+		for i := range f.ring {
+			j := &f.ring[i]
+			if !j.live {
+				continue
+			}
+			if slot := &ring[j.Job&(n-1)]; !slot.live {
+				*slot = *j
+				continue
+			}
+			moved = false
+			break
+		}
+		if moved {
+			f.ring = ring
+			return
+		}
+	}
+}
+
+// Apply folds one non-Admit event into its job and reports what the
+// event closed. Events of jobs not open, and events tied to no job
+// (Job −1), return nil. An ended job's fold stays readable until the
+// next Open.
+func (f *Folder) Apply(e *telemetry.Event) (*JobFold, Closed) {
+	if e.Job < 0 {
+		return nil, 0
+	}
+	j := f.Job(e.Job)
+	if j == nil {
+		return nil, 0
+	}
+	switch e.Kind {
+	case telemetry.Place:
+		if !j.placed {
+			j.Placed = e.At
+			j.placed = true
+		}
+		j.Device = e.Device
+		if !j.scored {
+			for _, sc := range e.Scores {
+				if sc.Device == e.Device {
+					j.scored, j.placeAt, j.placeDevice, j.predicted = true, e.At, e.Device, sc.Predicted.Sub(e.At)
+					break
+				}
+			}
+		}
+	case telemetry.Steal:
+		j.Steals++
+		j.Device = e.Device
+		// The withdraw un-charged the victim-side staging; the re-route
+		// emits the thief's own Hit/Stage next.
+		j.curStaging, j.curStagedBytes, j.curHits = 0, 0, 0
+	case telemetry.Preempt:
+		j.Preempts++
+		j.Device = e.Device
+		j.pendingPreempt = true
+	case telemetry.Hit:
+		j.hit = true
+		j.curHits += e.Bytes
+	case telemetry.Stage:
+		j.staged = true
+		j.curStaging += e.Dur
+		j.curStagedBytes += e.Bytes
+	case telemetry.Dispatch, telemetry.Slice:
+		if !j.started {
+			j.Started = e.At
+			j.started = true
+			anchor := j.Admitted
+			if j.placed {
+				anchor = j.Placed
+				j.PlaceWait = j.Placed.Sub(j.Admitted)
+			}
+			j.CommitWait = e.At.Sub(anchor)
+		} else if gap := e.At.Sub(j.boundary); j.pendingPreempt {
+			j.Migration += gap
+		} else {
+			j.SliceWait += gap
+		}
+		j.pendingPreempt = false
+		if e.Device >= 0 {
+			j.Device = e.Device
+		}
+		j.Slices++
+		j.grantAt, j.grantEst, j.inGrant = e.At, e.Dur, true
+		j.Staging += j.curStaging
+		j.StagedBytes += j.curStagedBytes
+		j.HitBytes += j.curHits
+		j.curStaging, j.curStagedBytes, j.curHits = 0, 0, 0
+	case telemetry.Requeue:
+		if j.inGrant {
+			j.Exec += e.At.Sub(j.grantAt)
+			j.boundary = e.At
+			j.inGrant = false
+			return j, GrantClosed
+		}
+	case telemetry.Complete:
+		c := Ended
+		if j.inGrant {
+			j.Exec += e.At.Sub(j.grantAt)
+			j.inGrant = false
+			c |= GrantClosed
+		}
+		j.Done = e.At
+		j.live = false
+		return j, c
+	case telemetry.Fail:
+		j.Failed = true
+		j.Done = e.At
+		j.live = false
+		return j, Ended
+	}
+	return j, 0
 }
 
 // Fold reduces an event log to per-job causal timelines, in admission
-// order. The log may span multiple runs of one recorder (job indices
-// repeat): each Admit opens a fresh timeline for its index, so a
-// two-run log yields two timelines per job. For every completed job
-// the five phases partition the latency exactly: PlaceWait +
-// CommitWait + Exec + SliceWait + Migration == Done − Admitted
-// (DESIGN.md §14).
+// order, by replaying it into a Folder. The log may span multiple runs
+// of one recorder (job indices repeat): each Admit opens a fresh
+// timeline for its index, so a two-run log yields two timelines per
+// job. For every completed job the five phases partition the latency
+// exactly: PlaceWait + CommitWait + Exec + SliceWait + Migration ==
+// Done − Admitted (DESIGN.md §14).
 func Fold(events []telemetry.Event) []Timeline {
-	out := make([]*Timeline, 0, 16)
-	live := make(map[int]*foldState)
-	// ref resolves the state for an event, ignoring events for jobs
-	// the log never admitted (a truncated ring dump).
-	ref := func(e telemetry.Event) *foldState {
-		if e.Job < 0 {
-			return nil
+	var f Folder
+	out := make([]Timeline, 0, 16)
+	for i := range events {
+		e := &events[i]
+		var j *JobFold
+		if e.Kind == telemetry.Admit {
+			j = f.Open(e)
+			out = append(out, Timeline{})
+		} else if j, _ = f.Apply(e); j == nil {
+			continue
 		}
-		return live[e.Job]
+		out[j.seq] = j.Timeline
 	}
-	for _, e := range events {
-		switch e.Kind {
-		case telemetry.Admit:
-			t := &Timeline{Job: e.Job, ID: e.ID, Tenant: e.Tenant, Device: -1, Admitted: e.At}
-			out = append(out, t)
-			live[e.Job] = &foldState{t: t}
-		case telemetry.Place:
-			if f := ref(e); f != nil {
-				if !f.placed {
-					f.t.Placed = e.At
-					f.placed = true
-				}
-				f.t.Device = e.Device
-			}
-		case telemetry.Steal:
-			if f := ref(e); f != nil {
-				f.t.Steals++
-				f.t.Device = e.Device
-				// The withdraw un-charged the victim-side staging;
-				// the re-route emits the thief's own Hit/Stage next.
-				f.curStaging, f.curStagedBytes, f.curHits = 0, 0, 0
-			}
-		case telemetry.Preempt:
-			if f := ref(e); f != nil {
-				f.t.Preempts++
-				f.t.Device = e.Device
-				f.pendingPreempt = true
-			}
-		case telemetry.Hit:
-			if f := ref(e); f != nil {
-				f.curHits += e.Bytes
-			}
-		case telemetry.Stage:
-			if f := ref(e); f != nil {
-				f.curStaging += e.Dur
-				f.curStagedBytes += e.Bytes
-			}
-		case telemetry.Dispatch, telemetry.Slice:
-			if f := ref(e); f != nil {
-				if !f.started {
-					f.t.Started = e.At
-					f.started = true
-					anchor := f.t.Admitted
-					if f.placed {
-						anchor = f.t.Placed
-						f.t.PlaceWait = f.t.Placed.Sub(f.t.Admitted)
-					}
-					f.t.CommitWait = e.At.Sub(anchor)
-				} else {
-					gap := e.At.Sub(f.boundary)
-					if f.pendingPreempt {
-						f.t.Migration += gap
-					} else {
-						f.t.SliceWait += gap
-					}
-				}
-				f.pendingPreempt = false
-				if e.Device >= 0 {
-					f.t.Device = e.Device
-				}
-				f.t.Slices++
-				f.grantAt = e.At
-				f.inGrant = true
-				f.flushStaging()
-			}
-		case telemetry.Requeue:
-			if f := ref(e); f != nil && f.inGrant {
-				f.t.Exec += e.At.Sub(f.grantAt)
-				f.boundary = e.At
-				f.inGrant = false
-			}
-		case telemetry.Complete:
-			if f := ref(e); f != nil {
-				if f.inGrant {
-					f.t.Exec += e.At.Sub(f.grantAt)
-					f.inGrant = false
-				}
-				f.t.Done = e.At
-				delete(live, e.Job)
-			}
-		case telemetry.Fail:
-			if f := ref(e); f != nil {
-				f.t.Failed = true
-				f.t.Done = e.At
-				delete(live, e.Job)
-			}
-		}
-	}
-	ts := make([]Timeline, len(out))
-	for i, t := range out {
-		ts[i] = *t
-	}
-	return ts
+	return out
 }
 
 // PhaseBreakdown aggregates the phase partition over a group of jobs

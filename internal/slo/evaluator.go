@@ -208,18 +208,6 @@ type tenantObjectives struct {
 	objs   []int
 }
 
-// jobState tracks one in-flight job of a judged tenant: its admission
-// instant, declared deadline, objectives, and accumulated event
-// history for breach attribution.
-type jobState struct {
-	job      int // the cluster index the slot holds, while live
-	live     bool
-	admitAt  sim.Time
-	deadline sim.Duration
-	objs     []int
-	events   []telemetry.Event
-}
-
 // Evaluator consumes the telemetry stream and maintains every
 // objective's budget, burn rates, alerts and violations. It is a pure
 // consumer: wire it to a recorder through Observers, and nothing it
@@ -228,20 +216,12 @@ type jobState struct {
 // Like the flight recorder it is not itself thread-safe: Observers
 // serializes the run's writes against live reads.
 type Evaluator struct {
-	spec    Spec
 	objs    []*objState
 	tenants []tenantObjectives
 
-	// jobs is a ring of the tracked jobs keyed by cluster index: job j
-	// sits in jobs[j&(len(jobs)-1)]. The jobs in flight at once have
-	// nearby indexes, so the ring stays small; a live job's slot is
-	// never shared, and a collision doubles the ring (a job admitted
-	// and never ended keeps its slot, so the ring grows to span it).
-	// bufs holds the event histories of released jobs for the next
-	// admissions to reuse: judge reads a job's events only before its
-	// slot is released.
-	jobs []jobState
-	bufs [][]telemetry.Event
+	// jobs folds the in-flight jobs of judged tenants (obs.Folder): a
+	// completed job is judged on its folded timeline.
+	jobs obs.Folder
 
 	onExhausted func(Objective, sim.Time)
 
@@ -262,10 +242,7 @@ func New(spec Spec) (*Evaluator, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	ev := &Evaluator{
-		spec: spec,
-		objs: make([]*objState, len(spec.Objectives)),
-	}
+	ev := &Evaluator{objs: make([]*objState, len(spec.Objectives))}
 	for i, o := range spec.Objectives {
 		ev.objs[i] = &objState{obj: o, budget: 1, byPhase: make(map[string]int)}
 		t := o.TenantLabel()
@@ -280,9 +257,6 @@ func New(spec Spec) (*Evaluator, error) {
 	}
 	return ev, nil
 }
-
-// Spec returns the evaluator's normalized spec.
-func (ev *Evaluator) Spec() Spec { return ev.spec }
 
 // SetOnExhausted installs the budget-exhaustion hook, fired once per
 // objective at the drain instant its budget crosses zero — the seam
@@ -303,9 +277,8 @@ func (ev *Evaluator) objectivesOf(tenant string) []int {
 }
 
 // OnEvent consumes one telemetry event: admissions of judged tenants
-// open per-job tracking, completions are judged against the tenant's
-// per-job objectives, and everything in between accumulates for
-// breach attribution.
+// open a fold of the job (obs.Folder), later events extend it, and a
+// completion is judged against the tenant's per-job objectives.
 func (ev *Evaluator) OnEvent(e telemetry.Event) { ev.onEvent(&e) }
 
 // onEvent is OnEvent without copying the event again.
@@ -315,105 +288,22 @@ func (ev *Evaluator) onEvent(e *telemetry.Event) {
 		ev.start = e.At
 		ev.lastEval = e.At
 	}
-	switch e.Kind {
-	case telemetry.Admit:
-		objs := ev.objectivesOf(e.Tenant)
-		if len(objs) == 0 {
-			return
+	if e.Kind == telemetry.Admit {
+		if ev.objectivesOf(e.Tenant) != nil {
+			ev.jobs.Open(e)
 		}
-		js := ev.track(e.Job)
-		js.admitAt, js.deadline, js.objs = e.At, e.Deadline, objs
-		js.events = append(js.events, *e)
-	case telemetry.Complete:
-		js := ev.tracked(e.Job)
-		if js == nil {
-			return
-		}
-		js.events = append(js.events, *e)
-		ev.judge(js, e)
-		ev.release(js)
-	case telemetry.Fail:
-		if js := ev.tracked(e.Job); js != nil {
-			ev.release(js)
-		}
-	default:
-		if js := ev.tracked(e.Job); js != nil && e.Job >= 0 {
-			js.events = append(js.events, *e)
-		}
+		return
+	}
+	if j, c := ev.jobs.Apply(e); c&obs.Ended != 0 && !j.Failed {
+		ev.judge(j, e)
 	}
 }
 
-// tracked returns job's live slot, or nil when the job is not tracked.
-func (ev *Evaluator) tracked(job int) *jobState {
-	if len(ev.jobs) == 0 {
-		return nil
-	}
-	js := &ev.jobs[job&(len(ev.jobs)-1)]
-	if !js.live || js.job != job {
-		return nil
-	}
-	return js
-}
-
-// track opens job's slot — a job admitted again restarts in its own
-// slot — with an empty event history.
-func (ev *Evaluator) track(job int) *jobState {
-	for {
-		if n := len(ev.jobs); n > 0 {
-			js := &ev.jobs[job&(n-1)]
-			if !js.live || js.job == job {
-				if !js.live {
-					if k := len(ev.bufs); k > 0 {
-						js.events, ev.bufs = ev.bufs[k-1], ev.bufs[:k-1]
-					}
-				}
-				js.job, js.live = job, true
-				js.events = js.events[:0]
-				return js
-			}
-		}
-		ev.grow()
-	}
-}
-
-// grow doubles the ring until every live job has a slot of its own.
-func (ev *Evaluator) grow() {
-	for n := max(2*len(ev.jobs), 16); ; n *= 2 {
-		ring := make([]jobState, n)
-		moved := true
-		for i := range ev.jobs {
-			js := &ev.jobs[i]
-			if !js.live {
-				continue
-			}
-			if slot := &ring[js.job&(n-1)]; !slot.live {
-				*slot = *js
-				continue
-			}
-			moved = false
-			break
-		}
-		if moved {
-			ev.jobs = ring
-			return
-		}
-	}
-}
-
-// release ends a job's tracking and keeps its event history for reuse.
-func (ev *Evaluator) release(js *jobState) {
-	ev.bufs = append(ev.bufs, js.events[:0])
-	*js = jobState{}
-}
-
-// judge scores one completed job against its tenant's per-job
-// objectives and records completions for throughput rates.
-func (ev *Evaluator) judge(js *jobState, e *telemetry.Event) {
-	lat := e.At.Sub(js.admitAt)
-	attributed := ""
-	// js.objs lists the tenant's objective indexes in spec declaration
-	// order.
-	for _, i := range js.objs {
+// judge scores one completed job against its admission tenant's
+// per-job objectives and records completions for throughput rates.
+func (ev *Evaluator) judge(j *obs.JobFold, e *telemetry.Event) {
+	// The tenant's objective indexes come in spec declaration order.
+	for _, i := range ev.objectivesOf(j.Tenant) {
 		st := ev.objs[i]
 		switch st.obj.Kind {
 		case KindThroughput:
@@ -423,23 +313,25 @@ func (ev *Evaluator) judge(js *jobState, e *telemetry.Event) {
 			st.completions = append(st.completions, e.At)
 			continue
 		case KindDeadline:
-			budget := js.deadline
+			budget := j.Deadline
 			if budget <= 0 {
 				budget = st.obj.Threshold
 			}
 			if budget <= 0 {
 				continue // no budget declared anywhere: not a sample
 			}
-			ev.addSample(st, e, lat, budget, &attributed, js)
+			ev.addSample(st, e, j, budget)
 		case KindLatency:
-			ev.addSample(st, e, lat, st.obj.Threshold, &attributed, js)
+			ev.addSample(st, e, j, st.obj.Threshold)
 		}
 	}
 }
 
 // addSample records one judged per-job event and, on a breach, its
-// attributed violation.
-func (ev *Evaluator) addSample(st *objState, e *telemetry.Event, lat, budget sim.Duration, attributed *string, js *jobState) {
+// violation, attributed to the dominant phase of the job's folded
+// timeline.
+func (ev *Evaluator) addSample(st *objState, e *telemetry.Event, j *obs.JobFold, budget sim.Duration) {
+	lat := j.Latency()
 	bad := lat > budget
 	if n := len(st.samples); n > 0 && e.At < st.samples[n-1].at {
 		st.inc = false
@@ -452,10 +344,8 @@ func (ev *Evaluator) addSample(st *objState, e *telemetry.Event, lat, budget sim
 		return
 	}
 	st.bad++
-	if *attributed == "" {
-		*attributed = attributePhase(js.events, e.Job)
-	}
-	st.byPhase[*attributed]++
+	phase := j.CriticalPhase()
+	st.byPhase[phase]++
 	st.violations = append(st.violations, Violation{
 		Objective: st.obj.Name,
 		Tenant:    st.obj.TenantLabel(),
@@ -464,21 +354,8 @@ func (ev *Evaluator) addSample(st *objState, e *telemetry.Event, lat, budget sim
 		At:        e.At,
 		Latency:   lat,
 		Budget:    budget,
-		Phase:     *attributed,
+		Phase:     phase,
 	})
-}
-
-// attributePhase folds the job's own event history into its causal
-// timeline and names the dominant latency phase — the PR 8 timeline
-// reused as breach attribution.
-func attributePhase(events []telemetry.Event, job int) string {
-	ts := obs.Fold(events)
-	for i := len(ts) - 1; i >= 0; i-- {
-		if ts[i].Job == job {
-			return ts[i].CriticalPhase()
-		}
-	}
-	return obs.PhaseExec
 }
 
 // OnMetrics evaluates every objective at the snapshot's drain instant;
@@ -835,6 +712,3 @@ func (ev *Evaluator) Alerting() []string {
 	}
 	return out
 }
-
-// Evals reports how many drain-instant evaluations have run.
-func (ev *Evaluator) Evals() int { return ev.evals }

@@ -329,8 +329,9 @@ func TestOtherTenantsIgnored(t *testing.T) {
 	if st := ev.States()[0]; st.Samples != 0 || st.Violations != 0 {
 		t.Fatalf("foreign tenant judged: %+v", st)
 	}
-	if len(ev.jobs) != 0 {
-		t.Fatalf("foreign tenant tracked: %d jobs", len(ev.jobs))
+	ev.OnEvent(telemetry.Event{At: at(502), Kind: telemetry.Admit, Job: 1, ID: 1, Tenant: "b"})
+	if ev.jobs.Job(1) != nil {
+		t.Fatal("foreign tenant tracked")
 	}
 }
 
