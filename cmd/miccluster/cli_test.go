@@ -186,7 +186,8 @@ const sloSpec = `{"objectives": [
 
 // Each case runs in a fresh directory holding its inputs. Its stdout
 // must match testdata/<name>.golden, and every file it writes, named
-// relative to that directory, testdata/<name>.<file>.
+// relative to that directory, testdata/<name>.<file>. A subtest is
+// named after its stdout golden.
 func TestCLIGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -207,7 +208,7 @@ func TestCLIGolden(t *testing.T) {
 		{name: "slo", args: []string{"-njobs=48", "-seed=3", "-slo=spec.json", "-slo-json=SLO.json"},
 			inputs: map[string]string{"spec.json": sloSpec}, files: []string{"SLO.json"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.name+".golden", func(t *testing.T) {
 			dir := t.TempDir()
 			for name, body := range tc.inputs {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
