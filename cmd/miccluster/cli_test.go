@@ -204,6 +204,10 @@ func TestCLIGolden(t *testing.T) {
 		// README's stealing run, audited: the stolen and staged regimes.
 		{name: "steal-drift", args: []string{"-steal=1ns", "-arrival=bursty", "-affinity=1", "-origins=0",
 			"-xfer=8388608", "-depth=16", "-drift=DRIFT.json"}, files: []string{"DRIFT.json"}},
+		// A sliced, stealing run with one mid-job migration: the
+		// migrated, plain and staged regimes.
+		{name: "migrate-drift", args: []string{"-slice=1", "-steal=1ns", "-policy=sjf", "-spread=16", "-arrival=bursty",
+			"-affinity=1", "-origins=0", "-drift=DRIFT.json"}, files: []string{"DRIFT.json"}},
 		// CI's SLO report, violations with their attributed phases.
 		{name: "slo", args: []string{"-njobs=48", "-seed=3", "-slo=spec.json", "-slo-json=SLO.json"},
 			inputs: map[string]string{"spec.json": sloSpec}, files: []string{"SLO.json"}},
