@@ -10,6 +10,7 @@ package main
 // their golden outputs byte for byte; -update rewrites them.
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"os"
@@ -174,6 +175,43 @@ func TestCLISLOSpecValidation(t *testing.T) {
 	}
 	if !bytes.Contains(a, []byte(`"schema": "micstream-slo-v1"`)) {
 		t.Fatalf("report missing schema header:\n%s", a)
+	}
+}
+
+// A served run writes its profiles before it starts serving: by the
+// time the serving line is out, the heap profile is on disk, though
+// the server blocks until killed.
+func TestCLIServeWritesProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-njobs=4", "-serve=127.0.0.1:0", "-memprofile=mem.pprof")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "RUN_MICCLUSTER_MAIN=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	sc := bufio.NewScanner(stdout)
+	for !strings.Contains(sc.Text(), "serving OpenMetrics") {
+		if !sc.Scan() {
+			t.Fatalf("miccluster exited without serving: %v", sc.Err())
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, "mem.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("heap profile is empty while the run serves")
 	}
 }
 

@@ -80,8 +80,6 @@ import (
 func main() {
 	var (
 		devices    = flag.Int("devices", 2, "coprocessor count")
-		partitions = flag.Int("partitions", 2, "partitions per device")
-		streams    = flag.Int("streams", 2, "streams per partition")
 		place      = flag.String("place", "predicted", "placement policy: least-loaded, round-robin, predicted, affinity")
 		policy     = flag.String("policy", "fifo", "per-device stream policy: fifo, rr, sjf, adaptive")
 		depth      = flag.Int("depth", 8, "per-device committed-queue depth")
@@ -99,8 +97,6 @@ func main() {
 		origins    = flag.String("origins", "", "comma-separated devices affine jobs cycle through (default: all devices; e.g. -origins=0 pins all inputs to device 0)")
 		arrival    = flag.String("arrival", "poisson", "arrival process: poisson, bursty, heavytail, diurnal, correlated")
 		seed       = flag.Uint64("seed", 1, "scenario seed")
-		window     = flag.Duration("window", 20*time.Millisecond, "arrival window (virtual time)")
-		tenants    = flag.Int("tenants", 4, "tenant count")
 		jobs       = flag.Bool("jobs", false, "also print every job's lifecycle")
 		compare    = flag.Bool("compare", false, "run every placement policy on the same workload")
 		scaling    = flag.Bool("scaling", false, "print a Fig. 11-style 1..devices scaling table")
@@ -131,10 +127,6 @@ func main() {
 	switch {
 	case *devices < 1:
 		usageError("-devices must be positive, got %d", *devices)
-	case *partitions < 1:
-		usageError("-partitions must be positive, got %d", *partitions)
-	case *streams < 1:
-		usageError("-streams must be positive, got %d", *streams)
 	case *njobs < 1:
 		usageError("-njobs must be positive, got %d", *njobs)
 	case *depth < 1:
@@ -157,10 +149,6 @@ func main() {
 		usageError("-affinity must be in [0,1], got %g", *affinity)
 	case *xfer < 1:
 		usageError("-xfer must be positive, got %d", *xfer)
-	case *tenants < 1:
-		usageError("-tenants must be positive, got %d", *tenants)
-	case *window <= 0:
-		usageError("-window must be positive, got %v", *window)
 	}
 	// Name-valued flags fail up front with a usage error instead of
 	// deep inside a run: an unknown policy or arrival process is a
@@ -288,12 +276,11 @@ func main() {
 	}
 
 	cf := clusterFlags{
-		devices: *devices, partitions: *partitions, streams: *streams,
-		policy: *policy, depth: *depth, steal: *steal, slice: *slice,
+		devices: *devices, policy: *policy, depth: *depth, steal: *steal, slice: *slice,
 		staging: *staging, cache: *cache, cachecap: *cachecap,
 		scenario: micstream.ClusterScenarioConfig{
 			Jobs: *njobs, Seed: *seed, Arrival: *arrival,
-			WindowNs: window.Nanoseconds(), Tenants: *tenants,
+			WindowNs: arrivalWindow.Nanoseconds(), Tenants: tenants,
 			SizeSpread: *spread, AffinityFraction: *affinity,
 			Datasets: *datasets, WriteFraction: *writefrac,
 			XferBytes: *xfer, Origins: origin,
@@ -305,6 +292,9 @@ func main() {
 		return
 	}
 
+	// -serve describes one run, so at most one exporter is served, and
+	// only after the profiles are written: serving blocks until killed.
+	var exporter *micstream.OpenMetricsExporter
 	places := []string{*place}
 	if *compare {
 		places = micstream.PlacementNames()
@@ -384,14 +374,15 @@ func main() {
 				})
 			}
 		}
-		if stack.Exporter != nil {
-			fmt.Printf("\nserving OpenMetrics at http://%s/metrics (interrupt to stop)\n", *serve)
-			if err := stack.Exporter.ListenAndServe(*serve); err != nil {
-				fatal(err)
-			}
-		}
+		exporter = stack.Exporter
 	}
 	finish()
+	if exporter != nil {
+		fmt.Printf("\nserving OpenMetrics at http://%s/metrics (interrupt to stop)\n", *serve)
+		if err := exporter.ListenAndServe(*serve); err != nil {
+			fatal(err)
+		}
+	}
 }
 
 // writeAndClose renders one explanation artifact and reports where it
@@ -440,16 +431,25 @@ func explainJob(rec *micstream.Telemetry, job int) {
 // clusterFlags holds the validated flags: the cluster's shape and
 // scheduler knobs, and the scenario the single-run modes build.
 type clusterFlags struct {
-	devices, partitions, streams int
-	policy                       string
-	depth                        int
-	steal                        time.Duration
-	slice                        int
-	staging                      float64
-	cache                        string
-	cachecap                     int64
-	scenario                     micstream.ClusterScenarioConfig
+	devices  int
+	policy   string
+	depth    int
+	steal    time.Duration
+	slice    int
+	staging  float64
+	cache    string
+	cachecap int64
+	scenario micstream.ClusterScenarioConfig
 }
+
+// The device shape and the mix's arrival window and tenant count are
+// fixed: every run, golden and CI step uses these.
+const (
+	partitions    = 2
+	streams       = 2
+	arrivalWindow = 20 * time.Millisecond
+	tenants       = 4
+)
 
 // options builds the cluster configuration the flags declare on devs
 // devices: everything but placement and telemetry, which only the
@@ -458,8 +458,8 @@ type clusterFlags struct {
 func (f clusterFlags) options(devs int) []micstream.ClusterOption {
 	opts := []micstream.ClusterOption{
 		micstream.WithClusterDevices(devs),
-		micstream.WithClusterPartitions(f.partitions),
-		micstream.WithClusterStreams(f.streams),
+		micstream.WithClusterPartitions(partitions),
+		micstream.WithClusterStreams(streams),
 		micstream.WithClusterQueueDepth(f.depth),
 		micstream.WithClusterDevicePolicy(func() micstream.SchedPolicy {
 			p, err := micstream.PolicyByName(f.policy)
@@ -627,9 +627,10 @@ func printMetrics(snaps []micstream.MetricsSnapshot) {
 // bag of jobs on 1..devices MICs under predicted placement. The
 // workload *shape* is fixed by the mode (identical 6-GFLOP jobs, all
 // resident on device 0, arriving at once) so the only variable down
-// the rows is the device count; -xfer, -staging, -policy, -depth and
-// -seed are honoured, the mix-shaping flags (-spread, -affinity,
-// -arrival, -window, -tenants) do not apply here.
+// the rows is the device count. -njobs, -xfer, -seed and the cluster
+// flags (-staging, -policy, -depth, -steal, -slice, -cache) are
+// honoured; the mix-shaping flags (-spread, -affinity, -arrival,
+// -origins, -datasets, -writefrac) do not apply here.
 func runScaling(f clusterFlags) {
 	fmt.Printf("multi-MIC scaling through the cluster scheduler (predicted placement, %d identical jobs resident on device 0)\n\n", f.scenario.Jobs)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)

@@ -119,12 +119,12 @@ func TestSLOIngest(t *testing.T) {
 
 // TestIngestJobOriginsRotate pins the staged jobs' origins: every
 // fourth job holds its input on a device, and those jobs take the
-// devices in turn, so with two devices jobs 0, 4, 8 and 12 sit on
+// devices in turn, so on the two devices jobs 0, 4, 8 and 12 sit on
 // devices 0, 1, 0, 1 and the rest are host-resident.
 func TestIngestJobOriginsRotate(t *testing.T) {
 	want := map[int]int{0: 0, 4: 1, 8: 0, 12: 1}
 	for id := 0; id < 16; id++ {
-		j := ingestJob(id, 4, 2, 2)
+		j := ingestJob(id)
 		origin, pinned := want[id]
 		if !pinned {
 			origin = -1
@@ -132,7 +132,7 @@ func TestIngestJobOriginsRotate(t *testing.T) {
 		if j.Origin != origin {
 			t.Errorf("job %d origin %d, want %d", id, j.Origin, origin)
 		}
-		if pinned != (j.StagingBytes == 2<<20) {
+		if pinned != (j.StagingBytes == 4<<20) {
 			t.Errorf("job %d stages %d bytes (pinned %v)", id, j.StagingBytes, pinned)
 		}
 	}

@@ -32,9 +32,6 @@ import (
 
 func main() {
 	var (
-		devices    = flag.Int("devices", 2, "simulated MIC count")
-		partitions = flag.Int("partitions", 4, "partitions per device")
-		streams    = flag.Int("streams", 2, "streams per partition")
 		place      = flag.String("place", "predicted", "placement policy")
 		steal      = flag.Duration("steal", 0, "enable work stealing at this backlog threshold (virtual time); 0 disables")
 		slice      = flag.Int("slice", 0, "enable preemptive slicing at this tasks-per-grant cap; 0 dispatches whole jobs")
@@ -43,8 +40,6 @@ func main() {
 		njobs      = flag.Int("jobs", 2000, "total jobs to ingest")
 		submitters = flag.Int("submitters", 8, "concurrent submitter goroutines")
 		rate       = flag.Float64("rate", 0, "target aggregate ingest rate in jobs/sec wall-clock; 0 = unthrottled")
-		tenants    = flag.Int("tenants", 4, "tenant count")
-		xfer       = flag.Int64("xfer", 4, "staged transfer size per off-origin job in MiB")
 		queuecap   = flag.Int("queuecap", 256, "admission frontier capacity")
 		batchcap   = flag.Int("batchcap", 0, "max jobs admitted per epoch; 0 = unbounded")
 		drain      = flag.Duration("drain", 30*time.Second, "drain deadline (wall-clock)")
@@ -62,22 +57,12 @@ func main() {
 		return
 	}
 	switch {
-	case *devices < 1:
-		usageError("-devices must be positive, got %d", *devices)
-	case *partitions < 1:
-		usageError("-partitions must be positive, got %d", *partitions)
-	case *streams < 1:
-		usageError("-streams must be positive, got %d", *streams)
 	case *njobs < 1:
 		usageError("-jobs must be positive, got %d", *njobs)
 	case *submitters < 1:
 		usageError("-submitters must be positive, got %d", *submitters)
 	case *rate < 0:
 		usageError("-rate must be non-negative, got %g", *rate)
-	case *tenants < 1:
-		usageError("-tenants must be positive, got %d", *tenants)
-	case *xfer < 1:
-		usageError("-xfer must be positive, got %d", *xfer)
 	case *queuecap < 1:
 		usageError("-queuecap must be positive, got %d", *queuecap)
 	case *batchcap < 0:
@@ -125,9 +110,9 @@ func main() {
 			return nil, err
 		}
 		opts := []micstream.ClusterOption{
-			micstream.WithClusterDevices(*devices),
-			micstream.WithClusterPartitions(*partitions),
-			micstream.WithClusterStreams(*streams),
+			micstream.WithClusterDevices(devices),
+			micstream.WithClusterPartitions(partitions),
+			micstream.WithClusterStreams(streams),
 			micstream.WithPlacement(pol),
 		}
 		if *steal > 0 {
@@ -206,7 +191,7 @@ func main() {
 		go func(g int) {
 			defer wg.Done()
 			for id := g; id < *njobs; id += *submitters {
-				j := ingestJob(id, *tenants, *devices, *xfer)
+				j := ingestJob(id)
 				if sloEval != nil {
 					// Deadline-kind objectives stamp their budget onto
 					// the job, so scheduler miss accounting and the
@@ -303,11 +288,20 @@ func sloStates(ev *micstream.SLOEvaluator) []micstream.SLOState {
 	return ev.States()
 }
 
+// The served cluster's shape and the ingest mix are fixed.
+const (
+	devices    = 2
+	partitions = 4
+	streams    = 2
+	tenants    = 4
+	xferMiB    = 4 // staged transfer per pinned job
+)
+
 // ingestJob builds job id's spec: tenant and cost derive from the id,
 // and every fourth job holds its input on a device, the pinned jobs
 // taking the devices in turn, so placement weighs staging against
 // load.
-func ingestJob(id, tenants, devices int, xferMiB int64) micstream.ClusterJob {
+func ingestJob(id int) micstream.ClusterJob {
 	j := micstream.ClusterJob{
 		ID:     id,
 		Tenant: fmt.Sprintf("t%d", id%tenants),

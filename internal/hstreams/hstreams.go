@@ -363,11 +363,6 @@ func (s *Stream) DeviceIndex() int { return s.devIdx }
 // Partition reports the place the stream is bound to.
 func (s *Stream) Partition() *device.Partition { return s.part }
 
-// Last returns the stream's most recently enqueued event, or nil if
-// there is none or Context.Recycle has recycled it; waiting on it is a
-// stream-level sync either way.
-func (s *Stream) Last() *Event { return s.last }
-
 // Sync blocks the host until everything enqueued on the stream so far
 // has completed (hStreams_app_stream_sync).
 func (s *Stream) Sync() { s.ctx.Wait(s.last) }

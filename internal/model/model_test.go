@@ -286,38 +286,6 @@ func TestServiceTimeMatchesSerialRun(t *testing.T) {
 	}
 }
 
-// FromTasks round-trips the aggregate quantities the predictor needs.
-func TestFromTasksAggregates(t *testing.T) {
-	ctx, err := hstreams.Init(hstreams.Config{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := hstreams.AllocVirtual(ctx, "data", 1<<20, 4)
-	tasks := []*core.Task{
-		{ID: 0, H2D: []core.TransferSpec{core.Xfer(buf, 0, 1<<19)},
-			Cost: device.KernelCost{Flops: 2e9, Efficiency: 0.5}},
-		{ID: 1, Cost: device.KernelCost{Flops: 4e9, Efficiency: 0.5},
-			D2H: []core.TransferSpec{core.Xfer(buf, 0, 1<<20)}},
-	}
-	w := model.FromTasks("job", tasks)
-	if w.Flops != 6e9 {
-		t.Errorf("Flops = %g, want 6e9", w.Flops)
-	}
-	phases := w.Phases(99) // tile count is fixed by the task list
-	if len(phases) != 1 || phases[0].Tiles != 2 {
-		t.Fatalf("phases = %+v, want one phase of 2 tiles", phases)
-	}
-	if got := phases[0].H2DBytesPerTile; got != 4*(1<<19)/2 {
-		t.Errorf("H2DBytesPerTile = %d", got)
-	}
-	if got := phases[0].D2HBytesPerTile; got != 4*(1<<20)/2 {
-		t.Errorf("D2HBytesPerTile = %d", got)
-	}
-	if !phases[0].HasKernel || phases[0].Cost.Efficiency != 0.5 {
-		t.Errorf("kernel aggregate wrong: %+v", phases[0])
-	}
-}
-
 // hbenchCase adapts one hbench instance for the regime tests.
 type hbenchCase struct {
 	workload model.Workload

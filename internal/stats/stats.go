@@ -1,10 +1,10 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: summary statistics over repeated runs (the paper runs
-// each benchmark for 11 iterations, drops the first and averages), a
-// least-squares line fit (used to check the linearity of Fig. 5's IC
-// and CD series), and shape predicates (monotonicity, unimodality,
-// constancy) with which the test suite asserts that each regenerated
-// figure has the same qualitative form as the paper's.
+// harness uses: summary statistics (mean, extremes, percentiles,
+// Jain's fairness index), a least-squares line fit (used to check the
+// linearity of Fig. 5's IC and CD series), and shape predicates
+// (monotonicity, constancy) with which the test suite asserts that
+// each regenerated figure has the same qualitative form as the
+// paper's.
 package stats
 
 import (
@@ -24,26 +24,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the sample standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Median returns the median of xs, or 0 for an empty slice. It is
-// Percentile at p = 50 (for even lengths the linear-interpolation
-// estimator averages the middle pair, matching the textbook median).
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Min returns the smallest element and its index (-1 for empty input).
 func Min(xs []float64) (float64, int) {
@@ -71,19 +51,6 @@ func Max(xs []float64) (float64, int) {
 		}
 	}
 	return best, at
-}
-
-// TrimmedMean drops the first skip observations and averages the rest —
-// the paper's measurement protocol ("run each benchmark for 11
-// iterations, ignore the first and calculate the mean").
-func TrimmedMean(xs []float64, skip int) float64 {
-	if skip < 0 {
-		skip = 0
-	}
-	if skip >= len(xs) {
-		return 0
-	}
-	return Mean(xs[skip:])
 }
 
 // LinearFit fits y = a + b·x by least squares and returns the
@@ -156,18 +123,6 @@ func IsRoughlyConstant(xs []float64, rel float64) bool {
 		}
 	}
 	return true
-}
-
-// IsUnimodalMin reports whether the series decreases to a single
-// minimum region and increases after it, within relative tolerance tol
-// per step. This is the "first improves then degrades" shape of Figs. 7
-// and 10.
-func IsUnimodalMin(xs []float64, tol float64) bool {
-	if len(xs) < 3 {
-		return true
-	}
-	_, at := Min(xs)
-	return IsMonotone(xs[:at+1], -1, tol) && IsMonotone(xs[at:], +1, tol)
 }
 
 // Percentile returns the p-th percentile of xs (p in [0, 100]) using

@@ -7,25 +7,13 @@ import (
 	"testing/quick"
 )
 
-func TestMeanMedianStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("mean = %v, want 5", m)
 	}
-	if sd := StdDev(xs); math.Abs(sd-2.138) > 0.01 {
-		t.Fatalf("stddev = %v, want ≈2.138", sd)
-	}
-	if md := Median(xs); md != 4.5 {
-		t.Fatalf("median = %v, want 4.5", md)
-	}
-	if md := Median([]float64{3, 1, 2}); md != 2 {
-		t.Fatalf("odd median = %v, want 2", md)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
-		t.Fatal("empty inputs should give 0")
-	}
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("single-element stddev should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty input should give 0")
 	}
 }
 
@@ -42,23 +30,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if _, i := Max(nil); i != -1 {
 		t.Fatal("empty Max index should be -1")
-	}
-}
-
-func TestTrimmedMeanMatchesPaperProtocol(t *testing.T) {
-	// 11 runs, first is warmup.
-	runs := []float64{100, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}
-	if m := TrimmedMean(runs, 1); m != 10 {
-		t.Fatalf("trimmed mean = %v, want 10", m)
-	}
-	if m := TrimmedMean(runs, 0); m != Mean(runs) {
-		t.Fatalf("skip=0 should be plain mean")
-	}
-	if m := TrimmedMean([]float64{1}, 5); m != 0 {
-		t.Fatalf("over-trim should give 0, got %v", m)
-	}
-	if m := TrimmedMean(runs, -3); m != Mean(runs) {
-		t.Fatalf("negative skip clamps to 0, got %v", m)
 	}
 }
 
@@ -131,22 +102,6 @@ func TestIsRoughlyConstant(t *testing.T) {
 	}
 }
 
-func TestIsUnimodalMin(t *testing.T) {
-	if !IsUnimodalMin([]float64{9, 5, 3, 4, 8}, 0) {
-		t.Fatal("clean V rejected")
-	}
-	if IsUnimodalMin([]float64{9, 3, 8, 2, 9}, 0) {
-		t.Fatal("W accepted")
-	}
-	if !IsUnimodalMin([]float64{1, 2}, 0) {
-		t.Fatal("short series should pass trivially")
-	}
-	// Monotone decreasing counts as unimodal (min at the end).
-	if !IsUnimodalMin([]float64{5, 4, 3}, 0) {
-		t.Fatal("monotone decreasing rejected")
-	}
-}
-
 func TestSpeedupAndGFlops(t *testing.T) {
 	if s := Speedup(10, 5); s != 2 {
 		t.Fatalf("speedup = %v, want 2", s)
@@ -162,8 +117,8 @@ func TestSpeedupAndGFlops(t *testing.T) {
 	}
 }
 
-// Property: mean is within [min, max]; stddev is non-negative; the
-// least-squares line passes through the centroid.
+// Property: mean is within [min, max]; the least-squares line passes
+// through the centroid.
 func TestPropertySummaryInvariants(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) < 2 {
@@ -177,9 +132,6 @@ func TestPropertySummaryInvariants(t *testing.T) {
 		lo, _ := Min(xs)
 		hi, _ := Max(xs)
 		if m < lo-1e-9 || m > hi+1e-9 {
-			return false
-		}
-		if StdDev(xs) < 0 {
 			return false
 		}
 		idx := make([]float64, len(xs))

@@ -60,51 +60,55 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 // Recorder accumulates spans. A nil *Recorder is a valid no-op sink, so
 // hot paths can record unconditionally.
 //
-// A stage recorder (NewStageRecorder) keeps no spans: only what the
-// stage analysis reads — per-Kind busy intervals and summed span
-// lengths, and the latest span end. Its BusyTime, Overlap,
-// TransferComputeOverlap, StageTimes, TotalTime and Makespan equal a
-// full recorder's fed the same spans; Spans is nil and Gantt prints
-// the empty trace. Its analysis works in the recorder's own storage —
-// it merges each class's intervals in place and builds the transfer
-// union in one reused scratch slice — so, unlike a full recorder's, it
-// must not run concurrently with another call on the same recorder.
+// Every recorder folds each span into its Kind's class as it arrives:
+// the busy intervals and summed span lengths that BusyTime, Overlap,
+// TransferComputeOverlap, StageTimes and TotalTime read, and the
+// latest span end. A full recorder (NewRecorder) also keeps the spans
+// for Spans and Gantt; a stage recorder (NewStageRecorder) keeps none,
+// so its Spans is nil and Gantt prints the empty trace. The analysis
+// works in the recorder's own storage — it merges each class's
+// intervals in place and builds the transfer union in one reused
+// scratch slice — so it must not run concurrently with another call on
+// the same recorder.
 type Recorder struct {
 	spans []Span
-	// classes is non-nil exactly in stage mode, indexed by Kind.
+	// classes is indexed by Kind.
 	classes []stageClass
+	// stage is set by NewStageRecorder: Add keeps no span.
+	stage bool
 	// stopped is set by Stop: Add drops every span until Reset.
 	stopped bool
 	end     sim.Time // latest span end
-	// xfer is StageTimes' scratch for the transfer union in stage
-	// mode.
+	// xfer is StageTimes' scratch for the transfer union.
 	xfer []interval
 }
 
-// stageClass is one Kind's record in stage mode. busy holds the
-// non-empty spans with each one that touches or overlaps its
-// predecessor folded into it, so it has the spans' union; the
-// analysis sorts and merges it in place, which keeps that union, and
-// later spans fold into its last interval as before. It holds no
-// pointers, so the collector never scans it.
+// stageClass is one Kind's record. busy holds the non-empty spans
+// with each one that touches or overlaps its predecessor folded into
+// it, so it has the spans' union; the analysis sorts and merges it in
+// place, which keeps that union, and later spans fold into its last
+// interval as before. It holds no pointers, so the collector never
+// scans it.
 type stageClass struct {
 	busy  []interval
 	total sim.Duration
 }
 
 // NewRecorder returns an empty recorder that keeps every span.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder {
+	return &Recorder{classes: make([]stageClass, len(kindNames))}
+}
 
 // NewStageRecorder returns an empty stage recorder: it keeps per-class
 // busy intervals for the stage analysis and no span log.
 func NewStageRecorder() *Recorder {
-	return &Recorder{classes: make([]stageClass, len(kindNames))}
+	return &Recorder{classes: make([]stageClass, len(kindNames)), stage: true}
 }
 
 // KeepsSpans reports whether Add stores the span itself, so that call
 // sites format labels only when a span is kept. It is false for a nil
 // recorder, a stage recorder and a stopped one.
-func (r *Recorder) KeepsSpans() bool { return r != nil && r.classes == nil && !r.stopped }
+func (r *Recorder) KeepsSpans() bool { return r != nil && !r.stage && !r.stopped }
 
 // Stop makes Add drop every later span, until Reset: what was recorded
 // stays readable, but nothing more is kept or analysed.
@@ -122,9 +126,8 @@ func (r *Recorder) Add(s Span) {
 	if s.End > r.end {
 		r.end = s.End
 	}
-	if r.classes == nil {
+	if !r.stage {
 		r.spans = append(r.spans, s)
-		return
 	}
 	for int(s.Kind) >= len(r.classes) {
 		r.classes = append(r.classes, stageClass{})
@@ -143,7 +146,7 @@ func (r *Recorder) Add(s Span) {
 }
 
 // Reset discards everything recorded but keeps the recorder usable,
-// in the same mode; a stopped recorder records again.
+// keeping spans or not as before; a stopped recorder records again.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -188,19 +191,10 @@ func (r *Recorder) BusyTime(kind Kind) sim.Duration {
 // TotalTime reports the summed lengths of all spans of the given kind,
 // counting concurrent spans multiply (resource-seconds).
 func (r *Recorder) TotalTime(kind Kind) sim.Duration {
-	if r != nil && r.classes != nil {
-		if int(kind) < len(r.classes) {
-			return r.classes[kind].total
-		}
+	if r == nil || int(kind) >= len(r.classes) {
 		return 0
 	}
-	var t sim.Duration
-	for _, s := range r.Spans() {
-		if s.Kind == kind {
-			t += s.Duration()
-		}
-	}
-	return t
+	return r.classes[kind].total
 }
 
 // Overlap reports the wall time during which at least one span of kind
@@ -223,17 +217,14 @@ type StageTimes struct {
 
 // StageTimes computes the stage analysis from one merge per class.
 func (r *Recorder) StageTimes() StageTimes {
+	if r == nil {
+		return StageTimes{}
+	}
 	h2d, d2h, exe := r.busy(H2D), r.busy(D2H), r.busy(Kernel)
 	st := StageTimes{H2D: length(h2d), D2H: length(d2h), Kernel: length(exe)}
-	var xfer []interval
-	if r != nil && r.classes != nil {
-		r.xfer = mergeIntervals(append(append(r.xfer[:0], h2d...), d2h...))
-		xfer = r.xfer
-	} else {
-		xfer = mergeIntervals(slices.Concat(h2d, d2h))
-	}
-	if total := length(xfer); total > 0 {
-		st.TransferComputeOverlap = intersectionLength(xfer, exe).Seconds() / total.Seconds()
+	r.xfer = mergeIntervals(append(append(r.xfer[:0], h2d...), d2h...))
+	if total := length(r.xfer); total > 0 {
+		st.TransferComputeOverlap = intersectionLength(r.xfer, exe).Seconds() / total.Seconds()
 	}
 	return st
 }
@@ -247,27 +238,15 @@ func (r *Recorder) TransferComputeOverlap() float64 {
 
 type interval struct{ lo, hi sim.Time }
 
-// busy returns the merged busy intervals of one kind: in a stage
-// recorder, the class's own intervals, merged in place; otherwise a
-// fresh slice.
+// busy returns the merged busy intervals of one kind: the class's own
+// intervals, merged in place.
 func (r *Recorder) busy(kind Kind) []interval {
-	var out []interval
-	switch {
-	case r == nil:
-	case r.classes != nil:
-		if int(kind) < len(r.classes) {
-			c := &r.classes[kind]
-			c.busy = mergeIntervals(c.busy)
-			return c.busy
-		}
-	default:
-		for _, s := range r.spans {
-			if s.Kind == kind && s.End > s.Start {
-				out = append(out, interval{s.Start, s.End})
-			}
-		}
+	if r == nil || int(kind) >= len(r.classes) {
+		return nil
 	}
-	return mergeIntervals(out)
+	c := &r.classes[kind]
+	c.busy = mergeIntervals(c.busy)
+	return c.busy
 }
 
 // mergeIntervals sorts and coalesces overlapping and touching

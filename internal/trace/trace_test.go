@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,11 +251,11 @@ func randomSpans(rng *rand.Rand) []Span {
 	return out
 }
 
-// Property: a stage recorder fed the same spans as a full recorder
-// reports exactly the same stage analysis, and again after Reset.
-// Spans arrive in batches with the analysis run after each, so the
-// stage recorder's in-place merge must leave intervals that later Add
-// calls still fold into correctly.
+// Property: both recorder kinds report exactly the stage analysis of
+// the span-scan oracle over the spans fed so far, and again after
+// Reset; a full recorder also keeps those spans. Spans arrive in
+// batches with the analysis run after each, so the in-place merge must
+// leave intervals that later Add calls still fold into correctly.
 func TestPropertyStageRecorderMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	kinds := make([]Kind, len(kindNames)+1)
@@ -268,19 +269,29 @@ func TestPropertyStageRecorderMatchesFull(t *testing.T) {
 			full.Reset()
 			stage.Reset()
 			spans := randomSpans(rng)
-			for len(spans) > 0 {
-				n := 1 + rng.Intn(len(spans))
-				if n < len(spans) {
+			for fed := 0; ; {
+				want := spanAnalysis(spans[:fed])
+				if err := compareAnalysis(full, want, kinds); err != "" {
+					t.Fatalf("trial %d round %d, full recorder after %d spans: %s", trial, round, fed, err)
+				}
+				if err := compareAnalysis(stage, want, kinds); err != "" {
+					t.Fatalf("trial %d round %d, stage recorder after %d spans: %s", trial, round, fed, err)
+				}
+				if !slices.Equal(full.Spans(), want) {
+					t.Fatalf("trial %d round %d: full recorder kept %d spans, want the %d fed", trial, round, full.Len(), fed)
+				}
+				if fed == len(spans) {
+					break
+				}
+				if fed > 0 {
 					batched++
 				}
-				for _, s := range spans[:n] {
+				n := 1 + rng.Intn(len(spans)-fed)
+				for _, s := range spans[fed : fed+n] {
 					full.Add(s)
 					stage.Add(s)
 				}
-				spans = spans[n:]
-				if err := compareAnalysis(full, stage, kinds); err != "" {
-					t.Fatalf("trial %d round %d: %s", trial, round, err)
-				}
+				fed += n
 			}
 		}
 	}
@@ -289,30 +300,31 @@ func TestPropertyStageRecorderMatchesFull(t *testing.T) {
 	}
 }
 
-// compareAnalysis returns how the stage analysis of two recorders
-// differs, or "" when it agrees.
-func compareAnalysis(full, stage *Recorder, kinds []Kind) string {
+// compareAnalysis returns how a recorder's stage analysis differs from
+// the oracle's, or "" when it agrees bit for bit.
+func compareAnalysis(r *Recorder, want spanAnalysis, kinds []Kind) string {
 	for _, a := range kinds {
-		if f, s := full.BusyTime(a), stage.BusyTime(a); f != s {
-			return fmt.Sprintf("BusyTime(%v) full %v, stage %v", a, f, s)
+		if got, w := r.BusyTime(a), want.busyTime(a); got != w {
+			return fmt.Sprintf("BusyTime(%v) = %v, want %v", a, got, w)
 		}
-		if f, s := full.TotalTime(a), stage.TotalTime(a); f != s {
-			return fmt.Sprintf("TotalTime(%v) full %v, stage %v", a, f, s)
+		if got, w := r.TotalTime(a), want.totalTime(a); got != w {
+			return fmt.Sprintf("TotalTime(%v) = %v, want %v", a, got, w)
 		}
 		for _, b := range kinds {
-			if f, s := full.Overlap(a, b), stage.Overlap(a, b); f != s {
-				return fmt.Sprintf("Overlap(%v, %v) full %v, stage %v", a, b, f, s)
+			if got, w := r.Overlap(a, b), want.overlap(a, b); got != w {
+				return fmt.Sprintf("Overlap(%v, %v) = %v, want %v", a, b, got, w)
 			}
 		}
 	}
-	if f, s := full.TransferComputeOverlap(), stage.TransferComputeOverlap(); f != s {
-		return fmt.Sprintf("TransferComputeOverlap full %v, stage %v", f, s)
+	st := want.stageTimes()
+	if got := r.TransferComputeOverlap(); got != st.TransferComputeOverlap {
+		return fmt.Sprintf("TransferComputeOverlap = %v, want %v", got, st.TransferComputeOverlap)
 	}
-	if f, s := full.StageTimes(), stage.StageTimes(); f != s {
-		return fmt.Sprintf("StageTimes full %+v, stage %+v", f, s)
+	if got := r.StageTimes(); got != st {
+		return fmt.Sprintf("StageTimes = %+v, want %+v", got, st)
 	}
-	if f, s := full.Makespan(), stage.Makespan(); f != s {
-		return fmt.Sprintf("Makespan full %v, stage %v", f, s)
+	if got, w := r.Makespan(), want.makespan(); got != w {
+		return fmt.Sprintf("Makespan = %v, want %v", got, w)
 	}
 	return ""
 }

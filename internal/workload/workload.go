@@ -52,17 +52,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Matrix generates an n×n row-major float64 matrix with entries in
-// [-1, 1).
-func Matrix(seed uint64, n int) []float64 {
-	rng := NewRNG(seed)
-	m := make([]float64, n*n)
-	for i := range m {
-		m[i] = rng.Range(-1, 1)
-	}
-	return m
-}
-
 // SPDMatrix generates an n×n symmetric positive-definite matrix, the
 // input class Cholesky factorization requires. It builds B·Bᵀ + n·I,
 // which is SPD by construction.
@@ -87,17 +76,6 @@ func SPDMatrix(seed uint64, n int) []float64 {
 		}
 	}
 	return a
-}
-
-// Points generates n points of dim features each (row-major), uniform
-// in [0, 10) — the Kmeans input shape used by MineBench.
-func Points(seed uint64, n, dim int) []float64 {
-	rng := NewRNG(seed)
-	p := make([]float64, n*dim)
-	for i := range p {
-		p[i] = rng.Range(0, 10)
-	}
-	return p
 }
 
 // ClusteredPoints generates n points of dim features drawn from k

@@ -61,18 +61,6 @@ func TestRangeWithinBounds(t *testing.T) {
 	}
 }
 
-func TestMatrixShapeAndRange(t *testing.T) {
-	m := Matrix(1, 16)
-	if len(m) != 256 {
-		t.Fatalf("len = %d, want 256", len(m))
-	}
-	for _, v := range m {
-		if v < -1 || v >= 1 {
-			t.Fatalf("entry %v out of [-1,1)", v)
-		}
-	}
-}
-
 // An SPD matrix must be symmetric with positive diagonal and, by the
 // Gershgorin-like dominance we build in, positive-definite. We check
 // symmetry exactly and definiteness via a Cholesky-style elimination.
@@ -181,7 +169,7 @@ func TestUltrasoundImageInRange(t *testing.T) {
 // Property: all generators are pure functions of their seed.
 func TestPropertyGeneratorsDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {
-		m1, m2 := Matrix(seed, 8), Matrix(seed, 8)
+		m1, m2 := SPDMatrix(seed, 8), SPDMatrix(seed, 8)
 		for i := range m1 {
 			if m1[i] != m2[i] {
 				return false

@@ -9,9 +9,10 @@
 # 3. Every bare `*.md` file reference in a Go comment must name a file
 #    that exists, relative to the repository root or to the Go file.
 # 4. Every cmd/ directory must have a row in README's "Command-line
-#    tools" table, and every `func Example...` in the root package's
-#    tests must be named in README's "Runnable godoc examples"
-#    sentence.
+#    tools" table, every `-flag` in that row and in the `Usage:` block
+#    of the command's doc comment must be defined in its main.go, and
+#    every `func Example...` in the root package's tests must be named
+#    in README's "Runnable godoc examples" sentence.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -75,13 +76,28 @@ fi
 # --- README inventory -------------------------------------------------
 # Every command has a row in README's "Command-line tools" table, and
 # every godoc example is named in the sentence that lists them, which
-# runs from "Runnable godoc examples:" to the next blank line.
+# runs from "Runnable godoc examples:" to the next blank line. Every
+# -flag in a command's row (its last column) and in the tab-indented
+# lines of its main.go `// Usage:` block (outside `#` remarks) must be
+# a flag that main.go defines, so a deleted flag cannot linger in the
+# docs.
+tab=$(printf '\t')
 for dir in cmd/*/; do
     name=$(basename "$dir")
-    if ! sed -n '/^## Command-line tools/,/^## /p' README.md | grep -q "^| \`$name\` |"; then
+    row=$(sed -n '/^## Command-line tools/,/^## /p' README.md | grep "^| \`$name\` |" || true)
+    if [ -z "$row" ]; then
         echo "README.md: command $name has no row in the Command-line tools table"
         fail=1
     fi
+    defined=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' "${dir}main.go")
+    usage=$(sed -n "/^\/\/ Usage:/,/^\/\/ [^$tab]/s/^\/\/$tab//p" "${dir}main.go" | sed 's/#.*//')
+    for flag in $(printf '%s\n%s\n' "$(printf '%s\n' "$row" | awk -F'|' '{print $4}')" "$usage" |
+        tr '[`' '  ' | grep -oE '(^| )-[a-z][a-z0-9-]*' | sed 's/^ *-//' | sort -u); do
+        if ! printf '%s\n' "$defined" | grep -qx -- "$flag"; then
+            echo "$name: documented flag -$flag is not defined in ${dir}main.go"
+            fail=1
+        fi
+    done
 done
 listed=$(sed -n '/^Runnable godoc examples:/,/^$/p' README.md)
 for name in $(sed -n 's/^func \(Example[A-Za-z0-9_]*\)().*/\1/p' ./*_test.go); do
