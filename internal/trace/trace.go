@@ -73,7 +73,7 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 type Recorder struct {
 	spans []Span
 	// classes is indexed by Kind.
-	classes []stageClass
+	classes []kindClass
 	// stage is set by NewStageRecorder: Add keeps no span.
 	stage bool
 	// stopped is set by Stop: Add drops every span until Reset.
@@ -83,26 +83,26 @@ type Recorder struct {
 	xfer []interval
 }
 
-// stageClass is one Kind's record. busy holds the non-empty spans
+// kindClass is one Kind's record. busy holds the non-empty spans
 // with each one that touches or overlaps its predecessor folded into
 // it, so it has the spans' union; the analysis sorts and merges it in
 // place, which keeps that union, and later spans fold into its last
 // interval as before. It holds no pointers, so the collector never
 // scans it.
-type stageClass struct {
+type kindClass struct {
 	busy  []interval
 	total sim.Duration
 }
 
 // NewRecorder returns an empty recorder that keeps every span.
 func NewRecorder() *Recorder {
-	return &Recorder{classes: make([]stageClass, len(kindNames))}
+	return &Recorder{classes: make([]kindClass, len(kindNames))}
 }
 
 // NewStageRecorder returns an empty stage recorder: it keeps per-class
 // busy intervals for the stage analysis and no span log.
 func NewStageRecorder() *Recorder {
-	return &Recorder{classes: make([]stageClass, len(kindNames)), stage: true}
+	return &Recorder{classes: make([]kindClass, len(kindNames)), stage: true}
 }
 
 // KeepsSpans reports whether Add stores the span itself, so that call
@@ -130,7 +130,7 @@ func (r *Recorder) Add(s Span) {
 		r.spans = append(r.spans, s)
 	}
 	for int(s.Kind) >= len(r.classes) {
-		r.classes = append(r.classes, stageClass{})
+		r.classes = append(r.classes, kindClass{})
 	}
 	c := &r.classes[s.Kind]
 	c.total += s.Duration()
@@ -155,7 +155,7 @@ func (r *Recorder) Reset() {
 	r.spans = r.spans[:0]
 	r.end = 0
 	for i := range r.classes {
-		r.classes[i] = stageClass{busy: r.classes[i].busy[:0]}
+		r.classes[i] = kindClass{busy: r.classes[i].busy[:0]}
 	}
 }
 
