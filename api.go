@@ -387,7 +387,7 @@ func WriteDriftJSON(w io.Writer, r *DriftReport, meta DriftMeta) error {
 
 // NewOpenMetricsExporter returns an exporter with no snapshot yet.
 // Wire it to a recorder through Observers and expose it with
-// ServeHTTP/ListenAndServe; Render writes the exposition text.
+// ServeHTTP/Serve; Render writes the exposition text.
 func NewOpenMetricsExporter() *OpenMetricsExporter { return obs.NewExporter() }
 
 // DefaultFlightCap is the flight recorder's default ring capacity.

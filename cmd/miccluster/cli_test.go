@@ -13,6 +13,8 @@ import (
 	"bufio"
 	"bytes"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -212,6 +214,28 @@ func TestCLIServeWritesProfiles(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Fatal("heap profile is empty while the run serves")
+	}
+	// The line names the bound address, so the exporter answers there.
+	var url string
+	for _, f := range strings.Fields(sc.Text()) {
+		if strings.HasPrefix(f, "http://") {
+			url = f
+		}
+	}
+	if url == "" || strings.Contains(url, ":0/") {
+		t.Fatalf("serving line %q names no bound address", sc.Text())
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.HasSuffix(body, []byte("# EOF\n")) {
+		t.Fatalf("GET %s: %s, body %q", url, resp.Status, body)
 	}
 }
 

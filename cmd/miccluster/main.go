@@ -65,6 +65,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -378,8 +379,14 @@ func main() {
 	}
 	finish()
 	if exporter != nil {
-		fmt.Printf("\nserving OpenMetrics at http://%s/metrics (interrupt to stop)\n", *serve)
-		if err := exporter.ListenAndServe(*serve); err != nil {
+		// Listen before announcing: the line names the bound address
+		// (a :0 port resolved), and a busy port fails without it.
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\nserving OpenMetrics at http://%s/metrics (interrupt to stop)\n", ln.Addr())
+		if err := exporter.Serve(ln); err != nil {
 			fatal(err)
 		}
 	}

@@ -16,15 +16,22 @@ const (
 )
 
 // Slab is append-only indexed storage whose elements never move, so a
-// pointer from At stays valid for the slab's lifetime. The first Grow
-// sizes one head slice exactly; later elements go in ChunkLen-sized
-// chunks, so a slab filled by a single Grow is one slice of exactly
-// its length (Slice aliases it) and growing never copies an element.
-// The zero value is empty and ready to use.
+// pointer from At stays valid until the element is retired. The first
+// Grow sizes one head slice exactly; later elements go in
+// ChunkLen-sized chunks, so a slab filled by a single Grow is one
+// slice of exactly its length (Slice aliases it) and growing never
+// copies an element. Retire drops storage from the front: indices stay
+// stable, and the dropped chunks come back zeroed to later Grows. The
+// zero value is empty and ready to use.
 type Slab[T any] struct {
 	head []T
 	tail [][]T
+	// base is the index of tail[0][0]: the head's length until
+	// Retire drops chunks, then moved forward a chunk at a time.
+	base int
 	n    int
+	// spare holds retired chunks, cleared, for Grow to reuse.
+	spare [][]T
 }
 
 // Grow appends n zero elements and returns the index of the first.
@@ -33,33 +40,78 @@ func (s *Slab[T]) Grow(n int) (base int) {
 	if n <= 0 {
 		return base
 	}
-	if s.head == nil {
+	if s.n == 0 {
 		s.head = make([]T, n)
-		s.n = n
+		s.base, s.n = n, n
 		return base
 	}
 	s.n += n
-	for len(s.head)+len(s.tail)*ChunkLen < s.n {
-		s.tail = append(s.tail, make([]T, ChunkLen))
+	for s.base+len(s.tail)*ChunkLen < s.n {
+		var c []T
+		if k := len(s.spare) - 1; k >= 0 {
+			c, s.spare[k] = s.spare[k], nil
+			s.spare = s.spare[:k]
+		} else {
+			c = make([]T, ChunkLen)
+		}
+		s.tail = append(s.tail, c)
 	}
 	return base
 }
 
-// Len reports the number of elements.
+// Len reports the number of elements, retired ones included.
 func (s *Slab[T]) Len() int { return s.n }
 
-// At returns a pointer to element i, which must be below Len.
+// At returns a pointer to element i, which must be below Len and not
+// retired.
 func (s *Slab[T]) At(i int) *T {
 	if i < len(s.head) {
 		return &s.head[i]
 	}
-	i -= len(s.head)
+	i -= s.base
 	return &s.tail[i>>chunkShift][i&chunkMask]
+}
+
+// Retire gives up the storage of every element below i (at most Len):
+// the head once i reaches its end, and each chunk that lies wholly
+// below i. Elements at or above i keep their indices and addresses,
+// and an i below an earlier Retire's retires nothing more. The dropped
+// chunks are cleared, so they keep nothing they reference alive, and
+// kept for Grow to reuse instead of allocating.
+func (s *Slab[T]) Retire(i int) {
+	if s.head != nil {
+		if i < len(s.head) {
+			return
+		}
+		s.head = nil
+	}
+	k := max(i-s.base, 0) >> chunkShift
+	if k == 0 {
+		return
+	}
+	for _, c := range s.tail[:k] {
+		clear(c)
+		s.spare = append(s.spare, c)
+	}
+	m := copy(s.tail, s.tail[k:])
+	clear(s.tail[m:])
+	s.tail = s.tail[:m]
+	s.base += k * ChunkLen
+}
+
+// Chunks reports how many slices hold elements not yet retired: the
+// head, while it is kept, and every chunk.
+func (s *Slab[T]) Chunks() int {
+	if s.head != nil {
+		return 1 + len(s.tail)
+	}
+	return len(s.tail)
 }
 
 // Slice returns the elements as one slice: the head itself while no
 // chunk has been added (writes through it reach the slab), otherwise
-// a fresh copy. It is nil for an empty slab.
+// a fresh copy. It is nil for an empty slab. A retired slab has no
+// such slice; call Slice only on a slab never retired.
 func (s *Slab[T]) Slice() []T {
 	if s.n == len(s.head) {
 		return s.head

@@ -124,3 +124,63 @@ func TestQueueCompactsInPlace(t *testing.T) {
 		}
 	}
 }
+
+// Retiring keeps every live index and address, drops the head and the
+// whole chunks below the retired index, and hands the dropped chunks
+// back zeroed to later Grows instead of allocating.
+func TestSlabRetire(t *testing.T) {
+	var s Slab[int]
+	s.Grow(3)
+	s.Grow(2*ChunkLen + 5)
+	for i := 0; i < s.Len(); i++ {
+		*s.At(i) = i + 1
+	}
+	if got := s.Chunks(); got != 4 {
+		t.Fatalf("head and 3 chunks held in %d slices", got)
+	}
+	s.Retire(2)
+	if s.Chunks() != 4 || s.head == nil {
+		t.Fatal("Retire inside the head dropped storage")
+	}
+	live := 3 + ChunkLen + 1
+	ptr := s.At(live)
+	s.Retire(live)
+	if s.head != nil || s.Chunks() != 2 {
+		t.Fatalf("Retire(%d) left head %v and %d slices, want no head and 2 chunks", live, s.head != nil, s.Chunks())
+	}
+	if s.At(live) != ptr {
+		t.Fatal("a live element moved")
+	}
+	for i := live - 1; i < s.Len(); i++ {
+		if *s.At(i) != i+1 {
+			t.Fatalf("element %d reads %d after Retire", i, *s.At(i))
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Retire(s.Len())
+		if s.Chunks() != 1 {
+			t.Fatalf("Retire(Len) kept %d slices, want the partial last chunk", s.Chunks())
+		}
+		for i := s.Grow(ChunkLen); i < s.Len(); i++ {
+			if *s.At(i) != 0 {
+				t.Fatalf("reused chunk holds %d at %d", *s.At(i), i)
+			}
+			*s.At(i) = -1
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Grow after Retire allocated %.0f objects instead of reusing a chunk", allocs)
+	}
+}
+
+// A slab never retired keeps its exact head: Slice aliases it.
+func TestSlabUnretiredSliceAliasesHead(t *testing.T) {
+	var s Slab[int]
+	s.Grow(5)
+	s.Retire(0)
+	got := s.Slice()
+	got[4] = 9
+	if *s.At(4) != 9 || len(got) != 5 || cap(got) != 5 {
+		t.Fatal("Slice of a never-retired slab is not its head")
+	}
+}

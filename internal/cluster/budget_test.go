@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
+	"micstream/internal/arena"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
 )
@@ -119,4 +121,84 @@ func TestAllocBudgetContended(t *testing.T) {
 		t.Fatalf("a contended job allocates %.3f objects, budget %.2f", perJob, budget)
 	}
 	t.Logf("%.3f objects per job", perJob)
+}
+
+// TestSessionRetention pins how much admission state a long session
+// keeps (DESIGN.md §15): over 10,000 one-job epochs the admission
+// records of jobs whose outcomes have streamed retire at each epoch
+// boundary, so at most two chunks of them stay live however long the
+// session runs, while every outcome, retired records' included, stays
+// readable through Session.Outcome. One later-arrival job, submitted
+// with a run of one-job batches stacked behind it at one boundary,
+// pins the watermark until the epoch that runs them: nothing past it
+// retires early.
+func TestSessionRetention(t *testing.T) {
+	const epochs, pinAt, stacked = 10_000, 100, 3 * arena.ChunkLen
+	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 4, StreamsPerPartition: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ctx, WithPlacement(Predicted()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// streamed[i] is outcome i as it streamed, in completion order.
+	var streamed []Outcome
+	sess, err := c.NewSession(func(o Outcome) {
+		for len(streamed) <= o.Index {
+			streamed = append(streamed, Outcome{Index: -1})
+		}
+		if streamed[o.Index].Index >= 0 {
+			t.Fatalf("outcome %d streamed twice", o.Index)
+		}
+		streamed[o.Index] = o
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Job, 1)
+	submit := func(arrival sim.Time) int {
+		i := sess.Submitted()
+		batch[0] = syntheticJob(i, []string{"t0", "t1", "t2"}[i%3], arrival, 2e8+1e8*float64(i%5))
+		base, err := sess.Submit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base
+	}
+	for e := 0; e < epochs; e++ {
+		if e == pinAt {
+			pin := submit(sess.Now() + sim.Time(sim.Millisecond))
+			for range stacked {
+				submit(0)
+			}
+			if c.watermark != pin || c.admitted.Chunks() < 3 {
+				t.Fatalf("a pinned boundary moved the watermark to %d (pin %d) and kept %d chunks",
+					c.watermark, pin, c.admitted.Chunks())
+			}
+		} else {
+			submit(0)
+		}
+		if _, err := sess.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := sess.Submitted()
+	if got := c.admitted.Chunks(); got > 2 {
+		t.Fatalf("%d admission chunks live after %d jobs, want at most 2", got, n)
+	}
+	if c.watermark != n-1 {
+		t.Fatalf("watermark %d after %d jobs", c.watermark, n)
+	}
+	if len(streamed) != n {
+		t.Fatalf("%d outcomes streamed for %d jobs", len(streamed), n)
+	}
+	for i, o := range streamed {
+		if o.Index != i {
+			t.Fatalf("outcome %d never streamed", i)
+		}
+		if got, ok := sess.Outcome(i); !ok || !reflect.DeepEqual(got, o) {
+			t.Fatalf("Outcome(%d) = (%+v, %v), want the streamed %+v", i, got, ok, o)
+		}
+	}
 }

@@ -304,9 +304,12 @@ type Cluster struct {
 	// Per-run state, reset when a session opens (Run opens one). The
 	// per-job records, indexed by outcome index, grow batch by batch as
 	// the session admits jobs and never move: a batch Run sizes each
-	// exactly once, so its Result.Jobs aliases outcomes.
+	// exactly once, so its Result.Jobs aliases outcomes. Admission
+	// records below the watermark are all notified; a session retires
+	// them at each epoch boundary (retireNotified), outcomes never.
 	queue       arena.Queue[*Queued]
 	admitted    arena.Slab[Queued] // a job's admission record
+	watermark   int
 	outcomes    arena.Slab[Outcome]
 	stageFree   []*stageRecord // records no commitment uses, for route
 	runFlops    float64
@@ -596,7 +599,7 @@ func (c *Cluster) ensureStaging(n int) *hstreams.Buffer {
 
 // validate rejects malformed jobs before any of them is admitted, so
 // an error leaves the cluster's state untouched. Shared by the batch
-// Run entry point and the session's per-batch Submit.
+// Run entry point and Session.Submit.
 func (c *Cluster) validate(jobs []Job) error {
 	for i := range jobs {
 		if err := c.ValidateJob(&jobs[i]); err != nil {
@@ -685,6 +688,20 @@ func (c *Cluster) emitOutcome(idx int) {
 	if c.onOutcome != nil {
 		c.onOutcome(*c.outcomes.At(idx))
 	}
+}
+
+// retireNotified moves the watermark past every leading admission
+// record whose outcome has streamed and gives up the slab storage
+// below it. It runs only at an epoch boundary: inside the cascade a
+// notified job's record is still read (jobDone reads q.Job after
+// emitOutcome returns).
+func (c *Cluster) retireNotified() {
+	w := c.watermark
+	for w < c.admitted.Len() && c.admitted.At(w).notified {
+		w++
+	}
+	c.watermark = w
+	c.admitted.Retire(w)
 }
 
 // admit enqueues one arriving job and runs the placement loop.

@@ -78,6 +78,7 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	c.bindStealModel()
 	c.queue = arena.Queue[*Queued]{}
 	c.admitted = arena.Slab[Queued]{}
+	c.watermark = 0
 	c.outcomes = arena.Slab[Outcome]{}
 	c.nterminal = 0
 	c.onOutcome = onOutcome
@@ -123,7 +124,10 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 // callback while RunEpoch is live — or after a scheduling error is
 // rejected without admitting anything.
 func (s *Session) Submit(jobs []Job) (base int, err error) {
-	if err := s.admissible(jobs); err != nil {
+	if err := s.admissible(); err != nil {
+		return 0, err
+	}
+	if err := s.c.validate(jobs); err != nil {
 		return 0, err
 	}
 	batch := s.copies.Take(len(jobs))
@@ -131,19 +135,22 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 	return s.submit(batch), nil
 }
 
-// SubmitInPlace is Session.Submit without the copy: the session keeps
-// pointers into jobs, so the caller must not modify them until the
-// epoch that runs them has returned from RunEpoch. The serve layer
-// hands over its recorded batches, which nothing modifies, this way.
+// SubmitInPlace is Session.Submit without the copy and without the
+// validation: the caller must have passed every job through
+// Cluster.ValidateJob, and the session keeps pointers into jobs, so the
+// caller must not modify them until the epoch that runs them has
+// returned from RunEpoch. The serve layer, whose submitters validate
+// their own jobs, hands over its recorded batches, which nothing
+// modifies, this way.
 func SubmitInPlace(s *Session, jobs []Job) (base int, err error) {
-	if err := s.admissible(jobs); err != nil {
+	if err := s.admissible(); err != nil {
 		return 0, err
 	}
 	return s.submit(jobs), nil
 }
 
-// admissible reports why the session cannot admit jobs now, or nil.
-func (s *Session) admissible(jobs []Job) error {
+// admissible reports why the session cannot admit a batch now, or nil.
+func (s *Session) admissible() error {
 	if s.closed {
 		return fmt.Errorf("cluster: session is closed")
 	}
@@ -153,7 +160,7 @@ func (s *Session) admissible(jobs []Job) error {
 	if s.c.runErr != nil {
 		return fmt.Errorf("cluster: session failed: %w", s.c.runErr)
 	}
-	return s.c.validate(jobs)
+	return nil
 }
 
 // submit admits a validated batch at the current epoch boundary. The
@@ -164,9 +171,11 @@ func (s *Session) admissible(jobs []Job) error {
 // one feed (sim.Feed), which takes the order numbers that an event per
 // arrival would take but keeps only the next due one pending. Either
 // way every job is admitted in the order, and at the instant, that one
-// event per job would admit it.
+// event per job would admit it. The boundary is where admission records
+// retire, before the batch grows the slab into the chunks they free.
 func (s *Session) submit(batch []Job) (base int) {
 	c := s.c
+	c.retireNotified()
 	eng := c.ctx.Engine()
 	base = c.outcomes.Grow(len(batch))
 	c.admitted.Grow(len(batch))
@@ -269,12 +278,16 @@ func (s *Session) Pending() int { return s.total - s.c.nterminal }
 func (s *Session) Err() error { return s.c.runErr }
 
 // Outcome returns terminal outcome idx (a Submit base plus the job's
-// batch offset); ok is false while the job is still in flight.
+// batch offset); ok is false while the job is still in flight. Every
+// outcome stays readable for the session's life, also after the job's
+// admission record has retired: a record retires only once its outcome
+// has streamed.
 func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
-	if idx < 0 || idx >= s.c.outcomes.Len() || !s.c.admitted.At(idx).notified {
+	c := s.c
+	if idx < 0 || idx >= c.outcomes.Len() || idx >= c.watermark && !c.admitted.At(idx).notified {
 		return Outcome{}, false
 	}
-	return *s.c.outcomes.At(idx), true
+	return *c.outcomes.At(idx), true
 }
 
 // Result summarizes everything the session has run so far — the same

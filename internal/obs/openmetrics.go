@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"slices"
 	"sync"
@@ -170,15 +171,16 @@ func LabelValue(s string) string {
 	return string(append(b, '"'))
 }
 
-// ListenAndServe exposes the exporter at /metrics (plus a minimal /)
-// on addr, blocking until the server fails. `miccluster -serve` calls
-// it after the run so a scraper can read the final state; tests hit
-// ServeHTTP directly.
-func (x *Exporter) ListenAndServe(addr string) error {
+// Serve exposes the exporter at /metrics (plus a minimal /) on ln,
+// blocking until the server fails. `miccluster -serve` calls it after
+// the run so a scraper can read the final state; the caller listens
+// first, so it can report the bound address. Tests hit ServeHTTP
+// directly.
+func (x *Exporter) Serve(ln net.Listener) error {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", x)
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "micstream metrics: scrape /metrics")
 	})
-	return http.ListenAndServe(addr, mux)
+	return http.Serve(ln, mux)
 }
