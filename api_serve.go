@@ -58,7 +58,9 @@ func Serve(c *Cluster, opts ...ServeOption) (*ClusterServer, error) {
 // NewClusterSession opens the embedded service mode on a cluster:
 // batched Submit/RunEpoch cycles under the caller's control, with
 // onOutcome (optional) receiving every terminal outcome exactly once
-// in virtual completion order.
+// in virtual completion order. With onOutcome the session keeps no
+// outcome past the epoch boundary after it streams; without it,
+// ClusterSession.Outcome and the Result's Jobs keep them all.
 func NewClusterSession(c *Cluster, onOutcome func(ClusterOutcome)) (*ClusterSession, error) {
 	return c.NewSession(onOutcome)
 }
@@ -66,7 +68,9 @@ func NewClusterSession(c *Cluster, onOutcome func(ClusterOutcome)) (*ClusterSess
 // ReplayBatches re-runs a server's recorded admission sequence
 // single-threaded on a fresh, identically configured cluster; the
 // outcome stream delivered to onOutcome is bit-identical to what the
-// live server emitted (DESIGN.md §15).
+// live server emitted (DESIGN.md §15). With onOutcome the returned
+// Result's Jobs is nil, as a server's is; without it the Result keeps
+// every outcome.
 func ReplayBatches(c *Cluster, batches []ServeBatch, onOutcome func(ClusterOutcome)) (*ClusterResult, error) {
 	return serve.Replay(c, batches, onOutcome)
 }
@@ -93,7 +97,9 @@ func WithServeFlight(f *FlightRecorder) ServeOption { return serve.WithFlight(f)
 
 // DrainServer drains srv with the given wall-clock deadline — stop
 // admission, finish the backlog, close subscriptions — and returns
-// the final aggregate result. Convenience over srv.Drain + srv.Result.
+// the final aggregate result, whose Jobs is nil: a server's outcomes
+// leave through its subscriptions. Convenience over srv.Drain +
+// srv.Result.
 func DrainServer(srv *ClusterServer, timeout time.Duration) (*ClusterResult, error) {
 	if err := srv.Drain(timeout); err != nil {
 		return nil, err

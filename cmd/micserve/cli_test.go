@@ -7,6 +7,10 @@ package main
 // RUN_MICSERVE_MAIN=1 so main() runs as installed.
 
 import (
+	"bufio"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -135,5 +139,63 @@ func TestIngestJobOriginsRotate(t *testing.T) {
 		if pinned != (j.StagingBytes == 4<<20) {
 			t.Errorf("job %d stages %d bytes (pinned %v)", id, j.StagingBytes, pinned)
 		}
+	}
+}
+
+// TestCLIServeStats pins -serve: the server listens before ingesting
+// and prints the bound address, where /stats answers while the ingest
+// runs; a busy port exits 1 before a job is ingested.
+func TestCLIServeStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	// A paced ingest long enough to be read mid-run; the test kills it.
+	cmd := exec.Command(os.Args[0], "-serve=127.0.0.1:0", "-jobs=1000000", "-submitters=2", "-rate=2000")
+	cmd.Env = append(os.Environ(), "RUN_MICSERVE_MAIN=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "serving ") {
+		t.Fatalf("first line %q, want the serving address (%v)", sc.Text(), sc.Err())
+	}
+	var url string
+	for _, f := range strings.Fields(sc.Text()) {
+		if strings.HasPrefix(f, "http://") {
+			url = f
+		}
+	}
+	if !strings.HasSuffix(url, "/stats") || strings.Contains(url, ":0/") {
+		t.Fatalf("serving line %q names no bound /stats address", sc.Text())
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), "submitted ") {
+		t.Fatalf("GET %s: %s, body %q", url, resp.Status, body)
+	}
+
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	out, code := runCLI(t, "-serve="+busy.Addr().String(), "-jobs=64")
+	if code != 1 || !strings.Contains(out, "address already in use") || strings.Contains(out, "ingest ") {
+		t.Fatalf("busy port: exit %d, want 1 before any ingest\n%s", code, out)
 	}
 }

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
 	"slices"
@@ -153,6 +154,15 @@ func main() {
 			micstream.WithServeSLO(sloEval),
 			micstream.WithServeSLOMeta(micstream.SLOMeta{Run: "serve-" + *place, Policy: *place}))
 	}
+	// Listen before anything is ingested: the line names the bound
+	// address (a :0 port resolved), and a busy port fails without it.
+	var ln net.Listener
+	if *serveAddr != "" {
+		var err error
+		if ln, err = net.Listen("tcp", *serveAddr); err != nil {
+			fatal(err)
+		}
+	}
 	c, err := build(tel)
 	if err != nil {
 		fatal(err)
@@ -161,9 +171,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *serveAddr != "" {
+	if ln != nil {
+		routes := "/metrics, /flight, /health"
+		if sloEval != nil {
+			routes += ", /slo"
+		}
+		fmt.Printf("serving    http://%s/stats (also %s)\n", ln.Addr(), routes)
 		go func() {
-			if err := srv.ListenAndServe(*serveAddr); err != nil {
+			if err := srv.Serve(ln); err != nil {
 				fmt.Fprintf(os.Stderr, "micserve: http: %v\n", err)
 			}
 		}()

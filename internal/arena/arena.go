@@ -99,6 +99,16 @@ func (s *Slab[T]) Retire(i int) {
 	s.base += k * ChunkLen
 }
 
+// Retires reports whether Retire(i) would give up any storage: whether
+// i reaches the end of the head, while it is kept, or of the first
+// chunk.
+func (s *Slab[T]) Retires(i int) bool {
+	if s.head != nil {
+		return i >= len(s.head)
+	}
+	return i-s.base >= ChunkLen
+}
+
 // Chunks reports how many slices hold elements not yet retired: the
 // head, while it is kept, and every chunk.
 func (s *Slab[T]) Chunks() int {
@@ -111,8 +121,11 @@ func (s *Slab[T]) Chunks() int {
 // Slice returns the elements as one slice: the head itself while no
 // chunk has been added (writes through it reach the slab), otherwise
 // a fresh copy. It is nil for an empty slab. A retired slab has no
-// such slice; call Slice only on a slab never retired.
+// such slice: Slice panics once Retire has given up any element.
 func (s *Slab[T]) Slice() []T {
+	if s.head == nil && s.n > 0 {
+		panic("arena: Slice of a retired slab")
+	}
 	if s.n == len(s.head) {
 		return s.head
 	}

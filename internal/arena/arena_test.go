@@ -127,7 +127,8 @@ func TestQueueCompactsInPlace(t *testing.T) {
 
 // Retiring keeps every live index and address, drops the head and the
 // whole chunks below the retired index, and hands the dropped chunks
-// back zeroed to later Grows instead of allocating.
+// back zeroed to later Grows instead of allocating. Retires names the
+// first index at which a Retire gives up storage.
 func TestSlabRetire(t *testing.T) {
 	var s Slab[int]
 	s.Grow(3)
@@ -138,13 +139,22 @@ func TestSlabRetire(t *testing.T) {
 	if got := s.Chunks(); got != 4 {
 		t.Fatalf("head and 3 chunks held in %d slices", got)
 	}
+	if s.Retires(2) || !s.Retires(3) {
+		t.Fatal("Retires does not name the head's end as the first storage to give up")
+	}
 	s.Retire(2)
 	if s.Chunks() != 4 || s.head == nil {
 		t.Fatal("Retire inside the head dropped storage")
 	}
 	live := 3 + ChunkLen + 1
 	ptr := s.At(live)
+	if !s.Retires(live) {
+		t.Fatalf("Retires(%d) is false before a Retire that drops the head and a chunk", live)
+	}
 	s.Retire(live)
+	if s.Retires(live) || s.Retires(3+2*ChunkLen-1) || !s.Retires(3+2*ChunkLen) {
+		t.Fatal("Retires does not name the first kept chunk's end")
+	}
 	if s.head != nil || s.Chunks() != 2 {
 		t.Fatalf("Retire(%d) left head %v and %d slices, want no head and 2 chunks", live, s.head != nil, s.Chunks())
 	}
@@ -182,5 +192,41 @@ func TestSlabUnretiredSliceAliasesHead(t *testing.T) {
 	got[4] = 9
 	if *s.At(4) != 9 || len(got) != 5 || cap(got) != 5 {
 		t.Fatal("Slice of a never-retired slab is not its head")
+	}
+}
+
+// Slice panics on a slab that has given up any element, where a copy
+// would come back short (the head gone, chunks kept) or zero-filled
+// (everything gone); a Retire inside the head gives up nothing.
+func TestSlabSliceOfRetiredPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		grow   []int
+		retire int
+	}{
+		{"head only", []int{3, ChunkLen}, 3},
+		{"head and a chunk", []int{3, 2 * ChunkLen}, 3 + ChunkLen},
+		{"everything", []int{5}, 5},
+	} {
+		var s Slab[int]
+		for _, n := range tc.grow {
+			s.Grow(n)
+		}
+		s.Retire(tc.retire)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Slice of a retired slab returned", tc.name)
+				}
+			}()
+			s.Slice()
+		}()
+	}
+	var s Slab[int]
+	s.Grow(3)
+	s.Grow(4)
+	s.Retire(2)
+	if got := s.Slice(); len(got) != 7 {
+		t.Fatalf("Slice after a Retire inside the head has %d elements, want 7", len(got))
 	}
 }

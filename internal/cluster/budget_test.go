@@ -123,15 +123,15 @@ func TestAllocBudgetContended(t *testing.T) {
 	t.Logf("%.3f objects per job", perJob)
 }
 
-// TestSessionRetention pins how much admission state a long session
-// keeps (DESIGN.md §15): over 10,000 one-job epochs the admission
-// records of jobs whose outcomes have streamed retire at each epoch
-// boundary, so at most two chunks of them stay live however long the
-// session runs, while every outcome, retired records' included, stays
-// readable through Session.Outcome. One later-arrival job, submitted
-// with a run of one-job batches stacked behind it at one boundary,
-// pins the watermark until the epoch that runs them: nothing past it
-// retires early.
+// TestSessionRetention pins how much per-job state a long session with
+// a sink keeps (DESIGN.md §15): over 10,000 one-job epochs the
+// admission records and outcomes of jobs whose outcomes have streamed
+// retire at each epoch boundary, so at most two chunks of each stay
+// live however long the session runs, and Session.Outcome answers only
+// at or above the watermark. One later-arrival job, submitted with a
+// run of one-job batches stacked behind it at one boundary, pins the
+// watermark until the epoch that runs them: nothing past it retires
+// early.
 func TestSessionRetention(t *testing.T) {
 	const epochs, pinAt, stacked = 10_000, 100, 3 * arena.ChunkLen
 	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 4, StreamsPerPartition: 2})
@@ -172,9 +172,9 @@ func TestSessionRetention(t *testing.T) {
 			for range stacked {
 				submit(0)
 			}
-			if c.watermark != pin || c.admitted.Chunks() < 3 {
-				t.Fatalf("a pinned boundary moved the watermark to %d (pin %d) and kept %d chunks",
-					c.watermark, pin, c.admitted.Chunks())
+			if c.watermark != pin || c.admitted.Chunks() < 3 || c.outcomes.Chunks() < 3 {
+				t.Fatalf("a pinned boundary moved the watermark to %d (pin %d) and kept %d admission and %d outcome chunks",
+					c.watermark, pin, c.admitted.Chunks(), c.outcomes.Chunks())
 			}
 		} else {
 			submit(0)
@@ -187,6 +187,9 @@ func TestSessionRetention(t *testing.T) {
 	if got := c.admitted.Chunks(); got > 2 {
 		t.Fatalf("%d admission chunks live after %d jobs, want at most 2", got, n)
 	}
+	if got := c.outcomes.Chunks(); got > 2 {
+		t.Fatalf("%d outcome chunks live after %d jobs, want at most 2", got, n)
+	}
 	if c.watermark != n-1 {
 		t.Fatalf("watermark %d after %d jobs", c.watermark, n)
 	}
@@ -197,8 +200,10 @@ func TestSessionRetention(t *testing.T) {
 		if o.Index != i {
 			t.Fatalf("outcome %d never streamed", i)
 		}
-		if got, ok := sess.Outcome(i); !ok || !reflect.DeepEqual(got, o) {
-			t.Fatalf("Outcome(%d) = (%+v, %v), want the streamed %+v", i, got, ok, o)
+		got, ok := sess.Outcome(i)
+		if kept := i >= c.watermark; ok != kept || kept && !reflect.DeepEqual(got, o) {
+			t.Fatalf("Outcome(%d) = (%+v, %v) at watermark %d, want the streamed %+v only at or above it",
+				i, got, ok, c.watermark, o)
 		}
 	}
 }

@@ -304,21 +304,28 @@ type Cluster struct {
 	// Per-run state, reset when a session opens (Run opens one). The
 	// per-job records, indexed by outcome index, grow batch by batch as
 	// the session admits jobs and never move: a batch Run sizes each
-	// exactly once, so its Result.Jobs aliases outcomes. Admission
-	// records below the watermark are all notified; a session retires
-	// them at each epoch boundary (retireNotified), outcomes never.
-	queue       arena.Queue[*Queued]
-	admitted    arena.Slab[Queued] // a job's admission record
-	watermark   int
-	outcomes    arena.Slab[Outcome]
-	stageFree   []*stageRecord // records no commitment uses, for route
-	runFlops    float64
-	done        int
-	steals      int
-	preempts    int
-	seq         int
-	runErr      error
-	afterChange func() // test hook: runs after every dispatch loop
+	// exactly once, so its Result.Jobs aliases outcomes. Records below
+	// the watermark are all notified, and each epoch boundary retires
+	// them (retireNotified): admission records always, outcomes only in
+	// a session with a sink (retireOutcomes). Outcomes [0, folded) are
+	// folded, in index order, into retired; the fold catches up to the
+	// watermark whenever outcome storage retires. A session without a
+	// sink keeps every outcome for Result.Jobs and Session.Outcome.
+	queue          arena.Queue[*Queued]
+	admitted       arena.Slab[Queued] // a job's admission record
+	watermark      int
+	outcomes       arena.Slab[Outcome]
+	retireOutcomes bool
+	folded         int
+	retired        jobFold
+	stageFree      []*stageRecord // records no commitment uses, for route
+	runFlops       float64
+	done           int
+	steals         int
+	preempts       int
+	seq            int
+	runErr         error
+	afterChange    func() // test hook: runs after every dispatch loop
 
 	// onOutcome streams each job's outcome the instant it becomes
 	// terminal (completed or failed) — the Session's per-job emission
@@ -692,13 +699,23 @@ func (c *Cluster) emitOutcome(idx int) {
 
 // retireNotified moves the watermark past every leading admission
 // record whose outcome has streamed and gives up the slab storage
-// below it. It runs only at an epoch boundary: inside the cascade a
-// notified job's record is still read (jobDone reads q.Job after
-// emitOutcome returns).
+// below it. A session with a sink gives up those outcomes too, once
+// they are folded into the Result's aggregates in index order. The
+// fold waits until outcome storage retires, so it runs a chunk at a
+// time rather than in every epoch's latency. It runs only at an epoch
+// boundary: inside the cascade a notified job's record is still read
+// (jobDone reads q.Job after emitOutcome returns).
 func (c *Cluster) retireNotified() {
 	w := c.watermark
 	for w < c.admitted.Len() && c.admitted.At(w).notified {
 		w++
+	}
+	if c.retireOutcomes && c.outcomes.Retires(w) {
+		for i := c.folded; i < w; i++ {
+			c.retired.add(c.outcomes.At(i))
+		}
+		c.folded = w
+		c.outcomes.Retire(w)
 	}
 	c.watermark = w
 	c.admitted.Retire(w)

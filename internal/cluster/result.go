@@ -123,7 +123,9 @@ type DeviceStats struct {
 type Result struct {
 	// Placement names the placement policy that routed the jobs.
 	Placement string
-	// Jobs lists every outcome in submission order.
+	// Jobs lists every outcome in submission order. It is nil for a
+	// session with an outcome sink: each outcome left through the sink,
+	// and the aggregates below still cover every job.
 	Jobs []Outcome
 	// Devices lists per-device aggregates in device order.
 	Devices []DeviceStats
@@ -183,47 +185,83 @@ func (r *Result) Tenant(name string) *sched.TenantStats {
 	return nil
 }
 
-// summarize assembles the Result from the recorded outcomes.
+// jobFold accumulates outcomes into a Result's per-job aggregates.
+// Every Result folds its outcomes in index order, so each sum,
+// floating-point ones included, is the same however the outcomes are
+// split between folds: a session with a sink folds outcomes as their
+// storage retires (retireNotified), and summarize continues a copy over
+// the outcomes still kept.
+type jobFold struct {
+	end                              sim.Time
+	devs                             []DeviceStats // Jobs, Staged and Busy
+	tenants                          sched.TenantTally
+	failed, misses, stagedJobs       int
+	stagedBytes, hitBytes, missBytes int64
+}
+
+// add folds one outcome; f.devs must hold every device.
+func (f *jobFold) add(o *Outcome) {
+	if o.Failed {
+		f.failed++
+		return
+	}
+	if o.Done > f.end {
+		f.end = o.Done
+	}
+	if o.Missed {
+		f.misses++
+	}
+	ds := &f.devs[o.Device]
+	ds.Jobs++
+	ds.Busy += o.Service()
+	if o.Staged {
+		ds.Staged++
+		f.stagedJobs++
+		f.stagedBytes += o.StagedBytes
+	}
+	f.hitBytes += o.HitBytes
+	f.missBytes += o.MissBytes
+	f.tenants.Add(o.Tenant, o.Latency(), o.Service(), o.Missed)
+}
+
+// clone copies the fold with its device slice sized to n devices.
+func (f *jobFold) clone(n int) jobFold {
+	g := *f
+	g.devs = make([]DeviceStats, n)
+	copy(g.devs, f.devs)
+	g.tenants = f.tenants.Clone()
+	return g
+}
+
+// summarize assembles the Result: the retired outcomes' fold plus the
+// outcomes still kept, in index order.
 func (c *Cluster) summarize() *Result {
-	outcomes := c.outcomes.Slice()
-	r := &Result{Placement: c.place.Name(), Jobs: outcomes}
-	end := c.runStart
-	devs := make([]DeviceStats, len(c.scheds))
+	r := &Result{Placement: c.place.Name()}
+	f := c.retired.clone(len(c.scheds))
+	if c.retireOutcomes {
+		for i := c.folded; i < c.outcomes.Len(); i++ {
+			f.add(c.outcomes.At(i))
+		}
+	} else {
+		r.Jobs = c.outcomes.Slice()
+		for i := range r.Jobs {
+			f.add(&r.Jobs[i])
+		}
+	}
+	devs := f.devs
 	for d := range devs {
 		devs[d].Device = d
 	}
-	var tally sched.TenantTally
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.Failed {
-			r.Failed++
-			continue
-		}
-		if o.Done > end {
-			end = o.Done
-		}
-		if o.Missed {
-			r.DeadlineMisses++
-		}
-		ds := &devs[o.Device]
-		ds.Jobs++
-		ds.Busy += o.Service()
-		if o.Staged {
-			ds.Staged++
-			r.StagedJobs++
-			r.StagedBytes += o.StagedBytes
-		}
-		r.HitBytes += o.HitBytes
-		r.MissBytes += o.MissBytes
-		tally.Add(o.Tenant, o.Latency(), o.Service(), o.Missed)
-	}
+	r.Failed, r.DeadlineMisses = f.failed, f.misses
+	r.StagedJobs, r.StagedBytes = f.stagedJobs, f.stagedBytes
+	r.HitBytes, r.MissBytes = f.hitBytes, f.missBytes
 	if c.resident != nil {
 		r.EvictedBytes = c.resident.Stats().EvictedBytes - c.resStart.EvictedBytes
 	}
 	r.Steals = c.steals
 	r.Preempts = c.preempts
-	r.Makespan = end.Sub(c.runStart)
-	r.Tenants = tally.Stats(r.Makespan)
+	r.Makespan = max(f.end, c.runStart).Sub(c.runStart)
+	r.Tenants = f.tenants.Stats(r.Makespan)
 	parts := c.ctx.Config().Partitions
 	for d := range devs {
 		devs[d].KernelBusy = c.kernelBusy(d) - c.kernBusy0[d]

@@ -64,7 +64,10 @@ type arrival struct {
 // Submit/RunEpoch cycles. onOutcome (optional) receives every job's
 // terminal Outcome — completed or failed — exactly once, in virtual
 // completion order, from inside the engine's event cascade; it must
-// not call back into the session or the cluster.
+// not call back into the session or the cluster. With onOutcome the
+// sink is where outcomes go: the session keeps none past the epoch
+// boundary after it streams (Session.Outcome, Session.Result). Without
+// it the session keeps them all.
 func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	for _, s := range c.scheds {
 		s.Reset()
@@ -80,6 +83,12 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	c.admitted = arena.Slab[Queued]{}
 	c.watermark = 0
 	c.outcomes = arena.Slab[Outcome]{}
+	c.retireOutcomes = onOutcome != nil
+	c.folded = 0
+	c.retired = jobFold{}
+	if c.retireOutcomes {
+		c.retired.devs = make([]DeviceStats, len(c.scheds))
+	}
 	c.nterminal = 0
 	c.onOutcome = onOutcome
 	c.runFlops = 0
@@ -278,13 +287,22 @@ func (s *Session) Pending() int { return s.total - s.c.nterminal }
 func (s *Session) Err() error { return s.c.runErr }
 
 // Outcome returns terminal outcome idx (a Submit base plus the job's
-// batch offset); ok is false while the job is still in flight. Every
-// outcome stays readable for the session's life, also after the job's
-// admission record has retired: a record retires only once its outcome
-// has streamed.
+// batch offset); ok is false while the job is still in flight. A
+// session without a sink keeps every outcome readable for its life. A
+// session with a sink answers only indices at or above the watermark:
+// each epoch boundary retires the outcomes that have streamed, so
+// after an epoch Outcome answers that epoch's jobs and any still
+// pinned behind a later arrival, and the sink is where the rest went.
 func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
 	c := s.c
-	if idx < 0 || idx >= c.outcomes.Len() || idx >= c.watermark && !c.admitted.At(idx).notified {
+	switch {
+	case idx < 0 || idx >= c.outcomes.Len():
+		return Outcome{}, false
+	case idx < c.watermark:
+		if c.retireOutcomes {
+			return Outcome{}, false
+		}
+	case !c.admitted.At(idx).notified:
 		return Outcome{}, false
 	}
 	return *c.outcomes.At(idx), true
@@ -292,7 +310,10 @@ func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
 
 // Result summarizes everything the session has run so far — the same
 // aggregate accounting a batch Run returns, computed over all epochs.
-// Valid at any epoch boundary; the session stays open.
+// Valid at any epoch boundary; the session stays open. With a sink
+// Result.Jobs is nil, and the aggregates equal a session without one:
+// retired outcomes were folded in index order, the rest are folded
+// here.
 func (s *Session) Result() *Result {
 	return s.c.summarize()
 }

@@ -26,9 +26,10 @@ func sessionWorkload(n int) []Job {
 }
 
 // A single-batch session must reproduce the batch Run exactly: the
-// same Result, the same telemetry events and metrics snapshots —
-// batch Run is a one-batch session, and Submit's copy of the batch
-// must not change what the engine sees.
+// same Result aggregates, the same outcomes (streamed here, kept
+// there), the same telemetry events and metrics snapshots — batch Run
+// is a one-batch session, and Submit's copy of the batch must not
+// change what the engine sees.
 func TestSessionSingleBatchMatchesRun(t *testing.T) {
 	jobs := sessionWorkload(16)
 
@@ -59,8 +60,13 @@ func TestSessionSingleBatchMatchesRun(t *testing.T) {
 		t.Fatalf("RunEpoch = (%d, %v), want (%d, nil)", n, err, len(jobs))
 	}
 	got := sess.Result()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("session Result diverges from batch Run:\nrun:     %+v\nsession: %+v", want, got)
+	if got.Jobs != nil {
+		t.Fatalf("a session with a sink kept %d outcomes in its Result", len(got.Jobs))
+	}
+	agg := *want
+	agg.Jobs = nil
+	if !reflect.DeepEqual(&agg, got) {
+		t.Fatalf("session Result diverges from batch Run:\nrun:     %+v\nsession: %+v", &agg, got)
 	}
 	if recRun.Len() == 0 || len(recRun.Metrics()) == 0 {
 		t.Fatal("batch Run recorded no telemetry; comparison vacuous")
@@ -75,15 +81,15 @@ func TestSessionSingleBatchMatchesRun(t *testing.T) {
 		t.Fatalf("streamed %d outcomes, want %d", len(streamed), len(jobs))
 	}
 	// The stream carries each terminal outcome exactly once, in virtual
-	// completion order, and each matches its Result slot.
+	// completion order, and each matches the batch run's outcome.
 	seen := make(map[int]bool)
 	for i, o := range streamed {
 		if seen[o.Index] {
 			t.Fatalf("outcome %d streamed twice", o.Index)
 		}
 		seen[o.Index] = true
-		if !reflect.DeepEqual(o, got.Jobs[o.Index]) {
-			t.Fatalf("streamed outcome %d differs from Result slot", o.Index)
+		if !reflect.DeepEqual(o, want.Jobs[o.Index]) {
+			t.Fatalf("streamed outcome %d differs from the batch run's", o.Index)
 		}
 		if i > 0 && streamed[i].Done < streamed[i-1].Done {
 			t.Fatalf("stream out of completion order at %d: %v after %v", i, streamed[i].Done, streamed[i-1].Done)
@@ -92,8 +98,10 @@ func TestSessionSingleBatchMatchesRun(t *testing.T) {
 }
 
 // Splitting the same workload across epochs keeps every job accounted:
-// indices stay dense across batches, each epoch fully drains, and the
-// final Result covers all epochs.
+// indices stay dense across batches, each epoch fully drains, every
+// outcome streams once, and the final Result covers all epochs. A
+// session with a sink keeps only the last epoch's outcomes: earlier
+// ones retired at the boundaries after they streamed.
 func TestSessionMultiEpochAccounting(t *testing.T) {
 	jobs := sessionWorkload(18)
 	c, err := New(newCtx(t, 2, 2, 2))
@@ -124,18 +132,29 @@ func TestSessionMultiEpochAccounting(t *testing.T) {
 		t.Fatalf("epochs/submitted/terminal = %d/%d/%d, want 3/18/18", sess.Epochs(), sess.Submitted(), sess.Terminal())
 	}
 	r := sess.Result()
-	if len(r.Jobs) != 18 || len(streamed) != 18 {
-		t.Fatalf("result %d jobs, streamed %d, want 18/18", len(r.Jobs), len(streamed))
+	jobsRun := 0
+	for _, d := range r.Devices {
+		jobsRun += d.Jobs
 	}
-	for i, o := range r.Jobs {
-		if o.Failed {
-			t.Fatalf("job %d failed", i)
+	if r.Jobs != nil || jobsRun != 18 || r.Failed != 0 || len(streamed) != 18 {
+		t.Fatalf("result keeps %d outcomes and counts %d run, %d failed; streamed %d; want 0, 18, 0, 18",
+			len(r.Jobs), jobsRun, r.Failed, len(streamed))
+	}
+	byIndex := make([]*Outcome, len(jobs))
+	for k := range streamed {
+		o := &streamed[k]
+		if o.Index < 0 || o.Index >= len(jobs) || byIndex[o.Index] != nil {
+			t.Fatalf("streamed outcome index %d out of range or repeated", o.Index)
 		}
-		if o.Index != i || o.ID != jobs[i].ID {
-			t.Fatalf("outcome %d misindexed: Index %d ID %d", i, o.Index, o.ID)
+		byIndex[o.Index] = o
+	}
+	for i, o := range byIndex {
+		if o.Failed || o.ID != jobs[i].ID {
+			t.Fatalf("outcome %d: failed %v, ID %d, want job %d completed", i, o.Failed, o.ID, jobs[i].ID)
 		}
-		if got, ok := sess.Outcome(i); !ok || !reflect.DeepEqual(got, o) {
-			t.Fatalf("Outcome(%d) = (%+v, %v), want Result slot", i, got, ok)
+		got, ok := sess.Outcome(i)
+		if last := i >= 12; ok != last || last && !reflect.DeepEqual(got, *o) {
+			t.Fatalf("Outcome(%d) = (%+v, %v), want the streamed outcome only in the last epoch", i, got, ok)
 		}
 	}
 }
@@ -363,6 +382,105 @@ func TestSessionMixedArrivalsAdmitInIndexOrder(t *testing.T) {
 		a, b := order[k-1], order[k]
 		if at(a) > at(b) || (at(a) == at(b) && a > b) {
 			t.Fatalf("admission order %v is not by (instant, index)", order)
+		}
+	}
+}
+
+// A session with a sink folds its outcomes into its Result as their
+// storage retires at epoch boundaries; one without keeps them all. Run
+// over the same batches, the two Results are equal at every boundary
+// once Jobs is cleared — every sum, floating-point ones included,
+// because both fold in index order — and the streamed outcomes are the
+// kept ones. The cluster is contended: four devices, stealing, slicing,
+// an LRU cache, staged jobs, several tenants and deadlines; a second
+// pair runs under a placement that fails mid-run.
+func TestStreamedResultMatchesKept(t *testing.T) {
+	type run struct {
+		results []*Result // after each epoch
+		stream  []Outcome
+		err     error
+	}
+	play := func(sink bool, place Policy) run {
+		ctx := newCtx(t, 4, 2, 2)
+		c, err := New(ctx, WithPlacement(place), WithStealing(0),
+			WithSlicing(1), WithResidency(2<<20), sjfDevices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := BuildScenario(ctx, ScenarioConfig{Jobs: 600, Seed: 11, Arrival: "bursty",
+			WindowNs: 40_000_000, Tenants: 5, TilesPerJob: 3, KernelFlops: 4e7, XferBytes: 1 << 20,
+			SizeSpread: 16, AffinityFraction: 0.9, Origins: []int{0}, Datasets: 6, WriteFraction: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range jobs {
+			if i%3 == 0 {
+				jobs[i].Deadline = sim.Millisecond
+			}
+		}
+		var r run
+		var onOutcome func(Outcome)
+		if sink {
+			onOutcome = func(o Outcome) { r.stream = append(r.stream, o) }
+		}
+		sess, err := c.NewSession(onOutcome)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start, n := 0, 1; start < len(jobs); start, n = start+n, n%97+13 {
+			if _, err := sess.Submit(jobs[start:min(start+n, len(jobs))]); err != nil {
+				break
+			}
+			_, r.err = sess.RunEpoch()
+			r.results = append(r.results, sess.Result())
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name  string
+		place func() Policy
+		fails bool
+	}{
+		{"affinity", Affinity, false},
+		{"fails mid-run", func() Policy { return &vandalPlacement{good: 250} }, true},
+	} {
+		kept, streamed := play(false, tc.place()), play(true, tc.place())
+		if (kept.err != nil) != tc.fails || (streamed.err != nil) != tc.fails {
+			t.Fatalf("%s: errors %v and %v, want failure %v", tc.name, kept.err, streamed.err, tc.fails)
+		}
+		if len(kept.results) != len(streamed.results) || len(kept.results) < 3 {
+			t.Fatalf("%s: %d and %d epochs", tc.name, len(kept.results), len(streamed.results))
+		}
+		for e, want := range kept.results {
+			got := streamed.results[e]
+			if got.Jobs != nil {
+				t.Fatalf("%s epoch %d: the sink session's Result keeps %d outcomes", tc.name, e, len(got.Jobs))
+			}
+			agg := *want
+			agg.Jobs = nil
+			if !reflect.DeepEqual(&agg, got) {
+				t.Fatalf("%s epoch %d: streamed Result differs from kept:\nkept:     %+v\nstreamed: %+v", tc.name, e, &agg, got)
+			}
+		}
+		final := kept.results[len(kept.results)-1]
+		if len(streamed.stream) != len(final.Jobs) {
+			t.Fatalf("%s: streamed %d outcomes, kept %d", tc.name, len(streamed.stream), len(final.Jobs))
+		}
+		for _, o := range streamed.stream {
+			if !reflect.DeepEqual(o, final.Jobs[o.Index]) {
+				t.Fatalf("%s: streamed outcome %d differs from the kept one", tc.name, o.Index)
+			}
+		}
+		if tc.fails {
+			if final.Failed == 0 || final.Failed == len(final.Jobs) {
+				t.Fatalf("%s: %d of %d jobs failed, want a mid-run split", tc.name, final.Failed, len(final.Jobs))
+			}
+			continue
+		}
+		if final.Steals == 0 || final.StagedJobs == 0 || final.EvictedBytes == 0 ||
+			final.DeadlineMisses == 0 || len(final.Tenants) < 3 {
+			t.Fatalf("%s: mechanisms idle: %d steals, %d staged, %d B evicted, %d misses, %d tenants", tc.name,
+				final.Steals, final.StagedJobs, final.EvictedBytes, final.DeadlineMisses, len(final.Tenants))
 		}
 	}
 }

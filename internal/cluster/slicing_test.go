@@ -394,11 +394,22 @@ func returnTripRun(t *testing.T, rec *telemetry.Recorder, onOutcome func(Outcome
 // submits it to device 0 twice under the same key, withdrawing it in
 // between. It must complete exactly once — one streamed outcome, one
 // Complete and one Drain event — on device 0, and the run must repeat
-// bit for bit.
+// bit for bit: a repeat without a sink keeps exactly the outcomes this
+// run streamed.
 func TestReturnTripCompletesOnce(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	streamed := map[int]int{}
-	r := returnTripRun(t, rec, func(o Outcome) { streamed[o.Index]++ })
+	var outs []Outcome
+	r := returnTripRun(t, rec, func(o Outcome) {
+		streamed[o.Index]++
+		outs = append(outs, o)
+	})
+	// The sink took every outcome; place them by index, as a session
+	// without one keeps them.
+	r.Jobs = make([]Outcome, len(outs))
+	for _, o := range outs {
+		r.Jobs[o.Index] = o
+	}
 	heavy := r.Jobs[0]
 	want := []Migration{{From: 0, To: 1}, {From: 1, To: 0}}
 	if len(heavy.Migrations) != len(want) {

@@ -38,6 +38,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"micstream/internal/arena"
@@ -1151,6 +1152,20 @@ func (t *TenantTally) Add(tenant string, latency, service sim.Duration, missed b
 	if missed {
 		a.misses++
 	}
+}
+
+// Clone returns an independent copy: Adds to and Stats of either leave
+// the other as it was. A tally that keeps folding after a report gives
+// its Stats through a clone, since Stats sorts in place.
+func (t *TenantTally) Clone() TenantTally {
+	if len(t.tenants) == 0 {
+		return TenantTally{}
+	}
+	c := TenantTally{index: maps.Clone(t.index), tenants: slices.Clone(t.tenants)}
+	for i := range c.tenants {
+		c.tenants[i].lats = slices.Clone(c.tenants[i].lats)
+	}
+	return c
 }
 
 // Stats returns the aggregates, sorted by tenant label; makespan is

@@ -28,6 +28,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -424,8 +425,10 @@ func (s *Server) Drain(timeout time.Duration) error {
 }
 
 // Result summarizes everything the server ran — the same aggregate
-// accounting a batch Run returns, over all epochs. Only valid after
-// Drain has completed (the run loop owns the session until then).
+// accounting a batch Run returns, over all epochs. Its Jobs is nil:
+// every outcome left through the subscriptions' sink and none is kept.
+// Only valid after Drain has completed (the run loop owns the session
+// until then).
 func (s *Server) Result() (*cluster.Result, error) {
 	select {
 	case <-s.loopDone:
@@ -536,10 +539,11 @@ func (s *Server) health() (status string, reasons []string) {
 	return "ready", nil
 }
 
-// ListenAndServe serves Handler on addr; it blocks like
-// http.ListenAndServe.
-func (s *Server) ListenAndServe(addr string) error {
-	return http.ListenAndServe(addr, s.Handler())
+// Serve serves Handler on ln, blocking like http.Serve. The caller
+// listens first, so it can report the bound address (a :0 port
+// resolved) and fail on a busy port before ingesting anything.
+func (s *Server) Serve(ln net.Listener) error {
+	return http.Serve(ln, s.Handler())
 }
 
 // Replay runs a recorded admission sequence single-threaded on a
@@ -548,7 +552,8 @@ func (s *Server) ListenAndServe(addr string) error {
 // live server emitted them. This is the determinism contract of
 // DESIGN.md §15 — wall clock picks the batches, virtual time does
 // everything else, so the replayed outcome stream is bit-identical to
-// the server's.
+// the server's. With onOutcome the outcomes go there only and the
+// Result's Jobs is nil; without it the Result keeps them all.
 func Replay(c *cluster.Cluster, batches []Batch, onOutcome func(cluster.Outcome)) (*cluster.Result, error) {
 	sess, err := c.NewSession(onOutcome)
 	if err != nil {

@@ -188,6 +188,9 @@ type objState struct {
 	tput       int
 	inc        bool
 	evalAt     sim.Time
+	// evalSamples and evalCompletions are the deques' lengths after the
+	// last evaluation: the entries past them were judged since.
+	evalSamples, evalCompletions int
 
 	burnFast, burnSlow float64
 	budget             float64
@@ -366,7 +369,10 @@ func (ev *Evaluator) OnMetrics(s telemetry.MetricsSnapshot) { ev.OnInstant(s.At)
 // segments are integrated, windows moved and pruned, burn rates and
 // budgets recomputed, alert edges detected, and exhaustion hooks
 // fired. This is the only place verdict state changes, so verdicts
-// are a pure function of the virtual-time event stream.
+// are a pure function of the virtual-time event stream. An instant
+// before the last one starts a new timeline, as a second run whose
+// clock restarts does: the windows keep only the entries judged since
+// the last evaluation, and the cumulative verdicts carry on.
 func (ev *Evaluator) OnInstant(now sim.Time) {
 	if !ev.started {
 		ev.started = true
@@ -375,7 +381,7 @@ func (ev *Evaluator) OnInstant(now sim.Time) {
 	}
 	for _, st := range ev.objs {
 		if now < st.evalAt {
-			st.inc = false
+			st.restart()
 		}
 		if st.obj.Kind == KindThroughput {
 			ev.integrateThroughput(st, now)
@@ -391,6 +397,7 @@ func (ev *Evaluator) OnInstant(now sim.Time) {
 			st.burnSlow = burn(st, now, st.obj.SlowWindow, ev.start)
 		}
 		st.evalAt = now
+		st.evalSamples, st.evalCompletions = len(st.samples), len(st.completions)
 		st.budget = budgetRemaining(st)
 
 		active := st.burnFast >= st.obj.FastBurn && st.burnSlow >= st.obj.SlowBurn
@@ -480,6 +487,21 @@ func (ev *Evaluator) integrateThroughput(st *objState, now sim.Time) {
 		}
 	}
 	st.lastBelow = below
+}
+
+// restart starts a new timeline at an evaluation instant before the
+// objective's last one, as when a second run whose clock restarts
+// feeds the same evaluator. The windowed deques keep only the entries
+// judged since the last evaluation, which belong to the new timeline.
+// The old timeline's entries are dropped: left at the deques' front,
+// they would hold back pruning, and keep every evaluation rescanning,
+// until the new clock passed them by the slow window. Cumulative
+// totals, budgets, alerts and violations are kept.
+func (st *objState) restart() {
+	st.samples = st.samples[st.evalSamples:]
+	st.completions = st.completions[st.evalCompletions:]
+	st.segs = st.segs[:0]
+	st.inc = false
 }
 
 // ordered reports whether every deque is in time order: samples and

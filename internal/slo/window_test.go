@@ -52,8 +52,8 @@ func TestIncrementalWindowsMatchRescan(t *testing.T) {
 			switch {
 			case step == 1200:
 				// A new run: the clock restarts and job indexes with it.
-				// The deques stay out of order, and evaluations rescan,
-				// until the old run's entries leave the slow window.
+				// The first evaluation on the new clock drops the old
+				// run's entries from the windowed deques.
 				now = sim.Time(rng.IntN(12)) * sim.Time(quarter)
 				next = 0
 				live = live[:0]
@@ -136,5 +136,56 @@ func TestTrackedJobsSurviveRingGrowth(t *testing.T) {
 	drain(ev, 4)
 	if st := ev.States()[0]; st.Samples != len(jobs) || st.Bad != len(jobs) {
 		t.Fatalf("judged %d samples (%d bad), want %d, each once", st.Samples, st.Bad, len(jobs))
+	}
+}
+
+// An evaluation instant before the last one starts a new timeline: a
+// second run whose clock restarts is judged on its own entries, the
+// first run's leave the windows at once, and the windows stay valid
+// instead of rescanning until the new clock passes the old entries.
+// The burn rates equal those of a fresh evaluator fed only the second
+// run; the cumulative totals keep both runs.
+func TestClockRestartStartsNewWindows(t *testing.T) {
+	spec := Spec{Objectives: []Objective{
+		{Tenant: "a", Name: "a-lat", Kind: KindLatency, Target: 0.9, Threshold: msD,
+			FastWindow: 5 * msD, SlowWindow: 20 * msD},
+		{Tenant: "a", Name: "a-tp", Kind: KindThroughput, Target: 0.5, Floor: 500,
+			FastWindow: 4 * msD, SlowWindow: 20 * msD},
+	}}
+	// run feeds jobs admitted every millisecond from 0 to n-1 ms, each
+	// done lat ms later, evaluating after each completion.
+	run := func(ev *Evaluator, n, lat int64) {
+		for i := int64(0); i < n; i++ {
+			job := int(i)
+			ev.OnEvent(telemetry.Event{At: at(i), Kind: telemetry.Admit, Job: job, ID: job, Tenant: "a"})
+			ev.OnEvent(telemetry.Event{At: at(i + lat), Kind: telemetry.Dispatch, Job: job, ID: job, Tenant: "a"})
+			ev.OnEvent(telemetry.Event{At: at(i + lat), Kind: telemetry.Complete, Job: job, ID: job, Tenant: "a"})
+			drain(ev, i+lat)
+		}
+	}
+	restarted, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(restarted, 40, 3) // every job breaches its 1 ms threshold
+	run(restarted, 8, 0)  // the clock restarts at 0; every job meets it
+	run(fresh, 8, 0)
+	for i, st := range restarted.States() {
+		want := fresh.States()[i]
+		if st.BurnFast != want.BurnFast || st.BurnSlow != want.BurnSlow {
+			t.Errorf("%s: burn %v/%v after the restart, want the second run's alone, %v/%v",
+				st.Objective.Name, st.BurnFast, st.BurnSlow, want.BurnFast, want.BurnSlow)
+		}
+		if o := restarted.objs[i]; !o.inc || len(o.samples) != len(fresh.objs[i].samples) {
+			t.Errorf("%s: windows valid %v over %d samples, want valid over the second run's %d",
+				st.Objective.Name, o.inc, len(o.samples), len(fresh.objs[i].samples))
+		}
+	}
+	if st := restarted.States()[0]; st.Samples != 48 || st.Bad != 40 {
+		t.Fatalf("cumulative totals %d samples, %d bad; want both runs' 48 and 40", st.Samples, st.Bad)
 	}
 }
