@@ -7,6 +7,7 @@ import (
 	"micstream/internal/arena"
 	"micstream/internal/hstreams"
 	"micstream/internal/sim"
+	"micstream/internal/telemetry"
 )
 
 // TestAllocBudgetSession pins the session rung's per-job allocation
@@ -205,5 +206,129 @@ func TestSessionRetention(t *testing.T) {
 			t.Fatalf("Outcome(%d) = (%+v, %v) at watermark %d, want the streamed %+v only at or above it",
 				i, got, ok, c.watermark, o)
 		}
+	}
+}
+
+// TestBatchRunKeepsOnlyInFlightRecords pins the lifecycle of admission
+// records (DESIGN.md §15): a contended 5,000-job batch Run — the
+// TestAllocBudgetContended mix of four devices with stealing, slicing
+// and an LRU cache — carves no more record chunks than its peak count
+// of jobs in flight needs, because a record goes back to the spare list
+// when its outcome streams and the next admission takes it. Every
+// record is back by the end, and recycling changes nothing a Result
+// reports: repeats, traced and untraced, are DeepEqual.
+func TestBatchRunKeepsOnlyInFlightRecords(t *testing.T) {
+	const jobs = 5000
+	run := func(traced bool) *Result {
+		ctx, err := hstreams.Init(hstreams.Config{Devices: 4, Partitions: 4, StreamsPerPartition: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithPlacement(Affinity()), WithStealing(sim.Millisecond),
+			WithSlicing(1), WithResidency(4 << 20)}
+		if traced {
+			opts = append(opts, WithTelemetry(telemetry.NewRecorder()))
+		}
+		c, err := New(ctx, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// TestAllocBudgetContended's mix at its arrival rate, 2,000 jobs
+		// per 150 ms.
+		mix, err := BuildScenario(ctx, ScenarioConfig{Jobs: jobs, Seed: 7, Arrival: "bursty",
+			WindowNs: 375_000_000, TilesPerJob: 4, KernelFlops: 2.5e7, XferBytes: 1 << 20,
+			AffinityFraction: 0.7, Origins: []int{0, 1}, Datasets: 8, WriteFraction: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every admission and every completion ends in a dispatch loop,
+		// so sampling after each one sees the peak of jobs in flight.
+		peak := 0
+		c.afterChange = func() { peak = max(peak, c.seq-c.nterminal) }
+		res, err := c.Run(mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steals == 0 || res.EvictedBytes == 0 {
+			t.Fatalf("mechanisms idle: %d steals, %d bytes evicted", res.Steals, res.EvictedBytes)
+		}
+		if peak > jobs/2 {
+			t.Fatalf("%d of %d jobs in flight at once: too few drain to recycle a record", peak, jobs)
+		}
+		chunks := (c.made + arena.ChunkLen - 1) / arena.ChunkLen
+		if need := (peak + arena.ChunkLen - 1) / arena.ChunkLen; chunks > need {
+			t.Fatalf("%d record chunks for a peak of %d jobs in flight, which needs %d", chunks, peak, need)
+		}
+		if len(c.spare) != c.made {
+			t.Fatalf("%d of %d records back on the spare list after the run", len(c.spare), c.made)
+		}
+		t.Logf("traced=%v: %d records (%d chunks), peak %d of %d jobs in flight", traced, c.made, chunks, peak, jobs)
+		return res
+	}
+	want := run(false)
+	for i, traced := range []bool{false, true} {
+		if got := run(traced); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (traced %v) differs from the first", i+1, traced)
+		}
+	}
+}
+
+// TestSessionCopiesRetire pins what Session.Submit's batch copies cost
+// a long session with a sink (DESIGN.md §15): a copy chunk goes back to
+// the spare list once the watermark passes the last job it holds, so
+// after 10,000 one-job epochs at most two chunks are live. A later
+// arrival pins the watermark for one epoch while three chunks' worth of
+// one-job batches stack behind it; their chunks stay until it lands,
+// and every job streams under its own ID, so no chunk was reused while
+// a job in it was still in flight.
+func TestSessionCopiesRetire(t *testing.T) {
+	const epochs, pinAt, stacked = 10_000, 100, 3 * arena.ChunkLen
+	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 4, StreamsPerPartition: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ctx, WithPlacement(Predicted()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	sess, err := c.NewSession(func(o Outcome) {
+		if o.ID != o.Index || o.Failed {
+			t.Fatalf("outcome %d streamed for job %d (failed %v)", o.Index, o.ID, o.Failed)
+		}
+		streamed++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Job, 1)
+	submit := func(arrival sim.Time) {
+		i := sess.Submitted()
+		batch[0] = syntheticJob(i, "t0", arrival, 2e8+1e8*float64(i%5))
+		if _, err := sess.Submit(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := 0; e < epochs; e++ {
+		if e == pinAt {
+			submit(sess.Now() + sim.Time(sim.Millisecond))
+			for range stacked {
+				submit(0)
+			}
+			if got := len(sess.copies); got < 3 {
+				t.Fatalf("a pinned boundary kept %d copy chunks, want the %d it pins", got, 3)
+			}
+		} else {
+			submit(0)
+		}
+		if _, err := sess.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sess.Submitted(); streamed != n {
+		t.Fatalf("%d outcomes streamed for %d jobs", streamed, n)
+	}
+	if got := len(sess.copies); got > 2 {
+		t.Fatalf("%d copy chunks live after %d jobs, want at most 2", got, sess.Submitted())
 	}
 }

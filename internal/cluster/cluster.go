@@ -121,7 +121,10 @@ func (j *Job) StagingDemand() int64 {
 }
 
 // Queued is a cluster-queued job together with the bookkeeping the
-// placement policies see.
+// placement policies see. A record lives only while its job is in
+// flight: admit takes it from the cluster's spare list and it goes
+// back, cleared, the instant the job's outcome streams, so a policy
+// must not keep it past Place.
 type Queued struct {
 	// Job is the queued job.
 	Job *Job
@@ -155,9 +158,12 @@ type Queued struct {
 	rcpt                residency.Receipt
 	hitBytes, missBytes int64
 	stage               *stageRecord
-	// notified marks the job's outcome as streamed (emitOutcome).
-	notified bool
 }
+
+// ended is the admission state of a terminal job, whose record has gone
+// back to the spare list. Nothing writes through it; dev -1 matches no
+// device, so a late report for an ended job fails jobDone's check.
+var ended = &Queued{idx: -1, dev: -1}
 
 // stageRecord is what route builds to stage a job: the stage task, its
 // one transfer, the task list the stage task leads, and the charged
@@ -302,35 +308,43 @@ type Cluster struct {
 	resStart residency.Stats
 
 	// Per-run state, reset when a session opens (Run opens one). The
-	// per-job records, indexed by outcome index, grow batch by batch as
+	// per-job slabs, indexed by outcome index, grow batch by batch as
 	// the session admits jobs and never move: a batch Run sizes each
-	// exactly once, so its Result.Jobs aliases outcomes. Records below
-	// the watermark are all notified, and each epoch boundary retires
-	// them (retireNotified): admission records always, outcomes only in
-	// a session with a sink (retireOutcomes). Outcomes [0, folded) are
+	// exactly once, so its Result.Jobs aliases outcomes. A job's
+	// admission state is nil before admit, its record while it is in
+	// flight and ended once its outcome has streamed. Jobs below the
+	// watermark are all ended, and each epoch boundary retires them
+	// (retireNotified): admission states always, outcomes only in a
+	// session with a sink (retireOutcomes). Outcomes [0, folded) are
 	// folded, in index order, into retired; the fold catches up to the
 	// watermark whenever outcome storage retires. A session without a
 	// sink keeps every outcome for Result.Jobs and Session.Outcome.
 	queue          arena.Queue[*Queued]
-	admitted       arena.Slab[Queued] // a job's admission record
+	admitted       arena.Slab[*Queued] // a job's admission state
 	watermark      int
 	outcomes       arena.Slab[Outcome]
 	retireOutcomes bool
 	folded         int
 	retired        jobFold
 	stageFree      []*stageRecord // records no commitment uses, for route
-	runFlops       float64
-	done           int
-	steals         int
-	preempts       int
-	seq            int
-	runErr         error
-	afterChange    func() // test hook: runs after every dispatch loop
+	// records backs the admission records, which admit takes from
+	// spare and emitOutcome gives back, so a cluster holds only as many
+	// as it ever had jobs in flight at once; made counts them.
+	records     arena.Runs[Queued]
+	spare       []*Queued
+	made        int
+	runFlops    float64
+	done        int
+	steals      int
+	preempts    int
+	seq         int
+	runErr      error
+	afterChange func() // test hook: runs after every dispatch loop
 
 	// onOutcome streams each job's outcome the instant it becomes
 	// terminal (completed or failed) — the Session's per-job emission
-	// channel. nil (the batch Run default) disables streaming;
-	// Queued.notified guards every emission site so no outcome is
+	// channel. nil (the batch Run default) disables streaming; the
+	// ended admission state guards every emission site so no outcome is
 	// streamed twice, and nterminal counts terminal outcomes for the
 	// session's drain accounting.
 	onOutcome func(Outcome)
@@ -679,35 +693,39 @@ func (c *Cluster) Run(jobs []Job) (*Result, error) {
 }
 
 // emitOutcome streams outcome idx to the session's per-job sink the
-// instant it becomes terminal. The notified guard makes the emission
-// exactly-once no matter which failure path marked the job (admission
-// after an error, a stranded cluster queue, a device abort), and the
-// terminal counter feeds the session's drain accounting whether or not
-// a sink is attached.
+// instant it becomes terminal and gives the job's admission record, if
+// it has one, back to the spare list: a caller that reads the record
+// afterwards must copy what it needs first. The ended state makes the
+// emission exactly-once no matter which failure path marked the job
+// (admission after an error, a stranded cluster queue, a device
+// abort), and the terminal counter feeds the session's drain
+// accounting whether or not a sink is attached.
 func (c *Cluster) emitOutcome(idx int) {
-	q := c.admitted.At(idx)
-	if q.notified {
+	st := c.admitted.At(idx)
+	q := *st
+	if q == ended {
 		return
 	}
-	q.notified = true
-	c.releaseStage(q)
+	*st = ended
+	if q != nil {
+		c.releaseRecord(q)
+	}
 	c.nterminal++
 	if c.onOutcome != nil {
 		c.onOutcome(*c.outcomes.At(idx))
 	}
 }
 
-// retireNotified moves the watermark past every leading admission
-// record whose outcome has streamed and gives up the slab storage
-// below it. A session with a sink gives up those outcomes too, once
-// they are folded into the Result's aggregates in index order. The
-// fold waits until outcome storage retires, so it runs a chunk at a
-// time rather than in every epoch's latency. It runs only at an epoch
-// boundary: inside the cascade a notified job's record is still read
-// (jobDone reads q.Job after emitOutcome returns).
+// retireNotified moves the watermark past every leading job whose
+// outcome has streamed and gives up the admission states below it. A
+// session with a sink gives up those outcomes too, once they are
+// folded into the Result's aggregates in index order. The fold waits
+// until outcome storage retires, so it runs a chunk at a time rather
+// than in every epoch's latency. It runs at the epoch boundary, where
+// the slabs are about to grow into the chunks it frees.
 func (c *Cluster) retireNotified() {
 	w := c.watermark
-	for w < c.admitted.Len() && c.admitted.At(w).notified {
+	for w < c.admitted.Len() && *c.admitted.At(w) == ended {
 		w++
 	}
 	if c.retireOutcomes && c.outcomes.Retires(w) {
@@ -755,9 +773,10 @@ func (c *Cluster) admit(job *Job, idx int) {
 		c.emitOutcome(idx)
 		return
 	}
-	q := c.admitted.At(idx)
+	q := c.newRecord()
 	*q = Queued{Job: job, Est: est, Seq: c.seq, idx: idx, dev: -1,
 		reads: job.Reads, demand: job.StagingDemand()}
+	*c.admitted.At(idx) = q
 	c.queue.Push(q)
 	c.seq++
 	if c.tel.Enabled() {
@@ -1011,6 +1030,26 @@ func (c *Cluster) route(q *Queued, dev int) {
 	q.dev = dev
 }
 
+// newRecord takes an admission record from the spare list, or carves
+// one from the record chunks.
+func (c *Cluster) newRecord() *Queued {
+	if n := len(c.spare); n > 0 {
+		q := c.spare[n-1]
+		c.spare = c.spare[:n-1]
+		return q
+	}
+	c.made++
+	return &c.records.Take(1)[0]
+}
+
+// releaseRecord gives the record of a terminal job, and its stage
+// record, back for reuse; the caller must not touch q afterwards.
+func (c *Cluster) releaseRecord(q *Queued) {
+	c.releaseStage(q)
+	*q = Queued{}
+	c.spare = append(c.spare, q)
+}
+
 // newStageRecord takes a stage record from the free list, or makes one.
 func (c *Cluster) newStageRecord() *stageRecord {
 	if n := len(c.stageFree); n > 0 {
@@ -1040,7 +1079,7 @@ func (c *Cluster) releaseStage(q *Queued) {
 // enabled — the drain instant is where committed jobs may re-bind.
 func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 	idx := o.Index
-	q := c.admitted.At(idx)
+	q := *c.admitted.At(idx)
 	if q.dev != dev {
 		if o.Failed {
 			// A report from a device the job is not committed to: a
@@ -1083,6 +1122,7 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		out.Missed = true
 	}
 	c.done++
+	job := q.Job
 	c.emitOutcome(idx)
 	if c.runErr != nil {
 		return
@@ -1104,7 +1144,6 @@ func (c *Cluster) jobDone(dev int, o sched.JobOutcome) {
 		// device's copy of the completed job's written tiles, then
 		// LRU-evict each device back under its byte budget, so the
 		// placements priced below see the post-completion cache.
-		job := q.Job
 		if len(job.Writes) > 0 {
 			var inv0 int64
 			if c.tel.Enabled() {

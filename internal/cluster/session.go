@@ -41,15 +41,25 @@ type Session struct {
 	running bool
 	closed  bool
 
-	// copies holds the batches Submit copies, for the session's
-	// lifetime.
-	copies arena.Runs[Job]
+	// copies holds the chunks Submit copies batches into, oldest first;
+	// the last is the one being carved. A chunk goes back to copySpare,
+	// cleared, once the watermark passes the last job it holds.
+	copies    []copyChunk
+	copySpare [][]Job
 	// arrived lists, in admission order, the submitted jobs whose
 	// arrival is the current epoch boundary; one engine event at the
 	// boundary (admitArrived, bound once as admitEvent) admits them
 	// all. The jobs arriving later come through an arrival feed.
 	arrived    []arrival
 	admitEvent func()
+}
+
+// copyChunk is storage Submit copies batches into: jobs holds the
+// copied jobs, the last of them cluster index last, and its capacity
+// is the chunk's length.
+type copyChunk struct {
+	jobs []Job
+	last int
 }
 
 // arrival is one job waiting for its boundary's admission event.
@@ -80,7 +90,7 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 	}
 	c.bindStealModel()
 	c.queue = arena.Queue[*Queued]{}
-	c.admitted = arena.Slab[Queued]{}
+	c.admitted = arena.Slab[*Queued]{}
 	c.watermark = 0
 	c.outcomes = arena.Slab[Outcome]{}
 	c.retireOutcomes = onOutcome != nil
@@ -127,11 +137,11 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 // across the session, so batch job i is outcome base+i). A job whose
 // Arrival is at or before the boundary's virtual instant arrives at
 // that instant; a later Arrival is kept. The batch is copied into
-// storage the session keeps, so the caller may reuse the slice at
-// once. Several batches may stack at one boundary (each keeps
-// admission order); submitting mid-epoch — from inside an onOutcome
-// callback while RunEpoch is live — or after a scheduling error is
-// rejected without admitting anything.
+// session storage, reused only once every job in it is terminal, so
+// the caller may reuse the slice at once. Several batches may stack at
+// one boundary (each keeps admission order); submitting mid-epoch —
+// from inside an onOutcome callback while RunEpoch is live — or after
+// a scheduling error is rejected without admitting anything.
 func (s *Session) Submit(jobs []Job) (base int, err error) {
 	if err := s.admissible(); err != nil {
 		return 0, err
@@ -139,9 +149,55 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 	if err := s.c.validate(jobs); err != nil {
 		return 0, err
 	}
-	batch := s.copies.Take(len(jobs))
-	copy(batch, jobs)
-	return s.submit(batch), nil
+	base = s.submit(s.copyBatch(jobs))
+	s.retireCopies()
+	return base, nil
+}
+
+// copyBatch copies jobs into the session's chunks: into the one being
+// carved while it has room, otherwise into a spare or new chunk (a
+// batch longer than a chunk gets one of its own).
+func (s *Session) copyBatch(jobs []Job) []Job {
+	n := len(jobs)
+	if n == 0 {
+		return nil
+	}
+	k := len(s.copies) - 1
+	if k < 0 || cap(s.copies[k].jobs)-len(s.copies[k].jobs) < n {
+		var buf []Job
+		if m := len(s.copySpare) - 1; m >= 0 && n <= arena.ChunkLen {
+			buf, s.copySpare[m] = s.copySpare[m], nil
+			s.copySpare = s.copySpare[:m]
+		} else {
+			buf = make([]Job, 0, max(n, arena.ChunkLen))
+		}
+		s.copies = append(s.copies, copyChunk{jobs: buf})
+		k++
+	}
+	ch := &s.copies[k]
+	i := len(ch.jobs)
+	ch.jobs = append(ch.jobs, jobs...)
+	ch.last = s.total + n - 1
+	return ch.jobs[i : i+n : i+n]
+}
+
+// retireCopies gives back every chunk but the one being carved whose
+// jobs all lie below the watermark: they are terminal, so no admission
+// record, boundary arrival or feed points into the chunk any more.
+func (s *Session) retireCopies() {
+	k := 0
+	for ; k < len(s.copies)-1 && s.copies[k].last < s.c.watermark; k++ {
+		jobs := s.copies[k].jobs
+		clear(jobs)
+		if cap(jobs) == arena.ChunkLen {
+			s.copySpare = append(s.copySpare, jobs[:0])
+		}
+	}
+	if k > 0 {
+		m := copy(s.copies, s.copies[k:])
+		clear(s.copies[m:])
+		s.copies = s.copies[:m]
+	}
 }
 
 // SubmitInPlace is Session.Submit without the copy and without the
@@ -180,8 +236,8 @@ func (s *Session) admissible() error {
 // one feed (sim.Feed), which takes the order numbers that an event per
 // arrival would take but keeps only the next due one pending. Either
 // way every job is admitted in the order, and at the instant, that one
-// event per job would admit it. The boundary is where admission records
-// retire, before the batch grows the slab into the chunks they free.
+// event per job would admit it. The boundary is where admission states
+// retire, before the batch grows the slabs into the chunks they free.
 func (s *Session) submit(batch []Job) (base int) {
 	c := s.c
 	c.retireNotified()
@@ -206,10 +262,10 @@ func (s *Session) submit(batch []Job) (base int) {
 			continue
 		}
 		if feed == nil {
-			feed = eng.Feed((*feedArrivals)(c))
+			feed = eng.Feed(&feedArrivals{c: c, batch: batch, base: base})
+			feed.Reserve(len(batch) - i)
 		}
-		c.admitted.At(idx).Job = job
-		feed.Add(job.Arrival, idx)
+		feed.Add(job.Arrival, i)
 	}
 	if feed != nil {
 		feed.Start()
@@ -218,14 +274,15 @@ func (s *Session) submit(batch []Job) (base int) {
 	return base
 }
 
-// feedArrivals is the target of submit's arrival feeds: arrival idx
-// admits the job its admission record already points at.
-type feedArrivals Cluster
-
-func (a *feedArrivals) Arrive(idx int) {
-	c := (*Cluster)(a)
-	c.admit(c.admitted.At(idx).Job, idx)
+// feedArrivals is the target of one submit's arrival feed: arrival i
+// admits the batch's job i, whose cluster index is base+i.
+type feedArrivals struct {
+	c     *Cluster
+	batch []Job
+	base  int
 }
+
+func (a *feedArrivals) Arrive(i int) { a.c.admit(&a.batch[i], a.base+i) }
 
 // admitArrived is the boundary's admission event: it admits every job
 // that arrived at the boundary, in submission order.
@@ -302,7 +359,7 @@ func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
 		if c.retireOutcomes {
 			return Outcome{}, false
 		}
-	case !c.admitted.At(idx).notified:
+	case *c.admitted.At(idx) != ended:
 		return Outcome{}, false
 	}
 	return *c.outcomes.At(idx), true

@@ -97,7 +97,7 @@ func (c *Cluster) stealInto(thief int) bool {
 	vs := c.scheds[victim]
 	for i := range vs.QueueDepth() {
 		pv := vs.PendingAt(i)
-		q := c.admitted.At(pv.Index)
+		q := *c.admitted.At(pv.Index)
 		// Predicted completion if the job waits out the queue ahead of
 		// it on the victim: next drain, the backlog spread over the
 		// victim's streams, then its own service (pv.Est already
@@ -132,7 +132,7 @@ func (c *Cluster) stealInto(thief int) bool {
 		return false
 	}
 
-	q := c.admitted.At(best)
+	q := *c.admitted.At(best)
 	_, vo, ok := c.scheds[victim].Withdraw(best)
 	if !ok {
 		// Cannot happen: the job was listed as pending this instant.

@@ -155,7 +155,7 @@ type Server struct {
 	subMu      sync.Mutex
 	subs       []*Subscription
 	subsClosed bool
-	batches    []Batch
+	batches    arena.Slab[Batch]
 	completed  int
 
 	// store holds every admitted batch's jobs: the loop copies each
@@ -337,9 +337,10 @@ func (s *Server) fanout(o cluster.Outcome) {
 	s.subMu.Unlock()
 }
 
+// record appends b to the batch log, whose chunks never regrow.
 func (s *Server) record(b Batch) {
 	s.subMu.Lock()
-	s.batches = append(s.batches, b)
+	*s.batches.At(s.batches.Grow(1)) = b
 	s.subMu.Unlock()
 }
 
@@ -375,8 +376,10 @@ func (s *Server) closeSubs() {
 func (s *Server) Batches() []Batch {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	out := make([]Batch, len(s.batches))
-	copy(out, s.batches)
+	out := make([]Batch, s.batches.Len())
+	for i := range out {
+		out[i] = *s.batches.At(i)
+	}
 	return out
 }
 
@@ -385,7 +388,7 @@ func (s *Server) Batches() []Batch {
 // Completed never exceeds Submitted.
 func (s *Server) Stats() Stats {
 	s.subMu.Lock()
-	completed, epochs := s.completed, len(s.batches)
+	completed, epochs := s.completed, s.batches.Len()
 	s.subMu.Unlock()
 	s.mu.Lock()
 	submitted := s.admitted

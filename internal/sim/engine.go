@@ -249,6 +249,10 @@ func (f *Feed) Add(t Time, i int) {
 	f.items = append(f.items, fedArrival{at: t, seq: e.seq, i: i})
 }
 
+// Reserve makes room for n more arrivals, so that many Adds grow the
+// feed's storage at most once, here.
+func (f *Feed) Reserve(n int) { f.items = slices.Grow(f.items, n) }
+
 // Start hands the feed to the engine: its earliest arrival enters the
 // heap. A feed with no arrivals is recycled at once.
 func (f *Feed) Start() {
