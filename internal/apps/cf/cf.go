@@ -182,17 +182,23 @@ func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Bu
 	tileHome := make(map[int]int)
 	// One task per (k, j, i) with k ≤ j ≤ i < grid.
 	ph.Reset(ctx, grid*(grid+1)*(grid+2)/6)
-	// ph keeps neither a task nor its lists, so every task's lists are
-	// rebuilt in these.
+	// ph keeps neither a task nor its lists, so each kernel kind's task
+	// is built once, with its cost, and every task's lists are rebuilt
+	// in these.
 	var deps []int
 	var h2d, d2h []core.TransferSpec
 	var err error
 	id := 0
+	potrf := core.Task{Cost: potrfCost(b)}
+	trsm := core.Task{Cost: trsmCost(b)}
+	syrk := core.Task{Cost: syrkCost(b)}
+	gemm := core.Task{Cost: gemmCost(b)}
 
-	// newTask enqueues one tile kernel writing tile (i,j) and reading
-	// the listed input tiles (beyond the output tile itself). After a
-	// failed enqueue it does nothing, and err holds the failure.
-	newTask := func(cost device.KernelCost, i, j int, reads [][2]int, body func(*hstreams.KernelCtx), final bool) {
+	// newTask enqueues task t as the tile kernel writing tile (i,j) and
+	// reading the listed input tiles (beyond the output tile itself).
+	// After a failed enqueue it does nothing, and err holds the
+	// failure.
+	newTask := func(t *core.Task, i, j int, reads [][2]int, body func(*hstreams.KernelCtx), final bool) {
 		if err != nil {
 			return
 		}
@@ -231,8 +237,8 @@ func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Bu
 		}
 		lastWriter[out] = id
 		tileHome[out] = dev
-		t := core.Task{ID: id, H2D: h2d, Cost: cost, Body: body, D2H: d2h, DependsOn: deps, StreamHint: s}
-		err = ph.Add(&t)
+		t.ID, t.H2D, t.Body, t.D2H, t.DependsOn, t.StreamHint = id, h2d, body, d2h, deps, s
+		err = ph.Add(t)
 		id++
 	}
 
@@ -242,7 +248,7 @@ func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Bu
 		if a.p.Functional {
 			potrfBody = func(kc *hstreams.KernelCtx) { a.potrf(kc, buf, k, b, grid) }
 		}
-		newTask(potrfCost(b), k, k, nil, potrfBody, true)
+		newTask(&potrf, k, k, nil, potrfBody, true)
 
 		for i := k + 1; i < grid; i++ {
 			i := i
@@ -250,7 +256,7 @@ func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Bu
 			if a.p.Functional {
 				trsmBody = func(kc *hstreams.KernelCtx) { a.trsm(kc, buf, i, k, b, grid) }
 			}
-			newTask(trsmCost(b), i, k, [][2]int{{k, k}}, trsmBody, true)
+			newTask(&trsm, i, k, [][2]int{{k, k}}, trsmBody, true)
 		}
 		for i := k + 1; i < grid; i++ {
 			i := i
@@ -261,14 +267,14 @@ func (a *App) enqueueDAG(ph *core.Phase, ctx *hstreams.Context, buf *hstreams.Bu
 					if a.p.Functional {
 						syrkBody = func(kc *hstreams.KernelCtx) { a.syrk(kc, buf, i, k, b, grid) }
 					}
-					newTask(syrkCost(b), i, i, [][2]int{{i, k}}, syrkBody, false)
+					newTask(&syrk, i, i, [][2]int{{i, k}}, syrkBody, false)
 					continue
 				}
 				var gemmBody func(*hstreams.KernelCtx)
 				if a.p.Functional {
 					gemmBody = func(kc *hstreams.KernelCtx) { a.gemm(kc, buf, i, j, k, b, grid) }
 				}
-				newTask(gemmCost(b), i, j, [][2]int{{i, k}, {j, k}}, gemmBody, false)
+				newTask(&gemm, i, j, [][2]int{{i, k}, {j, k}}, gemmBody, false)
 			}
 		}
 	}

@@ -95,15 +95,18 @@ func (a *App) Temperature() []float64 { return a.temp }
 
 // taskCost models one stencil kernel over rows [lo, hi) of the grid.
 func (a *App) taskCost(rows int) device.KernelCost {
+	c := device.KernelCost{Name: "hotspot.stencil", CacheSensitive: true, Efficiency: Efficiency}
+	a.size(&c, rows)
+	return c
+}
+
+// size sets the fields of a stencil cost that depend on its stripe of
+// rows rows.
+func (a *App) size(c *device.KernelCost, rows int) {
 	cells := float64(rows) * float64(a.p.Dim)
-	return device.KernelCost{
-		Name:            "hotspot.stencil",
-		Flops:           FlopsPerCell * cells,
-		Bytes:           BytesPerCell * cells,
-		WorkingSetBytes: int64(cells) * 16,
-		CacheSensitive:  true,
-		Efficiency:      Efficiency,
-	}
+	c.Flops = FlopsPerCell * cells
+	c.Bytes = BytesPerCell * cells
+	c.WorkingSetBytes = int64(cells) * 16
 }
 
 // Run simulates on rig with the grid split into tasks horizontal
@@ -137,16 +140,20 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	rowOf := func(t int) (lo, hi int) { return t * d / tasks, (t + 1) * d / tasks }
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable and xfer serve every tile.
+	// nor its lists, so each stage's task is built once, and a tile
+	// sets only its ID and its transfer or its cost's size.
 	var xfer [1]core.TransferSpec
+	ship := core.Task{H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+	stencil := core.Task{Cost: a.taskCost(0), StreamHint: -1}
+	back := core.Task{D2H: xfer[:], StreamHint: -1, TransferOnly: true}
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Stage 1: ship the current grid, tiled; synchronize.
 		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
 			xfer[0] = core.Xfer(bufIn, lo*d, (hi-lo)*d)
-			task := core.Task{ID: t, H2D: xfer[:], StreamHint: -1, TransferOnly: true}
-			if err := ph.Add(&task); err != nil {
+			ship.ID = t
+			if err := ph.Add(&ship); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -156,14 +163,15 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			task := core.Task{ID: t, Cost: a.taskCost(hi - lo), StreamHint: -1}
+			stencil.ID = t
+			a.size(&stencil.Cost, hi-lo)
 			if a.p.Functional {
 				lo, hi := lo, hi
-				task.Body = func(k *hstreams.KernelCtx) {
+				stencil.Body = func(k *hstreams.KernelCtx) {
 					a.stencil(k, bufIn, bufOut, bufPower, lo, hi)
 				}
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&stencil); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -174,8 +182,8 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
 			xfer[0] = core.Xfer(bufOut, lo*d, (hi-lo)*d)
-			task := core.Task{ID: t, D2H: xfer[:], StreamHint: -1, TransferOnly: true}
-			if err := ph.Add(&task); err != nil {
+			back.ID = t
+			if err := ph.Add(&back); err != nil {
 				return core.Result{}, err
 			}
 		}

@@ -51,12 +51,15 @@ func (a *App) RunPipelined(rig *core.Rig, partitions, tasks int) (core.Result, e
 	exID := func(iter, t int) int { return iter*2*tasks + tasks + t }
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable, xfer and deps serve the
-	// whole graph.
+	// nor its lists, so the two tasks are built once, and a tile sets
+	// only what varies: IDs, stream, transfer, dependencies and cost
+	// size.
 	iters := a.p.Iterations
 	ph.Reset(ctx, 2*tasks*iters)
 	var xfer [1]core.TransferSpec
 	var deps [3]int
+	ship := core.Task{H2D: xfer[:], TransferOnly: true}
+	stencil := core.Task{Cost: a.taskCost(0), D2H: xfer[:]}
 	for iter := 0; iter < iters; iter++ {
 		// Double buffers alternate by iteration parity.
 		in, out := bufA, bufB
@@ -73,8 +76,8 @@ func (a *App) RunPipelined(rig *core.Rig, partitions, tasks int) (core.Result, e
 				// producing tile's writeback.
 				xfer[0] = core.XferAfter(in, lo*d, (hi-lo)*d, exID(iter-1, t))
 			}
-			task := core.Task{ID: inID(iter, t), H2D: xfer[:], StreamHint: t % ctx.NumStreams(), TransferOnly: true}
-			if err := ph.Add(&task); err != nil {
+			ship.ID, ship.StreamHint = inID(iter, t), t%ctx.NumStreams()
+			if err := ph.Add(&ship); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -88,20 +91,15 @@ func (a *App) RunPipelined(rig *core.Rig, partitions, tasks int) (core.Result, e
 				dep = append(dep, inID(iter, t+1))
 			}
 			xfer[0] = core.Xfer(out, lo*d, (hi-lo)*d)
-			task := core.Task{
-				ID:         exID(iter, t),
-				DependsOn:  dep,
-				Cost:       a.taskCost(hi - lo),
-				D2H:        xfer[:],
-				StreamHint: t % ctx.NumStreams(),
-			}
+			stencil.ID, stencil.DependsOn, stencil.StreamHint = exID(iter, t), dep, t%ctx.NumStreams()
+			a.size(&stencil.Cost, hi-lo)
 			if a.p.Functional {
 				in, out, lo, hi := in, out, lo, hi
-				task.Body = func(k *hstreams.KernelCtx) {
+				stencil.Body = func(k *hstreams.KernelCtx) {
 					a.stencil(k, in, out, bufPower, lo, hi)
 				}
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&stencil); err != nil {
 				return core.Result{}, err
 			}
 		}

@@ -108,13 +108,16 @@ func (a *App) TotalFlops() float64 {
 
 // taskCost models one assignment kernel over n points.
 func (a *App) taskCost(n int) device.KernelCost {
-	return device.KernelCost{
-		Name:                "kmeans.assign",
-		Flops:               3 * float64(n) * float64(a.p.K) * float64(a.p.Features),
-		Bytes:               float64(n) * float64(a.p.Features) * 8,
-		AllocBytesPerThread: AllocBytesPerThread,
-		Efficiency:          Efficiency,
-	}
+	c := device.KernelCost{Name: "kmeans.assign", AllocBytesPerThread: AllocBytesPerThread, Efficiency: Efficiency}
+	a.size(&c, n)
+	return c
+}
+
+// size sets the fields of an assignment cost that depend on its n
+// points.
+func (a *App) size(c *device.KernelCost, n int) {
+	c.Flops = 3 * float64(n) * float64(a.p.K) * float64(a.p.Features)
+	c.Bytes = float64(n) * float64(a.p.Features) * 8
 }
 
 // Run clusters on rig with the points split into tasks tiles on
@@ -155,37 +158,33 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	ctx.Barrier()
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable, xfer and gate serve every
-	// tile.
+	// nor its lists, so the two tasks are built once, and a tile sets
+	// only its ID, its partials transfer and its cost's size.
 	var xfer [1]core.TransferSpec
 	const centroidTask = 0
 	gate := [1]int{centroidTask}
+	broadcast := core.Task{ID: centroidTask, H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+	assign := core.Task{Cost: a.taskCost(0), D2H: xfer[:], DependsOn: gate[:], StreamHint: -1}
 	for iter := 0; iter < p.Iterations; iter++ {
 		ph.Reset(ctx, tasks+1)
 		// Broadcast the centroids (one transfer; kernels gate on it).
 		xfer[0] = core.Xfer(bufCentroids, 0, kf)
-		task := core.Task{ID: centroidTask, H2D: xfer[:], StreamHint: -1, TransferOnly: true}
-		if err := ph.Add(&task); err != nil {
+		if err := ph.Add(&broadcast); err != nil {
 			return core.Result{}, err
 		}
 		for t := 0; t < tasks; t++ {
 			lo := t * p.N / tasks
 			hi := (t + 1) * p.N / tasks
 			xfer[0] = core.Xfer(bufPartials, t*partialLen, partialLen)
-			task := core.Task{
-				ID:         t + 1,
-				Cost:       a.taskCost(hi - lo),
-				D2H:        xfer[:],
-				DependsOn:  gate[:],
-				StreamHint: -1,
-			}
+			assign.ID = t + 1
+			a.size(&assign.Cost, hi-lo)
 			if p.Functional {
 				t, lo, hi := t, lo, hi
-				task.Body = func(k *hstreams.KernelCtx) {
+				assign.Body = func(k *hstreams.KernelCtx) {
 					a.assign(k, bufPoints, bufCentroids, bufPartials, t, lo, hi, partialLen)
 				}
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&assign); err != nil {
 				return core.Result{}, err
 			}
 		}

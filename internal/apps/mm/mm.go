@@ -115,55 +115,50 @@ func (a *App) Run(rig *core.Rig, partitions, grid int) (core.Result, error) {
 	bufBt := hstreams.Alloc(ctx, "Bt", a.bt, n*n)
 	bufC := hstreams.Alloc(ctx, "C", a.c, n*n)
 
-	cost := a.TileCost(grid)
 	// Each A row-panel and B column-panel is shipped exactly once as
 	// a transfer-only task; the grid² compute tasks gate on the two
 	// panels they consume. Total H2D traffic therefore equals the
 	// matrix sizes — the same bytes the non-streamed version moves —
 	// and overlap, not transfer avoidance, is what streams buy.
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable, xfer and deps serve every
-	// panel and tile.
+	// nor its lists, so the panel and tile tasks are built once, and
+	// each sets only its ID, its transfer and its panels.
 	start := ctx.Now()
 	ph.Reset(ctx, grid*(grid+2))
 	var xfer [1]core.TransferSpec
 	var deps [2]int
 	panelA := func(i int) int { return i }
 	panelB := func(j int) int { return grid + j }
+	panel := core.Task{H2D: xfer[:], StreamHint: -1, TransferOnly: true}
+	tile := core.Task{DependsOn: deps[:], Cost: a.TileCost(grid), D2H: xfer[:], StreamHint: -1}
 	// Interleave the A and B panel shipments so the first compute
 	// task (which needs A₀ and B₀) unlocks after two transfers, not
 	// after the entire A matrix has crossed the link.
 	for i := 0; i < grid; i++ {
 		xfer[0] = core.Xfer(bufA, i*bs*n, bs*n)
-		task := core.Task{ID: panelA(i), H2D: xfer[:], StreamHint: -1, TransferOnly: true}
-		if err := ph.Add(&task); err != nil {
+		panel.ID = panelA(i)
+		if err := ph.Add(&panel); err != nil {
 			return core.Result{}, err
 		}
 		xfer[0] = core.Xfer(bufBt, i*bs*n, bs*n)
-		task = core.Task{ID: panelB(i), H2D: xfer[:], StreamHint: -1, TransferOnly: true}
-		if err := ph.Add(&task); err != nil {
+		panel.ID = panelB(i)
+		if err := ph.Add(&panel); err != nil {
 			return core.Result{}, err
 		}
 	}
 	for ti := 0; ti < grid; ti++ {
 		for tj := 0; tj < grid; tj++ {
-			tile := ti*grid + tj
+			ij := ti*grid + tj
 			deps = [2]int{panelA(ti), panelB(tj)}
-			xfer[0] = core.Xfer(bufC, tile*bs*bs, bs*bs)
-			task := core.Task{
-				ID:         2*grid + tile,
-				DependsOn:  deps[:],
-				Cost:       cost,
-				D2H:        xfer[:],
-				StreamHint: -1,
-			}
+			xfer[0] = core.Xfer(bufC, ij*bs*bs, bs*bs)
+			tile.ID = 2*grid + ij
 			if a.p.Functional {
 				ti, tj := ti, tj
-				task.Body = func(k *hstreams.KernelCtx) {
+				tile.Body = func(k *hstreams.KernelCtx) {
 					a.multiplyTile(k, bufA, bufBt, bufC, ti, tj, bs)
 				}
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&tile); err != nil {
 				return core.Result{}, err
 			}
 		}

@@ -97,12 +97,15 @@ func (a *App) Nearest() []Neighbor { return a.nearest }
 
 // taskCost models one distance kernel over n records.
 func taskCost(n int) device.KernelCost {
-	return device.KernelCost{
-		Name:       "nn.dist",
-		Flops:      FlopsPerRecord * float64(n),
-		Bytes:      12 * float64(n), // read 8 B, write 4 B
-		Efficiency: Efficiency,
-	}
+	c := device.KernelCost{Name: "nn.dist", Efficiency: Efficiency}
+	size(&c, n)
+	return c
+}
+
+// size sets the fields of a distance cost that depend on its n records.
+func size(c *device.KernelCost, n int) {
+	c.Flops = FlopsPerRecord * float64(n)
+	c.Bytes = 12 * float64(n) // read 8 B, write 4 B
 }
 
 // Run searches on rig with the records split into tasks chunks on
@@ -125,17 +128,20 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	bufDist := hstreams.Alloc(ctx, "dist", a.dist, a.p.N)
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable and in/out serve every chunk.
+	// nor its lists, so the task is built once, and a chunk sets only
+	// its ID, its transfers and its cost's size.
 	start := ctx.Now()
 	ph.Reset(ctx, tasks)
 	var in [2]core.TransferSpec
 	var out [1]core.TransferSpec
+	task := core.Task{H2D: in[:], Cost: taskCost(0), D2H: out[:], StreamHint: -1}
 	for t := 0; t < tasks; t++ {
 		lo := t * a.p.N / tasks
 		hi := (t + 1) * a.p.N / tasks
 		in = [2]core.TransferSpec{core.Xfer(bufLat, lo, hi-lo), core.Xfer(bufLon, lo, hi-lo)}
 		out[0] = core.Xfer(bufDist, lo, hi-lo)
-		task := core.Task{ID: t, H2D: in[:], Cost: taskCost(hi - lo), D2H: out[:], StreamHint: -1}
+		task.ID = t
+		size(&task.Cost, hi-lo)
 		if a.p.Functional {
 			lo, hi := lo, hi
 			task.Body = func(k *hstreams.KernelCtx) {

@@ -102,26 +102,32 @@ func (a *App) Image() []float64 { return a.img }
 
 // reduceCost models the per-task statistics reduction over n cells.
 func reduceCost(n int) device.KernelCost {
-	return device.KernelCost{
-		Name:       "srad.reduce",
-		Flops:      2 * float64(n),
-		Bytes:      8 * float64(n),
-		Efficiency: Efficiency,
-	}
+	c := device.KernelCost{Name: "srad.reduce", Efficiency: Efficiency}
+	sizeReduce(&c, n)
+	return c
+}
+
+// sizeReduce sets the fields of a reduction cost that depend on its n
+// cells.
+func sizeReduce(c *device.KernelCost, n int) {
+	c.Flops = 2 * float64(n)
+	c.Bytes = 8 * float64(n)
 }
 
 // stencilCost models one diffusion stencil phase over n cells; ws is
 // the tile working set carried between the two phases.
 func stencilCost(name string, n int, ws int64) device.KernelCost {
-	return device.KernelCost{
-		Name:            name,
-		Flops:           FlopsPerCell * float64(n),
-		Bytes:           BytesPerCell * float64(n),
-		WorkingSetBytes: ws,
-		CacheSensitive:  true,
-		FitBonus:        FitBonus,
-		Efficiency:      Efficiency,
-	}
+	c := device.KernelCost{Name: name, CacheSensitive: true, FitBonus: FitBonus, Efficiency: Efficiency}
+	sizeStencil(&c, n, ws)
+	return c
+}
+
+// sizeStencil sets the fields of a stencil cost that depend on its
+// tile: n cells and working set ws.
+func sizeStencil(c *device.KernelCost, n int, ws int64) {
+	c.Flops = FlopsPerCell * float64(n)
+	c.Bytes = BytesPerCell * float64(n)
+	c.WorkingSetBytes = ws
 }
 
 // Run denoises on rig with the image split into tasks horizontal
@@ -164,8 +170,12 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 	tileWS := func(lo, hi int) int64 { return int64(cells(lo, hi)) * 16 } // img + c
 
 	// ph enqueues each task as it is built and keeps neither the task
-	// nor its lists, so one task variable and stats serve every stripe.
+	// nor its lists, so each phase's task is built once, and a stripe
+	// sets only its ID, its cost's size and its stats slot.
 	var stats [1]core.TransferSpec
+	reduce := core.Task{Cost: reduceCost(0), D2H: stats[:], StreamHint: -1}
+	coeff := core.Task{Cost: stencilCost("srad.coeff", 0, 0), StreamHint: -1}
+	update := core.Task{Cost: stencilCost("srad.update", 0, 0), StreamHint: -1}
 	q0sqr := 0.0
 	for iter := 0; iter < a.p.Iterations; iter++ {
 		// Phase 1: statistics reduction; D2H per-task partials; sync.
@@ -173,12 +183,13 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
 			stats[0] = core.Xfer(bufStats, 2*t, 2)
-			task := core.Task{ID: t, Cost: reduceCost(cells(lo, hi)), D2H: stats[:], StreamHint: -1}
+			reduce.ID = t
+			sizeReduce(&reduce.Cost, cells(lo, hi))
 			if a.p.Functional {
 				t, lo, hi := t, lo, hi
-				task.Body = func(k *hstreams.KernelCtx) { a.reduce(k, bufImg, bufStats, t, lo, hi) }
+				reduce.Body = func(k *hstreams.KernelCtx) { a.reduce(k, bufImg, bufStats, t, lo, hi) }
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&reduce); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -201,13 +212,14 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			task := core.Task{ID: t, Cost: stencilCost("srad.coeff", cells(lo, hi), tileWS(lo, hi)), StreamHint: -1}
+			coeff.ID = t
+			sizeStencil(&coeff.Cost, cells(lo, hi), tileWS(lo, hi))
 			if a.p.Functional {
 				lo, hi := lo, hi
 				q := q0sqr
-				task.Body = func(k *hstreams.KernelCtx) { a.coefficients(k, bufImg, bufC, bufDeriv, q, lo, hi) }
+				coeff.Body = func(k *hstreams.KernelCtx) { a.coefficients(k, bufImg, bufC, bufDeriv, q, lo, hi) }
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&coeff); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -217,12 +229,13 @@ func (a *App) Run(rig *core.Rig, partitions, tasks int) (core.Result, error) {
 		ph.Reset(ctx, tasks)
 		for t := 0; t < tasks; t++ {
 			lo, hi := rowOf(t)
-			task := core.Task{ID: t, Cost: stencilCost("srad.update", cells(lo, hi), tileWS(lo, hi)), StreamHint: -1}
+			update.ID = t
+			sizeStencil(&update.Cost, cells(lo, hi), tileWS(lo, hi))
 			if a.p.Functional {
 				lo, hi := lo, hi
-				task.Body = func(k *hstreams.KernelCtx) { a.update(k, bufImg, bufC, bufDeriv, lo, hi) }
+				update.Body = func(k *hstreams.KernelCtx) { a.update(k, bufImg, bufC, bufDeriv, lo, hi) }
 			}
-			if err := ph.Add(&task); err != nil {
+			if err := ph.Add(&update); err != nil {
 				return core.Result{}, err
 			}
 		}

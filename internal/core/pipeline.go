@@ -153,8 +153,10 @@ func (e *PhaseEvents) reset() {
 // of a task is H2D*, kernel, D2H*, so a task's own stages are
 // FIFO-ordered; cross-task dependencies gate kernels via events. Add
 // enqueues its task at once and keeps no reference to it or to its
-// slices, so a caller can build each task in one reused variable
-// instead of materialising the phase as a []*Task.
+// slices, so a caller can build a phase's task once and change only
+// the fields that vary from task to task (the paper apps set the ID,
+// the cost's size and the transfers), instead of materialising the
+// phase as a []*Task.
 //
 // The zero Phase is ready for Reset, and Reset starts the next phase
 // on the same storage. A phase owns the events its Add calls create:
