@@ -64,18 +64,6 @@ func imbalanced(seed uint64) ScenarioConfig {
 	}
 }
 
-// TestClusterBitIdenticalRepeats asserts the determinism contract for
-// every placement policy: the same configuration produces
-// byte-for-byte identical results on every run.
-func TestClusterBitIdenticalRepeats(t *testing.T) {
-	for _, place := range Policies() {
-		place := place
-		schedtest.BitIdentical(t, place, func(seed uint64) any {
-			return runScenario(t, place, imbalanced(seed))
-		}, 99, 100)
-	}
-}
-
 // TestClusterWorkConserving asserts the cluster-level invariant for
 // the built-in (non-pinning) policies: while any job waits unplaced in
 // the cluster queue, every stream of every device is busy

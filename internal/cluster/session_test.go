@@ -25,78 +25,6 @@ func sessionWorkload(n int) []Job {
 	return jobs
 }
 
-// A single-batch session must reproduce the batch Run exactly: the
-// same Result aggregates, the same outcomes (streamed here, kept
-// there), the same telemetry events and metrics snapshots — batch Run
-// is a one-batch session, and Submit's copy of the batch must not
-// change what the engine sees.
-func TestSessionSingleBatchMatchesRun(t *testing.T) {
-	jobs := sessionWorkload(16)
-
-	recRun := telemetry.NewRecorder()
-	cRun, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(recRun))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cRun.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	recSess := telemetry.NewRecorder()
-	cSess, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(recSess))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Outcome
-	sess, err := cSess.NewSession(func(o Outcome) { streamed = append(streamed, o) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base, err := sess.Submit(jobs); err != nil || base != 0 {
-		t.Fatalf("Submit = (%d, %v), want (0, nil)", base, err)
-	}
-	if n, err := sess.RunEpoch(); err != nil || n != len(jobs) {
-		t.Fatalf("RunEpoch = (%d, %v), want (%d, nil)", n, err, len(jobs))
-	}
-	got := sess.Result()
-	if got.Jobs != nil {
-		t.Fatalf("a session with a sink kept %d outcomes in its Result", len(got.Jobs))
-	}
-	agg := *want
-	agg.Jobs = nil
-	if !reflect.DeepEqual(&agg, got) {
-		t.Fatalf("session Result diverges from batch Run:\nrun:     %+v\nsession: %+v", &agg, got)
-	}
-	if recRun.Len() == 0 || len(recRun.Metrics()) == 0 {
-		t.Fatal("batch Run recorded no telemetry; comparison vacuous")
-	}
-	if !reflect.DeepEqual(recRun.Events(), recSess.Events()) {
-		t.Fatalf("session events diverge from batch Run (%d vs %d events)", recRun.Len(), recSess.Len())
-	}
-	if !reflect.DeepEqual(recRun.Metrics(), recSess.Metrics()) {
-		t.Fatalf("session metrics diverge from batch Run (%d vs %d snapshots)", len(recRun.Metrics()), len(recSess.Metrics()))
-	}
-	if len(streamed) != len(jobs) {
-		t.Fatalf("streamed %d outcomes, want %d", len(streamed), len(jobs))
-	}
-	// The stream carries each terminal outcome exactly once, in virtual
-	// completion order, and each matches the batch run's outcome.
-	seen := make(map[int]bool)
-	for i, o := range streamed {
-		if seen[o.Index] {
-			t.Fatalf("outcome %d streamed twice", o.Index)
-		}
-		seen[o.Index] = true
-		if !reflect.DeepEqual(o, want.Jobs[o.Index]) {
-			t.Fatalf("streamed outcome %d differs from the batch run's", o.Index)
-		}
-		if i > 0 && streamed[i].Done < streamed[i-1].Done {
-			t.Fatalf("stream out of completion order at %d: %v after %v", i, streamed[i].Done, streamed[i-1].Done)
-		}
-	}
-}
-
 // Splitting the same workload across epochs keeps every job accounted:
 // indices stay dense across batches, each epoch fully drains, every
 // outcome streams once, and the final Result covers all epochs. A
@@ -259,67 +187,6 @@ func TestSessionSubmitRejections(t *testing.T) {
 	// The cluster itself is reusable after Close.
 	if _, err := c.Run(sessionWorkload(4)); err != nil {
 		t.Fatalf("Run after session Close: %v", err)
-	}
-}
-
-// Two batches stacked at one epoch boundary run exactly like one batch
-// of their concatenation, epoch after epoch: the same Result, the same
-// outcome stream and the same telemetry. Stacking joins the second
-// batch's boundary arrivals to the boundary's one admission event, so
-// this holds only if that event admits them after the first batch's,
-// in order — with every job at the boundary and with staggered later
-// arrivals alike.
-func TestSessionStackedBatchesMatchConcatenation(t *testing.T) {
-	for _, staggered := range []bool{false, true} {
-		jobs := sessionWorkload(24)
-		if !staggered {
-			for i := range jobs {
-				jobs[i].Arrival = 0
-			}
-		}
-		type run struct {
-			res    *Result
-			stream []Outcome
-			events []telemetry.Event
-		}
-		play := func(cut int) run {
-			rec := telemetry.NewRecorder()
-			c, err := New(newCtx(t, 2, 2, 2), WithPlacement(Predicted()), WithStealing(0), WithTelemetry(rec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var r run
-			sess, err := c.NewSession(func(o Outcome) { r.stream = append(r.stream, o) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, epoch := range [][]Job{jobs[:12], jobs[12:]} {
-				parts := [][]Job{epoch}
-				if cut > 0 {
-					parts = [][]Job{epoch[:cut], epoch[cut:]}
-				}
-				for _, p := range parts {
-					if _, err := sess.Submit(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := sess.RunEpoch(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r.res, r.events = sess.Result(), rec.Events()
-			return r
-		}
-		want := play(0)
-		for _, cut := range []int{1, 5, 11} {
-			got := play(cut)
-			if !reflect.DeepEqual(got.res, want.res) {
-				t.Fatalf("staggered=%v cut=%d: stacked batches' Result differs from the concatenation's", staggered, cut)
-			}
-			if !reflect.DeepEqual(got.stream, want.stream) || !reflect.DeepEqual(got.events, want.events) {
-				t.Fatalf("staggered=%v cut=%d: stacked batches' outcome stream or telemetry differs", staggered, cut)
-			}
-		}
 	}
 }
 

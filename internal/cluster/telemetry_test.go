@@ -290,6 +290,22 @@ func TestTelemetryMetricsSnapshots(t *testing.T) {
 	}
 }
 
+// Without a residency cache nothing is served resident: the last
+// snapshot's miss bytes are the run's whole staging demand, steal
+// re-bindings un-charged, and its hit bytes are 0.
+func TestCachelessSnapshotMissesWholeDemand(t *testing.T) {
+	mix := telemetryMixes()["stealing"]
+	r, c := runMix(t, mix.cfg, mix.opts(), telemetry.NewRecorder())
+	if r.StagedJobs == 0 || r.Steals == 0 {
+		t.Fatalf("mix staged %d jobs and stole %d; the check needs both", r.StagedJobs, r.Steals)
+	}
+	snaps := c.Metrics()
+	last := snaps[len(snaps)-1]
+	if last.HitBytes != 0 || last.MissBytes != r.MissBytes {
+		t.Fatalf("last snapshot hit/miss = %d/%d bytes, want 0/%d", last.HitBytes, last.MissBytes, r.MissBytes)
+	}
+}
+
 // TestTelemetryRecorderSurvivesRuns checks the recorder accumulates
 // across Run calls (one continuous timeline) while Results stay
 // per-run.

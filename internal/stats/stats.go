@@ -237,11 +237,3 @@ func Speedup(before, after float64) float64 {
 	}
 	return before / after
 }
-
-// GFlops converts a flop count and seconds into GFLOPS.
-func GFlops(flops, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return flops / seconds / 1e9
-}

@@ -139,7 +139,7 @@ func (cw *chromeWriter) decision(e Event, tracks map[string]int) {
 	case Fail:
 		cw.instant("fail", "g", 0, fmt.Sprintf(`"job":%d,"tenant":%s`, e.Job, quote(e.Tenant)), e)
 	case Steal:
-		cw.instant("steal", "g", maxInt(e.Device+1, 0),
+		cw.instant("steal", "g", max(e.Device+1, 0),
 			fmt.Sprintf(`"job":%d,"thief":%d,"victim":%d,"gain_us":%s`, e.Job, e.Device, e.From, usOf(int64(e.Dur))), e)
 	case Hit:
 		cw.instant("residency-hit", "p", e.Device+1, fmt.Sprintf(`"job":%d,"bytes":%d`, e.Job, e.Bytes), e)
@@ -154,7 +154,7 @@ func (cw *chromeWriter) decision(e Event, tracks map[string]int) {
 	case Slice:
 		cw.instant("slice", "p", e.Device+1, fmt.Sprintf(`"job":%d,"stream":%d,"est_us":%s`, e.Job, e.Stream, usOf(int64(e.Dur))), e)
 	case Preempt:
-		cw.instant("preempt", "g", maxInt(e.Device+1, 0),
+		cw.instant("preempt", "g", max(e.Device+1, 0),
 			fmt.Sprintf(`"job":%d,"thief":%d,"victim":%d,"gain_us":%s`, e.Job, e.Device, e.From, usOf(int64(e.Dur))), e)
 	case Requeue:
 		cw.instant("requeue", "p", e.Device+1,
@@ -249,13 +249,6 @@ func quote(s string) string {
 	}
 	sb.WriteByte('"')
 	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Makespan reports the end of the latest recorded event — a

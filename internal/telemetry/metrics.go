@@ -62,7 +62,8 @@ type MetricsSnapshot struct {
 	// resident versus bytes charged as cold-miss transfer. Withdrawn
 	// commitments (steal re-bindings) are un-charged, mirroring the
 	// per-device StagedBytes accounting, so the pair is exact, not
-	// monotone. Both 0 cache-less.
+	// monotone. Cache-less, HitBytes stays 0 and MissBytes is the whole
+	// staging demand committed.
 	HitBytes, MissBytes int64
 	// Devices lists per-device state in device order; Tenants lists
 	// per-tenant accounting sorted by tenant label.

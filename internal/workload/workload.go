@@ -158,17 +158,3 @@ func UltrasoundImage(seed uint64, rows, cols int) []float64 {
 	}
 	return img
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -13,6 +13,10 @@
 #    of the command's doc comment must be defined in its main.go, and
 #    every `func Example...` in the root package's tests must be named
 #    in README's "Runnable godoc examples" sentence.
+# 5. Every test name in a backtick span of README.md or DESIGN.md
+#    (`Test…`, `Fuzz…`, `Benchmark…`, `Example…`) must be the prefix of
+#    a function in some _test.go file: a prefix, because a name may
+#    stand for a -run pattern (`TestAllocBudget`).
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -105,6 +109,19 @@ for name in $(sed -n 's/^func \(Example[A-Za-z0-9_]*\)().*/\1/p' ./*_test.go); d
         echo "README.md: godoc example $name is not named in the Runnable godoc examples sentence"
         fail=1
     fi
+done
+
+# --- test names -------------------------------------------------------
+defined=$(find . -name '*_test.go' -not -path './.git/*' -exec sed -n 's/^func \(\(Test\|Fuzz\|Benchmark\|Example\)[A-Za-z0-9_]*\).*/\1/p' {} + | sort -u)
+for doc in README.md DESIGN.md; do
+    for name in $(grep -o '`[^`]*`' "$doc" |
+        grep -oE '(^|[^A-Za-z0-9_])(Test|Fuzz|Benchmark|Example)[A-Z][A-Za-z0-9_]*' |
+        sed 's/^[^A-Z]//' | sort -u); do
+        if ! printf '%s\n' "$defined" | grep -q "^$name"; then
+            echo "$doc: names test $name, which no _test.go file defines"
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
